@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import corpus, llm
-from .frontend import ParseError, ResolveError, interface_of, parse_text, resolve
+from .frontend import FrontendError, interface_of, parse_text, resolve
 from .frontend.nodes import PouKind
 from .harnessgen import DEFAULT_ATOL, DEFAULT_RTOL
 from .runner import PipelineError, RunOptions, render_report, run_suite
@@ -126,7 +126,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         prog = _resolve_unit(unit_src, lib_srcs, cfg.unit.name)
         fb_name = _unit_fb_name(cfg, prog)
         iface = interface_of(prog, fb_name)
-    except (ParseError, ResolveError, ValueError) as exc:
+    except (FrontendError, ValueError) as exc:
         return _fail(str(exc))
 
     out = cfg.out_dir()
@@ -182,7 +182,7 @@ def cmd_run(cfg: RunConfig) -> int:
     try:
         prog = _resolve_unit(unit_src, lib_srcs, cfg.unit.name)
         fb_name = _unit_fb_name(cfg, prog)
-    except (ParseError, ResolveError, ValueError) as exc:
+    except (FrontendError, ValueError) as exc:
         return _fail(str(exc))
 
     try:

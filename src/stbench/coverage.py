@@ -1,4 +1,4 @@
-"""Statement coverage: accumulate execution traces, summarize, render.
+"""Statement coverage: accumulate hit counts, summarize, render.
 
 The ground truth is the per-POU map of statement-id hit counts; the
 line-oriented renderings (annotated listing, LCOV text) are lossy views
@@ -17,7 +17,7 @@ from .runtime.interp import ExecTrace
 
 
 class ForeignStatement(Exception):
-    """A trace mentioned a statement id outside the map's domain."""
+    """A trace or count mentioned a statement id outside the map's domain."""
 
 
 class UnknownPou(Exception):
@@ -55,9 +55,6 @@ class CoverageMap:
             stack.extend(unit.libraries)
         return cls(counts)
 
-    def copy(self) -> "CoverageMap":
-        return CoverageMap({pou: dict(sids) for pou, sids in self.counts.items()})
-
 
 def accumulate(cov: CoverageMap, trace: ExecTrace) -> CoverageMap:
     """Add one scan's trace into the map (in place; the map is returned).
@@ -66,11 +63,25 @@ def accumulate(cov: CoverageMap, trace: ExecTrace) -> CoverageMap:
     ids outside the map's domain.
     """
     for pou, sid in trace:
-        per_pou = cov.counts.get(pou)
-        if per_pou is None or sid not in per_pou:
-            raise ForeignStatement(f"statement {pou}#{sid} not in coverage domain")
-        per_pou[sid] += 1
+        _per_pou(cov, pou, sid)[sid] += 1
     return cov
+
+
+def add_counts(cov: CoverageMap, counts: dict[str, dict[int, int]]) -> CoverageMap:
+    """Add per-POU hit counts (RunResult.counts) into the map, in place.
+
+    Raises ForeignStatement for ids outside the map's domain."""
+    for pou, sids in counts.items():
+        for sid, n in sids.items():
+            _per_pou(cov, pou, sid)[sid] += n
+    return cov
+
+
+def _per_pou(cov: CoverageMap, pou: str, sid: int) -> dict[int, int]:
+    per_pou = cov.counts.get(pou)
+    if per_pou is None or sid not in per_pou:
+        raise ForeignStatement(f"statement {pou}#{sid} not in coverage domain")
+    return per_pou
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .diagnostics import Diagnostic, FrontendError
 from .source import SourceUnit, Span
 
 
@@ -50,9 +51,11 @@ _PUNCT = ";:,()[]."
 _TIME_FACTORS = {"D": 86_400_000.0, "H": 3_600_000.0, "M": 60_000.0, "S": 1_000.0, "MS": 1.0}
 
 
-class LexError(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(message)
+class LexError(FrontendError):
+    """A tokenization failure: one diagnostic at the offending span."""
+
+    def __init__(self, message: str, span: Span, src: SourceUnit | None = None):
+        super().__init__([Diagnostic(message, span)], src)
         self.message = message
         self.span = span
 
@@ -82,7 +85,7 @@ def tokenize(src: SourceUnit) -> list[Token]:
     out: list[Token] = []
 
     def err(msg: str, start: int, end: int | None = None):
-        raise LexError(msg, Span(start, end if end is not None else min(start + 1, n)))
+        raise LexError(msg, Span(start, end if end is not None else min(start + 1, n)), src)
 
     while i < n:
         ch = text[i]

@@ -81,6 +81,8 @@ class TypedProgram:
     sid_pou: dict[int, str] = field(default_factory=dict)
     sid_site: dict[int, tuple[str, object]] = field(default_factory=dict)
     statement_count: int = 0
+    # compiled POU bodies by name (stbench.runtime.interp), filled on first run
+    runtime_cache: dict | None = field(default=None, repr=False, compare=False)
 
     def lookup_pou(self, name: str) -> PouInfo | None:
         info = self.pous.get(name)

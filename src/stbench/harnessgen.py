@@ -106,11 +106,7 @@ class HarnessBundle:
     typed: TypedProgram
     program_name: str
     cases: list[CaseHarness]
-    case_fb_names: dict[str, str] = field(default_factory=dict)
     hook_vars: dict[str, tuple[str, str, str]] = field(default_factory=dict)
-
-    def instance_names(self) -> frozenset[str]:
-        return frozenset(c.instance_name for c in self.cases)
 
 
 def st_literal(val: V.Value) -> str:
@@ -320,6 +316,5 @@ def build_harness(
         typed,
         PROGRAM_NAME,
         cases,
-        {c.name: c.fb_name for c in cases},
         {c.name: hook_var_names(c.index) for c in cases},
     )

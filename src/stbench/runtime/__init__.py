@@ -3,7 +3,6 @@
 from .interp import (
     ContainedFault,
     ExecTrace,
-    Executor,
     FbInstance,
     RunResult,
     RuntimeFault,
@@ -18,7 +17,6 @@ from .values import Value, default, f32, make, render, wrap_int
 __all__ = [
     "ContainedFault",
     "ExecTrace",
-    "Executor",
     "FbInstance",
     "RunResult",
     "RuntimeFault",

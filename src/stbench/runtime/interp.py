@@ -1,10 +1,28 @@
-"""Cyclic scan interpreter with retained FB state and a simulated clock.
+"""Cyclic scan interpreter: resolved ST compiled once to Python closures.
 
 One scan runs a POU body exactly once.  The clock is frozen during a scan
 (every timer invoked in a scan sees the same `now`) and advances by the
-configured cycle time after the scan completes.  Execution appends each
-executed statement id to an ExecTrace; guard sites (IF/ELSIF conditions,
-CASE selectors, loop headers) count once per evaluation.
+configured cycle time after the scan completes.
+
+Each POU body is compiled into closures (Feeley & Lapalme, "Using closures
+for code generation", 1987) on its first execution and cached on the
+TypedProgram.  Compiling does once what a tree walk redoes on every
+execution: node dispatch, literal values, operator, built-in and
+conversion lookup, store conversions, site ids and spans, and the TEMP
+variable list.  Expressions evaluate to raw python values; a `Value` is
+built only when one is stored.  The closures hold no run state: the store,
+the nested instances, the count array and the run state (`_Scan`: program,
+counts, budget, clock, call depth) are passed in, so scans and threads
+share them.
+
+Coverage: executing a statement site adds one to its slot in its POU's
+count array; guard sites (IF/ELSIF conditions, CASE selectors, loop
+headers) count once per evaluation.  Each site also spends one unit of the
+scan's 1M-site budget, as does each FOR iteration; run_program gives what
+a contained fault's call spent back, up to three more budgets per scan.
+Faults are attributed on the exception path: a statement closure turns an
+expression fault into a RuntimeFault at its own site, and each call frame
+it unwinds through prepends its instance path segment.
 
 Monitoring: run_program emits one line per scan in the fixed format
 
@@ -18,6 +36,7 @@ stopped by a contained fault.  Cycle indices are 0-based.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,18 +45,22 @@ import math
 
 from ..frontend import nodes as N
 from ..frontend import types as T
-from ..frontend.builtins import BUILTIN_FBS as _BUILTIN_TABLE
+from ..frontend.builtins import BUILTIN_FBS
 from ..frontend.nodes import PouKind, Section
 from ..frontend.resolve import PouInfo, TypedProgram
 from ..frontend.source import Span
 from . import values as V
 from .stdfb import BuiltinInstance, make_builtin
-from .stdfuncs import BuiltinFuncError, call_builtin
-
-_BUILTIN_NAMES = frozenset(_BUILTIN_TABLE)
+from .stdfuncs import BuiltinFuncError, builtin_impl
 
 _SCAN_SITE_BUDGET = 1_000_000
+# Budgets a scan may give back to contained faults: a scan never runs more
+# than (1 + _SPARE_BUDGETS) * _SCAN_SITE_BUDGET sites.
+_SPARE_BUDGETS = 3
 _MAX_CALL_DEPTH = 64
+_BUDGET_MSG = "scan statement budget exceeded (possible unbounded loop)"
+
+Value = V.Value  # a global, not an attribute lookup, in every store
 
 
 class UnknownPou(Exception):
@@ -62,7 +85,10 @@ class RuntimeFault(Exception):
         self.span = span
         self.instance_path = instance_path
         self.cycle = cycle
-        super().__init__(self.describe())
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        return self.describe()
 
     def describe(self) -> str:
         where = f"{self.pou}#{self.sid}" if self.sid is not None else self.pou
@@ -83,7 +109,7 @@ class SimClock:
 
 
 class ExecTrace:
-    """Ordered (pou, statement-id) pairs executed during one scan."""
+    """(pou, statement-id) pairs executed during one scan, with multiplicity."""
 
     __slots__ = ("entries",)
 
@@ -93,14 +119,23 @@ class ExecTrace:
     def add(self, pou: str, sid: int) -> None:
         self.entries.append((pou, sid))
 
-    def sids_for(self, pou: str) -> list[int]:
-        return [sid for p, sid in self.entries if p == pou]
-
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
+
+
+class ScanTrace:
+    """What run_program keeps of one scan: len() is its site count."""
+
+    __slots__ = ("sites",)
+
+    def __init__(self, sites: int):
+        self.sites = sites
+
+    def __len__(self) -> int:
+        return self.sites
 
 
 def _initial_store(info: PouInfo) -> dict[str, V.Value]:
@@ -135,6 +170,14 @@ class FbInstance:
         }
 
 
+def _is_builtin_fb(prog: TypedProgram, fb_type: str) -> bool:
+    """Built-in blocks run natively unless a user FB shadows the name."""
+    if fb_type not in BUILTIN_FBS:
+        return False
+    user = prog.lookup_pou(fb_type)
+    return user is None or user.kind is not PouKind.FUNCTION_BLOCK
+
+
 def instantiate(prog: TypedProgram, fb_name: str) -> FbInstance:
     """Create a fresh instance of a function block (or program) with all
     variables at their declared initial values and nested FBs idle."""
@@ -149,19 +192,56 @@ def _instantiate(prog: TypedProgram, fb_name: str, path: tuple[str, ...]) -> FbI
         raise UnknownPou(f"recursive instantiation of {fb_name}")
     inst = FbInstance(prog, info)
     for var_name, fb_type in info.fb_instances.items():
-        if fb_type in _BUILTIN_NAMES:
-            user = prog.lookup_pou(fb_type)
-            # user declarations shadow the built-in blocks
-            if user is None or user.kind is not PouKind.FUNCTION_BLOCK:
-                inst.nested[var_name] = make_builtin(fb_type)
-                continue
-        inst.nested[var_name] = _instantiate(prog, fb_type, path + (fb_name,))
+        if _is_builtin_fb(prog, fb_type):
+            inst.nested[var_name] = make_builtin(fb_type)
+        else:
+            inst.nested[var_name] = _instantiate(prog, fb_type, path + (fb_name,))
     return inst
 
 
 # ---------------------------------------------------------------------------
-# Executor
+# Run state and faults
 # ---------------------------------------------------------------------------
+
+class _Scan:
+    """Mutable state of one run, passed to every closure.  `prog` is the
+    program the run resolves POU names in; `counts` maps a POU name to its
+    count array and lives for the whole run; the other fields restart with
+    each scan.  `spare` is what contained faults may still give back to the
+    budget in this scan.  `last` is the site a FOR iteration's budget fault
+    is attributed to: the last one hit in the loop's frame."""
+
+    __slots__ = ("prog", "counts", "budget", "spare", "now", "depth", "loops", "last")
+
+    def __init__(self, prog: TypedProgram):
+        self.prog = prog
+        self.counts: dict[str, list[int]] = {}
+        self.budget = 0
+        self.spare = 0
+        self.now = 0
+        self.depth = 0
+        self.loops = 0
+        self.last = None
+
+    def begin(self, now: int) -> None:
+        self.budget = _SCAN_SITE_BUDGET
+        self.spare = _SPARE_BUDGETS * _SCAN_SITE_BUDGET
+        self.now = now
+        self.depth = 0
+        self.loops = 0
+
+    def refund(self, budget: int) -> None:
+        """Give back what was spent since the budget stood at `budget`, as
+        far as the scan's spare allows."""
+        back = min(budget - self.budget, self.spare)
+        self.spare -= back
+        self.budget += back
+
+    def sites(self) -> int:
+        """Statement sites executed in this scan so far."""
+        granted = (1 + _SPARE_BUDGETS) * _SCAN_SITE_BUDGET - self.spare
+        return granted - self.budget - self.loops
+
 
 class _ExitLoop(Exception):
     pass
@@ -171,359 +251,606 @@ class _ReturnPou(Exception):
     pass
 
 
-@dataclass
-class ContainedFault:
-    instance: str
-    fault: RuntimeFault
-    cycle: int
+class _Trap(Exception):
+    """An expression fault; the enclosing statement attributes it."""
 
 
-class _FunctionFrame:
-    """Transient store for one user-function invocation."""
+_TRAPS = (_Trap, BuiltinFuncError)
 
-    def __init__(self, prog: TypedProgram, info: PouInfo):
-        self.prog = prog
+
+def _fault(site: tuple[str, int, Span], cause) -> RuntimeFault:
+    pou, sid, span = site
+    return RuntimeFault(str(cause), pou, sid, span)
+
+
+def _store_conv(src: T.STType | None, dst: T.STType):
+    """The raw conversion a store of `src` into a `dst` slot needs, or
+    None when the raw value is stored as is (V.convert_for_store)."""
+    return None if src == dst else V.coercer(dst)
+
+
+# ---------------------------------------------------------------------------
+# Compiled POUs
+# ---------------------------------------------------------------------------
+
+def _pou(prog: TypedProgram, name: str) -> "_Pou":
+    """The compiled POU `name` resolves to in prog, cached on prog.  Nothing
+    in the cache refers back to prog, so a finished run is freed at once."""
+    cache = prog.runtime_cache
+    if cache is None:
+        cache = prog.runtime_cache = {}
+    pou = cache.get(name)
+    if pou is None:
+        pou = cache[name] = _Pou(prog.lookup_pou(name))
+    return pou
+
+
+class _Pou:
+    """One POU: its body, compiled on first execution, and what a caller
+    needs to set up its frame."""
+
+    __slots__ = ("info", "name", "index", "temps", "initial", "body")
+
+    def __init__(self, info: PouInfo):
         self.info = info
-        self.fb_type = info.name
-        self.nested: dict = {}
-        self.store = _initial_store(info)
+        self.name = info.name
+        self.index = {sid: i for i, sid in enumerate(info.sids)}
+        self.temps = {
+            v.name: V.default(v.ty) for v in info.vars.values() if v.section is Section.TEMP
+        }
+        self.initial = _initial_store(info) if info.kind is PouKind.FUNCTION else None
+        self.body = None
 
+    def code(self, prog: TypedProgram) -> tuple:
+        body = self.body
+        if body is None:
+            body = self.body = _Compiler(self, prog).block(self.info.decl.body, False)
+        return body
 
-class Executor:
-    """Runs scans over instances of one resolved program (plus libraries)."""
+    def counts(self, scan: _Scan) -> list[int]:
+        cnt = scan.counts.get(self.name)
+        if cnt is None:
+            cnt = scan.counts[self.name] = [0] * len(self.index)
+        return cnt
 
-    def __init__(self, prog: TypedProgram):
-        self.prog = prog
-        self.trace: ExecTrace | None = None
-        self.now = 0
-        self.budget = 0
-        self.depth = 0
-        # active site for fault attribution
-        self._pou = "?"
-        self._sid: int | None = None
-        self._span: Span | None = None
-        self._path = ""
-        # containment (run_program only)
-        self.quarantine: frozenset[str] = frozenset()
-        self.dead: set[str] = set()
-        self.contained: list[ContainedFault] = []
-        self._cycle: int | None = None
-
-    # -- fault helpers -------------------------------------------------------
-
-    def fault(self, message: str) -> RuntimeFault:
-        return RuntimeFault(
-            message,
-            pou=self._pou,
-            sid=self._sid,
-            span=self._span,
-            instance_path=self._path,
-            cycle=self._cycle,
-        )
-
-    def _hit(self, kind: str, node, pou: str) -> None:
-        sid = N.site_sid(kind, node)
-        self.trace.add(pou, sid)
-        self._pou = pou
-        self._sid = sid
-        self._span = N.site_span(kind, node)
-        self.budget -= 1
-        if self.budget <= 0:
-            raise self.fault("scan statement budget exceeded (possible unbounded loop)")
-
-    # -- scans ----------------------------------------------------------------
-
-    def run_scan(self, inst: FbInstance, now: int, trace: ExecTrace, path: str = "") -> None:
-        self.now = now
-        self.trace = trace
-        self.budget = _SCAN_SITE_BUDGET
-        self.depth = 0
-        self._reset_temps(inst)
+    def run(self, store: dict, nested: dict, scan: _Scan) -> None:
+        body = self.body
+        if body is None:
+            body = self.code(scan.prog)
+        cnt = scan.counts.get(self.name)
+        if cnt is None:
+            cnt = self.counts(scan)
         try:
-            self.exec_body(inst.info.decl.body, inst, path or inst.fb_type)
+            for st in body:
+                st(store, nested, cnt, scan)
         except _ReturnPou:
             pass
 
-    def _reset_temps(self, inst) -> None:
-        for var in inst.info.vars.values():
-            if var.section is Section.TEMP:
-                inst.store[var.name] = V.default(var.ty)
+    def hits(self, cnt: list[int]) -> dict[int, int]:
+        return dict(zip(self.info.sids, cnt))
 
-    # -- statements -------------------------------------------------------------
 
-    def exec_body(self, body: list[N.Stmt], inst, path: str) -> None:
-        for st in body:
-            self.exec_stmt(st, inst, path)
+_NO_NESTED: dict = {}
 
-    def exec_stmt(self, st: N.Stmt, inst, path: str) -> None:
-        pou = inst.info.name
-        if isinstance(st, N.Assign):
-            self._hit("stmt", st, pou)
-            val = self.eval(st.value, inst, path)
-            self.assign(st.target, val, inst, path)
-        elif isinstance(st, N.FbCall):
-            self._hit("stmt", st, pou)
-            self.exec_fb_call(st, inst, path)
-        elif isinstance(st, N.ExitStmt):
-            self._hit("stmt", st, pou)
-            raise _ExitLoop()
-        elif isinstance(st, N.ReturnStmt):
-            self._hit("stmt", st, pou)
-            raise _ReturnPou()
-        elif isinstance(st, N.IfStmt):
-            for br in st.branches:
-                self._hit("guard", br, pou)
-                if self.eval(br.cond, inst, path).v:
-                    self.exec_body(br.body, inst, path)
-                    return
-            self.exec_body(st.else_body, inst, path)
-        elif isinstance(st, N.CaseStmt):
-            self._hit("selector", st, pou)
-            sel = self.eval(st.selector, inst, path).v
-            for br in st.branches:
-                if any(lab.lo <= sel <= lab.hi for lab in br.labels):
-                    self.exec_body(br.body, inst, path)
-                    return
-            self.exec_body(st.else_body, inst, path)  # no match, no ELSE: no-op
-        elif isinstance(st, N.ForStmt):
-            self._hit("header", st, pou)
-            self.exec_for(st, inst, path)
-        elif isinstance(st, N.WhileStmt):
-            while True:
-                self._hit("cond", st, pou)
-                if not self.eval(st.cond, inst, path).v:
-                    return
-                try:
-                    self.exec_body(st.body, inst, path)
-                except _ExitLoop:
-                    return
-        elif isinstance(st, N.RepeatStmt):
-            while True:
-                try:
-                    self.exec_body(st.body, inst, path)
-                except _ExitLoop:
-                    return
-                self._hit("until", st, pou)
-                if self.eval(st.until, inst, path).v:
-                    return
-        else:  # pragma: no cover
-            raise TypeError(f"unhandled statement {st!r}")
+_COMPARE = {
+    N.BinOp.EQ: operator.eq,
+    N.BinOp.NE: operator.ne,
+    N.BinOp.LT: operator.lt,
+    N.BinOp.LE: operator.le,
+    N.BinOp.GT: operator.gt,
+    N.BinOp.GE: operator.ge,
+}
 
-    def exec_for(self, st: N.ForStmt, inst, path: str) -> None:
-        var_ty = inst.info.vars[st.var].ty
-        start = self.eval(st.start, inst, path)
-        stop = self.eval(st.stop, inst, path)
-        step = self.eval(st.step, inst, path).v if st.step is not None else 1
-        if step == 0:
-            raise self.fault("FOR step is zero")
-        cur = V.convert_for_store(start, var_ty).v
-        limit = stop.v
-        while (cur <= limit) if step > 0 else (cur >= limit):
-            inst.store[st.var] = V.make(var_ty, cur)
-            try:
-                self.exec_body(st.body, inst, path)
-            except _ExitLoop:
-                return
-            cur = V.wrap_int(inst.store[st.var].v + step, var_ty.kind)
-            self.budget -= 1
-            if self.budget <= 0:
-                raise self.fault("scan statement budget exceeded (possible unbounded loop)")
 
-    def exec_fb_call(self, st: N.FbCall, inst, path: str) -> None:
-        callee = inst.nested[st.instance]
-        callee_path = f"{path}.{st.instance}"
-        if isinstance(callee, BuiltinInstance):
-            iface = _BUILTIN_TABLE[callee.fb_type]
-            for p in st.params:
-                if not p.is_output:
-                    val = self.eval(p.expr, inst, path)
-                    callee.store[p.name] = V.convert_for_store(val, iface[p.name][0])
-            callee.step(self.now)
-            for p in st.params:
-                if p.is_output:
-                    self.assign(p.expr, callee.store[p.name], inst, path)
-            return
-
-        # user FB: write inputs, run its body once, read outputs
-        info = callee.info
-        inout_backcopy: list[tuple[N.Expr, str]] = []
-        for p in st.params:
-            if p.is_output:
-                continue
-            slot = info.vars[p.name]
-            val = self.eval(p.expr, inst, path)
-            callee.store[p.name] = V.convert_for_store(val, slot.ty)
-            if slot.section is Section.IN_OUT:
-                inout_backcopy.append((p.expr, p.name))
-        self._reset_temps(callee)
-        outer = (self._pou, self._sid, self._span)
-        self.depth += 1
-        if self.depth > _MAX_CALL_DEPTH:
-            raise self.fault("call depth exceeded")
-        try:
-            self.exec_body(info.decl.body, callee, callee_path)
-        except _ReturnPou:
-            pass
-        finally:
-            self.depth -= 1
-        self._pou, self._sid, self._span = outer
-        for target, name in inout_backcopy:
-            self.assign(target, callee.store[name], inst, path)
-        for p in st.params:
-            if p.is_output:
-                self.assign(p.expr, callee.store[p.name], inst, path)
-
-    # -- lvalues -------------------------------------------------------------
-
-    def assign(self, target: N.Expr, val: V.Value, inst, path: str) -> None:
-        if isinstance(target, N.VarRef):
-            slot_ty = inst.info.vars[target.name].ty
-            inst.store[target.name] = V.convert_for_store(val, slot_ty)
-            return
-        if isinstance(target, N.IndexRef):
-            name = target.base.name
-            arr = inst.store[name]
-            ty = arr.ty
-            idx = self.eval(target.index, inst, path).v
-            if not (ty.lo <= idx <= ty.hi):
-                raise self.fault(f"array index {idx} outside {ty.lo}..{ty.hi}")
-            items = list(arr.v)
-            items[idx - ty.lo] = V.convert_for_store(val, ty.elem)
-            inst.store[name] = V.Value(ty, items)
-            return
-        raise TypeError(f"invalid assignment target {target!r}")  # pragma: no cover
-
-    # -- expressions -----------------------------------------------------------
-
-    def eval(self, e: N.Expr, inst, path: str) -> V.Value:
-        if isinstance(e, N.Literal):
-            return V.make(e.ty, e.value)
-        if isinstance(e, N.VarRef):
-            return inst.store[e.name]
-        if isinstance(e, N.MemberRef):
-            nested = inst.nested[e.base.name]
-            return nested.store[e.member]
-        if isinstance(e, N.IndexRef):
-            arr = inst.store[e.base.name]
-            idx = self.eval(e.index, inst, path).v
-            ty = arr.ty
-            if not (ty.lo <= idx <= ty.hi):
-                raise self.fault(f"array index {idx} outside {ty.lo}..{ty.hi}")
-            return arr.v[idx - ty.lo]
-        if isinstance(e, N.Unary):
-            return self.eval_unary(e, inst, path)
-        if isinstance(e, N.Binary):
-            return self.eval_binary(e, inst, path)
-        if isinstance(e, N.Call):
-            return self.eval_call(e, inst, path)
-        raise TypeError(f"unhandled expression {e!r}")  # pragma: no cover
-
-    def eval_unary(self, e: N.Unary, inst, path: str) -> V.Value:
-        val = self.eval(e.operand, inst, path)
-        if e.op is N.UnOp.NOT:
-            if e.ty.kind is T.Kind.BOOL:
-                return V.Value(e.ty, not val.v)
-            return V.make(e.ty, ~val.v)
-        if e.op is N.UnOp.NEG:
-            return V.make(e.ty, -val.v)
-        return V.make(e.ty, val.v)
-
-    def eval_binary(self, e: N.Binary, inst, path: str) -> V.Value:
-        op = e.op
-        lv = self.eval(e.left, inst, path)
-        rv = self.eval(e.right, inst, path)
-        a, b = lv.v, rv.v
-
-        if op is N.BinOp.EQ:
-            return V.Value(T.BOOL, a == b)
-        if op is N.BinOp.NE:
-            return V.Value(T.BOOL, a != b)
-        if op is N.BinOp.LT:
-            return V.Value(T.BOOL, a < b)
-        if op is N.BinOp.LE:
-            return V.Value(T.BOOL, a <= b)
-        if op is N.BinOp.GT:
-            return V.Value(T.BOOL, a > b)
-        if op is N.BinOp.GE:
-            return V.Value(T.BOOL, a >= b)
-
-        if op in (N.BinOp.AND, N.BinOp.OR, N.BinOp.XOR):
-            if e.ty.kind is T.Kind.BOOL:
-                res = (a and b) if op is N.BinOp.AND else (a or b) if op is N.BinOp.OR else (a != b)
-                return V.Value(T.BOOL, bool(res))
-            res = (a & b) if op is N.BinOp.AND else (a | b) if op is N.BinOp.OR else (a ^ b)
-            return V.make(e.ty, res)
-
-        int_result = e.ty.kind in (T.Kind.INT, T.Kind.DINT, T.Kind.TIME)
-        if op is N.BinOp.ADD:
-            return V.make(e.ty, a + b)
-        if op is N.BinOp.SUB:
-            return V.make(e.ty, a - b)
-        if op is N.BinOp.MUL:
-            return V.make(e.ty, a * b)
-        if op is N.BinOp.DIV:
-            if int_result:
+def _binop(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
+    """The raw function computing `a op b` with a result of type ty."""
+    if op in _COMPARE:
+        return _COMPARE[op]
+    if op in (N.BinOp.AND, N.BinOp.OR, N.BinOp.XOR):
+        if ty.kind is T.Kind.BOOL:
+            if op is N.BinOp.AND:
+                return lambda a, b: bool(a and b)
+            if op is N.BinOp.OR:
+                return lambda a, b: bool(a or b)
+            return operator.ne
+        co = V.coercer(ty)
+        bit = {N.BinOp.AND: operator.and_, N.BinOp.OR: operator.or_, N.BinOp.XOR: operator.xor}[op]
+        return lambda a, b: co(bit(a, b))
+    co = V.coercer(ty)
+    if op is N.BinOp.ADD:
+        return lambda a, b: co(a + b)
+    if op is N.BinOp.SUB:
+        return lambda a, b: co(a - b)
+    if op is N.BinOp.MUL:
+        return lambda a, b: co(a * b)
+    if op is N.BinOp.DIV:
+        if ty.kind in (T.Kind.INT, T.Kind.DINT, T.Kind.TIME):
+            def idiv(a, b):
                 if b == 0:
-                    raise self.fault("division by zero")
+                    raise _Trap("division by zero")
                 q = a // b
                 if a % b != 0 and (a < 0) != (b < 0):
                     q += 1  # truncate toward zero
-                return V.make(e.ty, q)
+                return co(q)
+            return idiv
+
+        def fdiv(a, b):
             if b == 0.0:
                 if a == 0.0:
-                    return V.make(e.ty, float("nan"))
-                sign = math.copysign(1.0, a) * math.copysign(1.0, b)
-                return V.make(e.ty, sign * float("inf"))
-            return V.make(e.ty, a / b)
-        if op is N.BinOp.MOD:
+                    return co(float("nan"))
+                return co(math.copysign(1.0, a) * math.copysign(1.0, b) * float("inf"))
+            return co(a / b)
+        return fdiv
+    if op is N.BinOp.MOD:
+        def mod(a, b):
             if b == 0:
-                raise self.fault("MOD by zero")
+                raise _Trap("MOD by zero")
             q = a // b
             if a % b != 0 and (a < 0) != (b < 0):
                 q += 1
-            return V.make(e.ty, a - q * b)
-        if op is N.BinOp.POW:
+            return co(a - q * b)
+        return mod
+    if op is N.BinOp.POW:
+        def power(a, b):
             try:
-                return V.make(e.ty, float(a) ** float(b))
+                return co(float(a) ** float(b))
             except OverflowError:
-                return V.make(e.ty, float("inf"))
+                return co(float("inf"))
             except (ValueError, ZeroDivisionError):
-                return V.make(e.ty, float("nan"))
-        raise TypeError(f"unhandled operator {op}")  # pragma: no cover
+                return co(float("nan"))
+        return power
+    raise TypeError(f"unhandled operator {op}")  # pragma: no cover
 
-    def eval_call(self, e: N.Call, inst, path: str) -> V.Value:
+
+class _Compiler:
+    """Compiles one POU body into statement closures.
+
+    A statement closure is `run(store, nested, cnt, scan)`; an expression
+    closure is `ev(store, nested, scan)` and returns a raw value.  With
+    `track` set (sites inside a FOR body), a site records itself in
+    `scan.last` once its own evaluation is done."""
+
+    def __init__(self, pou: _Pou, prog: TypedProgram):
+        self.pou = pou
+        self.prog = prog
+        self.vars = pou.info.vars
+        self.fbs = pou.info.fb_instances
+
+    def site(self, kind: str, node) -> tuple[int, tuple[str, int, Span]]:
+        sid = N.site_sid(kind, node)
+        return self.pou.index[sid], (self.pou.name, sid, N.site_span(kind, node))
+
+    def block(self, body: list[N.Stmt], track: bool) -> tuple:
+        return tuple(self.stmt(st, track) for st in body)
+
+    # -- statements -----------------------------------------------------------
+
+    def stmt(self, st: N.Stmt, track: bool):
+        if isinstance(st, N.Assign):
+            return self.assign(st, track)
+        if isinstance(st, N.FbCall):
+            return self.fb_call(st, track)
+        if isinstance(st, (N.ExitStmt, N.ReturnStmt)):
+            return self.jump(st, track)
+        if isinstance(st, N.IfStmt):
+            return self.if_stmt(st, track)
+        if isinstance(st, N.CaseStmt):
+            return self.case_stmt(st, track)
+        if isinstance(st, N.ForStmt):
+            return self.for_stmt(st, track)
+        if isinstance(st, N.WhileStmt):
+            return self.while_stmt(st, track)
+        if isinstance(st, N.RepeatStmt):
+            return self.repeat_stmt(st, track)
+        raise TypeError(f"unhandled statement {st!r}")  # pragma: no cover
+
+    def assign(self, st: N.Assign, track: bool):
+        i, site = self.site("stmt", st)
+        value = self.expr(st.value)
+        put = self.target(st.target, st.value.ty)
+
+        def run(store, nested, cnt, scan):
+            cnt[i] += 1
+            scan.budget -= 1
+            if scan.budget <= 0:
+                raise _fault(site, _BUDGET_MSG)
+            try:
+                put(store, nested, scan, value(store, nested, scan))
+            except _TRAPS as exc:
+                raise _fault(site, exc) from None
+            if track:
+                scan.last = site
+        return run
+
+    def fb_call(self, st: N.FbCall, track: bool):
+        i, site = self.site("stmt", st)
+        iname = st.instance
+        fb_type = self.fbs[iname]
+        builtin = _is_builtin_fb(self.prog, fb_type)
+        if builtin:
+            slots = BUILTIN_FBS[fb_type]
+        else:
+            callee = _pou(self.prog, fb_type)
+            slots = {v.name: (v.ty, v.section) for v in callee.info.vars.values()}
+        inputs = [p for p in st.params if not p.is_output]
+        ins = tuple((p.name, self.boxed(p.expr, slots[p.name][0])) for p in inputs)
+        # after the call, IN_OUT arguments are written back, then the outputs
+        back = [p for p in inputs if slots[p.name][1] is Section.IN_OUT]
+        back += [p for p in st.params if p.is_output]
+        outs = tuple((p.name, self.target(p.expr, slots[p.name][0])) for p in back)
+
+        if builtin:
+            def run(store, nested, cnt, scan):
+                cnt[i] += 1
+                scan.budget -= 1
+                if scan.budget <= 0:
+                    raise _fault(site, _BUDGET_MSG)
+                fb = nested[iname]
+                fstore = fb.store
+                try:
+                    for name, box in ins:
+                        fstore[name] = box(store, nested, scan)
+                    fb.step(scan.now)
+                    for name, put in outs:
+                        put(store, nested, scan, fstore[name].v)
+                except _TRAPS as exc:
+                    raise _fault(site, exc) from None
+                if track:
+                    scan.last = site
+            return run
+
+        temps = callee.temps
+        segment = "." + iname
+
+        def run(store, nested, cnt, scan):
+            cnt[i] += 1
+            scan.budget -= 1
+            if scan.budget <= 0:
+                raise _fault(site, _BUDGET_MSG)
+            fb = nested[iname]
+            fstore = fb.store
+            try:
+                for name, box in ins:
+                    fstore[name] = box(store, nested, scan)
+            except _TRAPS as exc:
+                raise _fault(site, exc) from None
+            if temps:
+                fstore.update(temps)
+            scan.depth += 1
+            try:
+                if scan.depth > _MAX_CALL_DEPTH:
+                    raise _fault(site, "call depth exceeded")
+                try:
+                    callee.run(fstore, fb.nested, scan)
+                except RuntimeFault as fault:
+                    fault.instance_path = segment + fault.instance_path
+                    raise
+            finally:
+                scan.depth -= 1
+            try:
+                for name, put in outs:
+                    put(store, nested, scan, fstore[name].v)
+            except _TRAPS as exc:
+                raise _fault(site, exc) from None
+            if track:
+                scan.last = site
+        return run
+
+    def jump(self, st, track: bool):
+        i, site = self.site("stmt", st)
+        signal = _ExitLoop if isinstance(st, N.ExitStmt) else _ReturnPou
+
+        def run(store, nested, cnt, scan):
+            cnt[i] += 1
+            scan.budget -= 1
+            if scan.budget <= 0:
+                raise _fault(site, _BUDGET_MSG)
+            if track:
+                scan.last = site
+            raise signal
+        return run
+
+    def if_stmt(self, st: N.IfStmt, track: bool):
+        branches = tuple(
+            (*self.site("guard", br), self.expr(br.cond), self.block(br.body, track))
+            for br in st.branches
+        )
+        else_body = self.block(st.else_body, track)
+
+        def run(store, nested, cnt, scan):
+            for i, site, cond, body in branches:
+                cnt[i] += 1
+                scan.budget -= 1
+                if scan.budget <= 0:
+                    raise _fault(site, _BUDGET_MSG)
+                try:
+                    taken = cond(store, nested, scan)
+                except _TRAPS as exc:
+                    raise _fault(site, exc) from None
+                if track:
+                    scan.last = site
+                if taken:
+                    for s in body:
+                        s(store, nested, cnt, scan)
+                    return
+            for s in else_body:
+                s(store, nested, cnt, scan)
+        return run
+
+    def case_stmt(self, st: N.CaseStmt, track: bool):
+        i, site = self.site("selector", st)
+        selector = self.expr(st.selector)
+        else_body = self.block(st.else_body, track)
+        arms = []
+        for br in st.branches:
+            body = self.block(br.body, track)
+            arms.extend((lab.lo, lab.hi, body) for lab in br.labels)
+
+        def run(store, nested, cnt, scan):
+            cnt[i] += 1
+            scan.budget -= 1
+            if scan.budget <= 0:
+                raise _fault(site, _BUDGET_MSG)
+            try:
+                sel = selector(store, nested, scan)
+            except _TRAPS as exc:
+                raise _fault(site, exc) from None
+            if track:
+                scan.last = site
+            for lo, hi, body in arms:
+                if lo <= sel <= hi:
+                    break  # the first matching branch wins
+            else:
+                body = else_body  # no match, no ELSE: no-op
+            for s in body:
+                s(store, nested, cnt, scan)
+        return run
+
+    def for_stmt(self, st: N.ForStmt, track: bool):
+        i, site = self.site("header", st)
+        var = st.var
+        ty = self.vars[var].ty
+        kind = ty.kind
+        first = self.value_for(st.start, ty)
+        stop = self.expr(st.stop)
+        step = self.expr(st.step) if st.step is not None else None
+        body = self.block(st.body, True)
+
+        def run(store, nested, cnt, scan):
+            cnt[i] += 1
+            scan.budget -= 1
+            if scan.budget <= 0:
+                raise _fault(site, _BUDGET_MSG)
+            try:
+                cur = first(store, nested, scan)
+                limit = stop(store, nested, scan)
+                inc = step(store, nested, scan) if step is not None else 1
+                if inc == 0:
+                    raise _Trap("FOR step is zero")
+            except _TRAPS as exc:
+                raise _fault(site, exc) from None
+            scan.last = site
+            try:
+                while (cur <= limit) if inc > 0 else (cur >= limit):
+                    store[var] = Value(ty, cur)
+                    for s in body:
+                        s(store, nested, cnt, scan)
+                    cur = V.wrap_int(store[var].v + inc, kind)
+                    scan.loops += 1
+                    scan.budget -= 1
+                    if scan.budget <= 0:
+                        raise _fault(scan.last, _BUDGET_MSG)
+            except _ExitLoop:
+                pass
+        return run
+
+    def while_stmt(self, st: N.WhileStmt, track: bool):
+        i, site = self.site("cond", st)
+        cond = self.expr(st.cond)
+        body = self.block(st.body, track)
+
+        def run(store, nested, cnt, scan):
+            try:
+                while True:
+                    cnt[i] += 1
+                    scan.budget -= 1
+                    if scan.budget <= 0:
+                        raise _fault(site, _BUDGET_MSG)
+                    try:
+                        go = cond(store, nested, scan)
+                    except _TRAPS as exc:
+                        raise _fault(site, exc) from None
+                    if track:
+                        scan.last = site
+                    if not go:
+                        return
+                    for s in body:
+                        s(store, nested, cnt, scan)
+            except _ExitLoop:
+                pass
+        return run
+
+    def repeat_stmt(self, st: N.RepeatStmt, track: bool):
+        i, site = self.site("until", st)
+        until = self.expr(st.until)
+        body = self.block(st.body, track)
+
+        def run(store, nested, cnt, scan):
+            try:
+                while True:
+                    for s in body:
+                        s(store, nested, cnt, scan)
+                    cnt[i] += 1
+                    scan.budget -= 1
+                    if scan.budget <= 0:
+                        raise _fault(site, _BUDGET_MSG)
+                    try:
+                        done = until(store, nested, scan)
+                    except _TRAPS as exc:
+                        raise _fault(site, exc) from None
+                    if track:
+                        scan.last = site
+                    if done:
+                        return
+            except _ExitLoop:
+                pass
+        return run
+
+    # -- stores ----------------------------------------------------------------
+
+    def target(self, e: N.Expr, src_ty: T.STType):
+        """Writer `put(store, nested, scan, raw)` for an assignment target
+        receiving a raw value of type src_ty."""
+        if isinstance(e, N.VarRef):
+            name = e.name
+            ty = self.vars[name].ty
+            conv = _store_conv(src_ty, ty)
+            if conv is None:
+                def put(store, nested, scan, raw):
+                    store[name] = Value(ty, raw)
+            else:
+                def put(store, nested, scan, raw):
+                    store[name] = Value(ty, conv(raw))
+            return put
+        if isinstance(e, N.IndexRef):
+            name = e.base.name
+            arr_ty = self.vars[name].ty
+            elem, lo, hi = arr_ty.elem, arr_ty.lo, arr_ty.hi
+            index = self.expr(e.index)
+            conv = _store_conv(src_ty, elem) or (lambda raw: raw)
+
+            def put(store, nested, scan, raw):
+                idx = index(store, nested, scan)
+                if not lo <= idx <= hi:
+                    raise _Trap(f"array index {idx} outside {lo}..{hi}")
+                items = list(store[name].v)
+                items[idx - lo] = Value(elem, conv(raw))
+                store[name] = Value(arr_ty, items)
+            return put
+        raise TypeError(f"invalid assignment target {e!r}")  # pragma: no cover
+
+    def boxed(self, e: N.Expr, dst: T.STType):
+        """Closure returning the Value a dst slot receives from e.  Literals
+        are boxed once and a same-typed variable is copied as is."""
+        if isinstance(e, N.Literal):
+            c = V.Value(dst, self.value_for(e, dst)(None, None, None))
+            return lambda store, nested, scan: c
+        if e.ty == dst and isinstance(e, N.VarRef):
+            name = e.name
+            return lambda store, nested, scan: store[name]
+        ev = self.value_for(e, dst)
+        return lambda store, nested, scan: Value(dst, ev(store, nested, scan))
+
+    def value_for(self, e: N.Expr, dst: T.STType):
+        """Expression closure whose raw result is converted for a dst slot."""
+        ev = self.expr(e)
+        conv = _store_conv(e.ty, dst)
+        if conv is None:
+            return ev
+        if isinstance(e, N.Literal):
+            c = conv(ev(None, None, None))
+            return lambda store, nested, scan: c
+        return lambda store, nested, scan: conv(ev(store, nested, scan))
+
+    # -- expressions -------------------------------------------------------------
+
+    def expr(self, e: N.Expr):
+        if isinstance(e, N.Literal):
+            c = V.make(e.ty, e.value).v
+            return lambda store, nested, scan: c
+        if isinstance(e, N.VarRef):
+            name = e.name
+            return lambda store, nested, scan: store[name].v
+        if isinstance(e, N.MemberRef):
+            base, member = e.base.name, e.member
+            return lambda store, nested, scan: nested[base].store[member].v
+        if isinstance(e, N.IndexRef):
+            name = e.base.name
+            arr_ty = self.vars[name].ty
+            lo, hi = arr_ty.lo, arr_ty.hi
+            index = self.expr(e.index)
+
+            def ev(store, nested, scan):
+                idx = index(store, nested, scan)
+                if not lo <= idx <= hi:
+                    raise _Trap(f"array index {idx} outside {lo}..{hi}")
+                return store[name].v[idx - lo].v
+            return ev
+        if isinstance(e, N.Unary):
+            return self.unary(e)
+        if isinstance(e, N.Binary):
+            return self.binary(e)
+        if isinstance(e, N.Call):
+            return self.call(e)
+        raise TypeError(f"unhandled expression {e!r}")  # pragma: no cover
+
+    def unary(self, e: N.Unary):
+        operand = self.expr(e.operand)
+        if e.op is N.UnOp.NOT and e.ty.kind is T.Kind.BOOL:
+            return lambda store, nested, scan: not operand(store, nested, scan)
+        co = V.coercer(e.ty)
+        if e.op is N.UnOp.NOT:
+            return lambda store, nested, scan: co(~operand(store, nested, scan))
+        if e.op is N.UnOp.NEG:
+            return lambda store, nested, scan: co(-operand(store, nested, scan))
+        return lambda store, nested, scan: co(operand(store, nested, scan))
+
+    def binary(self, e: N.Binary):
+        fn = _binop(e.op, e.ty)
+        left = self.expr(e.left)
+        right = self.expr(e.right)
+        return lambda store, nested, scan: fn(left(store, nested, scan), right(store, nested, scan))
+
+    def call(self, e: N.Call):
         info = self.prog.lookup_pou(e.name)
         if info is not None and info.kind is PouKind.FUNCTION:
-            return self.call_function(info, e, inst, path)
-        args = [self.eval(a, inst, path) for a in e.args]
-        try:
-            return call_builtin(e.name, args, e.ty)
-        except BuiltinFuncError as exc:
-            raise self.fault(str(exc)) from exc
+            return self.call_function(e)
+        args = tuple(self.expr(a) for a in e.args)
+        impl = builtin_impl(e.name, [a.ty for a in e.args], e.ty)
+        return lambda store, nested, scan: impl(*[a(store, nested, scan) for a in args])
 
-    def call_function(self, info: PouInfo, e: N.Call, inst, path: str) -> V.Value:
-        self.depth += 1
-        if self.depth > _MAX_CALL_DEPTH:
-            raise self.fault("call depth exceeded")
-        try:
-            frame = _FunctionFrame(self.prog, info)
-            params = [v for v in info.vars.values() if v.section is Section.INPUT]
-            for param, arg in zip(params, e.args):
-                frame.store[param.name] = V.convert_for_store(self.eval(arg, inst, path), param.ty)
-            outer = (self._pou, self._sid, self._span)
+    def call_function(self, e: N.Call):
+        callee = _pou(self.prog, e.name)
+        fname = callee.name
+        initial = callee.initial
+        params = [v for v in callee.info.vars.values() if v.section is Section.INPUT]
+        args = tuple((p.name, self.boxed(a, p.ty)) for p, a in zip(params, e.args))
+        segment = f"/{fname}()"
+
+        def ev(store, nested, scan):
+            scan.depth += 1
             try:
-                self.exec_body(info.decl.body, frame, f"{path}/{info.name}()")
-            except _ReturnPou:
-                pass
-            self._pou, self._sid, self._span = outer
-            return frame.store[info.name]
-        finally:
-            self.depth -= 1
+                if scan.depth > _MAX_CALL_DEPTH:
+                    raise _Trap("call depth exceeded")
+                frame = dict(initial)
+                for name, arg in args:
+                    frame[name] = arg(store, nested, scan)
+                try:
+                    callee.run(frame, _NO_NESTED, scan)
+                except RuntimeFault as fault:
+                    fault.instance_path = segment + fault.instance_path
+                    raise
+                return frame[fname].v
+            finally:
+                scan.depth -= 1
+        return ev
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
+
+def _run_instance(inst: FbInstance, scan: _Scan) -> None:
+    """One scan of an instance's body, its TEMP variables reset first."""
+    pou = _pou(inst.prog, inst.fb_type)
+    if pou.temps:
+        inst.store.update(pou.temps)
+    try:
+        pou.run(inst.store, inst.nested, scan)
+    except RuntimeFault as fault:
+        fault.instance_path = inst.fb_type + fault.instance_path
+        raise
+
 
 def execute_cycle(
     inst: FbInstance,
@@ -534,7 +861,9 @@ def execute_cycle(
 
     Retained variables persist in `inst` between calls.  Raises ValueError
     for undeclared input names or un-assignable input types (precondition
-    violations, not runtime faults).
+    violations, not runtime faults).  The trace lists each executed site
+    as often as it ran, grouped by POU in first-execution order and by
+    statement id within a POU, not in execution order.
     """
     for name, val in inputs.items():
         var = inst.info.vars.get(name.upper())
@@ -544,37 +873,59 @@ def execute_cycle(
             inst.store[var.name] = V.convert_for_store(val, var.ty)
         except TypeError as exc:
             raise ValueError(f"input {name}: {exc}") from exc
-    trace = ExecTrace()
-    executor = Executor(inst.prog)
-    executor.run_scan(inst, clock.now, trace)
+    scan = _Scan(inst.prog)
+    scan.begin(clock.now)
+    _run_instance(inst, scan)
     outputs = inst.outputs()
     clock.advance()
+    trace = ExecTrace()
+    for name, cnt in scan.counts.items():
+        for sid, n in _pou(inst.prog, name).hits(cnt).items():
+            trace.entries.extend([(name, sid)] * n)
     return outputs, trace
+
+
+@dataclass
+class ContainedFault:
+    instance: str
+    fault: RuntimeFault
+    cycle: int
 
 
 @dataclass
 class RunResult:
     instance: FbInstance
-    traces: list[ExecTrace]
+    traces: list[ScanTrace]
     records: list[str]
     faults: list[ContainedFault]
     cycles_executed: int
     final_time: int = 0
+    # per POU: statement id -> times executed, over the whole run
+    counts: dict[str, dict[int, int]] = field(default_factory=dict)
 
 
 _HOOK_RE = re.compile(r"^TC_(\d+)_(DONE|PASS|FAILS)$")
 
 
-def _hook_snapshot(store: dict[str, V.Value]) -> dict[int, tuple[bool, bool, int]]:
-    cases: dict[int, dict[str, object]] = {}
-    for name, val in store.items():
+def _hook_slots(store: dict[str, V.Value]) -> list[tuple[int, str | None, str | None, str | None]]:
+    """The harness hook variables in a program store, by case index."""
+    cases: dict[int, dict[str, str]] = {}
+    for name in store:
         m = _HOOK_RE.match(name)
         if m:
-            cases.setdefault(int(m.group(1)), {})[m.group(2)] = val.v
-    return {
-        i: (bool(d.get("DONE", False)), bool(d.get("PASS", False)), int(d.get("FAILS", 0)))
-        for i, d in cases.items()
-    }
+            cases.setdefault(int(m.group(1)), {})[m.group(2)] = name
+    return [(i, d.get("DONE"), d.get("PASS"), d.get("FAILS")) for i, d in sorted(cases.items())]
+
+
+def _hook_snapshot(store: dict[str, V.Value], slots) -> list[tuple[bool, bool, int]]:
+    return [
+        (
+            bool(store[done].v) if done else False,
+            bool(store[passed].v) if passed else False,
+            int(store[fails].v) if fails else 0,
+        )
+        for _i, done, passed, fails in slots
+    ]
 
 
 def run_program(
@@ -589,44 +940,67 @@ def run_program(
     """Run a PROGRAM POU for up to `cycles` scans, one monitor record each.
 
     Faults raised inside quarantined instances (by store name in the
-    program) stop only that instance; everything else keeps running.
-    Faults outside quarantined scopes propagate with the cycle attached.
+    program) stop only that instance; everything else keeps running.  The
+    sites the stopped call executed are given back to the scan's budget
+    while the scan's spare lasts, so one runaway instance does not fault
+    the statements after it, yet a scan stays bounded.  Faults outside
+    quarantined scopes propagate with the cycle attached.
     """
     info = prog.lookup_pou(program_name.upper())
     if info is None or info.kind is not PouKind.PROGRAM:
         raise UnknownPou(f"no program named {program_name}")
     inst = instantiate(prog, program_name)
-    executor = Executor(prog)
-    executor.quarantine = frozenset(quarantine)
+    pou = _pou(prog, inst.fb_type)
+    quarantine = frozenset(quarantine)
+    # each top-level statement, with the instance it stops on a fault
+    body = [
+        (run, st.instance if isinstance(st, N.FbCall) and st.instance in quarantine else None)
+        for run, st in zip(pou.code(prog), info.decl.body)
+    ]
+    store, nested, root = inst.store, inst.nested, inst.fb_type
+    dead: set[str] = set()
+    contained: list[ContainedFault] = []
+    scan = _Scan(prog)
+    cnt = pou.counts(scan)
+    hook_slots = _hook_slots(store)
+    prev_hooks = _hook_snapshot(store, hook_slots)
 
-    traces: list[ExecTrace] = []
+    traces: list[ScanTrace] = []
     records: list[str] = []
-    prev_hooks = _hook_snapshot(inst.store)
     cycles_executed = 0
 
     for cycle in range(cycles):
-        trace = ExecTrace()
-        executor._cycle = cycle
-        executor.trace = trace
-        executor.budget = _SCAN_SITE_BUDGET
-        executor.depth = 0
-        executor.now = clock.now
-        executor._reset_temps(inst)
-        faults_before = len(executor.contained)
+        scan.begin(clock.now)
+        if pou.temps:
+            store.update(pou.temps)
+        events: list[str] = []
         try:
-            _run_program_body(executor, inst, cycle)
+            for run, guard in body:
+                if guard is None:
+                    run(store, nested, cnt, scan)
+                elif guard not in dead:
+                    budget = scan.budget
+                    try:
+                        run(store, nested, cnt, scan)
+                    except RuntimeFault as fault:
+                        fault.instance_path = root + fault.instance_path
+                        fault.cycle = cycle
+                        dead.add(guard)
+                        contained.append(ContainedFault(guard, fault, cycle))
+                        events.append(f"FAULT={guard}@{fault.sid}")
+                        scan.refund(budget)
+        except _ReturnPou:
+            pass
         except RuntimeFault as fault:
+            fault.instance_path = root + fault.instance_path
             fault.cycle = cycle
             raise
-        traces.append(trace)
+        traces.append(ScanTrace(scan.sites()))
 
-        events: list[str] = []
-        for contained in executor.contained[faults_before:]:
-            events.append(f"FAULT={contained.instance}@{contained.fault.sid}")
-        hooks = _hook_snapshot(inst.store)
-        for i in sorted(hooks):
-            done, passed, fails = hooks[i]
-            pdone, _ppassed, pfails = prev_hooks.get(i, (False, False, 0))
+        hooks = _hook_snapshot(store, hook_slots)
+        for (i, *_names), (done, passed, fails), (pdone, _ppassed, pfails) in zip(
+            hook_slots, hooks, prev_hooks
+        ):
             if fails > pfails:
                 events.append(f"TC_{i}_FAILS={fails}")
             if done and not pdone:
@@ -640,29 +1014,8 @@ def run_program(
 
         clock.advance()
         cycles_executed = cycle + 1
-        if stop_when is not None and stop_when(inst.store, frozenset(executor.dead)):
+        if stop_when is not None and stop_when(store, frozenset(dead)):
             break
 
-    return RunResult(inst, traces, records, executor.contained, cycles_executed, clock.now)
-
-
-def _run_program_body(executor: Executor, inst: FbInstance, cycle: int) -> None:
-    """Program body scan with per-statement containment for quarantined calls."""
-    path = inst.fb_type
-    try:
-        for st in inst.info.decl.body:
-            if (
-                isinstance(st, N.FbCall)
-                and st.instance in executor.quarantine
-            ):
-                if st.instance in executor.dead:
-                    continue
-                try:
-                    executor.exec_stmt(st, inst, path)
-                except RuntimeFault as fault:
-                    executor.dead.add(st.instance)
-                    executor.contained.append(ContainedFault(st.instance, fault, cycle))
-                continue
-            executor.exec_stmt(st, inst, path)
-    except _ReturnPou:
-        pass
+    counts = {name: _pou(prog, name).hits(c) for name, c in scan.counts.items()}
+    return RunResult(inst, traces, records, contained, cycles_executed, clock.now, counts)

@@ -1,4 +1,8 @@
-"""Evaluation of built-in standard functions and X_TO_Y conversions.
+"""Built-in standard functions and X_TO_Y conversions, on raw values.
+
+`builtin_impl` is looked up once per call site when a body is compiled.
+It returns a function of the raw argument values whose result is already
+coerced to the call's result type.
 
 Float domain edge cases follow IEEE (LN(0) is -inf, SQRT(-1) is nan, like
 the C functions a transpiling toolchain would call).  Explicit narrowing
@@ -9,7 +13,9 @@ interpreter turns into a runtime fault at the active statement.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
+from ..frontend import builtins as bi
 from ..frontend import types as T
 from ..frontend.types import Kind, STType
 from . import values as V
@@ -31,106 +37,112 @@ def _to_int_kind(name: str, raw: int, kind: Kind) -> int:
     return raw
 
 
-def call_builtin(name: str, args: list[V.Value], result_ty: STType) -> V.Value:
-    """Evaluate a built-in by name; args are already type-checked."""
-    conv = _try_conversion(name, args)
+def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Callable[..., object]:
+    """The raw implementation of a built-in call; arguments are already
+    type-checked, so only their static types are consulted here."""
+    conv = _conversion_impl(name, arg_types)
     if conv is not None:
         return conv
-
-    vals = [a.v for a in args]
+    co = V.coercer(result_ty)
 
     if name == "ABS":
-        return V.make(result_ty, -vals[0] if vals[0] < 0 else vals[0])
+        return lambda x: co(-x if x < 0 else x)
     if name == "MIN":
-        return V.make(result_ty, min(vals[0], vals[1]))
+        return lambda a, b: co(min(a, b))
     if name == "MAX":
-        return V.make(result_ty, max(vals[0], vals[1]))
+        return lambda a, b: co(max(a, b))
     if name == "LIMIT":
-        mn, in_v, mx = vals
-        return V.make(result_ty, min(max(in_v, mn), mx))
+        return lambda mn, in_v, mx: co(min(max(in_v, mn), mx))
     if name == "SEL":
-        return V.make(result_ty, vals[2] if vals[0] else vals[1])
+        return lambda g, in0, in1: co(in1 if g else in0)
     if name in ("SIN", "COS", "TAN"):
         f = {"SIN": math.sin, "COS": math.cos, "TAN": math.tan}[name]
-        return V.make(result_ty, f(vals[0]))
+        return lambda x: co(f(x))
     if name == "EXP":
-        try:
-            return V.make(result_ty, math.exp(vals[0]))
-        except OverflowError:
-            return V.make(result_ty, math.inf)
+        def exp(x):
+            try:
+                return co(math.exp(x))
+            except OverflowError:
+                return co(math.inf)
+        return exp
     if name == "LN":
-        x = vals[0]
-        if x > 0:
-            return V.make(result_ty, math.log(x))
-        return V.make(result_ty, -math.inf if x == 0 else math.nan)
+        def ln(x):
+            if x > 0:
+                return co(math.log(x))
+            return co(-math.inf if x == 0 else math.nan)
+        return ln
     if name == "SQRT":
-        x = vals[0]
-        return V.make(result_ty, math.sqrt(x) if x >= 0 else math.nan)
+        return lambda x: co(math.sqrt(x) if x >= 0 else math.nan)
     if name == "TRUNC":
-        x = vals[0]
-        if math.isnan(x) or math.isinf(x):
-            raise _conv_overflow(name, x)
-        raw = math.trunc(x)
-        return V.make(result_ty, _to_int_kind(name, raw, Kind.DINT))
+        def trunc(x):
+            if math.isnan(x) or math.isinf(x):
+                raise _conv_overflow(name, x)
+            return co(_to_int_kind(name, math.trunc(x), Kind.DINT))
+        return trunc
     if name in ("SHL", "SHR"):
-        n = vals[1]
-        if n < 0:
-            raise BuiltinFuncError(f"{name}: negative shift count {n}")
-        width = 8 if args[0].ty.kind is Kind.BYTE else 16
-        if n >= width:
-            return V.make(result_ty, 0)
-        raw = vals[0] << n if name == "SHL" else vals[0] >> n
-        return V.make(result_ty, raw)
+        width = 8 if arg_types[0].kind is Kind.BYTE else 16
+        left = name == "SHL"
+
+        def shift(v, n):
+            if n < 0:
+                raise BuiltinFuncError(f"{name}: negative shift count {n}")
+            if n >= width:
+                return co(0)
+            return co(v << n if left else v >> n)
+        return shift
     if name == "CONCAT":
-        return V.make(result_ty, "".join(vals))
+        return lambda *parts: co("".join(parts))
     if name == "LEN":
-        return V.make(result_ty, len(vals[0]))
+        return lambda s: co(len(s))
     if name == "MID":
-        s, length, pos = vals
-        if length < 0 or pos < 1:
-            raise BuiltinFuncError(f"MID: invalid range L={length} P={pos}")
-        return V.make(result_ty, s[pos - 1 : pos - 1 + length])
+        def mid(s, length, pos):
+            if length < 0 or pos < 1:
+                raise BuiltinFuncError(f"MID: invalid range L={length} P={pos}")
+            return co(s[pos - 1 : pos - 1 + length])
+        return mid
     raise TypeError(f"unknown builtin {name}")  # pragma: no cover
 
 
-def _try_conversion(name: str, args: list[V.Value]) -> V.Value | None:
-    from ..frontend import builtins as bi
-
-    str_src = bi.string_conversion_source(name)
-    if str_src is not None:
-        return V.make(T.string(), _render_for_string(args[0]))
+def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], object] | None:
+    if bi.string_conversion_source(name) is not None:
+        render = _string_renderer(arg_types[0].kind)
+        co = V.coercer(T.string())
+        return lambda x: co(render(x))
     conv = bi.conversion_target(name)
     if conv is None:
         return None
     _src, dst = conv
-    raw = args[0].v
     k = dst.kind
+    co = V.coercer(dst)
 
     if k is Kind.BOOL:
-        return V.Value(T.BOOL, raw != 0)
+        return lambda raw: raw != 0
     if k in T.INT_RANGES:
-        if isinstance(raw, bool):
-            return V.make(dst, 1 if raw else 0)
-        if isinstance(raw, float):
-            if math.isnan(raw) or math.isinf(raw):
-                raise _conv_overflow(name, raw)
-            raw = round(raw)  # IEC rounding: nearest, ties to even
-        return V.make(dst, _to_int_kind(name, int(raw), k))
+        def to_int(raw):
+            if isinstance(raw, bool):
+                return co(1 if raw else 0)
+            if isinstance(raw, float):
+                if math.isnan(raw) or math.isinf(raw):
+                    raise _conv_overflow(name, raw)
+                raw = round(raw)  # IEC rounding: nearest, ties to even
+            return co(_to_int_kind(name, int(raw), k))
+        return to_int
     if k in (Kind.REAL, Kind.LREAL):
-        return V.make(dst, float(raw))
+        return lambda raw: co(float(raw))
     if k is Kind.TIME:
-        if raw < 0:
-            raise BuiltinFuncError(f"{name}: negative duration {raw}")
-        return V.make(dst, int(raw))
+        def to_time(raw):
+            if raw < 0:
+                raise BuiltinFuncError(f"{name}: negative duration {raw}")
+            return co(int(raw))
+        return to_time
     raise TypeError(f"unsupported conversion {name}")  # pragma: no cover
 
 
-def _render_for_string(val: V.Value) -> str:
-    k = val.ty.kind
-    if k is Kind.BOOL:
-        return "TRUE" if val.v else "FALSE"
-    if k is Kind.TIME:
-        return f"T#{val.v}ms"
-    if k in (Kind.REAL, Kind.LREAL):
-        return repr(float(val.v))
-    return str(val.v)
+def _string_renderer(kind: Kind) -> Callable[[object], str]:
+    if kind is Kind.BOOL:
+        return lambda v: "TRUE" if v else "FALSE"
+    if kind is Kind.TIME:
+        return lambda v: f"T#{v}ms"
+    if kind in (Kind.REAL, Kind.LREAL):
+        return lambda v: repr(float(v))
+    return str

@@ -12,22 +12,24 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from ..frontend import types as T
 from ..frontend.types import Kind, STType
 
 _F32_MAX = 3.4028234663852886e38
+_F32 = struct.Struct("<f")
 
 
 def f32(x: float) -> float:
     """Round a python float to the nearest binary32 value."""
-    if math.isnan(x) or math.isinf(x):
-        return x
+    if -_F32_MAX <= x <= _F32_MAX:
+        return _F32.unpack(_F32.pack(x))[0]
     if x > _F32_MAX:
         return math.inf
     if x < -_F32_MAX:
         return -math.inf
-    return struct.unpack("<f", struct.pack("<f", x))[0]
+    return x  # nan
 
 
 def wrap_int(v: int, kind: Kind) -> int:
@@ -53,19 +55,28 @@ class Value:
 
 def make(ty: STType, raw) -> Value:
     """Coerce a plain python value into a Value of the given type."""
+    return Value(ty, coercer(ty)(raw))
+
+
+def coercer(ty: STType) -> Callable[[object], object]:
+    """The coercion make applies to a raw value, as a function of it.
+
+    Compiled code looks it up once per expression and applies it to raw
+    python values, building a Value only when it stores one."""
     k = ty.kind
     if k is Kind.BOOL:
-        return Value(ty, bool(raw))
+        return bool
     if k in T.INT_RANGES:
-        return Value(ty, wrap_int(int(raw), k))
+        return lambda x: wrap_int(int(x), k)
     if k is Kind.REAL:
-        return Value(ty, f32(float(raw)))
+        return lambda x: f32(float(x))
     if k is Kind.LREAL:
-        return Value(ty, float(raw))
+        return float
     if k is Kind.TIME:
-        return Value(ty, int(raw))
+        return int
     if k is Kind.STRING:
-        return Value(ty, str(raw)[: ty.cap])
+        cap = ty.cap
+        return lambda x: str(x)[:cap]
     raise TypeError(f"cannot build scalar value of {ty}")
 
 

@@ -53,6 +53,20 @@ def test_run_exit_two_when_unit_broken(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_exit_two_on_lex_error_without_traceback(tmp_path, capsys):
+    unit = tmp_path / "unterminated.st"
+    unit.write_text(
+        "FUNCTION_BLOCK OOPS\nVAR_OUTPUT S : STRING; END_VAR\nS := 'never closed;\nEND_FUNCTION_BLOCK\n"
+    )
+    suite = tmp_path / "suite.csv"
+    suite.write_text("test_name,state,expect_S\ntc,1,'x'\n")
+    code = run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "unterminated.st:3:6: unterminated string literal" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_generate_writes_suite_from_mock(tmp_path, capsys):
     code = run_cli(
         "generate",

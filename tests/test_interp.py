@@ -13,6 +13,7 @@ from stbench.runtime import (
     make,
     run_program,
 )
+from stbench.runtime import interp
 
 ACC_SRC = """
 FUNCTION_BLOCK ACC
@@ -385,3 +386,163 @@ def test_run_program_fault_carries_cycle():
 def test_run_program_requires_program_pou(acc_prog):
     with pytest.raises(UnknownPou):
         run_program(acc_prog, "ACC", 1, SimClock())
+
+
+def test_contained_budget_fault_stops_only_its_instance():
+    prog = prog_of(
+        """
+        FUNCTION_BLOCK SPIN
+        VAR_INPUT GO : BOOL; END_VAR
+        VAR_OUTPUT N : DINT; END_VAR
+        N := N + 1;
+        WHILE GO DO N := N + 1; END_WHILE;
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK TICKER
+        VAR_OUTPUT N : DINT; END_VAR
+        N := N + 1;
+        END_FUNCTION_BLOCK
+        PROGRAM MAIN
+        VAR A : TICKER; S : SPIN; B : TICKER; NA : DINT; NB : DINT; END_VAR
+        A();
+        NA := A.N;
+        S(GO := NA = 2);
+        B();
+        NB := B.N;
+        END_PROGRAM
+        """
+    )
+    records = []
+    result = run_program(
+        prog, "MAIN", 4, SimClock(), monitor=records.append, quarantine={"A", "S", "B"}
+    )
+    # S spins from its second scan on; the budget runs out at its WHILE guard
+    (contained,) = result.faults
+    assert (contained.instance, contained.cycle) == ("S", 1)
+    assert (contained.fault.pou, contained.fault.sid) == ("SPIN", 1)
+    assert contained.fault.describe() == (
+        "scan statement budget exceeded (possible unbounded loop) (SPIN#1) in MAIN.S at cycle 1"
+    )
+    assert records[1] == "cycle=1 t=10 events=[FAULT=S@1]"
+    assert [r.endswith("events=[]") for r in records] == [True, False, True, True]
+    # the instances before and after S ran every scan
+    store = result.instance.store
+    assert (store["NA"].v, store["NB"].v) == (4, 4)
+    assert result.instance.nested["S"].store["N"].v > 1
+    # S's sites up to its fault count as executed (4 sites ran before S,
+    # so S got the remaining 999,996); they do not starve B of budget
+    assert result.counts["SPIN"] == {0: 2, 1: 499_999, 2: 499_997}
+    assert len(result.traces[1]) == 5 + 2 + 999_996
+
+
+SPINNERS_SRC = """
+FUNCTION_BLOCK SPIN
+VAR_INPUT GO : BOOL; END_VAR
+VAR_OUTPUT N : DINT; END_VAR
+WHILE GO DO N := N + 1; END_WHILE;
+END_FUNCTION_BLOCK
+PROGRAM MAIN3
+VAR S1 : SPIN; S2 : SPIN; S3 : SPIN; K : DINT; END_VAR
+S1(GO := TRUE); S2(GO := TRUE); S3(GO := TRUE);
+K := K + 1;
+END_PROGRAM
+PROGRAM MAIN4
+VAR S1 : SPIN; S2 : SPIN; S3 : SPIN; S4 : SPIN; K : DINT; END_VAR
+S1(GO := TRUE); S2(GO := TRUE); S3(GO := TRUE);
+K := K + 1;
+S4(GO := TRUE);
+K := K + 1;
+END_PROGRAM
+"""
+
+
+def test_contained_budget_faults_share_a_bounded_scan(monkeypatch):
+    monkeypatch.setattr(interp, "_SCAN_SITE_BUDGET", 100)
+    prog = prog_of(SPINNERS_SRC)
+    every = {"S1", "S2", "S3", "S4"}
+    records = []
+    result = run_program(prog, "MAIN3", 2, SimClock(), monitor=records.append, quarantine=every)
+    # each runaway call spends a whole budget and gets it back from the
+    # scan's spare of three budgets, so the statement after them still runs
+    assert [(f.instance, f.cycle, f.fault.sid) for f in result.faults] == [
+        ("S1", 0, 0), ("S2", 0, 0), ("S3", 0, 0)
+    ]
+    assert records[0] == "cycle=0 t=0 events=[FAULT=S1@0;FAULT=S2@0;FAULT=S3@0]"
+    assert result.instance.store["K"].v == 2
+    assert [len(t) for t in result.traces] == [3 * 100 + 1, 1]
+    # a fourth runaway call in the same scan finds no spare left: the scan
+    # has run four budgets, and its next statement (the last K := K + 1)
+    # faults the run
+    with pytest.raises(RuntimeFault) as err:
+        run_program(prog, "MAIN4", 2, SimClock(), quarantine=every)
+    assert err.value.describe() == (
+        "scan statement budget exceeded (possible unbounded loop) (MAIN4#11) in MAIN4 at cycle 0"
+    )
+
+
+def test_for_iteration_budget_fault_names_last_site_of_its_frame():
+    prog = prog_of(
+        """
+        FUNCTION_BLOCK LOOPER
+        VAR_INPUT GO : BOOL; END_VAR
+        VAR_OUTPUT X : DINT; END_VAR
+        VAR J : DINT; END_VAR
+        FOR J := 1 TO 2000000 DO
+            IF J < 0 THEN X := 1; ELSE X := 2; END_IF;
+        END_FOR;
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "LOOPER")
+    # header, then 3 budget units per iteration (guard, ELSE statement and
+    # the iteration itself): the budget runs out on an iteration, which
+    # is charged to the ELSE branch's statement
+    with pytest.raises(RuntimeFault) as err:
+        execute_cycle(inst, {"GO": make(T.BOOL, True)}, SimClock())
+    assert "budget" in err.value.message
+    assert (err.value.pou, err.value.sid) == ("LOOPER", 3)
+
+
+def test_fault_instance_path_names_the_frame():
+    prog = prog_of(
+        """
+        FUNCTION PCT : DINT
+        VAR_INPUT D : DINT; END_VAR
+        PCT := 100 / D;
+        END_FUNCTION
+        FUNCTION_BLOCK INNER
+        VAR_INPUT D : DINT; END_VAR
+        VAR_OUTPUT Q : DINT; END_VAR
+        Q := PCT(D);
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK TOP
+        VAR_INPUT D : DINT; END_VAR
+        VAR S : INNER; END_VAR
+        S(D := D);
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "TOP")
+    with pytest.raises(RuntimeFault) as err:
+        execute_cycle(inst, {"D": make(T.DINT, 0)}, SimClock())
+    assert (err.value.pou, err.value.sid) == ("PCT", 0)
+    assert err.value.instance_path == "TOP.S/PCT()"
+    assert str(err.value) == "division by zero (PCT#0) in TOP.S/PCT()"
+
+
+def test_run_program_counts_match_scan_site_totals():
+    prog = prog_of(
+        """
+        PROGRAM MAIN
+        VAR I : INT; N : DINT; END_VAR
+        FOR I := 1 TO 3 DO
+            N := N + I;
+        END_FOR;
+        WHILE N > 10 DO N := N - 7; END_WHILE;
+        END_PROGRAM
+        """
+    )
+    result = run_program(prog, "MAIN", 5, SimClock())
+    # FOR iterations spend budget but are not statement sites
+    assert [len(t) for t in result.traces] == [5, 7, 7, 5, 7]
+    assert sum(len(t) for t in result.traces) == sum(result.counts["MAIN"].values())
+    assert result.counts["MAIN"] == {0: 5, 1: 15, 2: 8, 3: 3}

@@ -1,5 +1,6 @@
 import pytest
 
+from stbench.frontend.diagnostics import FrontendError
 from stbench.frontend.lexer import LexError, TokKind, tokenize
 from stbench.frontend.source import SourceUnit
 
@@ -115,6 +116,8 @@ def test_lex_errors_have_spans(text, message):
         toks(text)
     assert message in str(err.value)
     assert err.value.span.start >= 0
+    assert isinstance(err.value, FrontendError)
+    assert [d.span for d in err.value.diagnostics] == [err.value.span]
 
 
 def test_spans_reconstruct_source(corpus_sources):

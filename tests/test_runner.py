@@ -130,7 +130,7 @@ def test_perturbing_one_expected_value_drops_passed_by_one(dec_setup):
     assert {c.name: c.verdict for c in perturbed.cases}["tc_mid"] == "fail"
 
 
-def test_fault_containment_isolates_cases():
+def test_fault_containment_isolates_cases(tmp_path):
     src = """
     FUNCTION_BLOCK FRAGILE
     VAR_INPUT D : INT; END_VAR
@@ -147,11 +147,14 @@ def test_fault_containment_isolates_cases():
         "FRAGILE",
         prog,
     )
-    report = run_suite(src, [], suite)
+    report = run_suite(src, [], suite, RunOptions(out_dir=tmp_path))
     verdicts = {c.name: c.verdict for c in report.cases}
     assert verdicts == {"tc_ok": "pass", "tc_boom": "fault", "tc_also_ok": "pass"}
     boom = next(c for c in report.cases if c.name == "tc_boom")
-    assert "division by zero" in boom.fault
+    # statement site, instance path down to the unit under test, scan
+    assert boom.fault == "division by zero (FRAGILE#0) in TEST_RUNNER.TC2.UNIT at cycle 0"
+    monitor = (tmp_path / "monitor.txt").read_text().splitlines()
+    assert monitor[0] == "cycle=0 t=0 events=[FAULT=TC2@0]"
     assert boom.assertions[0].actual == "(not evaluated)"
     assert not boom.assertions[0].passed
     # the faulted case counts its unevaluated assertions as not passed

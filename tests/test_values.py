@@ -74,3 +74,11 @@ def test_render_forms():
     assert V.render(V.make(T.TIME, 1500)) == "T#1500ms"
     assert V.render(V.make(T.string(), "hi")) == "'hi'"
     assert V.render(V.make(T.REAL, 0.5)) == "0.5"
+
+
+
+def test_f32_passes_nan_and_infinities_through():
+    assert math.isnan(V.f32(math.nan))
+    assert V.f32(math.inf) == math.inf
+    assert V.f32(-math.inf) == -math.inf
+    assert math.copysign(1.0, V.f32(-0.0)) == -1.0
