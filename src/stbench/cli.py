@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import corpus, llm
-from .frontend import FrontendError, interface_of, parse_text, resolve
+from .frontend import SourceUnit, TypedProgram, interface_of
 from .frontend.nodes import PouKind
 from .harnessgen import DEFAULT_ATOL, DEFAULT_RTOL
-from .runner import PipelineError, RunOptions, render_report, run_suite
+from .runner import PipelineError, RunOptions, load_program, render_report, run_suite
 from .testspec import (
     CsvError,
     ValidationError,
@@ -71,20 +71,33 @@ def _fail(message: str) -> int:
     return EXIT_PIPELINE_ERROR
 
 
-def _load_sources(cfg: RunConfig) -> tuple[str, list[str]]:
-    unit_src = cfg.unit.read_text(encoding="utf-8")
-    lib_srcs = [p.read_text(encoding="utf-8") for p in cfg.libs]
-    return unit_src, lib_srcs
+class _Unusable(Exception):
+    """An input the command cannot use; the message is printed as is."""
 
 
-def _resolve_unit(unit_src: str, lib_srcs: list[str], origin: str):
-    libs = [resolve(parse_text(text, f"lib{i}")) for i, text in enumerate(lib_srcs)]
-    return resolve(parse_text(unit_src, origin), libs)
+def _load(cfg: RunConfig) -> tuple[TypedProgram, str]:
+    """The unit and its libraries, loaded once, and the FB under test."""
+    if cfg.unit is None or not cfg.unit.exists():
+        raise _Unusable(f"unit file not found: {cfg.unit}")
+    try:
+        unit, *libs = [SourceUnit(p.read_text(encoding="utf-8"), p.name) for p in (cfg.unit, *cfg.libs)]
+    except OSError as exc:
+        raise _Unusable(str(exc)) from exc
+    try:
+        prog = load_program(unit, libs)
+        return prog, _unit_fb_name(cfg, prog)
+    except PipelineError as exc:
+        raise _Unusable(str(exc.cause)) from exc
+    except ValueError as exc:
+        raise _Unusable(str(exc)) from exc
 
 
-def _unit_fb_name(cfg: RunConfig, prog) -> str:
+def _unit_fb_name(cfg: RunConfig, prog: TypedProgram) -> str:
     if cfg.fb:
-        return cfg.fb.upper()
+        info = prog.lookup_pou(cfg.fb.upper())
+        if info is None or info.kind is not PouKind.FUNCTION_BLOCK:
+            raise ValueError(f"{cfg.unit}: no FUNCTION_BLOCK named {cfg.fb}")
+        return info.name
     for pou in prog.ast.pous:
         if pou.kind is PouKind.FUNCTION_BLOCK:
             return pou.name
@@ -119,19 +132,37 @@ def _provider_config(cfg: RunConfig) -> llm.ProviderConfig:
 
 def cmd_generate(cfg: RunConfig) -> int:
     """Steps 1-3: prompt, query, extract, validate, persist suite.csv."""
-    if cfg.unit is None or not cfg.unit.exists():
-        return _fail(f"unit file not found: {cfg.unit}")
-    unit_src, lib_srcs = _load_sources(cfg)
     try:
-        prog = _resolve_unit(unit_src, lib_srcs, cfg.unit.name)
-        fb_name = _unit_fb_name(cfg, prog)
-        iface = interface_of(prog, fb_name)
-    except (FrontendError, ValueError) as exc:
+        return _generate(cfg, *_load(cfg))
+    except _Unusable as exc:
         return _fail(str(exc))
 
+
+def cmd_run(cfg: RunConfig) -> int:
+    """Steps 4-9: harness, execution, coverage, report."""
+    try:
+        return _run(cfg, *_load(cfg))
+    except _Unusable as exc:
+        return _fail(str(exc))
+
+
+def cmd_pipeline(cfg: RunConfig) -> int:
+    """generate followed by run, sharing one output directory and one load."""
+    try:
+        prog, fb_name = _load(cfg)
+    except _Unusable as exc:
+        return _fail(str(exc))
+    code = _generate(cfg, prog, fb_name)
+    if code != EXIT_OK:
+        return code
+    return _run(replace(cfg, suite=cfg.out_dir() / "suite.csv"), prog, fb_name)
+
+
+def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> int:
+    iface = interface_of(prog, fb_name)
     out = cfg.out_dir()
     out.mkdir(parents=True, exist_ok=True)
-    bundle = llm.build_prompt(unit_src, iface, cfg.mode)
+    bundle = llm.build_prompt(prog.src.text, iface, cfg.mode)
     try:
         provider_cfg = _provider_config(cfg)
         exchange = llm.query(provider_cfg, bundle, run_dir=out)
@@ -172,19 +203,9 @@ def cmd_generate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    """Steps 4-9: harness, execution, coverage, report."""
-    if cfg.unit is None or not cfg.unit.exists():
-        return _fail(f"unit file not found: {cfg.unit}")
+def _run(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> int:
     if cfg.suite is None or not cfg.suite.exists():
         return _fail(f"suite file not found: {cfg.suite}")
-    unit_src, lib_srcs = _load_sources(cfg)
-    try:
-        prog = _resolve_unit(unit_src, lib_srcs, cfg.unit.name)
-        fb_name = _unit_fb_name(cfg, prog)
-    except (FrontendError, ValueError) as exc:
-        return _fail(str(exc))
-
     try:
         suite = parse_suite(cfg.suite.read_text(encoding="utf-8"), fb_name)
         checked = validate(suite, prog)
@@ -211,20 +232,12 @@ def cmd_run(cfg: RunConfig) -> int:
         warnings=warnings,
     )
     try:
-        report = run_suite(unit_src, lib_srcs, checked, options)
+        report = run_suite(prog, checked, options)
     except PipelineError as exc:
         return _fail(str(exc))
     print(render_report(report, "text"), end="")
     print(f"artifacts in {out}")
     return EXIT_OK if report.all_green() else EXIT_TEST_FAILURES
-
-
-def cmd_pipeline(cfg: RunConfig) -> int:
-    """generate followed by run, sharing one output directory."""
-    code = cmd_generate(cfg)
-    if code != EXIT_OK:
-        return code
-    return cmd_run(replace(cfg, suite=cfg.out_dir() / "suite.csv"))
 
 
 def cmd_corpus_list() -> int:
@@ -387,8 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
-    units = [Path(p) for p in str(args.unit).split(",")] if args.unit else ([cfg.unit] if cfg.unit else [])
-    if not units or units == [None]:
+    # several units, comma-separated, from the flag or the config file
+    units = [Path(p.strip()) for p in str(cfg.unit).split(",") if p.strip()] if cfg.unit else []
+    if not units:
         return _fail("--unit is required")
 
     fn = {"generate": cmd_generate, "run": cmd_run, "pipeline": cmd_pipeline}[args.command]

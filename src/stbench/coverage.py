@@ -8,12 +8,16 @@ Percentages are rounded half-up to two decimals.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from .frontend.resolve import TypedProgram
 from .frontend.source import SourceUnit
 from .runtime.interp import ExecTrace
+
+# (program, shift) pairs: where each program's source sits in a rendered file
+Layers = Sequence[tuple[TypedProgram, int]]
 
 
 class ForeignStatement(Exception):
@@ -43,16 +47,9 @@ class CoverageMap:
     @classmethod
     def for_program(cls, prog: TypedProgram) -> "CoverageMap":
         counts: dict[str, dict[int, int]] = {}
-        seen = set()
-        stack = [prog]
-        while stack:
-            unit = stack.pop()
-            if id(unit) in seen:
-                continue
-            seen.add(id(unit))
+        for unit in prog.layers():  # lookup order: the first definition wins
             for name, info in unit.pous.items():
                 counts.setdefault(name, {sid: 0 for sid in info.sids})
-            stack.extend(unit.libraries)
         return cls(counts)
 
 
@@ -120,17 +117,18 @@ def summarize(cov: CoverageMap, prog: TypedProgram, unit_under_test: str) -> Cov
 # line-oriented renderings
 # ---------------------------------------------------------------------------
 
-def _line_counts(cov: CoverageMap, prog: TypedProgram, src: SourceUnit) -> dict[int, int]:
-    """Map executable lines of `src` to hit counts (max across statements)."""
+def _line_counts(cov: CoverageMap, layers: Layers, src: SourceUnit) -> dict[int, int]:
+    """Map executable lines of `src` to hit counts (max across statements).
+
+    `layers` pairs each program whose text `src` holds with the amount to
+    add to an offset in that program's own source to get its offset in
+    `src`."""
     lines: dict[int, int] = {}
-    units = [prog] + list(prog.libraries)
-    for unit in units:
-        if unit.src is not src:
-            continue
+    for unit, shift in layers:
         for sid, pou in unit.sid_pou.items():
             if pou not in cov.counts or sid not in cov.counts[pou]:
                 continue
-            line = unit.src.line_of(unit.sid_span(sid).start)
+            line = src.line_of(shift + unit.sid_span(sid).start)
             count = cov.counts[pou][sid]
             if line in lines:
                 lines[line] = max(lines[line], count)
@@ -139,10 +137,10 @@ def _line_counts(cov: CoverageMap, prog: TypedProgram, src: SourceUnit) -> dict[
     return lines
 
 
-def render_annotated(cov: CoverageMap, prog: TypedProgram, src: SourceUnit) -> str:
+def render_annotated(cov: CoverageMap, layers: Layers, src: SourceUnit) -> str:
     """GCOV-style annotated listing: per-line hit counts, `#####` on
     uncovered executable lines, `-` on non-executable ones."""
-    lines = _line_counts(cov, prog, src)
+    lines = _line_counts(cov, layers, src)
     out = []
     for lineno in range(1, src.line_count() + 1):
         text = src.line_text(lineno)
@@ -156,9 +154,9 @@ def render_annotated(cov: CoverageMap, prog: TypedProgram, src: SourceUnit) -> s
     return "\n".join(out) + "\n"
 
 
-def render_lcov(cov: CoverageMap, prog: TypedProgram, src: SourceUnit) -> str:
+def render_lcov(cov: CoverageMap, layers: Layers, src: SourceUnit) -> str:
     """LCOV tracefile records (SF/DA/LF/LH) for the unit's source file."""
-    lines = _line_counts(cov, prog, src)
+    lines = _line_counts(cov, layers, src)
     out = [f"SF:{src.origin}"]
     for lineno in sorted(lines):
         out.append(f"DA:{lineno},{lines[lineno]}")

@@ -63,6 +63,8 @@ _STMT_CLOSERS = {
     "END_IF", "END_CASE", "END_FOR", "END_WHILE", "END_REPEAT",
     "ELSE", "ELSIF", "UNTIL",
 } | _POU_CLOSERS | set(_SECTION_KWS) | {"END_VAR"}
+# what ends a VAR section whose END_VAR is missing
+_SECTION_ENDS = set(_SECTION_KWS) | _POU_CLOSERS
 
 # operator precedence, loosest first
 _BIN_LEVELS = [
@@ -136,6 +138,15 @@ class _Parser:
                 return
             self.advance()
 
+    def recover(self, start: int) -> None:
+        """Resynchronise a loop whose item failed at token `start`.  A
+        failure at a closer nothing in the loop consumes would repeat
+        forever, so such a token is skipped: every retry moves on."""
+        self.sync_stmt()
+        if self.pos == start:
+            self.advance()
+        assert self.pos > start, "parser recovery made no progress"
+
     # -- unit / declarations -------------------------------------------------
 
     def parse_unit(self) -> Ast:
@@ -196,10 +207,13 @@ class _Parser:
         section = _SECTION_KWS[self.advance().norm]
         out: list[VarDecl] = []
         while not self.at_kw("END_VAR") and self.cur.kind is not TokKind.EOF:
+            if self.cur.kind is TokKind.KEYWORD and self.cur.norm in _SECTION_ENDS:
+                break  # END_VAR is missing; the next section or the body's end follows
+            start = self.pos
             try:
                 out.extend(self.parse_var_decl(section))
             except _Recover:
-                self.sync_stmt()
+                self.recover(start)
         if self.at_kw("END_VAR"):
             self.advance()
         else:
@@ -306,10 +320,11 @@ class _Parser:
             if self.at_op(";"):
                 self.advance()  # tolerated empty statement
                 continue
+            start = self.pos
             try:
                 out.append(self.parse_statement())
             except _Recover:
-                self.sync_stmt()
+                self.recover(start)
 
     def parse_statement(self) -> Stmt:
         tok = self.cur

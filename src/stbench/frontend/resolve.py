@@ -94,6 +94,22 @@ class TypedProgram:
                 return info
         return None
 
+    def layers(self) -> list["TypedProgram"]:
+        """This program and every library below it, each once, in the
+        order lookup_pou searches them."""
+        out: list[TypedProgram] = []
+        seen: set[int] = set()
+
+        def walk(unit: TypedProgram) -> None:
+            if id(unit) not in seen:
+                seen.add(id(unit))
+                out.append(unit)
+                for lib in unit.libraries:
+                    walk(lib)
+
+        walk(self)
+        return out
+
     def pou_names(self) -> list[str]:
         return list(self.pous)
 

@@ -32,9 +32,11 @@ class SourceUnit:
 
     def __post_init__(self) -> None:
         starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                starts.append(i + 1)
+        find = self.text.find
+        i = find("\n")
+        while i >= 0:
+            starts.append(i + 1)
+            i = find("\n", i + 1)
         self._line_starts = starts
 
     def linecol(self, offset: int) -> tuple[int, int]:

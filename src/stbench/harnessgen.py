@@ -22,20 +22,29 @@ A PROGRAM assembled from the harness template instantiates every case block,
 calls them all each scan, and mirrors their hook outputs into program-level
 variables TC_<n>_DONE / TC_<n>_PASS / TC_<n>_FAILS that the runtime's
 monitoring recognizes.
+
+The unit under test and its libraries are parsed and resolved once, before
+the harness is built.  The case blocks and the program form one generated
+text, parsed once and resolved as a layer over the unit's TypedProgram.
+harness.st is still written whole (libraries, unit, case blocks, program),
+but nothing parses it: the bundle records where each layer's text starts
+in it, so coverage renders against its lines.  A POU name may be defined in
+one layer only.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .frontend import types as T
 from .frontend.diagnostics import FrontendError
+from .frontend.lexer import TokKind, tokenize
 from .frontend.nodes import PouKind
 from .frontend.parser import parse_source
 from .frontend.pretty import format_real, format_string
 from .frontend.resolve import PouInfo, TypedProgram, resolve
-from .frontend.source import SourceUnit
+from .frontend.source import SourceUnit, Span
 from .runtime import values as V
 from .testspec import CheckedCase, CheckedSuite
 
@@ -69,13 +78,15 @@ class HarnessTemplate:
         ref = importlib.resources.files("stbench") / "templates" / "harness.st.tmpl"
         return cls(ref.read_text(encoding="utf-8"))
 
-    def substitute(self, unit_decls: str, instance_decls: str, calls: str, cycle_time_ms: int) -> str:
-        return (
-            self.text.replace("{UNIT_DECLS}", unit_decls)
-            .replace("{TEST_INSTANCE_DECLS}", instance_decls)
+    def split(self, instance_decls: str, calls: str, cycle_time_ms: int) -> tuple[str, str]:
+        """The filled-in text before and after {UNIT_DECLS}."""
+        text = (
+            self.text.replace("{TEST_INSTANCE_DECLS}", instance_decls)
             .replace("{TEST_CALLS}", calls)
             .replace("{CYCLE_TIME_MS}", str(cycle_time_ms))
         )
+        head, _, tail = text.partition("{UNIT_DECLS}")
+        return head, tail
 
 
 @dataclass
@@ -102,10 +113,13 @@ class CaseHarness:
 
 @dataclass
 class HarnessBundle:
-    source: SourceUnit
-    typed: TypedProgram
+    source: SourceUnit               # harness.st
+    typed: TypedProgram              # the generated layer, over the unit
     program_name: str
     cases: list[CaseHarness]
+    # every layer whose text harness.st holds, with the amount to add to an
+    # offset in the layer's own source to get its offset in harness.st
+    layers: list[tuple[TypedProgram, int]]
     hook_vars: dict[str, tuple[str, str, str]] = field(default_factory=dict)
 
 
@@ -238,25 +252,14 @@ def _comparison(slot: AssertionSlot, ty: T.STType, atol: float, rtol: float) -> 
 def assemble_program(
     cases: list[CaseHarness],
     template: HarnessTemplate,
-    unit_src: str,
-    library_srcs: list[str],
+    dependencies: list[str],
     cycle_time_ms: int,
     origin: str = "harness.st",
-) -> SourceUnit:
-    """Assemble libraries, the unit, the case FBs and the template program
-    into one self-contained SourceUnit.  Parts are parsed individually first
-    so failures carry which part broke."""
-    for label, text in (
-        *[(f"library {i + 1}", s) for i, s in enumerate(library_srcs)],
-        ("unit under test", unit_src),
-        *[(f"test case FB {c.fb_name}", c.source) for c in cases],
-    ):
-        try:
-            parse_source(SourceUnit(text, label))
-        except FrontendError as exc:
-            raise AssemblyError(label, exc) from exc
-
-    decls = "\n".join([*library_srcs, unit_src, *[c.source for c in cases]])
+) -> tuple[SourceUnit, list[int]]:
+    """Assemble the dependencies (libraries, then the unit under test), the
+    case FBs and the template program into harness.st.  Also returns where
+    each dependency's text starts in it and, last, where its generated part
+    starts: the case FBs and the template from {UNIT_DECLS} on."""
     inst_lines = []
     call_lines = []
     for c in cases:
@@ -269,52 +272,89 @@ def assemble_program(
         call_lines.append(f"    {done} := {c.instance_name}.DONE;")
         call_lines.append(f"    {pass_} := {c.instance_name}.PASS;")
         call_lines.append(f"    {fails} := {c.instance_name}.FAILS;")
-    text = template.substitute(decls, "\n".join(inst_lines), "\n".join(call_lines), cycle_time_ms)
-    return SourceUnit(text, origin)
+    head, tail = template.split("\n".join(inst_lines), "\n".join(call_lines), cycle_time_ms)
+    if head.strip():  # copied to harness.st but never compiled
+        try:
+            tokens = tokenize(SourceUnit(head, "harness template"))
+        except FrontendError as exc:
+            raise AssemblyError("harness template", exc) from exc
+        if tokens[0].kind is not TokKind.EOF:
+            raise AssemblyError("harness template", ValueError("only comments may precede {UNIT_DECLS}"))
+
+    case_texts = [c.source for c in cases]
+    text = head + "\n".join([*dependencies, *case_texts]) + tail
+    starts = []
+    offset = len(head)
+    for dep in dependencies:
+        starts.append(offset)
+        offset += len(dep) + 1
+    starts.append(len(text) - len("\n".join(case_texts) + tail))
+    return SourceUnit(text, origin), starts
+
+
+def _part_at(cases: list[CaseHarness], offset: int) -> str:
+    """The part of the generated text that `offset` falls in."""
+    for c in cases:
+        if offset <= len(c.source):
+            return f"test case FB {c.fb_name}"
+        offset -= len(c.source) + 1
+    return "runner program"
 
 
 def build_harness(
     suite: CheckedSuite,
     prog: TypedProgram,
-    unit_src: str,
-    library_srcs: list[str] | None = None,
     template: HarnessTemplate | None = None,
     cycle_time_ms: int = 10,
     atol: float = DEFAULT_ATOL,
     rtol: float = DEFAULT_RTOL,
 ) -> HarnessBundle:
-    """Generate, assemble and resolve the complete harness for a suite."""
-    library_srcs = library_srcs or []
+    """Generate the case FBs and the runner program for a suite and resolve
+    them as one layer over `prog`, the unit under test with its libraries."""
     template = template or HarnessTemplate.default()
     fb = prog.lookup_pou(suite.fb_under_test)
     if fb is None or fb.kind is not PouKind.FUNCTION_BLOCK:
         raise CollisionError(f"unit under test {suite.fb_under_test} is not a function block")
 
-    taken = set()
-    stack = [prog]
-    while stack:
-        unit = stack.pop()
-        taken.update(unit.pous)
-        stack.extend(unit.libraries)
-    if PROGRAM_NAME in taken:
+    layers = prog.layers()
+    defined_in: dict[str, str] = {}
+    for unit in layers:
+        for name in unit.pous:
+            if name in defined_in:
+                raise CollisionError(
+                    f"duplicate declaration of {name} in {defined_in[name]} and {unit.src.origin}"
+                )
+            defined_in[name] = unit.src.origin
+    if PROGRAM_NAME in defined_in:
         raise CollisionError(f"generated program name {PROGRAM_NAME} collides with an existing POU")
 
+    taken = set(defined_in)
     cases: list[CaseHarness] = []
     for index, case in enumerate(suite.cases, start=1):
         harness = generate_case_fb(case, fb, index, atol, rtol, frozenset(taken))
         taken.add(harness.fb_name)
         cases.append(harness)
 
-    src = assemble_program(cases, template, unit_src, library_srcs, cycle_time_ms)
+    # harness.st lists the libraries before the unit that uses them
+    dependencies = layers[1:] + layers[:1]
+    source, starts = assemble_program(
+        cases, template, [unit.src.text for unit in dependencies], cycle_time_ms
+    )
+    shift = starts[-1]
     try:
-        typed = resolve(parse_source(src))
+        typed = resolve(parse_source(SourceUnit(source.text[shift:], "generated harness")), [prog])
     except FrontendError as exc:
-        raise AssemblyError("assembled harness", exc) from exc
+        # report the diagnostics where they are in harness.st
+        moved = [replace(d, span=Span(d.span.start + shift, d.span.end + shift)) for d in exc.diagnostics]
+        raise AssemblyError(
+            _part_at(cases, exc.diagnostics[0].span.start), FrontendError(moved, source)
+        ) from exc
 
     return HarnessBundle(
-        src,
+        source,
         typed,
         PROGRAM_NAME,
         cases,
+        list(zip([*dependencies, typed], starts)),
         {c.name: hook_var_names(c.index) for c in cases},
     )

@@ -9,6 +9,7 @@ values for every failed check.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +26,6 @@ from .harnessgen import (
     AssemblyError,
     CollisionError,
     HarnessBundle,
-    HarnessTemplate,
     build_harness,
 )
 from .runtime import values as V
@@ -109,7 +109,6 @@ class RunOptions:
     mode: str = ""                   # metadata: prompt mode that produced the suite
     provider: str = ""               # metadata: provider id
     warnings: tuple[str, ...] = ()   # metadata: e.g. columns dropped at generate time
-    template: HarnessTemplate | None = None
 
 
 @dataclass
@@ -193,28 +192,27 @@ class TestReport:
 # execution
 # ---------------------------------------------------------------------------
 
-def run_suite(
-    unit_src: str,
-    library_srcs: list[str],
-    checked_suite: CheckedSuite,
-    options: RunOptions = RunOptions(),
-) -> TestReport:
-    """Generate the harness, execute it, and evaluate every assertion."""
+def load_program(unit: SourceUnit, libraries: Sequence[SourceUnit] = ()) -> TypedProgram:
+    """Lex, parse and resolve each library on its own, then the unit over
+    them: the one load of a unit and its libraries per invocation."""
     try:
-        lib_programs: list[TypedProgram] = []
-        for i, text in enumerate(library_srcs):
-            lib_programs.append(resolve(parse_source(SourceUnit(text, f"library {i + 1}"))))
-        unit_prog = resolve(parse_source(SourceUnit(unit_src, "unit")), lib_programs)
+        libs = [resolve(parse_source(lib)) for lib in libraries]
+        return resolve(parse_source(unit), libs)
     except FrontendError as exc:
         raise PipelineError("assemble", exc) from exc
 
+
+def run_suite(
+    prog: TypedProgram,
+    checked_suite: CheckedSuite,
+    options: RunOptions = RunOptions(),
+) -> TestReport:
+    """Generate the harness over `prog` (from load_program), execute it,
+    and evaluate every assertion."""
     try:
         bundle = build_harness(
             checked_suite,
-            unit_prog,
-            unit_src,
-            library_srcs,
-            template=options.template,
+            prog,
             cycle_time_ms=options.cycle_time_ms,
             atol=options.atol,
             rtol=options.rtol,
@@ -338,10 +336,10 @@ def _write_artifacts(
     out.mkdir(parents=True, exist_ok=True)
     (out / "harness.st").write_text(bundle.source.text, encoding="utf-8")
     (out / "coverage.lcov").write_text(
-        cov.render_lcov(cmap, bundle.typed, bundle.source), encoding="utf-8"
+        cov.render_lcov(cmap, bundle.layers, bundle.source), encoding="utf-8"
     )
     (out / "coverage.annotated.txt").write_text(
-        cov.render_annotated(cmap, bundle.typed, bundle.source), encoding="utf-8"
+        cov.render_annotated(cmap, bundle.layers, bundle.source), encoding="utf-8"
     )
     (out / "monitor.txt").write_text("\n".join(monitor_lines) + "\n", encoding="utf-8")
     report.artifacts = {

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from stbench import corpus, llm
 from stbench.cli import main as cli_main
 from stbench.frontend import types as T
+from stbench.frontend import parse_source, resolve
 from stbench.harnessgen import build_harness
 from stbench.runner import RunOptions, run_suite
 from stbench.runtime import SimClock, execute_cycle, instantiate
@@ -38,7 +39,7 @@ def checked(csv_text, fb, prog):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.acceptance("1", "DEC_TO_HEX: 100.00% coverage, bug exposed, < 1 s")
-def test_criterion_1_dec_to_hex(corpus_sources, corpus_programs):
+def test_criterion_1_dec_to_hex(corpus_programs):
     # six hand-written cases: zero, the 7FFF/8000 boundary pair, a mid-range
     # value, a byte-edge value, and a plain negative; expected strings come
     # from the standard base-conversion oracle over 16-bit two's complement
@@ -51,7 +52,7 @@ def test_criterion_1_dec_to_hex(corpus_sources, corpus_programs):
         "test_name,state,DE,expect_HEX\n" + rows, "DEC_TO_HEX", corpus_programs["DEC_TO_HEX"]
     )
     start = time.monotonic()
-    report = run_suite(corpus_sources["DEC_TO_HEX"], [], suite)
+    report = run_suite(corpus_programs["DEC_TO_HEX"], suite)
     elapsed = time.monotonic() - start
 
     assert report.statement_coverage_pct == 100.00
@@ -66,8 +67,7 @@ def test_criterion_1_dec_to_hex(corpus_sources, corpus_programs):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.acceptance("2", "timer expiry: dwell 10 passes, dwell 5 fails (exact)")
-def test_criterion_2_timer_expiry(corpus_sources, corpus_programs):
-    src = corpus_sources["DELAY_GATE"]
+def test_criterion_2_timer_expiry(corpus_programs):
     prog = corpus_programs["DELAY_GATE"]
     options = RunOptions(cycle_time_ms=50)
 
@@ -77,7 +77,7 @@ def test_criterion_2_timer_expiry(corpus_sources, corpus_programs):
             "DELAY_GATE",
             prog,
         )
-        report = run_suite(src, [], suite, options)
+        report = run_suite(prog, suite, options)
         return report.cases[0].verdict
 
     assert verdict(10) == "pass"   # 10 scans x 50 ms >= 400 ms
@@ -227,13 +227,13 @@ def _oracle_true_suite(draw, prog, block):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(data=st.data())
-def test_criterion_5_metric_integrity(data, corpus_programs, corpus_sources):
+def test_criterion_5_metric_integrity(data, corpus_programs):
     block = data.draw(st.sampled_from(_METRIC_BLOCKS))
     prog = corpus_programs[block]
     csv_text, cells, target = data.draw(_oracle_true_suite(prog, block))
     suite = checked(csv_text, block, prog)
 
-    report = run_suite(corpus_sources[block], [], suite)
+    report = run_suite(prog, suite)
     # totals equal the count of non-empty expected cells
     assert report.assertions_total == len(cells)
     assert report.assertions_passed == len(cells), csv_text  # oracle-true suite
@@ -257,7 +257,7 @@ def test_criterion_5_metric_integrity(data, corpus_programs, corpus_sources):
             lines[idx] = ",".join(cells_row)
             break
     corrupted = checked("\n".join(lines) + "\n", block, prog)
-    report2 = run_suite(corpus_sources[block], [], corrupted)
+    report2 = run_suite(prog, corrupted)
     assert report2.assertions_passed == report.assertions_passed - 1
 
 
@@ -272,16 +272,19 @@ def test_criterion_5_metric_integrity(data, corpus_programs, corpus_sources):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(data=st.data())
-def test_criterion_6_harness_validity(data, corpus_programs, corpus_sources):
+def test_criterion_6_harness_validity(data, corpus_programs):
     block = data.draw(
         st.sampled_from(["COUNT_ACC", "LOGIC_MUX", "PI_CTRL", "EDGE_COUNT", "DEC_TO_HEX", "DELAY_GATE"])
     )
     prog = corpus_programs[block]
     suite = data.draw(suites_for(prog.lookup_pou(block)))
     checked_suite = validate(suite, prog)
-    bundle = build_harness(checked_suite, prog, corpus_sources[block])
-    # build_harness resolves the assembly; reaching here means zero errors
+    bundle = build_harness(checked_suite, prog)
+    # build_harness resolves the generated layer; reaching here means zero errors
     assert bundle.typed.lookup_pou(bundle.program_name) is not None
+    # and the harness.st text it writes stands alone as a valid program
+    standalone = resolve(parse_source(bundle.source))
+    assert standalone.lookup_pou(bundle.program_name) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +316,7 @@ def test_criterion_7_assertion_timing():
         "SEQ_PROBE",
         prog,
     )
-    report = run_suite(SEQ_PROBE, [], suite)
+    report = run_suite(prog, suite)
     assert report.cases[0].verdict == "pass"
     actuals = {(a.state, a.variable): a.actual for a in report.cases[0].assertions}
     assert actuals == {

@@ -5,6 +5,9 @@ import pytest
 
 from stbench import corpus
 from stbench.cli import main
+from stbench.frontend import parser
+
+from test_parser import time_limit
 
 DEC_BLOCK = corpus.block_path("DEC_TO_HEX")
 DEC_FIXTURE = corpus.fixture_path("DEC_TO_HEX")
@@ -248,3 +251,112 @@ def test_jobs_with_multiple_units(tmp_path):
         "--out", tmp_path / "solo", "--jobs", "2",
     )
     assert code == 0
+
+
+def test_run_exit_two_on_unit_with_stray_closer(tmp_path, capsys):
+    unit = tmp_path / "stray.st"
+    unit.write_text("FUNCTION_BLOCK X\nEND_IF;")
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    with time_limit(5.0):
+        code = run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "stray.st:2:1: unexpected keyword 'END_IF'" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+HELP_3 = "FUNCTION_BLOCK HELP\nVAR_OUTPUT Q : INT; END_VAR\nQ := 1;\nQ := Q + 1;\nQ := Q + 1;\nEND_FUNCTION_BLOCK\n"
+HELP_1 = "FUNCTION_BLOCK HELP\nVAR_OUTPUT Q : INT; END_VAR\nQ := 7;\nEND_FUNCTION_BLOCK\n"
+USES_HELP = (
+    "FUNCTION_BLOCK USER\nVAR_OUTPUT Y : INT; END_VAR\nVAR H : HELP; END_VAR\n"
+    "H();\nY := H.Q;\nEND_FUNCTION_BLOCK\n"
+)
+
+
+def test_run_rejects_a_pou_defined_in_two_libraries(tmp_path, capsys):
+    (tmp_path / "help3.st").write_text(HELP_3)
+    (tmp_path / "help1.st").write_text(HELP_1)
+    (tmp_path / "user.st").write_text(USES_HELP)
+    (tmp_path / "suite.csv").write_text("test_name,state,expect_Y\ntc,1,3\n")
+    code = run_cli(
+        "run", "--unit", tmp_path / "user.st", "--lib", tmp_path / "help3.st",
+        "--lib", tmp_path / "help1.st", "--suite", tmp_path / "suite.csv", "--out", tmp_path / "out",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "duplicate declaration of HELP in help3.st and help1.st" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_config_unit_list_is_split_on_commas(tmp_path):
+    units = []
+    for name in ("first", "second"):
+        unit = tmp_path / name / "DEC_TO_HEX.st" if name == "first" else tmp_path / "dec_copy.st"
+        unit.parent.mkdir(exist_ok=True)
+        unit.write_text(DEC_BLOCK.read_text())
+        units.append(unit)
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    cfg = tmp_path / "stbench.cfg"
+    cfg.write_text(f"unit = {units[0]}, {units[1]}\nsuite = {suite}\nout = {tmp_path / 'out'}\n")
+    assert run_cli("run", "--config", cfg) == 0
+    assert (tmp_path / "out" / "dec_to_hex" / "report.json").exists()
+    assert (tmp_path / "out" / "dec_copy" / "report.json").exists()
+
+
+def test_library_diagnostics_name_the_library_file(tmp_path, capsys):
+    lib = tmp_path / "badlib.st"
+    lib.write_text("FUNCTION_BLOCK HELP\nVAR_OUTPUT Q : INT; END_VAR\nQ := ;\nEND_FUNCTION_BLOCK\n")
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    code = run_cli(
+        "run", "--unit", DEC_BLOCK, "--lib", lib, "--suite", suite, "--out", tmp_path / "out"
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: badlib.st:3:6: unexpected punctuation ';' (expected expression)\n"
+    )
+
+
+def test_pipeline_parses_each_source_once(tmp_path, monkeypatch):
+    parsed = []
+    real_parse = parser.parse
+
+    def counting_parse(tokens, src=None):
+        parsed.append(src)
+        return real_parse(tokens, src)
+
+    monkeypatch.setattr(parser, "parse", counting_parse)
+    code = run_cli(
+        "pipeline", "--unit", DEC_BLOCK, "--provider", "mock", "--fixture", DEC_FIXTURE,
+        "--out", tmp_path, "--fixed-clock",
+    )
+    assert code == 1
+    # the unit, then the generated case FBs and runner program, not harness.st
+    assert [src.origin for src in parsed] == ["DEC_TO_HEX.st", "generated harness"]
+    assert "FUNCTION_BLOCK DEC_TO_HEX" not in parsed[1].text
+
+
+def test_unknown_fb_exits_two_without_traceback(tmp_path, capsys):
+    code = run_cli(
+        "generate", "--unit", DEC_BLOCK, "--fb", "nope", "--provider", "mock",
+        "--fixture", DEC_FIXTURE, "--out", tmp_path,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "no FUNCTION_BLOCK named nope" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_missing_library_file_exits_two(tmp_path, capsys):
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    code = run_cli(
+        "run", "--unit", DEC_BLOCK, "--lib", tmp_path / "gone.st", "--suite", suite,
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "gone.st" in captured.err
+    assert "Traceback" not in captured.err + captured.out

@@ -117,7 +117,7 @@ def run_fb_and_cover(prog, src_text, inputs_list):
 
 def test_render_annotated_markers(prog):
     cmap = run_fb_and_cover(prog, SRC, [{"A": make(T.BOOL, True)}])
-    text = cov.render_annotated(cmap, prog, prog.src)
+    text = cov.render_annotated(cmap, [(prog, 0)], prog.src)
     lines = text.splitlines()
     # declarations are non-executable
     assert lines[0].startswith("        -:    1:FUNCTION_BLOCK FB1")
@@ -132,12 +132,12 @@ def test_render_annotated_fully_covered_has_no_markers(prog):
     cmap = run_fb_and_cover(
         prog, SRC, [{"A": make(T.BOOL, True)}, {"A": make(T.BOOL, False)}]
     )
-    assert "#####" not in cov.render_annotated(cmap, prog, prog.src)
+    assert "#####" not in cov.render_annotated(cmap, [(prog, 0)], prog.src)
 
 
 def test_render_lcov_records(prog):
     cmap = run_fb_and_cover(prog, SRC, [{"A": make(T.BOOL, True)}])
-    text = cov.render_lcov(cmap, prog, prog.src)
+    text = cov.render_lcov(cmap, [(prog, 0)], prog.src)
     lines = text.splitlines()
     assert lines[0] == "SF:fb1.st"
     assert "DA:7,0" in lines          # uncovered line present with count 0
@@ -154,5 +154,22 @@ def test_lcov_max_rule_for_shared_lines():
     _, trace = execute_cycle(inst, {"A": make(T.BOOL, True)}, SimClock())
     cov.accumulate(cmap, trace)
     # header hit once, body statement hit 3 times, same source line -> max
-    text = cov.render_lcov(cmap, prog, prog.src)
+    text = cov.render_lcov(cmap, [(prog, 0)], prog.src)
     assert "DA:5,3" in text.splitlines()
+
+
+def test_domain_takes_the_first_definition_in_lookup_order():
+    # two libraries define HELP; execution uses the first, so must coverage
+    help3 = "FUNCTION_BLOCK HELP\nVAR X : INT; END_VAR\nX := 1;\nX := 2;\nX := 3;\nEND_FUNCTION_BLOCK\n"
+    help1 = "FUNCTION_BLOCK HELP\nVAR X : INT; END_VAR\nX := 9;\nEND_FUNCTION_BLOCK\n"
+    libs = [resolve(parse_text(help3, "help3.st")), resolve(parse_text(help1, "help1.st"))]
+    user = resolve(
+        parse_text("FUNCTION_BLOCK USER\nVAR H : HELP; END_VAR\nH();\nEND_FUNCTION_BLOCK\n", "user.st"),
+        libs,
+    )
+    assert user.lookup_pou("HELP") is libs[0].pous["HELP"]
+    cmap = cov.CoverageMap.for_program(user)
+    assert cmap.counts["HELP"] == {0: 0, 1: 0, 2: 0}
+    _, trace = execute_cycle(instantiate(user, "USER"), {}, SimClock())
+    cov.accumulate(cmap, trace)
+    assert cmap.counts == {"USER": {0: 1}, "HELP": {0: 1, 1: 1, 2: 1}}

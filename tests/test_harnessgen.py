@@ -3,7 +3,9 @@ from hypothesis import given, settings
 
 from stbench import corpus
 from stbench.frontend import parse_text, resolve
+from stbench import harnessgen
 from stbench.harnessgen import (
+    AssemblyError,
     CollisionError,
     HarnessTemplate,
     build_harness,
@@ -61,7 +63,7 @@ def test_single_state_case_calls_then_asserts_next_scan(dec_assets):
     suite = checked_suite(
         "test_name,state,DE,expect_HEX\ntc_ff,1,255,'FF'\n", "DEC_TO_HEX", prog
     )
-    bundle = build_harness(suite, prog, src)
+    bundle = build_harness(suite, prog)
     result = run_bundle(bundle)
     outcome = case_outcome(result, bundle, "tc_ff")
     assert outcome == {"done": True, "pass": True, "fails": 0, "actuals": {"A_1_HEX": "FF"}}
@@ -93,7 +95,7 @@ def test_dwell_cycles_allow_timer_expiry():
         "DELAY_GATE",
         prog,
     )
-    bundle = build_harness(good, prog, src, cycle_time_ms=50)
+    bundle = build_harness(good, prog, cycle_time_ms=50)
     outcome = case_outcome(run_bundle(bundle, cycle_time=50), bundle, "tc")
     assert outcome["pass"] is True
 
@@ -102,7 +104,7 @@ def test_dwell_cycles_allow_timer_expiry():
         "DELAY_GATE",
         prog,
     )
-    bundle = build_harness(short, prog, src, cycle_time_ms=50)
+    bundle = build_harness(short, prog, cycle_time_ms=50)
     outcome = case_outcome(run_bundle(bundle, cycle_time=50), bundle, "tc")
     assert outcome["pass"] is False and outcome["fails"] == 1
 
@@ -128,7 +130,7 @@ def test_assertion_timing_two_state_fixture():
         "SEQ_PROBE",
         prog,
     )
-    bundle = build_harness(suite, prog, SEQ_PROBE)
+    bundle = build_harness(suite, prog)
     result = run_bundle(bundle)
     outcome = case_outcome(result, bundle, "tc")
     assert outcome["pass"] is True
@@ -146,7 +148,7 @@ def test_multi_state_inputs_hold_previous_values():
         "SEQ_PROBE",
         prog,
     )
-    bundle = build_harness(suite, prog, SEQ_PROBE)
+    bundle = build_harness(suite, prog)
     outcome = case_outcome(run_bundle(bundle), bundle, "tc")
     assert outcome["pass"] is True
 
@@ -161,7 +163,7 @@ def test_inputs_never_bound_keep_declared_defaults():
         "DELAY_GATE",
         prog,
     )
-    bundle = build_harness(suite, prog, src)
+    bundle = build_harness(suite, prog)
     assert case_outcome(run_bundle(bundle), bundle, "tc")["pass"] is True
 
 
@@ -174,7 +176,7 @@ def test_monitor_records_report_hook_events(dec_assets):
         "DEC_TO_HEX",
         prog,
     )
-    bundle = build_harness(suite, prog, src)
+    bundle = build_harness(suite, prog)
     clock = SimClock(cycle_time=10)
     records = []
     run_program(bundle.typed, bundle.program_name, 3, clock, monitor=records.append)
@@ -189,7 +191,7 @@ def test_collision_with_existing_pou_name():
         "test_name,state,X,expect_SCANS\ntc,1,1,1\n", "SEQ_PROBE", prog
     )
     with pytest.raises(CollisionError):
-        build_harness(suite, prog, src)
+        build_harness(suite, prog)
 
 
 def test_assembly_includes_libraries_before_unit():
@@ -204,7 +206,7 @@ def test_assembly_includes_libraries_before_unit():
     lib_prog = resolve(parse_text(lib_src))
     prog = resolve(parse_text(unit_src), [lib_prog])
     suite = checked_suite("test_name,state,X,expect_Y\ntc,1,21,42\n", "USESLIB", prog)
-    bundle = build_harness(suite, prog, unit_src, [lib_src])
+    bundle = build_harness(suite, prog)
     assert bundle.source.text.index("DOUBLEIT") < bundle.source.text.index("USESLIB")
     outcome = case_outcome(run_bundle(bundle), bundle, "tc")
     assert outcome["pass"] is True
@@ -214,7 +216,7 @@ def test_program_instantiates_cases_in_declaration_order(dec_assets):
     src, prog = dec_assets
     rows = "".join(f"tc_{i},1,{i},'{format(i, 'X')}'\n" for i in range(5))
     suite = checked_suite("test_name,state,DE,expect_HEX\n" + rows, "DEC_TO_HEX", prog)
-    bundle = build_harness(suite, prog, src)
+    bundle = build_harness(suite, prog)
     body = bundle.typed.lookup_pou("TEST_RUNNER").decl.body
     call_order = [st.instance for st in body if type(st).__name__ == "FbCall"]
     assert call_order == [f"TC{i}" for i in range(1, 6)]
@@ -227,7 +229,7 @@ def test_case_reordering_does_not_change_verdicts(dec_assets):
     verdicts = {}
     for label, rows in (("ab", rows_a), ("ba", rows_b)):
         suite = checked_suite("test_name,state,DE,expect_HEX\n" + rows, "DEC_TO_HEX", prog)
-        bundle = build_harness(suite, prog, src)
+        bundle = build_harness(suite, prog)
         result = run_bundle(bundle)
         verdicts[label] = {
             name: case_outcome(result, bundle, name)["pass"] for name in ("tc_x", "tc_y")
@@ -243,9 +245,9 @@ def test_real_tolerance_comparison_baked_into_code():
         "PI_CTRL",
         prog,
     )
-    bundle = build_harness(suite, prog, src, atol=1e-2, rtol=1e-6)
+    bundle = build_harness(suite, prog, atol=1e-2, rtol=1e-6)
     assert case_outcome(run_bundle(bundle), bundle, "tc")["pass"] is True
-    tight = build_harness(suite, prog, src, atol=1e-5, rtol=1e-6)
+    tight = build_harness(suite, prog, atol=1e-5, rtol=1e-6)
     assert case_outcome(run_bundle(tight), tight, "tc")["pass"] is False
 
 
@@ -264,13 +266,62 @@ def test_template_is_editable(dec_assets):
         + "\n(* custom footer *)\n"
     )
     suite = checked_suite("test_name,state,DE,expect_HEX\ntc,1,1,'1'\n", "DEC_TO_HEX", prog)
-    bundle = build_harness(suite, prog, src, template=custom)
+    bundle = build_harness(suite, prog, template=custom)
     assert "custom footer" in bundle.source.text
+
+
+def _error_line(err) -> str:
+    """The harness.st line the first diagnostic of an AssemblyError is on."""
+    src = err.value.cause.src
+    return src.line_text(src.line_of(err.value.cause.diagnostics[0].span.start))
+
+
+def test_error_in_runner_program_names_its_part(dec_assets):
+    src, prog = dec_assets
+    suite = checked_suite("test_name,state,DE,expect_HEX\ntc,1,1,'1'\n", "DEC_TO_HEX", prog)
+    broken = HarnessTemplate(
+        HarnessTemplate.default().text.replace("{TEST_CALLS}", "{TEST_CALLS}\n    NOPE := 1;")
+    )
+    with pytest.raises(AssemblyError) as err:
+        build_harness(suite, prog, template=broken)
+    assert err.value.part == "runner program"
+    assert "unknown identifier NOPE" in str(err.value)
+    assert _error_line(err) == "    NOPE := 1;"
+
+
+def test_error_in_case_fb_names_its_part(dec_assets, monkeypatch):
+    src, prog = dec_assets
+    suite = checked_suite(
+        "test_name,state,DE,expect_HEX\ntc_a,1,1,'1'\ntc_b,1,2,'2'\n", "DEC_TO_HEX", prog
+    )
+    real = harnessgen.generate_case_fb
+
+    def break_second(case, fb, index, *args):
+        harness = real(case, fb, index, *args)
+        if index == 2:
+            harness.source = harness.source.replace("TICK := TICK + 1;", "TICK := TICK + ;")
+        return harness
+
+    monkeypatch.setattr(harnessgen, "generate_case_fb", break_second)
+    with pytest.raises(AssemblyError) as err:
+        build_harness(suite, prog)
+    assert err.value.part == "test case FB TC_2_CASE"
+    assert _error_line(err) == "        TICK := TICK + ;"
+
+
+def test_template_head_must_hold_only_comments(dec_assets):
+    src, prog = dec_assets
+    suite = checked_suite("test_name,state,DE,expect_HEX\ntc,1,1,'1'\n", "DEC_TO_HEX", prog)
+    commented = HarnessTemplate("(* generated *)\n" + HarnessTemplate.default().text)
+    assert build_harness(suite, prog, template=commented).source.text.startswith("(* generated *)\n")
+    with pytest.raises(AssemblyError) as err:
+        build_harness(suite, prog, template=HarnessTemplate("X\n" + HarnessTemplate.default().text))
+    assert err.value.part == "harness template"
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=__import__("hypothesis").strategies.data())
-def test_generated_harnesses_resolve_for_random_suites(data, corpus_programs, corpus_sources):
+def test_generated_harnesses_resolve_for_random_suites(data, corpus_programs):
     name = data.draw(
         __import__("hypothesis").strategies.sampled_from(
             ["COUNT_ACC", "LOGIC_MUX", "PI_CTRL", "EDGE_COUNT", "DEC_TO_HEX"]
@@ -279,5 +330,5 @@ def test_generated_harnesses_resolve_for_random_suites(data, corpus_programs, co
     prog = corpus_programs[name]
     suite_raw = data.draw(suites_for(prog.lookup_pou(name)))
     checked = validate(suite_raw, prog)
-    bundle = build_harness(checked, prog, corpus_sources[name])
+    bundle = build_harness(checked, prog)
     assert bundle.typed is not None  # parsed and resolved with zero errors

@@ -1,6 +1,12 @@
-import pytest
+import signal
+from contextlib import contextmanager
 
-from stbench.frontend import ParseError, parse_text, print_ast
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stbench import corpus
+from stbench.frontend import FrontendError, ParseError, parse_text, print_ast, resolve
 from stbench.frontend.nodes import (
     Assign,
     CaseStmt,
@@ -176,3 +182,70 @@ def test_pretty_roundtrip_edge_expressions():
     """
     ast = parse_text(src)
     assert parse_text(print_ast(ast)).pous == ast.pous
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "FUNCTION_BLOCK X\nEND_IF;",          # stray closer in a body
+        "FUNCTION_BLOCK X\nVAR\nEND_IF",       # stray closer in a VAR section
+        "FUNCTION_BLOCK X\nVAR A : INT;\nVAR_INPUT B : INT; END_VAR\nEND_FUNCTION_BLOCK",
+        "FUNCTION_BLOCK X\nIF TRUE THEN END_FOR; END_IF;\nEND_FUNCTION_BLOCK",
+    ],
+)
+def test_recovery_always_advances(src):
+    with time_limit(1.0), pytest.raises(ParseError) as err:
+        parse_text(src)
+    assert 1 <= len(err.value.diagnostics) <= 4
+
+
+_TOKENS = [
+    "END_IF", "END_CASE", "END_FOR", "END_WHILE", "END_REPEAT", "ELSE", "ELSIF", "UNTIL",
+    "END_VAR", "VAR", "VAR_INPUT", "END_FUNCTION_BLOCK", "FUNCTION_BLOCK", "IF", "THEN",
+    "CASE", "OF", "FOR", "TO", "DO", "WHILE", "REPEAT", "RETURN", "EXIT", ";", ":=", ":",
+    "(", ")", "[", "]", ",", ".", "..", "=>", "X", "1", "-", "T#1s", "'s'", "1.5", "TRUE",
+]
+
+
+@st.composite
+def mutated_blocks(draw):
+    """A corpus block with a few slices deleted, duplicated or replaced by
+    a keyword, operator or operand."""
+    text = corpus.block_source(draw(st.sampled_from([b.name for b in corpus.BLOCKS])))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = min(len(text), start + draw(st.integers(0, 40)))
+        op = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        if op == "delete":
+            text = text[:start] + text[end:]
+        elif op == "duplicate":
+            text = text[:end] + text[start:end] + text[end:]
+        else:
+            text = text[:start] + " " + draw(st.sampled_from(_TOKENS)) + " " + text[end:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(src=mutated_blocks())
+def test_mutated_corpus_blocks_fail_only_with_frontend_errors(src):
+    with time_limit(2.0):
+        try:
+            resolve(parse_text(src))
+        except FrontendError:
+            pass

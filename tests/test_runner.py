@@ -4,7 +4,8 @@ import math
 import pytest
 
 from stbench import corpus
-from stbench.frontend import parse_text, resolve
+from stbench import coverage as cov
+from stbench.frontend import SourceUnit, parse_text, resolve
 from stbench.frontend import types as T
 from stbench.runner import (
     ComparePolicy,
@@ -12,9 +13,11 @@ from stbench.runner import (
     RunOptions,
     TypeMismatch,
     compare,
+    load_program,
     render_report,
     run_suite,
 )
+from stbench.runtime import SimClock, run_program
 from stbench.runtime import values as V
 from stbench.testspec import parse_suite, validate
 
@@ -90,26 +93,24 @@ DEC_CSV = (
 
 @pytest.fixture(scope="module")
 def dec_setup():
-    src = corpus.block_source("DEC_TO_HEX")
-    prog = resolve(parse_text(src, "DEC_TO_HEX"))
-    return src, prog
+    return resolve(parse_text(corpus.block_source("DEC_TO_HEX"), "DEC_TO_HEX"))
 
 
 def test_correct_suite_reaches_full_coverage_and_assertions(dec_setup):
     # a suite hand-built against the base-conversion oracle for inputs the
     # block handles correctly: full statement coverage, every assertion green
-    src, prog = dec_setup
+    prog = dec_setup
     values = [0, 9, 255, 4096, 32767, 21845]
     rows = "".join(f"tc_{v},1,{v},'{format(v, 'X') if v else '0'}'\n" for v in values)
-    report = run_suite(src, [], checked("test_name,state,DE,expect_HEX\n" + rows, "DEC_TO_HEX", prog))
+    report = run_suite(prog, checked("test_name,state,DE,expect_HEX\n" + rows, "DEC_TO_HEX", prog))
     assert report.statement_coverage_pct == 100.0
     assert report.assertion_success_pct == 100.0
     assert report.all_green()
 
 
 def test_run_suite_reports_coverage_and_bug(dec_setup):
-    src, prog = dec_setup
-    report = run_suite(src, [], checked(DEC_CSV, "DEC_TO_HEX", prog))
+    prog = dec_setup
+    report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog))
     assert report.statement_coverage_pct == 100.0
     assert report.cases_total == 6
     assert report.assertions_total == 6
@@ -122,10 +123,10 @@ def test_run_suite_reports_coverage_and_bug(dec_setup):
 
 
 def test_perturbing_one_expected_value_drops_passed_by_one(dec_setup):
-    src, prog = dec_setup
-    base = run_suite(src, [], checked(DEC_CSV, "DEC_TO_HEX", prog))
+    prog = dec_setup
+    base = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog))
     perturbed_csv = DEC_CSV.replace("4096,'1000'", "4096,'1001'")
-    perturbed = run_suite(src, [], checked(perturbed_csv, "DEC_TO_HEX", prog))
+    perturbed = run_suite(prog, checked(perturbed_csv, "DEC_TO_HEX", prog))
     assert perturbed.assertions_passed == base.assertions_passed - 1
     assert {c.name: c.verdict for c in perturbed.cases}["tc_mid"] == "fail"
 
@@ -147,7 +148,7 @@ def test_fault_containment_isolates_cases(tmp_path):
         "FRAGILE",
         prog,
     )
-    report = run_suite(src, [], suite, RunOptions(out_dir=tmp_path))
+    report = run_suite(prog, suite, RunOptions(out_dir=tmp_path))
     verdicts = {c.name: c.verdict for c in report.cases}
     assert verdicts == {"tc_ok": "pass", "tc_boom": "fault", "tc_also_ok": "pass"}
     boom = next(c for c in report.cases if c.name == "tc_boom")
@@ -163,9 +164,9 @@ def test_fault_containment_isolates_cases(tmp_path):
 
 
 def test_metric_consistency(dec_setup):
-    src, prog = dec_setup
+    prog = dec_setup
     suite = checked(DEC_CSV, "DEC_TO_HEX", prog)
-    report = run_suite(src, [], suite)
+    report = run_suite(prog, suite)
     assert report.cases_total == len(suite.cases)
     non_empty_cells = sum(len(s.expected) for c in suite.cases for s in c.states)
     assert report.assertions_total == non_empty_cells
@@ -174,16 +175,16 @@ def test_metric_consistency(dec_setup):
 
 
 def test_coverage_matches_summary_field(dec_setup):
-    src, prog = dec_setup
-    report = run_suite(src, [], checked(DEC_CSV, "DEC_TO_HEX", prog))
+    prog = dec_setup
+    report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog))
     assert report.statement_coverage_pct == report.coverage.unit.percentage
     assert report.coverage.unit_name == "DEC_TO_HEX"
 
 
 def test_report_json_roundtrips_and_is_versioned(dec_setup, tmp_path):
-    src, prog = dec_setup
+    prog = dec_setup
     options = RunOptions(out_dir=tmp_path, fixed_clock=True, mode="simple", provider="mock:x")
-    report = run_suite(src, [], checked(DEC_CSV, "DEC_TO_HEX", prog), options)
+    report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog), options)
     text = render_report(report, "json")
     data = json.loads(text)
     assert data["schema"] == 1
@@ -201,8 +202,8 @@ def test_report_json_roundtrips_and_is_versioned(dec_setup, tmp_path):
 
 
 def test_text_report_layout(dec_setup):
-    src, prog = dec_setup
-    report = run_suite(src, [], checked(DEC_CSV, "DEC_TO_HEX", prog))
+    prog = dec_setup
+    report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog))
     text = render_report(report, "text")
     assert "tc_zero" in text and "pass" in text
     assert "statement coverage: 100.00%" in text
@@ -215,20 +216,65 @@ def test_na_assertion_percentage_rendered():
     # checked structures directly to pin the n/a rendering
     from stbench.testspec import CheckedCase, CheckedState, CheckedSuite
 
-    src = corpus.block_source("LOGIC_MUX")
+    prog = resolve(parse_text(corpus.block_source("LOGIC_MUX")))
     suite = CheckedSuite(
         "LOGIC_MUX",
         [CheckedCase("tc_probe", [CheckedState({"A": V.make(T.BOOL, True)}, {}, 1)])],
         ["A"],
         [],
     )
-    report = run_suite(src, [], suite)
+    report = run_suite(prog, suite)
     assert report.assertion_success_pct is None
     assert "(n/a)" in render_report(report, "text")
     assert json.loads(render_report(report, "json"))["metrics"]["assertion_success_pct"] is None
 
 
+CLAMP_LIB = """FUNCTION CLAMP10 : DINT
+VAR_INPUT N : DINT; END_VAR
+IF N > 10 THEN
+    CLAMP10 := 10;
+ELSE
+    CLAMP10 := N;
+END_IF;
+END_FUNCTION
+"""
+
+CLAMP_UNIT = """FUNCTION_BLOCK USESLIB
+VAR_INPUT X : DINT; END_VAR
+VAR_OUTPUT Y : DINT; END_VAR
+Y := CLAMP10(X);
+IF Y = 10 THEN
+    Y := Y + 1;
+END_IF;
+END_FUNCTION_BLOCK
+"""
+
+
+def test_coverage_lines_are_harness_lines_with_a_library(tmp_path):
+    prog = load_program(SourceUnit(CLAMP_UNIT, "useslib.st"), [SourceUnit(CLAMP_LIB, "clamp.st")])
+    suite = checked("test_name,state,X,expect_Y\ntc_low,1,3,3\ntc_high,1,50,11\n", "USESLIB", prog)
+    report = run_suite(prog, suite, RunOptions(out_dir=tmp_path, fixed_clock=True))
+    assert report.all_green()
+    lcov = (tmp_path / "coverage.lcov").read_text()
+    annotated = (tmp_path / "coverage.annotated.txt").read_text()
+
+    # the reference: harness.st parsed whole, run for as many scans, and
+    # rendered against its own statement spans
+    whole = resolve(parse_text((tmp_path / "harness.st").read_text(), "harness.st"))
+    result = run_program(whole, "TEST_RUNNER", report.cycles_executed, SimClock(cycle_time=10))
+    cmap = cov.add_counts(cov.CoverageMap.for_program(whole), result.counts)
+    assert lcov == cov.render_lcov(cmap, [(whole, 0)], whole.src)
+    assert annotated == cov.render_annotated(cmap, [(whole, 0)], whole.src)
+
+    # library, unit and case FB statements all land on their own lines
+    lines = whole.src.text.splitlines()
+    for text, hits in (("CLAMP10 := 10;", 1), ("Y := Y + 1;", 1), ("TICK := TICK + 1;", 1)):
+        lineno = next(i for i, line in enumerate(lines, 1) if line.strip() == text)
+        assert f"DA:{lineno},{hits}" in lcov.splitlines(), text
+        assert annotated.splitlines()[lineno - 1].split(":")[0].strip() == str(hits), text
+
+
 def test_pipeline_error_phases():
     with pytest.raises(PipelineError) as err:
-        run_suite("FUNCTION_BLOCK BROKEN (* no end *)", [], None)
+        load_program(SourceUnit("FUNCTION_BLOCK BROKEN (* no end *)", "unit"))
     assert err.value.phase == "assemble"
