@@ -46,6 +46,8 @@ KEYWORDS = frozenset(
 
 _MULTI_OPS = (":=", "=>", "<=", ">=", "<>", "**", "..")
 _SINGLE_OPS = "+-*/=<>&"
+# ASCII only: str.isdigit() also accepts digits such as "²" that int() rejects
+_DIGITS = "0123456789"
 _PUNCT = ";:,()[]."
 
 _TIME_FACTORS = {"D": 86_400_000.0, "H": 3_600_000.0, "M": 60_000.0, "S": 1_000.0, "MS": 1.0}
@@ -122,7 +124,7 @@ def tokenize(src: SourceUnit) -> list[Token]:
             i = j
             continue
 
-        if ch.isdigit():
+        if ch in _DIGITS:
             i = _scan_number(text, i, out, err)
             continue
 
@@ -217,7 +219,7 @@ def _scan_digits(text: str, i: int, allowed: str) -> int:
 
 def _scan_number(text: str, start: int, out: list[Token], err) -> int:
     n = len(text)
-    i = _scan_digits(text, start, "0123456789")
+    i = _scan_digits(text, start, _DIGITS)
 
     if i < n and text[i] == "#":
         base = int(text[start:i].replace("_", ""))
@@ -235,18 +237,18 @@ def _scan_number(text: str, start: int, out: list[Token], err) -> int:
     is_real = False
     # A '.' starts a fraction only when not the '..' range operator.
     if i < n and text[i] == "." and not text.startswith("..", i):
-        if i + 1 >= n or not text[i + 1].isdigit():
+        if i + 1 >= n or text[i + 1] not in _DIGITS:
             err("malformed real literal", start, i + 1)
         is_real = True
-        i = _scan_digits(text, i + 1, "0123456789")
+        i = _scan_digits(text, i + 1, _DIGITS)
     if i < n and text[i] in "eE":
         j = i + 1
         if j < n and text[j] in "+-":
             j += 1
-        if j >= n or not text[j].isdigit():
+        if j >= n or text[j] not in _DIGITS:
             err("malformed real literal", start, j)
         is_real = True
-        i = _scan_digits(text, j, "0123456789")
+        i = _scan_digits(text, j, _DIGITS)
 
     lexeme = text[start:i]
     body = lexeme.replace("_", "")
@@ -267,11 +269,11 @@ def _scan_time(text: str, start: int, i: int, out: list[Token], err) -> int:
         if text[i] == "_":
             i += 1
             continue
-        if not text[i].isdigit():
+        if text[i] not in _DIGITS:
             break
-        j = _scan_digits(text, i, "0123456789")
+        j = _scan_digits(text, i, _DIGITS)
         if j < n and text[j] == "." and not text.startswith("..", j):
-            j = _scan_digits(text, j + 1, "0123456789")
+            j = _scan_digits(text, j + 1, _DIGITS)
         num = float(text[i:j].replace("_", ""))
         k = j
         while k < n and text[k].isalpha():

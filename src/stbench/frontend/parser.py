@@ -4,6 +4,13 @@ The parser keeps going after a syntax error: it records a diagnostic, skips
 to the next `;` or section/block-closing keyword, and resumes, so one run
 reports every syntax error in the unit.  On any error the whole parse fails
 with a ParseError carrying the full diagnostic list.
+
+Nesting is bounded so that no later stage (resolver, closure compiler,
+execution) recurses past Python's default recursion limit: statements nest
+at most MAX_DEPTH levels below a POU body, and an expression tree is at
+most MAX_DEPTH levels high, counting each parenthesised sub-expression as a
+level and each operator of a left-associative chain such as `a + b + c`.
+Deeper input stops the parse at once with a diagnostic naming the limit.
 """
 
 from __future__ import annotations
@@ -46,8 +53,18 @@ from .nodes import (
 from .source import SourceUnit, Span
 
 
+# A unit at both limits takes about 300 Python frames to parse, resolve,
+# compile and run: under a third of the default recursion limit of 1000,
+# leaving the rest to the caller and to calls between POUs at run time.
+MAX_DEPTH = 40
+
+
 class _Recover(Exception):
     """Internal: unwind to the nearest statement-recovery point."""
+
+
+class _TooDeep(Exception):
+    """Internal: abandon the parse; nesting passed MAX_DEPTH."""
 
 
 _POU_OPENERS = {"FUNCTION_BLOCK": PouKind.FUNCTION_BLOCK, "FUNCTION": PouKind.FUNCTION, "PROGRAM": PouKind.PROGRAM}
@@ -66,16 +83,21 @@ _STMT_CLOSERS = {
 # what ends a VAR section whose END_VAR is missing
 _SECTION_ENDS = set(_SECTION_KWS) | _POU_CLOSERS
 
-# operator precedence, loosest first
-_BIN_LEVELS = [
-    {"OR": BinOp.OR},
-    {"XOR": BinOp.XOR},
-    {"AND": BinOp.AND, "&": BinOp.AND},
-    {"=": BinOp.EQ, "<>": BinOp.NE},
-    {"<": BinOp.LT, "<=": BinOp.LE, ">": BinOp.GT, ">=": BinOp.GE},
-    {"+": BinOp.ADD, "-": BinOp.SUB},
-    {"*": BinOp.MUL, "/": BinOp.DIV, "MOD": BinOp.MOD},
-]
+# binary operator token -> (precedence, operator); higher binds tighter
+_BINARY = {
+    tok: (prec, op)
+    for prec, level in enumerate([
+        {"OR": BinOp.OR},
+        {"XOR": BinOp.XOR},
+        {"AND": BinOp.AND, "&": BinOp.AND},
+        {"=": BinOp.EQ, "<>": BinOp.NE},
+        {"<": BinOp.LT, "<=": BinOp.LE, ">": BinOp.GT, ">=": BinOp.GE},
+        {"+": BinOp.ADD, "-": BinOp.SUB},
+        {"*": BinOp.MUL, "/": BinOp.DIV, "MOD": BinOp.MOD},
+    ])
+    for tok, op in level.items()
+}
+_UNARY = {"-": UnOp.NEG, "+": UnOp.PLUS, "NOT": UnOp.NOT}
 
 
 class _Parser:
@@ -84,6 +106,8 @@ class _Parser:
         self.pos = 0
         self.src = src
         self.diags: list[Diagnostic] = []
+        self.nesting = 0  # compound statements around the statement list being parsed
+        self.height = 0   # height of the expression last parsed
 
     # -- token helpers ------------------------------------------------------
 
@@ -125,6 +149,26 @@ class _Parser:
     def eat_semi(self) -> None:
         while self.at_op(";"):
             self.advance()
+
+    # -- nesting bounds -------------------------------------------------------
+
+    def too_deep(self, what: str, at: Token):
+        self.diags.append(Diagnostic(f"{what} nested deeper than {MAX_DEPTH} levels", at.span))
+        raise _TooDeep()
+
+    def deeper(self, depth: int) -> int:
+        """The depth of a sub-expression opened at the current token inside
+        one at `depth`.  The tree is at least one level higher than that."""
+        if depth + 1 >= MAX_DEPTH:
+            self.too_deep("expression", self.cur)
+        return depth + 1
+
+    def over(self, height: int, at: Token) -> None:
+        """Set self.height for a node opened at `at` whose tallest child is
+        `height` high."""
+        if height >= MAX_DEPTH:
+            self.too_deep("expression", at)
+        self.height = height + 1
 
     # -- recovery -----------------------------------------------------------
 
@@ -307,16 +351,19 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def parse_statements(self, stop: set[str], in_case: bool = False) -> list[Stmt]:
+        if self.nesting > MAX_DEPTH:
+            self.too_deep("statements", self.cur)
+        self.nesting += 1
         out: list[Stmt] = []
         while True:
             if self.cur.kind is TokKind.EOF:
-                return out
+                break
             if self.cur.kind is TokKind.KEYWORD and self.cur.norm in stop:
-                return out
+                break
             if self.cur.kind is TokKind.KEYWORD and self.cur.norm in _POU_CLOSERS:
-                return out  # never run past the end of the POU
+                break  # never run past the end of the POU
             if in_case and (self.cur.kind is TokKind.INT or self.at_op("-")):
-                return out  # next CASE label; statements never start with a number
+                break  # next CASE label; statements never start with a number
             if self.at_op(";"):
                 self.advance()  # tolerated empty statement
                 continue
@@ -325,6 +372,8 @@ class _Parser:
                 out.append(self.parse_statement())
             except _Recover:
                 self.recover(start)
+        self.nesting -= 1
+        return out
 
     def parse_statement(self) -> Stmt:
         tok = self.cur
@@ -485,55 +534,59 @@ class _Parser:
         return RepeatStmt(body, until, span=rep_tok.span.merge(end))
 
     # -- expressions ---------------------------------------------------------
+    # `depth` counts the expression levels above the one being parsed and so
+    # bounds the parser's own recursion; self.height, set by each method for
+    # the expression it returns, bounds the tree, including left-associative
+    # chains, which are built in a loop.
 
-    def parse_expr(self, level: int = 0) -> Expr:
-        if level >= len(_BIN_LEVELS):
-            return self.parse_power()
-        ops = _BIN_LEVELS[level]
-        left = self.parse_expr(level + 1)
-        while self._peek_binop(ops):
-            op_tok = self.advance()
-            right = self.parse_expr(level + 1)
-            left = Binary(ops[op_tok.norm], left, right, span=_expr_span(left).merge(_expr_span(right)))
-        return left
-
-    def _peek_binop(self, ops: dict) -> bool:
-        tok = self.cur
-        if tok.kind is TokKind.OP and tok.norm in ops:
-            return True
-        if tok.kind is TokKind.KEYWORD and tok.norm in ops:
-            return True
-        return False
-
-    def parse_power(self) -> Expr:
-        base = self.parse_unary()
-        if self.at_op("**"):
+    def parse_expr(self, depth: int = 0, min_prec: int = 0) -> Expr:
+        """Precedence climbing: operators binding at least as tight as
+        min_prec, left-associative.  A parenthesis costs four frames of
+        recursion here, not one per precedence level."""
+        left = self.parse_power(depth)
+        height = self.height
+        while True:
+            op_tok = self.cur
+            entry = _BINARY.get(op_tok.norm) if op_tok.kind in (TokKind.OP, TokKind.KEYWORD) else None
+            if entry is None or entry[0] < min_prec:
+                self.height = height
+                return left
+            prec, op = entry
+            sub = self.deeper(depth)
             self.advance()
-            exp = self.parse_power()  # right-assoc
-            return Binary(BinOp.POW, base, exp, span=_expr_span(base).merge(_expr_span(exp)))
-        return base
+            right = self.parse_expr(sub, prec + 1)
+            self.over(max(height, self.height), op_tok)
+            height = self.height
+            left = Binary(op, left, right, span=_expr_span(left).merge(_expr_span(right)))
 
-    def parse_unary(self) -> Expr:
+    def parse_power(self, depth: int) -> Expr:
+        base = self.parse_unary(depth)
+        if not self.at_op("**"):
+            return base
+        op_tok = self.cur
+        sub = self.deeper(depth)
+        self.advance()
+        height = self.height
+        exp = self.parse_power(sub)  # right-assoc
+        self.over(max(height, self.height), op_tok)
+        return Binary(BinOp.POW, base, exp, span=_expr_span(base).merge(_expr_span(exp)))
+
+    def parse_unary(self, depth: int) -> Expr:
         tok = self.cur
-        if self.at_op("-"):
+        if self.at_op("-", "+") or self.at_kw("NOT"):
+            sub = self.deeper(depth)
             self.advance()
-            operand = self.parse_unary()
+            operand = self.parse_unary(sub)
             # fold numeric literals so INT minimum (-32768) types as one literal
-            if isinstance(operand, Literal) and operand.lit_kind in (Literal.K.INT, Literal.K.REAL):
+            if tok.norm == "-" and isinstance(operand, Literal) and operand.lit_kind in (Literal.K.INT, Literal.K.REAL):
                 return Literal(operand.lit_kind, -operand.value, span=tok.span.merge(_expr_span(operand)))
-            return Unary(UnOp.NEG, operand, span=tok.span.merge(_expr_span(operand)))
-        if self.at_op("+"):
-            self.advance()
-            operand = self.parse_unary()
-            return Unary(UnOp.PLUS, operand, span=tok.span.merge(_expr_span(operand)))
-        if self.at_kw("NOT"):
-            self.advance()
-            operand = self.parse_unary()
-            return Unary(UnOp.NOT, operand, span=tok.span.merge(_expr_span(operand)))
-        return self.parse_primary()
+            self.over(self.height, tok)
+            return Unary(_UNARY[tok.norm], operand, span=tok.span.merge(_expr_span(operand)))
+        return self.parse_primary(depth)
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self, depth: int) -> Expr:
         tok = self.cur
+        self.height = 1
         if tok.kind is TokKind.INT:
             self.advance()
             return Literal(Literal.K.INT, tok.value, span=tok.span)
@@ -550,40 +603,53 @@ class _Parser:
             self.advance()
             return Literal(Literal.K.BOOL, tok.norm == "TRUE", span=tok.span)
         if self.at_op("("):
+            sub = self.deeper(depth)
             self.advance()
-            inner = self.parse_expr()
+            inner = self.parse_expr(sub)
             self.expect_op(")")
+            self.over(self.height, tok)
             return inner
         if tok.kind is TokKind.IDENT:
             if self.toks[self.pos + 1].kind is TokKind.PUNCT and self.toks[self.pos + 1].norm == "(":
-                name_tok = self.advance()
+                self.advance()
+                sub = self.deeper(depth)
                 self.advance()  # '('
                 args: list[Expr] = []
+                height = 0
                 if not self.at_op(")"):
-                    args.append(self.parse_expr())
+                    args.append(self.parse_expr(sub))
+                    height = self.height
                     while self.at_op(","):
                         self.advance()
-                        args.append(self.parse_expr())
+                        args.append(self.parse_expr(sub))
+                        height = max(height, self.height)
                 close = self.cur.span
                 self.expect_op(")")
-                return Call(name_tok.norm, args, span=name_tok.span.merge(close))
-            return self.parse_ref()
+                self.over(height, tok)
+                return Call(tok.norm, args, span=tok.span.merge(close))
+            return self.parse_ref(depth)
         self.error(f"unexpected {tok.kind.value} {tok.lexeme!r}", expected="expression")
 
-    def parse_ref(self) -> Expr:
+    def parse_ref(self, depth: int = 0) -> Expr:
         tok = self.expect_ident("variable reference")
         ref: Expr = VarRef(tok.norm, span=tok.span)
+        self.height = 1
         while True:
+            sel = self.cur
             if self.at_op("."):
                 self.advance()
                 member = self.expect_ident("member name")
                 ref = MemberRef(ref, member.norm, span=tok.span.merge(member.span))
+                self.over(self.height, sel)
             elif self.at_op("["):
+                sub = self.deeper(depth)
                 self.advance()
-                index = self.parse_expr()
+                height = self.height
+                index = self.parse_expr(sub)
                 close = self.cur.span
                 self.expect_op("]")
                 ref = IndexRef(ref, index, span=tok.span.merge(close))
+                self.over(max(height, self.height), sel)
             else:
                 return ref
 
@@ -599,7 +665,10 @@ def parse(tokens: list[Token], src: SourceUnit | None = None) -> Ast:
     was found.
     """
     p = _Parser(tokens, src)
-    ast = p.parse_unit()
+    try:
+        ast = p.parse_unit()
+    except _TooDeep:
+        raise ParseError(p.diags, src) from None
     if p.diags:
         raise ParseError(p.diags, src)
     assign_statement_ids(ast)

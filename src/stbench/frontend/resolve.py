@@ -96,18 +96,18 @@ class TypedProgram:
 
     def layers(self) -> list["TypedProgram"]:
         """This program and every library below it, each once, in the
-        order lookup_pou searches them."""
+        order lookup_pou searches them.  A loop, not a recursive closure: a
+        closure that calls itself is a reference cycle, which would keep the
+        whole program alive until the cyclic garbage collector ran."""
         out: list[TypedProgram] = []
         seen: set[int] = set()
-
-        def walk(unit: TypedProgram) -> None:
+        stack = [self]
+        while stack:
+            unit = stack.pop()
             if id(unit) not in seen:
                 seen.add(id(unit))
                 out.append(unit)
-                for lib in unit.libraries:
-                    walk(lib)
-
-        walk(self)
+                stack.extend(reversed(unit.libraries))
         return out
 
     def pou_names(self) -> list[str]:

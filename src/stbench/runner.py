@@ -208,7 +208,10 @@ def run_suite(
     options: RunOptions = RunOptions(),
 ) -> TestReport:
     """Generate the harness over `prog` (from load_program), execute it,
-    and evaluate every assertion."""
+    and evaluate every assertion.  The run builds no reference cycles: the
+    harness program and its compiled code are freed by reference counting
+    once the caller drops the report, so the caller may pause the cyclic
+    garbage collector around the call, as the CLI does."""
     try:
         bundle = build_harness(
             checked_suite,

@@ -15,6 +15,13 @@ the nested instances, the count array and the run state (`_Scan`: program,
 counts, budget, clock, call depth) are passed in, so scans and threads
 share them.
 
+Memory: a run builds no reference cycles.  The compiled code is cached on
+the TypedProgram it was compiled for and refers to nothing that refers back
+to it, so a finished run, its AST and its compiled code are freed by
+reference counting as soon as the last reference goes, without the cyclic
+garbage collector.  The CLI relies on this and pauses that collector while
+it works on a unit.
+
 Coverage: executing a statement site adds one to its slot in its POU's
 count array; guard sites (IF/ELSIF conditions, CASE selectors, loop
 headers) count once per evaluation.  Each site also spends one unit of the
@@ -983,6 +990,9 @@ def run_program(
                     try:
                         run(store, nested, cnt, scan)
                     except RuntimeFault as fault:
+                        # the frames the fault unwound refer back to this
+                        # run; keeping them would make the run a cycle
+                        fault.__traceback__ = fault.__context__ = None
                         fault.instance_path = root + fault.instance_path
                         fault.cycle = cycle
                         dead.add(guard)

@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -8,6 +9,15 @@ sys.path.insert(0, str(TESTS_DIR))  # timer_reference, oracle_sim, strategies
 
 from stbench import corpus
 from stbench.frontend import parse_text, resolve
+
+
+@pytest.fixture(autouse=True)
+def gc_left_enabled():
+    """Fail a test that leaves the cyclic garbage collector disabled."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

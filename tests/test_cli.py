@@ -1,9 +1,10 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from stbench import corpus
+from stbench import cli, corpus
 from stbench.cli import main
 from stbench.frontend import parser
 
@@ -238,19 +239,25 @@ def test_label_creates_run_subdirectory(tmp_path):
     assert (tmp_path / "runs" / "experiment_1" / "report.json").exists()
 
 
-def test_jobs_with_multiple_units(tmp_path):
-    suiteless_units = ",".join(
-        str(corpus.block_path(n)) for n in ("LOGIC_MUX", "COUNT_ACC")
-    )
-    # pipeline over two units in parallel, each with its own fixture? the
-    # mock fixture is per-unit, so drive generate-only via explicit suites
+def test_run_with_two_units_writes_both_run_directories(tmp_path, capsys):
     suite = tmp_path / "s.csv"
     suite.write_text("test_name,state,A,B,PICKB,expect_Q\ntc,1,TRUE,FALSE,FALSE,TRUE\n")
-    code = run_cli(
-        "run", "--unit", corpus.block_path("LOGIC_MUX"), "--suite", suite,
-        "--out", tmp_path / "solo", "--jobs", "2",
-    )
+    mux_copy = tmp_path / "mux_copy.st"
+    mux_copy.write_text(corpus.block_path("LOGIC_MUX").read_text())
+    units = f"{corpus.block_path('LOGIC_MUX')},{mux_copy}"
+    code = run_cli("run", "--unit", units, "--suite", suite, "--out", tmp_path / "out")
     assert code == 0
+    for name in ("logic_mux", "mux_copy"):
+        report = json.loads((tmp_path / "out" / name / "report.json").read_text())
+        assert report["metrics"]["cases_total"] == 1
+    assert capsys.readouterr().out.count("artifacts in") == 2
+
+
+def test_jobs_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--unit", DEC_BLOCK, "--suite", tmp_path / "s.csv", "--jobs", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_run_exit_two_on_unit_with_stray_closer(tmp_path, capsys):
@@ -360,3 +367,96 @@ def test_missing_library_file_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "gone.st" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+BODY_FB = (
+    "FUNCTION_BLOCK BODY\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+    "VAR I : INT; END_VAR\n{body}\nEND_FUNCTION_BLOCK\n"
+)
+BODY_SUITE = "test_name,state,X,expect_Y\ntc,1,0,0\n"
+LIMIT = parser.MAX_DEPTH
+
+
+def run_body(tmp_path, body):
+    unit = tmp_path / "body.st"
+    unit.write_text(BODY_FB.format(body=body))
+    suite = tmp_path / "suite.csv"
+    suite.write_text(BODY_SUITE)
+    return run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("Y := " + "(" * 120 + "X" + ")" * 120 + ";", f"body.st:5:{5 + LIMIT}: expression"),
+        ("IF X > 0 THEN\n" * 400 + "Y := 1;\n" + "END_IF;\n" * 400, f"body.st:{LIMIT + 6}:1: statements"),
+        ("Y := " + " + ".join(["X"] * 400) + ";", f"body.st:5:{4 + 4 * LIMIT}: expression"),
+    ],
+    ids=["120-parens", "400-ifs", "400-term-sum"],
+)
+def test_run_exit_two_on_nesting_past_the_limit(tmp_path, capsys, body, message):
+    assert run_body(tmp_path, body) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message} nested deeper than {LIMIT} levels\n"
+    assert "Traceback" not in captured.out
+
+
+def test_unit_at_both_nesting_limits_runs(tmp_path):
+    # every statement kind around the deepest expression, each body run once,
+    # so parsing, resolving, compiling and executing all reach the limits
+    body = "Y := " + "ABS(" * (LIMIT - 1) + "X" + ")" * (LIMIT - 1) + ";"
+    kinds = [
+        "IF X = 0 THEN\n{}\nEND_IF;",
+        "FOR I := 1 TO 1 DO\n{}\nEND_FOR;",
+        "CASE X OF\n0: {}\nEND_CASE;",
+        "REPEAT\n{}\nUNTIL TRUE\nEND_REPEAT;",
+        "I := 0;\nWHILE I = 0 DO\nI := 1;\n{}\nEND_WHILE;",
+    ]
+    for level in range(LIMIT):
+        body = kinds[level % len(kinds)].format(body)
+    assert run_body(tmp_path, body) == 0
+
+
+def test_run_exit_two_on_non_ascii_digit(tmp_path, capsys):
+    assert run_body(tmp_path, "Y := X + \u00b2;") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: body.st:5:10: unexpected character '\u00b2'\n"
+    assert "Traceback" not in captured.out
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def caller_gc(request):
+    """The collector state a caller of main() chose; restored afterwards."""
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    gc.enable()
+
+
+@pytest.mark.parametrize("csv,expected", [(CORRECT_CSV, 0), (BUG_CSV, 1), (None, 2)], ids=["exit-0", "exit-1", "exit-2"])
+def test_main_pauses_gc_per_unit_and_restores_the_callers_state(tmp_path, monkeypatch, caller_gc, csv, expected):
+    during = []
+    real_run_suite = cli.run_suite
+
+    def recording_run_suite(*args):
+        during.append(gc.isenabled())
+        return real_run_suite(*args)
+
+    monkeypatch.setattr(cli, "run_suite", recording_run_suite)
+    suite = tmp_path / "suite.csv"
+    if csv is not None:
+        suite.write_text(csv)
+    assert run_cli("run", "--unit", DEC_BLOCK, "--suite", suite, "--out", tmp_path / "out") == expected
+    assert during == ([] if csv is None else [False])
+    assert gc.isenabled() is caller_gc
+
+
+def test_main_restores_the_callers_gc_state_when_an_exception_escapes(tmp_path, monkeypatch, caller_gc):
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_suite", crash)
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cli("run", "--unit", DEC_BLOCK, "--suite", suite, "--out", tmp_path / "out")
+    assert gc.isenabled() is caller_gc

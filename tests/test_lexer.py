@@ -109,6 +109,7 @@ def test_string_escapes():
         ("T#", "malformed time"),
         ("T#5parsecs", "malformed time unit"),
         ("WORD#16#1", "unsupported typed literal"),
+        ("T#\u00b2s", "malformed time"),
     ],
 )
 def test_lex_errors_have_spans(text, message):
@@ -130,3 +131,17 @@ def test_spans_reconstruct_source(corpus_sources):
             assert text[t.span.start : t.span.end] == t.lexeme
             assert t.span.start >= pos
             pos = t.span.end
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661", "\uff11"])  # superscript two, Arabic-Indic and fullwidth one
+def test_non_ascii_digit_is_an_unexpected_character(digit):
+    with pytest.raises(LexError) as err:
+        toks(f"y := x + {digit};")
+    assert str(err.value) == f"<memory>:1:10: unexpected character {digit!r}"
+    assert err.value.span.start == 9
+
+
+@pytest.mark.parametrize("text", ["1.\u00b2", "1e\u00b2"])
+def test_non_ascii_digit_does_not_continue_a_number(text):
+    with pytest.raises(LexError, match="malformed real literal"):
+        toks(text)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stbench import corpus
 from stbench.frontend import FrontendError, ParseError, parse_text, print_ast, resolve
+from stbench.frontend.parser import MAX_DEPTH
 from stbench.frontend.nodes import (
     Assign,
     CaseStmt,
@@ -249,3 +250,50 @@ def test_mutated_corpus_blocks_fail_only_with_frontend_errors(src):
             resolve(parse_text(src))
         except FrontendError:
             pass
+
+
+def _nested_ifs(levels):
+    return "IF A THEN\n" * levels + "X := 1;\n" + "END_IF;\n" * levels
+
+
+def _parens(levels):
+    return "X := " + "(" * levels + "1" + ")" * levels + ";"
+
+
+def _chain(terms):
+    return "X := " + " + ".join(["X"] * terms) + ";"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _nested_ifs(MAX_DEPTH),
+        _parens(MAX_DEPTH - 1),        # the literal is the last level
+        _chain(MAX_DEPTH),
+        "X := " + "-(" * (MAX_DEPTH // 2 - 1) + "X" + ")" * (MAX_DEPTH // 2 - 1) + ";",
+        "X := " + "ABS(" * (MAX_DEPTH - 1) + "X" + ")" * (MAX_DEPTH - 1) + ";",
+    ],
+    ids=["ifs", "parens", "chain", "negations", "calls"],
+)
+def test_nesting_up_to_the_limit_parses(body):
+    parse_text(FB.format(body=body))
+
+
+@pytest.mark.parametrize(
+    "body,what,where",
+    [
+        (_nested_ifs(MAX_DEPTH + 1), "statements", f"{MAX_DEPTH + 6}:1"),
+        (_parens(MAX_DEPTH), "expression", f"5:{5 + MAX_DEPTH}"),
+        (_chain(MAX_DEPTH + 1), "expression", f"5:{6 + 4 * MAX_DEPTH - 2}"),
+        ("X := " + "1 ** " * MAX_DEPTH + "1;", "expression", f"5:{8 + 5 * (MAX_DEPTH - 1)}"),
+        ("X := " + "NOT " * MAX_DEPTH + "A;", "expression", f"5:{6 + 4 * (MAX_DEPTH - 1)}"),
+        (_nested_ifs(400), "statements", f"{MAX_DEPTH + 6}:1"),
+        (_parens(1000), "expression", f"5:{5 + MAX_DEPTH}"),
+        (_chain(5000), "expression", f"5:{6 + 4 * MAX_DEPTH - 2}"),
+    ],
+    ids=["ifs", "parens", "chain", "power", "not", "400-ifs", "1000-parens", "5000-chain"],
+)
+def test_nesting_past_the_limit_is_one_parse_error(body, what, where):
+    with pytest.raises(ParseError) as err:
+        parse_text(FB.format(body=body))
+    assert str(err.value) == f"<memory>:{where}: {what} nested deeper than {MAX_DEPTH} levels"

@@ -37,6 +37,16 @@ def test_builtin_ton_resolves_without_declaration():
     assert prog.pous["FB1"].fb_instances == {"T": "TON"}
 
 
+def test_layers_follow_lookup_order_and_list_each_library_once():
+    def fb(name, libs=()):
+        return resolve_text(f"FUNCTION_BLOCK {name}\nEND_FUNCTION_BLOCK\n", list(libs))
+
+    shared = fb("SHARED")
+    left, right = fb("LEFT", [shared]), fb("RIGHT", [shared])
+    top = fb("TOP", [left, right])
+    assert [layer.pou_names() for layer in top.layers()] == [["TOP"], ["LEFT"], ["SHARED"], ["RIGHT"]]
+
+
 def test_int_literal_out_of_range_is_resolve_error():
     msg = errors_of(
         """

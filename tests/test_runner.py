@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import pytest
 
@@ -120,6 +122,38 @@ def test_run_suite_reports_coverage_and_bug(dec_setup):
     assert verdicts["tc_min"] == "fail" and verdicts["tc_neg"] == "fail"
     failing = [a for c in report.cases for a in c.assertions if not a.passed]
     assert {(a.expected, a.actual) for a in failing} == {("'8000'", "''"), ("'FF85'", "''")}
+
+
+FRAGILE = """
+FUNCTION_BLOCK FRAGILE
+VAR_INPUT D : INT; END_VAR
+VAR_OUTPUT Q : INT; END_VAR
+Q := 100 / D;
+END_FUNCTION_BLOCK
+"""
+FRAGILE_CSV = "test_name,state,D,expect_Q\ntc_ok,1,4,25\ntc_boom,1,0,1\n"
+
+
+@pytest.mark.parametrize(
+    "src,fb,csv",
+    [(corpus.block_source("DEC_TO_HEX"), "DEC_TO_HEX", DEC_CSV), (FRAGILE, "FRAGILE", FRAGILE_CSV)],
+    ids=["assertions", "contained-fault"],
+)
+def test_finished_run_is_freed_by_reference_counting(src, fb, csv):
+    # the run holds no reference cycle, so dropping the last reference frees
+    # the unit program; the harness program, which holds the compiled code,
+    # lists it as a library and would keep it alive
+    prog = resolve(parse_text(src, fb))
+    suite = checked(csv, fb, prog)
+    gc.disable()
+    try:
+        report = run_suite(prog, suite)
+        freed = weakref.ref(prog)
+        del prog
+        assert freed() is None
+    finally:
+        gc.enable()
+    assert report.cases_total == csv.count("\n") - 1
 
 
 def test_perturbing_one_expected_value_drops_passed_by_one(dec_setup):
