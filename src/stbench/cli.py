@@ -21,6 +21,7 @@ objects would only cost time.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,7 @@ from .frontend.nodes import PouKind
 from .harnessgen import DEFAULT_ATOL, DEFAULT_RTOL
 from .runner import PipelineError, RunOptions, load_program, render_report, run_suite
 from .testspec import (
+    CheckedSuite,
     CsvError,
     ValidationError,
     drop_unknown_columns,
@@ -138,32 +140,39 @@ def _provider_config(cfg: RunConfig) -> llm.ProviderConfig:
 def cmd_generate(cfg: RunConfig) -> int:
     """Steps 1-3: prompt, query, extract, validate, persist suite.csv."""
     try:
-        return _generate(cfg, *_load(cfg))
+        _generate(cfg, *_load(cfg))
     except _Unusable as exc:
         return _fail(str(exc))
+    return EXIT_OK
 
 
 def cmd_run(cfg: RunConfig) -> int:
     """Steps 4-9: harness, execution, coverage, report."""
     try:
-        return _run(cfg, *_load(cfg))
+        prog, fb_name = _load(cfg)
+        checked, warnings = _read_suite(cfg, prog, fb_name)
     except _Unusable as exc:
         return _fail(str(exc))
+    return _run(cfg, prog, checked, warnings)
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
-    """generate followed by run, sharing one output directory and one load."""
+    """generate followed by run, sharing one output directory, one load
+    and the checked suite."""
     try:
         prog, fb_name = _load(cfg)
+        checked, dropped = _generate(cfg, prog, fb_name)
     except _Unusable as exc:
         return _fail(str(exc))
-    code = _generate(cfg, prog, fb_name)
-    if code != EXIT_OK:
-        return code
-    return _run(replace(cfg, suite=cfg.out_dir() / "suite.csv"), prog, fb_name)
+    return _run(cfg, prog, checked, tuple(_dropped_note(c) for c in dropped))
 
 
-def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> int:
+def _dropped_note(column: str) -> str:
+    return f"dropped column {column}"
+
+
+def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[CheckedSuite, list[str]]:
+    """Write suite.csv; returns the checked suite and the dropped columns."""
     iface = interface_of(prog, fb_name)
     out = cfg.out_dir()
     out.mkdir(parents=True, exist_ok=True)
@@ -172,30 +181,30 @@ def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> int:
         provider_cfg = _provider_config(cfg)
         exchange = llm.query(provider_cfg, bundle, run_dir=out)
     except ValueError as exc:
-        return _fail(str(exc))
+        raise _Unusable(str(exc)) from exc
     except llm.GatewayError as exc:
-        return _fail(f"provider query failed: {exc}")
+        raise _Unusable(f"provider query failed: {exc}") from exc
     print(f"provider {exchange.provider_id} answered in {exchange.latency_ms:.0f} ms")
 
     try:
         csv_text = llm.extract_csv(exchange.response_text)
     except llm.NoCsvFound as exc:
         print(f"raw exchange kept at {out / 'exchange_0.json'}", file=sys.stderr)
-        return _fail(str(exc))
+        raise _Unusable(str(exc)) from exc
     try:
         suite = parse_suite(csv_text, fb_name)
     except CsvError as exc:
-        return _fail(f"CSV malformed: {exc} (hint: the response is at {out / 'exchange_0.json'})")
+        raise _Unusable(f"CSV malformed: {exc} (hint: the response is at {out / 'exchange_0.json'})") from exc
 
     suite, dropped = drop_unknown_columns(suite, prog.lookup_pou(fb_name))
     for col in dropped:
         print(f"warning: dropping unknown column {col!r} from the suite", file=sys.stderr)
     try:
-        validate(suite, prog)
+        checked = validate(suite, prog)
     except ValidationError as exc:
         for item in exc.items:
             print(f"invalid suite: {item}", file=sys.stderr)
-        return _fail("generated suite failed validation (hint: adjust the prompt or fix the CSV)")
+        raise _Unusable("generated suite failed validation (hint: adjust the prompt or fix the CSV)") from exc
 
     suite_path = out / "suite.csv"
     suite_path.write_text(serialize_suite(suite), encoding="utf-8")
@@ -203,19 +212,21 @@ def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> int:
     print(f"wrote {suite_path} ({len(suite.cases)} cases, {total_states} states)")
     if dropped:
         (out / "generate_warnings.txt").write_text(
-            "\n".join(f"dropped column {c}" for c in dropped) + "\n", encoding="utf-8"
+            "\n".join(_dropped_note(c) for c in dropped) + "\n", encoding="utf-8"
         )
-    return EXIT_OK
+    return checked, dropped
 
 
-def _run(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> int:
+def _read_suite(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[CheckedSuite, tuple[str, ...]]:
+    """The checked suite from --suite, written to the output directory in
+    canonical form, and the warnings a generate step left there."""
     if cfg.suite is None or not cfg.suite.exists():
-        return _fail(f"suite file not found: {cfg.suite}")
+        raise _Unusable(f"suite file not found: {cfg.suite}")
     try:
         suite = parse_suite(cfg.suite.read_text(encoding="utf-8"), fb_name)
         checked = validate(suite, prog)
     except (CsvError, ValidationError) as exc:
-        return _fail(f"suite rejected: {exc}")
+        raise _Unusable(f"suite rejected: {exc}") from exc
 
     out = cfg.out_dir()
     out.mkdir(parents=True, exist_ok=True)
@@ -226,6 +237,11 @@ def _run(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> int:
         if warnings_file.exists()
         else ()
     )
+    return checked, warnings
+
+
+def _run(cfg: RunConfig, prog: TypedProgram, checked: CheckedSuite, warnings: tuple[str, ...]) -> int:
+    out = cfg.out_dir()
     options = RunOptions(
         cycle_time_ms=cfg.cycle_time_ms,
         atol=cfg.atol,
@@ -394,8 +410,16 @@ def _run_unit(fn, cfg: RunConfig) -> int:
             gc.enable()
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each parse starts from a fresh
+    namespace, so nothing carries over between calls, and a parser built
+    per call would leave argparse's formatter cycles behind each time."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "corpus":
         return cmd_corpus_list()
     try:

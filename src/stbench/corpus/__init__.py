@@ -10,7 +10,6 @@ provider.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,14 +83,15 @@ BLOCKS: tuple[CorpusBlock, ...] = (
 )
 
 
+_DIR = Path(__file__).parent
+
+
 def block_path(name: str) -> Path:
-    block = by_name(name)
-    return Path(str(importlib.resources.files("stbench") / "corpus" / "blocks" / block.filename))
+    return _DIR / "blocks" / by_name(name).filename
 
 
 def fixture_path(name: str) -> Path:
-    block = by_name(name)
-    return Path(str(importlib.resources.files("stbench") / "corpus" / "fixtures" / block.fixture))
+    return _DIR / "fixtures" / by_name(name).fixture
 
 
 def by_name(name: str) -> CorpusBlock:

@@ -34,8 +34,8 @@ one layer only.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .frontend import types as T
 from .frontend.diagnostics import FrontendError
@@ -75,8 +75,8 @@ class HarnessTemplate:
 
     @classmethod
     def default(cls) -> "HarnessTemplate":
-        ref = importlib.resources.files("stbench") / "templates" / "harness.st.tmpl"
-        return cls(ref.read_text(encoding="utf-8"))
+        path = Path(__file__).parent / "templates" / "harness.st.tmpl"
+        return cls(path.read_text(encoding="utf-8"))
 
     def split(self, instance_decls: str, calls: str, cycle_time_ms: int) -> tuple[str, str]:
         """The filled-in text before and after {UNIT_DECLS}."""

@@ -7,22 +7,21 @@ with exactly three extra instruction groups: a statement-coverage goal,
 boundary input values, and the use of reference functions for expected
 outputs.  All template text ships as editable files under templates/.
 
-Two providers are built in: a generic HTTP chat-completion client and a
+Two providers are built in: a generic HTTP chat-completion client, built
+on the standard library's urllib and imported on its first use, and a
 fixture-file mock that makes the whole pipeline runnable (and
 deterministic) without network access or keys.
 """
 
 from __future__ import annotations
 
-import importlib.resources
+import builtins
 import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .frontend.resolve import FbInterface
 from .testspec import EXPECT_PREFIX
@@ -60,9 +59,11 @@ class NoCsvFound(GatewayError):
 # prompts
 # ---------------------------------------------------------------------------
 
+_TEMPLATES = Path(__file__).parent / "templates"
+
+
 def _template(name: str) -> str:
-    ref = importlib.resources.files("stbench") / "templates" / name
-    return ref.read_text(encoding="utf-8").rstrip("\n")
+    return (_TEMPLATES / name).read_text(encoding="utf-8").rstrip("\n")
 
 
 def enhanced_groups() -> tuple[str, str, str]:
@@ -184,6 +185,10 @@ def query(
     Transient HTTP failures (429, 5xx, timeouts, connection drops) are
     retried up to 3 attempts with exponential backoff; auth problems fail
     immediately.  The exchange is persisted verbatim when run_dir is given.
+    `post(url, json=, headers=, timeout=)` sends one request (default:
+    `_post`); it returns an object with `status_code` and `json()`, and
+    raises the builtin TimeoutError on a timeout or an OSError when the
+    connection fails.
     """
     start = time.monotonic()
     if cfg.provider == "mock":
@@ -192,7 +197,7 @@ def query(
             bundle.full, text, cfg.provider_id, round((time.monotonic() - start) * 1000, 3)
         )
     elif cfg.provider == "http":
-        exchange = _query_http(cfg, bundle, post or requests.post, sleep, start)
+        exchange = _query_http(cfg, bundle, post or _post, sleep, start)
     else:
         raise GatewayError(f"unknown provider {cfg.provider!r}")
     if run_dir is not None:
@@ -220,10 +225,10 @@ def _query_http(cfg: ProviderConfig, bundle: PromptBundle, post, sleep, start: f
             sleep(0.5 * 2 ** (attempt - 1))
         try:
             resp = post(cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout_s)
-        except requests.Timeout:
+        except builtins.TimeoutError:
             last_error = TimeoutError(f"request to {cfg.endpoint} timed out after {cfg.timeout_s}s")
             continue
-        except requests.RequestException as exc:
+        except OSError as exc:
             last_error = TransportError(str(exc))
             continue
         status = getattr(resp, "status_code", 0)
@@ -237,14 +242,19 @@ def _query_http(cfg: ProviderConfig, bundle: PromptBundle, post, sleep, start: f
             continue
         if status != 200:
             raise TransportError(f"unexpected HTTP status {status}")
-        body = resp.json()
+        try:
+            body = resp.json()
+        except ValueError as exc:
+            raise TransportError(f"response is not JSON: {exc}") from exc
         content = body
         try:
             for step in cfg.content_path:
                 content = content[step]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"response missing content at {cfg.content_path}") from exc
-        usage = body.get("usage", {}) if isinstance(body, dict) else {}
+        usage = body.get("usage") if isinstance(body, dict) else None
+        if not isinstance(usage, dict):
+            usage = {}
         return LlmExchange(
             bundle.full,
             str(content),
@@ -254,6 +264,48 @@ def _query_http(cfg: ProviderConfig, bundle: PromptBundle, post, sleep, start: f
             usage.get("completion_tokens"),
         )
     raise last_error
+
+
+class _Response:
+    """What `_post` returns: the fields of a response `_query_http` reads."""
+
+    def __init__(self, status_code: int, body: bytes):
+        self.status_code = status_code
+        self.body = body
+
+    def json(self):
+        return json.loads(self.body)
+
+
+_dumps = json.dumps  # `_post`'s payload parameter shadows the module
+
+
+def _post(url: str, json: dict, headers: dict, timeout: float) -> _Response:
+    """POST `json` to `url` with the standard library's HTTP client.
+
+    Any HTTP status comes back as a response; urlopen raises HTTPError for
+    a non-2xx one, which is mapped back to its status code.  A timeout
+    raises the builtin TimeoutError and any other connection failure an
+    OSError, the two transport failures `_query_http` retries."""
+    import http.client
+    import urllib.request
+    from urllib.error import HTTPError, URLError
+
+    data = _dumps(json).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return _Response(resp.status, resp.read())
+    except HTTPError as exc:
+        exc.close()
+        return _Response(exc.code, b"")
+    except URLError as exc:
+        # a connect timeout comes wrapped; anything else stays an OSError
+        if isinstance(exc.reason, builtins.TimeoutError):
+            raise exc.reason from None
+        raise
+    except http.client.HTTPException as exc:
+        raise ConnectionError(f"malformed HTTP response: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------

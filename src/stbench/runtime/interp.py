@@ -29,7 +29,10 @@ scan's 1M-site budget, as does each FOR iteration; run_program gives what
 a contained fault's call spent back, up to three more budgets per scan.
 Faults are attributed on the exception path: a statement closure turns an
 expression fault into a RuntimeFault at its own site, and each call frame
-it unwinds through prepends its instance path segment.
+it unwinds through prepends its instance path segment.  Calls nest at most
+64 deep; a chain that exhausts Python's recursion limit first becomes the
+fault "call stack too deep" at the innermost call site with room to raise
+it.
 
 Monitoring: run_program emits one line per scan in the fixed format
 
@@ -66,6 +69,10 @@ _SCAN_SITE_BUDGET = 1_000_000
 _SPARE_BUDGETS = 3
 _MAX_CALL_DEPTH = 64
 _BUDGET_MSG = "scan statement budget exceeded (possible unbounded loop)"
+# Python's recursion limit can end a chain of calls before _MAX_CALL_DEPTH
+# does, since a call costs Python frames per nesting level of its callee:
+# the innermost call site with room left reports it as a fault.
+_STACK_MSG = "call stack too deep"
 
 Value = V.Value  # a global, not an attribute lookup, in every store
 
@@ -532,6 +539,8 @@ class _Compiler:
                 except RuntimeFault as fault:
                     fault.instance_path = segment + fault.instance_path
                     raise
+                except RecursionError:
+                    raise _fault(site, _STACK_MSG) from None
             finally:
                 scan.depth -= 1
             try:
@@ -837,6 +846,8 @@ class _Compiler:
                 except RuntimeFault as fault:
                     fault.instance_path = segment + fault.instance_path
                     raise
+                except RecursionError:
+                    raise _Trap(_STACK_MSG) from None
                 return frame[fname].v
             finally:
                 scan.depth -= 1

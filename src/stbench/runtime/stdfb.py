@@ -13,13 +13,21 @@ from ..frontend.builtins import BUILTIN_FBS
 from . import values as V
 
 
+# per block type: variable name -> (type, coercion of a raw value to it)
+_SLOTS = {
+    fb_type: {name: (ty, V.coercer(ty)) for name, (ty, _sec) in decls.items()}
+    for fb_type, decls in BUILTIN_FBS.items()
+}
+
+
 class BuiltinInstance:
     kind = "builtin"
 
     def __init__(self, fb_type: str):
         self.fb_type = fb_type
+        self._slots = _SLOTS[fb_type]
         self.store: dict[str, V.Value] = {
-            name: V.default(ty) for name, (ty, _sec) in BUILTIN_FBS[fb_type].items()
+            name: V.default(ty) for name, (ty, _co) in self._slots.items()
         }
 
     def _b(self, name: str) -> bool:
@@ -29,8 +37,8 @@ class BuiltinInstance:
         return int(self.store[name].v)
 
     def _set(self, name: str, raw) -> None:
-        ty = BUILTIN_FBS[self.fb_type][name][0]
-        self.store[name] = V.make(ty, raw)
+        ty, co = self._slots[name]
+        self.store[name] = V.Value(ty, co(raw))
 
     def step(self, now: int) -> None:
         raise NotImplementedError

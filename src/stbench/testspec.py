@@ -89,11 +89,14 @@ class TestSuite:
 
 def parse_suite(csv_text: str, fb_under_test: str = "") -> TestSuite:
     """Parse CSV text into an untyped TestSuite, preserving row order."""
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = csv.reader(io.StringIO(csv_text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvError("missing header row") from None
+        records = list(reader)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise CsvError(str(exc), row=reader.line_num) from None
+    if not records:
+        raise CsvError("missing header row")
+    header = records[0]
     if len(header) < 2 or header[0].strip().lower() != "test_name" or header[1].strip().lower() != "state":
         raise CsvError("header must start with test_name,state", row=1)
 
@@ -127,7 +130,7 @@ def parse_suite(csv_text: str, fb_under_test: str = "") -> TestSuite:
 
     rows: dict[str, dict[int, TestState]] = {}
     case_order: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(records[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(header):

@@ -1,8 +1,16 @@
+import contextlib
 import gc
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stbench import cli, corpus
 from stbench.cli import main
@@ -460,3 +468,128 @@ def test_main_restores_the_callers_gc_state_when_an_exception_escapes(tmp_path, 
     with pytest.raises(RuntimeError, match="boom"):
         run_cli("run", "--unit", DEC_BLOCK, "--suite", suite, "--out", tmp_path / "out")
     assert gc.isenabled() is caller_gc
+
+
+def test_import_loads_no_http_stack():
+    """Only the http provider needs an HTTP client; importing the CLI and
+    running a mock pipeline must not load one."""
+    script = (
+        "import sys, tempfile\n"
+        "before = set(sys.modules)\n"
+        "import stbench.cli\n"
+        "after_import = set(sys.modules) - before\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    code = stbench.cli.main(['pipeline', '--unit', sys.argv[1], '--provider', 'mock',\n"
+        "                             '--fixture', sys.argv[2], '--out', out])\n"
+        "after_run = set(sys.modules) - before\n"
+        "http = {'requests', 'urllib.request', 'http.client'}\n"
+        "print(code, sorted(after_import & http), sorted(after_run & http))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(DEC_BLOCK), str(DEC_FIXTURE)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "1 [] []"
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    (tmp_path / "help.st").write_text(HELP_1)
+    (tmp_path / "user.st").write_text(USES_HELP)
+    (tmp_path / "suite.csv").write_text("test_name,state,expect_Y\ntc,1,7\n")
+    common = ["run", "--unit", tmp_path / "user.st", "--suite", tmp_path / "suite.csv"]
+    assert run_cli(*common, "--lib", tmp_path / "help.st", "--out", tmp_path / "a") == 0
+    capsys.readouterr()
+    # the same command without --lib: HELP is unknown again
+    assert run_cli(*common, "--out", tmp_path / "b") == 2
+    assert "HELP" in capsys.readouterr().err
+    assert cli._parser().parse_args(["run", "--unit", "u.st"]).lib is None
+
+
+def test_pipeline_hands_the_checked_suite_to_the_run_step(tmp_path, monkeypatch):
+    calls = []
+    for name in ("parse_suite", "validate", "serialize_suite"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    fixture = tmp_path / "resp.txt"
+    fixture.write_text("```csv\ntest_name,state,DE,NOTES,expect_HEX\ntc,1,4,hello,'4'\n```\n")
+    code = run_cli(
+        "pipeline", "--unit", DEC_BLOCK, "--provider", "mock", "--fixture", fixture,
+        "--out", tmp_path / "run", "--fixed-clock",
+    )
+    assert code == 0
+    assert calls == ["parse_suite", "validate", "serialize_suite"]
+    assert (tmp_path / "run" / "suite.csv").read_text() == "test_name,state,dwell_cycles,DE,expect_HEX\ntc,1,1,4,'4'\n"
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["meta"]["warnings"] == ["dropped column NOTES"]
+
+
+def _deep_calls_unit(nested_ifs: int) -> str:
+    ifs = "IF x > 0 THEN\n" * nested_ifs
+    ends = "END_IF;\n" * nested_ifs
+    return (
+        "FUNCTION DEEP : INT\nVAR_INPUT x : INT; END_VAR\nDEEP := 0;\n"
+        f"{ifs}DEEP := DEEP(x - 1) + 1;\n{ends}END_FUNCTION\n\n"
+        "FUNCTION_BLOCK CALLER\nVAR_INPUT N : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+        "Y := DEEP(N);\nEND_FUNCTION_BLOCK\n"
+    )
+
+
+def test_calls_deeper_than_the_python_stack_are_a_contained_fault(tmp_path, capsys):
+    unit = tmp_path / "deep.st"
+    unit.write_text(_deep_calls_unit(12))
+    suite = tmp_path / "suite.csv"
+    suite.write_text("test_name,state,N,expect_Y\ntc_deep,1,63,63\ntc_shallow,1,3,3\n")
+    code = run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    verdicts = {c["name"]: (c["verdict"], c["fault"]) for c in report["cases"]}
+    assert verdicts["tc_shallow"] == ("pass", None)
+    assert verdicts["tc_deep"][0] == "fault"
+    assert verdicts["tc_deep"][1].startswith("call stack too deep (DEEP#")
+    assert "tc_deep: call stack too deep" in captured.out
+
+
+_FIXTURE_PIECES = ["\n", ",", "```", "```csv\n", "test_name,state", "dwell_cycles", "expect_", "'", '"',
+                   "TRUE", "-1", "0", "T#5s", "16#FF", "1e40", "NaN", "\r", "tc", "prose "]
+
+
+@st.composite
+def _fuzzed_fixtures(draw):
+    """A corpus block and its canned response with 1-4 random cuts, copies
+    or insertions."""
+    block = draw(st.sampled_from(corpus.BLOCKS))
+    text = corpus.fixture_path(block.name).read_text(encoding="utf-8")
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = min(len(text), start + draw(st.integers(0, 30)))
+        op = draw(st.sampled_from(["delete", "duplicate", "insert"]))
+        if op == "delete":
+            text = text[:start] + text[end:]
+        elif op == "duplicate":
+            text = text[:end] + text[start:end] + text[end:]
+        else:
+            text = text[:start] + draw(st.sampled_from(_FIXTURE_PIECES)) + text[start:]
+    return block, text
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_fuzzed_fixtures())
+def test_pipeline_on_fuzzed_provider_responses_exits_0_1_or_2(case):
+    block, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = Path(tmp) / "response.txt"
+        fixture.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(
+                "pipeline", "--unit", corpus.block_path(block.name), "--provider", "mock",
+                "--fixture", fixture, "--out", Path(tmp) / "run", "--fixed-clock",
+            )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,8 +1,11 @@
 import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.error import URLError
 
 import pytest
-import requests
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbench import llm
@@ -156,12 +159,48 @@ def test_rate_limit_after_three_attempts(dec_iface):
 
 
 def test_timeout_retried_then_raised(dec_iface):
+    attempts = []
+
     def post(*a, **k):
-        raise requests.Timeout()
+        attempts.append(1)
+        raise TimeoutError("timed out")  # what a socket timeout raises
 
     cfg = llm.ProviderConfig(provider="http", endpoint="http://x", timeout_s=1)
     with pytest.raises(llm.TimeoutError):
         llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), post=post, sleep=lambda s: None)
+    assert len(attempts) == 3
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ConnectionRefusedError(111, "Connection refused"), URLError("name resolution failed"), OSError("reset")],
+    ids=["refused", "urlerror", "oserror"],
+)
+def test_connection_errors_retried_then_transport_error(dec_iface, error):
+    attempts = []
+
+    def post(*a, **k):
+        attempts.append(1)
+        raise error
+
+    cfg = llm.ProviderConfig(provider="http", endpoint="http://x")
+    with pytest.raises(llm.TransportError):
+        llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), post=post, sleep=lambda s: None)
+    assert len(attempts) == 3
+
+
+def test_connection_error_then_success(dec_iface):
+    outcomes = [URLError("refused"), _Resp(200, {"choices": [{"message": {"content": "ok"}}]})]
+
+    def post(*a, **k):
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    cfg = llm.ProviderConfig(provider="http", endpoint="http://x")
+    exchange = llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), post=post, sleep=lambda s: None)
+    assert exchange.response_text == "ok"
 
 
 def test_transient_500_then_success(dec_iface):
@@ -186,6 +225,137 @@ def test_auth_http_status_not_retried(dec_iface):
     with pytest.raises(llm.AuthError):
         llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), post=post, sleep=lambda s: None)
     assert len(attempts) == 1
+
+
+def test_other_status_is_a_transport_error_at_once(dec_iface):
+    attempts = []
+
+    def post(*a, **k):
+        attempts.append(1)
+        return _Resp(404)
+
+    cfg = llm.ProviderConfig(provider="http", endpoint="http://x")
+    with pytest.raises(llm.TransportError, match="unexpected HTTP status 404"):
+        llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), post=post, sleep=lambda s: None)
+    assert len(attempts) == 1
+
+
+def test_null_usage_and_non_json_bodies(dec_iface):
+    content = {"choices": [{"message": {"content": "ok"}}]}
+    cfg = llm.ProviderConfig(provider="http", endpoint="http://x")
+    bundle = llm.build_prompt("X", dec_iface, "simple")
+    exchange = llm.query(cfg, bundle, post=lambda *a, **k: _Resp(200, {**content, "usage": None}))
+    assert exchange.response_text == "ok" and exchange.prompt_tokens is None
+
+    class NotJson(_Resp):
+        def json(self):
+            return json.loads("<html>")
+
+    with pytest.raises(llm.TransportError, match="not JSON"):
+        llm.query(cfg, bundle, post=lambda *a, **k: NotJson(200))
+
+
+# the default post, against a chat-completion server on the loopback interface
+
+class _Server:
+    """Answers each POST with the next (status, body, delay_s) in `script`
+    and records what it was sent."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = []
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                server.requests.append((dict(self.headers), json.loads(self.rfile.read(length))))
+                status, body, delay = server.script.pop(0)
+                time.sleep(delay)
+                data = json.dumps(body).encode()
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
+                    self.wfile.write(data)
+                except OSError:
+                    pass  # the client gave up waiting
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.httpd.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self.httpd.server_port}/v1/chat"
+
+    def __enter__(self):
+        threading.Thread(target=self.httpd.serve_forever, args=(0.01,), daemon=True).start()
+        return self
+
+    def __exit__(self, *exc):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+
+
+_OK_BODY = {
+    "choices": [{"message": {"content": "csv here"}}],
+    "usage": {"prompt_tokens": 5, "completion_tokens": 7},
+}
+
+
+def test_default_post_reads_a_200_response(dec_iface, monkeypatch):
+    monkeypatch.setenv("STBENCH_TEST_KEY", "k")
+    with _Server([(200, _OK_BODY, 0)]) as server:
+        cfg = llm.ProviderConfig(
+            provider="http", endpoint=server.url, model="m", api_key_env="STBENCH_TEST_KEY", timeout_s=5
+        )
+        bundle = llm.build_prompt("X", dec_iface, "simple")
+        exchange = llm.query(cfg, bundle, sleep=lambda s: None)
+    assert exchange.response_text == "csv here"
+    assert (exchange.prompt_tokens, exchange.completion_tokens) == (5, 7)
+    [(headers, payload)] = server.requests
+    assert headers["Authorization"] == "Bearer k"
+    assert headers["Content-Type"] == "application/json"
+    assert payload["model"] == "m"
+    assert payload["messages"][0]["content"] == bundle.full
+
+
+def test_default_post_retries_a_503(dec_iface):
+    sleeps = []
+    with _Server([(503, {}, 0), (200, _OK_BODY, 0)]) as server:
+        cfg = llm.ProviderConfig(provider="http", endpoint=server.url, timeout_s=5)
+        exchange = llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), sleep=sleeps.append)
+    assert exchange.response_text == "csv here"
+    assert len(server.requests) == 2 and sleeps == [0.5]
+
+
+@pytest.mark.parametrize(
+    "status,error", [(401, llm.AuthError), (403, llm.AuthError), (404, llm.TransportError)]
+)
+def test_default_post_maps_error_statuses(dec_iface, status, error):
+    with _Server([(status, {"error": "no"}, 0)]) as server:
+        cfg = llm.ProviderConfig(provider="http", endpoint=server.url, timeout_s=5)
+        with pytest.raises(error, match=f"HTTP.*{status}"):
+            llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), sleep=lambda s: None)
+    assert len(server.requests) == 1
+
+
+def test_default_post_times_out(dec_iface):
+    with _Server([(200, _OK_BODY, 0.5)] * 3) as server:
+        cfg = llm.ProviderConfig(provider="http", endpoint=server.url, timeout_s=0.05)
+        with pytest.raises(llm.TimeoutError):
+            llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), sleep=lambda s: None)
+    assert len(server.requests) == 3
+
+
+def test_default_post_connection_refused_is_a_transport_error(dec_iface):
+    with _Server([]) as server:
+        url = server.url
+    # the port is closed now
+    cfg = llm.ProviderConfig(provider="http", endpoint=url, timeout_s=5)
+    with pytest.raises(llm.TransportError):
+        llm.query(cfg, llm.build_prompt("X", dec_iface, "simple"), sleep=lambda s: None)
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +409,19 @@ def test_extract_header_without_rows_raises():
 def test_extract_idempotent(raw):
     once = llm.extract_csv(raw)
     assert llm.extract_csv(once) == once
+
+
+_FUZZ_PIECES = [
+    "test_name,state", "test_name,state,DE,expect_HEX", "tc,1,4,'4'", "```", "```csv",
+    "\n", "\n\n", ",", " ", "prose", "\r\n", "`", "'",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_FUZZ_PIECES)).map("".join)))
+def test_extract_csv_returns_text_or_raises_no_csv_found(raw):
+    try:
+        out = llm.extract_csv(raw)
+    except llm.NoCsvFound:
+        return
+    assert isinstance(out, str) and out.endswith("\n")

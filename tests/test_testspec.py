@@ -1,5 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stbench import corpus, llm
 
 from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
@@ -194,3 +197,55 @@ def test_roundtrip_random_suites(data, corpus_programs):
     assert reparsed == suite
     # a second round trip is byte-stable
     assert serialize_suite(reparsed) == text
+
+
+# ---------------------------------------------------------------------------
+# the CSV boundary: any text ends in a suite or a CsvError/ValidationError
+# ---------------------------------------------------------------------------
+
+_CELLS = [",", "\n", "\r", "\r\n", '"', "'", " ", "", "TRUE", "FALSE", "-1", "0", "1.5e40", "T#5s",
+          "16#FF", "2#102", "dwell_cycles", "expect_", "state", "test_name", "NaN", "99999999999"]
+
+
+@st.composite
+def _mutated_corpus_suites(draw):
+    """A corpus block's bundled suite with 1-4 random cuts, copies or
+    insertions of CSV-significant text, and the block it is for."""
+    name = draw(st.sampled_from([b.name for b in corpus.BLOCKS]))
+    text = llm.extract_csv(corpus.fixture_path(name).read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = min(len(text), start + draw(st.integers(0, 30)))
+        op = draw(st.sampled_from(["delete", "duplicate", "insert"]))
+        if op == "delete":
+            text = text[:start] + text[end:]
+        elif op == "duplicate":
+            text = text[:end] + text[start:end] + text[end:]
+        else:
+            text = text[:start] + draw(st.sampled_from(_CELLS)) + text[start:]
+    return name, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(
+    _mutated_corpus_suites(),
+    st.tuples(st.sampled_from(["DEC_TO_HEX", "TRAFFIC_CTRL"]), st.text()),
+))
+def test_csv_boundary_yields_a_suite_or_a_csv_or_validation_error(case, corpus_programs):
+    name, text = case
+    try:
+        checked = validate(parse_suite(text, name), corpus_programs[name])
+    except (CsvError, ValidationError):
+        return
+    assert checked.cases and checked.fb_under_test == name
+
+
+def test_oversized_csv_field_is_a_csv_error():
+    text = 'test_name,state,DE\ntc,1,"' + "9" * 200_000 + '"\n'
+    with pytest.raises(CsvError, match="field larger than field limit"):
+        parse_suite(text, "DEC_TO_HEX")
+
+
+def test_carriage_returns_end_rows():
+    suite = parse_suite("test_name,state,DE,expect_HEX\rtc,1,4,'4'\r", "DEC_TO_HEX")
+    assert suite.cases[0].states[0].expected == {"HEX": "'4'"}
