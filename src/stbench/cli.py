@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -179,12 +180,14 @@ def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[Checked
     bundle = llm.build_prompt(prog.src.text, iface, cfg.mode)
     try:
         provider_cfg = _provider_config(cfg)
-        exchange = llm.query(provider_cfg, bundle, run_dir=out)
+        exchange = llm.query(provider_cfg, bundle)
     except ValueError as exc:
         raise _Unusable(str(exc)) from exc
     except llm.GatewayError as exc:
         raise _Unusable(f"provider query failed: {exc}") from exc
     print(f"provider {exchange.provider_id} answered in {exchange.latency_ms:.0f} ms")
+    # wall-clock data stays out of a reproducible run's artifacts
+    llm.persist_exchange(replace(exchange, latency_ms=None) if cfg.fixed_clock else exchange, out)
 
     try:
         csv_text = llm.extract_csv(exchange.response_text)
@@ -345,6 +348,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             cfg.out = Path(value)
         else:
             setattr(cfg, key, value)
+    for key in ("atol", "rtol"):  # baked into harness.st as REAL literals
+        if not math.isfinite(getattr(cfg, key)):
+            raise ValueError(f"{key} must be a finite number, got {getattr(cfg, key)}")
     return cfg
 
 

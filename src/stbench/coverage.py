@@ -14,14 +14,13 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .frontend.resolve import TypedProgram
 from .frontend.source import SourceUnit
-from .runtime.interp import ExecTrace
 
 # (program, shift) pairs: where each program's source sits in a rendered file
 Layers = Sequence[tuple[TypedProgram, int]]
 
 
 class ForeignStatement(Exception):
-    """A trace or count mentioned a statement id outside the map's domain."""
+    """A count mentioned a statement id outside the map's domain."""
 
 
 class UnknownPou(Exception):
@@ -53,32 +52,18 @@ class CoverageMap:
         return cls(counts)
 
 
-def accumulate(cov: CoverageMap, trace: ExecTrace) -> CoverageMap:
-    """Add one scan's trace into the map (in place; the map is returned).
-
-    Commutative and associative over traces.  Raises ForeignStatement for
-    ids outside the map's domain.
-    """
-    for pou, sid in trace:
-        _per_pou(cov, pou, sid)[sid] += 1
-    return cov
-
-
 def add_counts(cov: CoverageMap, counts: dict[str, dict[int, int]]) -> CoverageMap:
-    """Add per-POU hit counts (RunResult.counts) into the map, in place.
+    """Add per-POU hit counts (a run's or a scan's) into the map, in place;
+    the map is returned.  Commutative and associative over counts.
 
     Raises ForeignStatement for ids outside the map's domain."""
     for pou, sids in counts.items():
+        per_pou = cov.counts.get(pou)
         for sid, n in sids.items():
-            _per_pou(cov, pou, sid)[sid] += n
+            if per_pou is None or sid not in per_pou:
+                raise ForeignStatement(f"statement {pou}#{sid} not in coverage domain")
+            per_pou[sid] += n
     return cov
-
-
-def _per_pou(cov: CoverageMap, pou: str, sid: int) -> dict[int, int]:
-    per_pou = cov.counts.get(pou)
-    if per_pou is None or sid not in per_pou:
-        raise ForeignStatement(f"statement {pou}#{sid} not in coverage domain")
-    return per_pou
 
 
 @dataclass

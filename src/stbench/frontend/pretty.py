@@ -1,4 +1,14 @@
-"""Canonical pretty-printer; re-parsing its output reproduces the Ast."""
+"""Canonical pretty-printer; re-parsing its output reproduces the Ast.
+
+The printer also gives every statement site it prints the span of the text
+it printed for it, as the parser would: a statement from its first token to
+its last (an FB call, EXIT and RETURN without the `;`), the expression of a
+branch guard, CASE selector, WHILE condition or UNTIL test, and a FOR loop
+from `FOR` to `END_FOR`.  Offsets count from the start of the printed text,
+so after printing, coverage and faults locate each site in that text.  The
+one difference from a parse: an expression printed with outer parentheses
+(`NOT (X = 1)`) spans the closing one too.
+"""
 
 from __future__ import annotations
 
@@ -29,6 +39,7 @@ from .nodes import (
     VarRef,
     WhileStmt,
 )
+from .source import Span
 
 _IND = "    "
 
@@ -54,36 +65,129 @@ _UNARY_PREC = 9
 
 
 def print_ast(ast: Ast) -> str:
-    return "\n".join(print_pou(p) for p in ast.pous)
+    """The unit's text, POUs separated by a blank line; sites get spans."""
+    p = _Printer()
+    for pou in ast.pous:
+        p.pou(pou)
+    return p.text()
 
 
 def print_pou(pou: PouDecl) -> str:
-    lines: list[str] = []
-    if pou.kind is PouKind.FUNCTION:
-        lines.append(f"FUNCTION {pou.name} : {format_type_ref(pou.ret_type)}")
-    else:
-        lines.append(f"{pou.kind.value} {pou.name}")
-    current: Section | None = None
-    for d in pou.decls:
-        if d.section is not current:
-            if current is not None:
-                lines.append("END_VAR")
-            lines.append(d.section.value)
-            current = d.section
-        init = ""
-        if d.init is not None:
-            if isinstance(d.init, list):
-                init = " := [" + ", ".join(format_literal(l) for l in d.init) + "]"
-            else:
-                init = " := " + format_literal(d.init)
-        lines.append(f"{_IND}{d.name} : {format_type_ref(d.type_ref)}{init};")
-    if current is not None:
-        lines.append("END_VAR")
-    lines.append("")
-    _print_body(pou.body, lines, 0)
-    lines.append("END_" + pou.kind.value)
-    lines.append("")
-    return "\n".join(lines)
+    p = _Printer()
+    p.pou(pou)
+    return p.text()
+
+
+class _Printer:
+    """Lines of text, and the offset at which the next line starts."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.pos = 0
+
+    def text(self) -> str:
+        return "\n".join(self.lines)
+
+    def line(self, text: str) -> None:
+        self.lines.append(text)
+        self.pos += len(text) + 1
+
+    def site(self, node, pad: str, text: str, tail: str = "") -> None:
+        """Print a statement's line; the statement spans `text`."""
+        start = self.pos + len(pad)
+        node.span = Span(start, start + len(text))
+        self.line(pad + text + tail)
+
+    def headed(self, expr: Expr, pad: str, head: str, tail: str = "") -> None:
+        """Print `head expr tail` as a line; the expression spans its text."""
+        text = format_expr(expr)
+        start = self.pos + len(pad) + len(head) + 1
+        expr.span = Span(start, start + len(text))
+        self.line(f"{pad}{head} {text}{tail}")
+
+    def pou(self, pou: PouDecl) -> None:
+        if pou.kind is PouKind.FUNCTION:
+            self.line(f"FUNCTION {pou.name} : {format_type_ref(pou.ret_type)}")
+        else:
+            self.line(f"{pou.kind.value} {pou.name}")
+        current: Section | None = None
+        for d in pou.decls:
+            if d.section is not current:
+                if current is not None:
+                    self.line("END_VAR")
+                self.line(d.section.value)
+                current = d.section
+            init = ""
+            if d.init is not None:
+                if isinstance(d.init, list):
+                    init = " := [" + ", ".join(format_literal(l) for l in d.init) + "]"
+                else:
+                    init = " := " + format_literal(d.init)
+            self.line(f"{_IND}{d.name} : {format_type_ref(d.type_ref)}{init};")
+        if current is not None:
+            self.line("END_VAR")
+        self.line("")
+        self.body(pou.body, 0)
+        self.line("END_" + pou.kind.value)
+        self.line("")
+
+    def body(self, body: list[Stmt], depth: int) -> None:
+        pad = _IND * depth
+        for st in body:
+            if isinstance(st, Assign):
+                self.site(st, pad, f"{format_expr(st.target)} := {format_expr(st.value)};")
+            elif isinstance(st, FbCall):
+                parts = []
+                for p in st.params:
+                    arrow = "=>" if p.is_output else ":="
+                    parts.append(f"{p.name} {arrow} {format_expr(p.expr)}")
+                self.site(st, pad, f"{st.instance}({', '.join(parts)})", ";")
+            elif isinstance(st, ExitStmt):
+                self.site(st, pad, "EXIT", ";")
+            elif isinstance(st, ReturnStmt):
+                self.site(st, pad, "RETURN", ";")
+            elif isinstance(st, IfStmt):
+                kw = "IF"
+                for br in st.branches:
+                    self.headed(br.cond, pad, kw, " THEN")
+                    self.body(br.body, depth + 1)
+                    kw = "ELSIF"
+                if st.else_body:
+                    self.line(f"{pad}ELSE")
+                    self.body(st.else_body, depth + 1)
+                self.line(f"{pad}END_IF;")
+            elif isinstance(st, CaseStmt):
+                self.headed(st.selector, pad, "CASE", " OF")
+                for br in st.branches:
+                    labels = ", ".join(
+                        str(l.lo) if l.lo == l.hi else f"{l.lo}..{l.hi}" for l in br.labels
+                    )
+                    self.line(f"{pad}{_IND}{labels}:")
+                    self.body(br.body, depth + 2)
+                if st.else_body:
+                    self.line(f"{pad}ELSE")
+                    self.body(st.else_body, depth + 1)
+                self.line(f"{pad}END_CASE;")
+            elif isinstance(st, ForStmt):
+                step = f" BY {format_expr(st.step)}" if st.step is not None else ""
+                start = self.pos + len(pad)
+                self.line(
+                    f"{pad}FOR {st.var} := {format_expr(st.start)} TO {format_expr(st.stop)}{step} DO"
+                )
+                self.body(st.body, depth + 1)
+                st.span = Span(start, self.pos + len(pad) + len("END_FOR"))
+                self.line(f"{pad}END_FOR;")
+            elif isinstance(st, WhileStmt):
+                self.headed(st.cond, pad, "WHILE", " DO")
+                self.body(st.body, depth + 1)
+                self.line(f"{pad}END_WHILE;")
+            elif isinstance(st, RepeatStmt):
+                self.line(f"{pad}REPEAT")
+                self.body(st.body, depth + 1)
+                self.headed(st.until, pad, "UNTIL")
+                self.line(f"{pad}END_REPEAT;")
+            else:  # pragma: no cover
+                raise TypeError(f"unhandled statement {st!r}")
 
 
 def format_type_ref(t: TypeRef) -> str:
@@ -136,63 +240,6 @@ def format_string(s: str) -> str:
             out.append(ch)
     out.append("'")
     return "".join(out)
-
-
-def _print_body(body: list[Stmt], lines: list[str], depth: int) -> None:
-    pad = _IND * depth
-    for st in body:
-        if isinstance(st, Assign):
-            lines.append(f"{pad}{format_expr(st.target)} := {format_expr(st.value)};")
-        elif isinstance(st, FbCall):
-            parts = []
-            for p in st.params:
-                arrow = "=>" if p.is_output else ":="
-                parts.append(f"{p.name} {arrow} {format_expr(p.expr)}")
-            lines.append(f"{pad}{st.instance}({', '.join(parts)});")
-        elif isinstance(st, ExitStmt):
-            lines.append(f"{pad}EXIT;")
-        elif isinstance(st, ReturnStmt):
-            lines.append(f"{pad}RETURN;")
-        elif isinstance(st, IfStmt):
-            kw = "IF"
-            for br in st.branches:
-                lines.append(f"{pad}{kw} {format_expr(br.cond)} THEN")
-                _print_body(br.body, lines, depth + 1)
-                kw = "ELSIF"
-            if st.else_body:
-                lines.append(f"{pad}ELSE")
-                _print_body(st.else_body, lines, depth + 1)
-            lines.append(f"{pad}END_IF;")
-        elif isinstance(st, CaseStmt):
-            lines.append(f"{pad}CASE {format_expr(st.selector)} OF")
-            for br in st.branches:
-                labels = ", ".join(
-                    str(l.lo) if l.lo == l.hi else f"{l.lo}..{l.hi}" for l in br.labels
-                )
-                lines.append(f"{pad}{_IND}{labels}:")
-                _print_body(br.body, lines, depth + 2)
-            if st.else_body:
-                lines.append(f"{pad}ELSE")
-                _print_body(st.else_body, lines, depth + 1)
-            lines.append(f"{pad}END_CASE;")
-        elif isinstance(st, ForStmt):
-            step = f" BY {format_expr(st.step)}" if st.step is not None else ""
-            lines.append(
-                f"{pad}FOR {st.var} := {format_expr(st.start)} TO {format_expr(st.stop)}{step} DO"
-            )
-            _print_body(st.body, lines, depth + 1)
-            lines.append(f"{pad}END_FOR;")
-        elif isinstance(st, WhileStmt):
-            lines.append(f"{pad}WHILE {format_expr(st.cond)} DO")
-            _print_body(st.body, lines, depth + 1)
-            lines.append(f"{pad}END_WHILE;")
-        elif isinstance(st, RepeatStmt):
-            lines.append(f"{pad}REPEAT")
-            _print_body(st.body, lines, depth + 1)
-            lines.append(f"{pad}UNTIL {format_expr(st.until)}")
-            lines.append(f"{pad}END_REPEAT;")
-        else:  # pragma: no cover
-            raise TypeError(f"unhandled statement {st!r}")
 
 
 def format_expr(e: Expr, parent_prec: int = 0) -> str:

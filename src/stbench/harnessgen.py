@@ -18,33 +18,32 @@ The comparison policy is baked into the generated code: exact equality for
 BOOL, integers, STRING and TIME; for REAL/LREAL the check is
 |actual - expected| <= atol + rtol * |expected|.
 
-A PROGRAM assembled from the harness template instantiates every case block,
-calls them all each scan, and mirrors their hook outputs into program-level
-variables TC_<n>_DONE / TC_<n>_PASS / TC_<n>_FAILS that the runtime's
-monitoring recognizes.
+A PROGRAM, TEST_RUNNER, instantiates every case block, calls them all each
+scan, and mirrors their hook outputs into program-level variables
+TC_<n>_DONE / TC_<n>_PASS / TC_<n>_FAILS that the runtime's monitoring
+recognizes.
 
 The unit under test and its libraries are parsed and resolved once, before
-the harness is built.  The case blocks and the program form one generated
-text, parsed once and resolved as a layer over the unit's TypedProgram.
-harness.st is still written whole (libraries, unit, case blocks, program),
-but nothing parses it: the bundle records where each layer's text starts
-in it, so coverage renders against its lines.  A POU name may be defined in
-one layer only.
+the harness is built.  The case blocks and the program are built as AST
+nodes straight from the checked suite, numbered, and resolved as one layer
+over the unit's TypedProgram; no generated text is lexed or parsed.
+harness.st holds the libraries and the unit as written, then the generated
+POUs as `frontend.pretty` prints them, then a comment stating the scan
+interval.  The printer gives each generated site the span of its printed
+text, and the bundle records where each layer's text starts in harness.st,
+so coverage renders against its lines.  A POU name may be defined in one
+layer only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
+from .frontend import nodes as N
 from .frontend import types as T
-from .frontend.diagnostics import FrontendError
-from .frontend.lexer import TokKind, tokenize
-from .frontend.nodes import PouKind
-from .frontend.parser import parse_source
-from .frontend.pretty import format_real, format_string
+from .frontend.pretty import print_ast
 from .frontend.resolve import PouInfo, TypedProgram, resolve
-from .frontend.source import SourceUnit, Span
+from .frontend.source import SourceUnit
 from .runtime import values as V
 from .testspec import CheckedCase, CheckedSuite
 
@@ -55,38 +54,6 @@ DEFAULT_RTOL = 1e-6
 
 class CollisionError(Exception):
     """A generated name clashes with a POU in the unit or libraries."""
-
-
-class AssemblyError(Exception):
-    """A harness part failed to parse or resolve; carries which part."""
-
-    def __init__(self, part: str, cause: Exception):
-        self.part = part
-        self.cause = cause
-        super().__init__(f"{part}: {cause}")
-
-
-@dataclass
-class HarnessTemplate:
-    """Program skeleton with {UNIT_DECLS}, {TEST_INSTANCE_DECLS},
-    {TEST_CALLS} and {CYCLE_TIME_MS} placeholders."""
-
-    text: str
-
-    @classmethod
-    def default(cls) -> "HarnessTemplate":
-        path = Path(__file__).parent / "templates" / "harness.st.tmpl"
-        return cls(path.read_text(encoding="utf-8"))
-
-    def split(self, instance_decls: str, calls: str, cycle_time_ms: int) -> tuple[str, str]:
-        """The filled-in text before and after {UNIT_DECLS}."""
-        text = (
-            self.text.replace("{TEST_INSTANCE_DECLS}", instance_decls)
-            .replace("{TEST_CALLS}", calls)
-            .replace("{CYCLE_TIME_MS}", str(cycle_time_ms))
-        )
-        head, _, tail = text.partition("{UNIT_DECLS}")
-        return head, tail
 
 
 @dataclass
@@ -106,7 +73,7 @@ class CaseHarness:
     index: int               # 1-based, used in all generated names
     fb_name: str
     instance_name: str
-    source: str
+    pou: N.PouDecl
     slots: list[AssertionSlot]
     total_dwell: int
 
@@ -123,27 +90,74 @@ class HarnessBundle:
     hook_vars: dict[str, tuple[str, str, str]] = field(default_factory=dict)
 
 
-def st_literal(val: V.Value) -> str:
-    """Render a runtime value as ST literal text that resolves to it."""
-    k = val.ty.kind
-    if k is T.Kind.BOOL:
-        return "TRUE" if val.v else "FALSE"
-    if k in (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD):
-        return str(val.v)
-    if k in (T.Kind.REAL, T.Kind.LREAL):
-        return format_real(val.v)
-    if k is T.Kind.TIME:
-        return f"T#{val.v}ms"
-    if k is T.Kind.STRING:
-        return format_string(val.v)
-    raise TypeError(f"no literal form for {val.ty}")
-
-
 def hook_var_names(index: int) -> tuple[str, str, str]:
     return (f"TC_{index}_DONE", f"TC_{index}_PASS", f"TC_{index}_FAILS")
 
 
-def generate_case_fb(
+# ---------------------------------------------------------------------------
+# node builders: each call makes fresh nodes, since resolving types every
+# expression node in place
+# ---------------------------------------------------------------------------
+
+def value_literal(val: V.Value) -> N.Literal:
+    """The ST literal that resolves to a runtime value."""
+    k = val.ty.kind
+    kind = "INT" if k in T.INTEGERISH_KINDS else "REAL" if k in T.REAL_KINDS else k.value
+    return N.Literal(N.Literal.K[kind], val.v)
+
+
+def _int(n: int) -> N.Literal:
+    return N.Literal(N.Literal.K.INT, n)
+
+
+def _true() -> N.Literal:
+    return N.Literal(N.Literal.K.BOOL, True)
+
+
+def _ref(name: str, member: str | None = None) -> N.Expr:
+    """`name`, or `name.member`."""
+    ref = N.VarRef(name)
+    return ref if member is None else N.MemberRef(ref, member)
+
+
+def _op(op: str, left: N.Expr, right: N.Expr) -> N.Binary:
+    """A binary expression, the operator spelled as in ST."""
+    return N.Binary(N.BinOp(op), left, right)
+
+
+def _set(name: str, value: N.Expr) -> N.Assign:
+    return N.Assign(N.VarRef(name), value)
+
+
+def _incr(name: str) -> N.Assign:
+    return _set(name, _op("+", _ref(name), _int(1)))
+
+
+def _if(cond: N.Expr, *body: N.Stmt) -> N.IfStmt:
+    return N.IfStmt([N.IfBranch(cond, list(body))], [])
+
+
+def _case(selector: str, branches: dict[int, list[N.Stmt]]) -> N.CaseStmt:
+    labelled = [N.CaseBranch([N.CaseLabel(k, k)], body) for k, body in branches.items()]
+    return N.CaseStmt(N.VarRef(selector), labelled, [])
+
+
+def _decl(name: str, ty: str | T.STType, section: N.Section = N.Section.LOCAL) -> N.VarDecl:
+    """A declaration of a type named in ST, or of a scalar or STRING type."""
+    if isinstance(ty, str):
+        ref = N.TypeRef(ty)
+    elif ty.kind is T.Kind.STRING and ty.cap != T.DEFAULT_STRING_CAP:
+        ref = N.TypeRef("STRING", string_cap=ty.cap)
+    else:
+        ref = N.TypeRef(ty.kind.value)
+    return N.VarDecl(name, ref, None, section)
+
+
+# ---------------------------------------------------------------------------
+# generated POUs
+# ---------------------------------------------------------------------------
+
+def build_case_fb(
     case: CheckedCase,
     fb: PouInfo,
     index: int,
@@ -151,7 +165,7 @@ def generate_case_fb(
     rtol: float = DEFAULT_RTOL,
     taken: frozenset[str] = frozenset(),
 ) -> CaseHarness:
-    """Emit the sequential-state test FB for one validated case."""
+    """Build the sequential-state test FB for one validated case."""
     fb_name = f"TC_{index}_CASE"
     if fb_name in taken:
         raise CollisionError(f"generated name {fb_name} collides with an existing POU")
@@ -164,156 +178,100 @@ def generate_case_fb(
                 AssertionSlot(st_idx, col, f"A_{st_idx}_{col}", f"F_{st_idx}_{col}", expected)
             )
 
-    n_states = len(case.states)
-    lines: list[str] = [f"FUNCTION_BLOCK {fb_name}"]
-    lines += [
-        "VAR_OUTPUT",
-        "    DONE : BOOL;",
-        "    PASS : BOOL;",
-        "    FAILS : DINT;",
-        "END_VAR",
-        "VAR",
-        f"    UNIT : {fb.name};",
-        "    STATE : DINT;",
-        "    TICK : DINT;",
-        "    PENDING : DINT;",
-        "    CHECKED : DINT;",
-    ]
+    out = N.Section.OUTPUT
+    decls = [_decl("DONE", "BOOL", out), _decl("PASS", "BOOL", out), _decl("FAILS", "DINT", out)]
+    decls.append(_decl("UNIT", fb.name))
+    decls += [_decl(name, "DINT") for name in ("STATE", "TICK", "PENDING", "CHECKED")]
+    # each state with expectations checks them, in state order
+    checks: dict[int, list[N.Stmt]] = {}
     for slot in slots:
-        lines.append(f"    {slot.actual_var} : {out_types[slot.column]};")
-        lines.append(f"    {slot.flag_var} : BOOL;")
-    lines.append("END_VAR")
-    lines.append("")
-    lines.append("IF DONE THEN")
-    lines.append("    RETURN;")
-    lines.append("END_IF;")
-    lines.append("")
-    lines.append("IF PENDING > 0 THEN")
-    lines.append("    CASE PENDING OF")
-    for st_idx, state in enumerate(case.states, start=1):
-        if not state.expected:
-            continue
-        lines.append(f"        {st_idx}:")
-        for slot in slots:
-            if slot.state != st_idx:
-                continue
-            lines.append(f"            {slot.actual_var} := UNIT.{slot.column};")
-            lines.append(f"            IF NOT ({_comparison(slot, out_types[slot.column], atol, rtol)}) THEN")
-            lines.append(f"                {slot.flag_var} := TRUE;")
-            lines.append("                FAILS := FAILS + 1;")
-            lines.append("            END_IF;")
-    lines.append("    END_CASE;")
-    lines.append("    CHECKED := PENDING;")
-    lines.append(f"    IF PENDING = {n_states} THEN")
-    lines.append("        PASS := FAILS = 0;")
-    lines.append("        DONE := TRUE;")
-    lines.append("        PENDING := 0;")
-    lines.append("        RETURN;")
-    lines.append("    END_IF;")
-    lines.append("    PENDING := 0;")
-    lines.append("END_IF;")
-    lines.append("")
-    lines.append("IF STATE = 0 THEN")
-    lines.append("    STATE := 1;")
-    lines.append("END_IF;")
-    lines.append("")
-    lines.append("CASE STATE OF")
-    for st_idx, state in enumerate(case.states, start=1):
-        binds = ", ".join(f"{col} := {st_literal(val)}" for col, val in state.inputs.items())
-        lines.append(f"    {st_idx}:")
-        lines.append(f"        UNIT({binds});")
-        lines.append("        TICK := TICK + 1;")
-        lines.append(f"        IF TICK >= {state.dwell_cycles} THEN")
-        lines.append(f"            PENDING := {st_idx};")
-        lines.append(f"            STATE := {st_idx + 1};")
-        lines.append("            TICK := 0;")
-        lines.append("        END_IF;")
-    lines.append("END_CASE;")
-    lines.append("END_FUNCTION_BLOCK")
+        decls += [_decl(slot.actual_var, out_types[slot.column]), _decl(slot.flag_var, "BOOL")]
+        checks.setdefault(slot.state, []).extend([
+            _set(slot.actual_var, _ref("UNIT", slot.column)),
+            _if(
+                N.Unary(N.UnOp.NOT, _comparison(slot, out_types[slot.column], atol, rtol)),
+                _set(slot.flag_var, _true()),
+                _incr("FAILS"),
+            ),
+        ])
+    steps = {
+        st_idx: [
+            N.FbCall("UNIT", [N.ParamBind(c, False, value_literal(v)) for c, v in state.inputs.items()]),
+            _incr("TICK"),
+            _if(
+                _op(">=", _ref("TICK"), _int(state.dwell_cycles)),
+                _set("PENDING", _int(st_idx)),
+                _set("STATE", _int(st_idx + 1)),
+                _set("TICK", _int(0)),
+            ),
+        ]
+        for st_idx, state in enumerate(case.states, start=1)
+    }
+    body = [
+        _if(_ref("DONE"), N.ReturnStmt()),
+        _if(
+            _op(">", _ref("PENDING"), _int(0)),
+            _case("PENDING", checks),
+            _set("CHECKED", _ref("PENDING")),
+            _if(
+                _op("=", _ref("PENDING"), _int(len(case.states))),
+                _set("PASS", _op("=", _ref("FAILS"), _int(0))),
+                _set("DONE", _true()),
+                _set("PENDING", _int(0)),
+                N.ReturnStmt(),
+            ),
+            _set("PENDING", _int(0)),
+        ),
+        _if(_op("=", _ref("STATE"), _int(0)), _set("STATE", _int(1))),
+        _case("STATE", steps),
+    ]
     return CaseHarness(
         case.name,
         index,
         fb_name,
         f"TC{index}",
-        "\n".join(lines) + "\n",
+        N.PouDecl(N.PouKind.FUNCTION_BLOCK, fb_name, None, decls, body),
         slots,
         case.total_dwell(),
     )
 
 
-def _comparison(slot: AssertionSlot, ty: T.STType, atol: float, rtol: float) -> str:
-    lit = st_literal(slot.expected)
-    if ty.kind in (T.Kind.REAL, T.Kind.LREAL):
-        tol = f"{format_real(atol)} + {format_real(rtol)} * ABS({lit})"
-        return f"ABS({slot.actual_var} - {lit}) <= ({tol})"
-    return f"{slot.actual_var} = {lit}"
+def _comparison(slot: AssertionSlot, ty: T.STType, atol: float, rtol: float) -> N.Expr:
+    if ty.kind in T.REAL_KINDS:
+        error = N.Call("ABS", [_op("-", _ref(slot.actual_var), value_literal(slot.expected))])
+        scaled = _op("*", N.Literal(N.Literal.K.REAL, rtol), N.Call("ABS", [value_literal(slot.expected)]))
+        return _op("<=", error, _op("+", N.Literal(N.Literal.K.REAL, atol), scaled))
+    return _op("=", _ref(slot.actual_var), value_literal(slot.expected))
 
 
-def assemble_program(
-    cases: list[CaseHarness],
-    template: HarnessTemplate,
-    dependencies: list[str],
-    cycle_time_ms: int,
-    origin: str = "harness.st",
-) -> tuple[SourceUnit, list[int]]:
-    """Assemble the dependencies (libraries, then the unit under test), the
-    case FBs and the template program into harness.st.  Also returns where
-    each dependency's text starts in it and, last, where its generated part
-    starts: the case FBs and the template from {UNIT_DECLS} on."""
-    inst_lines = []
-    call_lines = []
+def build_runner(cases: list[CaseHarness]) -> N.PouDecl:
+    """The program that calls every case block each scan and mirrors its
+    hook outputs into TC_<n>_DONE / _PASS / _FAILS."""
+    decls: list[N.VarDecl] = []
+    body: list[N.Stmt] = []
     for c in cases:
-        done, pass_, fails = hook_var_names(c.index)
-        inst_lines.append(f"    {c.instance_name} : {c.fb_name};")
-        inst_lines.append(f"    {done} : BOOL;")
-        inst_lines.append(f"    {pass_} : BOOL;")
-        inst_lines.append(f"    {fails} : DINT;")
-        call_lines.append(f"    {c.instance_name}();")
-        call_lines.append(f"    {done} := {c.instance_name}.DONE;")
-        call_lines.append(f"    {pass_} := {c.instance_name}.PASS;")
-        call_lines.append(f"    {fails} := {c.instance_name}.FAILS;")
-    head, tail = template.split("\n".join(inst_lines), "\n".join(call_lines), cycle_time_ms)
-    if head.strip():  # copied to harness.st but never compiled
-        try:
-            tokens = tokenize(SourceUnit(head, "harness template"))
-        except FrontendError as exc:
-            raise AssemblyError("harness template", exc) from exc
-        if tokens[0].kind is not TokKind.EOF:
-            raise AssemblyError("harness template", ValueError("only comments may precede {UNIT_DECLS}"))
-
-    case_texts = [c.source for c in cases]
-    text = head + "\n".join([*dependencies, *case_texts]) + tail
-    starts = []
-    offset = len(head)
-    for dep in dependencies:
-        starts.append(offset)
-        offset += len(dep) + 1
-    starts.append(len(text) - len("\n".join(case_texts) + tail))
-    return SourceUnit(text, origin), starts
-
-
-def _part_at(cases: list[CaseHarness], offset: int) -> str:
-    """The part of the generated text that `offset` falls in."""
-    for c in cases:
-        if offset <= len(c.source):
-            return f"test case FB {c.fb_name}"
-        offset -= len(c.source) + 1
-    return "runner program"
+        hooks = hook_var_names(c.index)
+        decls.append(_decl(c.instance_name, c.fb_name))
+        decls += [_decl(hook, ty) for hook, ty in zip(hooks, ("BOOL", "BOOL", "DINT"))]
+        body.append(N.FbCall(c.instance_name, []))
+        body += [_set(hook, _ref(c.instance_name, o)) for hook, o in zip(hooks, ("DONE", "PASS", "FAILS"))]
+    return N.PouDecl(N.PouKind.PROGRAM, PROGRAM_NAME, None, decls, body)
 
 
 def build_harness(
     suite: CheckedSuite,
     prog: TypedProgram,
-    template: HarnessTemplate | None = None,
     cycle_time_ms: int = 10,
     atol: float = DEFAULT_ATOL,
     rtol: float = DEFAULT_RTOL,
 ) -> HarnessBundle:
-    """Generate the case FBs and the runner program for a suite and resolve
-    them as one layer over `prog`, the unit under test with its libraries."""
-    template = template or HarnessTemplate.default()
+    """Build the case FBs and the runner program for a suite, resolve them
+    as one layer over `prog`, the unit under test with its libraries, and
+    write them into harness.st.  Raises a FrontendError if the built layer
+    does not type-check, as for a unit whose block has a VAR_IN_OUT
+    parameter, which no suite column binds."""
     fb = prog.lookup_pou(suite.fb_under_test)
-    if fb is None or fb.kind is not PouKind.FUNCTION_BLOCK:
+    if fb is None or fb.kind is not N.PouKind.FUNCTION_BLOCK:
         raise CollisionError(f"unit under test {suite.fb_under_test} is not a function block")
 
     layers = prog.layers()
@@ -331,25 +289,26 @@ def build_harness(
     taken = set(defined_in)
     cases: list[CaseHarness] = []
     for index, case in enumerate(suite.cases, start=1):
-        harness = generate_case_fb(case, fb, index, atol, rtol, frozenset(taken))
+        harness = build_case_fb(case, fb, index, atol, rtol, frozenset(taken))
         taken.add(harness.fb_name)
         cases.append(harness)
 
+    ast = N.Ast([*(c.pou for c in cases), build_runner(cases)])
+    N.assign_statement_ids(ast)
+    # the printed text is what the generated layer's diagnostics refer to
+    ast.src = SourceUnit(print_ast(ast), "generated harness")
+    typed = resolve(ast, [prog])
+
     # harness.st lists the libraries before the unit that uses them
     dependencies = layers[1:] + layers[:1]
-    source, starts = assemble_program(
-        cases, template, [unit.src.text for unit in dependencies], cycle_time_ms
+    starts = [0]
+    for dep in dependencies:
+        starts.append(starts[-1] + len(dep.src.text) + 1)
+    text = "\n".join([*(dep.src.text for dep in dependencies), ast.src.text])
+    source = SourceUnit(
+        f"{text}\n(* task configuration: one cyclic task, interval = {cycle_time_ms} ms *)\n",
+        "harness.st",
     )
-    shift = starts[-1]
-    try:
-        typed = resolve(parse_source(SourceUnit(source.text[shift:], "generated harness")), [prog])
-    except FrontendError as exc:
-        # report the diagnostics where they are in harness.st
-        moved = [replace(d, span=Span(d.span.start + shift, d.span.end + shift)) for d in exc.diagnostics]
-        raise AssemblyError(
-            _part_at(cases, exc.diagnostics[0].span.start), FrontendError(moved, source)
-        ) from exc
-
     return HarnessBundle(
         source,
         typed,

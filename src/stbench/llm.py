@@ -147,7 +147,7 @@ class LlmExchange:
     prompt: str
     response_text: str
     provider_id: str
-    latency_ms: float
+    latency_ms: float | None     # None in reproducible (--fixed-clock) runs
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
 
@@ -175,8 +175,6 @@ _RETRIES = 3
 def query(
     cfg: ProviderConfig,
     bundle: PromptBundle,
-    run_dir: Path | None = None,
-    exchange_index: int = 0,
     post=None,
     sleep=time.sleep,
 ) -> LlmExchange:
@@ -184,7 +182,7 @@ def query(
 
     Transient HTTP failures (429, 5xx, timeouts, connection drops) are
     retried up to 3 attempts with exponential backoff; auth problems fail
-    immediately.  The exchange is persisted verbatim when run_dir is given.
+    immediately.  The caller persists the exchange (persist_exchange).
     `post(url, json=, headers=, timeout=)` sends one request (default:
     `_post`); it returns an object with `status_code` and `json()`, and
     raises the builtin TimeoutError on a timeout or an OSError when the
@@ -200,8 +198,6 @@ def query(
         exchange = _query_http(cfg, bundle, post or _post, sleep, start)
     else:
         raise GatewayError(f"unknown provider {cfg.provider!r}")
-    if run_dir is not None:
-        persist_exchange(exchange, run_dir, exchange_index)
     return exchange
 
 

@@ -23,16 +23,13 @@ from .frontend.source import SourceUnit
 from .harnessgen import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    AssemblyError,
     CollisionError,
     HarnessBundle,
     build_harness,
 )
 from .runtime import values as V
 from .runtime.interp import RuntimeFault, SimClock, run_program
-from .testspec import CheckedSuite
-
-MAX_SCANS = 100_000
+from .testspec import MAX_SCANS, CheckedSuite
 
 
 class PipelineError(Exception):
@@ -103,7 +100,6 @@ class RunOptions:
     cycle_time_ms: int = 10
     atol: float = DEFAULT_ATOL
     rtol: float = DEFAULT_RTOL
-    max_scans: int = MAX_SCANS
     out_dir: Path | None = None
     fixed_clock: bool = False        # omit wall-clock timestamps from reports
     mode: str = ""                   # metadata: prompt mode that produced the suite
@@ -222,11 +218,10 @@ def run_suite(
         )
     except CollisionError as exc:
         raise PipelineError("generate", exc) from exc
-    except AssemblyError as exc:
+    except FrontendError as exc:
         raise PipelineError("assemble", exc) from exc
 
-    budget = max(c.total_dwell + 2 for c in bundle.cases)
-    budget = min(budget, options.max_scans)
+    budget = min(max(c.total_dwell + 2 for c in bundle.cases), MAX_SCANS)
     clock = SimClock(now=0, cycle_time=options.cycle_time_ms)
     monitor_lines: list[str] = []
     done_vars = [bundle.hook_vars[c.name][0] for c in bundle.cases]

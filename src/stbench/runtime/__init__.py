@@ -2,7 +2,6 @@
 
 from .interp import (
     ContainedFault,
-    ExecTrace,
     FbInstance,
     RunResult,
     RuntimeFault,
@@ -16,7 +15,6 @@ from .values import Value, default, f32, make, render, wrap_int
 
 __all__ = [
     "ContainedFault",
-    "ExecTrace",
     "FbInstance",
     "RunResult",
     "RuntimeFault",

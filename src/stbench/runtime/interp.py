@@ -122,24 +122,6 @@ class SimClock:
         self.now += self.cycle_time
 
 
-class ExecTrace:
-    """(pou, statement-id) pairs executed during one scan, with multiplicity."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: list[tuple[str, int]] = []
-
-    def add(self, pou: str, sid: int) -> None:
-        self.entries.append((pou, sid))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 class ScanTrace:
     """What run_program keeps of one scan: len() is its site count."""
 
@@ -874,14 +856,14 @@ def execute_cycle(
     inst: FbInstance,
     inputs: dict[str, V.Value],
     clock: SimClock,
-) -> tuple[dict[str, V.Value], ExecTrace]:
+) -> tuple[dict[str, V.Value], dict[str, dict[int, int]]]:
     """Apply inputs, run one scan, snapshot outputs, then advance the clock.
 
     Retained variables persist in `inst` between calls.  Raises ValueError
     for undeclared input names or un-assignable input types (precondition
-    violations, not runtime faults).  The trace lists each executed site
-    as often as it ran, grouped by POU in first-execution order and by
-    statement id within a POU, not in execution order.
+    violations, not runtime faults).  Also returns the scan's hit counts
+    per POU it ran, as RunResult.counts holds them for a run: statement id
+    -> times executed, zero counts included.
     """
     for name, val in inputs.items():
         var = inst.info.vars.get(name.upper())
@@ -896,11 +878,7 @@ def execute_cycle(
     _run_instance(inst, scan)
     outputs = inst.outputs()
     clock.advance()
-    trace = ExecTrace()
-    for name, cnt in scan.counts.items():
-        for sid, n in _pou(inst.prog, name).hits(cnt).items():
-            trace.entries.extend([(name, sid)] * n)
-    return outputs, trace
+    return outputs, {name: _pou(inst.prog, name).hits(cnt) for name, cnt in scan.counts.items()}
 
 
 @dataclass

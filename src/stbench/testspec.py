@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 from .frontend import types as T
@@ -29,6 +30,9 @@ from .runtime import values as V
 
 RESERVED_COLUMNS = ("test_name", "state", "dwell_cycles")
 EXPECT_PREFIX = "expect_"
+# the most scans a run executes; a case's last check runs on the scan after
+# its total dwell, so the dwell must stay below this
+MAX_SCANS = 100_000
 
 
 class CsvError(Exception):
@@ -276,7 +280,10 @@ def parse_value_literal(text: str, ty: T.STType) -> V.Value:
             raise ValueError(f"{raw} outside {ty} range {lo}..{hi}")
         return V.make(ty, raw)
     if k in (T.Kind.REAL, T.Kind.LREAL):
-        return V.make(ty, float(text))
+        val = V.make(ty, float(text))
+        if not math.isfinite(val.v):  # ST has no literal for it
+            raise ValueError(f"not a finite {ty}: {text!r}")
+        return val
     if k is T.Kind.TIME:
         up = text.upper()
         if up.startswith(("T#", "TIME#")):
@@ -315,8 +322,8 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
     """Type the suite against the block's declared interface.
 
     Returns a CheckedSuite, or raises a ValidationError with every problem
-    found: unknown columns, unparseable literals, and cases that never
-    assert anything.
+    found: unknown columns, unparseable literals, cases that never assert
+    anything, and cases too long to finish within MAX_SCANS scans.
     """
     items: list[ValidationItem] = []
     fb = prog.lookup_pou(suite.fb_under_test)
@@ -368,6 +375,10 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
         if asserts == 0:
             items.append(ValidationItem(case.name, None, None, "no assertable state in this case"))
         checked_cases.append(CheckedCase(case.name, states))
+        dwell = checked_cases[-1].total_dwell()
+        if dwell >= MAX_SCANS:
+            message = f"total dwell of {dwell} cycles cannot finish within the {MAX_SCANS}-scan cap"
+            items.append(ValidationItem(case.name, None, None, message))
 
     if items:
         raise ValidationError(items)

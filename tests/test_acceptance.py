@@ -102,12 +102,13 @@ def test_criterion_3_oracle_equivalence(corpus_programs):
             interp_hits = Counter()
             for _ in range(scans):
                 now = clock.now
-                out, trace = execute_cycle(inst, typed_inputs(config), clock)
+                out, counts = execute_cycle(inst, typed_inputs(config), clock)
                 oracle_out = oracle.scan(plain_inputs(config), now)
                 if {k: v.v for k, v in out.items()} != oracle_out:
                     mismatches += 1
-                for pou, sid in trace:
-                    interp_hits[(pou, sid)] += 1
+                for pou, hits in counts.items():
+                    for sid, n in hits.items():
+                        interp_hits[(pou, sid)] += n
             if interp_hits != oracle.coverage():
                 mismatches += 1
     assert mismatches == 0
@@ -282,8 +283,11 @@ def test_criterion_6_harness_validity(data, corpus_programs):
     bundle = build_harness(checked_suite, prog)
     # build_harness resolves the generated layer; reaching here means zero errors
     assert bundle.typed.lookup_pou(bundle.program_name) is not None
-    # and the harness.st text it writes stands alone as a valid program
+    # and the harness.st text it prints stands alone as a valid program
+    # whose generated POUs are the built ones (node equality, spans excluded)
     standalone = resolve(parse_source(bundle.source))
+    built = bundle.typed.ast.pous
+    assert [standalone.pous[pou.name].decl for pou in built] == built
     assert standalone.lookup_pou(bundle.program_name) is not None
 
 

@@ -197,6 +197,42 @@ def test_pipeline_prompt_modes_persist_distinct_prompts(tmp_path):
     assert len(enhanced) > len(simple)
 
 
+def test_fixed_clock_exchange_is_byte_identical(tmp_path):
+    for sub in ("a", "b"):
+        code = run_cli(
+            "pipeline", "--unit", corpus.block_path("GEN_SIN"), "--provider", "mock",
+            "--fixture", corpus.fixture_path("GEN_SIN"), "--out", tmp_path / sub, "--fixed-clock",
+        )
+        assert code in (0, 1)
+    first = (tmp_path / "a" / "exchange_0.json").read_bytes()
+    assert first == (tmp_path / "b" / "exchange_0.json").read_bytes()
+    assert json.loads(first)["latency_ms"] is None
+
+
+def test_case_longer_than_the_scan_cap_exits_two_at_once(tmp_path, capsys):
+    suite = tmp_path / "suite.csv"
+    suite.write_text("test_name,state,dwell_cycles,B1,expect_GO\ntc_forever,1,999999,TRUE,TRUE\n")
+    with time_limit(10):
+        code = run_cli(
+            "run", "--unit", corpus.block_path("TRAFFIC_CTRL"), "--suite", suite,
+            "--out", tmp_path / "out",
+        )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "tc_forever: total dwell of 999999 cycles cannot finish within the 100000-scan cap" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--atol", "nan"), ("--rtol", "inf")])
+def test_non_finite_tolerance_exits_two(tmp_path, capsys, flag, value):
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    code = run_cli("run", "--unit", DEC_BLOCK, "--suite", suite, "--out", tmp_path / "out", flag, value)
+    assert code == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
 def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "stbench.cfg"
     cfg.write_text(
@@ -348,9 +384,8 @@ def test_pipeline_parses_each_source_once(tmp_path, monkeypatch):
         "--out", tmp_path, "--fixed-clock",
     )
     assert code == 1
-    # the unit, then the generated case FBs and runner program, not harness.st
-    assert [src.origin for src in parsed] == ["DEC_TO_HEX.st", "generated harness"]
-    assert "FUNCTION_BLOCK DEC_TO_HEX" not in parsed[1].text
+    # the unit only: the harness is built as nodes, and harness.st is printed
+    assert [src.origin for src in parsed] == ["DEC_TO_HEX.st"]
 
 
 def test_unknown_fb_exits_two_without_traceback(tmp_path, capsys):

@@ -4,7 +4,7 @@ from stbench import coverage as cov
 from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
 from stbench.frontend.source import SourceUnit
-from stbench.runtime import ExecTrace, SimClock, execute_cycle, instantiate, make
+from stbench.runtime import SimClock, execute_cycle, instantiate, make
 
 SRC = """FUNCTION_BLOCK FB1
 VAR_INPUT A : BOOL; END_VAR
@@ -19,11 +19,13 @@ END_FUNCTION_BLOCK
 """
 
 
-def make_trace(entries):
-    t = ExecTrace()
+def hits(entries):
+    """Per-POU counts with one hit per (pou, sid) entry."""
+    counts = {}
     for pou, sid in entries:
-        t.add(pou, sid)
-    return t
+        per_pou = counts.setdefault(pou, {})
+        per_pou[sid] = per_pou.get(sid, 0) + 1
+    return counts
 
 
 @pytest.fixture()
@@ -39,45 +41,48 @@ def test_domain_is_explicit_and_zeroed(prog):
 def test_accumulate_empty_trace_is_identity(prog):
     cmap = cov.CoverageMap.for_program(prog)
     before = {p: dict(s) for p, s in cmap.counts.items()}
-    cov.accumulate(cmap, make_trace([]))
+    cov.add_counts(cmap, {})
+    cov.add_counts(cmap, {"FB1": {0: 0, 3: 0}})
     assert cmap.counts == before
 
 
 def test_accumulate_counts_occurrences(prog):
     cmap = cov.CoverageMap.for_program(prog)
-    cov.accumulate(cmap, make_trace([("FB1", 0), ("FB1", 1), ("FB1", 1)]))
+    cov.add_counts(cmap, hits([("FB1", 0), ("FB1", 1), ("FB1", 1)]))
     assert cmap.counts["FB1"] == {0: 1, 1: 2, 2: 0, 3: 0}
+    cov.add_counts(cmap, {"FB1": {1: 5, 3: 2}})
+    assert cmap.counts["FB1"] == {0: 1, 1: 7, 2: 0, 3: 2}
 
 
 def test_accumulate_commutes(prog):
-    t1 = make_trace([("FB1", 0), ("FB1", 1)])
-    t2 = make_trace([("FB1", 1), ("FB1", 3)])
+    t1 = hits([("FB1", 0), ("FB1", 1)])
+    t2 = hits([("FB1", 1), ("FB1", 3)])
     m1 = cov.CoverageMap.for_program(prog)
     m2 = cov.CoverageMap.for_program(prog)
-    cov.accumulate(cov.accumulate(m1, t1), t2)
-    cov.accumulate(cov.accumulate(m2, t2), t1)
+    cov.add_counts(cov.add_counts(m1, t1), t2)
+    cov.add_counts(cov.add_counts(m2, t2), t1)
     assert m1.counts == m2.counts
 
 
 def test_foreign_statement_rejected(prog):
     cmap = cov.CoverageMap.for_program(prog)
     with pytest.raises(cov.ForeignStatement):
-        cov.accumulate(cmap, make_trace([("FB1", 99)]))
+        cov.add_counts(cmap, hits([("FB1", 99)]))
     with pytest.raises(cov.ForeignStatement):
-        cov.accumulate(cmap, make_trace([("GHOST", 0)]))
+        cov.add_counts(cmap, hits([("GHOST", 0)]))
 
 
 def test_summarize_full_and_partial_and_empty(prog):
     cmap = cov.CoverageMap.for_program(prog)
     assert cov.summarize(cmap, prog, "FB1").unit.percentage == 0.0
 
-    cov.accumulate(cmap, make_trace([("FB1", 0), ("FB1", 1), ("FB1", 3)]))
+    cov.add_counts(cmap, hits([("FB1", 0), ("FB1", 1), ("FB1", 3)]))
     summary = cov.summarize(cmap, prog, "FB1")
     assert summary.unit.statements_total == 4
     assert summary.unit.statements_hit == 3
     assert summary.unit.percentage == 75.0
 
-    cov.accumulate(cmap, make_trace([("FB1", 2)]))
+    cov.add_counts(cmap, hits([("FB1", 2)]))
     assert cov.summarize(cmap, prog, "FB1").unit.percentage == 100.0
 
     with pytest.raises(cov.UnknownPou):
@@ -99,7 +104,7 @@ def test_monotonicity_under_accumulation(prog):
     cmap = cov.CoverageMap.for_program(prog)
     last_pct = 0.0
     for sid in (0, 1, 3, 2, 0):
-        cov.accumulate(cmap, make_trace([("FB1", sid)]))
+        cov.add_counts(cmap, hits([("FB1", sid)]))
         pct = cov.summarize(cmap, prog, "FB1").unit.percentage
         assert pct >= last_pct
         last_pct = pct
@@ -110,8 +115,8 @@ def run_fb_and_cover(prog, src_text, inputs_list):
     cmap = cov.CoverageMap.for_program(prog)
     clock = SimClock()
     for inputs in inputs_list:
-        _, trace = execute_cycle(inst, inputs, clock)
-        cov.accumulate(cmap, trace)
+        _, counts = execute_cycle(inst, inputs, clock)
+        cov.add_counts(cmap, counts)
     return cmap
 
 
@@ -151,8 +156,8 @@ def test_lcov_max_rule_for_shared_lines():
     prog = resolve(parse_text(src, "one_line.st"))
     inst = instantiate(prog, "FB1")
     cmap = cov.CoverageMap.for_program(prog)
-    _, trace = execute_cycle(inst, {"A": make(T.BOOL, True)}, SimClock())
-    cov.accumulate(cmap, trace)
+    _, counts = execute_cycle(inst, {"A": make(T.BOOL, True)}, SimClock())
+    cov.add_counts(cmap, counts)
     # header hit once, body statement hit 3 times, same source line -> max
     text = cov.render_lcov(cmap, [(prog, 0)], prog.src)
     assert "DA:5,3" in text.splitlines()
@@ -170,6 +175,6 @@ def test_domain_takes_the_first_definition_in_lookup_order():
     assert user.lookup_pou("HELP") is libs[0].pous["HELP"]
     cmap = cov.CoverageMap.for_program(user)
     assert cmap.counts["HELP"] == {0: 0, 1: 0, 2: 0}
-    _, trace = execute_cycle(instantiate(user, "USER"), {}, SimClock())
-    cov.accumulate(cmap, trace)
+    _, counts = execute_cycle(instantiate(user, "USER"), {}, SimClock())
+    cov.add_counts(cmap, counts)
     assert cmap.counts == {"USER": {0: 1}, "HELP": {0: 1, 1: 1, 2: 1}}

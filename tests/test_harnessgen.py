@@ -2,16 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from stbench import corpus
-from stbench.frontend import parse_text, resolve
-from stbench import harnessgen
-from stbench.harnessgen import (
-    AssemblyError,
-    CollisionError,
-    HarnessTemplate,
-    build_harness,
-    generate_case_fb,
-    st_literal,
-)
+from stbench.frontend import parse_source, parse_text, print_pou, resolve
+from stbench.frontend.nodes import iter_sites, site_span
+from stbench.frontend.pretty import format_literal
+from stbench.harnessgen import CollisionError, build_case_fb, build_harness, value_literal
 from stbench.frontend import types as T
 from stbench.runtime import SimClock, run_program
 from stbench.runtime import values as V
@@ -75,9 +69,9 @@ def test_generated_fb_source_resolves_standalone(dec_assets):
     suite = checked_suite(
         "test_name,state,DE,expect_HEX\ntc,1,9,'9'\n", "DEC_TO_HEX", prog
     )
-    case_src = generate_case_fb(suite.cases[0], prog.lookup_pou("DEC_TO_HEX"), 1).source
-    combined = resolve(parse_text(src + "\n" + case_src))
-    assert "TC_1_CASE" in combined.pous
+    case_fb = build_case_fb(suite.cases[0], prog.lookup_pou("DEC_TO_HEX"), 1).pou
+    combined = resolve(parse_text(src + "\n" + print_pou(case_fb)))
+    assert combined.pous["TC_1_CASE"].decl == case_fb
 
 
 def test_dwell_cycles_allow_timer_expiry():
@@ -252,71 +246,39 @@ def test_real_tolerance_comparison_baked_into_code():
 
 
 def test_st_literal_forms():
-    assert st_literal(V.make(T.BOOL, True)) == "TRUE"
-    assert st_literal(V.make(T.INT, -3)) == "-3"
-    assert st_literal(V.make(T.TIME, 400)) == "T#400ms"
-    assert st_literal(V.make(T.string(), "it's")) == "'it$'s'"
-    assert st_literal(V.make(T.REAL, 0.1)) == "0.10000000149011612"
+    def spelled(val):
+        return format_literal(value_literal(val))
+
+    assert spelled(V.make(T.BOOL, True)) == "TRUE"
+    assert spelled(V.make(T.INT, -3)) == "-3"
+    assert spelled(V.make(T.WORD, 65535)) == "65535"
+    assert spelled(V.make(T.TIME, 400)) == "T#400ms"
+    assert spelled(V.make(T.string(), "it's")) == "'it$'s'"
+    assert spelled(V.make(T.REAL, 0.1)) == "0.10000000149011612"
+    assert spelled(V.make(T.LREAL, -2.5)) == "-2.5"
 
 
-def test_template_is_editable(dec_assets):
-    src, prog = dec_assets
-    custom = HarnessTemplate(
-        HarnessTemplate.default().text.replace("TEST_RUNNER", "TEST_RUNNER")
-        + "\n(* custom footer *)\n"
-    )
-    suite = checked_suite("test_name,state,DE,expect_HEX\ntc,1,1,'1'\n", "DEC_TO_HEX", prog)
-    bundle = build_harness(suite, prog, template=custom)
-    assert "custom footer" in bundle.source.text
-
-
-def _error_line(err) -> str:
-    """The harness.st line the first diagnostic of an AssemblyError is on."""
-    src = err.value.cause.src
-    return src.line_text(src.line_of(err.value.cause.diagnostics[0].span.start))
-
-
-def test_error_in_runner_program_names_its_part(dec_assets):
-    src, prog = dec_assets
-    suite = checked_suite("test_name,state,DE,expect_HEX\ntc,1,1,'1'\n", "DEC_TO_HEX", prog)
-    broken = HarnessTemplate(
-        HarnessTemplate.default().text.replace("{TEST_CALLS}", "{TEST_CALLS}\n    NOPE := 1;")
-    )
-    with pytest.raises(AssemblyError) as err:
-        build_harness(suite, prog, template=broken)
-    assert err.value.part == "runner program"
-    assert "unknown identifier NOPE" in str(err.value)
-    assert _error_line(err) == "    NOPE := 1;"
-
-
-def test_error_in_case_fb_names_its_part(dec_assets, monkeypatch):
-    src, prog = dec_assets
+def test_generated_sites_start_where_harness_st_parsed_whole_puts_them():
+    prog = resolve(parse_text(corpus.block_source("PI_CTRL"), "PI_CTRL.st"))
     suite = checked_suite(
-        "test_name,state,DE,expect_HEX\ntc_a,1,1,'1'\ntc_b,1,2,'2'\n", "DEC_TO_HEX", prog
+        "test_name,state,dwell_cycles,EN,SP,PV,expect_OUT\n"
+        "tc_a,1,2,TRUE,10.0,0.0,11.001\n"
+        "tc_a,2,1,FALSE,,,0.0\n"
+        "tc_b,1,1,TRUE,-2.5,1.0,-3.5\n",
+        "PI_CTRL",
+        prog,
     )
-    real = harnessgen.generate_case_fb
-
-    def break_second(case, fb, index, *args):
-        harness = real(case, fb, index, *args)
-        if index == 2:
-            harness.source = harness.source.replace("TICK := TICK + 1;", "TICK := TICK + ;")
-        return harness
-
-    monkeypatch.setattr(harnessgen, "generate_case_fb", break_second)
-    with pytest.raises(AssemblyError) as err:
-        build_harness(suite, prog)
-    assert err.value.part == "test case FB TC_2_CASE"
-    assert _error_line(err) == "        TICK := TICK + ;"
-
-
-def test_template_head_must_hold_only_comments(dec_assets):
-    src, prog = dec_assets
-    suite = checked_suite("test_name,state,DE,expect_HEX\ntc,1,1,'1'\n", "DEC_TO_HEX", prog)
-    commented = HarnessTemplate("(* generated *)\n" + HarnessTemplate.default().text)
-    assert build_harness(suite, prog, template=commented).source.text.startswith("(* generated *)\n")
-    with pytest.raises(AssemblyError) as err:
-        build_harness(suite, prog, template=HarnessTemplate("X\n" + HarnessTemplate.default().text))
-    assert err.value.part == "harness template"
+    bundle = build_harness(suite, prog)
+    typed, shift = bundle.layers[-1]
+    assert typed is bundle.typed
+    whole = parse_source(bundle.source)
+    reparsed = {p.name: p for p in whole.pous}
+    for pou in typed.ast.pous:
+        built_sites = list(iter_sites(pou.body))
+        whole_sites = list(iter_sites(reparsed[pou.name].body))
+        assert len(built_sites) == len(whole_sites)
+        for (kind, node), (_, twin) in zip(built_sites, whole_sites):
+            assert shift + site_span(kind, node).start == site_span(kind, twin).start, (pou.name, kind)
 
 
 @settings(max_examples=60, deadline=None)

@@ -78,9 +78,10 @@ def test_mock_provider_returns_fixture_verbatim(tmp_path, dec_iface):
     fixture.write_text("hello\n", encoding="utf-8")
     cfg = llm.ProviderConfig(provider="mock", endpoint=str(fixture))
     bundle = llm.build_prompt("FUNCTION_BLOCK X END_FUNCTION_BLOCK", dec_iface, "simple")
-    exchange = llm.query(cfg, bundle, run_dir=tmp_path / "run")
+    exchange = llm.query(cfg, bundle)
     assert exchange.response_text == "hello\n"
     assert exchange.latency_ms >= 0
+    llm.persist_exchange(exchange, tmp_path / "run")
     saved = json.loads((tmp_path / "run" / "exchange_0.json").read_text())
     assert saved["response"] == "hello\n"
     assert saved["prompt"] == bundle.full

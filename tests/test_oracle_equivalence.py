@@ -127,16 +127,16 @@ def test_interpreter_matches_oracle_exhaustively(block, corpus_programs):
         prev_hits = Counter()
         for scan in range(scans):
             now = clock.now
-            out, trace = execute_cycle(inst, typed_inputs(config), clock)
+            out, counts = execute_cycle(inst, typed_inputs(config), clock)
             oracle_out = oracle.scan(plain_inputs(config), now)
             got = {k: v.v for k, v in out.items()}
             assert got == oracle_out, (
                 f"{block} {config} scan {scan}: interpreter {got} oracle {oracle_out}"
             )
-            # per-scan statement hits agree (trace soundness + coverage)
-            hits = Counter()
-            for pou, sid in trace:
-                hits[(pou, sid)] += 1
+            # per-scan statement hits agree (count soundness + coverage)
+            hits = Counter(
+                {(pou, sid): n for pou, per_pou in counts.items() for sid, n in per_pou.items()}
+            )
             oracle_hits = oracle.coverage()
             delta = oracle_hits - prev_hits
             prev_hits = oracle_hits

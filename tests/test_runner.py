@@ -284,21 +284,42 @@ END_FUNCTION_BLOCK
 """
 
 
+def _coverage_of_harness_st_parsed_whole(out_dir, report):
+    """The reference coverage files: harness.st parsed whole, run for as
+    many scans, and rendered against its own statement spans."""
+    whole = resolve(parse_text((out_dir / "harness.st").read_text(), "harness.st"))
+    result = run_program(whole, "TEST_RUNNER", report.cycles_executed, SimClock(cycle_time=10))
+    cmap = cov.add_counts(cov.CoverageMap.for_program(whole), result.counts)
+    return whole, cov.render_lcov(cmap, [(whole, 0)], whole.src), cov.render_annotated(
+        cmap, [(whole, 0)], whole.src
+    )
+
+
 def test_coverage_lines_are_harness_lines_with_a_library(tmp_path):
+    # a multi-case suite with REAL comparisons, on a unit without libraries
+    pi = load_program(SourceUnit(corpus.block_source("PI_CTRL"), "PI_CTRL.st"))
+    pi_suite = checked(
+        "test_name,state,dwell_cycles,EN,SP,PV,expect_OUT\n"
+        "tc_a,1,2,TRUE,10.0,0.0,11.001\n"
+        "tc_a,2,1,FALSE,,,0.0\n"
+        "tc_b,1,1,TRUE,-2.5,1.0,-3.5\n",
+        "PI_CTRL",
+        pi,
+    )
+    report = run_suite(pi, pi_suite, RunOptions(out_dir=tmp_path / "pi", fixed_clock=True))
+    _whole, lcov, annotated = _coverage_of_harness_st_parsed_whole(tmp_path / "pi", report)
+    assert (tmp_path / "pi" / "coverage.lcov").read_text() == lcov
+    assert (tmp_path / "pi" / "coverage.annotated.txt").read_text() == annotated
+
     prog = load_program(SourceUnit(CLAMP_UNIT, "useslib.st"), [SourceUnit(CLAMP_LIB, "clamp.st")])
     suite = checked("test_name,state,X,expect_Y\ntc_low,1,3,3\ntc_high,1,50,11\n", "USESLIB", prog)
     report = run_suite(prog, suite, RunOptions(out_dir=tmp_path, fixed_clock=True))
     assert report.all_green()
     lcov = (tmp_path / "coverage.lcov").read_text()
     annotated = (tmp_path / "coverage.annotated.txt").read_text()
-
-    # the reference: harness.st parsed whole, run for as many scans, and
-    # rendered against its own statement spans
-    whole = resolve(parse_text((tmp_path / "harness.st").read_text(), "harness.st"))
-    result = run_program(whole, "TEST_RUNNER", report.cycles_executed, SimClock(cycle_time=10))
-    cmap = cov.add_counts(cov.CoverageMap.for_program(whole), result.counts)
-    assert lcov == cov.render_lcov(cmap, [(whole, 0)], whole.src)
-    assert annotated == cov.render_annotated(cmap, [(whole, 0)], whole.src)
+    whole, whole_lcov, whole_annotated = _coverage_of_harness_st_parsed_whole(tmp_path, report)
+    assert lcov == whole_lcov
+    assert annotated == whole_annotated
 
     # library, unit and case FB statements all land on their own lines
     lines = whole.src.text.splitlines()
@@ -306,6 +327,30 @@ def test_coverage_lines_are_harness_lines_with_a_library(tmp_path):
         lineno = next(i for i, line in enumerate(lines, 1) if line.strip() == text)
         assert f"DA:{lineno},{hits}" in lcov.splitlines(), text
         assert annotated.splitlines()[lineno - 1].split(":")[0].strip() == str(hits), text
+
+
+IN_OUT_UNIT = """FUNCTION_BLOCK ACC
+VAR_INPUT X : DINT; END_VAR
+VAR_IN_OUT T : DINT; END_VAR
+VAR_OUTPUT Y : DINT; END_VAR
+Y := X;
+END_FUNCTION_BLOCK
+"""
+
+
+def test_a_harness_that_does_not_resolve_is_an_assemble_error():
+    # no suite column binds a VAR_IN_OUT parameter, so the unit call in
+    # every case block fails to resolve
+    prog = load_program(SourceUnit(IN_OUT_UNIT, "acc.st"))
+    suite = checked("test_name,state,X,expect_Y\ntc,1,1,1\n", "ACC", prog)
+    with pytest.raises(PipelineError) as err:
+        run_suite(prog, suite)
+    assert err.value.phase == "assemble"
+    cause = err.value.cause
+    assert "VAR_IN_OUT parameter T of ACC must be bound" in str(cause)
+    assert str(cause).startswith("generated harness:")
+    line = cause.src.line_of(cause.diagnostics[0].span.start)
+    assert cause.src.line_text(line) == "        UNIT(X := 1);"
 
 
 def test_pipeline_error_phases():

@@ -7,6 +7,7 @@ from stbench import corpus, llm
 from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
 from stbench.testspec import (
+    MAX_SCANS,
     CsvError,
     ValidationError,
     drop_unknown_columns,
@@ -120,6 +121,21 @@ def test_case_without_any_assertion_rejected(dec_prog):
     assert any("no assertable state" in str(i) for i in err.value.items)
 
 
+def test_case_that_cannot_finish_within_the_scan_cap_rejected(dec_prog):
+    # the last check runs on the scan after the total dwell
+    fits = f"test_name,state,dwell_cycles,DE,expect_HEX\ntc,1,{MAX_SCANS - 1},4,''\n"
+    validate(parse_suite(fits, "DEC_TO_HEX"), dec_prog)
+    too_long = (
+        "test_name,state,dwell_cycles,DE,expect_HEX\n"
+        f"tc_ok,1,3,4,''\ntc_long,1,{MAX_SCANS - 2},4,\ntc_long,2,2,5,''\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        validate(parse_suite(too_long, "DEC_TO_HEX"), dec_prog)
+    assert [str(i) for i in err.value.items] == [
+        f"tc_long: total dwell of {MAX_SCANS} cycles cannot finish within the {MAX_SCANS}-scan cap"
+    ]
+
+
 def test_bad_literal_reports_case_state_column(dec_prog):
     suite = parse_suite("test_name,state,DE,expect_HEX\ntc,1,notanint,'4'\n", "DEC_TO_HEX")
     with pytest.raises(ValidationError) as err:
@@ -155,6 +171,9 @@ def test_value_literal_forms(text, ty, value):
         ("abc", T.REAL),
         ("T#oops", T.TIME),
         ("-5", T.TIME),
+        ("nan", T.REAL),
+        ("-inf", T.LREAL),
+        ("1e39", T.REAL),  # overflows binary32
     ],
 )
 def test_value_literal_rejects(text, ty):
