@@ -233,7 +233,7 @@ def run_suite(
             for c, done in zip(bundle.cases, done_vars)
             if c.instance_name not in dead
         ]
-        return all(store[d].v for d in alive)
+        return all(store[d] for d in alive)
 
     try:
         result = run_program(
@@ -255,13 +255,13 @@ def run_suite(
     case_results: list[CaseResult] = []
     for c in bundle.cases:
         inst = result.instance.nested[c.instance_name]
-        checked_upto = int(inst.store["CHECKED"].v)
-        done = bool(inst.store["DONE"].v)
+        checked_upto = int(inst.store["CHECKED"])
+        done = bool(inst.store["DONE"])
         assertions: list[AssertionResult] = []
         for slot in c.slots:
             if slot.state <= checked_upto:
-                actual = inst.store[slot.actual_var]
-                passed = not bool(inst.store[slot.flag_var].v)
+                actual = V.box(inst.info.vars[slot.actual_var].ty, inst.store[slot.actual_var])
+                passed = not bool(inst.store[slot.flag_var])
                 assertions.append(
                     AssertionResult(
                         slot.state,

@@ -9,15 +9,24 @@ for code generation", 1987) on its first execution and cached on the
 TypedProgram.  Compiling does once what a tree walk redoes on every
 execution: node dispatch, literal values, operator, built-in and
 conversion lookup, store conversions, site ids and spans, and the TEMP
-variable list.  Expressions evaluate to raw python values; a `Value` is
-built only when one is stored.  The closures hold no run state: the store,
-the nested instances, the count array and the run state (`_Scan`: program,
-counts, budget, clock, call depth) are passed in, so scans and threads
-share them.
+variable list.  The closures hold no run state: the store, the nested
+instances, the count array and the run state (`_Scan`: program, counts,
+budget, clock, call depth) are passed in, so scans and threads share them.
 
-Memory: a run builds no reference cycles.  The compiled code is cached on
-the TypedProgram it was compiled for and refers to nothing that refers back
-to it, so a finished run, its AST and its compiled code are freed by
+Values: expressions evaluate to raw python values (bool, int, float, str,
+or a list of raw elements for an ARRAY), and every store (an instance's,
+a built-in block's, TEMP defaults and function frames) maps a variable to
+its raw value; its type is the declared one.  `Value`s are built only at
+the boundary: `execute_cycle` unboxes its inputs into fresh lists, and
+`FbInstance.outputs()` boxes what it returns.  A raw ARRAY list is shared,
+never mutated: whole-array stores, same-typed FB inputs, TEMP resets and
+function frames pass it by reference, so an element store copies the list
+first and stores the copy (copy on write).
+
+Memory: a run builds no reference cycles.  Stores hold raw values and
+lists of them, which refer to nothing.  The compiled code is cached on the
+TypedProgram it was compiled for and refers to nothing that refers back to
+it, so a finished run, its AST and its compiled code are freed by
 reference counting as soon as the last reference goes, without the cyclic
 garbage collector.  The CLI relies on this and pauses that collector while
 it works on a unit.
@@ -73,9 +82,6 @@ _BUDGET_MSG = "scan statement budget exceeded (possible unbounded loop)"
 # does, since a call costs Python frames per nesting level of its callee:
 # the innermost call site with room left reports it as a fault.
 _STACK_MSG = "call stack too deep"
-
-Value = V.Value  # a global, not an attribute lookup, in every store
-
 
 class UnknownPou(Exception):
     pass
@@ -134,15 +140,16 @@ class ScanTrace:
         return self.sites
 
 
-def _initial_store(info: PouInfo) -> dict[str, V.Value]:
-    store: dict[str, V.Value] = {}
+def _initial_store(info: PouInfo) -> dict[str, object]:
+    store: dict[str, object] = {}
     for var in info.vars.values():
         if var.init is None:
-            store[var.name] = V.default(var.ty)
+            store[var.name] = V.zero(var.ty)
         elif var.ty.kind is T.Kind.ARRAY:
-            store[var.name] = V.Value(var.ty, [V.make(var.ty.elem, x) for x in var.init])
+            co = V.coercer(var.ty.elem)
+            store[var.name] = [co(x) for x in var.init]
         else:
-            store[var.name] = V.make(var.ty, var.init)
+            store[var.name] = V.coercer(var.ty)(var.init)
     return store
 
 
@@ -155,12 +162,12 @@ class FbInstance:
         self.prog = prog
         self.info = info
         self.fb_type = info.name
-        self.store: dict[str, V.Value] = _initial_store(info)
+        self.store: dict[str, object] = _initial_store(info)
         self.nested: dict[str, FbInstance | BuiltinInstance] = {}
 
     def outputs(self) -> dict[str, V.Value]:
         return {
-            v.name: self.store[v.name]
+            v.name: V.box(v.ty, self.store[v.name])
             for v in self.info.vars.values()
             if v.section is Section.OUTPUT
         }
@@ -292,7 +299,7 @@ class _Pou:
         self.name = info.name
         self.index = {sid: i for i, sid in enumerate(info.sids)}
         self.temps = {
-            v.name: V.default(v.ty) for v in info.vars.values() if v.section is Section.TEMP
+            v.name: V.zero(v.ty) for v in info.vars.values() if v.section is Section.TEMP
         }
         self.initial = _initial_store(info) if info.kind is PouKind.FUNCTION else None
         self.body = None
@@ -469,7 +476,7 @@ class _Compiler:
             callee = _pou(self.prog, fb_type)
             slots = {v.name: (v.ty, v.section) for v in callee.info.vars.values()}
         inputs = [p for p in st.params if not p.is_output]
-        ins = tuple((p.name, self.boxed(p.expr, slots[p.name][0])) for p in inputs)
+        ins = tuple((p.name, self.value_for(p.expr, slots[p.name][0])) for p in inputs)
         # after the call, IN_OUT arguments are written back, then the outputs
         back = [p for p in inputs if slots[p.name][1] is Section.IN_OUT]
         back += [p for p in st.params if p.is_output]
@@ -484,11 +491,11 @@ class _Compiler:
                 fb = nested[iname]
                 fstore = fb.store
                 try:
-                    for name, box in ins:
-                        fstore[name] = box(store, nested, scan)
+                    for name, ev in ins:
+                        fstore[name] = ev(store, nested, scan)
                     fb.step(scan.now)
                     for name, put in outs:
-                        put(store, nested, scan, fstore[name].v)
+                        put(store, nested, scan, fstore[name])
                 except _TRAPS as exc:
                     raise _fault(site, exc) from None
                 if track:
@@ -506,8 +513,8 @@ class _Compiler:
             fb = nested[iname]
             fstore = fb.store
             try:
-                for name, box in ins:
-                    fstore[name] = box(store, nested, scan)
+                for name, ev in ins:
+                    fstore[name] = ev(store, nested, scan)
             except _TRAPS as exc:
                 raise _fault(site, exc) from None
             if temps:
@@ -527,7 +534,7 @@ class _Compiler:
                 scan.depth -= 1
             try:
                 for name, put in outs:
-                    put(store, nested, scan, fstore[name].v)
+                    put(store, nested, scan, fstore[name])
             except _TRAPS as exc:
                 raise _fault(site, exc) from None
             if track:
@@ -630,10 +637,10 @@ class _Compiler:
             scan.last = site
             try:
                 while (cur <= limit) if inc > 0 else (cur >= limit):
-                    store[var] = Value(ty, cur)
+                    store[var] = cur
                     for s in body:
                         s(store, nested, cnt, scan)
-                    cur = V.wrap_int(store[var].v + inc, kind)
+                    cur = V.wrap_int(store[var] + inc, kind)
                     scan.loops += 1
                     scan.budget -= 1
                     if scan.budget <= 0:
@@ -705,39 +712,27 @@ class _Compiler:
             conv = _store_conv(src_ty, ty)
             if conv is None:
                 def put(store, nested, scan, raw):
-                    store[name] = Value(ty, raw)
+                    store[name] = raw
             else:
                 def put(store, nested, scan, raw):
-                    store[name] = Value(ty, conv(raw))
+                    store[name] = conv(raw)
             return put
         if isinstance(e, N.IndexRef):
             name = e.base.name
             arr_ty = self.vars[name].ty
-            elem, lo, hi = arr_ty.elem, arr_ty.lo, arr_ty.hi
+            lo, hi = arr_ty.lo, arr_ty.hi
             index = self.expr(e.index)
-            conv = _store_conv(src_ty, elem) or (lambda raw: raw)
+            conv = _store_conv(src_ty, arr_ty.elem) or (lambda raw: raw)
 
             def put(store, nested, scan, raw):
                 idx = index(store, nested, scan)
                 if not lo <= idx <= hi:
                     raise _Trap(f"array index {idx} outside {lo}..{hi}")
-                items = list(store[name].v)
-                items[idx - lo] = Value(elem, conv(raw))
-                store[name] = Value(arr_ty, items)
+                items = list(store[name])  # the old list may be shared
+                items[idx - lo] = conv(raw)
+                store[name] = items
             return put
         raise TypeError(f"invalid assignment target {e!r}")  # pragma: no cover
-
-    def boxed(self, e: N.Expr, dst: T.STType):
-        """Closure returning the Value a dst slot receives from e.  Literals
-        are boxed once and a same-typed variable is copied as is."""
-        if isinstance(e, N.Literal):
-            c = V.Value(dst, self.value_for(e, dst)(None, None, None))
-            return lambda store, nested, scan: c
-        if e.ty == dst and isinstance(e, N.VarRef):
-            name = e.name
-            return lambda store, nested, scan: store[name]
-        ev = self.value_for(e, dst)
-        return lambda store, nested, scan: Value(dst, ev(store, nested, scan))
 
     def value_for(self, e: N.Expr, dst: T.STType):
         """Expression closure whose raw result is converted for a dst slot."""
@@ -754,14 +749,14 @@ class _Compiler:
 
     def expr(self, e: N.Expr):
         if isinstance(e, N.Literal):
-            c = V.make(e.ty, e.value).v
+            c = V.coercer(e.ty)(e.value)
             return lambda store, nested, scan: c
         if isinstance(e, N.VarRef):
             name = e.name
-            return lambda store, nested, scan: store[name].v
+            return lambda store, nested, scan: store[name]
         if isinstance(e, N.MemberRef):
             base, member = e.base.name, e.member
-            return lambda store, nested, scan: nested[base].store[member].v
+            return lambda store, nested, scan: nested[base].store[member]
         if isinstance(e, N.IndexRef):
             name = e.base.name
             arr_ty = self.vars[name].ty
@@ -772,7 +767,7 @@ class _Compiler:
                 idx = index(store, nested, scan)
                 if not lo <= idx <= hi:
                     raise _Trap(f"array index {idx} outside {lo}..{hi}")
-                return store[name].v[idx - lo].v
+                return store[name][idx - lo]
             return ev
         if isinstance(e, N.Unary):
             return self.unary(e)
@@ -812,7 +807,7 @@ class _Compiler:
         fname = callee.name
         initial = callee.initial
         params = [v for v in callee.info.vars.values() if v.section is Section.INPUT]
-        args = tuple((p.name, self.boxed(a, p.ty)) for p, a in zip(params, e.args))
+        args = tuple((p.name, self.value_for(a, p.ty)) for p, a in zip(params, e.args))
         segment = f"/{fname}()"
 
         def ev(store, nested, scan):
@@ -830,7 +825,7 @@ class _Compiler:
                     raise
                 except RecursionError:
                     raise _Trap(_STACK_MSG) from None
-                return frame[fname].v
+                return frame[fname]
             finally:
                 scan.depth -= 1
         return ev
@@ -870,7 +865,7 @@ def execute_cycle(
         if var is None or var.section is not Section.INPUT:
             raise ValueError(f"{inst.fb_type} has no input {name}")
         try:
-            inst.store[var.name] = V.convert_for_store(val, var.ty)
+            inst.store[var.name] = V.unbox(V.convert_for_store(val, var.ty))
         except TypeError as exc:
             raise ValueError(f"input {name}: {exc}") from exc
     scan = _Scan(inst.prog)
@@ -903,7 +898,7 @@ class RunResult:
 _HOOK_RE = re.compile(r"^TC_(\d+)_(DONE|PASS|FAILS)$")
 
 
-def _hook_slots(store: dict[str, V.Value]) -> list[tuple[int, str | None, str | None, str | None]]:
+def _hook_slots(store: dict[str, object]) -> list[tuple[int, str | None, str | None, str | None]]:
     """The harness hook variables in a program store, by case index."""
     cases: dict[int, dict[str, str]] = {}
     for name in store:
@@ -913,12 +908,12 @@ def _hook_slots(store: dict[str, V.Value]) -> list[tuple[int, str | None, str | 
     return [(i, d.get("DONE"), d.get("PASS"), d.get("FAILS")) for i, d in sorted(cases.items())]
 
 
-def _hook_snapshot(store: dict[str, V.Value], slots) -> list[tuple[bool, bool, int]]:
+def _hook_snapshot(store: dict[str, object], slots) -> list[tuple[bool, bool, int]]:
     return [
         (
-            bool(store[done].v) if done else False,
-            bool(store[passed].v) if passed else False,
-            int(store[fails].v) if fails else 0,
+            bool(store[done]) if done else False,
+            bool(store[passed]) if passed else False,
+            int(store[fails]) if fails else 0,
         )
         for _i, done, passed, fails in slots
     ]
@@ -930,7 +925,7 @@ def run_program(
     cycles: int,
     clock: SimClock,
     monitor: Callable[[str], None] | None = None,
-    stop_when: Callable[[dict[str, V.Value], frozenset[str]], bool] | None = None,
+    stop_when: Callable[[dict[str, object], frozenset[str]], bool] | None = None,
     quarantine: frozenset[str] | set[str] = frozenset(),
 ) -> RunResult:
     """Run a PROGRAM POU for up to `cycles` scans, one monitor record each.

@@ -1,9 +1,11 @@
 """Execution state machines for the built-in standard function blocks.
 
-A built-in instance exposes the same store shape as a user FB instance
-(declared variables only); bookkeeping such as edge memory and start times
-lives in private attributes.  All timing decisions use the scan's simulated
-`now`, passed in by the interpreter at the moment the instance is invoked.
+A built-in instance exposes the same store shape as a user FB instance:
+each declared variable maps to its raw python value, whose type `_SLOTS`
+gives, and an output is coerced to its type when stored.  Bookkeeping
+such as edge memory and start times lives in private attributes.  All
+timing decisions use the scan's simulated `now`, passed in by the
+interpreter at the moment the instance is invoked.
 """
 
 from __future__ import annotations
@@ -26,19 +28,18 @@ class BuiltinInstance:
     def __init__(self, fb_type: str):
         self.fb_type = fb_type
         self._slots = _SLOTS[fb_type]
-        self.store: dict[str, V.Value] = {
-            name: V.default(ty) for name, (ty, _co) in self._slots.items()
+        self.store: dict[str, object] = {
+            name: V.zero(ty) for name, (ty, _co) in self._slots.items()
         }
 
     def _b(self, name: str) -> bool:
-        return bool(self.store[name].v)
+        return bool(self.store[name])
 
     def _i(self, name: str) -> int:
-        return int(self.store[name].v)
+        return int(self.store[name])
 
     def _set(self, name: str, raw) -> None:
-        ty, co = self._slots[name]
-        self.store[name] = V.Value(ty, co(raw))
+        self.store[name] = self._slots[name][1](raw)
 
     def step(self, now: int) -> None:
         raise NotImplementedError

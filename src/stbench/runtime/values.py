@@ -5,6 +5,11 @@ INT/DINT wrap two's-complement at 16/32 bits, BYTE/WORD wrap unsigned at
 TIME is a signed millisecond count, STRING is truncated to its capacity.
 Wrapping (not faulting) on integer overflow matches what C-transpiled PLC
 code does and is what makes width-dependent bugs observable.
+
+The interpreter keeps raw python values (bool, int, float, str, and a list
+of raw elements for an ARRAY) and knows each one's type from its
+declaration; `box` and `unbox` convert between that form and a `Value` at
+the runtime's boundary.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ def make(ty: STType, raw) -> Value:
 def coercer(ty: STType) -> Callable[[object], object]:
     """The coercion make applies to a raw value, as a function of it.
 
-    Compiled code looks it up once per expression and applies it to raw
-    python values, building a Value only when it stores one."""
+    Compiled code looks it up once per expression or store and applies it
+    to raw python values."""
     k = ty.kind
     if k is Kind.BOOL:
         return bool
@@ -80,21 +85,39 @@ def coercer(ty: STType) -> Callable[[object], object]:
     raise TypeError(f"cannot build scalar value of {ty}")
 
 
-def default(ty: STType) -> Value:
+def zero(ty: STType):
+    """The raw value a variable of type ty holds before its first store."""
     k = ty.kind
     if k is Kind.BOOL:
-        return Value(ty, False)
-    if k in T.INT_RANGES:
-        return Value(ty, 0)
+        return False
+    if k in T.INT_RANGES or k is Kind.TIME:
+        return 0
     if k in (Kind.REAL, Kind.LREAL):
-        return Value(ty, 0.0)
-    if k is Kind.TIME:
-        return Value(ty, 0)
+        return 0.0
     if k is Kind.STRING:
-        return Value(ty, "")
+        return ""
     if k is Kind.ARRAY:
-        return Value(ty, [default(ty.elem) for _ in range(ty.hi - ty.lo + 1)])
+        return [zero(ty.elem) for _ in range(ty.hi - ty.lo + 1)]
     raise TypeError(f"no default for {ty}")
+
+
+def default(ty: STType) -> Value:
+    return box(ty, zero(ty))
+
+
+def box(ty: STType, raw) -> Value:
+    """The Value of a raw value already of type ty; an ARRAY's elements
+    are boxed into a new list."""
+    if ty.kind is Kind.ARRAY:
+        return Value(ty, [box(ty.elem, x) for x in raw])
+    return Value(ty, raw)
+
+
+def unbox(val: Value):
+    """The raw form of a Value; an ARRAY's elements go into a new list."""
+    if val.ty.kind is Kind.ARRAY:
+        return [unbox(x) for x in val.v]
+    return val.v
 
 
 def convert_for_store(val: Value, dst: STType) -> Value:

@@ -301,6 +301,9 @@ def parse_value_literal(text: str, ty: T.STType) -> V.Value:
     if k is T.Kind.STRING:
         if len(text) >= 2 and text.startswith("'") and text.endswith("'"):
             text = text[1:-1]
+        wide = next((ch for ch in text if ord(ch) > 0xFF), None)
+        if wide is not None:  # a STRING character is one byte
+            raise ValueError(f"{ty} cannot hold {wide!r} (U+{ord(wide):04X}): {text!r}")
         return V.make(ty, text)
     raise ValueError(f"cannot parse a {ty} from a CSV cell")
 

@@ -224,6 +224,22 @@ def test_case_longer_than_the_scan_cap_exits_two_at_once(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_string_cell_a_single_byte_string_cannot_hold_exits_two(tmp_path, capsys):
+    unit = tmp_path / "ECHO.st"
+    unit.write_text(
+        "FUNCTION_BLOCK ECHO\nVAR_INPUT S : STRING; END_VAR\nVAR_OUTPUT O : STRING; END_VAR\n"
+        "O := S;\nEND_FUNCTION_BLOCK\n"
+    )
+    suite = tmp_path / "suite.csv"
+    suite.write_text("test_name,state,S,expect_O\ntc,1,'\u20ac','\u20ac'\n", encoding="utf-8")
+    code = run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "U+20AC" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out" / "harness.st").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--atol", "nan"), ("--rtol", "inf")])
 def test_non_finite_tolerance_exits_two(tmp_path, capsys, flag, value):
     suite = tmp_path / "suite.csv"

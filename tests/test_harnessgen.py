@@ -27,7 +27,7 @@ def run_bundle(bundle, cycle_time=10, cycles=None):
         budget,
         clock,
         stop_when=lambda store, dead: all(
-            store[f"TC_{c.index}_DONE"].v for c in bundle.cases if c.instance_name not in dead
+            store[f"TC_{c.index}_DONE"] for c in bundle.cases if c.instance_name not in dead
         ),
     )
 
@@ -36,10 +36,10 @@ def case_outcome(result, bundle, name):
     case = next(c for c in bundle.cases if c.name == name)
     inst = result.instance.nested[case.instance_name]
     return {
-        "done": inst.store["DONE"].v,
-        "pass": inst.store["PASS"].v,
-        "fails": inst.store["FAILS"].v,
-        "actuals": {s.actual_var: inst.store[s.actual_var].v for s in case.slots},
+        "done": inst.store["DONE"],
+        "pass": inst.store["PASS"],
+        "fails": inst.store["FAILS"],
+        "actuals": {s.actual_var: inst.store[s.actual_var] for s in case.slots},
     }
 
 
@@ -71,6 +71,25 @@ def test_generated_fb_source_resolves_standalone(dec_assets):
     )
     case_fb = build_case_fb(suite.cases[0], prog.lookup_pou("DEC_TO_HEX"), 1).pou
     combined = resolve(parse_text(src + "\n" + print_pou(case_fb)))
+    assert combined.pous["TC_1_CASE"].decl == case_fb
+
+
+ECHO_SRC = """
+FUNCTION_BLOCK ECHO
+VAR_INPUT S : STRING; END_VAR
+VAR_OUTPUT O : STRING; END_VAR
+O := S;
+END_FUNCTION_BLOCK
+"""
+
+
+def test_single_byte_string_cells_survive_the_printed_harness():
+    prog = resolve(parse_text(ECHO_SRC, "ECHO"))
+    suite = checked_suite("test_name,state,S,expect_O\ntc,1,'caf\u00e9','caf\u00e9'\n", "ECHO", prog)
+    case_fb = build_case_fb(suite.cases[0], prog.lookup_pou("ECHO"), 1).pou
+    printed = print_pou(case_fb)
+    assert "'caf$E9'" in printed
+    combined = resolve(parse_text(ECHO_SRC + "\n" + printed))
     assert combined.pous["TC_1_CASE"].decl == case_fb
 
 

@@ -8,6 +8,8 @@ from stbench.runtime import (
     RuntimeFault,
     SimClock,
     UnknownPou,
+    Value,
+    default,
     execute_cycle,
     instantiate,
     make,
@@ -45,9 +47,9 @@ def test_declared_initializer_applies():
         """
     )
     inst = instantiate(prog, "CTR")
-    assert inst.store["N"].v == 5
-    assert inst.store["CNT"].v == 0
-    assert inst.store["GO"].v is False
+    assert inst.store["N"] == 5
+    assert inst.store["CNT"] == 0
+    assert inst.store["GO"] is False
 
 
 def test_nested_timer_defaults_idle():
@@ -64,9 +66,9 @@ def test_nested_timer_defaults_idle():
     )
     inst = instantiate(prog, "WITHTIMER")
     t1 = inst.nested["T1"]
-    assert t1.store["IN"].v is False
-    assert t1.store["Q"].v is False
-    assert t1.store["ET"].v == 0
+    assert t1.store["IN"] is False
+    assert t1.store["Q"] is False
+    assert t1.store["ET"] == 0
 
 
 def test_unknown_pou():
@@ -426,8 +428,8 @@ def test_contained_budget_fault_stops_only_its_instance():
     assert [r.endswith("events=[]") for r in records] == [True, False, True, True]
     # the instances before and after S ran every scan
     store = result.instance.store
-    assert (store["NA"].v, store["NB"].v) == (4, 4)
-    assert result.instance.nested["S"].store["N"].v > 1
+    assert (store["NA"], store["NB"]) == (4, 4)
+    assert result.instance.nested["S"].store["N"] > 1
     # S's sites up to its fault count as executed (4 sites ran before S,
     # so S got the remaining 999,996); they do not starve B of budget
     assert result.counts["SPIN"] == {0: 2, 1: 499_999, 2: 499_997}
@@ -467,7 +469,7 @@ def test_contained_budget_faults_share_a_bounded_scan(monkeypatch):
         ("S1", 0, 0), ("S2", 0, 0), ("S3", 0, 0)
     ]
     assert records[0] == "cycle=0 t=0 events=[FAULT=S1@0;FAULT=S2@0;FAULT=S3@0]"
-    assert result.instance.store["K"].v == 2
+    assert result.instance.store["K"] == 2
     assert [len(t) for t in result.traces] == [3 * 100 + 1, 1]
     # a fourth runaway call in the same scan finds no spare left: the scan
     # has run four budgets, and its next statement (the last K := K + 1)
@@ -546,3 +548,147 @@ def test_run_program_counts_match_scan_site_totals():
     assert [len(t) for t in result.traces] == [5, 7, 7, 5, 7]
     assert sum(len(t) for t in result.traces) == sum(result.counts["MAIN"].values())
     assert result.counts["MAIN"] == {0: 5, 1: 15, 2: 8, 3: 3}
+
+
+# -- raw stores: arrays are shared by reference and copied on write ----------
+
+ARRAY_WRITER_SRC = """
+FUNCTION_BLOCK WRITER
+VAR_INPUT A : ARRAY[1..3] OF INT; END_VAR
+VAR_OUTPUT FIRST : INT; END_VAR
+A[1] := 99;
+FIRST := A[1];
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK CALLER
+VAR_OUTPUT MINE : INT; THEIRS : INT; END_VAR
+VAR B : ARRAY[1..3] OF INT := [1, 2, 3]; W : WRITER; END_VAR
+W(A := B);
+MINE := B[1];
+THEIRS := W.FIRST;
+END_FUNCTION_BLOCK
+"""
+
+
+def test_fb_writing_an_array_input_leaves_the_callers_array_alone():
+    inst = instantiate(prog_of(ARRAY_WRITER_SRC), "CALLER")
+    out, _ = execute_cycle(inst, {}, SimClock())
+    assert (out["MINE"].v, out["THEIRS"].v) == (1, 99)
+    assert inst.store["B"] == [1, 2, 3]
+    assert inst.nested["W"].store["A"] == [99, 2, 3]
+
+
+def test_function_calls_never_see_each_others_element_writes():
+    prog = prog_of(
+        """
+        FUNCTION SWAP_FIRST : INT
+        VAR_INPUT K : INT; A : ARRAY[1..2] OF INT; END_VAR
+        VAR L : ARRAY[1..2] OF INT; END_VAR
+        SWAP_FIRST := L[1] * 100 + A[1];
+        L[1] := K;
+        A[1] := K;
+        END_FUNCTION
+        FUNCTION_BLOCK USER
+        VAR_OUTPUT X : INT; Y : INT; Z : INT; END_VAR
+        VAR B : ARRAY[1..2] OF INT := [4, 5]; END_VAR
+        X := SWAP_FIRST(5, B);
+        Y := SWAP_FIRST(7, B);
+        Z := B[1];
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "USER")
+    for _ in range(2):
+        out, _ = execute_cycle(inst, {}, SimClock())
+        # each call starts from L's initial value and reads the caller's B
+        assert (out["X"].v, out["Y"].v, out["Z"].v) == (4, 4, 4)
+    assert interp._pou(prog, "SWAP_FIRST").initial["L"] == [0, 0]
+
+
+def test_instances_sharing_an_array_temp_never_see_each_others_writes():
+    prog = prog_of(
+        """
+        FUNCTION_BLOCK SCRATCH
+        VAR_INPUT K : INT; END_VAR
+        VAR_OUTPUT SEEN : INT; END_VAR
+        VAR_TEMP TA : ARRAY[1..2] OF INT; END_VAR
+        SEEN := TA[1];
+        TA[1] := K;
+        SEEN := SEEN * 100 + TA[1];
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK PAIR
+        VAR_OUTPUT X : INT; Y : INT; END_VAR
+        VAR S1 : SCRATCH; S2 : SCRATCH; END_VAR
+        S1(K := 5);
+        S2(K := 7);
+        X := S1.SEEN;
+        Y := S2.SEEN;
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "PAIR")
+    for _ in range(2):
+        out, _ = execute_cycle(inst, {}, SimClock())
+        assert (out["X"].v, out["Y"].v) == (5, 7)
+    assert interp._pou(prog, "SCRATCH").temps["TA"] == [0, 0]
+
+
+def test_execute_cycle_array_input_and_outputs_do_not_alias():
+    prog = prog_of(
+        """
+        FUNCTION_BLOCK BUMP
+        VAR_INPUT A : ARRAY[1..3] OF INT; END_VAR
+        VAR_OUTPUT B : ARRAY[1..3] OF INT; END_VAR
+        A[2] := A[2] + 1;
+        B := A;
+        END_FUNCTION_BLOCK
+        """
+    )
+    arr = T.array(1, 3, T.INT)
+    given_value = Value(arr, [make(T.INT, x) for x in (1, 2, 3)])
+    inst = instantiate(prog, "BUMP")
+    out, _ = execute_cycle(inst, {"A": given_value}, SimClock())
+    assert given_value == Value(arr, [make(T.INT, x) for x in (1, 2, 3)])
+    assert out["B"] == Value(arr, [make(T.INT, x) for x in (1, 3, 3)])
+    # a caller that changes what it got back changes no store
+    out["B"].v[0] = make(T.INT, 42)
+    assert inst.outputs()["B"] == Value(arr, [make(T.INT, x) for x in (1, 3, 3)])
+    assert inst.store["A"] == [1, 3, 3]
+
+
+def test_outputs_are_the_values_a_store_of_values_held():
+    prog = prog_of(
+        """
+        FUNCTION_BLOCK KINDS
+        VAR_OUTPUT
+            O_BOOL : BOOL; O_INT : INT; O_DINT : DINT; O_BYTE : BYTE;
+            O_WORD : WORD; O_REAL : REAL; O_LREAL : LREAL; O_TIME : TIME;
+            O_STR : STRING[3]; O_ARR : ARRAY[0..1] OF REAL;
+        END_VAR
+        O_BOOL := TRUE; O_INT := -7; O_DINT := 100000; O_BYTE := 255;
+        O_WORD := 65535; O_REAL := 0.1; O_LREAL := 0.1; O_TIME := T#1500ms;
+        O_STR := 'ABCDEF'; O_ARR[1] := 2.5;
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "KINDS")
+    idle = inst.outputs()
+    out, _ = execute_cycle(inst, {}, SimClock())
+    arr = T.array(0, 1, T.REAL)
+    # each output built as a store of Values built it: make per scalar,
+    # a list of element Values per array
+    expected = {
+        "O_BOOL": make(T.BOOL, True),
+        "O_INT": make(T.INT, -7),
+        "O_DINT": make(T.DINT, 100000),
+        "O_BYTE": make(T.BYTE, 255),
+        "O_WORD": make(T.WORD, 65535),
+        "O_REAL": make(T.REAL, 0.1),
+        "O_LREAL": make(T.LREAL, 0.1),
+        "O_TIME": make(T.TIME, 1500),
+        "O_STR": make(T.string(3), "ABC"),
+        "O_ARR": Value(arr, [make(T.REAL, 0.0), make(T.REAL, 2.5)]),
+    }
+    assert out == expected
+    assert repr(out) == repr(expected)  # same python types, not just equal
+    assert idle["O_ARR"] == default(arr) and repr(idle["O_ARR"]) == repr(default(arr))
+    assert repr(idle["O_BOOL"]) == repr(default(T.BOOL))

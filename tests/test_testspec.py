@@ -174,11 +174,17 @@ def test_value_literal_forms(text, ty, value):
         ("nan", T.REAL),
         ("-inf", T.LREAL),
         ("1e39", T.REAL),  # overflows binary32
+        ("'\u20ac'", T.string()),  # a STRING character is one byte
+        ("'ab\u0100'", T.string()),
     ],
 )
 def test_value_literal_rejects(text, ty):
     with pytest.raises(ValueError):
         parse_value_literal(text, ty)
+
+
+def test_string_cells_take_every_single_byte_character():
+    assert parse_value_literal("'\u00e9\u00ff'", T.string()).v == "\u00e9\u00ff"
 
 
 def test_serialize_quotes_commas_and_keeps_empty_cells():

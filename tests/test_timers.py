@@ -17,10 +17,10 @@ def drive_timer(fb_type, scans, pt):
     inst = make_builtin(fb_type)
     rows = []
     for now, in_v in scans:
-        inst.store["IN"] = V.make(T.BOOL, in_v)
-        inst.store["PT"] = V.make(T.TIME, pt)
+        inst.store["IN"] = V.coercer(T.BOOL)(in_v)
+        inst.store["PT"] = V.coercer(T.TIME)(pt)
         inst.step(now)
-        rows.append((inst.store["ET"].v, inst.store["Q"].v))
+        rows.append((inst.store["ET"], inst.store["Q"]))
     return rows
 
 
@@ -101,9 +101,9 @@ def drive(fb_type, seq):
     for step_vals in seq:
         for k, v in step_vals.items():
             ty = T.BOOL if isinstance(v, bool) else T.INT
-            inst.store[k] = V.make(ty, v)
+            inst.store[k] = V.coercer(ty)(v)
         inst.step(0)
-        out.append({k: v.v for k, v in inst.store.items()})
+        out.append(dict(inst.store))
     return out
 
 
