@@ -607,7 +607,7 @@ def test_function_calls_never_see_each_others_element_writes():
 def test_instances_sharing_an_array_temp_never_see_each_others_writes():
     prog = prog_of(
         """
-        FUNCTION_BLOCK SCRATCH
+        FUNCTION_BLOCK TEMP_USER
         VAR_INPUT K : INT; END_VAR
         VAR_OUTPUT SEEN : INT; END_VAR
         VAR_TEMP TA : ARRAY[1..2] OF INT; END_VAR
@@ -617,7 +617,7 @@ def test_instances_sharing_an_array_temp_never_see_each_others_writes():
         END_FUNCTION_BLOCK
         FUNCTION_BLOCK PAIR
         VAR_OUTPUT X : INT; Y : INT; END_VAR
-        VAR S1 : SCRATCH; S2 : SCRATCH; END_VAR
+        VAR S1 : TEMP_USER; S2 : TEMP_USER; END_VAR
         S1(K := 5);
         S2(K := 7);
         X := S1.SEEN;
@@ -629,7 +629,7 @@ def test_instances_sharing_an_array_temp_never_see_each_others_writes():
     for _ in range(2):
         out, _ = execute_cycle(inst, {}, SimClock())
         assert (out["X"].v, out["Y"].v) == (5, 7)
-    assert interp._pou(prog, "SCRATCH").temps["TA"] == [0, 0]
+    assert interp._pou(prog, "TEMP_USER").temps["TA"] == [0, 0]
 
 
 def test_execute_cycle_array_input_and_outputs_do_not_alias():
