@@ -326,28 +326,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     for key, typ in _CONFIG_KEYS.items():
         value = getattr(args, key, None)
         if value is None and key in file_values:
-            raw = file_values[key]
+            value = file_values[key]
             if typ is bool:
-                value = raw.lower() in ("1", "true", "yes", "on")
-            elif key == "lib":
-                value = raw
-            else:
-                value = typ(raw)
+                value = value.lower() in ("1", "true", "yes", "on")
         if value is None:
             continue
         if key == "lib":
-            paths = value if isinstance(value, list) else [p for p in str(value).split(",") if p]
+            paths = value if isinstance(value, list) else [p for p in value.split(",") if p]
             cfg.libs = [Path(p) for p in paths]
-        elif key == "unit":
-            cfg.unit = Path(value)
-        elif key == "fixture":
-            cfg.fixture = Path(value)
-        elif key == "suite":
-            cfg.suite = Path(value)
-        elif key == "out":
-            cfg.out = Path(value)
         else:
-            setattr(cfg, key, value)
+            setattr(cfg, key, typ(value))
     for key in ("atol", "rtol"):  # baked into harness.st as REAL literals
         if not math.isfinite(getattr(cfg, key)):
             raise ValueError(f"{key} must be a finite number, got {getattr(cfg, key)}")

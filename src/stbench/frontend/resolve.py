@@ -80,7 +80,6 @@ class TypedProgram:
     libraries: tuple["TypedProgram", ...] = ()
     sid_pou: dict[int, str] = field(default_factory=dict)
     sid_site: dict[int, tuple[str, object]] = field(default_factory=dict)
-    statement_count: int = 0
     # compiled POU bodies by name (stbench.runtime.interp), filled on first run
     runtime_cache: dict | None = field(default=None, repr=False, compare=False)
 
@@ -183,7 +182,6 @@ class _Resolver:
                 prog.sid_pou[sid] = info.name
                 prog.sid_site[sid] = (kind, node)
         self.cur = None
-        prog.statement_count = self.ast.statement_count
 
         if self.diags:
             raise ResolveError(self.diags, self.ast.src)

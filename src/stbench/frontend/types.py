@@ -118,12 +118,3 @@ def unify(a: STType, b: STType) -> STType | None:
         return a
     return None
 
-
-def family(ty: STType) -> str:
-    if ty.kind in SIGNED_INT_KINDS:
-        return "int"
-    if ty.kind in BIT_KINDS:
-        return "bits"
-    if ty.kind in REAL_KINDS:
-        return "real"
-    return ty.kind.value.lower()

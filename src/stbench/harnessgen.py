@@ -20,8 +20,9 @@ BOOL, integers, STRING and TIME; for REAL/LREAL the check is
 
 A PROGRAM, TEST_RUNNER, instantiates every case block, calls them all each
 scan, and mirrors their hook outputs into program-level variables
-TC_<n>_DONE / TC_<n>_PASS / TC_<n>_FAILS that the runtime's monitoring
-recognizes.
+TC_<n>_DONE / TC_<n>_PASS / TC_<n>_FAILS (`hook_var_names`), which the
+runner reads after each scan to write its monitor lines and to decide
+when the run is over.
 
 The unit under test and its libraries are parsed and resolved once, before
 the harness is built.  The case blocks and the program are built as AST
@@ -37,7 +38,7 @@ layer only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .frontend import nodes as N
 from .frontend import types as T
@@ -87,10 +88,10 @@ class HarnessBundle:
     # every layer whose text harness.st holds, with the amount to add to an
     # offset in the layer's own source to get its offset in harness.st
     layers: list[tuple[TypedProgram, int]]
-    hook_vars: dict[str, tuple[str, str, str]] = field(default_factory=dict)
 
 
 def hook_var_names(index: int) -> tuple[str, str, str]:
+    """The program variables mirroring case `index`'s DONE, PASS and FAILS."""
     return (f"TC_{index}_DONE", f"TC_{index}_PASS", f"TC_{index}_FAILS")
 
 
@@ -315,5 +316,4 @@ def build_harness(
         PROGRAM_NAME,
         cases,
         list(zip([*dependencies, typed], starts)),
-        {c.name: hook_var_names(c.index) for c in cases},
     )

@@ -4,6 +4,22 @@ The report carries the three headline metrics: number of test cases,
 statement coverage percentage of the unit under test, and the percentage of
 successful assertions, plus per-case verdicts with exact expected/actual
 values for every failed check.
+
+The runner owns the harness protocol.  `run_harness` runs the harness
+program with every case instance quarantined, so that a fault stops only
+its case.  It runs for at most the longest case's total dwell plus two
+scans (its last check scan and one spare), capped at MAX_SCANS, and stops
+after the scan in which every case that has not faulted is DONE.  After
+each scan it reads the hook variables the program mirrors
+(`harnessgen.hook_var_names`) and writes one monitor line
+
+    cycle=<n> t=<ms> events=[<e1>;<e2>;...]
+
+with the 0-based scan index, the simulated time the scan ran at, and in
+this order: `FAULT=<instance>@<sid>` for each case instance stopped by a
+contained fault in the scan, then per case in index order
+`TC_<i>_FAILS=<n>` when its failure counter rose and
+`TC_<i>_DONE=PASS|FAIL` when its done flag rose.
 """
 
 from __future__ import annotations
@@ -15,7 +31,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import coverage as cov
-from .frontend import types as T
 from .frontend.diagnostics import FrontendError
 from .frontend.parser import parse_source
 from .frontend.resolve import TypedProgram, resolve
@@ -26,9 +41,10 @@ from .harnessgen import (
     CollisionError,
     HarnessBundle,
     build_harness,
+    hook_var_names,
 )
 from .runtime import values as V
-from .runtime.interp import RuntimeFault, SimClock, run_program
+from .runtime.interp import ContainedFault, RunResult, RuntimeFault, SimClock, run_program
 from .testspec import MAX_SCANS, CheckedSuite
 
 
@@ -39,36 +55,6 @@ class PipelineError(Exception):
         self.phase = phase
         self.cause = cause
         super().__init__(f"[{phase}] {cause}")
-
-
-class TypeMismatch(Exception):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# comparison policy
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComparePolicy:
-    atol: float = DEFAULT_ATOL
-    rtol: float = DEFAULT_RTOL
-
-
-def compare(expected: V.Value, actual: V.Value, policy: ComparePolicy = ComparePolicy()) -> tuple[bool, str]:
-    """Check an actual value against an expectation.
-
-    Discrete types compare exactly; REAL/LREAL pass when
-    |actual - expected| <= atol + rtol * |expected|.  Returns the verdict
-    plus a rendered detail string; raises TypeMismatch across type families.
-    """
-    if T.family(expected.ty) != T.family(actual.ty):
-        raise TypeMismatch(f"cannot compare {expected.ty} with {actual.ty}")
-    detail = f"expected {V.render(expected)}, actual {V.render(actual)}"
-    if expected.ty.kind in (T.Kind.REAL, T.Kind.LREAL):
-        ok = abs(actual.v - expected.v) <= policy.atol + policy.rtol * abs(expected.v)
-        return ok, detail
-    return expected.v == actual.v, detail
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +184,45 @@ def load_program(unit: SourceUnit, libraries: Sequence[SourceUnit] = ()) -> Type
         raise PipelineError("assemble", exc) from exc
 
 
+def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResult, list[str]]:
+    """Run a harness by the protocol the module docstring states; return
+    the run and its monitor lines.  A fault outside every case instance
+    propagates as a RuntimeFault."""
+    clock = SimClock(now=0, cycle_time=cycle_time_ms)
+    lines: list[str] = []
+    # the cases whose hooks can still change: not DONE and not faulted
+    watched = [(c.index, c.instance_name, *hook_var_names(c.index)) for c in bundle.cases]
+    fails_before = dict.fromkeys((c.index for c in bundle.cases), 0)
+
+    def after_scan(store: dict[str, object], faults: list[ContainedFault]) -> bool:
+        events = [f"FAULT={f.instance}@{f.fault.sid}" for f in faults]
+        stopped = {f.instance for f in faults}
+        still = []
+        for case in watched:
+            index, instance, done, passed, fails = case
+            count = store[fails]
+            if count > fails_before[index]:
+                events.append(f"TC_{index}_FAILS={count}")
+            fails_before[index] = count
+            if store[done]:
+                events.append(f"TC_{index}_DONE={'PASS' if store[passed] else 'FAIL'}")
+            elif instance not in stopped:
+                still.append(case)
+        watched[:] = still
+        lines.append(f"cycle={len(lines)} t={clock.now} events=[{';'.join(events)}]")
+        return not watched
+
+    result = run_program(
+        bundle.typed,
+        bundle.program_name,
+        min(max(c.total_dwell + 2 for c in bundle.cases), MAX_SCANS),
+        clock,
+        after_scan,
+        quarantine={c.instance_name for c in bundle.cases},
+    )
+    return result, lines
+
+
 def run_suite(
     prog: TypedProgram,
     checked_suite: CheckedSuite,
@@ -221,30 +246,8 @@ def run_suite(
     except FrontendError as exc:
         raise PipelineError("assemble", exc) from exc
 
-    budget = min(max(c.total_dwell + 2 for c in bundle.cases), MAX_SCANS)
-    clock = SimClock(now=0, cycle_time=options.cycle_time_ms)
-    monitor_lines: list[str] = []
-    done_vars = [bundle.hook_vars[c.name][0] for c in bundle.cases]
-    instances = {c.instance_name for c in bundle.cases}
-
-    def all_done(store, dead) -> bool:
-        alive = [
-            done
-            for c, done in zip(bundle.cases, done_vars)
-            if c.instance_name not in dead
-        ]
-        return all(store[d] for d in alive)
-
     try:
-        result = run_program(
-            bundle.typed,
-            bundle.program_name,
-            budget,
-            clock,
-            monitor=monitor_lines.append,
-            stop_when=all_done,
-            quarantine=instances,
-        )
+        result, monitor_lines = run_harness(bundle, options.cycle_time_ms)
     except RuntimeFault as exc:
         raise PipelineError("execute", exc) from exc
 

@@ -18,10 +18,12 @@ or a list of raw elements for an ARRAY), and every store (an instance's,
 a built-in block's, TEMP defaults and function frames) maps a variable to
 its raw value; its type is the declared one.  `Value`s are built only at
 the boundary: `execute_cycle` unboxes its inputs into fresh lists, and
-`FbInstance.outputs()` boxes what it returns.  A raw ARRAY list is shared,
-never mutated: whole-array stores, same-typed FB inputs, TEMP resets and
-function frames pass it by reference, so an element store copies the list
-first and stores the copy (copy on write).
+`FbInstance.outputs()` boxes what it returns.  Each store owns its ARRAY
+lists, so an element store writes in place: a list is copied where it
+would otherwise become shared, which the compiler knows at each site (a
+whole-array store, a same-typed array FB input, IN_OUT argument or
+function argument, a TEMP reset from `_Pou.temps` and a function frame
+from `_Pou.initial`).
 
 Memory: a run builds no reference cycles.  Stores hold raw values and
 lists of them, which refer to nothing.  The compiled code is cached on the
@@ -42,21 +44,11 @@ it unwinds through prepends its instance path segment.  Calls nest at most
 64 deep; a chain that exhausts Python's recursion limit first becomes the
 fault "call stack too deep" at the innermost call site with room to raise
 it.
-
-Monitoring: run_program emits one line per scan in the fixed format
-
-    cycle=<n> t=<ms> events=[<e1>;<e2>]
-
-where events report harness hook activity: `TC_<i>_FAILS=<n>` when a
-case's failure counter increases, `TC_<i>_DONE=PASS|FAIL` when its done
-flag rises, and `FAULT=<instance>@<sid>` when a quarantined instance is
-stopped by a contained fault.  Cycle indices are 0-based.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -267,9 +259,13 @@ def _fault(site: tuple[str, int, Span], cause) -> RuntimeFault:
 
 
 def _store_conv(src: T.STType | None, dst: T.STType):
-    """The raw conversion a store of `src` into a `dst` slot needs, or
-    None when the raw value is stored as is (V.convert_for_store)."""
-    return None if src == dst else V.coercer(dst)
+    """The raw conversion a store of `src` into a `dst` slot needs, or None
+    when the raw value is stored as is.  A scalar of another type is
+    coerced as `V.make` would; an ARRAY is copied, since its list belongs
+    to the store it was read from."""
+    if src != dst:
+        return V.coercer(dst)
+    return list if dst.kind is T.Kind.ARRAY else None
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +288,7 @@ class _Pou:
     """One POU: its body, compiled on first execution, and what a caller
     needs to set up its frame."""
 
-    __slots__ = ("info", "name", "index", "temps", "initial", "body")
+    __slots__ = ("info", "name", "index", "temps", "initial", "copies", "body")
 
     def __init__(self, info: PouInfo):
         self.info = info
@@ -302,7 +298,24 @@ class _Pou:
             v.name: V.zero(v.ty) for v in info.vars.values() if v.section is Section.TEMP
         }
         self.initial = _initial_store(info) if info.kind is PouKind.FUNCTION else None
+        # the ARRAYs of what a function frame (or else a TEMP reset) starts
+        # from: each start copies them, so that no two stores share a list
+        start = self.temps if self.initial is None else self.initial
+        self.copies = tuple(name for name, raw in start.items() if isinstance(raw, list))
         self.body = None
+
+    def reset_temps(self, store: dict) -> None:
+        """Set a store's TEMP variables to their zeros."""
+        store.update(self.temps)
+        for name in self.copies:
+            store[name] = list(store[name])
+
+    def frame(self) -> dict:
+        """A new function frame, every variable at its initial value."""
+        frame = dict(self.initial)
+        for name in self.copies:
+            frame[name] = list(frame[name])
+        return frame
 
     def code(self, prog: TypedProgram) -> tuple:
         body = self.body
@@ -518,7 +531,7 @@ class _Compiler:
             except _TRAPS as exc:
                 raise _fault(site, exc) from None
             if temps:
-                fstore.update(temps)
+                callee.reset_temps(fstore)
             scan.depth += 1
             try:
                 if scan.depth > _MAX_CALL_DEPTH:
@@ -728,9 +741,7 @@ class _Compiler:
                 idx = index(store, nested, scan)
                 if not lo <= idx <= hi:
                     raise _Trap(f"array index {idx} outside {lo}..{hi}")
-                items = list(store[name])  # the old list may be shared
-                items[idx - lo] = conv(raw)
-                store[name] = items
+                store[name][idx - lo] = conv(raw)
             return put
         raise TypeError(f"invalid assignment target {e!r}")  # pragma: no cover
 
@@ -805,7 +816,6 @@ class _Compiler:
     def call_function(self, e: N.Call):
         callee = _pou(self.prog, e.name)
         fname = callee.name
-        initial = callee.initial
         params = [v for v in callee.info.vars.values() if v.section is Section.INPUT]
         args = tuple((p.name, self.value_for(a, p.ty)) for p, a in zip(params, e.args))
         segment = f"/{fname}()"
@@ -815,7 +825,7 @@ class _Compiler:
             try:
                 if scan.depth > _MAX_CALL_DEPTH:
                     raise _Trap("call depth exceeded")
-                frame = dict(initial)
+                frame = callee.frame()
                 for name, arg in args:
                     frame[name] = arg(store, nested, scan)
                 try:
@@ -839,7 +849,7 @@ def _run_instance(inst: FbInstance, scan: _Scan) -> None:
     """One scan of an instance's body, its TEMP variables reset first."""
     pou = _pou(inst.prog, inst.fb_type)
     if pou.temps:
-        inst.store.update(pou.temps)
+        pou.reset_temps(inst.store)
     try:
         pou.run(inst.store, inst.nested, scan)
     except RuntimeFault as fault:
@@ -887,36 +897,10 @@ class ContainedFault:
 class RunResult:
     instance: FbInstance
     traces: list[ScanTrace]
-    records: list[str]
     faults: list[ContainedFault]
     cycles_executed: int
-    final_time: int = 0
     # per POU: statement id -> times executed, over the whole run
     counts: dict[str, dict[int, int]] = field(default_factory=dict)
-
-
-_HOOK_RE = re.compile(r"^TC_(\d+)_(DONE|PASS|FAILS)$")
-
-
-def _hook_slots(store: dict[str, object]) -> list[tuple[int, str | None, str | None, str | None]]:
-    """The harness hook variables in a program store, by case index."""
-    cases: dict[int, dict[str, str]] = {}
-    for name in store:
-        m = _HOOK_RE.match(name)
-        if m:
-            cases.setdefault(int(m.group(1)), {})[m.group(2)] = name
-    return [(i, d.get("DONE"), d.get("PASS"), d.get("FAILS")) for i, d in sorted(cases.items())]
-
-
-def _hook_snapshot(store: dict[str, object], slots) -> list[tuple[bool, bool, int]]:
-    return [
-        (
-            bool(store[done]) if done else False,
-            bool(store[passed]) if passed else False,
-            int(store[fails]) if fails else 0,
-        )
-        for _i, done, passed, fails in slots
-    ]
 
 
 def run_program(
@@ -924,18 +908,19 @@ def run_program(
     program_name: str,
     cycles: int,
     clock: SimClock,
-    monitor: Callable[[str], None] | None = None,
-    stop_when: Callable[[dict[str, object], frozenset[str]], bool] | None = None,
+    after_scan: Callable[[dict[str, object], list[ContainedFault]], bool] | None = None,
     quarantine: frozenset[str] | set[str] = frozenset(),
 ) -> RunResult:
-    """Run a PROGRAM POU for up to `cycles` scans, one monitor record each.
+    """Run a PROGRAM POU for up to `cycles` scans.
 
-    Faults raised inside quarantined instances (by store name in the
-    program) stop only that instance; everything else keeps running.  The
-    sites the stopped call executed are given back to the scan's budget
-    while the scan's spare lasts, so one runaway instance does not fault
-    the statements after it, yet a scan stays bounded.  Faults outside
-    quarantined scopes propagate with the cycle attached.
+    After each scan, before the clock advances, `after_scan` gets the
+    program's store and the faults contained in that scan; the run stops
+    once it returns true.  Faults raised inside quarantined instances (by
+    store name in the program) stop only that instance; everything else
+    keeps running.  The sites the stopped call executed are given back to
+    the scan's budget while the scan's spare lasts, so one runaway instance
+    does not fault the statements after it, yet a scan stays bounded.
+    Faults outside quarantined scopes propagate with the cycle attached.
     """
     info = prog.lookup_pou(program_name.upper())
     if info is None or info.kind is not PouKind.PROGRAM:
@@ -953,18 +938,14 @@ def run_program(
     contained: list[ContainedFault] = []
     scan = _Scan(prog)
     cnt = pou.counts(scan)
-    hook_slots = _hook_slots(store)
-    prev_hooks = _hook_snapshot(store, hook_slots)
-
     traces: list[ScanTrace] = []
-    records: list[str] = []
     cycles_executed = 0
 
     for cycle in range(cycles):
         scan.begin(clock.now)
         if pou.temps:
-            store.update(pou.temps)
-        events: list[str] = []
+            pou.reset_temps(store)
+        first = len(contained)
         try:
             for run, guard in body:
                 if guard is None:
@@ -981,7 +962,6 @@ def run_program(
                         fault.cycle = cycle
                         dead.add(guard)
                         contained.append(ContainedFault(guard, fault, cycle))
-                        events.append(f"FAULT={guard}@{fault.sid}")
                         scan.refund(budget)
         except _ReturnPou:
             pass
@@ -990,26 +970,11 @@ def run_program(
             fault.cycle = cycle
             raise
         traces.append(ScanTrace(scan.sites()))
-
-        hooks = _hook_snapshot(store, hook_slots)
-        for (i, *_names), (done, passed, fails), (pdone, _ppassed, pfails) in zip(
-            hook_slots, hooks, prev_hooks
-        ):
-            if fails > pfails:
-                events.append(f"TC_{i}_FAILS={fails}")
-            if done and not pdone:
-                events.append(f"TC_{i}_DONE={'PASS' if passed else 'FAIL'}")
-        prev_hooks = hooks
-
-        record = f"cycle={cycle} t={clock.now} events=[{';'.join(events)}]"
-        records.append(record)
-        if monitor is not None:
-            monitor(record)
-
+        stop = after_scan is not None and after_scan(store, contained[first:])
         clock.advance()
         cycles_executed = cycle + 1
-        if stop_when is not None and stop_when(store, frozenset(dead)):
+        if stop:
             break
 
     counts = {name: _pou(prog, name).hits(c) for name, c in scan.counts.items()}
-    return RunResult(inst, traces, records, contained, cycles_executed, clock.now, counts)
+    return RunResult(inst, traces, contained, cycles_executed, counts)

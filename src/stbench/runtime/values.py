@@ -125,8 +125,6 @@ def convert_for_store(val: Value, dst: STType) -> Value:
     if val.ty == dst:
         return val
     if val.ty.kind is Kind.ARRAY or dst.kind is Kind.ARRAY:
-        if val.ty == dst:
-            return val
         raise TypeError(f"cannot store {val.ty} into {dst}")
     if val.ty.kind is dst.kind or (val.ty.kind, dst.kind) in T.WIDENS:
         return make(dst, val.v)

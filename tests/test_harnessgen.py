@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,7 +9,7 @@ from stbench.frontend.nodes import iter_sites, site_span
 from stbench.frontend.pretty import format_literal
 from stbench.harnessgen import CollisionError, build_case_fb, build_harness, value_literal
 from stbench.frontend import types as T
-from stbench.runtime import SimClock, run_program
+from stbench.runner import run_harness
 from stbench.runtime import values as V
 from stbench.testspec import parse_suite, validate
 
@@ -18,18 +20,9 @@ def checked_suite(csv_text, fb, prog):
     return validate(parse_suite(csv_text, fb), prog)
 
 
-def run_bundle(bundle, cycle_time=10, cycles=None):
-    budget = cycles or (max(c.total_dwell for c in bundle.cases) + 2)
-    clock = SimClock(cycle_time=cycle_time)
-    return run_program(
-        bundle.typed,
-        bundle.program_name,
-        budget,
-        clock,
-        stop_when=lambda store, dead: all(
-            store[f"TC_{c.index}_DONE"] for c in bundle.cases if c.instance_name not in dead
-        ),
-    )
+def run_bundle(bundle, cycle_time=10):
+    result, _monitor = run_harness(bundle, cycle_time)
+    return result
 
 
 def case_outcome(result, bundle, name):
@@ -121,6 +114,17 @@ def test_dwell_cycles_allow_timer_expiry():
     outcome = case_outcome(run_bundle(bundle, cycle_time=50), bundle, "tc")
     assert outcome["pass"] is False and outcome["fails"] == 1
 
+    # TIME compares exactly: after 5 scans ET is 200 ms (table[4])
+    for expected, verdict in (("T#200ms", True), ("T#250ms", False), ("T#199ms", False)):
+        suite = checked_suite(
+            f"test_name,state,dwell_cycles,IN,PT,expect_ET\ntc,1,5,TRUE,T#400ms,{expected}\n",
+            "DELAY_GATE",
+            prog,
+        )
+        bundle = build_harness(suite, prog, cycle_time_ms=50)
+        outcome = case_outcome(run_bundle(bundle, cycle_time=50), bundle, "tc")
+        assert (outcome["pass"], outcome["actuals"]) == (verdict, {"A_1_ET": 200}), expected
+
 
 SEQ_PROBE = """
 FUNCTION_BLOCK SEQ_PROBE
@@ -190,11 +194,13 @@ def test_monitor_records_report_hook_events(dec_assets):
         prog,
     )
     bundle = build_harness(suite, prog)
-    clock = SimClock(cycle_time=10)
-    records = []
-    run_program(bundle.typed, bundle.program_name, 3, clock, monitor=records.append)
-    assert records[0] == "cycle=0 t=0 events=[]"
-    assert records[1] == "cycle=1 t=10 events=[TC_1_DONE=PASS;TC_2_FAILS=1;TC_2_DONE=FAIL]"
+    result, records = run_harness(bundle, 10)
+    # both cases are DONE after the check scan, which ends the run
+    assert records == [
+        "cycle=0 t=0 events=[]",
+        "cycle=1 t=10 events=[TC_1_DONE=PASS;TC_2_FAILS=1;TC_2_DONE=FAIL]",
+    ]
+    assert result.cycles_executed == 2
 
 
 def test_collision_with_existing_pou_name():
@@ -250,6 +256,29 @@ def test_case_reordering_does_not_change_verdicts(dec_assets):
     assert verdicts["ab"] == verdicts["ba"] == {"tc_x": True, "tc_y": False}
 
 
+LAMBERT_W_SRC = """
+FUNCTION_BLOCK LAMBERT_W
+VAR_INPUT X : LREAL; END_VAR
+VAR_OUTPUT W : LREAL; END_VAR
+VAR I : INT; EW : LREAL; END_VAR
+W := 0.5;
+FOR I := 1 TO 60 DO
+    EW := EXP(W);
+    W := W - (W * EW - X) / (EW * (W + 1.0));
+END_FOR;
+END_FUNCTION_BLOCK
+"""
+
+
+def lambert_w(x: float) -> float:
+    """Newton iteration for w * e^w = x; the independent reference."""
+    w = 0.5
+    for _ in range(60):
+        ew = math.exp(w)
+        w -= (w * ew - x) / (ew * (w + 1))
+    return w
+
+
 def test_real_tolerance_comparison_baked_into_code():
     src = corpus.block_source("PI_CTRL")
     prog = resolve(parse_text(src, "PI_CTRL"))
@@ -262,6 +291,25 @@ def test_real_tolerance_comparison_baked_into_code():
     assert case_outcome(run_bundle(bundle), bundle, "tc")["pass"] is True
     tight = build_harness(suite, prog, atol=1e-5, rtol=1e-6)
     assert case_outcome(run_bundle(tight), tight, "tc")["pass"] is False
+
+    def passes(suite, prog, atol, rtol):
+        bundle = build_harness(suite, prog, atol=atol, rtol=rtol)
+        return case_outcome(run_bundle(bundle), bundle, "tc")["pass"]
+
+    # OUT is 11.0, 1e-3 from the expectation: rtol alone passes it at
+    # 1e-4 * 11.001 and fails it at 5e-5 * 11.001
+    assert passes(suite, prog, 0.0, 1e-4) is True
+    assert passes(suite, prog, 0.0, 5e-5) is False
+
+    # W(1) = 0.567143...: 0.5671 is within atol 1e-3, not within 1e-9 + 1e-9 * |0.5671|
+    w1 = lambert_w(1.0)
+    assert abs(w1 * math.exp(w1) - 1.0) < 1e-12 and round(w1, 6) == 0.567143
+    w_prog = resolve(parse_text(LAMBERT_W_SRC))
+    w_suite = checked_suite("test_name,state,X,expect_W\ntc,1,1.0,0.5671\n", "LAMBERT_W", w_prog)
+    bundle = build_harness(w_suite, w_prog, atol=1e-3, rtol=0.0)
+    outcome = case_outcome(run_bundle(bundle), bundle, "tc")
+    assert outcome["pass"] is True and abs(outcome["actuals"]["A_1_W"] - w1) < 1e-12
+    assert passes(w_suite, w_prog, 1e-9, 1e-9) is False
 
 
 def test_st_literal_forms():

@@ -356,16 +356,36 @@ def test_determinism_bit_identical_runs():
 # run_program
 # ---------------------------------------------------------------------------
 
+def fault_log(log):
+    """An after_scan callback that logs each scan's contained faults as
+    (instance, cycle, sid) and never stops the run."""
+
+    def after_scan(store, faults):
+        log.append([(f.instance, f.cycle, f.fault.sid) for f in faults])
+        return False
+    return after_scan
+
+
 def test_run_program_empty_body_clock_and_records():
     prog = prog_of("PROGRAM MAIN VAR X : INT; END_VAR END_PROGRAM")
     clock = SimClock(cycle_time=10)
-    records = []
-    result = run_program(prog, "MAIN", 10, clock, monitor=records.append)
+    seen = []
+
+    def after_scan(store, faults):
+        seen.append((clock.now, store["X"], faults))
+        return False
+
+    result = run_program(prog, "MAIN", 10, clock, after_scan)
     assert clock.now == 100
-    assert len(records) == 10
-    assert records[0] == "cycle=0 t=0 events=[]"
-    assert records[9] == "cycle=9 t=90 events=[]"
+    # once per scan, before the clock advances
+    assert seen == [(t, 0, []) for t in range(0, 100, 10)]
     assert result.cycles_executed == 10
+
+    # a true return ends the run after that scan, the clock advanced
+    clock = SimClock(cycle_time=10)
+    stops = iter([False, False, False, True])
+    result = run_program(prog, "MAIN", 10, clock, lambda store, faults: next(stops))
+    assert (result.cycles_executed, clock.now, len(result.traces)) == (4, 40, 4)
 
 
 def test_run_program_fault_carries_cycle():
@@ -413,9 +433,9 @@ def test_contained_budget_fault_stops_only_its_instance():
         END_PROGRAM
         """
     )
-    records = []
+    per_scan = []
     result = run_program(
-        prog, "MAIN", 4, SimClock(), monitor=records.append, quarantine={"A", "S", "B"}
+        prog, "MAIN", 4, SimClock(), fault_log(per_scan), quarantine={"A", "S", "B"}
     )
     # S spins from its second scan on; the budget runs out at its WHILE guard
     (contained,) = result.faults
@@ -424,8 +444,7 @@ def test_contained_budget_fault_stops_only_its_instance():
     assert contained.fault.describe() == (
         "scan statement budget exceeded (possible unbounded loop) (SPIN#1) in MAIN.S at cycle 1"
     )
-    assert records[1] == "cycle=1 t=10 events=[FAULT=S@1]"
-    assert [r.endswith("events=[]") for r in records] == [True, False, True, True]
+    assert per_scan == [[], [("S", 1, 1)], [], []]
     # the instances before and after S ran every scan
     store = result.instance.store
     assert (store["NA"], store["NB"]) == (4, 4)
@@ -461,14 +480,14 @@ def test_contained_budget_faults_share_a_bounded_scan(monkeypatch):
     monkeypatch.setattr(interp, "_SCAN_SITE_BUDGET", 100)
     prog = prog_of(SPINNERS_SRC)
     every = {"S1", "S2", "S3", "S4"}
-    records = []
-    result = run_program(prog, "MAIN3", 2, SimClock(), monitor=records.append, quarantine=every)
+    per_scan = []
+    result = run_program(prog, "MAIN3", 2, SimClock(), fault_log(per_scan), quarantine=every)
     # each runaway call spends a whole budget and gets it back from the
     # scan's spare of three budgets, so the statement after them still runs
     assert [(f.instance, f.cycle, f.fault.sid) for f in result.faults] == [
         ("S1", 0, 0), ("S2", 0, 0), ("S3", 0, 0)
     ]
-    assert records[0] == "cycle=0 t=0 events=[FAULT=S1@0;FAULT=S2@0;FAULT=S3@0]"
+    assert per_scan == [[("S1", 0, 0), ("S2", 0, 0), ("S3", 0, 0)], []]
     assert result.instance.store["K"] == 2
     assert [len(t) for t in result.traces] == [3 * 100 + 1, 1]
     # a fourth runaway call in the same scan finds no spare left: the scan
@@ -692,3 +711,45 @@ def test_outputs_are_the_values_a_store_of_values_held():
     assert repr(out) == repr(expected)  # same python types, not just equal
     assert idle["O_ARR"] == default(arr) and repr(idle["O_ARR"]) == repr(default(arr))
     assert repr(idle["O_BOOL"]) == repr(default(T.BOOL))
+
+
+def test_element_stores_write_the_owned_list_in_place():
+    prog = prog_of(
+        """
+        FUNCTION_BLOCK FILL
+        VAR_OUTPUT B : ARRAY[1..3] OF DINT; END_VAR
+        VAR A : ARRAY[1..3] OF DINT; I : INT; END_VAR
+        FOR I := 1 TO 3 DO A[I] := I; END_FOR;
+        B := A;
+        A[1] := 7;
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "FILL")
+    owned = inst.store["A"]
+    execute_cycle(inst, {}, SimClock())
+    assert inst.store["A"] is owned and owned == [7, 2, 3]
+    # the whole-array store took a list of its own
+    assert inst.store["B"] == [1, 2, 3]
+
+
+def test_in_out_array_is_copied_in_and_out():
+    prog = prog_of(
+        """
+        FUNCTION_BLOCK BUMP_FIRST
+        VAR_IN_OUT A : ARRAY[1..2] OF INT; END_VAR
+        A[1] := A[1] + 1;
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK OWNER
+        VAR B : ARRAY[1..2] OF INT; S : BUMP_FIRST; END_VAR
+        S(A := B);
+        B[2] := B[2] + 10;
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "OWNER")
+    for k in (1, 2):
+        execute_cycle(inst, {}, SimClock())
+        # the caller's element store after the call leaves the block's copy alone
+        assert inst.store["B"] == [k, 10 * k]
+        assert inst.nested["S"].store["A"] == [k, 10 * (k - 1)]
