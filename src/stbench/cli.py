@@ -187,17 +187,17 @@ def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[Checked
         raise _Unusable(f"provider query failed: {exc}") from exc
     print(f"provider {exchange.provider_id} answered in {exchange.latency_ms:.0f} ms")
     # wall-clock data stays out of a reproducible run's artifacts
-    llm.persist_exchange(replace(exchange, latency_ms=None) if cfg.fixed_clock else exchange, out)
+    saved = llm.persist_exchange(replace(exchange, latency_ms=None) if cfg.fixed_clock else exchange, out)
 
     try:
         csv_text = llm.extract_csv(exchange.response_text)
     except llm.NoCsvFound as exc:
-        print(f"raw exchange kept at {out / 'exchange_0.json'}", file=sys.stderr)
+        print(f"raw exchange kept at {saved}", file=sys.stderr)
         raise _Unusable(str(exc)) from exc
     try:
         suite = parse_suite(csv_text, fb_name)
     except CsvError as exc:
-        raise _Unusable(f"CSV malformed: {exc} (hint: the response is at {out / 'exchange_0.json'})") from exc
+        raise _Unusable(f"CSV malformed: {exc} (hint: the response is at {saved})") from exc
 
     suite, dropped = drop_unknown_columns(suite, prog.lookup_pou(fb_name))
     for col in dropped:

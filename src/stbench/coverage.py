@@ -1,17 +1,19 @@
 """Statement coverage: accumulate hit counts, summarize, render.
 
-The ground truth is the per-POU map of statement-id hit counts; the
-line-oriented renderings (annotated listing, LCOV text) are lossy views
-where multiple statements on one line collapse to the line's maximum count.
+The ground truth is the per-POU map of statement-id hit counts.  The
+line-oriented renderings (annotated listing, LCOV text) are lossy views of
+one line map, built by `line_counts` from each POU's site nodes, where
+multiple statements on one line collapse to the line's maximum count.
 Percentages are rounded half-up to two decimals.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
+from .frontend.nodes import site_span
 from .frontend.resolve import TypedProgram
 from .frontend.source import SourceUnit
 
@@ -48,7 +50,7 @@ class CoverageMap:
         counts: dict[str, dict[int, int]] = {}
         for unit in prog.layers():  # lookup order: the first definition wins
             for name, info in unit.pous.items():
-                counts.setdefault(name, {sid: 0 for sid in info.sids})
+                counts.setdefault(name, {node.sid: 0 for node in info.sites})
         return cls(counts)
 
 
@@ -77,14 +79,10 @@ class PouCoverage:
 class CoverageSummary:
     per_pou: dict[str, PouCoverage]
     unit_name: str
-    unit: PouCoverage = field(default=None)
-
-    def __post_init__(self):
-        if self.unit is None:
-            self.unit = self.per_pou[self.unit_name]
+    unit: PouCoverage
 
 
-def summarize(cov: CoverageMap, prog: TypedProgram, unit_under_test: str) -> CoverageSummary:
+def summarize(cov: CoverageMap, unit_under_test: str) -> CoverageSummary:
     """Per-POU statistics plus the headline aggregate, which covers the unit
     under test only (harness and library POUs report individually)."""
     unit_under_test = unit_under_test.upper()
@@ -95,37 +93,39 @@ def summarize(cov: CoverageMap, prog: TypedProgram, unit_under_test: str) -> Cov
         total = len(sids)
         hit = sum(1 for c in sids.values() if c > 0)
         per_pou[pou] = PouCoverage(total, hit, round_pct(hit, total))
-    return CoverageSummary(per_pou, unit_under_test)
+    return CoverageSummary(per_pou, unit_under_test, per_pou[unit_under_test])
 
 
 # ---------------------------------------------------------------------------
 # line-oriented renderings
 # ---------------------------------------------------------------------------
 
-def _line_counts(cov: CoverageMap, layers: Layers, src: SourceUnit) -> dict[int, int]:
-    """Map executable lines of `src` to hit counts (max across statements).
+def line_counts(cov: CoverageMap, layers: Layers, src: SourceUnit) -> dict[int, int]:
+    """Map executable lines of `src` to hit counts (max across statements),
+    the input of both renderings.
 
     `layers` pairs each program whose text `src` holds with the amount to
     add to an offset in that program's own source to get its offset in
-    `src`."""
+    `src`.  A site whose POU name or sid is outside the map's domain is
+    skipped."""
     lines: dict[int, int] = {}
     for unit, shift in layers:
-        for sid, pou in unit.sid_pou.items():
-            if pou not in cov.counts or sid not in cov.counts[pou]:
+        for info in unit.pous.values():
+            per_pou = cov.counts.get(info.name)
+            if per_pou is None:
                 continue
-            line = src.line_of(shift + unit.sid_span(sid).start)
-            count = cov.counts[pou][sid]
-            if line in lines:
-                lines[line] = max(lines[line], count)
-            else:
-                lines[line] = count
+            for node in info.sites:
+                count = per_pou.get(node.sid)
+                if count is not None:
+                    line = src.line_of(shift + site_span(node).start)
+                    lines[line] = max(lines.get(line, count), count)
     return lines
 
 
-def render_annotated(cov: CoverageMap, layers: Layers, src: SourceUnit) -> str:
-    """GCOV-style annotated listing: per-line hit counts, `#####` on
-    uncovered executable lines, `-` on non-executable ones."""
-    lines = _line_counts(cov, layers, src)
+def render_annotated(lines: dict[int, int], src: SourceUnit) -> str:
+    """GCOV-style annotated listing of `src` from its line counts: per-line
+    hit counts, `#####` on uncovered executable lines, `-` on
+    non-executable ones."""
     out = []
     for lineno in range(1, src.line_count() + 1):
         text = src.line_text(lineno)
@@ -139,9 +139,8 @@ def render_annotated(cov: CoverageMap, layers: Layers, src: SourceUnit) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_lcov(cov: CoverageMap, layers: Layers, src: SourceUnit) -> str:
-    """LCOV tracefile records (SF/DA/LF/LH) for the unit's source file."""
-    lines = _line_counts(cov, layers, src)
+def render_lcov(lines: dict[int, int], src: SourceUnit) -> str:
+    """LCOV tracefile records (SF/DA/LF/LH) for `src` from its line counts."""
     out = [f"SF:{src.origin}"]
     for lineno in sorted(lines):
         out.append(f"DA:{lineno},{lines[lineno]}")

@@ -72,9 +72,6 @@ class Token:
     norm: str = ""
     value: object = field(default=None)
 
-    def is_kw(self, word: str) -> bool:
-        return self.kind is TokKind.KEYWORD and self.norm == word
-
     def __repr__(self) -> str:  # compact for test failure output
         return f"<{self.kind.value} {self.lexeme!r}>"
 

@@ -2,10 +2,14 @@
 
 Spans, statement ids and resolved types are carried on the nodes but are
 excluded from equality, so two parses of equivalent source compare equal
-structurally.  Statement ids are dense 0-based over a compilation unit and
-are assigned by the parser after a successful parse; branch-guard sites
-(IF/ELSIF guards, CASE selectors, loop headers) get their own ids, mirroring
-line-oriented coverage tools at AST level.
+structurally.  A statement site is a node with a `sid` field, and each site
+node is exactly one site: a simple statement (assignment, FB call, EXIT,
+RETURN), an IF/ELSIF branch, or a CASE, FOR, WHILE or REPEAT statement, which
+stands for its selector, header or condition.  Sids are dense and 0-based
+over a compilation unit, assigned in source order after a successful parse
+(`assign_statement_ids`), which mirrors line-oriented coverage tools at AST
+level.  `iter_sites` walks a body's site nodes and `site_span` gives the
+span a site is reported at.
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ class IfBranch:
     cond: Expr
     body: list[Stmt]
     span: Span = field(compare=False, default=Span(0, 0))
-    guard_sid: int = field(compare=False, default=_NO_SID)
+    sid: int = field(compare=False, default=_NO_SID)
 
 
 @dataclass
@@ -166,7 +170,7 @@ class CaseStmt(Stmt):
     branches: list[CaseBranch]
     else_body: list[Stmt]
     span: Span = field(compare=False, default=Span(0, 0))
-    selector_sid: int = field(compare=False, default=_NO_SID)
+    sid: int = field(compare=False, default=_NO_SID)
 
 
 @dataclass
@@ -177,7 +181,7 @@ class ForStmt(Stmt):
     step: Expr | None
     body: list[Stmt]
     span: Span = field(compare=False, default=Span(0, 0))
-    header_sid: int = field(compare=False, default=_NO_SID)
+    sid: int = field(compare=False, default=_NO_SID)
 
 
 @dataclass
@@ -185,7 +189,7 @@ class WhileStmt(Stmt):
     cond: Expr
     body: list[Stmt]
     span: Span = field(compare=False, default=Span(0, 0))
-    cond_sid: int = field(compare=False, default=_NO_SID)
+    sid: int = field(compare=False, default=_NO_SID)
 
 
 @dataclass
@@ -193,7 +197,7 @@ class RepeatStmt(Stmt):
     body: list[Stmt]
     until: Expr
     span: Span = field(compare=False, default=Span(0, 0))
-    until_sid: int = field(compare=False, default=_NO_SID)
+    sid: int = field(compare=False, default=_NO_SID)
 
 
 @dataclass
@@ -285,72 +289,51 @@ class Ast:
 # ---------------------------------------------------------------------------
 
 def iter_sites(body: list[Stmt]):
-    """Yield (kind, node) for every id site in source order.
-
-    kind is one of 'stmt', 'guard', 'selector', 'header', 'cond', 'until';
-    the numbering pass and the coverage renderers share this walk.
-    """
+    """Yield every site node of `body` in source order: a simple statement,
+    an IF/ELSIF branch, or a CASE, FOR, WHILE or REPEAT statement.  Each
+    carries its own `sid`; the numbering pass and the resolver's per-POU
+    site list share this walk."""
     for st in body:
         if isinstance(st, (Assign, FbCall, ExitStmt, ReturnStmt)):
-            yield "stmt", st
+            yield st
         elif isinstance(st, IfStmt):
             for br in st.branches:
-                yield "guard", br
+                yield br
                 yield from iter_sites(br.body)
             yield from iter_sites(st.else_body)
         elif isinstance(st, CaseStmt):
-            yield "selector", st
+            yield st
             for br in st.branches:
                 yield from iter_sites(br.body)
             yield from iter_sites(st.else_body)
-        elif isinstance(st, ForStmt):
-            yield "header", st
-            yield from iter_sites(st.body)
-        elif isinstance(st, WhileStmt):
-            yield "cond", st
+        elif isinstance(st, (ForStmt, WhileStmt)):
+            yield st
             yield from iter_sites(st.body)
         elif isinstance(st, RepeatStmt):
             yield from iter_sites(st.body)
-            yield "until", st
+            yield st
         else:  # pragma: no cover - parser emits no other statement kinds
             raise TypeError(f"unknown statement {st!r}")
 
 
-_SID_ATTR = {
-    "stmt": "sid",
-    "guard": "guard_sid",
-    "selector": "selector_sid",
-    "header": "header_sid",
-    "cond": "cond_sid",
-    "until": "until_sid",
-}
-
-
-def site_sid(kind: str, node) -> int:
-    return getattr(node, _SID_ATTR[kind])
-
-
-def site_span(kind: str, node) -> Span:
-    if kind == "guard":
-        return node.cond.span if hasattr(node.cond, "span") else node.span
-    if kind == "selector":
-        return node.selector.span if hasattr(node.selector, "span") else node.span
-    if kind == "cond":
-        return node.cond.span if hasattr(node.cond, "span") else node.span
-    if kind == "until":
-        return node.until.span if hasattr(node.until, "span") else node.span
+def site_span(node) -> Span:
+    """Where a site sits in its source: the condition of an IF/ELSIF branch
+    or a WHILE, the selector of a CASE, the UNTIL expression of a REPEAT,
+    and otherwise the node itself."""
+    if isinstance(node, (IfBranch, WhileStmt)):
+        return node.cond.span
+    if isinstance(node, CaseStmt):
+        return node.selector.span
+    if isinstance(node, RepeatStmt):
+        return node.until.span
     return node.span
 
 
 def assign_statement_ids(ast: Ast) -> None:
-    """Number every id site densely, 0-based, in source order over the unit."""
+    """Number every site densely, 0-based, in source order over the unit."""
     next_id = 0
     for pou in ast.pous:
-        for kind, node in iter_sites(pou.body):
-            setattr(node, _SID_ATTR[kind], next_id)
+        for node in iter_sites(pou.body):
+            node.sid = next_id
             next_id += 1
     ast.statement_count = next_id
-
-
-def pou_sids(pou: PouDecl) -> list[int]:
-    return [site_sid(kind, node) for kind, node in iter_sites(pou.body)]

@@ -24,6 +24,7 @@ from .nodes import (
     ExitStmt,
     FbCall,
     ForStmt,
+    IfBranch,
     IfStmt,
     IndexRef,
     Literal,
@@ -40,8 +41,6 @@ from .nodes import (
     VarRef,
     WhileStmt,
     iter_sites,
-    site_sid,
-    site_span,
 )
 from .source import SourceUnit, Span
 
@@ -63,7 +62,7 @@ class PouInfo:
     vars: dict[str, VarInfo]
     fb_instances: dict[str, str]  # instance var -> FB type name
     ret_type: T.STType | None = None
-    sids: tuple[int, ...] = ()
+    sites: tuple[Stmt | IfBranch, ...] = ()  # the body's site nodes, in sid order
 
     def inputs(self) -> list[VarInfo]:
         return [v for v in self.vars.values() if v.section is Section.INPUT]
@@ -78,8 +77,6 @@ class TypedProgram:
     src: SourceUnit | None
     pous: dict[str, PouInfo]
     libraries: tuple["TypedProgram", ...] = ()
-    sid_pou: dict[int, str] = field(default_factory=dict)
-    sid_site: dict[int, tuple[str, object]] = field(default_factory=dict)
     # compiled POU bodies by name (stbench.runtime.interp), filled on first run
     runtime_cache: dict | None = field(default=None, repr=False, compare=False)
 
@@ -108,13 +105,6 @@ class TypedProgram:
                 out.append(unit)
                 stack.extend(reversed(unit.libraries))
         return out
-
-    def pou_names(self) -> list[str]:
-        return list(self.pous)
-
-    def sid_span(self, sid: int) -> Span:
-        kind, node = self.sid_site[sid]
-        return site_span(kind, node)
 
 
 @dataclass
@@ -172,20 +162,15 @@ class _Resolver:
         for info in order:
             self.declare_pou(info)
 
-        prog = TypedProgram(self.ast, self.ast.src, self.pous, self.libraries)
         for info in self.pous.values():
             self.cur = info
             self.check_body(info.decl.body)
-            info.sids = tuple(site_sid(kind, node) for kind, node in iter_sites(info.decl.body))
-            for kind, node in iter_sites(info.decl.body):
-                sid = site_sid(kind, node)
-                prog.sid_pou[sid] = info.name
-                prog.sid_site[sid] = (kind, node)
+            info.sites = tuple(iter_sites(info.decl.body))
         self.cur = None
 
         if self.diags:
             raise ResolveError(self.diags, self.ast.src)
-        return prog
+        return TypedProgram(self.ast, self.ast.src, self.pous, self.libraries)
 
     # -- declarations ----------------------------------------------------------
 

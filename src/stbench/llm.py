@@ -117,7 +117,8 @@ def build_prompt(fb_source: str, interface_summary: FbInterface, mode: str = "en
 # providers
 # ---------------------------------------------------------------------------
 
-DEFAULT_CONTENT_PATH = ("choices", 0, "message", "content")
+# where an OpenAI-style chat completion body holds the response text
+CONTENT_PATH = ("choices", 0, "message", "content")
 
 
 @dataclass
@@ -129,7 +130,6 @@ class ProviderConfig:
     max_tokens: int = 4096
     api_key_env: str = ""
     timeout_s: float = 60.0
-    content_path: tuple = DEFAULT_CONTENT_PATH
 
     def __post_init__(self):
         if not (0.0 <= self.temperature <= 2.0):
@@ -162,9 +162,9 @@ class LlmExchange:
         }
 
 
-def persist_exchange(exchange: LlmExchange, run_dir: Path, index: int = 0) -> Path:
+def persist_exchange(exchange: LlmExchange, run_dir: Path) -> Path:
     run_dir.mkdir(parents=True, exist_ok=True)
-    path = run_dir / f"exchange_{index}.json"
+    path = run_dir / "exchange_0.json"
     path.write_text(json.dumps(exchange.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
@@ -244,10 +244,10 @@ def _query_http(cfg: ProviderConfig, bundle: PromptBundle, post, sleep, start: f
             raise TransportError(f"response is not JSON: {exc}") from exc
         content = body
         try:
-            for step in cfg.content_path:
+            for step in CONTENT_PATH:
                 content = content[step]
         except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"response missing content at {cfg.content_path}") from exc
+            raise TransportError(f"response missing content at {CONTENT_PATH}") from exc
         usage = body.get("usage") if isinstance(body, dict) else None
         if not isinstance(usage, dict):
             usage = {}

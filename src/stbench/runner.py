@@ -252,7 +252,7 @@ def run_suite(
         raise PipelineError("execute", exc) from exc
 
     cmap = cov.add_counts(cov.CoverageMap.for_program(bundle.typed), result.counts)
-    summary = cov.summarize(cmap, bundle.typed, checked_suite.fb_under_test)
+    summary = cov.summarize(cmap, checked_suite.fb_under_test)
 
     faults = {f.instance: f for f in result.faults}
     case_results: list[CaseResult] = []
@@ -336,11 +336,10 @@ def _write_artifacts(
     out = options.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "harness.st").write_text(bundle.source.text, encoding="utf-8")
-    (out / "coverage.lcov").write_text(
-        cov.render_lcov(cmap, bundle.layers, bundle.source), encoding="utf-8"
-    )
+    lines = cov.line_counts(cmap, bundle.layers, bundle.source)
+    (out / "coverage.lcov").write_text(cov.render_lcov(lines, bundle.source), encoding="utf-8")
     (out / "coverage.annotated.txt").write_text(
-        cov.render_annotated(cmap, bundle.layers, bundle.source), encoding="utf-8"
+        cov.render_annotated(lines, bundle.source), encoding="utf-8"
     )
     (out / "monitor.txt").write_text("\n".join(monitor_lines) + "\n", encoding="utf-8")
     report.artifacts = {

@@ -293,7 +293,7 @@ class _Pou:
     def __init__(self, info: PouInfo):
         self.info = info
         self.name = info.name
-        self.index = {sid: i for i, sid in enumerate(info.sids)}
+        self.index = {node.sid: i for i, node in enumerate(info.sites)}
         self.temps = {
             v.name: V.zero(v.ty) for v in info.vars.values() if v.section is Section.TEMP
         }
@@ -343,7 +343,7 @@ class _Pou:
             pass
 
     def hits(self, cnt: list[int]) -> dict[int, int]:
-        return dict(zip(self.info.sids, cnt))
+        return dict(zip(self.index, cnt))
 
 
 _NO_NESTED: dict = {}
@@ -432,9 +432,9 @@ class _Compiler:
         self.vars = pou.info.vars
         self.fbs = pou.info.fb_instances
 
-    def site(self, kind: str, node) -> tuple[int, tuple[str, int, Span]]:
-        sid = N.site_sid(kind, node)
-        return self.pou.index[sid], (self.pou.name, sid, N.site_span(kind, node))
+    def site(self, node) -> tuple[int, tuple[str, int, Span]]:
+        """A site node's slot in the count list and its fault location."""
+        return self.pou.index[node.sid], (self.pou.name, node.sid, N.site_span(node))
 
     def block(self, body: list[N.Stmt], track: bool) -> tuple:
         return tuple(self.stmt(st, track) for st in body)
@@ -461,7 +461,7 @@ class _Compiler:
         raise TypeError(f"unhandled statement {st!r}")  # pragma: no cover
 
     def assign(self, st: N.Assign, track: bool):
-        i, site = self.site("stmt", st)
+        i, site = self.site(st)
         value = self.expr(st.value)
         put = self.target(st.target, st.value.ty)
 
@@ -479,7 +479,7 @@ class _Compiler:
         return run
 
     def fb_call(self, st: N.FbCall, track: bool):
-        i, site = self.site("stmt", st)
+        i, site = self.site(st)
         iname = st.instance
         fb_type = self.fbs[iname]
         builtin = _is_builtin_fb(self.prog, fb_type)
@@ -555,7 +555,7 @@ class _Compiler:
         return run
 
     def jump(self, st, track: bool):
-        i, site = self.site("stmt", st)
+        i, site = self.site(st)
         signal = _ExitLoop if isinstance(st, N.ExitStmt) else _ReturnPou
 
         def run(store, nested, cnt, scan):
@@ -570,7 +570,7 @@ class _Compiler:
 
     def if_stmt(self, st: N.IfStmt, track: bool):
         branches = tuple(
-            (*self.site("guard", br), self.expr(br.cond), self.block(br.body, track))
+            (*self.site(br), self.expr(br.cond), self.block(br.body, track))
             for br in st.branches
         )
         else_body = self.block(st.else_body, track)
@@ -596,7 +596,7 @@ class _Compiler:
         return run
 
     def case_stmt(self, st: N.CaseStmt, track: bool):
-        i, site = self.site("selector", st)
+        i, site = self.site(st)
         selector = self.expr(st.selector)
         else_body = self.block(st.else_body, track)
         arms = []
@@ -625,7 +625,7 @@ class _Compiler:
         return run
 
     def for_stmt(self, st: N.ForStmt, track: bool):
-        i, site = self.site("header", st)
+        i, site = self.site(st)
         var = st.var
         ty = self.vars[var].ty
         kind = ty.kind
@@ -663,7 +663,7 @@ class _Compiler:
         return run
 
     def while_stmt(self, st: N.WhileStmt, track: bool):
-        i, site = self.site("cond", st)
+        i, site = self.site(st)
         cond = self.expr(st.cond)
         body = self.block(st.body, track)
 
@@ -689,7 +689,7 @@ class _Compiler:
         return run
 
     def repeat_stmt(self, st: N.RepeatStmt, track: bool):
-        i, site = self.site("until", st)
+        i, site = self.site(st)
         until = self.expr(st.until)
         body = self.block(st.body, track)
 

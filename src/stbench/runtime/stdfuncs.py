@@ -30,13 +30,6 @@ def _conv_overflow(name: str, value) -> BuiltinFuncError:
     return BuiltinFuncError(f"{name}: value {value} out of range")
 
 
-def _to_int_kind(name: str, raw: int, kind: Kind) -> int:
-    lo, hi = T.INT_RANGES[kind]
-    if not (lo <= raw <= hi):
-        raise _conv_overflow(name, raw)
-    return raw
-
-
 def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Callable[..., object]:
     """The raw implementation of a built-in call; arguments are already
     type-checked, so only their static types are consulted here."""
@@ -74,10 +67,15 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
     if name == "SQRT":
         return lambda x: co(math.sqrt(x) if x >= 0 else math.nan)
     if name == "TRUNC":
+        lo, hi = T.INT_RANGES[Kind.DINT]
+
         def trunc(x):
             if math.isnan(x) or math.isinf(x):
                 raise _conv_overflow(name, x)
-            return co(_to_int_kind(name, math.trunc(x), Kind.DINT))
+            raw = math.trunc(x)
+            if not (lo <= raw <= hi):
+                raise _conv_overflow(name, raw)
+            return co(raw)
         return trunc
     if name in ("SHL", "SHR"):
         width = 8 if arg_types[0].kind is Kind.BYTE else 16
@@ -118,6 +116,8 @@ def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], o
     if k is Kind.BOOL:
         return lambda raw: raw != 0
     if k in T.INT_RANGES:
+        lo, hi = T.INT_RANGES[k]
+
         def to_int(raw):
             if isinstance(raw, bool):
                 return co(1 if raw else 0)
@@ -125,7 +125,10 @@ def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], o
                 if math.isnan(raw) or math.isinf(raw):
                     raise _conv_overflow(name, raw)
                 raw = round(raw)  # IEC rounding: nearest, ties to even
-            return co(_to_int_kind(name, int(raw), k))
+            raw = int(raw)
+            if not (lo <= raw <= hi):
+                raise _conv_overflow(name, raw)
+            return co(raw)
         return to_int
     if k in (Kind.REAL, Kind.LREAL):
         return lambda raw: co(float(raw))

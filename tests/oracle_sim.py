@@ -202,8 +202,8 @@ class OracleSim:
 
     # -- statements --------------------------------------------------------
 
-    def _hit(self, kind: str, node) -> None:
-        self.hits[(self.info.name, N.site_sid(kind, node))] += 1
+    def _hit(self, node) -> None:
+        self.hits[(self.info.name, node.sid)] += 1
 
     def _body(self, body) -> None:
         for st in body:
@@ -211,10 +211,10 @@ class OracleSim:
 
     def _stmt(self, st) -> None:
         if isinstance(st, N.Assign):
-            self._hit("stmt", st)
+            self._hit(st)
             self._assign(st.target, self._eval(st.value))
         elif isinstance(st, N.FbCall):
-            self._hit("stmt", st)
+            self._hit(st)
             inst = self.insts[st.instance]
             for p in st.params:
                 if not p.is_output:
@@ -225,20 +225,20 @@ class OracleSim:
                 if p.is_output:
                     self._assign(p.expr, inst.store[p.name])
         elif isinstance(st, N.ExitStmt):
-            self._hit("stmt", st)
+            self._hit(st)
             raise _ExitLoop()
         elif isinstance(st, N.ReturnStmt):
-            self._hit("stmt", st)
+            self._hit(st)
             raise _Return()
         elif isinstance(st, N.IfStmt):
             for br in st.branches:
-                self._hit("guard", br)
+                self._hit(br)
                 if self._eval(br.cond):
                     self._body(br.body)
                     return
             self._body(st.else_body)
         elif isinstance(st, N.CaseStmt):
-            self._hit("selector", st)
+            self._hit(st)
             sel = self._eval(st.selector)
             for br in st.branches:
                 if any(lab.lo <= sel <= lab.hi for lab in br.labels):
@@ -246,7 +246,7 @@ class OracleSim:
                     return
             self._body(st.else_body)
         elif isinstance(st, N.ForStmt):
-            self._hit("header", st)
+            self._hit(st)
             ty = self.info.vars[st.var].ty
             cur = _coerce(self._eval(st.start), ty)
             stop = self._eval(st.stop)
@@ -260,7 +260,7 @@ class OracleSim:
                 cur = _wrap(self.env[st.var] + step, ty.kind)
         elif isinstance(st, N.WhileStmt):
             while True:
-                self._hit("cond", st)
+                self._hit(st)
                 if not self._eval(st.cond):
                     return
                 try:
@@ -273,7 +273,7 @@ class OracleSim:
                     self._body(st.body)
                 except _ExitLoop:
                     return
-                self._hit("until", st)
+                self._hit(st)
                 if self._eval(st.until):
                     return
         else:

@@ -74,19 +74,19 @@ def test_foreign_statement_rejected(prog):
 
 def test_summarize_full_and_partial_and_empty(prog):
     cmap = cov.CoverageMap.for_program(prog)
-    assert cov.summarize(cmap, prog, "FB1").unit.percentage == 0.0
+    assert cov.summarize(cmap, "FB1").unit.percentage == 0.0
 
     cov.add_counts(cmap, hits([("FB1", 0), ("FB1", 1), ("FB1", 3)]))
-    summary = cov.summarize(cmap, prog, "FB1")
+    summary = cov.summarize(cmap, "FB1")
     assert summary.unit.statements_total == 4
     assert summary.unit.statements_hit == 3
     assert summary.unit.percentage == 75.0
 
     cov.add_counts(cmap, hits([("FB1", 2)]))
-    assert cov.summarize(cmap, prog, "FB1").unit.percentage == 100.0
+    assert cov.summarize(cmap, "FB1").unit.percentage == 100.0
 
     with pytest.raises(cov.UnknownPou):
-        cov.summarize(cmap, prog, "NOPE")
+        cov.summarize(cmap, "NOPE")
 
 
 def test_percentage_rounding_half_up():
@@ -105,7 +105,7 @@ def test_monotonicity_under_accumulation(prog):
     last_pct = 0.0
     for sid in (0, 1, 3, 2, 0):
         cov.add_counts(cmap, hits([("FB1", sid)]))
-        pct = cov.summarize(cmap, prog, "FB1").unit.percentage
+        pct = cov.summarize(cmap, "FB1").unit.percentage
         assert pct >= last_pct
         last_pct = pct
 
@@ -122,7 +122,7 @@ def run_fb_and_cover(prog, src_text, inputs_list):
 
 def test_render_annotated_markers(prog):
     cmap = run_fb_and_cover(prog, SRC, [{"A": make(T.BOOL, True)}])
-    text = cov.render_annotated(cmap, [(prog, 0)], prog.src)
+    text = cov.render_annotated(cov.line_counts(cmap, [(prog, 0)], prog.src), prog.src)
     lines = text.splitlines()
     # declarations are non-executable
     assert lines[0].startswith("        -:    1:FUNCTION_BLOCK FB1")
@@ -137,12 +137,12 @@ def test_render_annotated_fully_covered_has_no_markers(prog):
     cmap = run_fb_and_cover(
         prog, SRC, [{"A": make(T.BOOL, True)}, {"A": make(T.BOOL, False)}]
     )
-    assert "#####" not in cov.render_annotated(cmap, [(prog, 0)], prog.src)
+    assert "#####" not in cov.render_annotated(cov.line_counts(cmap, [(prog, 0)], prog.src), prog.src)
 
 
 def test_render_lcov_records(prog):
     cmap = run_fb_and_cover(prog, SRC, [{"A": make(T.BOOL, True)}])
-    text = cov.render_lcov(cmap, [(prog, 0)], prog.src)
+    text = cov.render_lcov(cov.line_counts(cmap, [(prog, 0)], prog.src), prog.src)
     lines = text.splitlines()
     assert lines[0] == "SF:fb1.st"
     assert "DA:7,0" in lines          # uncovered line present with count 0
@@ -159,7 +159,7 @@ def test_lcov_max_rule_for_shared_lines():
     _, counts = execute_cycle(inst, {"A": make(T.BOOL, True)}, SimClock())
     cov.add_counts(cmap, counts)
     # header hit once, body statement hit 3 times, same source line -> max
-    text = cov.render_lcov(cmap, [(prog, 0)], prog.src)
+    text = cov.render_lcov(cov.line_counts(cmap, [(prog, 0)], prog.src), prog.src)
     assert "DA:5,3" in text.splitlines()
 
 

@@ -344,8 +344,8 @@ def test_generated_sites_start_where_harness_st_parsed_whole_puts_them():
         built_sites = list(iter_sites(pou.body))
         whole_sites = list(iter_sites(reparsed[pou.name].body))
         assert len(built_sites) == len(whole_sites)
-        for (kind, node), (_, twin) in zip(built_sites, whole_sites):
-            assert shift + site_span(kind, node).start == site_span(kind, twin).start, (pou.name, kind)
+        for node, twin in zip(built_sites, whole_sites):
+            assert shift + site_span(node).start == site_span(twin).start, (pou.name, node.sid)
 
 
 @settings(max_examples=60, deadline=None)

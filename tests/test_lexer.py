@@ -49,7 +49,7 @@ def test_time_literal_forms(text, ms):
 def test_comment_then_keyword():
     ts = toks("(* c *) IF")
     assert len(ts) == 2
-    assert ts[0].is_kw("IF")
+    assert ts[0].kind is TokKind.KEYWORD and ts[0].norm == "IF"
 
 
 def test_nested_comment_and_line_comment():

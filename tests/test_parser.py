@@ -15,7 +15,7 @@ from stbench.frontend.nodes import (
     IfStmt,
     Literal,
     PouKind,
-    pou_sids,
+    iter_sites,
 )
 
 
@@ -51,9 +51,9 @@ def test_if_elsif_else_shape_and_ids():
     assert len(assigns) == 3
     # one id per guard plus one per assignment, in source order
     assert ast.statement_count == 5
-    assert stmt.branches[0].guard_sid == 0
+    assert stmt.branches[0].sid == 0
     assert stmt.branches[0].body[0].sid == 1
-    assert stmt.branches[1].guard_sid == 2
+    assert stmt.branches[1].sid == 2
     assert stmt.branches[1].body[0].sid == 3
     assert stmt.else_body[0].sid == 4
 
@@ -110,7 +110,7 @@ def test_statement_ids_dense_per_unit():
     END_FUNCTION_BLOCK
     """
     ast = parse_text(src)
-    all_sids = sorted(pou_sids(ast.pous[0]) + pou_sids(ast.pous[1]))
+    all_sids = sorted(n.sid for pou in ast.pous for n in iter_sites(pou.body))
     assert all_sids == list(range(ast.statement_count))
     assert ast.statement_count == 5
 
@@ -159,7 +159,7 @@ def test_determinism_same_text_same_ast_and_ids():
     src = FB.format(body="IF A THEN X:=1; ELSE X:=2; END_IF;")
     a1, a2 = parse_text(src), parse_text(src)
     assert a1.pous == a2.pous
-    assert pou_sids(a1.pous[0]) == pou_sids(a2.pous[0])
+    assert [n.sid for n in iter_sites(a1.pous[0].body)] == [n.sid for n in iter_sites(a2.pous[0].body)]
 
 
 def test_pretty_roundtrip_corpus(corpus_sources):

@@ -44,7 +44,7 @@ def test_layers_follow_lookup_order_and_list_each_library_once():
     shared = fb("SHARED")
     left, right = fb("LEFT", [shared]), fb("RIGHT", [shared])
     top = fb("TOP", [left, right])
-    assert [layer.pou_names() for layer in top.layers()] == [["TOP"], ["LEFT"], ["SHARED"], ["RIGHT"]]
+    assert [list(layer.pous) for layer in top.layers()] == [["TOP"], ["LEFT"], ["SHARED"], ["RIGHT"]]
 
 
 def test_int_literal_out_of_range_is_resolve_error():
@@ -322,7 +322,7 @@ def test_case_insensitivity_over_corpus(corpus_sources):
             v1 = {n: (v.ty, v.section, v.init) for n, v in p1.pous[pou].vars.items()}
             v2 = {n: (v.ty, v.section, v.init) for n, v in p2.pous[pou].vars.items()}
             assert v1 == v2
-            assert p1.pous[pou].sids == p2.pous[pou].sids
+            assert [n.sid for n in p1.pous[pou].sites] == [n.sid for n in p2.pous[pou].sites]
 
 
 def test_validation_errors_report_multiple():

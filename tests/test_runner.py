@@ -240,9 +240,8 @@ def _coverage_of_harness_st_parsed_whole(out_dir, report):
     whole = resolve(parse_text((out_dir / "harness.st").read_text(), "harness.st"))
     result = run_program(whole, "TEST_RUNNER", report.cycles_executed, SimClock(cycle_time=10))
     cmap = cov.add_counts(cov.CoverageMap.for_program(whole), result.counts)
-    return whole, cov.render_lcov(cmap, [(whole, 0)], whole.src), cov.render_annotated(
-        cmap, [(whole, 0)], whole.src
-    )
+    lines = cov.line_counts(cmap, [(whole, 0)], whole.src)
+    return whole, cov.render_lcov(lines, whole.src), cov.render_annotated(lines, whole.src)
 
 
 def test_coverage_lines_are_harness_lines_with_a_library(tmp_path):
