@@ -1,10 +1,13 @@
-"""Statement coverage: accumulate hit counts, summarize, render.
+"""Statement coverage: summarize a run's count arrays, render them.
 
-The ground truth is the per-POU map of statement-id hit counts.  The
-line-oriented renderings (annotated listing, LCOV text) are lossy views of
-one line map, built by `line_counts` from each POU's site nodes, where
-multiple statements on one line collapse to the line's maximum count.
-Percentages are rounded half-up to two decimals.
+The ground truth is the interpreter's per-POU count arrays (`RunResult.
+counts`): slot i of a POU's array counts the executions of its
+`PouInfo.sites[i]`, and a POU that never ran counts as zeros.  The domain
+is every POU a name resolves to (`domain`).  The line-oriented renderings
+(annotated listing, LCOV text) are lossy views of one line map, built by
+`line_counts` from each POU's site nodes, where multiple statements on one
+line collapse to the line's maximum count.  Percentages are rounded
+half-up to two decimals.
 """
 
 from __future__ import annotations
@@ -14,19 +17,11 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .frontend.nodes import site_span
-from .frontend.resolve import TypedProgram
+from .frontend.resolve import PouInfo, TypedProgram
 from .frontend.source import SourceUnit
 
 # (program, shift) pairs: where each program's source sits in a rendered file
 Layers = Sequence[tuple[TypedProgram, int]]
-
-
-class ForeignStatement(Exception):
-    """A count mentioned a statement id outside the map's domain."""
-
-
-class UnknownPou(Exception):
-    pass
 
 
 def round_pct(hit: int, total: int) -> float:
@@ -38,34 +33,11 @@ def round_pct(hit: int, total: int) -> float:
     return float(pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-@dataclass
-class CoverageMap:
-    """Per-POU hit counts over the full statement-id domain (zero-hit ids
-    are present explicitly)."""
-
-    counts: dict[str, dict[int, int]]
-
-    @classmethod
-    def for_program(cls, prog: TypedProgram) -> "CoverageMap":
-        counts: dict[str, dict[int, int]] = {}
-        for unit in prog.layers():  # lookup order: the first definition wins
-            for name, info in unit.pous.items():
-                counts.setdefault(name, {node.sid: 0 for node in info.sites})
-        return cls(counts)
-
-
-def add_counts(cov: CoverageMap, counts: dict[str, dict[int, int]]) -> CoverageMap:
-    """Add per-POU hit counts (a run's or a scan's) into the map, in place;
-    the map is returned.  Commutative and associative over counts.
-
-    Raises ForeignStatement for ids outside the map's domain."""
-    for pou, sids in counts.items():
-        per_pou = cov.counts.get(pou)
-        for sid, n in sids.items():
-            if per_pou is None or sid not in per_pou:
-                raise ForeignStatement(f"statement {pou}#{sid} not in coverage domain")
-            per_pou[sid] += n
-    return cov
+def domain(prog: TypedProgram) -> dict[str, PouInfo]:
+    """The POU each name of prog resolves to, in prog.layers() order: where
+    layers define a name twice, the first definition in lookup order is the
+    one that runs, so it is the one coverage counts."""
+    return {name: prog.lookup_pou(name) for unit in prog.layers() for name in unit.pous}
 
 
 @dataclass
@@ -78,47 +50,47 @@ class PouCoverage:
 @dataclass
 class CoverageSummary:
     per_pou: dict[str, PouCoverage]
-    unit_name: str
     unit: PouCoverage
 
 
-def summarize(cov: CoverageMap, unit_under_test: str) -> CoverageSummary:
-    """Per-POU statistics plus the headline aggregate, which covers the unit
-    under test only (harness and library POUs report individually)."""
-    unit_under_test = unit_under_test.upper()
-    if unit_under_test not in cov.counts:
-        raise UnknownPou(f"no POU named {unit_under_test}")
+def summarize(
+    pous: dict[str, PouInfo], counts: dict[str, list[int]], unit_under_test: str
+) -> CoverageSummary:
+    """Per-POU statistics over the domain `pous`, plus the headline
+    aggregate, which covers the unit under test only (harness and library
+    POUs report individually)."""
     per_pou = {}
-    for pou, sids in cov.counts.items():
-        total = len(sids)
-        hit = sum(1 for c in sids.values() if c > 0)
-        per_pou[pou] = PouCoverage(total, hit, round_pct(hit, total))
-    return CoverageSummary(per_pou, unit_under_test, per_pou[unit_under_test])
+    for name, info in pous.items():
+        total = len(info.sites)
+        hit = sum(1 for c in counts.get(name, ()) if c > 0)
+        per_pou[name] = PouCoverage(total, hit, round_pct(hit, total))
+    return CoverageSummary(per_pou, per_pou[unit_under_test.upper()])
 
 
 # ---------------------------------------------------------------------------
 # line-oriented renderings
 # ---------------------------------------------------------------------------
 
-def line_counts(cov: CoverageMap, layers: Layers, src: SourceUnit) -> dict[int, int]:
+def line_counts(
+    pous: dict[str, PouInfo], counts: dict[str, list[int]], layers: Layers, src: SourceUnit
+) -> dict[int, int]:
     """Map executable lines of `src` to hit counts (max across statements),
     the input of both renderings.
 
     `layers` pairs each program whose text `src` holds with the amount to
     add to an offset in that program's own source to get its offset in
-    `src`.  A site whose POU name or sid is outside the map's domain is
-    skipped."""
+    `src`.  A layer's POU is rendered only if it is the one the domain
+    `pous` holds for its name; a definition that lookup shadows never ran
+    and has no executable lines."""
     lines: dict[int, int] = {}
     for unit, shift in layers:
         for info in unit.pous.values():
-            per_pou = cov.counts.get(info.name)
-            if per_pou is None:
+            if pous.get(info.name) is not info:
                 continue
-            for node in info.sites:
-                count = per_pou.get(node.sid)
-                if count is not None:
-                    line = src.line_of(shift + site_span(node).start)
-                    lines[line] = max(lines.get(line, count), count)
+            cnt = counts.get(info.name) or [0] * len(info.sites)
+            for node, count in zip(info.sites, cnt):
+                line = src.line_of(shift + site_span(node).start)
+                lines[line] = max(lines.get(line, count), count)
     return lines
 
 

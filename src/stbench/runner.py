@@ -251,8 +251,8 @@ def run_suite(
     except RuntimeFault as exc:
         raise PipelineError("execute", exc) from exc
 
-    cmap = cov.add_counts(cov.CoverageMap.for_program(bundle.typed), result.counts)
-    summary = cov.summarize(cmap, checked_suite.fb_under_test)
+    pous = cov.domain(bundle.typed)
+    summary = cov.summarize(pous, result.counts, checked_suite.fb_under_test)
 
     faults = {f.instance: f for f in result.faults}
     case_results: list[CaseResult] = []
@@ -319,8 +319,9 @@ def run_suite(
     )
 
     if options.out_dir is not None:
+        lines = cov.line_counts(pous, result.counts, bundle.layers, bundle.source)
         try:
-            _write_artifacts(report, bundle, cmap, monitor_lines, options)
+            _write_artifacts(report, bundle, lines, monitor_lines, options)
         except OSError as exc:
             raise PipelineError("report", exc) from exc
     return report
@@ -329,14 +330,13 @@ def run_suite(
 def _write_artifacts(
     report: TestReport,
     bundle: HarnessBundle,
-    cmap: cov.CoverageMap,
+    lines: dict[int, int],
     monitor_lines: list[str],
     options: RunOptions,
 ) -> None:
     out = options.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "harness.st").write_text(bundle.source.text, encoding="utf-8")
-    lines = cov.line_counts(cmap, bundle.layers, bundle.source)
     (out / "coverage.lcov").write_text(cov.render_lcov(lines, bundle.source), encoding="utf-8")
     (out / "coverage.annotated.txt").write_text(
         cov.render_annotated(lines, bundle.source), encoding="utf-8"

@@ -34,10 +34,12 @@ garbage collector.  The CLI relies on this and pauses that collector while
 it works on a unit.
 
 Coverage: executing a statement site adds one to its slot in its POU's
-count array; guard sites (IF/ELSIF conditions, CASE selectors, loop
-headers) count once per evaluation.  Each site also spends one unit of the
-scan's 1M-site budget, as does each FOR iteration; run_program gives what
-a contained fault's call spent back, up to three more budgets per scan.
+count array, where slot i counts `PouInfo.sites[i]`; these arrays are the
+run's coverage record, handed to `coverage` as they are.  Guard sites
+(IF/ELSIF conditions, CASE selectors, loop headers) count once per
+evaluation.  Each site also spends one unit of the scan's 1M-site budget,
+as does each FOR iteration; run_program gives what a contained fault's
+call spent back, up to three more budgets per scan.
 Faults are attributed on the exception path: a statement closure turns an
 expression fault into a RuntimeFault at its own site, and each call frame
 it unwinds through prepends its instance path segment.  Calls nest at most
@@ -49,7 +51,7 @@ it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import math
@@ -326,7 +328,7 @@ class _Pou:
     def counts(self, scan: _Scan) -> list[int]:
         cnt = scan.counts.get(self.name)
         if cnt is None:
-            cnt = scan.counts[self.name] = [0] * len(self.index)
+            cnt = scan.counts[self.name] = [0] * len(self.info.sites)
         return cnt
 
     def run(self, store: dict, nested: dict, scan: _Scan) -> None:
@@ -341,9 +343,6 @@ class _Pou:
                 st(store, nested, cnt, scan)
         except _ReturnPou:
             pass
-
-    def hits(self, cnt: list[int]) -> dict[int, int]:
-        return dict(zip(self.index, cnt))
 
 
 _NO_NESTED: dict = {}
@@ -861,14 +860,13 @@ def execute_cycle(
     inst: FbInstance,
     inputs: dict[str, V.Value],
     clock: SimClock,
-) -> tuple[dict[str, V.Value], dict[str, dict[int, int]]]:
+) -> tuple[dict[str, V.Value], dict[str, list[int]]]:
     """Apply inputs, run one scan, snapshot outputs, then advance the clock.
 
     Retained variables persist in `inst` between calls.  Raises ValueError
     for undeclared input names or un-assignable input types (precondition
-    violations, not runtime faults).  Also returns the scan's hit counts
-    per POU it ran, as RunResult.counts holds them for a run: statement id
-    -> times executed, zero counts included.
+    violations, not runtime faults).  Also returns the scan's count array
+    per POU it ran, as RunResult.counts holds them for a run.
     """
     for name, val in inputs.items():
         var = inst.info.vars.get(name.upper())
@@ -883,7 +881,7 @@ def execute_cycle(
     _run_instance(inst, scan)
     outputs = inst.outputs()
     clock.advance()
-    return outputs, {name: _pou(inst.prog, name).hits(cnt) for name, cnt in scan.counts.items()}
+    return outputs, scan.counts
 
 
 @dataclass
@@ -899,8 +897,9 @@ class RunResult:
     traces: list[ScanTrace]
     faults: list[ContainedFault]
     cycles_executed: int
-    # per POU: statement id -> times executed, over the whole run
-    counts: dict[str, dict[int, int]] = field(default_factory=dict)
+    # per POU name that ran: slot i counts the executions over the whole
+    # run of site i of the POU that name resolves to (`PouInfo.sites[i]`)
+    counts: dict[str, list[int]]
 
 
 def run_program(
@@ -976,5 +975,4 @@ def run_program(
         if stop:
             break
 
-    counts = {name: _pou(prog, name).hits(c) for name, c in scan.counts.items()}
-    return RunResult(inst, traces, contained, cycles_executed, counts)
+    return RunResult(inst, traces, contained, cycles_executed, scan.counts)

@@ -103,7 +103,7 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
 
 def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], object] | None:
     if bi.string_conversion_source(name) is not None:
-        render = _string_renderer(arg_types[0].kind)
+        render = V.scalar_text(arg_types[0].kind)
         co = V.coercer(T.string())
         return lambda x: co(render(x))
     conv = bi.conversion_target(name)
@@ -140,12 +140,3 @@ def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], o
         return to_time
     raise TypeError(f"unsupported conversion {name}")  # pragma: no cover
 
-
-def _string_renderer(kind: Kind) -> Callable[[object], str]:
-    if kind is Kind.BOOL:
-        return lambda v: "TRUE" if v else "FALSE"
-    if kind is Kind.TIME:
-        return lambda v: f"T#{v}ms"
-    if kind in (Kind.REAL, Kind.LREAL):
-        return lambda v: repr(float(v))
-    return str

@@ -131,17 +131,23 @@ def convert_for_store(val: Value, dst: STType) -> Value:
     raise TypeError(f"cannot store {val.ty} into {dst}")
 
 
+def scalar_text(kind: Kind) -> Callable[[object], str]:
+    """How a raw BOOL, integer, REAL/LREAL or TIME value of `kind` is
+    spelled, both by `render` and by the X_TO_STRING conversions."""
+    if kind is Kind.BOOL:
+        return lambda v: "TRUE" if v else "FALSE"
+    if kind is Kind.TIME:
+        return lambda v: f"T#{v}ms"
+    if kind in (Kind.REAL, Kind.LREAL):
+        return lambda v: repr(float(v))
+    return str
+
+
 def render(val: Value) -> str:
     """Stable human-readable rendering used in reports and monitor events."""
     k = val.ty.kind
-    if k is Kind.BOOL:
-        return "TRUE" if val.v else "FALSE"
-    if k in (Kind.INT, Kind.DINT, Kind.BYTE, Kind.WORD):
-        return str(val.v)
-    if k in (Kind.REAL, Kind.LREAL):
-        return repr(float(val.v))
-    if k is Kind.TIME:
-        return f"T#{val.v}ms"
     if k is Kind.STRING:
         return f"'{val.v}'"
-    return f"[{', '.join(render(x) for x in val.v)}]"
+    if k is Kind.ARRAY:
+        return f"[{', '.join(render(x) for x in val.v)}]"
+    return scalar_text(k)(val.v)

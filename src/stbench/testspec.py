@@ -255,8 +255,6 @@ class CheckedCase:
 class CheckedSuite:
     fb_under_test: str
     cases: list[CheckedCase]
-    input_columns: list[str]
-    output_columns: list[str]
 
     def assertion_count(self) -> int:
         return sum(c.assertion_count() for c in self.cases)
@@ -385,9 +383,4 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
 
     if items:
         raise ValidationError(items)
-    return CheckedSuite(
-        suite.fb_under_test,
-        checked_cases,
-        [c for c in suite.input_columns],
-        [c for c in suite.output_columns],
-    )
+    return CheckedSuite(suite.fb_under_test, checked_cases)

@@ -107,8 +107,9 @@ def test_criterion_3_oracle_equivalence(corpus_programs):
                 if {k: v.v for k, v in out.items()} != oracle_out:
                     mismatches += 1
                 for pou, hits in counts.items():
-                    for sid, n in hits.items():
-                        interp_hits[(pou, sid)] += n
+                    # slot i of a POU's counts is its i-th site
+                    for node, n in zip(prog.lookup_pou(pou).sites, hits, strict=True):
+                        interp_hits[(pou, node.sid)] += n
             if interp_hits != oracle.coverage():
                 mismatches += 1
     assert mismatches == 0

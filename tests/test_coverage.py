@@ -18,14 +18,38 @@ X := X + 1;
 END_FUNCTION_BLOCK
 """
 
+IDLE = """FUNCTION_BLOCK IDLE
+VAR N : INT; END_VAR
+N := N + 1;
+N := N * 2;
+END_FUNCTION_BLOCK
+"""
 
-def hits(entries):
-    """Per-POU counts with one hit per (pou, sid) entry."""
-    counts = {}
-    for pou, sid in entries:
-        per_pou = counts.setdefault(pou, {})
-        per_pou[sid] = per_pou.get(sid, 0) + 1
-    return counts
+
+def on(a):
+    return {"A": make(T.BOOL, a)}
+
+
+def add(total, counts):
+    """Fold one scan's count arrays into `total`, element-wise."""
+    for pou, cnt in counts.items():
+        acc = total.setdefault(pou, [0] * len(cnt))
+        for i, n in enumerate(cnt):
+            acc[i] += n
+
+
+def run_scans(prog, inputs_list, fb="FB1"):
+    """A run's counts: execute_cycle's per-scan arrays summed element-wise."""
+    inst = instantiate(prog, fb)
+    clock = SimClock()
+    total = {}
+    for inputs in inputs_list:
+        add(total, execute_cycle(inst, inputs, clock)[1])
+    return total
+
+
+def lines_of(prog, counts):
+    return cov.line_counts(cov.domain(prog), counts, [(prog, 0)], prog.src)
 
 
 @pytest.fixture()
@@ -33,60 +57,39 @@ def prog():
     return resolve(parse_text(SRC, "fb1.st"))
 
 
-def test_domain_is_explicit_and_zeroed(prog):
-    cmap = cov.CoverageMap.for_program(prog)
-    assert cmap.counts["FB1"] == {0: 0, 1: 0, 2: 0, 3: 0}
-
-
-def test_accumulate_empty_trace_is_identity(prog):
-    cmap = cov.CoverageMap.for_program(prog)
-    before = {p: dict(s) for p, s in cmap.counts.items()}
-    cov.add_counts(cmap, {})
-    cov.add_counts(cmap, {"FB1": {0: 0, 3: 0}})
-    assert cmap.counts == before
+def test_a_pou_that_never_ran_reports_zero_of_its_sites():
+    prog = resolve(parse_text(SRC + IDLE, "two.st"))
+    counts = run_scans(prog, [on(True)])
+    assert "IDLE" not in counts
+    info = prog.lookup_pou("IDLE")
+    summary = cov.summarize(cov.domain(prog), counts, "FB1")
+    assert summary.per_pou["IDLE"] == cov.PouCoverage(len(info.sites), 0, 0.0)
+    assert len(info.sites) == 2
+    # its executable lines render as never executed
+    lines = lines_of(prog, counts)
+    assert [lines[n] for n in (13, 14)] == [0, 0]
 
 
 def test_accumulate_counts_occurrences(prog):
-    cmap = cov.CoverageMap.for_program(prog)
-    cov.add_counts(cmap, hits([("FB1", 0), ("FB1", 1), ("FB1", 1)]))
-    assert cmap.counts["FB1"] == {0: 1, 1: 2, 2: 0, 3: 0}
-    cov.add_counts(cmap, {"FB1": {1: 5, 3: 2}})
-    assert cmap.counts["FB1"] == {0: 1, 1: 7, 2: 0, 3: 2}
-
-
-def test_accumulate_commutes(prog):
-    t1 = hits([("FB1", 0), ("FB1", 1)])
-    t2 = hits([("FB1", 1), ("FB1", 3)])
-    m1 = cov.CoverageMap.for_program(prog)
-    m2 = cov.CoverageMap.for_program(prog)
-    cov.add_counts(cov.add_counts(m1, t1), t2)
-    cov.add_counts(cov.add_counts(m2, t2), t1)
-    assert m1.counts == m2.counts
-
-
-def test_foreign_statement_rejected(prog):
-    cmap = cov.CoverageMap.for_program(prog)
-    with pytest.raises(cov.ForeignStatement):
-        cov.add_counts(cmap, hits([("FB1", 99)]))
-    with pytest.raises(cov.ForeignStatement):
-        cov.add_counts(cmap, hits([("GHOST", 0)]))
+    # slot i counts the executions of the POU's i-th site, summed over scans
+    assert run_scans(prog, [on(True)]) == {"FB1": [1, 1, 0, 1]}
+    assert run_scans(prog, [on(True), on(True), on(False)]) == {"FB1": [3, 2, 1, 3]}
 
 
 def test_summarize_full_and_partial_and_empty(prog):
-    cmap = cov.CoverageMap.for_program(prog)
-    assert cov.summarize(cmap, "FB1").unit.percentage == 0.0
+    pous = cov.domain(prog)
+    assert cov.summarize(pous, {}, "FB1").unit.percentage == 0.0
 
-    cov.add_counts(cmap, hits([("FB1", 0), ("FB1", 1), ("FB1", 3)]))
-    summary = cov.summarize(cmap, "FB1")
+    summary = cov.summarize(pous, run_scans(prog, [on(True)]), "FB1")
     assert summary.unit.statements_total == 4
     assert summary.unit.statements_hit == 3
     assert summary.unit.percentage == 75.0
 
-    cov.add_counts(cmap, hits([("FB1", 2)]))
-    assert cov.summarize(cmap, "FB1").unit.percentage == 100.0
+    counts = run_scans(prog, [on(True), on(False)])
+    assert cov.summarize(pous, counts, "FB1").unit.percentage == 100.0
 
-    with pytest.raises(cov.UnknownPou):
-        cov.summarize(cmap, "NOPE")
+    with pytest.raises(KeyError):
+        cov.summarize(pous, counts, "NOPE")
 
 
 def test_percentage_rounding_half_up():
@@ -101,28 +104,21 @@ def test_percentage_rounding_half_up():
 
 
 def test_monotonicity_under_accumulation(prog):
-    cmap = cov.CoverageMap.for_program(prog)
+    pous = cov.domain(prog)
+    inst = instantiate(prog, "FB1")
+    clock = SimClock()
+    total = {}
     last_pct = 0.0
-    for sid in (0, 1, 3, 2, 0):
-        cov.add_counts(cmap, hits([("FB1", sid)]))
-        pct = cov.summarize(cmap, "FB1").unit.percentage
+    for a in (True, True, False, True):
+        add(total, execute_cycle(inst, on(a), clock)[1])
+        pct = cov.summarize(pous, total, "FB1").unit.percentage
         assert pct >= last_pct
         last_pct = pct
 
 
-def run_fb_and_cover(prog, src_text, inputs_list):
-    inst = instantiate(prog, "FB1")
-    cmap = cov.CoverageMap.for_program(prog)
-    clock = SimClock()
-    for inputs in inputs_list:
-        _, counts = execute_cycle(inst, inputs, clock)
-        cov.add_counts(cmap, counts)
-    return cmap
-
-
 def test_render_annotated_markers(prog):
-    cmap = run_fb_and_cover(prog, SRC, [{"A": make(T.BOOL, True)}])
-    text = cov.render_annotated(cov.line_counts(cmap, [(prog, 0)], prog.src), prog.src)
+    counts = run_scans(prog, [on(True)])
+    text = cov.render_annotated(lines_of(prog, counts), prog.src)
     lines = text.splitlines()
     # declarations are non-executable
     assert lines[0].startswith("        -:    1:FUNCTION_BLOCK FB1")
@@ -134,15 +130,13 @@ def test_render_annotated_markers(prog):
 
 
 def test_render_annotated_fully_covered_has_no_markers(prog):
-    cmap = run_fb_and_cover(
-        prog, SRC, [{"A": make(T.BOOL, True)}, {"A": make(T.BOOL, False)}]
-    )
-    assert "#####" not in cov.render_annotated(cov.line_counts(cmap, [(prog, 0)], prog.src), prog.src)
+    counts = run_scans(prog, [on(True), on(False)])
+    assert "#####" not in cov.render_annotated(lines_of(prog, counts), prog.src)
 
 
 def test_render_lcov_records(prog):
-    cmap = run_fb_and_cover(prog, SRC, [{"A": make(T.BOOL, True)}])
-    text = cov.render_lcov(cov.line_counts(cmap, [(prog, 0)], prog.src), prog.src)
+    counts = run_scans(prog, [on(True)])
+    text = cov.render_lcov(lines_of(prog, counts), prog.src)
     lines = text.splitlines()
     assert lines[0] == "SF:fb1.st"
     assert "DA:7,0" in lines          # uncovered line present with count 0
@@ -154,12 +148,9 @@ def test_render_lcov_records(prog):
 def test_lcov_max_rule_for_shared_lines():
     src = "FUNCTION_BLOCK FB1\nVAR_INPUT A : BOOL; END_VAR\nVAR_OUTPUT X : INT; END_VAR\nVAR I : INT; END_VAR\nFOR I := 1 TO 3 DO X := X + 1; END_FOR;\nEND_FUNCTION_BLOCK\n"
     prog = resolve(parse_text(src, "one_line.st"))
-    inst = instantiate(prog, "FB1")
-    cmap = cov.CoverageMap.for_program(prog)
-    _, counts = execute_cycle(inst, {"A": make(T.BOOL, True)}, SimClock())
-    cov.add_counts(cmap, counts)
+    counts = run_scans(prog, [on(True)])
     # header hit once, body statement hit 3 times, same source line -> max
-    text = cov.render_lcov(cov.line_counts(cmap, [(prog, 0)], prog.src), prog.src)
+    text = cov.render_lcov(lines_of(prog, counts), prog.src)
     assert "DA:5,3" in text.splitlines()
 
 
@@ -167,14 +158,24 @@ def test_domain_takes_the_first_definition_in_lookup_order():
     # two libraries define HELP; execution uses the first, so must coverage
     help3 = "FUNCTION_BLOCK HELP\nVAR X : INT; END_VAR\nX := 1;\nX := 2;\nX := 3;\nEND_FUNCTION_BLOCK\n"
     help1 = "FUNCTION_BLOCK HELP\nVAR X : INT; END_VAR\nX := 9;\nEND_FUNCTION_BLOCK\n"
+    unit = "FUNCTION_BLOCK USER\nVAR H : HELP; END_VAR\nH();\nEND_FUNCTION_BLOCK\n"
     libs = [resolve(parse_text(help3, "help3.st")), resolve(parse_text(help1, "help1.st"))]
-    user = resolve(
-        parse_text("FUNCTION_BLOCK USER\nVAR H : HELP; END_VAR\nH();\nEND_FUNCTION_BLOCK\n", "user.st"),
-        libs,
-    )
+    user = resolve(parse_text(unit, "user.st"), libs)
     assert user.lookup_pou("HELP") is libs[0].pous["HELP"]
-    cmap = cov.CoverageMap.for_program(user)
-    assert cmap.counts["HELP"] == {0: 0, 1: 0, 2: 0}
-    _, counts = execute_cycle(instantiate(user, "USER"), {}, SimClock())
-    cov.add_counts(cmap, counts)
-    assert cmap.counts == {"USER": {0: 1}, "HELP": {0: 1, 1: 1, 2: 1}}
+    pous = cov.domain(user)
+    assert list(pous) == ["USER", "HELP"]
+    assert pous["HELP"] is libs[0].pous["HELP"]
+    counts = run_scans(user, [{}], fb="USER")
+    assert counts == {"USER": [1], "HELP": [1, 1, 1]}
+    assert cov.summarize(pous, counts, "USER").per_pou["HELP"] == cov.PouCoverage(3, 3, 100.0)
+
+    # the unit and both libraries in one file: the shadowed HELP never ran
+    src = SourceUnit(unit + help3 + help1, "all.st")
+    layers = [(user, 0), (libs[0], len(unit)), (libs[1], len(unit) + len(help3))]
+    lines = cov.line_counts(pous, counts, layers, src)
+    shadowed = src.text.splitlines().index("X := 9;") + 1
+    annotated = cov.render_annotated(lines, src).splitlines()
+    assert annotated[shadowed - 1] == f"{'-':>9}:{shadowed:>5}:X := 9;"
+    assert not any(l.startswith(f"DA:{shadowed},") for l in cov.render_lcov(lines, src).splitlines())
+    # the definition that ran keeps its counts
+    assert [lines[n] for n in (3, 7, 8, 9)] == [1, 1, 1, 1]

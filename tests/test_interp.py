@@ -292,7 +292,7 @@ def test_library_function_and_fb_execution():
     execute_cycle(inst, {"GO": make(T.BOOL, True)}, clock)
     out, counts = execute_cycle(inst, {"GO": make(T.BOOL, True)}, clock)
     assert out["OUTV"].v == 6
-    pous = {p for p, hits in counts.items() if any(hits.values())}
+    pous = {p for p, hits in counts.items() if any(hits)}
     assert pous == {"TOP", "STEPPER", "SCALE3"}
 
 
@@ -451,7 +451,7 @@ def test_contained_budget_fault_stops_only_its_instance():
     assert result.instance.nested["S"].store["N"] > 1
     # S's sites up to its fault count as executed (4 sites ran before S,
     # so S got the remaining 999,996); they do not starve B of budget
-    assert result.counts["SPIN"] == {0: 2, 1: 499_999, 2: 499_997}
+    assert result.counts["SPIN"] == [2, 499_999, 499_997]
     assert len(result.traces[1]) == 5 + 2 + 999_996
 
 
@@ -565,8 +565,8 @@ def test_run_program_counts_match_scan_site_totals():
     result = run_program(prog, "MAIN", 5, SimClock())
     # FOR iterations spend budget but are not statement sites
     assert [len(t) for t in result.traces] == [5, 7, 7, 5, 7]
-    assert sum(len(t) for t in result.traces) == sum(result.counts["MAIN"].values())
-    assert result.counts["MAIN"] == {0: 5, 1: 15, 2: 8, 3: 3}
+    assert sum(len(t) for t in result.traces) == sum(result.counts["MAIN"])
+    assert result.counts["MAIN"] == [5, 15, 8, 3]
 
 
 # -- raw stores: arrays are shared by reference and copied on write ----------

@@ -133,9 +133,14 @@ def test_interpreter_matches_oracle_exhaustively(block, corpus_programs):
             assert got == oracle_out, (
                 f"{block} {config} scan {scan}: interpreter {got} oracle {oracle_out}"
             )
-            # per-scan statement hits agree (count soundness + coverage)
+            # per-scan statement hits agree (count soundness + coverage);
+            # slot i of a POU's counts is its i-th site
             hits = Counter(
-                {(pou, sid): n for pou, per_pou in counts.items() for sid, n in per_pou.items()}
+                {
+                    (pou, node.sid): n
+                    for pou, cnt in counts.items()
+                    for node, n in zip(prog.lookup_pou(pou).sites, cnt, strict=True)
+                }
             )
             oracle_hits = oracle.coverage()
             delta = oracle_hits - prev_hits

@@ -162,7 +162,7 @@ def test_coverage_matches_summary_field(dec_setup):
     prog = dec_setup
     report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog))
     assert report.statement_coverage_pct == report.coverage.unit.percentage
-    assert report.coverage.unit_name == "DEC_TO_HEX"
+    assert report.unit == "DEC_TO_HEX"
 
 
 def test_report_json_roundtrips_and_is_versioned(dec_setup, tmp_path):
@@ -204,8 +204,6 @@ def test_na_assertion_percentage_rendered():
     suite = CheckedSuite(
         "LOGIC_MUX",
         [CheckedCase("tc_probe", [CheckedState({"A": V.make(T.BOOL, True)}, {}, 1)])],
-        ["A"],
-        [],
     )
     report = run_suite(prog, suite)
     assert report.assertion_success_pct is None
@@ -239,8 +237,7 @@ def _coverage_of_harness_st_parsed_whole(out_dir, report):
     many scans, and rendered against its own statement spans."""
     whole = resolve(parse_text((out_dir / "harness.st").read_text(), "harness.st"))
     result = run_program(whole, "TEST_RUNNER", report.cycles_executed, SimClock(cycle_time=10))
-    cmap = cov.add_counts(cov.CoverageMap.for_program(whole), result.counts)
-    lines = cov.line_counts(cmap, [(whole, 0)], whole.src)
+    lines = cov.line_counts(cov.domain(whole), result.counts, [(whole, 0)], whole.src)
     return whole, cov.render_lcov(lines, whole.src), cov.render_annotated(lines, whole.src)
 
 

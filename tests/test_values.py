@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stbench.frontend import types as T
+from stbench.frontend.builtins import string_conversion_source
 from stbench.runtime import values as V
+from stbench.runtime.stdfuncs import builtin_impl
 
 
 @pytest.mark.parametrize(
@@ -74,6 +76,33 @@ def test_render_forms():
     assert V.render(V.make(T.TIME, 1500)) == "T#1500ms"
     assert V.render(V.make(T.string(), "hi")) == "'hi'"
     assert V.render(V.make(T.REAL, 0.5)) == "0.5"
+
+
+TO_STRING_SAMPLES = {
+    "BOOL": [True, False],
+    "INT": [-7, 32767],
+    "DINT": [-(2**31), 100_000],
+    "BYTE": [0, 255],
+    "WORD": [65535],
+    "REAL": [0.1, -2.5, math.inf],
+    "LREAL": [0.1, 1e300, math.nan],
+    "TIME": [0, 1500],
+}
+
+
+def test_to_string_samples_cover_every_conversion():
+    convertible = {name for name in T.SCALARS if string_conversion_source(f"{name}_TO_STRING")}
+    assert set(TO_STRING_SAMPLES) == convertible
+
+
+@pytest.mark.parametrize(
+    "kind,raw", [(k, raw) for k, raws in TO_STRING_SAMPLES.items() for raw in raws]
+)
+def test_to_string_spells_a_value_as_render_does(kind, raw):
+    ty = T.SCALARS[kind]
+    val = V.make(ty, raw)
+    to_string = builtin_impl(f"{kind}_TO_STRING", [ty], T.string())
+    assert to_string(val.v) == V.render(val)
 
 
 
