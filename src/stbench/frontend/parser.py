@@ -5,7 +5,7 @@ to the next `;` or section/block-closing keyword, and resumes, so one run
 reports every syntax error in the unit.  On any error the whole parse fails
 with a ParseError carrying the full diagnostic list.
 
-Nesting is bounded so that no later stage (resolver, closure compiler,
+Nesting is bounded so that no later stage (resolver, statement generator,
 execution) recurses past Python's default recursion limit: statements nest
 at most MAX_DEPTH levels below a POU body, and an expression tree is at
 most MAX_DEPTH levels high, counting each parenthesised sub-expression as a

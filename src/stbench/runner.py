@@ -230,9 +230,10 @@ def run_suite(
 ) -> TestReport:
     """Generate the harness over `prog` (from load_program), execute it,
     and evaluate every assertion.  The run builds no reference cycles: the
-    harness program and its compiled code are freed by reference counting
-    once the caller drops the report, so the caller may pause the cyclic
-    garbage collector around the call, as the CLI does."""
+    harness program and its statement functions are freed by reference
+    counting once the caller drops the report (the compiled factories they
+    were made by stay cached for the process), so the caller may pause the
+    cyclic garbage collector around the call, as the CLI does."""
     try:
         bundle = build_harness(
             checked_suite,

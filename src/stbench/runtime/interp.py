@@ -1,17 +1,26 @@
-"""Cyclic scan interpreter: resolved ST compiled once to Python closures.
+"""Cyclic scan interpreter: each resolved ST statement runs as one
+generated Python function.
 
 One scan runs a POU body exactly once.  The clock is frozen during a scan
 (every timer invoked in a scan sees the same `now`) and advances by the
 configured cycle time after the scan completes.
 
-Each POU body is compiled into closures (Feeley & Lapalme, "Using closures
-for code generation", 1987) on its first execution and cached on the
-TypedProgram.  Compiling does once what a tree walk redoes on every
-execution: node dispatch, literal values, operator, built-in and
-conversion lookup, store conversions, site ids and spans, and the TEMP
-variable list.  The closures hold no run state: the store, the nested
-instances, the count array and the run state (`_Scan`: program, counts,
-budget, clock, call depth) are passed in, so scans and threads share them.
+Each POU body is compiled on its first execution and cached on the
+TypedProgram, as a tuple of statement functions `run(store, nested, cnt,
+scan)`.  A statement's expressions are inlined into its function, as
+Python operators with the INT/DINT wrap and binary32 rounding written
+out; its sub-bodies (IF branches, CASE arms, loop bodies) are tuples of
+statement functions it runs in a loop, so ST nesting never becomes Python
+nesting.  The function is made by a factory `make(k0, ..., kn)` whose
+parameters carry every name, literal, count slot, site, callee, built-in
+function and sub-body, so no user text enters generated source, and
+statements that differ only in those values share one source.  Factories
+are compiled once per process, as `collections.namedtuple` compiles its
+classes, and kept in a bounded cache keyed by that source, as `re` keeps
+its patterns.  A statement function holds no run state: the store, the
+nested instances, the count array and the run state (`_Scan`: program,
+counts, budget, clock, call depth) are passed in, so scans and threads
+share it.
 
 Values: expressions evaluate to raw python values (bool, int, float, str,
 or a list of raw elements for an ARRAY), and every store (an instance's,
@@ -20,18 +29,19 @@ its raw value; its type is the declared one.  `Value`s are built only at
 the boundary: `execute_cycle` unboxes its inputs into fresh lists, and
 `FbInstance.outputs()` boxes what it returns.  Each store owns its ARRAY
 lists, so an element store writes in place: a list is copied where it
-would otherwise become shared, which the compiler knows at each site (a
+would otherwise become shared, which the generator knows at each site (a
 whole-array store, a same-typed array FB input, IN_OUT argument or
 function argument, a TEMP reset from `_Pou.temps` and a function frame
 from `_Pou.initial`).
 
 Memory: a run builds no reference cycles.  Stores hold raw values and
-lists of them, which refer to nothing.  The compiled code is cached on the
-TypedProgram it was compiled for and refers to nothing that refers back to
-it, so a finished run, its AST and its compiled code are freed by
-reference counting as soon as the last reference goes, without the cyclic
-garbage collector.  The CLI relies on this and pauses that collector while
-it works on a unit.
+lists of them, which refer to nothing.  The statement functions are
+cached on the TypedProgram they were made for and refer to nothing that
+refers back to it; the cached factories refer only to this module.  So a
+finished run, its AST and its statement functions are freed by reference
+counting as soon as the last reference goes, without the cyclic garbage
+collector.  The CLI relies on this and pauses that collector while it
+works on a unit.
 
 Coverage: executing a statement site adds one to its slot in its POU's
 count array, where slot i counts `PouInfo.sites[i]`; these arrays are the
@@ -40,17 +50,17 @@ run's coverage record, handed to `coverage` as they are.  Guard sites
 evaluation.  Each site also spends one unit of the scan's 1M-site budget,
 as does each FOR iteration; run_program gives what a contained fault's
 call spent back, up to three more budgets per scan.
-Faults are attributed on the exception path: a statement closure turns an
-expression fault into a RuntimeFault at its own site, and each call frame
-it unwinds through prepends its instance path segment.  Calls nest at most
-64 deep; a chain that exhausts Python's recursion limit first becomes the
-fault "call stack too deep" at the innermost call site with room to raise
-it.
+Faults are attributed on the exception path: a statement function turns
+an expression fault into a RuntimeFault at its own site, and each call
+frame it unwinds through prepends its instance path segment.  Calls nest
+at most 64 deep; a chain that exhausts Python's recursion limit first
+becomes the fault "call stack too deep" at the innermost call site with
+room to raise it.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -201,12 +211,15 @@ def _instantiate(prog: TypedProgram, fb_name: str, path: tuple[str, ...]) -> FbI
 # ---------------------------------------------------------------------------
 
 class _Scan:
-    """Mutable state of one run, passed to every closure.  `prog` is the
-    program the run resolves POU names in; `counts` maps a POU name to its
-    count array and lives for the whole run; the other fields restart with
-    each scan.  `spare` is what contained faults may still give back to the
-    budget in this scan.  `last` is the site a FOR iteration's budget fault
-    is attributed to: the last one hit in the loop's frame."""
+    """Mutable state of one run, passed to every statement function.
+    `prog` is the program the run resolves POU names in; `counts` maps a
+    POU name to its count array and lives for the whole run; the other
+    fields restart with each scan.  `spare` is what contained faults may
+    still give back to the budget in this scan.  `depth` counts the calls
+    in progress; a fault leaves the calls it abandons counted, and
+    run_program resets it when it contains the fault.  `last` is the site
+    a FOR iteration's budget fault is attributed to: the last one hit in
+    the loop's frame."""
 
     __slots__ = ("prog", "counts", "budget", "spare", "now", "depth", "loops", "last")
 
@@ -265,7 +278,7 @@ def _store_conv(src: T.STType | None, dst: T.STType):
     when the raw value is stored as is.  A scalar of another type is
     coerced as `V.make` would; an ARRAY is copied, since its list belongs
     to the store it was read from."""
-    if src != dst:
+    if src is not dst and src != dst:
         return V.coercer(dst)
     return list if dst.kind is T.Kind.ARRAY else None
 
@@ -290,7 +303,7 @@ class _Pou:
     """One POU: its body, compiled on first execution, and what a caller
     needs to set up its frame."""
 
-    __slots__ = ("info", "name", "index", "temps", "initial", "copies", "body")
+    __slots__ = ("info", "name", "index", "temps", "initial", "params", "copies", "body")
 
     def __init__(self, info: PouInfo):
         self.info = info
@@ -300,6 +313,7 @@ class _Pou:
             v.name: V.zero(v.ty) for v in info.vars.values() if v.section is Section.TEMP
         }
         self.initial = _initial_store(info) if info.kind is PouKind.FUNCTION else None
+        self.params = tuple(v.name for v in info.inputs())
         # the ARRAYs of what a function frame (or else a TEMP reset) starts
         # from: each start copies them, so that no two stores share a list
         start = self.temps if self.initial is None else self.initial
@@ -322,7 +336,7 @@ class _Pou:
     def code(self, prog: TypedProgram) -> tuple:
         body = self.body
         if body is None:
-            body = self.body = _Compiler(self, prog).block(self.info.decl.body, False)
+            body = self.body = _Gen(self, prog).block(self.info.decl.body, False)
         return body
 
     def counts(self, scan: _Scan) -> list[int]:
@@ -346,38 +360,15 @@ class _Pou:
 
 
 _NO_NESTED: dict = {}
-
-_COMPARE = {
-    N.BinOp.EQ: operator.eq,
-    N.BinOp.NE: operator.ne,
-    N.BinOp.LT: operator.lt,
-    N.BinOp.LE: operator.le,
-    N.BinOp.GT: operator.gt,
-    N.BinOp.GE: operator.ge,
-}
+_DEPTH_MSG = "call depth exceeded"
+_ZERO_STEP_MSG = "FOR step is zero"
+_f32_pack, _f32_unpack = V.F32.pack, V.F32.unpack
 
 
-def _binop(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
-    """The raw function computing `a op b` with a result of type ty."""
-    if op in _COMPARE:
-        return _COMPARE[op]
-    if op in (N.BinOp.AND, N.BinOp.OR, N.BinOp.XOR):
-        if ty.kind is T.Kind.BOOL:
-            if op is N.BinOp.AND:
-                return lambda a, b: bool(a and b)
-            if op is N.BinOp.OR:
-                return lambda a, b: bool(a or b)
-            return operator.ne
-        co = V.coercer(ty)
-        bit = {N.BinOp.AND: operator.and_, N.BinOp.OR: operator.or_, N.BinOp.XOR: operator.xor}[op]
-        return lambda a, b: co(bit(a, b))
+def _arith(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
+    """The raw function computing `a op b` for DIV, MOD or ** with a result
+    of type ty."""
     co = V.coercer(ty)
-    if op is N.BinOp.ADD:
-        return lambda a, b: co(a + b)
-    if op is N.BinOp.SUB:
-        return lambda a, b: co(a - b)
-    if op is N.BinOp.MUL:
-        return lambda a, b: co(a * b)
     if op is N.BinOp.DIV:
         if ty.kind in (T.Kind.INT, T.Kind.DINT, T.Kind.TIME):
             def idiv(a, b):
@@ -417,427 +408,381 @@ def _binop(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
     raise TypeError(f"unhandled operator {op}")  # pragma: no cover
 
 
-class _Compiler:
-    """Compiles one POU body into statement closures.
+def _oob(i: int, lo: int, hi: int):
+    raise _Trap(f"array index {i} outside {lo}..{hi}")
 
-    A statement closure is `run(store, nested, cnt, scan)`; an expression
-    closure is `ev(store, nested, scan)` and returns a raw value.  With
-    `track` set (sites inside a FOR body), a site records itself in
-    `scan.last` once its own evaluation is done."""
+
+def _frame(scan: _Scan, callee: _Pou) -> dict:
+    """A new frame for a call of the user function `callee`, one level of
+    call depth deeper."""
+    scan.depth += 1
+    if scan.depth > _MAX_CALL_DEPTH:
+        raise _Trap(_DEPTH_MSG)
+    return callee.frame()
+
+
+def _call(callee: _Pou, segment: str, scan: _Scan, frame: dict, *args):
+    """The result of the user function `callee` run on the frame `_frame`
+    made and the arguments evaluated after it."""
+    frame.update(zip(callee.params, args))
+    try:
+        callee.run(frame, _NO_NESTED, scan)
+    except RuntimeFault as fault:
+        fault.instance_path = segment + fault.instance_path
+        raise
+    except RecursionError:
+        raise _Trap(_STACK_MSG) from None
+    scan.depth -= 1
+    return frame[callee.name]
+
+
+def _source(body: str, n: int) -> str:
+    """The source of a factory `make(k0, ..., k<n-1>)` returning the
+    statement function whose body is `body`."""
+    params = ", ".join([f"k{i}" for i in range(n)])
+    return f"def make({params}):\n def run(store, nested, cnt, scan):\n{body} return run\n"
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(body: str, n: int):
+    """The compiled `_source(body, n)` factory, shared in the process by
+    every statement of that shape.  It refers to nothing but this module's
+    globals, so the cache holds no cycle."""
+    ns: dict = {}
+    exec(compile(_source(body, n), "<statement>", "exec"), globals(), ns)
+    return ns["make"]
+
+
+_CMP = {
+    N.BinOp.EQ: "==", N.BinOp.NE: "!=", N.BinOp.LT: "<",
+    N.BinOp.LE: "<=", N.BinOp.GT: ">", N.BinOp.GE: ">=",
+}
+_ARITH = {N.BinOp.ADD: "+", N.BinOp.SUB: "-", N.BinOp.MUL: "*"}
+_BITS = {N.BinOp.AND: "&", N.BinOp.OR: "|", N.BinOp.XOR: "^"}
+
+
+def _wrap(kind: T.Kind, text: str) -> str:
+    """Source coercing `text`, a raw sum, difference or product (or, for
+    BYTE and WORD, a bit operation) to `kind` as `V.coercer` would; the
+    LREAL and TIME results of these operations need nothing."""
+    if kind is T.Kind.INT:
+        return f"(({text} + 32768 & 65535) - 32768)"
+    if kind is T.Kind.DINT:
+        return f"(({text} + 2147483648 & 4294967295) - 2147483648)"
+    if kind is T.Kind.BYTE:
+        return f"({text} & 255)"
+    if kind is T.Kind.WORD:
+        return f"({text} & 65535)"
+    if kind is T.Kind.REAL:
+        # V.f32, written out for a result in binary32 range
+        return f"(_f32_unpack(_f32_pack(r))[0] if {-V.F32_MAX!r} <= (r := {text}) <= {V.F32_MAX!r} else V.f32(r))"
+    return f"({text})"
+
+
+def _count(s: str, c: str, pad: str) -> str:
+    """Lines counting the site `s` in slot `c` and spending a unit of the
+    scan's budget."""
+    return (
+        f"{pad}cnt[{c}] += 1\n{pad}scan.budget -= 1\n"
+        f"{pad}if scan.budget <= 0:\n{pad} raise _fault({s}, _BUDGET_MSG)\n"
+    )
+
+
+def _guard(lines: str, s: str, pad: str) -> str:
+    """`lines`, indented one level past pad, with an expression fault in
+    them attributed to the site `s`."""
+    return f"{pad}try:\n{lines}{pad}except _TRAPS as exc:\n{pad} raise _fault({s}, exc) from None\n"
+
+
+class _Gen:
+    """Generates the statement functions `run(store, nested, cnt, scan)`
+    of one POU body.
+
+    Each statement's source defines a factory `make(k0, ..., kn)`; its
+    parameters carry every name, literal, count slot, site, callee,
+    built-in function and sub-body, in the order the walk meets them, so
+    statements differing only in those share one source.  Expressions are
+    inlined, and a sub-body is a tuple of statement functions run in a
+    loop.  With `track` set (sites inside a FOR body), a site records
+    itself in `scan.last` once its own evaluation is done."""
 
     def __init__(self, pou: _Pou, prog: TypedProgram):
         self.pou = pou
         self.prog = prog
         self.vars = pou.info.vars
         self.fbs = pou.info.fb_instances
+        self.consts: list = []
 
-    def site(self, node) -> tuple[int, tuple[str, int, Span]]:
-        """A site node's slot in the count list and its fault location."""
-        return self.pou.index[node.sid], (self.pou.name, node.sid, N.site_span(node))
+    def k(self, value) -> str:
+        """The factory parameter that carries `value`."""
+        consts = self.consts
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    def site(self, node) -> tuple[str, str]:
+        """The parameters carrying a site's fault location and count slot."""
+        consts = self.consts
+        n = len(consts)
+        consts += ((self.pou.name, node.sid, N.site_span(node)), self.pou.index[node.sid])
+        return f"k{n}", f"k{n + 1}"
 
     def block(self, body: list[N.Stmt], track: bool) -> tuple:
-        return tuple(self.stmt(st, track) for st in body)
+        return tuple([self.stmt(st, track) for st in body])
+
+    def stmt(self, st: N.Stmt, track: bool):
+        outer, self.consts = self.consts, []
+        body = _STMTS[type(st)](self, st, track)
+        consts, self.consts = self.consts, outer
+        return _factory(body, len(consts))(*consts)
+
+    def run_body(self, body: list[N.Stmt], track: bool, pad: str) -> str:
+        if not body:
+            return ""
+        return f"{pad}for s in {self.k(self.block(body, track))}:\n{pad} s(store, nested, cnt, scan)\n"
 
     # -- statements -----------------------------------------------------------
 
-    def stmt(self, st: N.Stmt, track: bool):
-        if isinstance(st, N.Assign):
-            return self.assign(st, track)
-        if isinstance(st, N.FbCall):
-            return self.fb_call(st, track)
-        if isinstance(st, (N.ExitStmt, N.ReturnStmt)):
-            return self.jump(st, track)
-        if isinstance(st, N.IfStmt):
-            return self.if_stmt(st, track)
-        if isinstance(st, N.CaseStmt):
-            return self.case_stmt(st, track)
-        if isinstance(st, N.ForStmt):
-            return self.for_stmt(st, track)
-        if isinstance(st, N.WhileStmt):
-            return self.while_stmt(st, track)
-        if isinstance(st, N.RepeatStmt):
-            return self.repeat_stmt(st, track)
-        raise TypeError(f"unhandled statement {st!r}")  # pragma: no cover
+    def assign(self, st: N.Assign, track: bool) -> str:
+        s, c = self.site(st)
+        put = self.put(st.target, st.value.ty, self.ex(st.value))
+        last = f"  scan.last = {s}\n" if track else ""
+        return _count(s, c, "  ") + _guard(f"   {put}\n", s, "  ") + last
 
-    def assign(self, st: N.Assign, track: bool):
-        i, site = self.site(st)
-        value = self.expr(st.value)
-        put = self.target(st.target, st.value.ty)
+    def jump(self, st, track: bool) -> str:
+        s, c = self.site(st)
+        last = f"  scan.last = {s}\n" if track else ""
+        signal = "_ExitLoop" if type(st) is N.ExitStmt else "_ReturnPou"
+        return f"{_count(s, c, '  ')}{last}  raise {signal}\n"
 
-        def run(store, nested, cnt, scan):
-            cnt[i] += 1
-            scan.budget -= 1
-            if scan.budget <= 0:
-                raise _fault(site, _BUDGET_MSG)
-            try:
-                put(store, nested, scan, value(store, nested, scan))
-            except _TRAPS as exc:
-                raise _fault(site, exc) from None
-            if track:
-                scan.last = site
-        return run
+    def if_stmt(self, st: N.IfStmt, track: bool) -> str:
+        text = ""
+        for br in st.branches:
+            s, c = self.site(br)
+            last = f"  scan.last = {s}\n" if track else ""
+            text += _count(s, c, "  ") + _guard(f"   taken = {self.ex(br.cond)}\n", s, "  ")
+            text += f"{last}  if taken:\n{self.run_body(br.body, track, '   ')}   return\n"
+        return text + self.run_body(st.else_body, track, "  ")
 
-    def fb_call(self, st: N.FbCall, track: bool):
-        i, site = self.site(st)
-        iname = st.instance
-        fb_type = self.fbs[iname]
+    def case_stmt(self, st: N.CaseStmt, track: bool) -> str:
+        s, c = self.site(st)
+        last = f"  scan.last = {s}\n" if track else ""
+        arms = []
+        for br in st.branches:
+            body = self.block(br.body, track)
+            arms.extend((lab.lo, lab.hi, body) for lab in br.labels)
+        return (
+            _count(s, c, "  ") + _guard(f"   sel = {self.ex(st.selector)}\n", s, "  ") + last
+            + f"  for lo, hi, body in {self.k(tuple(arms))}:\n"
+            "   if lo <= sel <= hi:\n"
+            "    break\n"  # the first matching branch wins
+            "  else:\n"
+            f"   body = {self.k(self.block(st.else_body, track))}\n"  # no match, no ELSE: no-op
+            "  for s in body:\n"
+            "   s(store, nested, cnt, scan)\n"
+        )
+
+    def for_stmt(self, st: N.ForStmt, track: bool) -> str:
+        s, c = self.site(st)
+        var = self.k(st.var)
+        ty = self.vars[st.var].ty
+        head = (
+            f"   cur = {self.value_for(st.start, ty)}\n"
+            f"   lim = {self.ex(st.stop)}\n"
+            f"   inc = {1 if st.step is None else self.ex(st.step)}\n"
+            "   if inc == 0:\n"
+            "    raise _Trap(_ZERO_STEP_MSG)\n"
+        )
+        return (
+            _count(s, c, "  ") + _guard(head, s, "  ")
+            + f"  scan.last = {s}\n"
+            "  try:\n"
+            "   while (cur <= lim) if inc > 0 else (cur >= lim):\n"
+            f"    store[{var}] = cur\n"
+            + self.run_body(st.body, True, "    ")
+            + f"    cur = {_wrap(ty.kind, f'store[{var}] + inc')}\n"
+            "    scan.loops += 1\n"
+            "    scan.budget -= 1\n"
+            "    if scan.budget <= 0:\n"
+            "     raise _fault(scan.last, _BUDGET_MSG)\n"
+            "  except _ExitLoop:\n"
+            "   pass\n"
+        )
+
+    def while_stmt(self, st: N.WhileStmt, track: bool) -> str:
+        s, c = self.site(st)
+        last = f"    scan.last = {s}\n" if track else ""
+        return (
+            "  try:\n"
+            "   while True:\n"
+            + _count(s, c, "    ") + _guard(f"     go = {self.ex(st.cond)}\n", s, "    ") + last
+            + "    if not go:\n"
+            "     return\n"
+            + self.run_body(st.body, track, "    ")
+            + "  except _ExitLoop:\n"
+            "   pass\n"
+        )
+
+    def repeat_stmt(self, st: N.RepeatStmt, track: bool) -> str:
+        s, c = self.site(st)
+        last = f"    scan.last = {s}\n" if track else ""
+        return (
+            "  try:\n"
+            "   while True:\n"
+            + self.run_body(st.body, track, "    ")
+            + _count(s, c, "    ") + _guard(f"     done = {self.ex(st.until)}\n", s, "    ") + last
+            + "    if done:\n"
+            "     return\n"
+            "  except _ExitLoop:\n"
+            "   pass\n"
+        )
+
+    def fb_call(self, st: N.FbCall, track: bool) -> str:
+        s, c = self.site(st)
+        fb_type = self.fbs[st.instance]
         builtin = _is_builtin_fb(self.prog, fb_type)
         if builtin:
             slots = BUILTIN_FBS[fb_type]
         else:
             callee = _pou(self.prog, fb_type)
             slots = {v.name: (v.ty, v.section) for v in callee.info.vars.values()}
+        text = _count(s, c, "  ") + f"  fb = nested[{self.k(st.instance)}]\n  fs = fb.store\n"
         inputs = [p for p in st.params if not p.is_output]
-        ins = tuple((p.name, self.value_for(p.expr, slots[p.name][0])) for p in inputs)
+        ins = "".join([
+            f"   fs[{self.k(p.name)}] = {self.value_for(p.expr, slots[p.name][0])}\n" for p in inputs
+        ])
         # after the call, IN_OUT arguments are written back, then the outputs
         back = [p for p in inputs if slots[p.name][1] is Section.IN_OUT]
         back += [p for p in st.params if p.is_output]
-        outs = tuple((p.name, self.target(p.expr, slots[p.name][0])) for p in back)
-
+        outs = "".join([
+            f"   {self.put(p.expr, slots[p.name][0], f'fs[{self.k(p.name)}]')}\n" for p in back
+        ])
+        last = f"  scan.last = {s}\n" if track else ""
         if builtin:
-            def run(store, nested, cnt, scan):
-                cnt[i] += 1
-                scan.budget -= 1
-                if scan.budget <= 0:
-                    raise _fault(site, _BUDGET_MSG)
-                fb = nested[iname]
-                fstore = fb.store
-                try:
-                    for name, ev in ins:
-                        fstore[name] = ev(store, nested, scan)
-                    fb.step(scan.now)
-                    for name, put in outs:
-                        put(store, nested, scan, fstore[name])
-                except _TRAPS as exc:
-                    raise _fault(site, exc) from None
-                if track:
-                    scan.last = site
-            return run
-
-        temps = callee.temps
-        segment = "." + iname
-
-        def run(store, nested, cnt, scan):
-            cnt[i] += 1
-            scan.budget -= 1
-            if scan.budget <= 0:
-                raise _fault(site, _BUDGET_MSG)
-            fb = nested[iname]
-            fstore = fb.store
-            try:
-                for name, ev in ins:
-                    fstore[name] = ev(store, nested, scan)
-            except _TRAPS as exc:
-                raise _fault(site, exc) from None
-            if temps:
-                callee.reset_temps(fstore)
-            scan.depth += 1
-            try:
-                if scan.depth > _MAX_CALL_DEPTH:
-                    raise _fault(site, "call depth exceeded")
-                try:
-                    callee.run(fstore, fb.nested, scan)
-                except RuntimeFault as fault:
-                    fault.instance_path = segment + fault.instance_path
-                    raise
-                except RecursionError:
-                    raise _fault(site, _STACK_MSG) from None
-            finally:
-                scan.depth -= 1
-            try:
-                for name, put in outs:
-                    put(store, nested, scan, fstore[name])
-            except _TRAPS as exc:
-                raise _fault(site, exc) from None
-            if track:
-                scan.last = site
-        return run
-
-    def jump(self, st, track: bool):
-        i, site = self.site(st)
-        signal = _ExitLoop if isinstance(st, N.ExitStmt) else _ReturnPou
-
-        def run(store, nested, cnt, scan):
-            cnt[i] += 1
-            scan.budget -= 1
-            if scan.budget <= 0:
-                raise _fault(site, _BUDGET_MSG)
-            if track:
-                scan.last = site
-            raise signal
-        return run
-
-    def if_stmt(self, st: N.IfStmt, track: bool):
-        branches = tuple(
-            (*self.site(br), self.expr(br.cond), self.block(br.body, track))
-            for br in st.branches
+            return text + _guard(f"{ins}   fb.step(scan.now)\n{outs}", s, "  ") + last
+        pou = self.k(callee)
+        if ins:
+            text += _guard(ins, s, "  ")
+        if callee.temps:
+            text += f"  {pou}.reset_temps(fs)\n"
+        text += (
+            "  scan.depth += 1\n"
+            "  if scan.depth > _MAX_CALL_DEPTH:\n"
+            f"   raise _fault({s}, _DEPTH_MSG)\n"
+            "  try:\n"
+            f"   {pou}.run(fs, fb.nested, scan)\n"
+            "  except RuntimeFault as fault:\n"
+            f"   fault.instance_path = {self.k('.' + st.instance)} + fault.instance_path\n"
+            "   raise\n"
+            "  except RecursionError:\n"
+            f"   raise _fault({s}, _STACK_MSG) from None\n"
+            "  scan.depth -= 1\n"
         )
-        else_body = self.block(st.else_body, track)
-
-        def run(store, nested, cnt, scan):
-            for i, site, cond, body in branches:
-                cnt[i] += 1
-                scan.budget -= 1
-                if scan.budget <= 0:
-                    raise _fault(site, _BUDGET_MSG)
-                try:
-                    taken = cond(store, nested, scan)
-                except _TRAPS as exc:
-                    raise _fault(site, exc) from None
-                if track:
-                    scan.last = site
-                if taken:
-                    for s in body:
-                        s(store, nested, cnt, scan)
-                    return
-            for s in else_body:
-                s(store, nested, cnt, scan)
-        return run
-
-    def case_stmt(self, st: N.CaseStmt, track: bool):
-        i, site = self.site(st)
-        selector = self.expr(st.selector)
-        else_body = self.block(st.else_body, track)
-        arms = []
-        for br in st.branches:
-            body = self.block(br.body, track)
-            arms.extend((lab.lo, lab.hi, body) for lab in br.labels)
-
-        def run(store, nested, cnt, scan):
-            cnt[i] += 1
-            scan.budget -= 1
-            if scan.budget <= 0:
-                raise _fault(site, _BUDGET_MSG)
-            try:
-                sel = selector(store, nested, scan)
-            except _TRAPS as exc:
-                raise _fault(site, exc) from None
-            if track:
-                scan.last = site
-            for lo, hi, body in arms:
-                if lo <= sel <= hi:
-                    break  # the first matching branch wins
-            else:
-                body = else_body  # no match, no ELSE: no-op
-            for s in body:
-                s(store, nested, cnt, scan)
-        return run
-
-    def for_stmt(self, st: N.ForStmt, track: bool):
-        i, site = self.site(st)
-        var = st.var
-        ty = self.vars[var].ty
-        kind = ty.kind
-        first = self.value_for(st.start, ty)
-        stop = self.expr(st.stop)
-        step = self.expr(st.step) if st.step is not None else None
-        body = self.block(st.body, True)
-
-        def run(store, nested, cnt, scan):
-            cnt[i] += 1
-            scan.budget -= 1
-            if scan.budget <= 0:
-                raise _fault(site, _BUDGET_MSG)
-            try:
-                cur = first(store, nested, scan)
-                limit = stop(store, nested, scan)
-                inc = step(store, nested, scan) if step is not None else 1
-                if inc == 0:
-                    raise _Trap("FOR step is zero")
-            except _TRAPS as exc:
-                raise _fault(site, exc) from None
-            scan.last = site
-            try:
-                while (cur <= limit) if inc > 0 else (cur >= limit):
-                    store[var] = cur
-                    for s in body:
-                        s(store, nested, cnt, scan)
-                    cur = V.wrap_int(store[var] + inc, kind)
-                    scan.loops += 1
-                    scan.budget -= 1
-                    if scan.budget <= 0:
-                        raise _fault(scan.last, _BUDGET_MSG)
-            except _ExitLoop:
-                pass
-        return run
-
-    def while_stmt(self, st: N.WhileStmt, track: bool):
-        i, site = self.site(st)
-        cond = self.expr(st.cond)
-        body = self.block(st.body, track)
-
-        def run(store, nested, cnt, scan):
-            try:
-                while True:
-                    cnt[i] += 1
-                    scan.budget -= 1
-                    if scan.budget <= 0:
-                        raise _fault(site, _BUDGET_MSG)
-                    try:
-                        go = cond(store, nested, scan)
-                    except _TRAPS as exc:
-                        raise _fault(site, exc) from None
-                    if track:
-                        scan.last = site
-                    if not go:
-                        return
-                    for s in body:
-                        s(store, nested, cnt, scan)
-            except _ExitLoop:
-                pass
-        return run
-
-    def repeat_stmt(self, st: N.RepeatStmt, track: bool):
-        i, site = self.site(st)
-        until = self.expr(st.until)
-        body = self.block(st.body, track)
-
-        def run(store, nested, cnt, scan):
-            try:
-                while True:
-                    for s in body:
-                        s(store, nested, cnt, scan)
-                    cnt[i] += 1
-                    scan.budget -= 1
-                    if scan.budget <= 0:
-                        raise _fault(site, _BUDGET_MSG)
-                    try:
-                        done = until(store, nested, scan)
-                    except _TRAPS as exc:
-                        raise _fault(site, exc) from None
-                    if track:
-                        scan.last = site
-                    if done:
-                        return
-            except _ExitLoop:
-                pass
-        return run
+        if outs:
+            text += _guard(outs, s, "  ")
+        return text + last
 
     # -- stores ----------------------------------------------------------------
 
-    def target(self, e: N.Expr, src_ty: T.STType):
-        """Writer `put(store, nested, scan, raw)` for an assignment target
-        receiving a raw value of type src_ty."""
-        if isinstance(e, N.VarRef):
-            name = e.name
-            ty = self.vars[name].ty
-            conv = _store_conv(src_ty, ty)
-            if conv is None:
-                def put(store, nested, scan, raw):
-                    store[name] = raw
-            else:
-                def put(store, nested, scan, raw):
-                    store[name] = conv(raw)
-            return put
-        if isinstance(e, N.IndexRef):
-            name = e.base.name
-            arr_ty = self.vars[name].ty
-            lo, hi = arr_ty.lo, arr_ty.hi
-            index = self.expr(e.index)
-            conv = _store_conv(src_ty, arr_ty.elem) or (lambda raw: raw)
+    def put(self, e: N.Expr, src_ty: T.STType, value: str) -> str:
+        """A statement storing `value`, raw of type src_ty, into the target
+        e.  Python evaluates the value before the target's index."""
+        if type(e) is N.VarRef:
+            conv = _store_conv(src_ty, self.vars[e.name].ty)
+            if conv is not None:
+                value = f"{self.k(conv)}({value})"
+            return f"store[{self.k(e.name)}] = {value}"
+        arr_ty = self.vars[e.base.name].ty
+        conv = _store_conv(src_ty, arr_ty.elem)
+        if conv is not None:
+            value = f"{self.k(conv)}({value})"
+        arr, lo, hi = self.k(e.base.name), self.k(arr_ty.lo), self.k(arr_ty.hi)
+        return f"store[{arr}][i - {lo} if {lo} <= (i := {self.ex(e.index)}) <= {hi} else _oob(i, {lo}, {hi})] = {value}"
 
-            def put(store, nested, scan, raw):
-                idx = index(store, nested, scan)
-                if not lo <= idx <= hi:
-                    raise _Trap(f"array index {idx} outside {lo}..{hi}")
-                store[name][idx - lo] = conv(raw)
-            return put
-        raise TypeError(f"invalid assignment target {e!r}")  # pragma: no cover
-
-    def value_for(self, e: N.Expr, dst: T.STType):
-        """Expression closure whose raw result is converted for a dst slot."""
-        ev = self.expr(e)
+    def value_for(self, e: N.Expr, dst: T.STType) -> str:
+        """Source of e's raw value converted for a dst slot."""
         conv = _store_conv(e.ty, dst)
         if conv is None:
-            return ev
-        if isinstance(e, N.Literal):
-            c = conv(ev(None, None, None))
-            return lambda store, nested, scan: c
-        return lambda store, nested, scan: conv(ev(store, nested, scan))
+            return self.ex(e)
+        if type(e) is N.Literal:
+            return self.k(conv(V.coercer(e.ty)(e.value)))
+        return f"{self.k(conv)}({self.ex(e)})"
 
     # -- expressions -------------------------------------------------------------
 
-    def expr(self, e: N.Expr):
-        if isinstance(e, N.Literal):
-            c = V.coercer(e.ty)(e.value)
-            return lambda store, nested, scan: c
-        if isinstance(e, N.VarRef):
-            name = e.name
-            return lambda store, nested, scan: store[name]
-        if isinstance(e, N.MemberRef):
-            base, member = e.base.name, e.member
-            return lambda store, nested, scan: nested[base].store[member]
-        if isinstance(e, N.IndexRef):
-            name = e.base.name
-            arr_ty = self.vars[name].ty
-            lo, hi = arr_ty.lo, arr_ty.hi
-            index = self.expr(e.index)
+    def ex(self, e: N.Expr) -> str:
+        """Source of e's raw value, as one operand."""
+        return _EXPRS[type(e)](self, e)
 
-            def ev(store, nested, scan):
-                idx = index(store, nested, scan)
-                if not lo <= idx <= hi:
-                    raise _Trap(f"array index {idx} outside {lo}..{hi}")
-                return store[name][idx - lo]
-            return ev
-        if isinstance(e, N.Unary):
-            return self.unary(e)
-        if isinstance(e, N.Binary):
-            return self.binary(e)
-        if isinstance(e, N.Call):
-            return self.call(e)
-        raise TypeError(f"unhandled expression {e!r}")  # pragma: no cover
+    def literal(self, e: N.Literal) -> str:
+        return self.k(V.coercer(e.ty)(e.value))
 
-    def unary(self, e: N.Unary):
-        operand = self.expr(e.operand)
-        if e.op is N.UnOp.NOT and e.ty.kind is T.Kind.BOOL:
-            return lambda store, nested, scan: not operand(store, nested, scan)
-        co = V.coercer(e.ty)
+    def var(self, e: N.VarRef) -> str:
+        return f"store[{self.k(e.name)}]"
+
+    def member(self, e: N.MemberRef) -> str:
+        return f"nested[{self.k(e.base.name)}].store[{self.k(e.member)}]"
+
+    def index(self, e: N.IndexRef) -> str:
+        arr_ty = self.vars[e.base.name].ty
+        arr, lo, hi = self.k(e.base.name), self.k(arr_ty.lo), self.k(arr_ty.hi)
+        return f"(store[{arr}][i - {lo}] if {lo} <= (i := {self.ex(e.index)}) <= {hi} else _oob(i, {lo}, {hi}))"
+
+    def unary(self, e: N.Unary) -> str:
+        x = self.ex(e.operand)
+        kind = e.ty.kind
         if e.op is N.UnOp.NOT:
-            return lambda store, nested, scan: co(~operand(store, nested, scan))
-        if e.op is N.UnOp.NEG:
-            return lambda store, nested, scan: co(-operand(store, nested, scan))
-        return lambda store, nested, scan: co(operand(store, nested, scan))
+            return f"(not {x})" if kind is T.Kind.BOOL else _wrap(kind, f"~{x}")
+        return _wrap(kind, f"-{x}" if e.op is N.UnOp.NEG else x)
 
-    def binary(self, e: N.Binary):
-        fn = _binop(e.op, e.ty)
-        left = self.expr(e.left)
-        right = self.expr(e.right)
-        return lambda store, nested, scan: fn(left(store, nested, scan), right(store, nested, scan))
+    def binary(self, e: N.Binary) -> str:
+        op, kind = e.op, e.ty.kind
+        a, b = self.ex(e.left), self.ex(e.right)
+        if op in _CMP:
+            return f"({a} {_CMP[op]} {b})"
+        if op in _ARITH:
+            return _wrap(kind, f"{a} {_ARITH[op]} {b}")
+        if op not in _BITS:
+            return f"{self.k(_arith(op, e.ty))}({a}, {b})"
+        if kind is not T.Kind.BOOL:
+            return _wrap(kind, f"({a} {_BITS[op]} {b})")
+        # both operands are evaluated, and the result is a bool
+        if op is N.BinOp.AND:
+            return f"(not ((not {a}) | (not {b})))"
+        if op is N.BinOp.OR:
+            return f"(not ((not {a}) & (not {b})))"
+        return f"({a} != {b})"
 
-    def call(self, e: N.Call):
+    def call(self, e: N.Call) -> str:
         info = self.prog.lookup_pou(e.name)
-        if info is not None and info.kind is PouKind.FUNCTION:
-            return self.call_function(e)
-        args = tuple(self.expr(a) for a in e.args)
-        impl = builtin_impl(e.name, [a.ty for a in e.args], e.ty)
-        return lambda store, nested, scan: impl(*[a(store, nested, scan) for a in args])
-
-    def call_function(self, e: N.Call):
+        if info is None or info.kind is not PouKind.FUNCTION:
+            impl = self.k(builtin_impl(e.name, [a.ty for a in e.args], e.ty))
+            return f"{impl}({', '.join([self.ex(a) for a in e.args])})"
         callee = _pou(self.prog, e.name)
-        fname = callee.name
-        params = [v for v in callee.info.vars.values() if v.section is Section.INPUT]
-        args = tuple((p.name, self.value_for(a, p.ty)) for p, a in zip(params, e.args))
-        segment = f"/{fname}()"
+        args = "".join([f", {self.value_for(a, p.ty)}" for p, a in zip(callee.info.inputs(), e.args)])
+        pou = self.k(callee)
+        return f"_call({pou}, {self.k(f'/{callee.name}()')}, scan, _frame(scan, {pou}){args})"
 
-        def ev(store, nested, scan):
-            scan.depth += 1
-            try:
-                if scan.depth > _MAX_CALL_DEPTH:
-                    raise _Trap("call depth exceeded")
-                frame = callee.frame()
-                for name, arg in args:
-                    frame[name] = arg(store, nested, scan)
-                try:
-                    callee.run(frame, _NO_NESTED, scan)
-                except RuntimeFault as fault:
-                    fault.instance_path = segment + fault.instance_path
-                    raise
-                except RecursionError:
-                    raise _Trap(_STACK_MSG) from None
-                return frame[fname]
-            finally:
-                scan.depth -= 1
-        return ev
+
+_STMTS = {
+    N.Assign: _Gen.assign,
+    N.FbCall: _Gen.fb_call,
+    N.ExitStmt: _Gen.jump,
+    N.ReturnStmt: _Gen.jump,
+    N.IfStmt: _Gen.if_stmt,
+    N.CaseStmt: _Gen.case_stmt,
+    N.ForStmt: _Gen.for_stmt,
+    N.WhileStmt: _Gen.while_stmt,
+    N.RepeatStmt: _Gen.repeat_stmt,
+}
+_EXPRS = {
+    N.Literal: _Gen.literal,
+    N.VarRef: _Gen.var,
+    N.MemberRef: _Gen.member,
+    N.IndexRef: _Gen.index,
+    N.Unary: _Gen.unary,
+    N.Binary: _Gen.binary,
+    N.Call: _Gen.call,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +907,7 @@ def run_program(
                         dead.add(guard)
                         contained.append(ContainedFault(guard, fault, cycle))
                         scan.refund(budget)
+                        scan.depth = 0  # the calls the fault abandoned
         except _ReturnPou:
             pass
         except RuntimeFault as fault:

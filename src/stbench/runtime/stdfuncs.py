@@ -1,8 +1,9 @@
 """Built-in standard functions and X_TO_Y conversions, on raw values.
 
-`builtin_impl` is looked up once per call site when a body is compiled.
-It returns a function of the raw argument values whose result is already
-coerced to the call's result type.
+`builtin_impl` is looked up once per call site when a statement is
+generated, and the generated code calls what it returns: a function of
+the raw argument values whose result is already coerced to the call's
+result type.
 
 Float domain edge cases follow IEEE (LN(0) is -inf, SQRT(-1) is nan, like
 the C functions a transpiling toolchain would call).  Explicit narrowing

@@ -22,17 +22,17 @@ from typing import Callable
 from ..frontend import types as T
 from ..frontend.types import Kind, STType
 
-_F32_MAX = 3.4028234663852886e38
-_F32 = struct.Struct("<f")
+F32_MAX = 3.4028234663852886e38
+F32 = struct.Struct("<f")
 
 
 def f32(x: float) -> float:
     """Round a python float to the nearest binary32 value."""
-    if -_F32_MAX <= x <= _F32_MAX:
-        return _F32.unpack(_F32.pack(x))[0]
-    if x > _F32_MAX:
+    if -F32_MAX <= x <= F32_MAX:
+        return F32.unpack(F32.pack(x))[0]
+    if x > F32_MAX:
         return math.inf
-    if x < -_F32_MAX:
+    if x < -F32_MAX:
         return -math.inf
     return x  # nan
 
@@ -66,8 +66,9 @@ def make(ty: STType, raw) -> Value:
 def coercer(ty: STType) -> Callable[[object], object]:
     """The coercion make applies to a raw value, as a function of it.
 
-    Compiled code looks it up once per expression or store and applies it
-    to raw python values."""
+    The interpreter's statement generator applies it to each literal once,
+    and passes it to the code it generates for a converting store, which
+    applies it to raw python values."""
     k = ty.kind
     if k is Kind.BOOL:
         return bool

@@ -69,6 +69,17 @@ def _coerce(raw, ty: T.STType):
     raise OracleFault(f"oracle cannot coerce {ty}")
 
 
+def _spell(v, kind: T.Kind) -> str:
+    """IEC text of a scalar: TRUE/FALSE, T#<ms>ms, a float's repr, digits."""
+    if kind is T.Kind.BOOL:
+        return "TRUE" if v else "FALSE"
+    if kind is T.Kind.TIME:
+        return f"T#{v}ms"
+    if kind in (T.Kind.REAL, T.Kind.LREAL):
+        return repr(float(v))
+    return str(v)
+
+
 def _default(ty: T.STType):
     if ty.kind is T.Kind.BOOL:
         return False
@@ -369,11 +380,8 @@ class OracleSim:
     def _call(self, e: N.Call):
         name = e.name
         args = [self._eval(a) for a in e.args]
-        if "_TO_STRING" in name:
-            v = args[0]
-            if isinstance(v, bool):
-                return "TRUE" if v else "FALSE"
-            return repr(float(v)) if isinstance(v, float) else str(v)
+        if name.endswith("_TO_STRING"):
+            return _coerce(_spell(args[0], T.SCALARS[name[: -len("_TO_STRING")]].kind), e.ty)
         if "_TO_" in name:
             return self._convert(name, args[0], e.ty)
         if name == "ABS":

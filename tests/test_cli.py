@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from stbench import cli, corpus
 from stbench.cli import main
 from stbench.frontend import parser
+from stbench.runtime.interp import _MAX_CALL_DEPTH
 
 from test_parser import time_limit
 
@@ -590,8 +591,12 @@ def _deep_calls_unit(nested_ifs: int) -> str:
 
 
 def test_calls_deeper_than_the_python_stack_are_a_contained_fault(tmp_path, capsys):
+    # each nested IF costs at least one Python frame per call level, so a
+    # chain of _MAX_CALL_DEPTH calls runs out of Python's stack first
+    nested_ifs = sys.getrecursionlimit() // _MAX_CALL_DEPTH + 1
+    assert nested_ifs < parser.MAX_DEPTH
     unit = tmp_path / "deep.st"
-    unit.write_text(_deep_calls_unit(12))
+    unit.write_text(_deep_calls_unit(nested_ifs))
     suite = tmp_path / "suite.csv"
     suite.write_text("test_name,state,N,expect_Y\ntc_deep,1,63,63\ntc_shallow,1,3,3\n")
     code = run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out")
@@ -604,6 +609,21 @@ def test_calls_deeper_than_the_python_stack_are_a_contained_fault(tmp_path, caps
     assert verdicts["tc_deep"][0] == "fault"
     assert verdicts["tc_deep"][1].startswith("call stack too deep (DEEP#")
     assert "tc_deep: call stack too deep" in captured.out
+
+
+def test_calls_deeper_than_the_call_limit_are_a_contained_fault(tmp_path, capsys):
+    unit = tmp_path / "deep.st"
+    unit.write_text(_deep_calls_unit(1))
+    suite = tmp_path / "suite.csv"
+    suite.write_text(f"test_name,state,N,expect_Y\ntc_deep,1,{_MAX_CALL_DEPTH},0\ntc_shallow,1,3,3\n")
+    assert run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    verdicts = {c["name"]: (c["verdict"], c["fault"]) for c in report["cases"]}
+    assert verdicts["tc_shallow"] == ("pass", None)
+    assert verdicts["tc_deep"][0] == "fault"
+    assert verdicts["tc_deep"][1].startswith("call depth exceeded (DEEP#")
 
 
 _FIXTURE_PIECES = ["\n", ",", "```", "```csv\n", "test_name,state", "dwell_cycles", "expect_", "'", '"',

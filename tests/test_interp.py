@@ -1,7 +1,13 @@
+import ast
+import builtins
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stbench import corpus
+from stbench.cli import main
 from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
 from stbench.runtime import (
@@ -16,6 +22,7 @@ from stbench.runtime import (
     run_program,
 )
 from stbench.runtime import interp
+from stbench.runtime import values as V
 
 ACC_SRC = """
 FUNCTION_BLOCK ACC
@@ -753,3 +760,187 @@ def test_in_out_array_is_copied_in_and_out():
         # the caller's element store after the call leaves the block's copy alone
         assert inst.store["B"] == [k, 10 * k]
         assert inst.nested["S"].store["A"] == [k, 10 * (k - 1)]
+
+
+def test_names_like_the_generated_locals_run_as_any_other_name():
+    # user names and STRING literals reach a statement function only as
+    # the values of its factory's parameters, never as Python source
+    prog = prog_of(
+        r"""
+        FUNCTION_BLOCK HAZARD
+        VAR_INPUT STORE : DINT; NESTED : DINT; END_VAR
+        VAR_OUTPUT CNT : DINT; SCAN : DINT; K0 : DINT; MAKE : DINT; RUN : STRING; END_VAR
+        VAR FB : TON; FS : DINT; CUR : DINT; LIM : DINT; INC : DINT; END_VAR
+        LIM := STORE + NESTED;
+        INC := 2;
+        CNT := 0;
+        FOR CUR := 1 TO LIM BY INC DO
+            CNT := CNT + CUR;
+        END_FOR;
+        FB(IN := TRUE, PT := T#1s);
+        SCAN := TIME_TO_DINT(FB.PT);
+        FS := CNT * 2;
+        K0 := FS - 1;
+        MAKE := K0 + SCAN;
+        RUN := CONCAT('$'"{}"\', '$N');
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "HAZARD")
+    out, _ = execute_cycle(inst, {"STORE": make(T.DINT, 3), "NESTED": make(T.DINT, 4)}, SimClock())
+    assert {k: v.v for k, v in out.items()} == {
+        "CNT": 16, "SCAN": 1000, "K0": 31, "MAKE": 1031, "RUN": "'\"{}\"\\\n"
+    }
+    assert inst.store["CUR"] == 7 and inst.store["FS"] == 32
+
+
+BOTH_OPERANDS_SRC = """
+FUNCTION F : BOOL
+VAR_INPUT X : DINT; END_VAR
+F := X > 0;
+END_FUNCTION
+FUNCTION_BLOCK BOTH
+VAR_INPUT X : DINT; D : DINT; END_VAR
+VAR_OUTPUT A : BOOL; B : BOOL; END_VAR
+A := FALSE AND F(X);
+B := TRUE OR (100 / D > 0);
+END_FUNCTION_BLOCK
+"""
+
+
+def test_and_or_evaluate_both_operands():
+    prog = prog_of(BOTH_OPERANDS_SRC)
+    inst = instantiate(prog, "BOTH")
+    out, counts = execute_cycle(inst, {"X": make(T.DINT, 5), "D": make(T.DINT, 1)}, SimClock())
+    assert (out["A"].v, out["B"].v) == (False, True)
+    assert counts == {"BOTH": [1, 1], "F": [1]}
+    with pytest.raises(RuntimeFault) as err:
+        execute_cycle(inst, {"X": make(T.DINT, 5), "D": make(T.DINT, 0)}, SimClock())
+    assert (err.value.message, err.value.pou, err.value.sid) == ("division by zero", "BOTH", 2)
+
+
+SAME_SHAPES_SRC = """
+FUNCTION_BLOCK ONE
+VAR_INPUT GO : BOOL; N : DINT; END_VAR
+VAR_OUTPUT Q : DINT; END_VAR
+VAR T : TON; END_VAR
+IF GO THEN
+    Q := Q + N;
+ELSE
+    Q := 0;
+END_IF;
+T(IN := GO, PT := T#5ms);
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK TWO
+VAR_INPUT RUN : BOOL; STEP : DINT; END_VAR
+VAR_OUTPUT TOTAL : DINT; END_VAR
+VAR DELAY : TON; END_VAR
+IF RUN THEN
+    TOTAL := TOTAL + STEP;
+ELSE
+    TOTAL := 7;
+END_IF;
+DELAY(IN := RUN, PT := T#9s);
+END_FUNCTION_BLOCK
+"""
+
+
+def test_statements_of_one_shape_share_one_compiled_factory():
+    interp._factory.cache_clear()
+    prog = prog_of(SAME_SHAPES_SRC)
+    execute_cycle(instantiate(prog, "ONE"), {"GO": make(T.BOOL, True)}, SimClock())
+    # IF, both assignments and the call: four shapes, each compiled once
+    assert interp._factory.cache_info()[:2] == (0, 4)
+    execute_cycle(instantiate(prog, "TWO"), {"RUN": make(T.BOOL, True)}, SimClock())
+    assert interp._factory.cache_info()[:2] == (4, 4)
+    # a second run of the same unit compiles nothing new
+    again = prog_of(SAME_SHAPES_SRC)
+    execute_cycle(instantiate(again, "ONE"), {"GO": make(T.BOOL, True)}, SimClock())
+    assert interp._factory.cache_info()[:2] == (8, 4)
+
+
+@pytest.mark.parametrize(
+    "ty,x,deepest,y",
+    [
+        ("INT", 1, "-(" * 19 + "X" + ")" * 19, -1),
+        ("INT", 1, " + ".join(["X"] * 40), 40),
+        ("REAL", 1.1, " * ".join(["X"] * 40), reduce(lambda y, _: V.f32(y * V.f32(1.1)), range(39), V.f32(1.1))),
+        ("BOOL", True, "X AND (" * 19 + "X" + ")" * 19, True),
+        ("DINT", 0, "A[" * 39 + "X" + "]" * 39, 0),
+    ],
+    ids=["int-negations", "int-sum", "real-product", "bool-and", "array-index"],
+)
+def test_expressions_at_the_nesting_limit_run(ty, x, deepest, y):
+    prog = prog_of(
+        f"""
+        FUNCTION_BLOCK DEEPEST
+        VAR_INPUT X : {ty}; END_VAR
+        VAR_OUTPUT Y : {ty}; END_VAR
+        VAR A : ARRAY[0..3] OF DINT; END_VAR
+        Y := {deepest};
+        END_FUNCTION_BLOCK
+        """
+    )
+    out, _ = execute_cycle(instantiate(prog, "DEEPEST"), {"X": make(getattr(T, ty), x)}, SimClock())
+    assert out["Y"].v == y
+
+
+def test_generated_sources_parse_as_python_3_10_and_hold_no_user_text(monkeypatch, tmp_path):
+    # pyproject.toml declares requires-python >= 3.10
+    keys = set()
+    real = interp._factory
+
+    def recording(body, n):
+        keys.add((body, n))
+        return real(body, n)
+
+    monkeypatch.setattr(interp, "_factory", recording)
+    for block in corpus.BLOCKS:
+        argv = [
+            "pipeline", "--unit", corpus.block_path(block.name), "--provider", "mock",
+            "--fixture", corpus.fixture_path(block.name), "--out", tmp_path / block.name,
+        ]
+        assert main([str(a) for a in argv]) in (0, 1)
+    assert len(keys) > 20
+    known = set(vars(interp)) | set(vars(builtins))
+    for body, n in keys:
+        tree = ast.parse(interp._source(body, n), feature_version=(3, 10))
+        nodes = list(ast.walk(tree))
+        bound = {f.name for f in nodes if isinstance(f, ast.FunctionDef)}
+        bound |= {a.arg for f in nodes if isinstance(f, ast.FunctionDef) for a in f.args.args}
+        bound |= {x.name for x in nodes if isinstance(x, ast.ExceptHandler) and x.name}
+        bound |= {x.id for x in nodes if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Store)}
+        assert {x.id for x in nodes if isinstance(x, ast.Name)} <= bound | known
+        assert not [x for x in nodes if isinstance(x, ast.Constant) and isinstance(x.value, str)]
+
+
+CALL_DEPTH_SRC = """
+FUNCTION DEEP : INT
+VAR_INPUT X : INT; END_VAR
+DEEP := 0;
+IF X > 0 THEN DEEP := DEEP(X - 1) + 1; END_IF;
+END_FUNCTION
+FUNCTION_BLOCK FAULTY
+VAR_INPUT D : INT; END_VAR
+VAR Y : INT; END_VAR
+Y := DEEP(DEEP(100 / D));
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK CHAIN
+VAR_INPUT N : INT; END_VAR
+VAR_OUTPUT Y : INT; END_VAR
+Y := DEEP(N);
+END_FUNCTION_BLOCK
+PROGRAM MAIN
+VAR S1 : FAULTY; S2 : CHAIN; END_VAR
+S1(D := 0);
+S2(N := 62);
+END_PROGRAM
+"""
+
+
+def test_a_contained_fault_leaves_no_call_depth_behind():
+    # S1 faults while evaluating the arguments of two calls it has entered;
+    # S2's chain then nests exactly 64 calls deep, the most allowed
+    result = run_program(prog_of(CALL_DEPTH_SRC), "MAIN", 1, SimClock(), quarantine={"S1", "S2"})
+    assert [(f.instance, f.fault.message) for f in result.faults] == [("S1", "division by zero")]
+    assert result.instance.nested["S2"].store["Y"] == 62

@@ -10,11 +10,13 @@ from collections import Counter
 
 import pytest
 
+from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
 from stbench.runtime import SimClock, execute_cycle, instantiate
 from stbench.runtime import values as V
 
 from oracle_sim import OracleSim
+from test_values import TO_STRING_SAMPLES
 
 CYCLE_MS = 10
 
@@ -156,3 +158,15 @@ def test_config_grid_counts():
         # configurations are distinct
         keys = [tuple(sorted((k, v) for k, v in c.items())) for c in configs]
         assert len(set(keys)) == len(keys), block
+
+
+# test_values checks that the samples cover every X_TO_STRING conversion
+@pytest.mark.parametrize("kind", sorted(TO_STRING_SAMPLES))
+def test_to_string_conversions_match_the_oracle(kind):
+    prog = resolve(parse_text(
+        f"FUNCTION_BLOCK SPELL\nVAR_INPUT X : {kind}; END_VAR\nVAR_OUTPUT S : STRING; END_VAR\n"
+        f"S := {kind}_TO_STRING(X);\nEND_FUNCTION_BLOCK\n"
+    ))
+    for raw in TO_STRING_SAMPLES[kind]:
+        out, _ = execute_cycle(instantiate(prog, "SPELL"), {"X": V.make(T.SCALARS[kind], raw)}, SimClock())
+        assert out["S"].v == OracleSim(prog, "SPELL").scan({"X": raw}, 0)["S"]
