@@ -83,13 +83,14 @@ def line_counts(
     `pous` holds for its name; a definition that lookup shadows never ran
     and has no executable lines."""
     lines: dict[int, int] = {}
+    line_of = src.line_of
     for unit, shift in layers:
         for info in unit.pous.values():
             if pous.get(info.name) is not info:
                 continue
             cnt = counts.get(info.name) or [0] * len(info.sites)
             for node, count in zip(info.sites, cnt):
-                line = src.line_of(shift + site_span(node).start)
+                line = line_of(shift + site_span(node).start)
                 lines[line] = max(lines.get(line, count), count)
     return lines
 

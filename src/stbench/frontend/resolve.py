@@ -128,6 +128,8 @@ def interface_of(prog: TypedProgram, fb_name: str) -> FbInterface:
 
 
 _INT_LITERAL_KINDS = (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD)
+# each integer kind a literal can take: its one STType and its range
+_INT_LITERAL_TYPES = {ty.kind: (ty, *T.INT_RANGES[ty.kind]) for ty in (T.INT, T.DINT, T.BYTE, T.WORD)}
 _WRITABLE_LVALUE_MSG = "assignment target must be a variable of this POU"
 
 
@@ -137,6 +139,8 @@ class _Resolver:
         self.libraries = tuple(libraries)
         self.diags: list[Diagnostic] = []
         self.pous: dict[str, PouInfo] = {}
+        # user FB type -> its interface (fb_iface)
+        self.ifaces: dict[str, dict[str, tuple[T.STType, Section]]] = {}
         # state while checking one POU body
         self.cur: PouInfo | None = None
         self.loop_depth = 0
@@ -392,12 +396,17 @@ class _Resolver:
             self.err(f"condition must be BOOL, got {ty}", getattr(cond, "span", Span(0, 0)))
 
     def fb_iface(self, fb_type: str) -> dict[str, tuple[T.STType, Section]] | None:
+        """Variable name -> (type, section) of an FB type, None if unknown.
+        Only bodies ask, once every declaration is in, so the memo holds."""
         if fb_type in bi.BUILTIN_FBS:
             return bi.BUILTIN_FBS[fb_type]
-        info = self.lookup_pou(fb_type)
-        if info is None:
-            return None
-        return {v.name: (v.ty, v.section) for v in info.vars.values()}
+        iface = self.ifaces.get(fb_type)
+        if iface is None:
+            info = self.lookup_pou(fb_type)
+            if info is None:
+                return None
+            iface = self.ifaces[fb_type] = {v.name: (v.ty, v.section) for v in info.vars.values()}
+        return iface
 
     def check_fb_call(self, st: FbCall) -> None:
         fb_type = self.cur.fb_instances.get(st.instance)
@@ -565,9 +574,9 @@ class _Resolver:
             return T.REAL
         # integer literal: adopt the expected integer type when given
         if expected is not None and expected.kind in _INT_LITERAL_KINDS:
-            lo, hi = T.INT_RANGES[expected.kind]
+            ty, lo, hi = _INT_LITERAL_TYPES[expected.kind]
             if lo <= e.value <= hi:
-                return T.STType(expected.kind)
+                return ty
             self.err(
                 f"literal {e.value} exceeds {expected} range {lo}..{hi}",
                 e.span,

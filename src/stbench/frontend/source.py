@@ -49,7 +49,9 @@ class SourceUnit:
         return line, col
 
     def line_of(self, offset: int) -> int:
-        return self.linecol(offset)[0]
+        """The line of `offset`, as linecol gives it, without the column:
+        an offset past either end lies on the first or the last line."""
+        return bisect.bisect_right(self._line_starts, offset) or 1
 
     def line_count(self) -> int:
         return len(self._line_starts)

@@ -110,7 +110,7 @@ def unify(a: STType, b: STType) -> STType | None:
     """Common type of two operands under the promotion lattice, or None."""
     if a.kind is Kind.STRING and b.kind is Kind.STRING:
         return string()
-    if a == b:
+    if a is b or a == b:
         return a
     if (a.kind, b.kind) in WIDENS:
         return b

@@ -287,12 +287,12 @@ def build_harness(
     if PROGRAM_NAME in defined_in:
         raise CollisionError(f"generated program name {PROGRAM_NAME} collides with an existing POU")
 
-    taken = set(defined_in)
-    cases: list[CaseHarness] = []
-    for index, case in enumerate(suite.cases, start=1):
-        harness = build_case_fb(case, fb, index, atol, rtol, frozenset(taken))
-        taken.add(harness.fb_name)
-        cases.append(harness)
+    # the generated TC_<i>_CASE names differ from each other by their index
+    taken = frozenset(defined_in)
+    cases = [
+        build_case_fb(case, fb, index, atol, rtol, taken)
+        for index, case in enumerate(suite.cases, start=1)
+    ]
 
     ast = N.Ast([*(c.pou for c in cases), build_runner(cases)])
     N.assign_statement_ids(ast)

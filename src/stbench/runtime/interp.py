@@ -14,13 +14,19 @@ statement functions it runs in a loop, so ST nesting never becomes Python
 nesting.  The function is made by a factory `make(k0, ..., kn)` whose
 parameters carry every name, literal, count slot, site, callee, built-in
 function and sub-body, so no user text enters generated source, and
-statements that differ only in those values share one source.  Factories
-are compiled once per process, as `collections.namedtuple` compiles its
-classes, and kept in a bounded cache keyed by that source, as `re` keeps
-its patterns.  A statement function holds no run state: the store, the
-nested instances, the count array and the run state (`_Scan`: program,
-counts, budget, clock, call depth) are passed in, so scans and threads
-share it.
+statements that differ only in those values share one source.  One walk
+over a statement collects those values and builds its shape: a small
+hashable key recording only what the source depends on (node kinds and
+operators, the result kinds whose wrap is written out, converting
+stores, empty sub-bodies and ELSEs, a FOR without BY, built-in or user
+blocks and a callee's TEMPs, and whether sites are tracked).  Factories
+are kept in a bounded cache keyed by shape, as `re` keeps its patterns;
+on a miss the source is rendered from the shape alone and compiled once
+per process, as `collections.namedtuple` compiles its classes.  So a
+statement costs one walk and a lookup, not a source text.  A statement
+function holds no run state: the store, the nested instances, the count
+array and the run state (`_Scan`: program, counts, budget, clock, call
+depth) are passed in, so scans and threads share it.
 
 Values: expressions evaluate to raw python values (bool, int, float, str,
 or a list of raw elements for an ARRAY), and every store (an instance's,
@@ -37,11 +43,11 @@ from `_Pou.initial`).
 Memory: a run builds no reference cycles.  Stores hold raw values and
 lists of them, which refer to nothing.  The statement functions are
 cached on the TypedProgram they were made for and refer to nothing that
-refers back to it; the cached factories refer only to this module.  So a
-finished run, its AST and its statement functions are freed by reference
-counting as soon as the last reference goes, without the cyclic garbage
-collector.  The CLI relies on this and pauses that collector while it
-works on a unit.
+refers back to it; the cached factories and their shapes refer only to
+this module and its enums.  So a finished run, its AST and its statement
+functions are freed by reference counting as soon as the last reference
+goes, without the cyclic garbage collector.  The CLI relies on this and
+pauses that collector while it works on a unit.
 
 Coverage: executing a statement site adds one to its slot in its POU's
 count array, where slot i counts `PouInfo.sites[i]`; these arrays are the
@@ -51,11 +57,12 @@ evaluation.  Each site also spends one unit of the scan's 1M-site budget,
 as does each FOR iteration; run_program gives what a contained fault's
 call spent back, up to three more budgets per scan.
 Faults are attributed on the exception path: a statement function turns
-an expression fault into a RuntimeFault at its own site, and each call
-frame it unwinds through prepends its instance path segment.  Calls nest
-at most 64 deep; a chain that exhausts Python's recursion limit first
-becomes the fault "call stack too deep" at the innermost call site with
-room to raise it.
+an expression fault into a RuntimeFault at its own site (a parameter
+holding its POU's name and its node, whose span is looked up only for a
+fault), and each call frame it unwinds through prepends its instance path
+segment.  Calls nest at most 64 deep; a chain that exhausts Python's
+recursion limit first becomes the fault "call stack too deep" at the
+innermost call site with room to raise it.
 """
 
 from __future__ import annotations
@@ -268,9 +275,10 @@ class _Trap(Exception):
 _TRAPS = (_Trap, BuiltinFuncError)
 
 
-def _fault(site: tuple[str, int, Span], cause) -> RuntimeFault:
-    pou, sid, span = site
-    return RuntimeFault(str(cause), pou, sid, span)
+def _fault(site: tuple[str, N.Stmt | N.IfBranch], cause) -> RuntimeFault:
+    """The fault `cause` at a site, given as its POU's name and its node."""
+    pou, node = site
+    return RuntimeFault(str(cause), pou, node.sid, N.site_span(node))
 
 
 def _store_conv(src: T.STType | None, dst: T.STType):
@@ -303,12 +311,14 @@ class _Pou:
     """One POU: its body, compiled on first execution, and what a caller
     needs to set up its frame."""
 
-    __slots__ = ("info", "name", "index", "temps", "initial", "params", "copies", "body")
+    __slots__ = ("info", "name", "index", "iface", "temps", "initial", "params", "copies", "body")
 
     def __init__(self, info: PouInfo):
         self.info = info
         self.name = info.name
         self.index = {node.sid: i for i, node in enumerate(info.sites)}
+        # variable name -> (type, section), as BUILTIN_FBS gives a block's
+        self.iface = {v.name: (v.ty, v.section) for v in info.vars.values()}
         self.temps = {
             v.name: V.zero(v.ty) for v in info.vars.values() if v.section is Section.TEMP
         }
@@ -436,32 +446,22 @@ def _call(callee: _Pou, segment: str, scan: _Scan, frame: dict, *args):
     return frame[callee.name]
 
 
-def _source(body: str, n: int) -> str:
-    """The source of a factory `make(k0, ..., k<n-1>)` returning the
-    statement function whose body is `body`."""
-    params = ", ".join([f"k{i}" for i in range(n)])
-    return f"def make({params}):\n def run(store, nested, cnt, scan):\n{body} return run\n"
-
-
-@functools.lru_cache(maxsize=1024)
-def _factory(body: str, n: int):
-    """The compiled `_source(body, n)` factory, shared in the process by
-    every statement of that shape.  It refers to nothing but this module's
-    globals, so the cache holds no cycle."""
-    ns: dict = {}
-    exec(compile(_source(body, n), "<statement>", "exec"), globals(), ns)
-    return ns["make"]
-
-
 _CMP = {
     N.BinOp.EQ: "==", N.BinOp.NE: "!=", N.BinOp.LT: "<",
     N.BinOp.LE: "<=", N.BinOp.GT: ">", N.BinOp.GE: ">=",
 }
 _ARITH = {N.BinOp.ADD: "+", N.BinOp.SUB: "-", N.BinOp.MUL: "*"}
 _BITS = {N.BinOp.AND: "&", N.BinOp.OR: "|", N.BinOp.XOR: "^"}
+# operators computed by a function parameter, `_arith`'s
+_CALLED = frozenset({N.BinOp.DIV, N.BinOp.MOD, N.BinOp.POW})
+# the result kinds a shape records: those `_wrap` writes out, and BOOL,
+# which NOT and the bit operations spell apart; any other is None
+_TEXT_KINDS = {
+    k: k for k in (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD, T.Kind.REAL, T.Kind.BOOL)
+}
 
 
-def _wrap(kind: T.Kind, text: str) -> str:
+def _wrap(kind: T.Kind | None, text: str) -> str:
     """Source coercing `text`, a raw sum, difference or product (or, for
     BYTE and WORD, a bit operation) to `kind` as `V.coercer` would; the
     LREAL and TIME results of these operations need nothing."""
@@ -494,101 +494,84 @@ def _guard(lines: str, s: str, pad: str) -> str:
     return f"{pad}try:\n{lines}{pad}except _TRAPS as exc:\n{pad} raise _fault({s}, exc) from None\n"
 
 
-class _Gen:
-    """Generates the statement functions `run(store, nested, cnt, scan)`
-    of one POU body.
+class _Text:
+    """Renders a statement shape as the body of its statement function.
 
-    Each statement's source defines a factory `make(k0, ..., kn)`; its
-    parameters carry every name, literal, count slot, site, callee,
-    built-in function and sub-body, in the order the walk meets them, so
-    statements differing only in those share one source.  Expressions are
-    inlined, and a sub-body is a tuple of statement functions run in a
-    loop.  With `track` set (sites inside a FOR body), a site records
-    itself in `scan.last` once its own evaluation is done."""
+    A shape is a nested tuple whose first item is the method rendering it;
+    the rest records what the text depends on and nothing else.  The
+    factory parameters the text refers to are named k0, k1, ... in the
+    order `_Gen` collects their values."""
 
-    def __init__(self, pou: _Pou, prog: TypedProgram):
-        self.pou = pou
-        self.prog = prog
-        self.vars = pou.info.vars
-        self.fbs = pou.info.fb_instances
-        self.consts: list = []
+    def __init__(self):
+        self.n = 0
 
-    def k(self, value) -> str:
-        """The factory parameter that carries `value`."""
-        consts = self.consts
-        consts.append(value)
-        return f"k{len(consts) - 1}"
+    def k(self) -> str:
+        """The next factory parameter."""
+        self.n += 1
+        return f"k{self.n - 1}"
 
-    def site(self, node) -> tuple[str, str]:
+    def site(self) -> tuple[str, str]:
         """The parameters carrying a site's fault location and count slot."""
-        consts = self.consts
-        n = len(consts)
-        consts += ((self.pou.name, node.sid, N.site_span(node)), self.pou.index[node.sid])
-        return f"k{n}", f"k{n + 1}"
+        return self.k(), self.k()
 
-    def block(self, body: list[N.Stmt], track: bool) -> tuple:
-        return tuple([self.stmt(st, track) for st in body])
+    def stmt(self, shape) -> str:
+        return shape[0](self, shape)
 
-    def stmt(self, st: N.Stmt, track: bool):
-        outer, self.consts = self.consts, []
-        body = _STMTS[type(st)](self, st, track)
-        consts, self.consts = self.consts, outer
-        return _factory(body, len(consts))(*consts)
-
-    def run_body(self, body: list[N.Stmt], track: bool, pad: str) -> str:
-        if not body:
+    def run_body(self, runs: bool, pad: str) -> str:
+        """Lines running a sub-body, a parameter, if it `runs` anything."""
+        if not runs:
             return ""
-        return f"{pad}for s in {self.k(self.block(body, track))}:\n{pad} s(store, nested, cnt, scan)\n"
+        return f"{pad}for s in {self.k()}:\n{pad} s(store, nested, cnt, scan)\n"
 
     # -- statements -----------------------------------------------------------
 
-    def assign(self, st: N.Assign, track: bool) -> str:
-        s, c = self.site(st)
-        put = self.put(st.target, st.value.ty, self.ex(st.value))
+    def assign(self, shape) -> str:
+        _, track, value, target = shape
+        s, c = self.site()
+        put = self.put(target, self.ex(value))
         last = f"  scan.last = {s}\n" if track else ""
         return _count(s, c, "  ") + _guard(f"   {put}\n", s, "  ") + last
 
-    def jump(self, st, track: bool) -> str:
-        s, c = self.site(st)
+    def jump(self, shape) -> str:
+        _, exit_, track = shape
+        s, c = self.site()
         last = f"  scan.last = {s}\n" if track else ""
-        signal = "_ExitLoop" if type(st) is N.ExitStmt else "_ReturnPou"
+        signal = "_ExitLoop" if exit_ else "_ReturnPou"
         return f"{_count(s, c, '  ')}{last}  raise {signal}\n"
 
-    def if_stmt(self, st: N.IfStmt, track: bool) -> str:
+    def if_stmt(self, shape) -> str:
+        _, track, branches, else_runs = shape
         text = ""
-        for br in st.branches:
-            s, c = self.site(br)
+        for cond, runs in branches:
+            s, c = self.site()
             last = f"  scan.last = {s}\n" if track else ""
-            text += _count(s, c, "  ") + _guard(f"   taken = {self.ex(br.cond)}\n", s, "  ")
-            text += f"{last}  if taken:\n{self.run_body(br.body, track, '   ')}   return\n"
-        return text + self.run_body(st.else_body, track, "  ")
+            text += _count(s, c, "  ") + _guard(f"   taken = {self.ex(cond)}\n", s, "  ")
+            text += f"{last}  if taken:\n{self.run_body(runs, '   ')}   return\n"
+        return text + self.run_body(else_runs, "  ")
 
-    def case_stmt(self, st: N.CaseStmt, track: bool) -> str:
-        s, c = self.site(st)
+    def case_stmt(self, shape) -> str:
+        _, track, selector = shape
+        s, c = self.site()
         last = f"  scan.last = {s}\n" if track else ""
-        arms = []
-        for br in st.branches:
-            body = self.block(br.body, track)
-            arms.extend((lab.lo, lab.hi, body) for lab in br.labels)
         return (
-            _count(s, c, "  ") + _guard(f"   sel = {self.ex(st.selector)}\n", s, "  ") + last
-            + f"  for lo, hi, body in {self.k(tuple(arms))}:\n"
+            _count(s, c, "  ") + _guard(f"   sel = {self.ex(selector)}\n", s, "  ") + last
+            + f"  for lo, hi, body in {self.k()}:\n"
             "   if lo <= sel <= hi:\n"
             "    break\n"  # the first matching branch wins
             "  else:\n"
-            f"   body = {self.k(self.block(st.else_body, track))}\n"  # no match, no ELSE: no-op
+            f"   body = {self.k()}\n"  # no match, no ELSE: no-op
             "  for s in body:\n"
             "   s(store, nested, cnt, scan)\n"
         )
 
-    def for_stmt(self, st: N.ForStmt, track: bool) -> str:
-        s, c = self.site(st)
-        var = self.k(st.var)
-        ty = self.vars[st.var].ty
+    def for_stmt(self, shape) -> str:
+        _, kind, start, stop, step, runs = shape
+        s, c = self.site()
+        var = self.k()
         head = (
-            f"   cur = {self.value_for(st.start, ty)}\n"
-            f"   lim = {self.ex(st.stop)}\n"
-            f"   inc = {1 if st.step is None else self.ex(st.step)}\n"
+            f"   cur = {self.ex(start)}\n"
+            f"   lim = {self.ex(stop)}\n"
+            f"   inc = {1 if step is None else self.ex(step)}\n"
             "   if inc == 0:\n"
             "    raise _Trap(_ZERO_STEP_MSG)\n"
         )
@@ -598,8 +581,8 @@ class _Gen:
             "  try:\n"
             "   while (cur <= lim) if inc > 0 else (cur >= lim):\n"
             f"    store[{var}] = cur\n"
-            + self.run_body(st.body, True, "    ")
-            + f"    cur = {_wrap(ty.kind, f'store[{var}] + inc')}\n"
+            + self.run_body(runs, "    ")
+            + f"    cur = {_wrap(kind, f'store[{var}] + inc')}\n"
             "    scan.loops += 1\n"
             "    scan.budget -= 1\n"
             "    if scan.budget <= 0:\n"
@@ -608,61 +591,49 @@ class _Gen:
             "   pass\n"
         )
 
-    def while_stmt(self, st: N.WhileStmt, track: bool) -> str:
-        s, c = self.site(st)
+    def while_stmt(self, shape) -> str:
+        _, track, cond, runs = shape
+        s, c = self.site()
         last = f"    scan.last = {s}\n" if track else ""
         return (
             "  try:\n"
             "   while True:\n"
-            + _count(s, c, "    ") + _guard(f"     go = {self.ex(st.cond)}\n", s, "    ") + last
+            + _count(s, c, "    ") + _guard(f"     go = {self.ex(cond)}\n", s, "    ") + last
             + "    if not go:\n"
             "     return\n"
-            + self.run_body(st.body, track, "    ")
+            + self.run_body(runs, "    ")
             + "  except _ExitLoop:\n"
             "   pass\n"
         )
 
-    def repeat_stmt(self, st: N.RepeatStmt, track: bool) -> str:
-        s, c = self.site(st)
+    def repeat_stmt(self, shape) -> str:
+        _, track, runs, until = shape
+        s, c = self.site()
         last = f"    scan.last = {s}\n" if track else ""
         return (
             "  try:\n"
             "   while True:\n"
-            + self.run_body(st.body, track, "    ")
-            + _count(s, c, "    ") + _guard(f"     done = {self.ex(st.until)}\n", s, "    ") + last
+            + self.run_body(runs, "    ")
+            + _count(s, c, "    ") + _guard(f"     done = {self.ex(until)}\n", s, "    ") + last
             + "    if done:\n"
             "     return\n"
             "  except _ExitLoop:\n"
             "   pass\n"
         )
 
-    def fb_call(self, st: N.FbCall, track: bool) -> str:
-        s, c = self.site(st)
-        fb_type = self.fbs[st.instance]
-        builtin = _is_builtin_fb(self.prog, fb_type)
-        if builtin:
-            slots = BUILTIN_FBS[fb_type]
-        else:
-            callee = _pou(self.prog, fb_type)
-            slots = {v.name: (v.ty, v.section) for v in callee.info.vars.values()}
-        text = _count(s, c, "  ") + f"  fb = nested[{self.k(st.instance)}]\n  fs = fb.store\n"
-        inputs = [p for p in st.params if not p.is_output]
-        ins = "".join([
-            f"   fs[{self.k(p.name)}] = {self.value_for(p.expr, slots[p.name][0])}\n" for p in inputs
-        ])
-        # after the call, IN_OUT arguments are written back, then the outputs
-        back = [p for p in inputs if slots[p.name][1] is Section.IN_OUT]
-        back += [p for p in st.params if p.is_output]
-        outs = "".join([
-            f"   {self.put(p.expr, slots[p.name][0], f'fs[{self.k(p.name)}]')}\n" for p in back
-        ])
+    def fb_call(self, shape) -> str:
+        _, track, builtin, temps, in_shapes, out_shapes = shape
+        s, c = self.site()
+        text = _count(s, c, "  ") + f"  fb = nested[{self.k()}]\n  fs = fb.store\n"
+        ins = "".join([f"   fs[{self.k()}] = {self.ex(x)}\n" for x in in_shapes])
+        outs = "".join([f"   {self.put(x, f'fs[{self.k()}]')}\n" for x in out_shapes])
         last = f"  scan.last = {s}\n" if track else ""
         if builtin:
             return text + _guard(f"{ins}   fb.step(scan.now)\n{outs}", s, "  ") + last
-        pou = self.k(callee)
+        pou = self.k()
         if ins:
             text += _guard(ins, s, "  ")
-        if callee.temps:
+        if temps:
             text += f"  {pou}.reset_temps(fs)\n"
         text += (
             "  scan.depth += 1\n"
@@ -671,7 +642,7 @@ class _Gen:
             "  try:\n"
             f"   {pou}.run(fs, fb.nested, scan)\n"
             "  except RuntimeFault as fault:\n"
-            f"   fault.instance_path = {self.k('.' + st.instance)} + fault.instance_path\n"
+            f"   fault.instance_path = {self.k()} + fault.instance_path\n"
             "   raise\n"
             "  except RecursionError:\n"
             f"   raise _fault({s}, _STACK_MSG) from None\n"
@@ -683,66 +654,56 @@ class _Gen:
 
     # -- stores ----------------------------------------------------------------
 
-    def put(self, e: N.Expr, src_ty: T.STType, value: str) -> str:
-        """A statement storing `value`, raw of type src_ty, into the target
-        e.  Python evaluates the value before the target's index."""
-        if type(e) is N.VarRef:
-            conv = _store_conv(src_ty, self.vars[e.name].ty)
-            if conv is not None:
-                value = f"{self.k(conv)}({value})"
-            return f"store[{self.k(e.name)}] = {value}"
-        arr_ty = self.vars[e.base.name].ty
-        conv = _store_conv(src_ty, arr_ty.elem)
-        if conv is not None:
-            value = f"{self.k(conv)}({value})"
-        arr, lo, hi = self.k(e.base.name), self.k(arr_ty.lo), self.k(arr_ty.hi)
-        return f"store[{arr}][i - {lo} if {lo} <= (i := {self.ex(e.index)}) <= {hi} else _oob(i, {lo}, {hi})] = {value}"
-
-    def value_for(self, e: N.Expr, dst: T.STType) -> str:
-        """Source of e's raw value converted for a dst slot."""
-        conv = _store_conv(e.ty, dst)
-        if conv is None:
-            return self.ex(e)
-        if type(e) is N.Literal:
-            return self.k(conv(V.coercer(e.ty)(e.value)))
-        return f"{self.k(conv)}({self.ex(e)})"
+    def put(self, shape, value: str) -> str:
+        """A statement storing `value` into a target, converted first if
+        the shape says so.  Python evaluates the value before the target's
+        index."""
+        _, conv, *index = shape
+        if conv:
+            value = f"{self.k()}({value})"
+        if not index:
+            return f"store[{self.k()}] = {value}"
+        arr, lo, hi = self.k(), self.k(), self.k()
+        return f"store[{arr}][i - {lo} if {lo} <= (i := {self.ex(index[0])}) <= {hi} else _oob(i, {lo}, {hi})] = {value}"
 
     # -- expressions -------------------------------------------------------------
 
-    def ex(self, e: N.Expr) -> str:
-        """Source of e's raw value, as one operand."""
-        return _EXPRS[type(e)](self, e)
+    def ex(self, shape) -> str:
+        """Source of an expression's raw value, as one operand."""
+        return shape[0](self, shape)
 
-    def literal(self, e: N.Literal) -> str:
-        return self.k(V.coercer(e.ty)(e.value))
+    def literal(self, shape) -> str:
+        return self.k()
 
-    def var(self, e: N.VarRef) -> str:
-        return f"store[{self.k(e.name)}]"
+    def var(self, shape) -> str:
+        return f"store[{self.k()}]"
 
-    def member(self, e: N.MemberRef) -> str:
-        return f"nested[{self.k(e.base.name)}].store[{self.k(e.member)}]"
+    def member(self, shape) -> str:
+        return f"nested[{self.k()}].store[{self.k()}]"
 
-    def index(self, e: N.IndexRef) -> str:
-        arr_ty = self.vars[e.base.name].ty
-        arr, lo, hi = self.k(e.base.name), self.k(arr_ty.lo), self.k(arr_ty.hi)
-        return f"(store[{arr}][i - {lo}] if {lo} <= (i := {self.ex(e.index)}) <= {hi} else _oob(i, {lo}, {hi}))"
+    def conv(self, shape) -> str:
+        return f"{self.k()}({self.ex(shape[1])})"
 
-    def unary(self, e: N.Unary) -> str:
-        x = self.ex(e.operand)
-        kind = e.ty.kind
-        if e.op is N.UnOp.NOT:
+    def index(self, shape) -> str:
+        arr, lo, hi = self.k(), self.k(), self.k()
+        return f"(store[{arr}][i - {lo}] if {lo} <= (i := {self.ex(shape[1])}) <= {hi} else _oob(i, {lo}, {hi}))"
+
+    def unary(self, shape) -> str:
+        _, op, kind, operand = shape
+        x = self.ex(operand)
+        if op is N.UnOp.NOT:
             return f"(not {x})" if kind is T.Kind.BOOL else _wrap(kind, f"~{x}")
-        return _wrap(kind, f"-{x}" if e.op is N.UnOp.NEG else x)
+        return _wrap(kind, f"-{x}" if op is N.UnOp.NEG else x)
 
-    def binary(self, e: N.Binary) -> str:
-        op, kind = e.op, e.ty.kind
-        a, b = self.ex(e.left), self.ex(e.right)
+    def binary(self, shape) -> str:
+        _, op, kind, left, right = shape
+        a, b = self.ex(left), self.ex(right)
         if op in _CMP:
             return f"({a} {_CMP[op]} {b})"
         if op in _ARITH:
             return _wrap(kind, f"{a} {_ARITH[op]} {b}")
-        if op not in _BITS:
-            return f"{self.k(_arith(op, e.ty))}({a}, {b})"
+        if op in _CALLED:
+            return f"{self.k()}({a}, {b})"
         if kind is not T.Kind.BOOL:
             return _wrap(kind, f"({a} {_BITS[op]} {b})")
         # both operands are evaluated, and the result is a bool
@@ -752,15 +713,232 @@ class _Gen:
             return f"(not ((not {a}) & (not {b})))"
         return f"({a} != {b})"
 
-    def call(self, e: N.Call) -> str:
+    def builtin(self, shape) -> str:
+        impl = self.k()
+        return f"{impl}({', '.join([self.ex(a) for a in shape[1]])})"
+
+    def call(self, shape) -> str:
+        args = "".join([f", {self.ex(a)}" for a in shape[1]])
+        pou = self.k()
+        return f"_call({pou}, {self.k()}, scan, _frame(scan, {pou}){args})"
+
+
+def _source(shape) -> str:
+    """The source of the factory `make(k0, ..., kn)` returning a statement
+    function of this shape."""
+    text = _Text()
+    body = text.stmt(shape)
+    params = ", ".join([f"k{i}" for i in range(text.n)])
+    return f"def make({params}):\n def run(store, nested, cnt, scan):\n{body} return run\n"
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(shape):
+    """The compiled `_source(shape)` factory, shared in the process by
+    every statement of that shape; its source is rendered only here, on a
+    miss.  The factory refers to nothing but this module's globals, and a
+    shape holds only this module's functions, enums, bools and None, so
+    the cache holds no cycle."""
+    ns: dict = {}
+    exec(compile(_source(shape), "<statement>", "exec"), globals(), ns)
+    return ns["make"]
+
+
+_LITERAL, _VAR, _MEMBER = (_Text.literal,), (_Text.var,), (_Text.member,)
+_STORE, _STORE_CONV = (_Text.put, False), (_Text.put, True)
+
+
+class _Gen:
+    """Builds the statement functions `run(store, nested, cnt, scan)` of
+    one POU body.
+
+    One walk over a statement collects the values of its factory's
+    parameters (every name, literal, count slot, site, callee, built-in
+    function and sub-body) and returns its shape; `_factory` compiles the
+    shape's source on its first use in the process, and the statement
+    function is that factory applied to the values.  Statements differing
+    only in those values share one shape.  Expressions are inlined, and a
+    sub-body is a tuple of statement functions run in a loop.  With
+    `track` set (sites inside a FOR body), a site records itself in
+    `scan.last` once its own evaluation is done."""
+
+    def __init__(self, pou: _Pou, prog: TypedProgram):
+        self.prog = prog
+        self.name = pou.name
+        self.index = pou.index
+        self.vars = pou.info.vars
+        self.fbs = pou.info.fb_instances
+        self.consts: list = []
+
+    def site(self, node) -> None:
+        """Collect a site's fault location and count slot."""
+        self.consts += ((self.name, node), self.index[node.sid])
+
+    def block(self, body: list[N.Stmt], track: bool) -> tuple:
+        return tuple([self.stmt(st, track) for st in body])
+
+    def sub(self, body: list[N.Stmt], track: bool) -> bool:
+        """Whether a sub-body runs anything; if so, it is collected."""
+        if not body:
+            return False
+        self.consts.append(self.block(body, track))
+        return True
+
+    def stmt(self, st: N.Stmt, track: bool):
+        outer, self.consts = self.consts, []
+        shape = _STMTS[type(st)](self, st, track)
+        consts, self.consts = self.consts, outer
+        return _factory(shape)(*consts)
+
+    # -- statements -----------------------------------------------------------
+
+    def assign(self, st: N.Assign, track: bool):
+        self.site(st)
+        value = self.ex(st.value)
+        return (_Text.assign, track, value, self.put(st.target, st.value.ty))
+
+    def jump(self, st, track: bool):
+        self.site(st)
+        return (_Text.jump, type(st) is N.ExitStmt, track)
+
+    def if_stmt(self, st: N.IfStmt, track: bool):
+        branches = []
+        for br in st.branches:
+            self.site(br)
+            branches.append((self.ex(br.cond), self.sub(br.body, track)))
+        return (_Text.if_stmt, track, tuple(branches), self.sub(st.else_body, track))
+
+    def case_stmt(self, st: N.CaseStmt, track: bool):
+        self.site(st)
+        arms = []
+        for br in st.branches:
+            body = self.block(br.body, track)
+            arms.extend([(lab.lo, lab.hi, body) for lab in br.labels])
+        selector = self.ex(st.selector)
+        self.consts += (tuple(arms), self.block(st.else_body, track))
+        return (_Text.case_stmt, track, selector)
+
+    def for_stmt(self, st: N.ForStmt, track: bool):
+        self.site(st)
+        self.consts.append(st.var)
+        ty = self.vars[st.var].ty
+        start = self.value_for(st.start, ty)
+        stop = self.ex(st.stop)
+        step = None if st.step is None else self.ex(st.step)
+        return (_Text.for_stmt, ty.kind, start, stop, step, self.sub(st.body, True))
+
+    def while_stmt(self, st: N.WhileStmt, track: bool):
+        self.site(st)
+        cond = self.ex(st.cond)
+        return (_Text.while_stmt, track, cond, self.sub(st.body, track))
+
+    def repeat_stmt(self, st: N.RepeatStmt, track: bool):
+        self.site(st)
+        runs = self.sub(st.body, track)
+        return (_Text.repeat_stmt, track, runs, self.ex(st.until))
+
+    def fb_call(self, st: N.FbCall, track: bool):
+        self.site(st)
+        fb_type = self.fbs[st.instance]
+        builtin = _is_builtin_fb(self.prog, fb_type)
+        if builtin:
+            slots = BUILTIN_FBS[fb_type]
+        else:
+            callee = _pou(self.prog, fb_type)
+            slots = callee.iface
+        consts = self.consts
+        consts.append(st.instance)
+        inputs = [p for p in st.params if not p.is_output]
+        ins = []
+        for p in inputs:
+            consts.append(p.name)
+            ins.append(self.value_for(p.expr, slots[p.name][0]))
+        # after the call, IN_OUT arguments are written back, then the outputs
+        back = [p for p in inputs if slots[p.name][1] is Section.IN_OUT]
+        back += [p for p in st.params if p.is_output]
+        outs = []
+        for p in back:
+            consts.append(p.name)
+            outs.append(self.put(p.expr, slots[p.name][0]))
+        if builtin:
+            return (_Text.fb_call, track, True, False, tuple(ins), tuple(outs))
+        consts += (callee, "." + st.instance)
+        return (_Text.fb_call, track, False, bool(callee.temps), tuple(ins), tuple(outs))
+
+    # -- stores ----------------------------------------------------------------
+
+    def put(self, e: N.Expr, src_ty: T.STType):
+        """The shape of a store into the target e of a raw value of type
+        src_ty."""
+        consts = self.consts
+        if type(e) is N.VarRef:
+            conv = _store_conv(src_ty, self.vars[e.name].ty)
+            if conv is None:
+                consts.append(e.name)
+                return _STORE
+            consts += (conv, e.name)
+            return _STORE_CONV
+        arr_ty = self.vars[e.base.name].ty
+        conv = _store_conv(src_ty, arr_ty.elem)
+        if conv is not None:
+            consts.append(conv)
+        consts += (e.base.name, arr_ty.lo, arr_ty.hi)
+        return (_Text.put, conv is not None, self.ex(e.index))
+
+    def value_for(self, e: N.Expr, dst: T.STType):
+        """The shape of e's raw value converted for a dst slot."""
+        conv = _store_conv(e.ty, dst)
+        if conv is None:
+            return self.ex(e)
+        if type(e) is N.Literal:
+            self.consts.append(conv(V.coercer(e.ty)(e.value)))
+            return _LITERAL
+        self.consts.append(conv)
+        return (_Text.conv, self.ex(e))
+
+    # -- expressions -------------------------------------------------------------
+
+    def ex(self, e: N.Expr):
+        """The shape of e's raw value, as one operand."""
+        return _EXPRS[type(e)](self, e)
+
+    def literal(self, e: N.Literal):
+        self.consts.append(V.coercer(e.ty)(e.value))
+        return _LITERAL
+
+    def var(self, e: N.VarRef):
+        self.consts.append(e.name)
+        return _VAR
+
+    def member(self, e: N.MemberRef):
+        self.consts += (e.base.name, e.member)
+        return _MEMBER
+
+    def index(self, e: N.IndexRef):
+        arr_ty = self.vars[e.base.name].ty
+        self.consts += (e.base.name, arr_ty.lo, arr_ty.hi)
+        return (_Text.index, self.ex(e.index))
+
+    def unary(self, e: N.Unary):
+        return (_Text.unary, e.op, _TEXT_KINDS.get(e.ty.kind), self.ex(e.operand))
+
+    def binary(self, e: N.Binary):
+        op = e.op
+        a, b = self.ex(e.left), self.ex(e.right)
+        if op in _CALLED:
+            self.consts.append(_arith(op, e.ty))
+            return (_Text.binary, op, None, a, b)
+        return (_Text.binary, op, _TEXT_KINDS.get(e.ty.kind), a, b)
+
+    def call(self, e: N.Call):
         info = self.prog.lookup_pou(e.name)
         if info is None or info.kind is not PouKind.FUNCTION:
-            impl = self.k(builtin_impl(e.name, [a.ty for a in e.args], e.ty))
-            return f"{impl}({', '.join([self.ex(a) for a in e.args])})"
+            self.consts.append(builtin_impl(e.name, [a.ty for a in e.args], e.ty))
+            return (_Text.builtin, tuple([self.ex(a) for a in e.args]))
         callee = _pou(self.prog, e.name)
-        args = "".join([f", {self.value_for(a, p.ty)}" for p, a in zip(callee.info.inputs(), e.args)])
-        pou = self.k(callee)
-        return f"_call({pou}, {self.k(f'/{callee.name}()')}, scan, _frame(scan, {pou}){args})"
+        args = tuple([self.value_for(a, p.ty) for p, a in zip(callee.info.inputs(), e.args)])
+        self.consts += (callee, f"/{callee.name}()")
+        return (_Text.call, args)
 
 
 _STMTS = {

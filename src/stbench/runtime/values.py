@@ -14,6 +14,7 @@ the runtime's boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -63,26 +64,38 @@ def make(ty: STType, raw) -> Value:
     return Value(ty, coercer(ty)(raw))
 
 
+def _wrapping(kind: Kind) -> Callable[[object], int]:
+    return lambda x: wrap_int(int(x), kind)
+
+
+# the coercion of each fixed-size kind, built once
+_COERCERS: dict[Kind, Callable[[object], object]] = {
+    Kind.BOOL: bool,
+    **{kind: _wrapping(kind) for kind in T.INT_RANGES},
+    Kind.REAL: lambda x: f32(float(x)),
+    Kind.LREAL: float,
+    Kind.TIME: int,
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _truncating(cap: int) -> Callable[[object], str]:
+    return lambda x: str(x)[:cap]
+
+
 def coercer(ty: STType) -> Callable[[object], object]:
     """The coercion make applies to a raw value, as a function of it.
 
     The interpreter's statement generator applies it to each literal once,
     and passes it to the code it generates for a converting store, which
-    applies it to raw python values."""
-    k = ty.kind
-    if k is Kind.BOOL:
-        return bool
-    if k in T.INT_RANGES:
-        return lambda x: wrap_int(int(x), k)
-    if k is Kind.REAL:
-        return lambda x: f32(float(x))
-    if k is Kind.LREAL:
-        return float
-    if k is Kind.TIME:
-        return int
-    if k is Kind.STRING:
-        cap = ty.cap
-        return lambda x: str(x)[:cap]
+    applies it to raw python values.  No call builds a function: every
+    type of a fixed-size kind shares its kind's, and every STRING type of
+    one capacity shares one."""
+    co = _COERCERS.get(ty.kind)
+    if co is not None:
+        return co
+    if ty.kind is Kind.STRING:
+        return _truncating(ty.cap)
     raise TypeError(f"cannot build scalar value of {ty}")
 
 

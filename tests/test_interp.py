@@ -887,12 +887,12 @@ def test_expressions_at_the_nesting_limit_run(ty, x, deepest, y):
 
 def test_generated_sources_parse_as_python_3_10_and_hold_no_user_text(monkeypatch, tmp_path):
     # pyproject.toml declares requires-python >= 3.10
-    keys = set()
+    shapes = set()
     real = interp._factory
 
-    def recording(body, n):
-        keys.add((body, n))
-        return real(body, n)
+    def recording(shape):
+        shapes.add(shape)
+        return real(shape)
 
     monkeypatch.setattr(interp, "_factory", recording)
     for block in corpus.BLOCKS:
@@ -901,10 +901,10 @@ def test_generated_sources_parse_as_python_3_10_and_hold_no_user_text(monkeypatc
             "--fixture", corpus.fixture_path(block.name), "--out", tmp_path / block.name,
         ]
         assert main([str(a) for a in argv]) in (0, 1)
-    assert len(keys) > 20
+    assert len(shapes) > 20
     known = set(vars(interp)) | set(vars(builtins))
-    for body, n in keys:
-        tree = ast.parse(interp._source(body, n), feature_version=(3, 10))
+    for shape in shapes:
+        tree = ast.parse(interp._source(shape), feature_version=(3, 10))
         nodes = list(ast.walk(tree))
         bound = {f.name for f in nodes if isinstance(f, ast.FunctionDef)}
         bound |= {a.arg for f in nodes if isinstance(f, ast.FunctionDef) for a in f.args.args}

@@ -145,3 +145,10 @@ def test_non_ascii_digit_is_an_unexpected_character(digit):
 def test_non_ascii_digit_does_not_continue_a_number(text):
     with pytest.raises(LexError, match="malformed real literal"):
         toks(text)
+
+
+@pytest.mark.parametrize("text", ["", "X", "A\nB", "A\r\nB\n", "\n\n", "LINE ONE\nLINE TWO\n"])
+def test_line_of_is_the_line_linecol_gives(text):
+    src = SourceUnit(text)
+    for offset in range(-2, len(text) + 3):
+        assert src.line_of(offset) == src.linecol(offset)[0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from stbench.frontend import (
@@ -8,7 +10,7 @@ from stbench.frontend import (
 )
 from stbench.frontend import types as T
 from stbench.frontend.lexer import TokKind, tokenize
-from stbench.frontend.nodes import Section
+from stbench.frontend.nodes import Literal, Section
 from stbench.frontend.source import SourceUnit
 
 
@@ -370,3 +372,41 @@ def test_string_capacity_and_array_types():
     assert prog.pous["FB1"].vars["S"].ty == T.string(4)
     assert prog.pous["FB1"].vars["A"].ty == T.array(1, 3, T.INT)
     assert prog.pous["FB1"].vars["A"].init == [1, 2, 3]
+
+
+def _literals(node):
+    """Every literal in a statement list or node, depth first."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _literals(item)
+    elif dataclasses.is_dataclass(node):
+        if isinstance(node, Literal):
+            yield node
+        for f in dataclasses.fields(node):
+            yield from _literals(getattr(node, f.name))
+
+
+SINGLETONS = (T.INT, T.DINT, T.BYTE, T.WORD, T.REAL, T.LREAL)
+
+
+def test_number_literals_resolve_to_the_shared_type_objects(corpus_programs):
+    prog = resolve_text(
+        """
+        FUNCTION_BLOCK NUMS
+        VAR I : INT; D : DINT; B : BYTE; W : WORD; R : REAL; L : LREAL; END_VAR
+        I := 1; D := 2; B := 3; W := 4; R := 5.0; L := 6.0;
+        R := 1.5; L := 2.5 * L; D := 100000; I := -7;
+        IF B > 1 AND W < 9 THEN D := D + 1; END_IF;
+        FOR I := 1 TO 9 BY 2 DO L := L + 0.5; END_FOR;
+        END_FUNCTION_BLOCK
+        """
+    )
+    numbers = (Literal.K.INT, Literal.K.REAL)
+    kinds = set()
+    for p in [prog, *corpus_programs.values()]:
+        for info in p.pous.values():
+            for lit in _literals(info.decl.body):
+                if lit.lit_kind in numbers:
+                    assert any(lit.ty is ty for ty in SINGLETONS), lit
+                    kinds.add(lit.ty.kind)
+    assert kinds == {ty.kind for ty in SINGLETONS}

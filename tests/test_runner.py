@@ -15,7 +15,7 @@ from stbench.runner import (
     render_report,
     run_suite,
 )
-from stbench.runtime import SimClock, run_program
+from stbench.runtime import SimClock, interp, run_program
 from stbench.runtime import values as V
 from stbench.testspec import parse_suite, validate
 
@@ -101,6 +101,22 @@ def test_finished_run_is_freed_by_reference_counting(src, fb, csv):
         gc.enable()
     assert report.cases_total == csv.count("\n") - 1
 
+
+
+def test_a_larger_suite_compiles_no_new_statement_shape(dec_setup):
+    # every case block has the same statements with other names and
+    # literals, so the shapes a harness compiles do not grow with its cases
+    def suite(values):
+        rows = "".join(f"tc_{v},1,{v},'{format(v, 'X')}'\n" for v in values)
+        return checked("test_name,state,DE,expect_HEX\n" + rows, "DEC_TO_HEX", dec_setup)
+
+    interp._factory.cache_clear()
+    run_suite(dec_setup, suite(range(1, 5)))
+    shapes = interp._factory.cache_info().misses
+    assert shapes > 0
+    report = run_suite(dec_setup, suite(range(100, 140)))
+    assert report.cases_total == 40
+    assert interp._factory.cache_info().misses == shapes
 
 def test_perturbing_one_expected_value_drops_passed_by_one(dec_setup):
     prog = dec_setup

@@ -111,3 +111,48 @@ def test_f32_passes_nan_and_infinities_through():
     assert V.f32(math.inf) == math.inf
     assert V.f32(-math.inf) == -math.inf
     assert math.copysign(1.0, V.f32(-0.0)) == -1.0
+
+
+@pytest.mark.parametrize("ty", [T.BOOL, T.INT, T.DINT, T.BYTE, T.WORD, T.REAL, T.LREAL, T.TIME])
+def test_one_coercer_per_kind(ty):
+    assert V.coercer(ty) is V.coercer(ty)
+    assert V.coercer(ty) is V.coercer(T.STType(ty.kind))
+
+
+def test_one_coercer_per_string_capacity():
+    assert V.coercer(T.string(4)) is V.coercer(T.string(4))
+    assert V.coercer(T.string(4))("ABCDEF") == "ABCD"
+    assert V.coercer(T.string(5))("ABCDEF") == "ABCDE"
+
+
+@pytest.mark.parametrize(
+    "ty,raw,expected",
+    [
+        (T.INT, 32767, 32767),
+        (T.INT, 32768, -32768),
+        (T.INT, -32768, -32768),
+        (T.INT, -32769, 32767),
+        (T.INT, 70000.9, 4464),
+        (T.DINT, 2**31 - 1, 2**31 - 1),
+        (T.DINT, 2**31, -(2**31)),
+        (T.DINT, -(2**31) - 1, 2**31 - 1),
+        (T.BYTE, 255, 255),
+        (T.BYTE, 256, 0),
+        (T.BYTE, -1, 255),
+        (T.WORD, 65535, 65535),
+        (T.WORD, 65536, 0),
+        (T.WORD, -1, 65535),
+        (T.REAL, 3.4028234663852886e38, 3.4028234663852886e38),
+        (T.REAL, -3.4028234663852886e38, -3.4028234663852886e38),
+        (T.REAL, 1e39, math.inf),
+        (T.REAL, 0.1, 0.10000000149011612),
+        (T.LREAL, 1, 1.0),
+        (T.TIME, 1500.7, 1500),
+        (T.BOOL, 0, False),
+        (T.string(3), "ABCD", "ABC"),
+        (T.string(3), "AB", "AB"),
+    ],
+)
+def test_coercers_wrap_round_and_truncate_boundary_values(ty, raw, expected):
+    got = V.coercer(ty)(raw)
+    assert got == expected and type(got) is type(expected)
