@@ -275,6 +275,8 @@ class PouDecl:
     decls: list[VarDecl]
     body: list[Stmt]
     span: Span = field(compare=False, default=Span(0, 0))
+    # the body's site nodes in sid order, recorded by assign_statement_ids
+    sites: tuple = field(compare=False, default=(), repr=False)
 
 
 @dataclass
@@ -291,8 +293,8 @@ class Ast:
 def iter_sites(body: list[Stmt]):
     """Yield every site node of `body` in source order: a simple statement,
     an IF/ELSIF branch, or a CASE, FOR, WHILE or REPEAT statement.  Each
-    carries its own `sid`; the numbering pass and the resolver's per-POU
-    site list share this walk."""
+    carries its own `sid`.  The numbering pass walks each POU body once and
+    records the result, which the resolver's per-POU site list reuses."""
     for st in body:
         if isinstance(st, (Assign, FbCall, ExitStmt, ReturnStmt)):
             yield st
@@ -330,10 +332,12 @@ def site_span(node) -> Span:
 
 
 def assign_statement_ids(ast: Ast) -> None:
-    """Number every site densely, 0-based, in source order over the unit."""
+    """Number every site densely, 0-based, in source order over the unit,
+    and record each POU's site nodes on it (`PouDecl.sites`)."""
     next_id = 0
     for pou in ast.pous:
-        for node in iter_sites(pou.body):
+        pou.sites = tuple(iter_sites(pou.body))
+        for node in pou.sites:
             node.sid = next_id
             next_id += 1
     ast.statement_count = next_id

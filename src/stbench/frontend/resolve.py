@@ -40,7 +40,6 @@ from .nodes import (
     UnOp,
     VarRef,
     WhileStmt,
-    iter_sites,
 )
 from .source import SourceUnit, Span
 
@@ -169,7 +168,7 @@ class _Resolver:
         for info in self.pous.values():
             self.cur = info
             self.check_body(info.decl.body)
-            info.sites = tuple(iter_sites(info.decl.body))
+            info.sites = info.decl.sites
         self.cur = None
 
         if self.diags:

@@ -372,15 +372,19 @@ class _Pou:
 _NO_NESTED: dict = {}
 _DEPTH_MSG = "call depth exceeded"
 _ZERO_STEP_MSG = "FOR step is zero"
-_f32_pack, _f32_unpack = V.F32.pack, V.F32.unpack
+_f32, _f32_pack, _f32_unpack = V.f32, V.F32.pack, V.F32.unpack
 
 
 def _arith(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
     """The raw function computing `a op b` for DIV, MOD or ** with a result
-    of type ty."""
-    co = V.coercer(ty)
+    of type ty.  Only an INT or DINT quotient can overflow its type, and
+    only a REAL result is rounded: an LREAL result and a MOD remainder need
+    nothing."""
+    real32 = ty.kind is T.Kind.REAL
     if op is N.BinOp.DIV:
-        if ty.kind in (T.Kind.INT, T.Kind.DINT, T.Kind.TIME):
+        if ty.kind in T.SIGNED_INT_KINDS:
+            co = V.coercer(ty)
+
             def idiv(a, b):
                 if b == 0:
                     raise _Trap("division by zero")
@@ -393,9 +397,9 @@ def _arith(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
         def fdiv(a, b):
             if b == 0.0:
                 if a == 0.0:
-                    return co(float("nan"))
-                return co(math.copysign(1.0, a) * math.copysign(1.0, b) * float("inf"))
-            return co(a / b)
+                    return math.nan
+                return math.copysign(1.0, a) * math.copysign(1.0, b) * math.inf
+            return _f32(a / b) if real32 else a / b
         return fdiv
     if op is N.BinOp.MOD:
         def mod(a, b):
@@ -404,16 +408,17 @@ def _arith(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
             q = a // b
             if a % b != 0 and (a < 0) != (b < 0):
                 q += 1
-            return co(a - q * b)
+            return a - q * b
         return mod
     if op is N.BinOp.POW:
         def power(a, b):
             try:
-                return co(float(a) ** float(b))
+                r = math.pow(a, b)
             except OverflowError:
-                return co(float("inf"))
-            except (ValueError, ZeroDivisionError):
-                return co(float("nan"))
+                return math.inf
+            except ValueError:  # a negative base and a fractional exponent, or 0 ** -y
+                return math.nan
+            return _f32(r) if real32 else r
         return power
     raise TypeError(f"unhandled operator {op}")  # pragma: no cover
 

@@ -2,13 +2,25 @@
 
 `builtin_impl` is looked up once per call site when a statement is
 generated, and the generated code calls what it returns: a function of
-the raw argument values whose result is already coerced to the call's
-result type.
+the raw argument values whose result is already of the call's result
+type.  The implementation is picked from the call's static types, so it
+does only the work those types leave open: its arguments are raw values
+of their declared types, and a result is coerced only where its type
+needs it (a REAL result is rounded to binary32, an INT or DINT ABS wraps,
+a STRING is truncated to its capacity).
 
-Float domain edge cases follow IEEE (LN(0) is -inf, SQRT(-1) is nan, like
-the C functions a transpiling toolchain would call).  Explicit narrowing
-conversions whose value does not fit the target range raise, which the
-interpreter turns into a runtime fault at the active statement.
+A conversion is picked by its source family, which its name gives:
+implicit widening only goes INT->DINT, BYTE->WORD and REAL->LREAL, so
+the argument of an integer or TIME source is a python int, that of a REAL
+or LREAL source a float and that of a BOOL source a bool.  An integer
+conversion is then a range check on the value itself, an integer into
+REAL is rounded to binary32, and only a float into an integer rounds.
+
+Float domain edge cases follow IEEE (LN(0) is -inf, SQRT(-1) and SIN of
+an infinity are nan, like the C functions a transpiling toolchain would
+call).  Explicit narrowing conversions whose value does not fit the
+target range raise, which the interpreter turns into a runtime fault at
+the active statement.
 """
 
 from __future__ import annotations
@@ -31,42 +43,75 @@ def _conv_overflow(name: str, value) -> BuiltinFuncError:
     return BuiltinFuncError(f"{name}: value {value} out of range")
 
 
+def _same(x):
+    return x
+
+
+_f32 = V.f32
+_pack, _unpack = V.F32.pack, V.F32.unpack
+_TRIG = {"SIN": math.sin, "COS": math.cos, "TAN": math.tan}
+
+
 def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Callable[..., object]:
     """The raw implementation of a built-in call; arguments are already
     type-checked, so only their static types are consulted here."""
     conv = _conversion_impl(name, arg_types)
     if conv is not None:
         return conv
-    co = V.coercer(result_ty)
+    kind = result_ty.kind
+    real32 = kind is Kind.REAL
 
     if name == "ABS":
-        return lambda x: co(-x if x < 0 else x)
+        if kind in T.SIGNED_INT_KINDS:  # ABS of the most negative value wraps
+            co = V.coercer(result_ty)
+            return lambda x: co(-x) if x < 0 else x
+        return lambda x: -x if x < 0 else x
+    # MIN, MAX, LIMIT and SEL return an operand, already a value of the
+    # result type: only a STRING may be longer than the common type holds
     if name == "MIN":
-        return lambda a, b: co(min(a, b))
+        return min
     if name == "MAX":
-        return lambda a, b: co(max(a, b))
+        return max
     if name == "LIMIT":
-        return lambda mn, in_v, mx: co(min(max(in_v, mn), mx))
+        return lambda mn, in_v, mx: min(max(in_v, mn), mx)
     if name == "SEL":
-        return lambda g, in0, in1: co(in1 if g else in0)
-    if name in ("SIN", "COS", "TAN"):
-        f = {"SIN": math.sin, "COS": math.cos, "TAN": math.tan}[name]
-        return lambda x: co(f(x))
+        if kind is Kind.STRING:
+            co = V.coercer(result_ty)
+            return lambda g, in0, in1: co(in1 if g else in0)
+        return lambda g, in0, in1: in1 if g else in0
+    if name in _TRIG:
+        f = _TRIG[name]
+
+        def trig(x):
+            try:
+                r = f(x)
+            except ValueError:  # an infinite argument
+                return math.nan
+            # V.f32, written out: no result lies outside binary32 range
+            return _unpack(_pack(r))[0] if real32 else r
+        return trig
     if name == "EXP":
         def exp(x):
             try:
-                return co(math.exp(x))
+                r = math.exp(x)
             except OverflowError:
-                return co(math.inf)
+                return math.inf
+            return _f32(r) if real32 else r
         return exp
     if name == "LN":
         def ln(x):
             if x > 0:
-                return co(math.log(x))
-            return co(-math.inf if x == 0 else math.nan)
+                r = math.log(x)
+                return _f32(r) if real32 else r
+            return -math.inf if x == 0 else math.nan
         return ln
     if name == "SQRT":
-        return lambda x: co(math.sqrt(x) if x >= 0 else math.nan)
+        def sqrt(x):
+            if x >= 0:
+                r = math.sqrt(x)
+                return _f32(r) if real32 else r
+            return math.nan
+        return sqrt
     if name == "TRUNC":
         lo, hi = T.INT_RANGES[Kind.DINT]
 
@@ -76,8 +121,9 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
             raw = math.trunc(x)
             if not (lo <= raw <= hi):
                 raise _conv_overflow(name, raw)
-            return co(raw)
+            return raw
         return trunc
+    co = V.coercer(result_ty)
     if name in ("SHL", "SHR"):
         width = 8 if arg_types[0].kind is Kind.BYTE else 16
         left = name == "SHL"
@@ -86,8 +132,8 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
             if n < 0:
                 raise BuiltinFuncError(f"{name}: negative shift count {n}")
             if n >= width:
-                return co(0)
-            return co(v << n if left else v >> n)
+                return 0
+            return co(v << n) if left else v >> n
         return shift
     if name == "CONCAT":
         return lambda *parts: co("".join(parts))
@@ -102,6 +148,11 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
     raise TypeError(f"unknown builtin {name}")  # pragma: no cover
 
 
+def _dint_to_real(raw: int) -> float:
+    # V.f32, written out: a DINT lies within binary32 range
+    return _unpack(_pack(raw))[0]
+
+
 def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], object] | None:
     if bi.string_conversion_source(name) is not None:
         render = V.scalar_text(arg_types[0].kind)
@@ -110,34 +161,40 @@ def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], o
     conv = bi.conversion_target(name)
     if conv is None:
         return None
-    _src, dst = conv
-    k = dst.kind
-    co = V.coercer(dst)
+    src, dst = conv
+    s, k = src.kind, dst.kind
 
     if k is Kind.BOOL:
         return lambda raw: raw != 0
-    if k in T.INT_RANGES:
-        lo, hi = T.INT_RANGES[k]
-
-        def to_int(raw):
-            if isinstance(raw, bool):
-                return co(1 if raw else 0)
-            if isinstance(raw, float):
-                if math.isnan(raw) or math.isinf(raw):
-                    raise _conv_overflow(name, raw)
-                raw = round(raw)  # IEC rounding: nearest, ties to even
-            raw = int(raw)
-            if not (lo <= raw <= hi):
-                raise _conv_overflow(name, raw)
-            return co(raw)
-        return to_int
-    if k in (Kind.REAL, Kind.LREAL):
-        return lambda raw: co(float(raw))
-    if k is Kind.TIME:
+    if k is Kind.TIME:  # from DINT
         def to_time(raw):
             if raw < 0:
                 raise BuiltinFuncError(f"{name}: negative duration {raw}")
-            return co(int(raw))
+            return raw
         return to_time
-    raise TypeError(f"unsupported conversion {name}")  # pragma: no cover
+    if k in T.REAL_KINDS:
+        if k is Kind.LREAL or s in (Kind.INT, Kind.BYTE, Kind.WORD, Kind.REAL):
+            return float  # exact: a REAL holds every value of these sources
+        return _f32 if s is Kind.LREAL else _dint_to_real
+    lo, hi = T.INT_RANGES[k]
+    if s is Kind.BOOL:
+        return lambda raw: 1 if raw else 0
+    if s in T.INT_RANGES:
+        src_lo, src_hi = T.INT_RANGES[s]
+        if lo <= src_lo and src_hi <= hi:
+            return _same  # every source value fits
+    elif s in T.REAL_KINDS:
+        def float_to_int(raw):
+            if math.isnan(raw) or math.isinf(raw):
+                raise _conv_overflow(name, raw)
+            raw = round(raw)  # IEC rounding: nearest, ties to even
+            if lo <= raw <= hi:
+                return raw
+            raise _conv_overflow(name, raw)
+        return float_to_int
 
+    def int_to_int(raw):
+        if lo <= raw <= hi:
+            return raw
+        raise _conv_overflow(name, raw)
+    return int_to_int

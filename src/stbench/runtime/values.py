@@ -25,12 +25,13 @@ from ..frontend.types import Kind, STType
 
 F32_MAX = 3.4028234663852886e38
 F32 = struct.Struct("<f")
+_pack, _unpack = F32.pack, F32.unpack
 
 
 def f32(x: float) -> float:
     """Round a python float to the nearest binary32 value."""
     if -F32_MAX <= x <= F32_MAX:
-        return F32.unpack(F32.pack(x))[0]
+        return _unpack(_pack(x))[0]
     if x > F32_MAX:
         return math.inf
     if x < -F32_MAX:

@@ -372,8 +372,8 @@ class OracleSim:
             return _coerce(a - _trunc_div(a, b) * b, e.ty)
         if op is N.BinOp.POW:
             try:
-                return _coerce(float(a) ** float(b), e.ty)
-            except (OverflowError, ValueError, ZeroDivisionError):
+                return _coerce(math.pow(a, b), e.ty)
+            except (OverflowError, ValueError):
                 return _coerce(math.nan, e.ty)
         raise OracleFault(f"oracle operator {op}")
 

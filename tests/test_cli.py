@@ -664,3 +664,29 @@ def test_pipeline_on_fuzzed_provider_responses_exits_0_1_or_2(case):
             )
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "statement,x",
+    [
+        ("Y := SIN(X * 1.0E30);", "1.0E30"),  # SIN of +inf
+        ("Y := COS(X * 1.0E30);", "-1.0E30"),  # COS of -inf
+        ("Y := X ** 0.5;", "-8.0"),  # a negative base, a fractional exponent
+    ],
+)
+def test_a_real_result_with_no_value_is_nan_not_a_traceback(tmp_path, capsys, statement, x):
+    unit = tmp_path / "wave.st"
+    unit.write_text(
+        "FUNCTION_BLOCK WAVE\nVAR_INPUT X : REAL; END_VAR\nVAR_OUTPUT Y : REAL; END_VAR\n"
+        f"{statement}\nEND_FUNCTION_BLOCK\n"
+    )
+    suite = tmp_path / "suite.csv"
+    suite.write_text(f"test_name,state,X,expect_Y\ntc,1,{x},0.0\n")
+    code = run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    (case,) = report["cases"]
+    assert case["fault"] is None
+    assert case["assertions"][0]["actual"] == "nan"
