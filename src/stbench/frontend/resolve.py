@@ -164,6 +164,7 @@ class _Resolver:
         # pass 2: variable sections and return types
         for info in order:
             self.declare_pou(info)
+        self.check_instance_cycles()
 
         for info in self.pous.values():
             self.cur = info
@@ -255,6 +256,41 @@ class _Resolver:
             self.err(f"FB instance {decl.name} cannot take an initializer", decl.span)
             return
         info.fb_instances[decl.name] = fb_type
+
+    def instance_edges(self, info: PouInfo):
+        """(declaration, FB) for each of info's instances of this unit's FBs."""
+        for decl in info.decl.decls:
+            target = self.pous.get(info.fb_instances.get(decl.name))
+            if target is not None and target.kind is PouKind.FUNCTION_BLOCK:
+                yield decl, target
+
+    def check_instance_cycles(self) -> None:
+        """Reject an FB whose instance tree holds the FB itself: no finite
+        instance could be built.  A cycle runs through this unit's FBs
+        alone, since a library cannot name them.  A depth-first walk (a
+        loop, so a long chain costs no Python stack) reports each cycle
+        once, at the declaration that closes it."""
+        done: set[str] = set()
+        for root in self.pous.values():
+            if root.name in done:
+                continue
+            # the FBs on the walk's path, each with the edges it has left
+            path = [(root.name, self.instance_edges(root))]
+            on_path = {root.name: 0}
+            while path:
+                edge = next(path[-1][1], None)
+                if edge is None:
+                    name = path.pop()[0]
+                    del on_path[name]
+                    done.add(name)
+                    continue
+                decl, target = edge
+                if target.name in on_path:
+                    names = [name for name, _ in path[on_path[target.name]:]] + [target.name]
+                    self.err(f"recursive instantiation: {' -> '.join(names)}", decl.span)
+                elif target.name not in done:
+                    on_path[target.name] = len(path)
+                    path.append((target.name, self.instance_edges(target)))
 
     def check_initializer(self, decl, ty: T.STType):
         init = decl.init

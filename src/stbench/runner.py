@@ -196,19 +196,18 @@ def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResu
 
     def after_scan(store: dict[str, object], faults: list[ContainedFault]) -> bool:
         events = [f"FAULT={f.instance}@{f.fault.sid}" for f in faults]
-        stopped = {f.instance for f in faults}
-        still = []
-        for case in watched:
-            index, instance, done, passed, fails = case
+        finished = False
+        for index, _, done, passed, fails in watched:
             count = store[fails]
             if count > fails_before[index]:
                 events.append(f"TC_{index}_FAILS={count}")
             fails_before[index] = count
             if store[done]:
                 events.append(f"TC_{index}_DONE={'PASS' if store[passed] else 'FAIL'}")
-            elif instance not in stopped:
-                still.append(case)
-        watched[:] = still
+                finished = True
+        if finished or faults:
+            stopped = {f.instance for f in faults}
+            watched[:] = [case for case in watched if not store[case[2]] and case[1] not in stopped]
         lines.append(f"cycle={len(lines)} t={clock.now} events=[{';'.join(events)}]")
         return not watched
 
@@ -230,7 +229,7 @@ def run_suite(
 ) -> TestReport:
     """Generate the harness over `prog` (from load_program), execute it,
     and evaluate every assertion.  The run builds no reference cycles: the
-    harness program and its statement functions are freed by reference
+    harness program and its generated functions are freed by reference
     counting once the caller drops the report (the compiled factories they
     were made by stay cached for the process), so the caller may pause the
     cyclic garbage collector around the call, as the CLI does."""

@@ -1,4 +1,4 @@
-"""Cyclic scan interpreter: each resolved ST statement runs as one
+"""Cyclic scan interpreter: each resolved ST statement list runs as one
 generated Python function.
 
 One scan runs a POU body exactly once.  The clock is frozen during a scan
@@ -6,27 +6,32 @@ One scan runs a POU body exactly once.  The clock is frozen during a scan
 configured cycle time after the scan completes.
 
 Each POU body is compiled on its first execution and cached on the
-TypedProgram, as a tuple of statement functions `run(store, nested, cnt,
-scan)`.  A statement's expressions are inlined into its function, as
-Python operators with the INT/DINT wrap and binary32 rounding written
-out; its sub-bodies (IF branches, CASE arms, loop bodies) are tuples of
-statement functions it runs in a loop, so ST nesting never becomes Python
-nesting.  The function is made by a factory `make(k0, ..., kn)` whose
-parameters carry every name, literal, count slot, site, callee, built-in
-function and sub-body, so no user text enters generated source, and
-statements that differ only in those values share one source.  One walk
-over a statement collects those values and builds its shape: a small
-hashable key recording only what the source depends on (node kinds and
-operators, the result kinds whose wrap is written out, converting
-stores, empty sub-bodies and ELSEs, a FOR without BY, built-in or user
-blocks and a callee's TEMPs, and whether sites are tracked).  Factories
-are kept in a bounded cache keyed by shape, as `re` keeps its patterns;
-on a miss the source is rendered from the shape alone and compiled once
-per process, as `collections.namedtuple` compiles its classes.  So a
-statement costs one walk and a lookup, not a source text.  A statement
-function holds no run state: the store, the nested instances, the count
-array and the run state (`_Scan`: program, counts, budget, clock, call
-depth) are passed in, so scans and threads share it.
+TypedProgram.  Every statement list (a body, an IF branch or ELSE, a CASE
+arm or ELSE, a loop body) becomes one function `run(store, nested, cnt,
+scan)` that runs its statements inline, with their expressions inlined
+as Python operators and the INT/DINT wrap and binary32 rounding written
+out.  A statement's sub-bodies are functions of their own, which it calls
+directly, so ST nesting never becomes Python nesting; a list longer than
+32 statements runs as chunks of at most 32, each its own function, so
+that no generated function grows with the list.  A PROGRAM's top-level
+FbCalls stay functions of their own, and only the statements between
+them are fused, so that run_program can contain a fault per call.  The
+function is made by a factory `make(k0, ..., kn)` whose parameters carry
+every name, literal, count slot, site, callee, built-in function and
+sub-body, so no user text enters generated source, and lists that differ
+only in those values share one source.  One walk over a list collects
+those values and builds its shape: a small hashable key recording only
+what the source depends on (node kinds and operators, the result kinds
+whose wrap is written out, converting stores, empty sub-bodies and
+ELSEs, a FOR without BY, built-in or user blocks and a callee's TEMPs,
+and whether sites are tracked).  Factories are kept in a bounded cache
+keyed by shape, as `re` keeps its patterns; on a miss the source is
+rendered from the shape alone and compiled once per process, as
+`collections.namedtuple` compiles its classes.  So a list costs one walk
+and a lookup, not a source text.  A generated function holds no run
+state: the store, the nested instances, the count array and the run
+state (`_Scan`: program, counts, budget, clock, call depth) are passed
+in, so scans and threads share it.
 
 Values: expressions evaluate to raw python values (bool, int, float, str,
 or a list of raw elements for an ARRAY), and every store (an instance's,
@@ -41,10 +46,10 @@ function argument, a TEMP reset from `_Pou.temps` and a function frame
 from `_Pou.initial`).
 
 Memory: a run builds no reference cycles.  Stores hold raw values and
-lists of them, which refer to nothing.  The statement functions are
+lists of them, which refer to nothing.  The generated functions are
 cached on the TypedProgram they were made for and refer to nothing that
 refers back to it; the cached factories and their shapes refer only to
-this module and its enums.  So a finished run, its AST and its statement
+this module and its enums.  So a finished run, its AST and its generated
 functions are freed by reference counting as soon as the last reference
 goes, without the cyclic garbage collector.  The CLI relies on this and
 pauses that collector while it works on a unit.
@@ -56,8 +61,8 @@ run's coverage record, handed to `coverage` as they are.  Guard sites
 evaluation.  Each site also spends one unit of the scan's 1M-site budget,
 as does each FOR iteration; run_program gives what a contained fault's
 call spent back, up to three more budgets per scan.
-Faults are attributed on the exception path: a statement function turns
-an expression fault into a RuntimeFault at its own site (a parameter
+Faults are attributed on the exception path: each statement turns an
+expression fault into a RuntimeFault at its own site (a parameter
 holding its POU's name and its node, whose span is looked up only for a
 fault), and each call frame it unwinds through prepends its instance path
 segment.  Calls nest at most 64 deep; a chain that exhausts Python's
@@ -218,7 +223,7 @@ def _instantiate(prog: TypedProgram, fb_name: str, path: tuple[str, ...]) -> FbI
 # ---------------------------------------------------------------------------
 
 class _Scan:
-    """Mutable state of one run, passed to every statement function.
+    """Mutable state of one run, passed to every generated function.
     `prog` is the program the run resolves POU names in; `counts` maps a
     POU name to its count array and lives for the whole run; the other
     fields restart with each scan.  `spare` is what contained faults may
@@ -311,7 +316,9 @@ class _Pou:
     """One POU: its body, compiled on first execution, and what a caller
     needs to set up its frame."""
 
-    __slots__ = ("info", "name", "index", "iface", "temps", "initial", "params", "copies", "body")
+    __slots__ = (
+        "info", "name", "index", "iface", "temps", "initial", "params", "copies", "body", "entries",
+    )
 
     def __init__(self, info: PouInfo):
         self.info = info
@@ -329,6 +336,7 @@ class _Pou:
         start = self.temps if self.initial is None else self.initial
         self.copies = tuple(name for name, raw in start.items() if isinstance(raw, list))
         self.body = None
+        self.entries = None
 
     def reset_temps(self, store: dict) -> None:
         """Set a store's TEMP variables to their zeros."""
@@ -344,10 +352,27 @@ class _Pou:
         return frame
 
     def code(self, prog: TypedProgram) -> tuple:
-        body = self.body
-        if body is None:
-            body = self.body = _Gen(self, prog).block(self.info.decl.body, False)
-        return body
+        """The compiled body, as entries `(run, first)`: the function
+        running a run of the body's statements, and the first of them (None
+        for an empty body).  A PROGRAM's top-level FbCalls are entries of
+        their own, so that run_program can contain a fault per call; the
+        statements between them are fused.  Any other POU's body is one
+        entry."""
+        entries = self.entries
+        if entries is None:
+            gen = _Gen(self, prog)
+            body = self.info.decl.body
+            runs = [body]
+            if self.info.kind is PouKind.PROGRAM:
+                runs = [[]]
+                for st in body:
+                    if type(st) is N.FbCall:
+                        runs += [[st], []]
+                    else:
+                        runs[-1].append(st)
+                runs = [run for run in runs if run] or [[]]
+            entries = self.entries = tuple([(gen.block(run, False), run[0] if run else None) for run in runs])
+        return entries
 
     def counts(self, scan: _Scan) -> list[int]:
         cnt = scan.counts.get(self.name)
@@ -358,13 +383,13 @@ class _Pou:
     def run(self, store: dict, nested: dict, scan: _Scan) -> None:
         body = self.body
         if body is None:
-            body = self.code(scan.prog)
+            runs = [run for run, _ in self.code(scan.prog)]
+            body = self.body = runs[0] if len(runs) == 1 else _calls(runs)
         cnt = scan.counts.get(self.name)
         if cnt is None:
             cnt = self.counts(scan)
         try:
-            for st in body:
-                st(store, nested, cnt, scan)
+            body(store, nested, cnt, scan)
         except _ReturnPou:
             pass
 
@@ -414,8 +439,8 @@ def _arith(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
         def power(a, b):
             try:
                 r = math.pow(a, b)
-            except OverflowError:
-                return math.inf
+            except OverflowError:  # negative for a negative base to an odd integer power
+                return -math.inf if a < 0 and b % 2 == 1 else math.inf
             except ValueError:  # a negative base and a fractional exponent, or 0 ** -y
                 return math.nan
             return _f32(r) if real32 else r
@@ -500,12 +525,18 @@ def _guard(lines: str, s: str, pad: str) -> str:
 
 
 class _Text:
-    """Renders a statement shape as the body of its statement function.
+    """Renders a statement-list shape as the body of its function.
 
     A shape is a nested tuple whose first item is the method rendering it;
-    the rest records what the text depends on and nothing else.  The
-    factory parameters the text refers to are named k0, k1, ... in the
-    order `_Gen` collects their values."""
+    the rest records what the text depends on and nothing else.  A list's
+    statements are rendered one after the other, at one indentation level:
+    a sub-body or a chunk of a long list is a parameter called directly,
+    and no statement returns from the function (an IF leaves a one-shot
+    loop, WHILE and REPEAT break out of theirs), so only EXIT and RETURN,
+    by raising, skip the statements after them.  Each site keeps its own
+    count, budget test and fault attribution (`_count`, `_guard`).  The factory parameters the text
+    refers to are named k0, k1, ... in the order `_Gen` collects their
+    values."""
 
     def __init__(self):
         self.n = 0
@@ -523,10 +554,18 @@ class _Text:
         return shape[0](self, shape)
 
     def run_body(self, runs: bool, pad: str) -> str:
-        """Lines running a sub-body, a parameter, if it `runs` anything."""
-        if not runs:
-            return ""
-        return f"{pad}for s in {self.k()}:\n{pad} s(store, nested, cnt, scan)\n"
+        """The line running a sub-body, a parameter, if it `runs` anything."""
+        return f"{pad}{self.k()}(store, nested, cnt, scan)\n" if runs else ""
+
+    # -- statement lists --------------------------------------------------------
+
+    def seq(self, shape) -> str:
+        """A statement list's statements, one after the other."""
+        return "".join([self.stmt(st) for st in shape[1:]]) or "  pass\n"
+
+    def run(self, shape) -> str:
+        """A call of a chunk of a long list, a parameter."""
+        return self.run_body(True, "  ")
 
     # -- statements -----------------------------------------------------------
 
@@ -545,14 +584,16 @@ class _Text:
         return f"{_count(s, c, '  ')}{last}  raise {signal}\n"
 
     def if_stmt(self, shape) -> str:
+        # a one-shot loop that a taken branch breaks out of: an ELSIF chain
+        # stays at one indentation level, however long it is
         _, track, branches, else_runs = shape
-        text = ""
+        text = "  while True:\n"
         for cond, runs in branches:
             s, c = self.site()
-            last = f"  scan.last = {s}\n" if track else ""
-            text += _count(s, c, "  ") + _guard(f"   taken = {self.ex(cond)}\n", s, "  ")
-            text += f"{last}  if taken:\n{self.run_body(runs, '   ')}   return\n"
-        return text + self.run_body(else_runs, "  ")
+            last = f"   scan.last = {s}\n" if track else ""
+            text += _count(s, c, "   ") + _guard(f"    taken = {self.ex(cond)}\n", s, "   ")
+            text += f"{last}   if taken:\n{self.run_body(runs, '    ')}    break\n"
+        return text + self.run_body(else_runs, "   ") + "   break\n"
 
     def case_stmt(self, shape) -> str:
         _, track, selector = shape
@@ -565,8 +606,7 @@ class _Text:
             "    break\n"  # the first matching branch wins
             "  else:\n"
             f"   body = {self.k()}\n"  # no match, no ELSE: no-op
-            "  for s in body:\n"
-            "   s(store, nested, cnt, scan)\n"
+            "  body(store, nested, cnt, scan)\n"
         )
 
     def for_stmt(self, shape) -> str:
@@ -605,7 +645,7 @@ class _Text:
             "   while True:\n"
             + _count(s, c, "    ") + _guard(f"     go = {self.ex(cond)}\n", s, "    ") + last
             + "    if not go:\n"
-            "     return\n"
+            "     break\n"
             + self.run_body(runs, "    ")
             + "  except _ExitLoop:\n"
             "   pass\n"
@@ -621,7 +661,7 @@ class _Text:
             + self.run_body(runs, "    ")
             + _count(s, c, "    ") + _guard(f"     done = {self.ex(until)}\n", s, "    ") + last
             + "    if done:\n"
-            "     return\n"
+            "     break\n"
             "  except _ExitLoop:\n"
             "   pass\n"
         )
@@ -729,10 +769,10 @@ class _Text:
 
 
 def _source(shape) -> str:
-    """The source of the factory `make(k0, ..., kn)` returning a statement
-    function of this shape."""
+    """The source of the factory `make(k0, ..., kn)` returning the function
+    of this statement-list shape."""
     text = _Text()
-    body = text.stmt(shape)
+    body = text.seq(shape)
     params = ", ".join([f"k{i}" for i in range(text.n)])
     return f"def make({params}):\n def run(store, nested, cnt, scan):\n{body} return run\n"
 
@@ -740,32 +780,50 @@ def _source(shape) -> str:
 @functools.lru_cache(maxsize=1024)
 def _factory(shape):
     """The compiled `_source(shape)` factory, shared in the process by
-    every statement of that shape; its source is rendered only here, on a
-    miss.  The factory refers to nothing but this module's globals, and a
-    shape holds only this module's functions, enums, bools and None, so
-    the cache holds no cycle."""
+    every statement list of that shape; its source is rendered only here,
+    on a miss.  The factory refers to nothing but this module's globals,
+    and a shape holds only this module's functions, enums, bools and None,
+    so the cache holds no cycle."""
     ns: dict = {}
-    exec(compile(_source(shape), "<statement>", "exec"), globals(), ns)
+    exec(compile(_source(shape), "<statements>", "exec"), globals(), ns)
     return ns["make"]
 
 
+# A statement list runs at most this many statements or chunks in one
+# function: a longer one is split, so that no generated function grows
+# with the list and compiling stays linear in it.
+_CHUNK = 32
+_RUN = (_Text.run,)
 _LITERAL, _VAR, _MEMBER = (_Text.literal,), (_Text.var,), (_Text.member,)
 _STORE, _STORE_CONV = (_Text.put, False), (_Text.put, True)
 
 
-class _Gen:
-    """Builds the statement functions `run(store, nested, cnt, scan)` of
-    one POU body.
+def _calls(runs: list) -> Callable:
+    """One function calling each function of `runs` in turn, through a
+    tree of functions that call at most _CHUNK each."""
+    while len(runs) > _CHUNK:
+        runs = [_calls(runs[i:i + _CHUNK]) for i in range(0, len(runs), _CHUNK)]
+    return _factory((_Text.seq,) + (_RUN,) * len(runs))(*runs)
 
-    One walk over a statement collects the values of its factory's
-    parameters (every name, literal, count slot, site, callee, built-in
-    function and sub-body) and returns its shape; `_factory` compiles the
-    shape's source on its first use in the process, and the statement
-    function is that factory applied to the values.  Statements differing
-    only in those values share one shape.  Expressions are inlined, and a
-    sub-body is a tuple of statement functions run in a loop.  With
-    `track` set (sites inside a FOR body), a site records itself in
-    `scan.last` once its own evaluation is done."""
+
+class _Gen:
+    """Builds the functions `run(store, nested, cnt, scan)` of one POU's
+    statement lists.
+
+    Each statement list (a body, an IF branch or ELSE, a CASE arm or ELSE,
+    a loop body) becomes one function that runs its statements inline.
+    One walk over the list collects the values of its factory's parameters
+    (every name, literal, count slot, site, callee, built-in function and
+    sub-body) and builds its shape, `(_Text.seq, statement shapes...)`;
+    `_factory` compiles the shape's source on its first use in the
+    process, and the list's function is that factory applied to the
+    values.  Lists differing only in those values share one shape.
+    Expressions are inlined; a sub-body is a function of its own, a
+    parameter its statement calls, so ST nesting never becomes Python
+    nesting.  A list longer than _CHUNK statements runs as chunks of at
+    most _CHUNK, each its own function.  With `track` set (sites inside a
+    FOR body), a site records itself in `scan.last` once its own
+    evaluation is done."""
 
     def __init__(self, pou: _Pou, prog: TypedProgram):
         self.prog = prog
@@ -779,21 +837,22 @@ class _Gen:
         """Collect a site's fault location and count slot."""
         self.consts += ((self.name, node), self.index[node.sid])
 
-    def block(self, body: list[N.Stmt], track: bool) -> tuple:
-        return tuple([self.stmt(st, track) for st in body])
+    def block(self, body: list[N.Stmt], track: bool) -> Callable:
+        """The function running a statement list."""
+        if len(body) > _CHUNK:
+            return _calls([self.block(body[i:i + _CHUNK], track) for i in range(0, len(body), _CHUNK)])
+        outer, self.consts = self.consts, []
+        shape = (_Text.seq, *[_STMTS[type(st)](self, st, track) for st in body])
+        consts, self.consts = self.consts, outer
+        return _factory(shape)(*consts)
 
     def sub(self, body: list[N.Stmt], track: bool) -> bool:
-        """Whether a sub-body runs anything; if so, it is collected."""
+        """Whether a sub-body runs anything; if so, its function is
+        collected."""
         if not body:
             return False
         self.consts.append(self.block(body, track))
         return True
-
-    def stmt(self, st: N.Stmt, track: bool):
-        outer, self.consts = self.consts, []
-        shape = _STMTS[type(st)](self, st, track)
-        consts, self.consts = self.consts, outer
-        return _factory(shape)(*consts)
 
     # -- statements -----------------------------------------------------------
 
@@ -1055,10 +1114,10 @@ def run_program(
     inst = instantiate(prog, program_name)
     pou = _pou(prog, inst.fb_type)
     quarantine = frozenset(quarantine)
-    # each top-level statement, with the instance it stops on a fault
+    # each entry of the body, with the instance a fault in it stops
     body = [
-        (run, st.instance if isinstance(st, N.FbCall) and st.instance in quarantine else None)
-        for run, st in zip(pou.code(prog), info.decl.body)
+        (run, st.instance if type(st) is N.FbCall and st.instance in quarantine else None)
+        for run, st in pou.code(prog)
     ]
     store, nested, root = inst.store, inst.nested, inst.fb_type
     dead: set[str] = set()

@@ -373,7 +373,11 @@ class OracleSim:
         if op is N.BinOp.POW:
             try:
                 return _coerce(math.pow(a, b), e.ty)
-            except (OverflowError, ValueError):
+            except OverflowError:
+                # IEEE: negative only for a negative base to an odd integer power
+                odd = float(b).is_integer() and int(b) % 2 != 0
+                return _coerce(math.copysign(math.inf, a) if odd else math.inf, e.ty)
+            except ValueError:
                 return _coerce(math.nan, e.ty)
         raise OracleFault(f"oracle operator {op}")
 

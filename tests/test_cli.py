@@ -477,6 +477,21 @@ def test_unit_at_both_nesting_limits_runs(tmp_path):
     assert run_body(tmp_path, body) == 0
 
 
+def test_run_exit_two_on_an_instance_cycle(tmp_path, capsys):
+    unit = tmp_path / "rec.st"
+    unit.write_text(
+        "FUNCTION_BLOCK REC\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+        "VAR R2 : REC2; END_VAR\nY := X;\nEND_FUNCTION_BLOCK\n"
+        "FUNCTION_BLOCK REC2\nVAR R : REC; END_VAR\nEND_FUNCTION_BLOCK\n"
+    )
+    suite = tmp_path / "suite.csv"
+    suite.write_text(BODY_SUITE)
+    assert run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: rec.st:8:5: recursive instantiation: REC -> REC2 -> REC\n"
+    assert "Traceback" not in captured.out
+
+
 def test_run_exit_two_on_non_ascii_digit(tmp_path, capsys):
     assert run_body(tmp_path, "Y := X + \u00b2;") == 2
     captured = capsys.readouterr()

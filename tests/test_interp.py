@@ -849,14 +849,15 @@ def test_statements_of_one_shape_share_one_compiled_factory():
     interp._factory.cache_clear()
     prog = prog_of(SAME_SHAPES_SRC)
     execute_cycle(instantiate(prog, "ONE"), {"GO": make(T.BOOL, True)}, SimClock())
-    # IF, both assignments and the call: four shapes, each compiled once
-    assert interp._factory.cache_info()[:2] == (0, 4)
+    # three statement lists: the body (the IF and the call) and the two
+    # IF branches, each shape compiled once
+    assert interp._factory.cache_info()[:2] == (0, 3)
     execute_cycle(instantiate(prog, "TWO"), {"RUN": make(T.BOOL, True)}, SimClock())
-    assert interp._factory.cache_info()[:2] == (4, 4)
+    assert interp._factory.cache_info()[:2] == (3, 3)
     # a second run of the same unit compiles nothing new
     again = prog_of(SAME_SHAPES_SRC)
     execute_cycle(instantiate(again, "ONE"), {"GO": make(T.BOOL, True)}, SimClock())
-    assert interp._factory.cache_info()[:2] == (8, 4)
+    assert interp._factory.cache_info()[:2] == (6, 3)
 
 
 @pytest.mark.parametrize(
@@ -885,6 +886,12 @@ def test_expressions_at_the_nesting_limit_run(ty, x, deepest, y):
     assert out["Y"].v == y
 
 
+def _block_depth(node) -> int:
+    """The deepest static nesting of for, while and try blocks in node."""
+    inner = max([_block_depth(child) for child in ast.iter_child_nodes(node)], default=0)
+    return inner + isinstance(node, (ast.For, ast.While, ast.Try))
+
+
 def test_generated_sources_parse_as_python_3_10_and_hold_no_user_text(monkeypatch, tmp_path):
     # pyproject.toml declares requires-python >= 3.10
     shapes = set()
@@ -901,10 +908,30 @@ def test_generated_sources_parse_as_python_3_10_and_hold_no_user_text(monkeypatc
             "--fixture", corpus.fixture_path(block.name), "--out", tmp_path / block.name,
         ]
         assert main([str(a) for a in argv]) in (0, 1)
+    # and a body nesting every statement kind 40 levels deep
+    body = "Y := X;"
+    kinds = [
+        "IF X = 0 THEN\n{}\nELSIF X = 1 THEN\nY := 1;\nELSE\n{}\nEND_IF;",
+        "FOR I := 1 TO 1 DO\n{}\nEND_FOR;",
+        "CASE X OF\n0: {}\nELSE\nY := 2;\nEND_CASE;",
+        "REPEAT\n{}\nUNTIL TRUE\nEND_REPEAT;",
+        "I := 0;\nWHILE I = 0 DO\nI := 1;\n{}\nEND_WHILE;",
+    ]
+    for level in range(40):
+        body = kinds[level % len(kinds)].replace("{}", body)
+    nested = prog_of(
+        "FUNCTION_BLOCK NESTED\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+        f"VAR I : INT; END_VAR\n{body}\nEND_FUNCTION_BLOCK\n"
+    )
+    out, _ = execute_cycle(instantiate(nested, "NESTED"), {"X": make(T.INT, 0)}, SimClock())
+    assert out["Y"].v == 0
     assert len(shapes) > 20
     known = set(vars(interp)) | set(vars(builtins))
     for shape in shapes:
         tree = ast.parse(interp._source(shape), feature_version=(3, 10))
+        # Python allows 20 nested blocks; generated code stays far below,
+        # whatever the ST nesting, since every sub-body is its own function
+        assert _block_depth(tree) <= 4
         nodes = list(ast.walk(tree))
         bound = {f.name for f in nodes if isinstance(f, ast.FunctionDef)}
         bound |= {a.arg for f in nodes if isinstance(f, ast.FunctionDef) for a in f.args.args}
@@ -912,6 +939,141 @@ def test_generated_sources_parse_as_python_3_10_and_hold_no_user_text(monkeypatc
         bound |= {x.id for x in nodes if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Store)}
         assert {x.id for x in nodes if isinstance(x, ast.Name)} <= bound | known
         assert not [x for x in nodes if isinstance(x, ast.Constant) and isinstance(x.value, str)]
+
+
+MID_FAULT_SRC = """
+FUNCTION_BLOCK MID
+VAR_INPUT D : DINT; END_VAR
+VAR_OUTPUT A : DINT; B : DINT; C : DINT; END_VAR
+A := A + 1;
+B := 10 / D;
+C := C + 1;
+END_FUNCTION_BLOCK
+PROGRAM MAIN
+VAR M : MID; N : DINT; END_VAR
+N := N + 1;
+M(D := 0);
+N := N + 1;
+END_PROGRAM
+"""
+
+
+def test_a_fault_inside_a_fused_body_names_its_own_statement():
+    # the three statements of MID run as one function; the second faults
+    result = run_program(prog_of(MID_FAULT_SRC), "MAIN", 2, SimClock(), quarantine={"M"})
+    (contained,) = result.faults
+    fault = contained.fault
+    assert (contained.instance, contained.cycle) == ("M", 0)
+    assert (fault.message, fault.pou, fault.sid) == ("division by zero", "MID", 1)
+    assert fault.describe() == "division by zero (MID#1) in MAIN.M at cycle 0"
+    # the faulting site is counted and the one after it is not; the
+    # program's statements around the call run in both scans
+    assert result.counts == {"MAIN": [2, 1, 2], "MID": [1, 1, 0]}
+    assert result.instance.nested["M"].store["A"] == 1
+    assert result.instance.nested["M"].store["C"] == 0
+
+
+SPIN_SRC = """
+FUNCTION_BLOCK SPIN
+VAR_OUTPUT A : DINT; B : DINT; C : DINT; D : DINT; END_VAR
+WHILE TRUE DO
+    A := A + 1;
+    B := B + 1;
+    C := C + 1;
+END_WHILE;
+D := 1;
+END_FUNCTION_BLOCK
+PROGRAM MAIN
+VAR S : SPIN; N : DINT; END_VAR
+S();
+N := N + 1;
+END_PROGRAM
+"""
+
+
+def test_a_budget_fault_inside_a_fused_loop_body_lands_on_its_statement():
+    # the call, then 249,999 rounds of four sites and three more: the
+    # millionth site is B's, the middle statement of the loop's body
+    result = run_program(prog_of(SPIN_SRC), "MAIN", 1, SimClock(), quarantine={"S"})
+    (contained,) = result.faults
+    assert (contained.fault.message, contained.fault.pou, contained.fault.sid) == (interp._BUDGET_MSG, "SPIN", 2)
+    assert result.counts == {"MAIN": [1, 1], "SPIN": [250_000, 250_000, 250_000, 249_999, 0]}
+    assert result.instance.store["N"] == 1
+
+
+JUMPS_SRC = """
+FUNCTION_BLOCK JUMPS
+VAR_INPUT N : DINT; END_VAR
+VAR_OUTPUT S : DINT; R : DINT; I : DINT; END_VAR
+S := 0;
+FOR I := 1 TO 10 DO
+    S := S + I;
+    IF I = N THEN
+        EXIT;
+    END_IF;
+    S := S + 100;
+END_FOR;
+R := 1;
+IF N > 2 THEN
+    RETURN;
+END_IF;
+R := 2;
+END_FUNCTION_BLOCK
+"""
+
+
+@pytest.mark.parametrize(
+    "n,outputs,counts",
+    [
+        (2, {"S": 103, "R": 2, "I": 2}, [1, 1, 2, 2, 1, 1, 1, 1, 0, 1]),
+        (3, {"S": 206, "R": 1, "I": 3}, [1, 1, 3, 3, 1, 2, 1, 1, 1, 0]),
+    ],
+)
+def test_exit_from_an_if_in_a_for_body_and_return_in_mid_body(n, outputs, counts):
+    out, cnt = execute_cycle(instantiate(prog_of(JUMPS_SRC), "JUMPS"), {"N": make(T.DINT, n)}, SimClock())
+    assert {k: v.v for k, v in out.items()} == outputs
+    assert cnt == {"JUMPS": counts}
+
+
+def test_a_300_branch_elsif_chain_runs():
+    arms = "".join(f"ELSIF X = {i} THEN\n    Y := {10 * i};\n" for i in range(1, 300))
+    prog = prog_of(
+        "FUNCTION_BLOCK CHAIN\nVAR_INPUT X : DINT; END_VAR\nVAR_OUTPUT Y : DINT; END_VAR\n"
+        f"IF X = 0 THEN\n    Y := 0;\n{arms}ELSE\n    Y := -1;\nEND_IF;\nEND_FUNCTION_BLOCK\n"
+    )
+    for x, y in ((0, 0), (299, 2990), (150, 1500), (300, -1)):
+        out, counts = execute_cycle(instantiate(prog, "CHAIN"), {"X": make(T.DINT, x)}, SimClock())
+        assert out["Y"].v == y
+        # each condition up to the taken one is evaluated once, then one store
+        tested = min(x, 299) + 1
+        assert sorted(counts["CHAIN"])[-tested - 2:] == [0] + [1] * (tested + 1)
+
+
+LONG_BODY = 3000
+
+
+def test_a_3000_statement_body_runs_in_chunks_of_bounded_size(monkeypatch):
+    params = []
+    real = interp._factory
+
+    def recording(shape):
+        make_ = real(shape)
+        params.append(make_.__code__.co_argcount)
+        return make_
+
+    monkeypatch.setattr(interp, "_factory", recording)
+    body = "".join(f"Y := Y + {i % 7};\nZ := Y - X;\n" for i in range(LONG_BODY // 2))
+    prog = prog_of(
+        "FUNCTION_BLOCK LONG\nVAR_INPUT X : DINT; END_VAR\nVAR_OUTPUT Y : DINT; Z : DINT; END_VAR\n"
+        f"{body}END_FUNCTION_BLOCK\n"
+    )
+    out, counts = execute_cycle(instantiate(prog, "LONG"), {"X": make(T.DINT, 5)}, SimClock())
+    assert out["Y"].v == sum(i % 7 for i in range(LONG_BODY // 2))
+    assert out["Z"].v == out["Y"].v - 5
+    assert counts == {"LONG": [1] * LONG_BODY}
+    # a chunk's factory takes the five values of each of at most 32
+    # statements, and one calling the chunks takes at most 32 functions
+    assert max(params) <= 5 * 32
 
 
 CALL_DEPTH_SRC = """

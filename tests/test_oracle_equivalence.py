@@ -6,6 +6,7 @@ per-scan statement hits must agree exactly (REAL values bit-exactly, since
 both sides round to binary32 independently).
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -170,3 +171,34 @@ def test_to_string_conversions_match_the_oracle(kind):
     for raw in TO_STRING_SAMPLES[kind]:
         out, _ = execute_cycle(instantiate(prog, "SPELL"), {"X": V.make(T.SCALARS[kind], raw)}, SimClock())
         assert out["S"].v == OracleSim(prog, "SPELL").scan({"X": raw}, 0)["S"]
+
+
+POWER_SRC = """
+FUNCTION_BLOCK POWER
+VAR_INPUT X : {ty}; Y : {ty}; END_VAR
+VAR_OUTPUT P : {ty}; END_VAR
+P := X ** Y;
+END_FUNCTION_BLOCK
+"""
+
+
+# each power overflows a double; only an odd integer power keeps the
+# negative base's sign, as repeated multiplication gives it
+@pytest.mark.parametrize(
+    "ty,x,y,want",
+    [
+        ("LREAL", -1.0e300, 3.0, -math.inf),
+        ("LREAL", -1.0e300, 4.0, math.inf),
+        ("LREAL", 1.0e300, 3.0, math.inf),
+        ("LREAL", -1.0e-300, -3.0, -math.inf),
+        ("LREAL", -1.0e-300, -2.0, math.inf),
+        ("REAL", -3.0e38, 9.0, -math.inf),
+        ("REAL", -3.0e38, 10.0, math.inf),
+    ],
+)
+def test_overflowing_powers_match_the_oracle(ty, x, y, want):
+    prog = resolve(parse_text(POWER_SRC.format(ty=ty)))
+    args = {"X": V.make(T.SCALARS[ty], x), "Y": V.make(T.SCALARS[ty], y)}
+    out, _ = execute_cycle(instantiate(prog, "POWER"), args, SimClock())
+    assert out["P"].v == want
+    assert OracleSim(prog, "POWER").scan({"X": x, "Y": y}, 0)["P"] == want

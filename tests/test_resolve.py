@@ -410,3 +410,36 @@ def test_number_literals_resolve_to_the_shared_type_objects(corpus_programs):
                     assert any(lit.ty is ty for ty in SINGLETONS), lit
                     kinds.add(lit.ty.kind)
     assert kinds == {ty.kind for ty in SINGLETONS}
+
+
+def test_instance_cycles_are_rejected_once_each_and_shared_types_are_not():
+    err = errors_of(
+        """
+        FUNCTION_BLOCK A
+        VAR B1 : B; B2 : B; END_VAR
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK B
+        VAR C1 : C; T : TON; END_VAR
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK C
+        VAR X : INT; END_VAR
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK P
+        VAR Q1 : Q; END_VAR
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK Q
+        VAR R1 : R; END_VAR
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK R
+        VAR P1 : P; C2 : C; END_VAR
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK SELF
+        VAR ME : SELF; END_VAR
+        END_FUNCTION_BLOCK
+        """
+    )
+    # the diamond A -> B (twice) -> C is no cycle; each cycle is reported
+    # once, at the declaration that closes it
+    assert err.count("recursive instantiation") == 2
+    assert "recursive instantiation: P -> Q -> R -> P" in err
+    assert "recursive instantiation: SELF -> SELF" in err
