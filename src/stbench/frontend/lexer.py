@@ -17,6 +17,9 @@ from .source import SourceUnit, Span
 
 
 class TokKind(enum.Enum):
+    # members compare by identity; Enum.__hash__ would be a Python-level call
+    __hash__ = object.__hash__
+
     KEYWORD = "keyword"
     IDENT = "identifier"
     INT = "integer-literal"

@@ -71,12 +71,18 @@ class IndexRef(Expr):
 
 
 class UnOp(enum.Enum):
+    # members compare by identity; Enum.__hash__ would be a Python-level call
+    __hash__ = object.__hash__
+
     NEG = "-"
     PLUS = "+"
     NOT = "NOT"
 
 
 class BinOp(enum.Enum):
+    # members compare by identity; Enum.__hash__ would be a Python-level call
+    __hash__ = object.__hash__
+
     ADD = "+"
     SUB = "-"
     MUL = "*"
@@ -233,6 +239,9 @@ class FbCall(Stmt):
 # ---------------------------------------------------------------------------
 
 class Section(enum.Enum):
+    # members compare by identity; Enum.__hash__ would be a Python-level call
+    __hash__ = object.__hash__
+
     INPUT = "VAR_INPUT"
     OUTPUT = "VAR_OUTPUT"
     IN_OUT = "VAR_IN_OUT"
@@ -262,6 +271,9 @@ class VarDecl:
 
 
 class PouKind(enum.Enum):
+    # members compare by identity; Enum.__hash__ would be a Python-level call
+    __hash__ = object.__hash__
+
     FUNCTION_BLOCK = "FUNCTION_BLOCK"
     FUNCTION = "FUNCTION"
     PROGRAM = "PROGRAM"

@@ -62,6 +62,8 @@ class PouInfo:
     fb_instances: dict[str, str]  # instance var -> FB type name
     ret_type: T.STType | None = None
     sites: tuple[Stmt | IfBranch, ...] = ()  # the body's site nodes, in sid order
+    # the user FUNCTION each call expression in the body names, one entry per call
+    calls: list[str] = field(default_factory=list)
 
     def inputs(self) -> list[VarInfo]:
         return [v for v in self.vars.values() if v.section is Section.INPUT]
@@ -706,6 +708,7 @@ class _Resolver:
     def type_call(self, e: Call) -> T.STType | None:
         user = self.lookup_pou(e.name)
         if user is not None and user.kind is PouKind.FUNCTION:
+            self.cur.calls.append(user.name)
             params = [v for v in user.vars.values() if v.section is Section.INPUT]
             if len(e.args) != len(params):
                 self.err(

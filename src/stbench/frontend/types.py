@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 
 class Kind(enum.Enum):
+    # members compare by identity; Enum.__hash__ would be a Python-level call
+    __hash__ = object.__hash__
+
     BOOL = "BOOL"
     INT = "INT"
     DINT = "DINT"

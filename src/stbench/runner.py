@@ -25,6 +25,7 @@ contained fault in the scan, then per case in index order
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -194,7 +195,21 @@ def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResu
     watched = [(c.index, c.instance_name, *hook_var_names(c.index)) for c in bundle.cases]
     fails_before = dict.fromkeys((c.index for c in bundle.cases), 0)
 
+    def reader():
+        """A getter of the watched cases' DONE and FAILS hooks at once."""
+        return operator.itemgetter(*[name for case in watched for name in (case[2], case[4])])
+
+    # what the hooks read after the last scan that ran the event loop: a
+    # scan that changed none of them and contained no fault has no event
+    hooks, last = reader(), None
+
     def after_scan(store: dict[str, object], faults: list[ContainedFault]) -> bool:
+        nonlocal hooks, last
+        now = hooks(store)
+        if now == last and not faults:
+            lines.append(f"cycle={len(lines)} t={clock.now} events=[]")
+            return False
+        last = now
         events = [f"FAULT={f.instance}@{f.fault.sid}" for f in faults]
         finished = False
         for index, _, done, passed, fails in watched:
@@ -208,6 +223,9 @@ def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResu
         if finished or faults:
             stopped = {f.instance for f in faults}
             watched[:] = [case for case in watched if not store[case[2]] and case[1] not in stopped]
+            if watched:
+                hooks = reader()
+                last = hooks(store)
         lines.append(f"cycle={len(lines)} t={clock.now} events=[{';'.join(events)}]")
         return not watched
 

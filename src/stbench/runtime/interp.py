@@ -5,28 +5,30 @@ One scan runs a POU body exactly once.  The clock is frozen during a scan
 (every timer invoked in a scan sees the same `now`) and advances by the
 configured cycle time after the scan completes.
 
-Each POU body is compiled on its first execution and cached on the
-TypedProgram.  Every statement list (a body, an IF branch or ELSE, a CASE
-arm or ELSE, a loop body) becomes one function `run(store, nested, cnt,
-scan)` that runs its statements inline, with their expressions inlined
-as Python operators and the INT/DINT wrap and binary32 rounding written
-out.  A statement's sub-bodies are functions of their own, which it calls
-directly, so ST nesting never becomes Python nesting; a list longer than
-32 statements runs as chunks of at most 32, each its own function, so
-that no generated function grows with the list.  A PROGRAM's top-level
-FbCalls stay functions of their own, and only the statements between
-them are fused, so that run_program can contain a fault per call.  The
-function is made by a factory `make(k0, ..., kn)` whose parameters carry
-every name, literal, count slot, site, callee, built-in function and
-sub-body, so no user text enters generated source, and lists that differ
-only in those values share one source.  One walk over a list collects
-those values and builds its shape: a small hashable key recording only
-what the source depends on (node kinds and operators, the result kinds
-whose wrap is written out, converting stores, empty sub-bodies and
-ELSEs, a FOR without BY, built-in or user blocks and a callee's TEMPs,
-and whether sites are tracked).  Factories are kept in a bounded cache
-keyed by shape, as `re` keeps its patterns; on a miss the source is
-rendered from the shape alone and compiled once per process, as
+Each POU body is compiled on its first execution, as bounded or as
+checked code (below), and cached on the TypedProgram per mode.  Every
+statement list (a body, an IF branch or ELSE, a CASE arm or ELSE, a loop
+body) becomes one function `run(store, nested, cnt, scan)` that runs its
+statements inline, with their expressions inlined as Python operators
+and the INT/DINT wrap and binary32 rounding written out.  A statement's
+sub-bodies are functions of their own, which it calls directly, and so
+is a user FB's body, which its call site runs itself; so ST nesting never
+becomes Python nesting.  A list longer than 32 statements runs as chunks
+of at most 32, each its own function, so that no generated function
+grows with the list.  A PROGRAM's top-level FbCalls stay functions of
+their own, and only the statements between them are fused, so that
+run_program can contain a fault per call.  The function is made by a
+factory `make(k0, ..., kn)` whose parameters carry every name, literal,
+count slot, site, callee, built-in function and sub-body, so no user
+text enters generated source, and lists that differ only in those values
+share one source.  One walk over a list collects those values and builds
+its shape: a small hashable key recording only what the source depends
+on (the mode, node kinds and operators, the result kinds whose wrap is
+written out, converting stores, empty sub-bodies and ELSEs, a FOR
+without BY, built-in or user blocks and a callee's TEMPs, and whether
+sites are tracked).  Factories are kept in a bounded cache keyed by
+shape, as `re` keeps its patterns; on a miss the source is rendered from
+the shape alone and compiled once per process, as
 `collections.namedtuple` compiles its classes.  So a list costs one walk
 and a lookup, not a source text.  A generated function holds no run
 state: the store, the nested instances, the count array and the run
@@ -58,23 +60,38 @@ Coverage: executing a statement site adds one to its slot in its POU's
 count array, where slot i counts `PouInfo.sites[i]`; these arrays are the
 run's coverage record, handed to `coverage` as they are.  Guard sites
 (IF/ELSIF conditions, CASE selectors, loop headers) count once per
-evaluation.  Each site also spends one unit of the scan's 1M-site budget,
-as does each FOR iteration; run_program gives what a contained fault's
-call spent back, up to three more budgets per scan.
+evaluation.
+
+Budget and depth: each site also spends one unit of the scan's 1M-site
+budget, as does each FOR iteration; run_program gives what a contained
+fault's call spent back, up to three more budgets per scan.  Calls nest
+at most 64 deep.  A run tests these limits only where they can be
+reached.  `_bound` gives, per POU, an upper bound on one execution of its
+body: the sites it can run (its own, each at most once, plus its
+callees' bounds, once per FB call site and per function call) and how
+deep its calls can nest, or None for a POU with a loop, one calling such
+a POU, and recursion.  When the root's bound stays below the budget and
+within the depth limit, no scan can reach either, so the run uses
+bounded code: every site still spends its unit, so that site totals and
+refunds are exact, but none tests the budget, and user FB calls leave the
+depth alone.  Otherwise the run uses checked code, which tests the budget
+at each site and the depth at each call.  This is bounds-check
+elimination (Bodik, Gupta and Sarkar, PLDI 2000) over a whole scan.
+
 Faults are attributed on the exception path: each statement turns an
 expression fault into a RuntimeFault at its own site (a parameter
 holding its POU's name and its node, whose span is looked up only for a
 fault), and each call frame it unwinds through prepends its instance path
-segment.  Calls nest at most 64 deep; a chain that exhausts Python's
-recursion limit first becomes the fault "call stack too deep" at the
-innermost call site with room to raise it.
+segment.  A chain of calls that exhausts Python's recursion limit becomes
+the fault "call stack too deep" at the innermost call site with room to
+raise it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import math
 
@@ -199,23 +216,32 @@ def _is_builtin_fb(prog: TypedProgram, fb_type: str) -> bool:
 
 def instantiate(prog: TypedProgram, fb_name: str) -> FbInstance:
     """Create a fresh instance of a function block (or program) with all
-    variables at their declared initial values and nested FBs idle."""
-    return _instantiate(prog, fb_name.upper(), ())
+    variables at their declared initial values and nested FBs idle.
 
-
-def _instantiate(prog: TypedProgram, fb_name: str, path: tuple[str, ...]) -> FbInstance:
-    info = prog.lookup_pou(fb_name)
-    if info is None or info.kind is PouKind.FUNCTION:
-        raise UnknownPou(f"no function block or program named {fb_name}")
-    if fb_name in path:
-        raise UnknownPou(f"recursive instantiation of {fb_name}")
-    inst = FbInstance(prog, info)
-    for var_name, fb_type in info.fb_instances.items():
-        if _is_builtin_fb(prog, fb_type):
-            inst.nested[var_name] = make_builtin(fb_type)
-        else:
-            inst.nested[var_name] = _instantiate(prog, fb_type, path + (fb_name,))
-    return inst
+    The instance tree is built depth-first by a loop, not by recursion, so
+    a chain of FB types longer than Python's stack is deep still builds."""
+    root = {}
+    # (the store holding the instance, its name there, its FB type, the
+    # FB types above it), in the order a recursive walk would visit them
+    todo = [(root, None, fb_name.upper(), ())]
+    while todo:
+        owner, var_name, name, path = todo.pop()
+        info = prog.lookup_pou(name)
+        if info is None or info.kind is PouKind.FUNCTION:
+            raise UnknownPou(f"no function block or program named {name}")
+        if name in path:
+            raise UnknownPou(f"recursive instantiation of {name}")
+        inst = owner[var_name] = FbInstance(prog, info)
+        path += (name,)
+        children = []
+        for var, fb_type in info.fb_instances.items():
+            if _is_builtin_fb(prog, fb_type):
+                inst.nested[var] = make_builtin(fb_type)
+            else:
+                inst.nested[var] = None  # filled in below, keeping the declaration order
+                children.append((inst.nested, var, fb_type, path))
+        todo += reversed(children)
+    return root[None]
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +252,13 @@ class _Scan:
     """Mutable state of one run, passed to every generated function.
     `prog` is the program the run resolves POU names in; `counts` maps a
     POU name to its count array and lives for the whole run; the other
-    fields restart with each scan.  `spare` is what contained faults may
-    still give back to the budget in this scan.  `depth` counts the calls
-    in progress; a fault leaves the calls it abandons counted, and
-    run_program resets it when it contains the fault.  `last` is the site
-    a FOR iteration's budget fault is attributed to: the last one hit in
-    the loop's frame."""
+    fields restart with each scan.  Every site spends one unit of `budget`
+    in either mode, so `sites()` is exact; only checked code tests it.
+    `spare` is what contained faults may still give back to the budget in
+    this scan.  `depth` counts the calls in progress, but for user FB
+    calls in bounded code; a fault leaves the calls it abandons counted,
+    and run_program resets it when it contains the fault.  `last` is the site a FOR iteration's budget fault is
+    attributed to: the last one hit in the loop's frame."""
 
     __slots__ = ("prog", "counts", "budget", "spare", "now", "depth", "loops", "last")
 
@@ -300,29 +327,118 @@ def _store_conv(src: T.STType | None, dst: T.STType):
 # Compiled POUs
 # ---------------------------------------------------------------------------
 
-def _pou(prog: TypedProgram, name: str) -> "_Pou":
-    """The compiled POU `name` resolves to in prog, cached on prog.  Nothing
-    in the cache refers back to prog, so a finished run is freed at once."""
+class _Cache:
+    """What the interpreter keeps on a TypedProgram: its compiled POUs by
+    (name, bounded) and its POUs' static bounds by name.  Nothing in it
+    refers back to the program, so a finished run is freed at once."""
+
+    __slots__ = ("pous", "bounds")
+
+    def __init__(self):
+        self.pous: dict[tuple[str, bool], _Pou] = {}
+        self.bounds: dict[str, tuple[int, int] | None] = {}
+
+
+def _cache(prog: TypedProgram) -> _Cache:
     cache = prog.runtime_cache
     if cache is None:
-        cache = prog.runtime_cache = {}
-    pou = cache.get(name)
+        cache = prog.runtime_cache = _Cache()
+    return cache
+
+
+def _pou(prog: TypedProgram, name: str, bounded: bool = False) -> "_Pou":
+    """The POU `name` resolves to in prog, compiled as bounded or checked
+    code, cached on prog."""
+    pous = _cache(prog).pous
+    pou = pous.get((name, bounded))
     if pou is None:
-        pou = cache[name] = _Pou(prog.lookup_pou(name))
+        pou = pous[name, bounded] = _Pou(prog.lookup_pou(name), bounded)
     return pou
 
 
+_LOOPS = (N.ForStmt, N.WhileStmt, N.RepeatStmt)
+
+
+def _callees(prog: TypedProgram, name: str) -> tuple[PouInfo, list[str]] | None:
+    """The POU `name` resolves to in prog and the user POU each of its user
+    FB call sites and user function calls runs, one entry per site or
+    call, resolved as `_Gen` resolves them; None for a POU with a loop (or
+    none at all)."""
+    info = prog.lookup_pou(name)
+    if info is None or any([type(node) in _LOOPS for node in info.sites]):
+        return None
+    fb_types = [info.fb_instances[node.instance] for node in info.sites if type(node) is N.FbCall]
+    callees = [fb_type for fb_type in fb_types if not _is_builtin_fb(prog, fb_type)]
+    for fn in info.calls:
+        callee = prog.lookup_pou(fn)
+        if callee is not None and callee.kind is PouKind.FUNCTION:
+            callees.append(fn)
+    return info, callees
+
+
+def _bound(prog: TypedProgram, name: str) -> tuple[int, int] | None:
+    """An upper bound `(sites, depth)` on one execution of the body of the
+    POU `name` resolves to in prog, memoised on prog: at most `sites` sites
+    run and at most `depth` calls nest inside it.  None for a POU with a
+    FOR, WHILE or REPEAT, one that calls such a POU, and recursion.  A
+    loop-free body runs each of its sites at most once, each call once."""
+    bounds = _cache(prog).bounds
+    # a depth-first walk over the calls, a loop, not recursion, since FB
+    # chains may be longer than Python's stack is deep; `path` holds the
+    # POUs on the walk's path, each with its callees and those left to visit
+    path: dict[str, tuple[PouInfo, list[str], Iterator[str]]] = {}
+    stack = [name]
+    while stack:
+        top = stack[-1]
+        if top in bounds:
+            stack.pop()
+            continue
+        entry = path.get(top)
+        if entry is None:
+            found = _callees(prog, top)
+            if found is None:
+                bounds[top] = None
+                continue
+            entry = path[top] = (*found, iter(set(found[1])))
+        info, callees, left = entry
+        callee = next((c for c in left if c not in bounds), None)
+        if callee is None:
+            parts = [bounds[c] for c in callees]
+            bounds[top] = None if None in parts else (
+                len(info.sites) + sum([s for s, _ in parts]),
+                max([1 + d for _, d in parts], default=0),
+            )
+        elif callee in path:  # a call back into the path: recursion
+            bounds[top] = None
+        else:
+            stack.append(callee)
+            continue
+        del path[top]
+    return bounds[name]
+
+
+def _bounded(prog: TypedProgram, name: str) -> bool:
+    """Whether a scan of the POU `name` runs as bounded code: when no scan
+    of it can reach the site budget or the call depth limit, so that no
+    budget or depth test could fire.  A scan starts at the full budget,
+    refunds only add to it, and its call depth starts at zero."""
+    bound = _bound(prog, name)
+    return bound is not None and bound[0] < _SCAN_SITE_BUDGET and bound[1] <= _MAX_CALL_DEPTH
+
+
 class _Pou:
-    """One POU: its body, compiled on first execution, and what a caller
-    needs to set up its frame."""
+    """One POU compiled as bounded or as checked code: its body, compiled
+    on first execution, and what a caller needs to set up its frame."""
 
     __slots__ = (
-        "info", "name", "index", "iface", "temps", "initial", "params", "copies", "body", "entries",
+        "info", "name", "bounded", "index", "iface", "temps", "initial", "params", "copies", "body",
+        "entries",
     )
 
-    def __init__(self, info: PouInfo):
+    def __init__(self, info: PouInfo, bounded: bool):
         self.info = info
         self.name = info.name
+        self.bounded = bounded
         self.index = {node.sid: i for i, node in enumerate(info.sites)}
         # variable name -> (type, section), as BUILTIN_FBS gives a block's
         self.iface = {v.name: (v.ty, v.section) for v in info.vars.values()}
@@ -380,16 +496,20 @@ class _Pou:
             cnt = scan.counts[self.name] = [0] * len(self.info.sites)
         return cnt
 
-    def run(self, store: dict, nested: dict, scan: _Scan) -> None:
+    def compile(self, prog: TypedProgram) -> Callable:
+        """The whole body as one function, compiled on first use."""
         body = self.body
         if body is None:
-            runs = [run for run, _ in self.code(scan.prog)]
+            runs = [run for run, _ in self.code(prog)]
             body = self.body = runs[0] if len(runs) == 1 else _calls(runs)
-        cnt = scan.counts.get(self.name)
-        if cnt is None:
-            cnt = self.counts(scan)
+        return body
+
+    def run(self, store: dict, nested: dict, scan: _Scan) -> None:
+        """Run the body once: a function call's, or an instance's scan.  An
+        FB call site runs its callee's body itself (`_Text.fb_call`)."""
+        body = self.body or self.compile(scan.prog)
         try:
-            body(store, nested, cnt, scan)
+            body(store, nested, scan.counts.get(self.name) or self.counts(scan), scan)
         except _ReturnPou:
             pass
 
@@ -509,15 +629,6 @@ def _wrap(kind: T.Kind | None, text: str) -> str:
     return f"({text})"
 
 
-def _count(s: str, c: str, pad: str) -> str:
-    """Lines counting the site `s` in slot `c` and spending a unit of the
-    scan's budget."""
-    return (
-        f"{pad}cnt[{c}] += 1\n{pad}scan.budget -= 1\n"
-        f"{pad}if scan.budget <= 0:\n{pad} raise _fault({s}, _BUDGET_MSG)\n"
-    )
-
-
 def _guard(lines: str, s: str, pad: str) -> str:
     """`lines`, indented one level past pad, with an expression fault in
     them attributed to the site `s`."""
@@ -529,17 +640,21 @@ class _Text:
 
     A shape is a nested tuple whose first item is the method rendering it;
     the rest records what the text depends on and nothing else.  A list's
-    statements are rendered one after the other, at one indentation level:
-    a sub-body or a chunk of a long list is a parameter called directly,
-    and no statement returns from the function (an IF leaves a one-shot
-    loop, WHILE and REPEAT break out of theirs), so only EXIT and RETURN,
-    by raising, skip the statements after them.  Each site keeps its own
-    count, budget test and fault attribution (`_count`, `_guard`).  The factory parameters the text
-    refers to are named k0, k1, ... in the order `_Gen` collects their
-    values."""
+    shape is `(_Text.seq, bounded, statement shapes...)`.  Its statements
+    are rendered one after the other, at one indentation level: a sub-body
+    or a chunk of a long list is a parameter called directly, and no
+    statement returns from the function (an IF leaves a one-shot loop,
+    WHILE and REPEAT break out of theirs), so only EXIT and RETURN, by
+    raising, skip the statements after them.  Each site keeps its own
+    count, budget unit and fault attribution (`count`, `_guard`); checked
+    code also tests the budget at each site and counts the depth of each
+    user FB call, which bounded code leaves out.  The factory parameters
+    the text refers to are named k0, k1, ... in the order `_Gen` collects
+    their values."""
 
-    def __init__(self):
+    def __init__(self, bounded: bool):
         self.n = 0
+        self.bounded = bounded
 
     def k(self) -> str:
         """The next factory parameter."""
@@ -553,6 +668,14 @@ class _Text:
     def stmt(self, shape) -> str:
         return shape[0](self, shape)
 
+    def count(self, s: str, c: str, pad: str) -> str:
+        """Lines counting the site `s` in slot `c` and spending a unit of
+        the scan's budget; checked code then tests the budget."""
+        text = f"{pad}cnt[{c}] += 1\n{pad}scan.budget -= 1\n"
+        if self.bounded:
+            return text
+        return text + f"{pad}if scan.budget <= 0:\n{pad} raise _fault({s}, _BUDGET_MSG)\n"
+
     def run_body(self, runs: bool, pad: str) -> str:
         """The line running a sub-body, a parameter, if it `runs` anything."""
         return f"{pad}{self.k()}(store, nested, cnt, scan)\n" if runs else ""
@@ -561,7 +684,7 @@ class _Text:
 
     def seq(self, shape) -> str:
         """A statement list's statements, one after the other."""
-        return "".join([self.stmt(st) for st in shape[1:]]) or "  pass\n"
+        return "".join([self.stmt(st) for st in shape[2:]]) or "  pass\n"
 
     def run(self, shape) -> str:
         """A call of a chunk of a long list, a parameter."""
@@ -574,14 +697,14 @@ class _Text:
         s, c = self.site()
         put = self.put(target, self.ex(value))
         last = f"  scan.last = {s}\n" if track else ""
-        return _count(s, c, "  ") + _guard(f"   {put}\n", s, "  ") + last
+        return self.count(s, c, "  ") + _guard(f"   {put}\n", s, "  ") + last
 
     def jump(self, shape) -> str:
         _, exit_, track = shape
         s, c = self.site()
         last = f"  scan.last = {s}\n" if track else ""
         signal = "_ExitLoop" if exit_ else "_ReturnPou"
-        return f"{_count(s, c, '  ')}{last}  raise {signal}\n"
+        return f"{self.count(s, c, '  ')}{last}  raise {signal}\n"
 
     def if_stmt(self, shape) -> str:
         # a one-shot loop that a taken branch breaks out of: an ELSIF chain
@@ -591,7 +714,7 @@ class _Text:
         for cond, runs in branches:
             s, c = self.site()
             last = f"   scan.last = {s}\n" if track else ""
-            text += _count(s, c, "   ") + _guard(f"    taken = {self.ex(cond)}\n", s, "   ")
+            text += self.count(s, c, "   ") + _guard(f"    taken = {self.ex(cond)}\n", s, "   ")
             text += f"{last}   if taken:\n{self.run_body(runs, '    ')}    break\n"
         return text + self.run_body(else_runs, "   ") + "   break\n"
 
@@ -600,7 +723,7 @@ class _Text:
         s, c = self.site()
         last = f"  scan.last = {s}\n" if track else ""
         return (
-            _count(s, c, "  ") + _guard(f"   sel = {self.ex(selector)}\n", s, "  ") + last
+            self.count(s, c, "  ") + _guard(f"   sel = {self.ex(selector)}\n", s, "  ") + last
             + f"  for lo, hi, body in {self.k()}:\n"
             "   if lo <= sel <= hi:\n"
             "    break\n"  # the first matching branch wins
@@ -621,7 +744,7 @@ class _Text:
             "    raise _Trap(_ZERO_STEP_MSG)\n"
         )
         return (
-            _count(s, c, "  ") + _guard(head, s, "  ")
+            self.count(s, c, "  ") + _guard(head, s, "  ")
             + f"  scan.last = {s}\n"
             "  try:\n"
             "   while (cur <= lim) if inc > 0 else (cur >= lim):\n"
@@ -643,7 +766,7 @@ class _Text:
         return (
             "  try:\n"
             "   while True:\n"
-            + _count(s, c, "    ") + _guard(f"     go = {self.ex(cond)}\n", s, "    ") + last
+            + self.count(s, c, "    ") + _guard(f"     go = {self.ex(cond)}\n", s, "    ") + last
             + "    if not go:\n"
             "     break\n"
             + self.run_body(runs, "    ")
@@ -659,7 +782,7 @@ class _Text:
             "  try:\n"
             "   while True:\n"
             + self.run_body(runs, "    ")
-            + _count(s, c, "    ") + _guard(f"     done = {self.ex(until)}\n", s, "    ") + last
+            + self.count(s, c, "    ") + _guard(f"     done = {self.ex(until)}\n", s, "    ") + last
             + "    if done:\n"
             "     break\n"
             "  except _ExitLoop:\n"
@@ -669,30 +792,40 @@ class _Text:
     def fb_call(self, shape) -> str:
         _, track, builtin, temps, in_shapes, out_shapes = shape
         s, c = self.site()
-        text = _count(s, c, "  ") + f"  fb = nested[{self.k()}]\n  fs = fb.store\n"
+        text = self.count(s, c, "  ") + f"  fb = nested[{self.k()}]\n  fs = fb.store\n"
         ins = "".join([f"   fs[{self.k()}] = {self.ex(x)}\n" for x in in_shapes])
         outs = "".join([f"   {self.put(x, f'fs[{self.k()}]')}\n" for x in out_shapes])
         last = f"  scan.last = {s}\n" if track else ""
         if builtin:
             return text + _guard(f"{ins}   fb.step(scan.now)\n{outs}", s, "  ") + last
-        pou = self.k()
+        # the callee's body runs here, compiled on its first call inside the
+        # handlers, so that a RecursionError compiling it is contained too
+        pou, name = self.k(), self.k()
         if ins:
             text += _guard(ins, s, "  ")
         if temps:
             text += f"  {pou}.reset_temps(fs)\n"
+        if not self.bounded:
+            text += (
+                "  scan.depth += 1\n"
+                "  if scan.depth > _MAX_CALL_DEPTH:\n"
+                f"   raise _fault({s}, _DEPTH_MSG)\n"
+            )
         text += (
-            "  scan.depth += 1\n"
-            "  if scan.depth > _MAX_CALL_DEPTH:\n"
-            f"   raise _fault({s}, _DEPTH_MSG)\n"
             "  try:\n"
-            f"   {pou}.run(fs, fb.nested, scan)\n"
+            "   try:\n"
+            f"    ({pou}.body or {pou}.compile(scan.prog))"
+            f"(fs, fb.nested, scan.counts.get({name}) or {pou}.counts(scan), scan)\n"
+            "   except _ReturnPou:\n"
+            "    pass\n"
             "  except RuntimeFault as fault:\n"
             f"   fault.instance_path = {self.k()} + fault.instance_path\n"
             "   raise\n"
             "  except RecursionError:\n"
             f"   raise _fault({s}, _STACK_MSG) from None\n"
-            "  scan.depth -= 1\n"
         )
+        if not self.bounded:
+            text += "  scan.depth -= 1\n"
         if outs:
             text += _guard(outs, s, "  ")
         return text + last
@@ -771,7 +904,7 @@ class _Text:
 def _source(shape) -> str:
     """The source of the factory `make(k0, ..., kn)` returning the function
     of this statement-list shape."""
-    text = _Text()
+    text = _Text(shape[1])
     body = text.seq(shape)
     params = ", ".join([f"k{i}" for i in range(text.n)])
     return f"def make({params}):\n def run(store, nested, cnt, scan):\n{body} return run\n"
@@ -800,10 +933,11 @@ _STORE, _STORE_CONV = (_Text.put, False), (_Text.put, True)
 
 def _calls(runs: list) -> Callable:
     """One function calling each function of `runs` in turn, through a
-    tree of functions that call at most _CHUNK each."""
+    tree of functions that call at most _CHUNK each.  It holds no site, so
+    its text is the same in either mode."""
     while len(runs) > _CHUNK:
         runs = [_calls(runs[i:i + _CHUNK]) for i in range(0, len(runs), _CHUNK)]
-    return _factory((_Text.seq,) + (_RUN,) * len(runs))(*runs)
+    return _factory((_Text.seq, False) + (_RUN,) * len(runs))(*runs)
 
 
 class _Gen:
@@ -814,9 +948,9 @@ class _Gen:
     a loop body) becomes one function that runs its statements inline.
     One walk over the list collects the values of its factory's parameters
     (every name, literal, count slot, site, callee, built-in function and
-    sub-body) and builds its shape, `(_Text.seq, statement shapes...)`;
-    `_factory` compiles the shape's source on its first use in the
-    process, and the list's function is that factory applied to the
+    sub-body) and builds its shape, `(_Text.seq, bounded, statement
+    shapes...)`; `_factory` compiles the shape's source on its first use
+    in the process, and the list's function is that factory applied to the
     values.  Lists differing only in those values share one shape.
     Expressions are inlined; a sub-body is a function of its own, a
     parameter its statement calls, so ST nesting never becomes Python
@@ -828,6 +962,7 @@ class _Gen:
     def __init__(self, pou: _Pou, prog: TypedProgram):
         self.prog = prog
         self.name = pou.name
+        self.bounded = pou.bounded
         self.index = pou.index
         self.vars = pou.info.vars
         self.fbs = pou.info.fb_instances
@@ -842,7 +977,7 @@ class _Gen:
         if len(body) > _CHUNK:
             return _calls([self.block(body[i:i + _CHUNK], track) for i in range(0, len(body), _CHUNK)])
         outer, self.consts = self.consts, []
-        shape = (_Text.seq, *[_STMTS[type(st)](self, st, track) for st in body])
+        shape = (_Text.seq, self.bounded, *[_STMTS[type(st)](self, st, track) for st in body])
         consts, self.consts = self.consts, outer
         return _factory(shape)(*consts)
 
@@ -908,7 +1043,7 @@ class _Gen:
         if builtin:
             slots = BUILTIN_FBS[fb_type]
         else:
-            callee = _pou(self.prog, fb_type)
+            callee = _pou(self.prog, fb_type, self.bounded)
             slots = callee.iface
         consts = self.consts
         consts.append(st.instance)
@@ -926,7 +1061,7 @@ class _Gen:
             outs.append(self.put(p.expr, slots[p.name][0]))
         if builtin:
             return (_Text.fb_call, track, True, False, tuple(ins), tuple(outs))
-        consts += (callee, "." + st.instance)
+        consts += (callee, fb_type, "." + st.instance)
         return (_Text.fb_call, track, False, bool(callee.temps), tuple(ins), tuple(outs))
 
     # -- stores ----------------------------------------------------------------
@@ -999,7 +1134,7 @@ class _Gen:
         if info is None or info.kind is not PouKind.FUNCTION:
             self.consts.append(builtin_impl(e.name, [a.ty for a in e.args], e.ty))
             return (_Text.builtin, tuple([self.ex(a) for a in e.args]))
-        callee = _pou(self.prog, e.name)
+        callee = _pou(self.prog, e.name, self.bounded)
         args = tuple([self.value_for(a, p.ty) for p, a in zip(callee.info.inputs(), e.args)])
         self.consts += (callee, f"/{callee.name}()")
         return (_Text.call, args)
@@ -1033,7 +1168,7 @@ _EXPRS = {
 
 def _run_instance(inst: FbInstance, scan: _Scan) -> None:
     """One scan of an instance's body, its TEMP variables reset first."""
-    pou = _pou(inst.prog, inst.fb_type)
+    pou = _pou(inst.prog, inst.fb_type, _bounded(inst.prog, inst.fb_type))
     if pou.temps:
         pou.reset_temps(inst.store)
     try:
@@ -1112,7 +1247,7 @@ def run_program(
     if info is None or info.kind is not PouKind.PROGRAM:
         raise UnknownPou(f"no program named {program_name}")
     inst = instantiate(prog, program_name)
-    pou = _pou(prog, inst.fb_type)
+    pou = _pou(prog, inst.fb_type, _bounded(prog, inst.fb_type))
     quarantine = frozenset(quarantine)
     # each entry of the body, with the instance a fault in it stops
     body = [

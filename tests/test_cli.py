@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from stbench import cli, corpus
 from stbench.cli import main
-from stbench.frontend import parser
+from stbench.frontend import parse_text, parser, resolve
+from stbench.runtime import interp
 from stbench.runtime.interp import _MAX_CALL_DEPTH
 
+from test_interp import fb_chain
 from test_parser import time_limit
 
 DEC_BLOCK = corpus.block_path("DEC_TO_HEX")
@@ -639,6 +641,24 @@ def test_calls_deeper_than_the_call_limit_are_a_contained_fault(tmp_path, capsys
     assert verdicts["tc_shallow"] == ("pass", None)
     assert verdicts["tc_deep"][0] == "fault"
     assert verdicts["tc_deep"][1].startswith("call depth exceeded (DEEP#")
+
+
+def test_a_chain_of_1200_fb_types_is_a_contained_fault(tmp_path, capsys):
+    # instantiating the chain and bounding its scans each walk all 1,200
+    # types, more than Python's stack is deep
+    source = fb_chain(1200)
+    assert interp._bound(resolve(parse_text(source)), "F0") == (2 * 1199 + 1, 1199)
+    unit = tmp_path / "chain.st"
+    unit.write_text(source)
+    suite = tmp_path / "suite.csv"
+    suite.write_text("test_name,state,N,expect_Y\ntc,1,1,1\n")
+    assert run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    ((verdict, fault),) = [(c["verdict"], c["fault"]) for c in report["cases"]]
+    assert verdict == "fault"
+    assert fault.startswith("call depth exceeded (F62#")
 
 
 _FIXTURE_PIECES = ["\n", ",", "```", "```csv\n", "test_name,state", "dwell_cycles", "expect_", "'", '"',

@@ -926,9 +926,15 @@ def test_generated_sources_parse_as_python_3_10_and_hold_no_user_text(monkeypatc
     out, _ = execute_cycle(instantiate(nested, "NESTED"), {"X": make(T.INT, 0)}, SimClock())
     assert out["Y"].v == 0
     assert len(shapes) > 20
+    # DEC_TO_HEX and NESTED have loops and run as checked code; the other
+    # corpus blocks and their harnesses are loop-free and run bounded
+    assert {shape[1] for shape in shapes} == {False, True}
     known = set(vars(interp)) | set(vars(builtins))
     for shape in shapes:
         tree = ast.parse(interp._source(shape), feature_version=(3, 10))
+        names = {x.id for x in ast.walk(tree) if isinstance(x, ast.Name)}
+        if shape[1]:  # bounded code tests neither the budget nor the call depth
+            assert not {"_BUDGET_MSG", "_MAX_CALL_DEPTH"} & names
         # Python allows 20 nested blocks; generated code stays far below,
         # whatever the ST nesting, since every sub-body is its own function
         assert _block_depth(tree) <= 4
@@ -937,7 +943,7 @@ def test_generated_sources_parse_as_python_3_10_and_hold_no_user_text(monkeypatc
         bound |= {a.arg for f in nodes if isinstance(f, ast.FunctionDef) for a in f.args.args}
         bound |= {x.name for x in nodes if isinstance(x, ast.ExceptHandler) and x.name}
         bound |= {x.id for x in nodes if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Store)}
-        assert {x.id for x in nodes if isinstance(x, ast.Name)} <= bound | known
+        assert names <= bound | known
         assert not [x for x in nodes if isinstance(x, ast.Constant) and isinstance(x.value, str)]
 
 
@@ -1106,3 +1112,170 @@ def test_a_contained_fault_leaves_no_call_depth_behind():
     result = run_program(prog_of(CALL_DEPTH_SRC), "MAIN", 1, SimClock(), quarantine={"S1", "S2"})
     assert [(f.instance, f.fault.message) for f in result.faults] == [("S1", "division by zero")]
     assert result.instance.nested["S2"].store["Y"] == 62
+
+
+BOUNDS_SRC = """
+FUNCTION TWICE : DINT
+VAR_INPUT X : DINT; END_VAR
+TWICE := X + X;
+END_FUNCTION
+FUNCTION_BLOCK LEAF
+VAR_INPUT X : DINT; END_VAR
+VAR_OUTPUT Y : DINT; END_VAR
+IF X > 0 THEN Y := TWICE(X); ELSE Y := TWICE(TWICE(X)); END_IF;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK MID
+VAR A : LEAF; B : LEAF; T : TON; END_VAR
+A(X := 1);
+B(X := TWICE(2));
+T(IN := TRUE, PT := T#1s);
+END_FUNCTION_BLOCK
+PROGRAM MAIN
+VAR M : MID; L : LEAF; END_VAR
+M();
+L(X := 0);
+END_PROGRAM
+"""
+
+
+def test_static_bounds_of_a_small_fb_tree():
+    prog = prog_of(BOUNDS_SRC)
+    # LEAF: 3 sites and three calls of TWICE (1 site); MID: 3 sites, two
+    # LEAFs, one TWICE and a built-in block, which has no sites
+    bounds = {name: interp._bound(prog, name) for name in ("MAIN", "MID", "LEAF", "TWICE")}
+    assert bounds == {"MAIN": (24, 3), "MID": (16, 2), "LEAF": (6, 1), "TWICE": (1, 0)}
+    result = run_program(prog, "MAIN", 2, SimClock())
+    assert [len(t) for t in result.traces] == [16, 16]
+    assert ("MAIN", True) in prog.runtime_cache.pous
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "FOR I := 1 TO 2 DO Y := I; END_FOR;",
+        "WHILE Y < 2 DO Y := Y + 1; END_WHILE;",
+        "REPEAT Y := Y + 1; UNTIL Y > 2 END_REPEAT;",
+        "Y := REC(X);",
+    ],
+)
+def test_a_loop_or_recursion_anywhere_below_a_pou_leaves_it_unbounded(body):
+    prog = prog_of(
+        f"""
+        FUNCTION REC : DINT
+        VAR_INPUT X : DINT; END_VAR
+        REC := 0;
+        IF X > 0 THEN REC := REC(X - 1); END_IF;
+        END_FUNCTION
+        FUNCTION_BLOCK INNER
+        VAR_INPUT X : DINT; END_VAR
+        VAR_OUTPUT Y : DINT; END_VAR
+        VAR I : DINT; END_VAR
+        {body}
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK OUTER
+        VAR F : INNER; END_VAR
+        F(X := 1);
+        END_FUNCTION_BLOCK
+        PROGRAM MAIN
+        VAR O : OUTER; END_VAR
+        O();
+        END_PROGRAM
+        """
+    )
+    assert [interp._bound(prog, name) for name in ("INNER", "OUTER", "MAIN")] == [None] * 3
+    assert interp._bound(prog, "REC") is None
+    run_program(prog, "MAIN", 1, SimClock())
+    assert ("MAIN", False) in prog.runtime_cache.pous
+
+
+def test_a_program_bounded_above_the_budget_still_faults_where_it_did(monkeypatch):
+    monkeypatch.setattr(interp, "_SCAN_SITE_BUDGET", 50)
+    steps = "".join(f"X := X + {i};\n" for i in range(20))
+    prog = prog_of(
+        f"""
+        FUNCTION_BLOCK STEP
+        VAR_OUTPUT X : DINT; END_VAR
+        {steps}
+        END_FUNCTION_BLOCK
+        PROGRAM MAIN
+        VAR A : STEP; B : STEP; C : STEP; K : DINT; END_VAR
+        A(); B(); C();
+        K := K + 1;
+        END_PROGRAM
+        """
+    )
+    assert interp._bound(prog, "MAIN") == (64, 1)
+    per_scan = []
+    result = run_program(prog, "MAIN", 2, SimClock(), fault_log(per_scan), quarantine={"A", "B", "C"})
+    # A and B spend 42 of the 50 units: C's seventh statement spends the last
+    assert per_scan == [[("C", 0, 6)], []]
+    assert result.faults[0].fault.describe() == (
+        "scan statement budget exceeded (possible unbounded loop) (STEP#6) in MAIN.C at cycle 0"
+    )
+    assert result.counts == {"MAIN": [2, 2, 1, 2], "STEP": [5] * 7 + [4] * 13}
+    assert [len(t) for t in result.traces] == [51, 43]
+    with pytest.raises(RuntimeFault) as err:
+        run_program(prog, "MAIN", 2, SimClock())
+    assert (err.value.pou, err.value.sid, err.value.instance_path) == ("STEP", 6, "MAIN.C")
+
+
+def fb_chain(n: int) -> str:
+    """FB types F0 .. F<n-1>, each holding the next and calling it."""
+    return "".join(
+        f"FUNCTION_BLOCK F{i}\nVAR_INPUT N : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+        + (f"VAR C : F{i + 1}; END_VAR\nC(N := N);\nY := C.Y + 1;\n" if i < n - 1 else "Y := N;\n")
+        + "END_FUNCTION_BLOCK\n"
+        for i in range(n)
+    )
+
+
+def test_a_loop_free_chain_deeper_than_the_call_limit_faults_at_the_limit():
+    prog = prog_of(fb_chain(70) + "PROGRAM MAIN\nVAR F : F0; END_VAR\nF(N := 1);\nEND_PROGRAM\n")
+    assert interp._bound(prog, "MAIN") == (1 + 2 * 69 + 1, 70)
+    with pytest.raises(RuntimeFault) as err:
+        run_program(prog, "MAIN", 1, SimClock())
+    # MAIN's call is the first; F63's, the 65th, is one too deep
+    assert (err.value.message, err.value.pou, err.value.sid) == (interp._DEPTH_MSG, "F63", 126)
+    assert err.value.instance_path == "MAIN.F" + ".C" * 63
+    result = run_program(prog, "MAIN", 1, SimClock(), quarantine={"F"})
+    assert [(f.instance, f.fault.pou, f.fault.sid) for f in result.faults] == [("F", "F63", 126)]
+    assert len(result.counts) == 65
+    assert result.counts["F63"] == [1, 0] and "F64" not in result.counts
+
+
+BOTH_MODES_SRC = """
+FUNCTION_BLOCK INC
+VAR_OUTPUT N : DINT; END_VAR
+N := N + 1;
+N := N + 1;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK SPIN
+VAR F : INC; END_VAR
+WHILE TRUE DO F(); END_WHILE;
+END_FUNCTION_BLOCK
+PROGRAM ONCE
+VAR F : INC; END_VAR
+F();
+END_PROGRAM
+PROGRAM SPINS
+VAR S : SPIN; END_VAR
+S();
+END_PROGRAM
+"""
+
+
+def test_one_fb_runs_bounded_under_one_program_and_checked_under_another():
+    prog = prog_of(BOTH_MODES_SRC)
+    assert (interp._bound(prog, "ONCE"), interp._bound(prog, "SPINS")) == ((3, 1), None)
+    once = run_program(prog, "ONCE", 3, SimClock())
+    assert once.counts == {"ONCE": [3], "INC": [3, 3]}
+    per_scan = []
+    spins = run_program(prog, "SPINS", 2, SimClock(), fault_log(per_scan), quarantine={"S"})
+    # the call, then 249,999 rounds of four sites and three more: the
+    # budget runs out on INC's first statement
+    assert per_scan == [[("S", 0, 0)], []]
+    assert spins.faults[0].fault.pou == "INC"
+    assert spins.counts == {"SPINS": [1], "SPIN": [250_000, 250_000], "INC": [250_000, 249_999]}
+    assert [len(t) for t in spins.traces] == [1_000_000, 0]
+    assert run_program(prog, "ONCE", 3, SimClock()).counts == once.counts
+    assert {("INC", True), ("INC", False)} <= set(prog.runtime_cache.pous)
