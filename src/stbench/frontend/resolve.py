@@ -64,6 +64,9 @@ class PouInfo:
     sites: tuple[Stmt | IfBranch, ...] = ()  # the body's site nodes, in sid order
     # the user FUNCTION each call expression in the body names, one entry per call
     calls: list[str] = field(default_factory=list)
+    # the values one instance (or call frame) holds: a variable, an ARRAY
+    # element or a nested instance is one, plus the nested instance's own
+    size: int = 0
 
     def inputs(self) -> list[VarInfo]:
         return [v for v in self.vars.values() if v.section is Section.INPUT]
@@ -128,6 +131,11 @@ def interface_of(prog: TypedProgram, fb_name: str) -> FbInterface:
     )
 
 
+# The most values a POU's instance may hold (PouInfo.size): the runtime
+# builds each one, so a larger unit is rejected, as parser.MAX_DEPTH bounds
+# nesting.
+MAX_STORAGE = 1_000_000
+
 _INT_LITERAL_KINDS = (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD)
 # each integer kind a literal can take: its one STType and its range
 _INT_LITERAL_TYPES = {ty.kind: (ty, *T.INT_RANGES[ty.kind]) for ty in (T.INT, T.DINT, T.BYTE, T.WORD)}
@@ -166,7 +174,7 @@ class _Resolver:
         # pass 2: variable sections and return types
         for info in order:
             self.declare_pou(info)
-        self.check_instance_cycles()
+        self.check_instances()
 
         for info in self.pous.values():
             self.cur = info
@@ -266,12 +274,13 @@ class _Resolver:
             if target is not None and target.kind is PouKind.FUNCTION_BLOCK:
                 yield decl, target
 
-    def check_instance_cycles(self) -> None:
+    def check_instances(self) -> None:
         """Reject an FB whose instance tree holds the FB itself: no finite
         instance could be built.  A cycle runs through this unit's FBs
         alone, since a library cannot name them.  A depth-first walk (a
         loop, so a long chain costs no Python stack) reports each cycle
-        once, at the declaration that closes it."""
+        once, at the declaration that closes it.  It sizes each POU once
+        it leaves it, after the FBs the POU holds (`size_pou`)."""
         done: set[str] = set()
         for root in self.pous.values():
             if root.name in done:
@@ -285,6 +294,7 @@ class _Resolver:
                     name = path.pop()[0]
                     del on_path[name]
                     done.add(name)
+                    self.size_pou(self.pous[name])
                     continue
                 decl, target = edge
                 if target.name in on_path:
@@ -293,6 +303,35 @@ class _Resolver:
                 elif target.name not in done:
                     on_path[target.name] = len(path)
                     path.append((target.name, self.instance_edges(target)))
+
+    def size_pou(self, info: PouInfo) -> None:
+        """Set info.size from its declarations and the sizes of the FBs it
+        holds, sized before it (an FB of a cycle, already reported, counts
+        as empty).  A POU above MAX_STORAGE is reported at the declaration
+        that takes it past, unless that is an instance of an FB already
+        above it."""
+        total = 0
+        seen: set[str] = set()
+        for decl in info.decl.decls:
+            if decl.name in seen:
+                continue
+            seen.add(decl.name)
+            var = info.vars.get(decl.name)
+            fb_type = info.fb_instances.get(decl.name)
+            inner = 0
+            if var is not None:
+                n = var.ty.hi - var.ty.lo + 1 if var.ty.kind is T.Kind.ARRAY else 1
+            elif fb_type is not None:
+                fb = self.lookup_pou(fb_type)
+                user = fb is not None and fb.kind is PouKind.FUNCTION_BLOCK
+                inner = fb.size if user else len(bi.BUILTIN_FBS[fb_type])
+                n = 1 + inner
+            else:
+                continue
+            if total <= MAX_STORAGE < total + n and inner <= MAX_STORAGE:
+                self.err(f"{info.name} would hold more than {MAX_STORAGE} values", decl.span)
+            total += n
+        info.size = total
 
     def check_initializer(self, decl, ty: T.STType):
         init = decl.init

@@ -17,16 +17,18 @@ becomes Python nesting.  A list longer than 32 statements runs as chunks
 of at most 32, each its own function, so that no generated function
 grows with the list.  A PROGRAM's top-level FbCalls stay functions of
 their own, and only the statements between them are fused, so that
-run_program can contain a fault per call.  The function is made by a
+run_program can contain a fault per call.  In any other POU's body (not
+run in chunks), a RETURN, or a sub-body that is a lone RETURN, returns
+from the function; a RETURN elsewhere raises.  The function is made by a
 factory `make(k0, ..., kn)` whose parameters carry every name, literal,
 count slot, site, callee, built-in function and sub-body, so no user
 text enters generated source, and lists that differ only in those values
 share one source.  One walk over a list collects those values and builds
 its shape: a small hashable key recording only what the source depends
 on (the mode, node kinds and operators, the result kinds whose wrap is
-written out, converting stores, empty sub-bodies and ELSEs, a FOR
-without BY, built-in or user blocks and a callee's TEMPs, and whether
-sites are tracked).  Factories are kept in a bounded cache keyed by
+written out, converting stores, empty sub-bodies and ELSEs, inlined
+RETURNs, a FOR without BY, built-in or user blocks and a callee's TEMPs,
+and whether sites are tracked).  Factories are kept in a bounded cache keyed by
 shape, as `re` keeps its patterns; on a miss the source is rendered from
 the shape alone and compiled once per process, as
 `collections.namedtuple` compiles its classes.  So a list costs one walk
@@ -56,11 +58,14 @@ functions are freed by reference counting as soon as the last reference
 goes, without the cyclic garbage collector.  The CLI relies on this and
 pauses that collector while it works on a unit.
 
-Coverage: executing a statement site adds one to its slot in its POU's
-count array, where slot i counts `PouInfo.sites[i]`; these arrays are the
-run's coverage record, handed to `coverage` as they are.  Guard sites
-(IF/ELSIF conditions, CASE selectors, loop headers) count once per
-evaluation.
+Coverage: slot i of a POU's count array counts the executions of
+`PouInfo.sites[i]`; these arrays are the run's coverage record, handed to
+`coverage` as they are.  Guard sites (IF/ELSIF conditions, CASE
+selectors, loop headers) count once per evaluation.  A statement list
+runs all its statements unless a raise or RETURN leaves it, so a list of
+two or more counts once per run, yet each site's count stays exact
+(after Ball and Larus, "Optimally Profiling and Tracing Programs",
+TOPLAS 1994): see `_Text.seq`.
 
 Budget and depth: each site also spends one unit of the scan's 1M-site
 budget, as does each FOR iteration; run_program gives what a contained
@@ -73,10 +78,10 @@ deep its calls can nest, or None for a POU with a loop, one calling such
 a POU, and recursion.  When the root's bound stays below the budget and
 within the depth limit, no scan can reach either, so the run uses
 bounded code: every site still spends its unit, so that site totals and
-refunds are exact, but none tests the budget, and user FB calls leave the
-depth alone.  Otherwise the run uses checked code, which tests the budget
-at each site and the depth at each call.  This is bounds-check
-elimination (Bodik, Gupta and Sarkar, PLDI 2000) over a whole scan.
+refunds are exact, but none tests the budget, and no call counts depth.
+Otherwise the run uses checked code, which tests the budget at each site
+and the depth at each call.  This is bounds-check elimination (Bodik,
+Gupta and Sarkar, PLDI 2000) over a whole scan.
 
 Faults are attributed on the exception path: each statement turns an
 expression fault into a RuntimeFault at its own site (a parameter
@@ -255,16 +260,18 @@ class _Scan:
     fields restart with each scan.  Every site spends one unit of `budget`
     in either mode, so `sites()` is exact; only checked code tests it.
     `spare` is what contained faults may still give back to the budget in
-    this scan.  `depth` counts the calls in progress, but for user FB
-    calls in bounded code; a fault leaves the calls it abandons counted,
-    and run_program resets it when it contains the fault.  `last` is the site a FOR iteration's budget fault is
-    attributed to: the last one hit in the loop's frame."""
+    this scan.  `depth` counts the calls in progress in checked code; a
+    fault leaves the calls it abandons counted, and run_program resets it
+    when it contains the fault.  `last` is the site a FOR iteration's
+    budget fault is attributed to: the last one hit in the loop's frame.
+    `ran` holds the POU of each count array, for `settle`."""
 
-    __slots__ = ("prog", "counts", "budget", "spare", "now", "depth", "loops", "last")
+    __slots__ = ("prog", "counts", "ran", "budget", "spare", "now", "depth", "loops", "last")
 
     def __init__(self, prog: TypedProgram):
         self.prog = prog
         self.counts: dict[str, list[int]] = {}
+        self.ran: list[_Pou] = []
         self.budget = 0
         self.spare = 0
         self.now = 0
@@ -290,6 +297,17 @@ class _Scan:
         """Statement sites executed in this scan so far."""
         granted = (1 + _SPARE_BUDGETS) * _SCAN_SITE_BUDGET - self.spare
         return granted - self.budget - self.loops
+
+    def settle(self) -> dict[str, list[int]]:
+        """The run's count arrays, with each fused list's count, its first
+        head's, added into its later heads' slots (`_Text.seq`)."""
+        for pou in self.ran:
+            cnt = self.counts[pou.name]
+            pairs = iter(pou.fused)
+            for later, first in zip(pairs, pairs):
+                cnt[later] += cnt[first]
+        self.ran = []
+        return self.counts
 
 
 class _ExitLoop(Exception):
@@ -432,7 +450,7 @@ class _Pou:
 
     __slots__ = (
         "info", "name", "bounded", "index", "iface", "temps", "initial", "params", "copies", "body",
-        "entries",
+        "entries", "fused",
     )
 
     def __init__(self, info: PouInfo, bounded: bool):
@@ -453,6 +471,8 @@ class _Pou:
         self.copies = tuple(name for name, raw in start.items() if isinstance(raw, list))
         self.body = None
         self.entries = None
+        # (later head, first head) slot pairs, flat (`_Gen.fused`)
+        self.fused: tuple[int, ...] = ()
 
     def reset_temps(self, store: dict) -> None:
         """Set a store's TEMP variables to their zeros."""
@@ -479,7 +499,8 @@ class _Pou:
             gen = _Gen(self, prog)
             body = self.info.decl.body
             runs = [body]
-            if self.info.kind is PouKind.PROGRAM:
+            top = self.info.kind is not PouKind.PROGRAM
+            if not top:
                 runs = [[]]
                 for st in body:
                     if type(st) is N.FbCall:
@@ -487,13 +508,17 @@ class _Pou:
                     else:
                         runs[-1].append(st)
                 runs = [run for run in runs if run] or [[]]
-            entries = self.entries = tuple([(gen.block(run, False), run[0] if run else None) for run in runs])
+            entries = self.entries = tuple([(gen.block(run, False, top), run[0] if run else None) for run in runs])
+            self.fused = tuple(gen.fused)
         return entries
 
     def counts(self, scan: _Scan) -> list[int]:
+        """The POU's count array in this run, made on its first use, which
+        comes after the body is compiled."""
         cnt = scan.counts.get(self.name)
         if cnt is None:
             cnt = scan.counts[self.name] = [0] * len(self.info.sites)
+            scan.ran.append(self)
         return cnt
 
     def compile(self, prog: TypedProgram) -> Callable:
@@ -582,8 +607,9 @@ def _frame(scan: _Scan, callee: _Pou) -> dict:
 
 
 def _call(callee: _Pou, segment: str, scan: _Scan, frame: dict, *args):
-    """The result of the user function `callee` run on the frame `_frame`
-    made and the arguments evaluated after it."""
+    """The result of the user function `callee` run on a new frame and the
+    arguments evaluated after it.  Checked code makes the frame by
+    `_frame`, one level deeper, and gets that level back here."""
     frame.update(zip(callee.params, args))
     try:
         callee.run(frame, _NO_NESTED, scan)
@@ -592,7 +618,8 @@ def _call(callee: _Pou, segment: str, scan: _Scan, frame: dict, *args):
         raise
     except RecursionError:
         raise _Trap(_STACK_MSG) from None
-    scan.depth -= 1
+    if not callee.bounded:
+        scan.depth -= 1
     return frame[callee.name]
 
 
@@ -644,17 +671,22 @@ class _Text:
     are rendered one after the other, at one indentation level: a sub-body
     or a chunk of a long list is a parameter called directly, and no
     statement returns from the function (an IF leaves a one-shot loop,
-    WHILE and REPEAT break out of theirs), so only EXIT and RETURN, by
-    raising, skip the statements after them.  Each site keeps its own
-    count, budget unit and fault attribution (`count`, `_guard`); checked
-    code also tests the budget at each site and counts the depth of each
-    user FB call, which bounded code leaves out.  The factory parameters
-    the text refers to are named k0, k1, ... in the order `_Gen` collects
-    their values."""
+    WHILE and REPEAT break out of theirs) but an inlined RETURN (`ret`),
+    so only it and a raise skip the statements after them.  A list of two
+    or more heads counts once (`seq`); each site keeps its own fault
+    attribution (`count`, `_guard`).  Checked code also tests the budget
+    at each site and counts the depth of each user call, which bounded
+    code leaves out.  The factory parameters the text refers to are named
+    k0, k1, ... in the order `_Gen` collects their values."""
 
     def __init__(self, bounded: bool):
         self.n = 0
         self.bounded = bounded
+        # for a fused list (`seq`): its head count, the index of the head
+        # the next `count` renders, and the heads' count slots
+        self.heads = 0
+        self.head: int | None = None
+        self.slots: list[str] = []
 
     def k(self) -> str:
         """The next factory parameter."""
@@ -670,21 +702,63 @@ class _Text:
 
     def count(self, s: str, c: str, pad: str) -> str:
         """Lines counting the site `s` in slot `c` and spending a unit of
-        the scan's budget; checked code then tests the budget."""
-        text = f"{pad}cnt[{c}] += 1\n{pad}scan.budget -= 1\n"
+        the scan's budget; checked code then tests the budget.  A fused
+        list's first head counts for the list, spending all its heads'
+        units in bounded code; a later head sets `at` instead."""
+        head, self.head = self.head, None
+        if head is None:
+            text = f"{pad}cnt[{c}] += 1\n{pad}scan.budget -= 1\n"
+        elif head == 0:
+            self.slots = [c]
+            text = f"{pad}cnt[{c}] += 1\n{pad}scan.budget -= {self.heads if self.bounded else 1}\n"
+        else:
+            self.slots.append(c)
+            text = f"{pad}at = {head}\n" + ("" if self.bounded else f"{pad}scan.budget -= 1\n")
         if self.bounded:
             return text
         return text + f"{pad}if scan.budget <= 0:\n{pad} raise _fault({s}, _BUDGET_MSG)\n"
 
-    def run_body(self, runs: bool, pad: str) -> str:
-        """The line running a sub-body, a parameter, if it `runs` anything."""
+    def run_body(self, runs, pad: str) -> str:
+        """The line running a sub-body, a parameter, if it `runs` anything,
+        or an inlined lone RETURN (`ret`)."""
+        if runs is _RET:
+            return self.ret(runs, pad)
         return f"{pad}{self.k()}(store, nested, cnt, scan)\n" if runs else ""
 
     # -- statement lists --------------------------------------------------------
 
     def seq(self, shape) -> str:
-        """A statement list's statements, one after the other."""
-        return "".join([self.stmt(st) for st in shape[2:]]) or "  pass\n"
+        """A statement list's statements, one after the other.
+
+        A statement's head is the site it counts first (an assignment, an
+        FB call, EXIT, RETURN, a CASE selector, the first IF condition or a
+        FOR header); WHILE and REPEAT have none.  A list of two or more
+        heads is fused: its heads count once, for the list (`count`), and
+        from its first head on it runs inside one handler.  When a raise or
+        an inlined RETURN leaves the list before its last head, the handler
+        undoes the count, and in bounded code the budget unit, of each head
+        after `at`; it makes no call, so it runs with the stack near its
+        limit too.  So a later head's slot holds minus its skips until
+        `_Scan.settle` adds the list's count in."""
+        stmts = shape[2:]
+        heads = [i for i, st in enumerate(stmts) if st[0] not in _UNHEADED]
+        if len(heads) < 2:
+            return "".join([self.stmt(st) for st in stmts]) or "  pass\n"
+        self.heads = len(heads)
+        order = {i: j for j, i in enumerate(heads)}
+        lead = "".join([self.stmt(st) for st in stmts[:heads[0]]])
+        body = ""
+        for i, st in enumerate(stmts[heads[0]:], heads[0]):
+            self.head = order.get(i)
+            body += self.stmt(st)
+        last = self.heads - 1
+        undo = "".join([f"    cnt[{c}] -= at < {j}\n" for j, c in enumerate(self.slots) if j])
+        if self.bounded:
+            undo += f"    scan.budget += {last} - at\n"
+        return (
+            f"{lead}  at = 0\n  try:\n" + "".join([" " + line for line in body.splitlines(True)])
+            + f"  finally:\n   if at < {last}:\n{undo}"
+        )
 
     def run(self, shape) -> str:
         """A call of a chunk of a long list, a parameter."""
@@ -705,6 +779,11 @@ class _Text:
         last = f"  scan.last = {s}\n" if track else ""
         signal = "_ExitLoop" if exit_ else "_ReturnPou"
         return f"{self.count(s, c, '  ')}{last}  raise {signal}\n"
+
+    def ret(self, shape, pad: str = "  ") -> str:
+        """A RETURN inlined in a POU body's own list (`_Gen.top`)."""
+        s, c = self.site()
+        return f"{self.count(s, c, pad)}{pad}return\n"
 
     def if_stmt(self, shape) -> str:
         # a one-shot loop that a taken branch breaks out of: an ELSIF chain
@@ -898,7 +977,8 @@ class _Text:
     def call(self, shape) -> str:
         args = "".join([f", {self.ex(a)}" for a in shape[1]])
         pou = self.k()
-        return f"_call({pou}, {self.k()}, scan, _frame(scan, {pou}){args})"
+        frame = f"{pou}.frame()" if self.bounded else f"_frame(scan, {pou})"
+        return f"_call({pou}, {self.k()}, scan, {frame}{args})"
 
 
 def _source(shape) -> str:
@@ -927,6 +1007,9 @@ def _factory(shape):
 # with the list and compiling stays linear in it.
 _CHUNK = 32
 _RUN = (_Text.run,)
+_RET = (_Text.ret,)
+# statements without a head: their first site may run any number of times
+_UNHEADED = frozenset({_Text.while_stmt, _Text.repeat_stmt, _Text.run})
 _LITERAL, _VAR, _MEMBER = (_Text.literal,), (_Text.var,), (_Text.member,)
 _STORE, _STORE_CONV = (_Text.put, False), (_Text.put, True)
 
@@ -967,25 +1050,43 @@ class _Gen:
         self.vars = pou.info.vars
         self.fbs = pou.info.fb_instances
         self.consts: list = []
+        # (later head, first head) slot pairs of the fused lists, flat
+        # (`_Text.seq`)
+        self.fused: list[int] = []
+        # whether the list walked is a POU body's own (`block`)
+        self.top = False
 
     def site(self, node) -> None:
         """Collect a site's fault location and count slot."""
         self.consts += ((self.name, node), self.index[node.sid])
 
-    def block(self, body: list[N.Stmt], track: bool) -> Callable:
-        """The function running a statement list."""
+    def block(self, body: list[N.Stmt], track: bool, top: bool = False) -> Callable:
+        """The function running a statement list; `top` for a POU body's
+        own list, whose function returning is the POU returning (unless it
+        runs in chunks).  A fused list (`_Text.seq`) records each later
+        head's slot with its first head's in `fused`, for `_Scan.settle`."""
         if len(body) > _CHUNK:
             return _calls([self.block(body[i:i + _CHUNK], track) for i in range(0, len(body), _CHUNK)])
         outer, self.consts = self.consts, []
-        shape = (_Text.seq, self.bounded, *[_STMTS[type(st)](self, st, track) for st in body])
-        consts, self.consts = self.consts, outer
-        return _factory(shape)(*consts)
+        outer_top, self.top = self.top, top
+        stmts = [_STMTS[type(st)](self, st, track) for st in body]
+        consts, self.consts, self.top = self.consts, outer, outer_top
+        heads = [
+            self.index[(st.branches[0] if type(st) is N.IfStmt else st).sid]
+            for st, shape in zip(body, stmts) if shape[0] not in _UNHEADED
+        ]
+        for later in heads[1:]:
+            self.fused += (later, heads[0])
+        return _factory((_Text.seq, self.bounded, *stmts))(*consts)
 
-    def sub(self, body: list[N.Stmt], track: bool) -> bool:
+    def sub(self, body: list[N.Stmt], track: bool):
         """Whether a sub-body runs anything; if so, its function is
-        collected."""
+        collected, unless it is a lone RETURN to inline (`_RET`)."""
         if not body:
             return False
+        if self.top and not track and len(body) == 1 and type(body[0]) is N.ReturnStmt:
+            self.site(body[0])
+            return _RET
         self.consts.append(self.block(body, track))
         return True
 
@@ -998,6 +1099,8 @@ class _Gen:
 
     def jump(self, st, track: bool):
         self.site(st)
+        if self.top and type(st) is N.ReturnStmt:
+            return _RET
         return (_Text.jump, type(st) is N.ExitStmt, track)
 
     def if_stmt(self, st: N.IfStmt, track: bool):
@@ -1203,7 +1306,7 @@ def execute_cycle(
     _run_instance(inst, scan)
     outputs = inst.outputs()
     clock.advance()
-    return outputs, scan.counts
+    return outputs, scan.settle()
 
 
 @dataclass
@@ -1220,7 +1323,8 @@ class RunResult:
     faults: list[ContainedFault]
     cycles_executed: int
     # per POU name that ran: slot i counts the executions over the whole
-    # run of site i of the POU that name resolves to (`PouInfo.sites[i]`)
+    # run of site i of the POU that name resolves to (`PouInfo.sites[i]`),
+    # settled (`_Scan.settle`)
     counts: dict[str, list[int]]
 
 
@@ -1298,4 +1402,4 @@ def run_program(
         if stop:
             break
 
-    return RunResult(inst, traces, contained, cycles_executed, scan.counts)
+    return RunResult(inst, traces, contained, cycles_executed, scan.settle())

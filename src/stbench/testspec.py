@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .frontend import types as T
 from .frontend.lexer import LexError, TokKind, tokenize
 from .frontend.nodes import Section
-from .frontend.resolve import PouInfo, TypedProgram
+from .frontend.resolve import MAX_STORAGE, PouInfo, TypedProgram
 from .frontend.source import SourceUnit
 from .runtime import values as V
 
@@ -324,7 +324,9 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
 
     Returns a CheckedSuite, or raises a ValidationError with every problem
     found: unknown columns, unparseable literals, cases that never assert
-    anything, and cases too long to finish within MAX_SCANS scans.
+    anything, cases too long to finish within MAX_SCANS scans, and more
+    cases than the harness could hold instances of the block for: each case
+    holds one, and together they may hold at most MAX_STORAGE values.
     """
     items: list[ValidationItem] = []
     fb = prog.lookup_pou(suite.fb_under_test)
@@ -381,6 +383,10 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
             message = f"total dwell of {dwell} cycles cannot finish within the {MAX_SCANS}-scan cap"
             items.append(ValidationItem(case.name, None, None, message))
 
+    held = len(suite.cases) * fb.size
+    if held > MAX_STORAGE:
+        message = f"{len(suite.cases)} cases of {fb.name} would hold {held} values, more than {MAX_STORAGE}"
+        items.append(ValidationItem("-", None, None, message))
     if items:
         raise ValidationError(items)
     return CheckedSuite(suite.fb_under_test, checked_cases)

@@ -494,6 +494,52 @@ def test_run_exit_two_on_an_instance_cycle(tmp_path, capsys):
     assert "Traceback" not in captured.out
 
 
+def _instance_tree(levels: int) -> str:
+    """BODY holding two instances of F1, each F<i> two of F<i+1>: 2^levels
+    instances in all."""
+    fbs = "".join(
+        f"FUNCTION_BLOCK F{i}\nVAR_OUTPUT Y : INT; END_VAR\n"
+        + (f"VAR A : F{i + 1}; B : F{i + 1}; END_VAR\n" if i < levels - 1 else "")
+        + "Y := 1;\nEND_FUNCTION_BLOCK\n"
+        for i in range(1, levels)
+    )
+    return BODY_FB.replace("VAR I : INT;", "VAR A : F1; B : F1;").format(body="Y := X;") + fbs
+
+
+# each unit once ran out of time or memory building its storage
+TOO_LARGE = {
+    "huge-array": (
+        BODY_FB.replace("I : INT", "A : ARRAY[0..999999999999] OF DINT").format(body="Y := X;"),
+        "body.st:4:5: BODY would hold more than 1000000 values",
+    ),
+    "instance-tree": (_instance_tree(30), "body.st:59:14: F11 would hold more than 1000000 values"),
+}
+
+
+@pytest.mark.parametrize("name", TOO_LARGE)
+def test_run_exit_two_on_a_unit_too_large_to_build(tmp_path, name):
+    text, error = TOO_LARGE[name]
+    unit = tmp_path / "body.st"
+    unit.write_text(text)
+    suite = tmp_path / "suite.csv"
+    suite.write_text(BODY_SUITE)
+    # the child limits its own address space to 1.5 GB
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+        "from stbench.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "run", "--unit", str(unit), "--suite", str(suite), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (2, f"error: {error}\n")
+    assert "Traceback" not in done.stdout
+
+
 def test_run_exit_two_on_non_ascii_digit(tmp_path, capsys):
     assert run_body(tmp_path, "Y := X + \u00b2;") == 2
     captured = capsys.readouterr()

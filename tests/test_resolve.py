@@ -11,6 +11,7 @@ from stbench.frontend import (
 from stbench.frontend import types as T
 from stbench.frontend.lexer import TokKind, tokenize
 from stbench.frontend.nodes import Literal, Section
+from stbench.frontend.resolve import MAX_STORAGE
 from stbench.frontend.source import SourceUnit
 
 
@@ -443,3 +444,47 @@ def test_instance_cycles_are_rejected_once_each_and_shared_types_are_not():
     assert err.count("recursive instantiation") == 2
     assert "recursive instantiation: P -> Q -> R -> P" in err
     assert "recursive instantiation: SELF -> SELF" in err
+
+
+SIZED_SRC = """
+FUNCTION_BLOCK LEAF
+VAR_OUTPUT Y : INT; END_VAR
+VAR A : ARRAY[1..10] OF DINT; T : TON; END_VAR
+Y := 1;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK MID
+VAR L1 : LEAF; L2 : LEAF; N : INT; END_VAR
+L1();
+END_FUNCTION_BLOCK
+PROGRAM MAIN
+VAR M : MID; END_VAR
+M();
+END_PROGRAM
+FUNCTION F : INT
+VAR_INPUT X : INT; END_VAR
+VAR B : ARRAY[0..99] OF INT; END_VAR
+F := X;
+END_FUNCTION
+"""
+
+
+def test_each_pou_is_sized_by_the_values_it_holds():
+    prog = resolve_text(SIZED_SRC)
+    # LEAF: Y, ten elements, and a TON instance of four values; MID: two
+    # LEAF instances and N; F: X and a hundred elements
+    sizes = {name: prog.lookup_pou(name).size for name in ("LEAF", "MID", "MAIN", "F")}
+    assert sizes == {"LEAF": 16, "MID": 35, "MAIN": 36, "F": 101}
+    # a library's sizes carry over to the instances a unit holds of them
+    user = resolve_text("PROGRAM P\nVAR M : MID; K : INT; END_VAR\nM();\nEND_PROGRAM\n", [prog])
+    assert user.lookup_pou("P").size == 37
+
+
+def test_a_unit_is_rejected_at_the_declaration_taking_it_past_the_storage_bound():
+    fb = "FUNCTION_BLOCK BIG\nVAR A : ARRAY[1..999999] OF INT; Y : INT;{} END_VAR\nY := 1;\nEND_FUNCTION_BLOCK\n"
+    assert resolve_text(fb.format("")).lookup_pou("BIG").size == MAX_STORAGE
+    assert errors_of(fb.format(" Z : INT;")) == "<memory>:2:43: BIG would hold more than 1000000 values"
+    # an FB holding an FB already above the bound is not reported again
+    holder = "FUNCTION_BLOCK HOLDER\nVAR B1 : BIG; B2 : BIG; END_VAR\nEND_FUNCTION_BLOCK\n"
+    assert errors_of(fb.format(" Z : INT;") + holder).count("would hold more than") == 1
+    # an instance of a BIG at the bound takes HOLDER past it
+    assert errors_of(fb.format("") + holder) == "<memory>:6:5: HOLDER would hold more than 1000000 values"

@@ -6,6 +6,7 @@ from stbench import corpus, llm
 
 from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
+from stbench.frontend.resolve import MAX_STORAGE
 from stbench.testspec import (
     MAX_SCANS,
     CsvError,
@@ -281,3 +282,20 @@ def test_oversized_csv_field_is_a_csv_error():
 def test_carriage_returns_end_rows():
     suite = parse_suite("test_name,state,DE,expect_HEX\rtc,1,4,'4'\r", "DEC_TO_HEX")
     assert suite.cases[0].states[0].expected == {"HEX": "'4'"}
+
+
+def test_validation_bounds_the_storage_of_the_cases_instances():
+    # the harness holds one BIG per case: three of them pass the bound
+    prog = resolve(parse_text(
+        "FUNCTION_BLOCK BIG\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+        "VAR A : ARRAY[1..400000] OF DINT; END_VAR\nY := X;\nEND_FUNCTION_BLOCK\n"
+    ))
+    def suite(cases: int):
+        return parse_suite("test_name,state,X,expect_Y\n" + "".join(f"tc{i},1,0,0\n" for i in range(cases)), "BIG")
+
+    assert len(validate(suite(2), prog).cases) == 2
+    with pytest.raises(ValidationError) as err:
+        validate(suite(3), prog)
+    assert [str(i) for i in err.value.items] == [
+        f"-: 3 cases of BIG would hold 1200006 values, more than {MAX_STORAGE}"
+    ]
