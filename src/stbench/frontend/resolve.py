@@ -1,7 +1,9 @@
 """Name and type resolution: Ast -> TypedProgram.
 
-Lookup order is the unit itself, then the supplied libraries in order, then
-the built-ins.  All diagnostics found in one pass are collected and raised
+A built-in block's name always means the built-in, as does a built-in
+function's or conversion's: a FUNCTION_BLOCK or FUNCTION taking one is
+rejected.  Any other name is looked up in the unit itself, then in the
+supplied libraries in order.  All diagnostics found in one pass are collected and raised
 together as a ResolveError.  Expression nodes are annotated in place with
 their resolved type (the `ty` field, excluded from node equality).
 """
@@ -67,6 +69,8 @@ class PouInfo:
     # the values one instance (or call frame) holds: a variable, an ARRAY
     # element or a nested instance is one, plus the nested instance's own
     size: int = 0
+    # variable name -> (type, section), as BUILTIN_FBS gives a block's
+    iface: dict[str, tuple[T.STType, Section]] = field(default_factory=dict)
 
     def inputs(self) -> list[VarInfo]:
         return [v for v in self.vars.values() if v.section is Section.INPUT]
@@ -148,8 +152,9 @@ class _Resolver:
         self.libraries = tuple(libraries)
         self.diags: list[Diagnostic] = []
         self.pous: dict[str, PouInfo] = {}
-        # user FB type -> its interface (fb_iface)
-        self.ifaces: dict[str, dict[str, tuple[T.STType, Section]]] = {}
+        # the program being built: its lookup sees this unit's POUs as they
+        # are registered, then the libraries'
+        self.prog = TypedProgram(ast, ast.src, self.pous, self.libraries)
         # state while checking one POU body
         self.cur: PouInfo | None = None
         self.loop_depth = 0
@@ -168,6 +173,12 @@ class _Resolver:
             if pou.name in self.pous:
                 self.err(f"duplicate declaration of {pou.name}", pou.span)
                 continue
+            if pou.kind is PouKind.FUNCTION_BLOCK and pou.name in bi.BUILTIN_FBS:
+                self.err(f"{pou.name} is reserved for the built-in function block", pou.span)
+                continue
+            if pou.kind is PouKind.FUNCTION and bi.is_builtin_function(pou.name):
+                self.err(f"{pou.name} is reserved for the built-in function", pou.span)
+                continue
             info = PouInfo(pou.name, pou.kind, pou, {}, {})
             self.pous[pou.name] = info
             order.append(info)
@@ -184,19 +195,9 @@ class _Resolver:
 
         if self.diags:
             raise ResolveError(self.diags, self.ast.src)
-        return TypedProgram(self.ast, self.ast.src, self.pous, self.libraries)
+        return self.prog
 
     # -- declarations ----------------------------------------------------------
-
-    def lookup_pou(self, name: str) -> PouInfo | None:
-        info = self.pous.get(name)
-        if info is not None:
-            return info
-        for lib in self.libraries:
-            found = lib.lookup_pou(name)
-            if found is not None:
-                return found
-        return None
 
     def resolve_type_ref(self, tref: TypeRef) -> T.STType | None:
         if tref.name == "ARRAY":
@@ -240,20 +241,19 @@ class _Resolver:
                 self.err(f"duplicate declaration of variable {decl.name}", decl.span)
                 continue
             ty = self.resolve_type_ref(decl.type_ref)
-            if ty is None and decl.type_ref.name not in ("ARRAY", "STRING"):
-                fb = self.lookup_pou(decl.type_ref.name)
-                if fb is not None and fb.kind is PouKind.FUNCTION_BLOCK:
-                    self._declare_instance(info, decl, decl.type_ref.name)
-                    continue
-                if decl.type_ref.name in bi.BUILTIN_FBS:
-                    self._declare_instance(info, decl, decl.type_ref.name)
-                    continue
-                self.err(f"unknown type {decl.type_ref.name}", decl.type_ref.span)
+            name = decl.type_ref.name
+            if ty is None and name not in ("ARRAY", "STRING"):
+                fb = self.prog.lookup_pou(name)
+                if name in bi.BUILTIN_FBS or fb is not None and fb.kind is PouKind.FUNCTION_BLOCK:
+                    self._declare_instance(info, decl, name)
+                else:
+                    self.err(f"unknown type {name}", decl.type_ref.span)
                 continue
             if ty is None:
                 continue
             init = self.check_initializer(decl, ty) if decl.init is not None else None
             info.vars[decl.name] = VarInfo(decl.name, ty, decl.section, init, decl.span)
+        info.iface = {v.name: (v.ty, v.section) for v in info.vars.values()}
 
     def _declare_instance(self, info: PouInfo, decl, fb_type: str) -> None:
         if info.kind is PouKind.FUNCTION:
@@ -322,9 +322,8 @@ class _Resolver:
             if var is not None:
                 n = var.ty.hi - var.ty.lo + 1 if var.ty.kind is T.Kind.ARRAY else 1
             elif fb_type is not None:
-                fb = self.lookup_pou(fb_type)
-                user = fb is not None and fb.kind is PouKind.FUNCTION_BLOCK
-                inner = fb.size if user else len(bi.BUILTIN_FBS[fb_type])
+                builtin = bi.BUILTIN_FBS.get(fb_type)
+                inner = len(builtin) if builtin else self.prog.lookup_pou(fb_type).size
                 n = 1 + inner
             else:
                 continue
@@ -471,18 +470,12 @@ class _Resolver:
         if ty is not None and ty.kind is not T.Kind.BOOL:
             self.err(f"condition must be BOOL, got {ty}", getattr(cond, "span", Span(0, 0)))
 
-    def fb_iface(self, fb_type: str) -> dict[str, tuple[T.STType, Section]] | None:
-        """Variable name -> (type, section) of an FB type, None if unknown.
-        Only bodies ask, once every declaration is in, so the memo holds."""
+    def fb_iface(self, fb_type: str) -> dict[str, tuple[T.STType, Section]]:
+        """Variable name -> (type, section) of the FB type of a declared
+        instance."""
         if fb_type in bi.BUILTIN_FBS:
             return bi.BUILTIN_FBS[fb_type]
-        iface = self.ifaces.get(fb_type)
-        if iface is None:
-            info = self.lookup_pou(fb_type)
-            if info is None:
-                return None
-            iface = self.ifaces[fb_type] = {v.name: (v.ty, v.section) for v in info.vars.values()}
-        return iface
+        return self.prog.lookup_pou(fb_type).iface
 
     def check_fb_call(self, st: FbCall) -> None:
         fb_type = self.cur.fb_instances.get(st.instance)
@@ -493,9 +486,6 @@ class _Resolver:
                 self.err(f"unknown identifier {st.instance}", st.span)
             return
         iface = self.fb_iface(fb_type)
-        if iface is None:  # pragma: no cover - instance decl already validated
-            self.err(f"unknown function block type {fb_type}", st.span)
-            return
         seen: set[str] = set()
         for p in st.params:
             if p.name in seen:
@@ -551,8 +541,7 @@ class _Resolver:
             # writing into another instance is not allowed, inputs included
             if isinstance(e.base, VarRef) and e.base.name in self.cur.fb_instances:
                 fb_type = self.cur.fb_instances[e.base.name]
-                iface = self.fb_iface(fb_type) or {}
-                slot = iface.get(e.member)
+                slot = self.fb_iface(fb_type).get(e.member)
                 if slot is not None and slot[1] is Section.INPUT:
                     self.err(
                         f"cannot assign to input {e.member} of instance {e.base.name}; bind it in the call",
@@ -602,8 +591,7 @@ class _Resolver:
             if fb_type is None:
                 self.err(f"{e.base.name} is not a function block instance", e.span)
                 return None
-            iface = self.fb_iface(fb_type) or {}
-            slot = iface.get(e.member)
+            slot = self.fb_iface(fb_type).get(e.member)
             if slot is None:
                 self.err(f"{fb_type} has no member {e.member}", e.span)
                 return None
@@ -745,41 +733,38 @@ class _Resolver:
         return None
 
     def type_call(self, e: Call) -> T.STType | None:
-        user = self.lookup_pou(e.name)
-        if user is not None and user.kind is PouKind.FUNCTION:
-            self.cur.calls.append(user.name)
-            params = [v for v in user.vars.values() if v.section is Section.INPUT]
-            if len(e.args) != len(params):
-                self.err(
-                    f"{e.name} takes {len(params)} argument(s), got {len(e.args)}",
-                    e.span,
-                )
-                return user.ret_type
-            for arg, param in zip(e.args, params):
-                ty = self.type_expr(arg, expected=param.ty)
-                if ty is not None and not T.assignable(ty, param.ty):
-                    self.err(f"cannot pass {ty} for {e.name} parameter {param.name} ({param.ty})", e.span)
-            return user.ret_type
-        if user is not None:
-            self.err(f"{e.name} is not a function", e.span)
-            return None
-        if not bi.is_builtin_function(e.name):
+        if bi.is_builtin_function(e.name):
+            # type arguments first (conversions get their declared source as hint)
+            conv = bi.conversion_target(e.name)
+            hint = conv[0] if conv and len(e.args) == 1 else None
+            arg_types = []
+            for arg in e.args:
+                ty = self.type_expr(arg, expected=hint)
+                if ty is None:
+                    return None
+                arg_types.append(ty)
+            result = bi.check_builtin_call(e.name, arg_types)
+            if isinstance(result, str):
+                self.err(result, e.span)
+                return None
+            return result
+        user = self.prog.lookup_pou(e.name)
+        if user is None:
             self.err(f"unknown function {e.name}", e.span)
             return None
-        # type arguments first (conversions get their declared source as hint)
-        conv = bi.conversion_target(e.name)
-        hint = conv[0] if conv and len(e.args) == 1 else None
-        arg_types = []
-        for arg in e.args:
-            ty = self.type_expr(arg, expected=hint)
-            if ty is None:
-                return None
-            arg_types.append(ty)
-        result = bi.check_builtin_call(e.name, arg_types)
-        if isinstance(result, str):
-            self.err(result, e.span)
+        if user.kind is not PouKind.FUNCTION:
+            self.err(f"{e.name} is not a function", e.span)
             return None
-        return result
+        self.cur.calls.append(user.name)
+        params = [v for v in user.vars.values() if v.section is Section.INPUT]
+        if len(e.args) != len(params):
+            self.err(f"{e.name} takes {len(params)} argument(s), got {len(e.args)}", e.span)
+            return user.ret_type
+        for arg, param in zip(e.args, params):
+            ty = self.type_expr(arg, expected=param.ty)
+            if ty is not None and not T.assignable(ty, param.ty):
+                self.err(f"cannot pass {ty} for {e.name} parameter {param.name} ({param.ty})", e.span)
+        return user.ret_type
 
 
 def resolve(ast: Ast, libraries: list[TypedProgram] | None = None) -> TypedProgram:

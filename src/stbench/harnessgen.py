@@ -33,12 +33,13 @@ POUs as `frontend.pretty` prints them, then a comment stating the scan
 interval.  The printer gives each generated site the span of its printed
 text, and the bundle records where each layer's text starts in harness.st,
 so coverage renders against its lines.  A POU name may be defined in one
-layer only.
+layer only (`runner.load_program` checks the unit and its libraries).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .frontend import nodes as N
 from .frontend import types as T
@@ -46,7 +47,9 @@ from .frontend.pretty import print_ast
 from .frontend.resolve import PouInfo, TypedProgram, resolve
 from .frontend.source import SourceUnit
 from .runtime import values as V
-from .testspec import CheckedCase, CheckedSuite
+
+if TYPE_CHECKING:  # testspec bounds a suite by case_values
+    from .testspec import CheckedCase, CheckedSuite
 
 PROGRAM_NAME = "TEST_RUNNER"
 DEFAULT_ATOL = 1e-6
@@ -54,7 +57,8 @@ DEFAULT_RTOL = 1e-6
 
 
 class CollisionError(Exception):
-    """A generated name clashes with a POU in the unit or libraries."""
+    """A POU name defined in two sources, or a generated name clashing with
+    a POU in the unit or libraries."""
 
 
 @dataclass
@@ -157,6 +161,16 @@ def _decl(name: str, ty: str | T.STType, section: N.Section = N.Section.LOCAL) -
 # ---------------------------------------------------------------------------
 # generated POUs
 # ---------------------------------------------------------------------------
+
+def case_values(fb: PouInfo, assertions: int) -> int:
+    """The values a case with `assertions` checks of `fb` adds to the
+    harness program's storage (its `PouInfo.size`), as `build_case_fb` and
+    `build_runner` lay it out: the program's instance of the case block
+    and its three hook variables; in the block, DONE, PASS, FAILS, STATE,
+    TICK, PENDING and CHECKED, the instance of `fb` with its own values,
+    and an actual and a fail flag per check."""
+    return 1 + 3 + 7 + 1 + fb.size + 2 * assertions
+
 
 def build_case_fb(
     case: CheckedCase,
@@ -276,19 +290,11 @@ def build_harness(
         raise CollisionError(f"unit under test {suite.fb_under_test} is not a function block")
 
     layers = prog.layers()
-    defined_in: dict[str, str] = {}
-    for unit in layers:
-        for name in unit.pous:
-            if name in defined_in:
-                raise CollisionError(
-                    f"duplicate declaration of {name} in {defined_in[name]} and {unit.src.origin}"
-                )
-            defined_in[name] = unit.src.origin
-    if PROGRAM_NAME in defined_in:
+    taken = frozenset([name for unit in layers for name in unit.pous])
+    if PROGRAM_NAME in taken:
         raise CollisionError(f"generated program name {PROGRAM_NAME} collides with an existing POU")
 
     # the generated TC_<i>_CASE names differ from each other by their index
-    taken = frozenset(defined_in)
     cases = [
         build_case_fb(case, fb, index, atol, rtol, taken)
         for index, case in enumerate(suite.cases, start=1)

@@ -177,12 +177,21 @@ class TestReport:
 
 def load_program(unit: SourceUnit, libraries: Sequence[SourceUnit] = ()) -> TypedProgram:
     """Lex, parse and resolve each library on its own, then the unit over
-    them: the one load of a unit and its libraries per invocation."""
+    them: the one load of a unit and its libraries per invocation.  A POU
+    name may be defined in one of these sources only."""
     try:
         libs = [resolve(parse_source(lib)) for lib in libraries]
-        return resolve(parse_source(unit), libs)
+        prog = resolve(parse_source(unit), libs)
     except FrontendError as exc:
         raise PipelineError("assemble", exc) from exc
+    defined_in: dict[str, str] = {}
+    for layer in prog.layers():
+        for name in layer.pous:
+            if name in defined_in:
+                message = f"duplicate declaration of {name} in {defined_in[name]} and {layer.src.origin}"
+                raise PipelineError("assemble", CollisionError(message))
+            defined_in[name] = layer.src.origin
+    return prog
 
 
 def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResult, list[str]]:

@@ -37,6 +37,11 @@ state: the store, the nested instances, the count array and the run
 state (`_Scan`: program, counts, budget, clock, call depth) are passed
 in, so scans and threads share it.
 
+Names: a built-in block's or function's name always means the built-in
+(resolve rejects a user POU taking one), so a call site runs a built-in
+exactly when its name is one; any other name is looked up in the run's
+program.
+
 Values: expressions evaluate to raw python values (bool, int, float, str,
 or a list of raw elements for an ARRAY), and every store (an instance's,
 a built-in block's, TEMP defaults and function frames) maps a variable to
@@ -102,7 +107,7 @@ import math
 
 from ..frontend import nodes as N
 from ..frontend import types as T
-from ..frontend.builtins import BUILTIN_FBS
+from ..frontend.builtins import BUILTIN_FBS, is_builtin_function
 from ..frontend.nodes import PouKind, Section
 from ..frontend.resolve import PouInfo, TypedProgram
 from ..frontend.source import Span
@@ -211,14 +216,6 @@ class FbInstance:
         }
 
 
-def _is_builtin_fb(prog: TypedProgram, fb_type: str) -> bool:
-    """Built-in blocks run natively unless a user FB shadows the name."""
-    if fb_type not in BUILTIN_FBS:
-        return False
-    user = prog.lookup_pou(fb_type)
-    return user is None or user.kind is not PouKind.FUNCTION_BLOCK
-
-
 def instantiate(prog: TypedProgram, fb_name: str) -> FbInstance:
     """Create a fresh instance of a function block (or program) with all
     variables at their declared initial values and nested FBs idle.
@@ -240,7 +237,7 @@ def instantiate(prog: TypedProgram, fb_name: str) -> FbInstance:
         path += (name,)
         children = []
         for var, fb_type in info.fb_instances.items():
-            if _is_builtin_fb(prog, fb_type):
+            if fb_type in BUILTIN_FBS:
                 inst.nested[var] = make_builtin(fb_type)
             else:
                 inst.nested[var] = None  # filled in below, keeping the declaration order
@@ -380,18 +377,12 @@ _LOOPS = (N.ForStmt, N.WhileStmt, N.RepeatStmt)
 def _callees(prog: TypedProgram, name: str) -> tuple[PouInfo, list[str]] | None:
     """The POU `name` resolves to in prog and the user POU each of its user
     FB call sites and user function calls runs, one entry per site or
-    call, resolved as `_Gen` resolves them; None for a POU with a loop (or
-    none at all)."""
+    call; None for a POU with a loop (or none at all)."""
     info = prog.lookup_pou(name)
     if info is None or any([type(node) in _LOOPS for node in info.sites]):
         return None
     fb_types = [info.fb_instances[node.instance] for node in info.sites if type(node) is N.FbCall]
-    callees = [fb_type for fb_type in fb_types if not _is_builtin_fb(prog, fb_type)]
-    for fn in info.calls:
-        callee = prog.lookup_pou(fn)
-        if callee is not None and callee.kind is PouKind.FUNCTION:
-            callees.append(fn)
-    return info, callees
+    return info, [fb_type for fb_type in fb_types if fb_type not in BUILTIN_FBS] + info.calls
 
 
 def _bound(prog: TypedProgram, name: str) -> tuple[int, int] | None:
@@ -449,7 +440,7 @@ class _Pou:
     on first execution, and what a caller needs to set up its frame."""
 
     __slots__ = (
-        "info", "name", "bounded", "index", "iface", "temps", "initial", "params", "copies", "body",
+        "info", "name", "bounded", "index", "temps", "initial", "params", "copies", "body",
         "entries", "fused",
     )
 
@@ -458,8 +449,6 @@ class _Pou:
         self.name = info.name
         self.bounded = bounded
         self.index = {node.sid: i for i, node in enumerate(info.sites)}
-        # variable name -> (type, section), as BUILTIN_FBS gives a block's
-        self.iface = {v.name: (v.ty, v.section) for v in info.vars.values()}
         self.temps = {
             v.name: V.zero(v.ty) for v in info.vars.values() if v.section is Section.TEMP
         }
@@ -1142,12 +1131,12 @@ class _Gen:
     def fb_call(self, st: N.FbCall, track: bool):
         self.site(st)
         fb_type = self.fbs[st.instance]
-        builtin = _is_builtin_fb(self.prog, fb_type)
+        builtin = fb_type in BUILTIN_FBS
         if builtin:
             slots = BUILTIN_FBS[fb_type]
         else:
             callee = _pou(self.prog, fb_type, self.bounded)
-            slots = callee.iface
+            slots = callee.info.iface
         consts = self.consts
         consts.append(st.instance)
         inputs = [p for p in st.params if not p.is_output]
@@ -1233,8 +1222,7 @@ class _Gen:
         return (_Text.binary, op, _TEXT_KINDS.get(e.ty.kind), a, b)
 
     def call(self, e: N.Call):
-        info = self.prog.lookup_pou(e.name)
-        if info is None or info.kind is not PouKind.FUNCTION:
+        if is_builtin_function(e.name):
             self.consts.append(builtin_impl(e.name, [a.ty for a in e.args], e.ty))
             return (_Text.builtin, tuple([self.ex(a) for a in e.args]))
         callee = _pou(self.prog, e.name, self.bounded)

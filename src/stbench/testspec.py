@@ -26,6 +26,7 @@ from .frontend.lexer import LexError, TokKind, tokenize
 from .frontend.nodes import Section
 from .frontend.resolve import MAX_STORAGE, PouInfo, TypedProgram
 from .frontend.source import SourceUnit
+from .harnessgen import case_values
 from .runtime import values as V
 
 RESERVED_COLUMNS = ("test_name", "state", "dwell_cycles")
@@ -325,8 +326,9 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
     Returns a CheckedSuite, or raises a ValidationError with every problem
     found: unknown columns, unparseable literals, cases that never assert
     anything, cases too long to finish within MAX_SCANS scans, and more
-    cases than the harness could hold instances of the block for: each case
-    holds one, and together they may hold at most MAX_STORAGE values.
+    cases than the harness could hold: together they, each with its own
+    instance of the block (`harnessgen.case_values`), may hold at most
+    MAX_STORAGE values.
     """
     items: list[ValidationItem] = []
     fb = prog.lookup_pou(suite.fb_under_test)
@@ -351,6 +353,7 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
         seen_names.add(case.name)
 
     checked_cases: list[CheckedCase] = []
+    held = 0
     for case in suite.cases:
         states: list[CheckedState] = []
         asserts = 0
@@ -375,6 +378,7 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
                     items.append(ValidationItem(case.name, idx, EXPECT_PREFIX + col, str(exc)))
             asserts += len(st.expected)
             states.append(CheckedState(typed_in, typed_exp, st.dwell_cycles))
+        held += case_values(fb, asserts)
         if asserts == 0:
             items.append(ValidationItem(case.name, None, None, "no assertable state in this case"))
         checked_cases.append(CheckedCase(case.name, states))
@@ -383,7 +387,6 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
             message = f"total dwell of {dwell} cycles cannot finish within the {MAX_SCANS}-scan cap"
             items.append(ValidationItem(case.name, None, None, message))
 
-    held = len(suite.cases) * fb.size
     if held > MAX_STORAGE:
         message = f"{len(suite.cases)} cases of {fb.name} would hold {held} values, more than {MAX_STORAGE}"
         items.append(ValidationItem("-", None, None, message))

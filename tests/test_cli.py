@@ -359,6 +359,23 @@ def test_run_rejects_a_pou_defined_in_two_libraries(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_generate_rejects_a_pou_defined_in_two_libraries_before_the_query(tmp_path, capsys):
+    (tmp_path / "help3.st").write_text(HELP_3)
+    (tmp_path / "help1.st").write_text(HELP_1)
+    (tmp_path / "user.st").write_text(USES_HELP)
+    (tmp_path / "response.txt").write_text("```csv\ntest_name,state,expect_Y\ntc,1,3\n```\n")
+    code = run_cli(
+        "generate", "--unit", tmp_path / "user.st", "--lib", tmp_path / "help3.st",
+        "--lib", tmp_path / "help1.st", "--provider", "mock", "--fixture", tmp_path / "response.txt",
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: duplicate declaration of HELP in help3.st and help1.st\n"
+    assert not (tmp_path / "out" / "exchange_0.json").exists()
+    assert not (tmp_path / "out" / "suite.csv").exists()
+
+
 def test_config_unit_list_is_split_on_commas(tmp_path):
     units = []
     for name in ("first", "second"):
@@ -516,14 +533,9 @@ TOO_LARGE = {
 }
 
 
-@pytest.mark.parametrize("name", TOO_LARGE)
-def test_run_exit_two_on_a_unit_too_large_to_build(tmp_path, name):
-    text, error = TOO_LARGE[name]
-    unit = tmp_path / "body.st"
-    unit.write_text(text)
-    suite = tmp_path / "suite.csv"
-    suite.write_text(BODY_SUITE)
-    # the child limits its own address space to 1.5 GB
+def run_child(cwd, *argv) -> subprocess.CompletedProcess:
+    """stbench with these arguments in a child process that limits its own
+    address space to 1.5 GB, given 60 s to finish."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
@@ -532,12 +544,108 @@ def test_run_exit_two_on_a_unit_too_large_to_build(tmp_path, name):
     )
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, "run", "--unit", str(unit), "--suite", str(suite), "--out", str(tmp_path / "out")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+@pytest.mark.parametrize("name", TOO_LARGE)
+def test_run_exit_two_on_a_unit_too_large_to_build(tmp_path, name):
+    text, error = TOO_LARGE[name]
+    unit = tmp_path / "body.st"
+    unit.write_text(text)
+    suite = tmp_path / "suite.csv"
+    suite.write_text(BODY_SUITE)
+    done = run_child(tmp_path, "run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out")
     assert (done.returncode, done.stderr) == (2, f"error: {error}\n")
     assert "Traceback" not in done.stdout
+
+
+def test_run_exit_two_at_validation_on_cases_whose_harness_is_too_large(tmp_path, capsys):
+    # BODY holds 333,332 values: three cases of it pass the storage bound,
+    # their harness, with 14 more values per case, does not
+    unit = tmp_path / "body.st"
+    unit.write_text(BODY_FB.replace("I : INT", "A : ARRAY[1..333330] OF DINT").format(body="Y := X;"))
+    suite = tmp_path / "suite.csv"
+    suite.write_text(BODY_SUITE + "tc2,1,0,0\ntc3,1,0,0\n")
+    assert run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "out") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: suite rejected: -: 3 cases of BODY would hold 1000038 values, more than 1000000\n"
+    assert "Traceback" not in captured.out
+
+
+TON_UNIT = (
+    "FUNCTION_BLOCK TON\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Q : BOOL; END_VAR\n"
+    "Q := X > 0;\nEND_FUNCTION_BLOCK\n"
+)
+USES_T = (
+    "FUNCTION_BLOCK USER\nVAR_INPUT X : {x}; END_VAR\nVAR_OUTPUT Y : BOOL; END_VAR\n"
+    "VAR T : {fb}; END_VAR\nT({params});\nY := T.{q};\nEND_FUNCTION_BLOCK\n"
+)
+# a user POU named after a built-in, once: (unit, library, suite, the error)
+RESERVED_NAMES = {
+    # the harness's REAL tolerance check called the unit's ABS, so a wrong
+    # expectation passed
+    "abs-returning-zero": (
+        "FUNCTION_BLOCK SCALE\nVAR_INPUT X : REAL; END_VAR\nVAR_OUTPUT Y : REAL; END_VAR\n"
+        "Y := X * 2.0;\nEND_FUNCTION_BLOCK\n"
+        "FUNCTION ABS : REAL\nVAR_INPUT V : REAL; END_VAR\nABS := 0.0;\nEND_FUNCTION\n",
+        None,
+        "test_name,state,X,expect_Y\ntc,1,1.0,5.0\n",
+        "user.st:6:1: ABS is reserved for the built-in function",
+    ),
+    # the library's ABS call ran the unit's loop as bounded code: a hang
+    "abs-looping-beside-a-library": (
+        "FUNCTION_BLOCK USER\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+        "VAR L : ABSOLUTE; END_VAR\nL(X := X);\nY := L.Y;\nEND_FUNCTION_BLOCK\n"
+        "FUNCTION ABS : INT\nVAR_INPUT V : INT; END_VAR\nWHILE TRUE DO\nABS := V;\nEND_WHILE;\nEND_FUNCTION\n",
+        "FUNCTION_BLOCK ABSOLUTE\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+        "Y := ABS(X);\nEND_FUNCTION_BLOCK\n",
+        "test_name,state,X,expect_Y\ntc,1,-3,3\n",
+        "user.st:8:1: ABS is reserved for the built-in function",
+    ),
+    # the unit's TON was bound at resolve to the built-in's parameters and
+    # at run time to its own: a KeyError traceback
+    "ton-with-the-builtins-parameters": (
+        USES_T.format(x="BOOL", fb="TON", params="IN := X, PT := T#1s", q="Q") + TON_UNIT,
+        None,
+        "test_name,state,X,expect_Y\ntc,1,TRUE,FALSE\n",
+        "user.st:8:1: TON is reserved for the built-in function block",
+    ),
+    # the library's built-in TON ran as the unit's: a KeyError traceback
+    "ton-beside-a-library-using-the-builtin": (
+        USES_T.format(x="BOOL", fb="DELAY", params="X := X", q="Y") + TON_UNIT,
+        USES_T.replace("USER", "DELAY").format(x="BOOL", fb="TON", params="IN := X, PT := T#1s", q="Q"),
+        "test_name,state,X,expect_Y\ntc,1,TRUE,FALSE\n",
+        "user.st:8:1: TON is reserved for the built-in function block",
+    ),
+    # the unit's TON with its own parameters: "TON has no parameter X"
+    "ton-with-its-own-parameters": (
+        USES_T.format(x="INT", fb="TON", params="X := X", q="Q") + TON_UNIT,
+        None,
+        "test_name,state,X,expect_Y\ntc,1,1,TRUE\n",
+        "user.st:8:1: TON is reserved for the built-in function block",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RESERVED_NAMES)
+def test_run_exit_two_on_a_user_pou_named_after_a_builtin(tmp_path, name):
+    unit, library, suite, error = RESERVED_NAMES[name]
+    (tmp_path / "user.st").write_text(unit)
+    (tmp_path / "suite.csv").write_text(suite)
+    libs = []
+    if library is not None:
+        (tmp_path / "lib.st").write_text(library)
+        libs = ["--lib", tmp_path / "lib.st"]
+    done = run_child(
+        tmp_path, "run", "--unit", tmp_path / "user.st", *libs, "--suite", tmp_path / "suite.csv",
+        "--out", tmp_path / "out",
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: {error}")
+    assert "Traceback" not in done.stdout + done.stderr
 
 
 def test_run_exit_two_on_non_ascii_digit(tmp_path, capsys):
@@ -711,12 +819,8 @@ _FIXTURE_PIECES = ["\n", ",", "```", "```csv\n", "test_name,state", "dwell_cycle
                    "TRUE", "-1", "0", "T#5s", "16#FF", "1e40", "NaN", "\r", "tc", "prose "]
 
 
-@st.composite
-def _fuzzed_fixtures(draw):
-    """A corpus block and its canned response with 1-4 random cuts, copies
-    or insertions."""
-    block = draw(st.sampled_from(corpus.BLOCKS))
-    text = corpus.fixture_path(block.name).read_text(encoding="utf-8")
+def _mutated(draw, text: str, pieces: list[str]) -> str:
+    """text with 1-4 random cuts, copies or insertions of pieces."""
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.integers(0, len(text)))
         end = min(len(text), start + draw(st.integers(0, 30)))
@@ -726,8 +830,15 @@ def _fuzzed_fixtures(draw):
         elif op == "duplicate":
             text = text[:end] + text[start:end] + text[end:]
         else:
-            text = text[:start] + draw(st.sampled_from(_FIXTURE_PIECES)) + text[start:]
-    return block, text
+            text = text[:start] + draw(st.sampled_from(pieces)) + text[start:]
+    return text
+
+
+@st.composite
+def _fuzzed_fixtures(draw):
+    """A corpus block and its canned response, mutated."""
+    block = draw(st.sampled_from(corpus.BLOCKS))
+    return block, _mutated(draw, corpus.fixture_path(block.name).read_text(encoding="utf-8"), _FIXTURE_PIECES)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -771,3 +882,34 @@ def test_a_real_result_with_no_value_is_nan_not_a_traceback(tmp_path, capsys, st
     (case,) = report["cases"]
     assert case["fault"] is None
     assert case["assertions"][0]["actual"] == "nan"
+
+
+_UNIT_PIECES = [
+    "\n", ";", ":=", "(", ")", "END_IF;\n", "TON", "CTU", "R_TRIG", "ABS", "INT_TO_REAL", "MID",
+    "FUNCTION ABS : INT\nVAR_INPUT V : INT; END_VAR\nABS := V;\nEND_FUNCTION\n",
+    "FUNCTION_BLOCK TON\nVAR_INPUT IN : BOOL; END_VAR\nEND_FUNCTION_BLOCK\n",
+    "VAR T9 : TON; END_VAR\n", "T9(IN := TRUE, PT := T#1s);\n",
+    "WHILE TRUE DO\n", "END_WHILE;\n", "ARRAY[0..99999999] OF DINT",
+]
+
+
+@st.composite
+def _fuzzed_units(draw):
+    """A corpus block with its source mutated."""
+    block = draw(st.sampled_from(corpus.BLOCKS))
+    return block, _mutated(draw, corpus.block_source(block.name), _UNIT_PIECES)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_fuzzed_units())
+def test_pipeline_on_fuzzed_units_exits_0_1_or_2(case):
+    block, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        unit = Path(tmp) / "unit.st"
+        unit.write_text(text, encoding="utf-8")
+        done = run_child(
+            tmp, "pipeline", "--unit", unit, "--provider", "mock", "--fixture", corpus.fixture_path(block.name),
+            "--out", Path(tmp) / "run", "--fixed-clock",
+        )
+    assert done.returncode in (0, 1, 2)
+    assert "Traceback" not in done.stdout + done.stderr

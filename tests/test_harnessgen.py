@@ -2,12 +2,13 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stbench import corpus
 from stbench.frontend import parse_source, parse_text, print_pou, resolve
 from stbench.frontend.nodes import iter_sites, site_span
 from stbench.frontend.pretty import format_literal
-from stbench.harnessgen import CollisionError, build_case_fb, build_harness, value_literal
+from stbench.harnessgen import PROGRAM_NAME, CollisionError, build_case_fb, build_harness, case_values, value_literal
 from stbench.frontend import types as T
 from stbench.runner import run_harness
 from stbench.runtime import values as V
@@ -361,3 +362,17 @@ def test_generated_harnesses_resolve_for_random_suites(data, corpus_programs):
     checked = validate(suite_raw, prog)
     bundle = build_harness(checked, prog)
     assert bundle.typed is not None  # parsed and resolved with zero errors
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_case_values_count_the_harness_programs_storage(data, corpus_programs):
+    # what validate bounds a suite by is what the resolved harness holds
+    name = data.draw(st.sampled_from(["COUNT_ACC", "TRAFFIC_CTRL", "DELAY_GATE", "PI_CTRL", "DEC_TO_HEX"]))
+    prog = corpus_programs[name]
+    fb = prog.lookup_pou(name)
+    checked = validate(data.draw(suites_for(fb)), prog)
+    bundle = build_harness(checked, prog)
+    assert bundle.typed.lookup_pou(PROGRAM_NAME).size == sum(
+        case_values(fb, sum(len(state.expected) for state in case.states)) for case in checked.cases
+    )

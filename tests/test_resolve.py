@@ -13,6 +13,7 @@ from stbench.frontend.lexer import TokKind, tokenize
 from stbench.frontend.nodes import Literal, Section
 from stbench.frontend.resolve import MAX_STORAGE
 from stbench.frontend.source import SourceUnit
+from stbench.runtime import SimClock, execute_cycle, instantiate, make
 
 
 def resolve_text(src, libs=None):
@@ -488,3 +489,81 @@ def test_a_unit_is_rejected_at_the_declaration_taking_it_past_the_storage_bound(
     assert errors_of(fb.format(" Z : INT;") + holder).count("would hold more than") == 1
     # an instance of a BIG at the bound takes HOLDER past it
     assert errors_of(fb.format("") + holder) == "<memory>:6:5: HOLDER would hold more than 1000000 values"
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("FUNCTION_BLOCK TON\nVAR_OUTPUT Q : BOOL; END_VAR\nEND_FUNCTION_BLOCK\n",
+         "TON is reserved for the built-in function block"),
+        ("FUNCTION_BLOCK CTD\nEND_FUNCTION_BLOCK\n", "CTD is reserved for the built-in function block"),
+        ("FUNCTION ABS : INT\nVAR_INPUT V : INT; END_VAR\nABS := V;\nEND_FUNCTION\n",
+         "ABS is reserved for the built-in function"),
+        ("FUNCTION INT_TO_REAL : REAL\nVAR_INPUT V : INT; END_VAR\nINT_TO_REAL := 0.0;\nEND_FUNCTION\n",
+         "INT_TO_REAL is reserved for the built-in function"),
+        ("FUNCTION DINT_TO_STRING : STRING\nVAR_INPUT V : DINT; END_VAR\nDINT_TO_STRING := '';\nEND_FUNCTION\n",
+         "DINT_TO_STRING is reserved for the built-in function"),
+    ],
+    ids=["fb-TON", "fb-CTD", "function-ABS", "conversion", "string-conversion"],
+)
+def test_a_user_pou_named_after_a_builtin_of_its_kind_is_rejected(src, message):
+    holder = "PROGRAM P\nVAR X : INT; END_VAR\nX := 1;\nEND_PROGRAM\n"
+    assert errors_of(holder + src) == f"<memory>:5:1: {message}"
+
+
+def test_a_library_call_means_the_builtin_whatever_the_unit_defines():
+    # the unit may not redefine ABS, so the library's call is the built-in's
+    lib = resolve_text(
+        "FUNCTION_BLOCK LIB\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
+        "Y := ABS(X);\nEND_FUNCTION_BLOCK\n"
+    )
+    assert lib.pous["LIB"].calls == []
+    unit = "FUNCTION ABS : INT\nVAR_INPUT V : INT; END_VAR\nABS := V;\nEND_FUNCTION\n"
+    assert errors_of(unit, [lib]) == "<memory>:1:1: ABS is reserved for the built-in function"
+
+
+def test_a_builtin_name_is_free_for_a_pou_of_the_other_kind():
+    # a block named ABS and a function named TON leave the built-in ABS
+    # function and TON block in reach, each by where its name stands
+    prog = resolve_text(
+        """
+        FUNCTION_BLOCK ABS
+        VAR_INPUT X : INT; END_VAR
+        VAR_OUTPUT Y : INT; END_VAR
+        Y := X;
+        END_FUNCTION_BLOCK
+        FUNCTION TON : INT
+        VAR_INPUT V : INT; END_VAR
+        TON := V + 1;
+        END_FUNCTION
+        FUNCTION_BLOCK USER
+        VAR_INPUT X : INT; END_VAR
+        VAR_OUTPUT Y : INT; Q : BOOL; END_VAR
+        VAR A : ABS; T : TON; END_VAR
+        A(X := X);
+        T(IN := TRUE, PT := T#0s);
+        Y := ABS(A.Y) + TON(X);
+        Q := T.Q;
+        END_FUNCTION_BLOCK
+        """
+    )
+    user = prog.pous["USER"]
+    assert user.fb_instances == {"A": "ABS", "T": "TON"}
+    assert user.calls == ["TON"]
+    assert user.size == 3 + 1 + prog.pous["ABS"].size + 1 + 4
+    inst = instantiate(prog, "USER")
+    outputs, _ = execute_cycle(inst, {"X": make(T.INT, -3)}, SimClock())
+    assert (outputs["Y"].v, outputs["Q"].v) == (3 - 3 + 1, True)
+
+
+def test_a_user_block_interface_is_its_variables():
+    prog = resolve_text(
+        "FUNCTION_BLOCK FB\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : BOOL; END_VAR\n"
+        "VAR_IN_OUT Z : DINT; END_VAR\nVAR K : REAL; END_VAR\nEND_FUNCTION_BLOCK\n"
+    )
+    assert prog.pous["FB"].iface == {
+        "X": (T.INT, Section.INPUT),
+        "Y": (T.BOOL, Section.OUTPUT),
+        "Z": (T.DINT, Section.IN_OUT),
+        "K": (T.REAL, Section.LOCAL),
+    }

@@ -285,7 +285,8 @@ def test_carriage_returns_end_rows():
 
 
 def test_validation_bounds_the_storage_of_the_cases_instances():
-    # the harness holds one BIG per case: three of them pass the bound
+    # the harness holds one BIG per case, with 14 values of its own for a
+    # case of one check: two cases pass the bound, three do not
     prog = resolve(parse_text(
         "FUNCTION_BLOCK BIG\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : INT; END_VAR\n"
         "VAR A : ARRAY[1..400000] OF DINT; END_VAR\nY := X;\nEND_FUNCTION_BLOCK\n"
@@ -297,5 +298,5 @@ def test_validation_bounds_the_storage_of_the_cases_instances():
     with pytest.raises(ValidationError) as err:
         validate(suite(3), prog)
     assert [str(i) for i in err.value.items] == [
-        f"-: 3 cases of BIG would hold 1200006 values, more than {MAX_STORAGE}"
+        f"-: 3 cases of BIG would hold 1200048 values, more than {MAX_STORAGE}"
     ]
