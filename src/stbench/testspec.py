@@ -326,9 +326,9 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
     Returns a CheckedSuite, or raises a ValidationError with every problem
     found: unknown columns, unparseable literals, cases that never assert
     anything, cases too long to finish within MAX_SCANS scans, and more
-    cases than the harness could hold: together they, each with its own
-    instance of the block (`harnessgen.case_values`), may hold at most
-    MAX_STORAGE values.
+    cases than the harness could hold: the values the cases add to it,
+    each its own instance of the block among them
+    (`harnessgen.case_values`), may total at most MAX_STORAGE.
     """
     items: list[ValidationItem] = []
     fb = prog.lookup_pou(suite.fb_under_test)
