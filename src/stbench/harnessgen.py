@@ -33,7 +33,8 @@ POUs as `frontend.pretty` prints them, then a comment stating the scan
 interval.  The printer gives each generated site the span of its printed
 text, and the bundle records where each layer's text starts in harness.st,
 so coverage renders against its lines.  A POU name may be defined in one
-layer only (`runner.load_program` checks the unit and its libraries).
+layer only, and the generated names (`is_generated_name`) in none of the
+unit and its libraries: `runner.load_program` checks both.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ class HarnessBundle:
 def hook_var_names(index: int) -> tuple[str, str, str]:
     """The program variables mirroring case `index`'s DONE, PASS and FAILS."""
     return (f"TC_{index}_DONE", f"TC_{index}_PASS", f"TC_{index}_FAILS")
+
+
+def is_generated_name(name: str) -> bool:
+    """Whether the harness may give a POU it generates the (upper-case)
+    `name`: TEST_RUNNER, or TC_<i>_CASE for case i (`build_case_fb`)."""
+    return name == PROGRAM_NAME or (name[:3] == "TC_" and name[-5:] == "_CASE" and name[3:-5].isdigit())
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +185,9 @@ def build_case_fb(
     index: int,
     atol: float = DEFAULT_ATOL,
     rtol: float = DEFAULT_RTOL,
-    taken: frozenset[str] = frozenset(),
 ) -> CaseHarness:
     """Build the sequential-state test FB for one validated case."""
     fb_name = f"TC_{index}_CASE"
-    if fb_name in taken:
-        raise CollisionError(f"generated name {fb_name} collides with an existing POU")
     out_types = {v.name: v.ty for v in fb.outputs()}
 
     slots: list[AssertionSlot] = []
@@ -289,16 +293,7 @@ def build_harness(
     if fb is None or fb.kind is not N.PouKind.FUNCTION_BLOCK:
         raise CollisionError(f"unit under test {suite.fb_under_test} is not a function block")
 
-    layers = prog.layers()
-    taken = frozenset([name for unit in layers for name in unit.pous])
-    if PROGRAM_NAME in taken:
-        raise CollisionError(f"generated program name {PROGRAM_NAME} collides with an existing POU")
-
-    # the generated TC_<i>_CASE names differ from each other by their index
-    cases = [
-        build_case_fb(case, fb, index, atol, rtol, taken)
-        for index, case in enumerate(suite.cases, start=1)
-    ]
+    cases = [build_case_fb(case, fb, index, atol, rtol) for index, case in enumerate(suite.cases, start=1)]
 
     ast = N.Ast([*(c.pou for c in cases), build_runner(cases)])
     N.assign_statement_ids(ast)
@@ -307,6 +302,7 @@ def build_harness(
     typed = resolve(ast, [prog])
 
     # harness.st lists the libraries before the unit that uses them
+    layers = prog.layers()
     dependencies = layers[1:] + layers[:1]
     starts = [0]
     for dep in dependencies:

@@ -43,6 +43,7 @@ from .harnessgen import (
     HarnessBundle,
     build_harness,
     hook_var_names,
+    is_generated_name,
 )
 from .runtime import values as V
 from .runtime.interp import ContainedFault, RunResult, RuntimeFault, SimClock, run_program
@@ -178,7 +179,8 @@ class TestReport:
 def load_program(unit: SourceUnit, libraries: Sequence[SourceUnit] = ()) -> TypedProgram:
     """Lex, parse and resolve each library on its own, then the unit over
     them: the one load of a unit and its libraries per invocation.  A POU
-    name may be defined in one of these sources only."""
+    name may be defined in one of these sources only, and none may take a
+    name the harness generates."""
     try:
         libs = [resolve(parse_source(lib)) for lib in libraries]
         prog = resolve(parse_source(unit), libs)
@@ -187,6 +189,9 @@ def load_program(unit: SourceUnit, libraries: Sequence[SourceUnit] = ()) -> Type
     defined_in: dict[str, str] = {}
     for layer in prog.layers():
         for name in layer.pous:
+            if is_generated_name(name):
+                message = f"{name} in {layer.src.origin} is reserved for the generated harness"
+                raise PipelineError("assemble", CollisionError(message))
             if name in defined_in:
                 message = f"duplicate declaration of {name} in {defined_in[name]} and {layer.src.origin}"
                 raise PipelineError("assemble", CollisionError(message))

@@ -17,20 +17,24 @@ becomes Python nesting.  A list longer than 32 statements runs as chunks
 of at most 32, each its own function, so that no generated function
 grows with the list.  A PROGRAM's top-level FbCalls stay functions of
 their own, and only the statements between them are fused, so that
-run_program can contain a fault per call.  In any other POU's body (not
-run in chunks), a RETURN, or a sub-body that is a lone RETURN, returns
-from the function; a RETURN elsewhere raises.  The function is made by a
-factory `make(k0, ..., kn)` whose parameters carry every name, literal,
-count slot, site, callee, built-in function and sub-body, so no user
-text enters generated source, and lists that differ only in those values
-share one source.  One walk over a list collects those values and builds
-its shape: a small hashable key recording only what the source depends
-on (the mode, node kinds and operators, the result kinds whose wrap is
-written out, converting stores, empty sub-bodies and ELSEs, inlined
-RETURNs, a FOR without BY, built-in or user blocks and a callee's TEMPs,
-and whether sites are tracked).  Factories are kept in a bounded cache keyed by
-shape, as `re` keeps its patterns; on a miss the source is rendered from
-the shape alone and compiled once per process, as
+run_program can contain a fault per call.  A list's function returns how
+it ended, as CPython's eval loop did up to 3.7 (`why` in ceval.c): None
+when it falls through, 1 for EXIT and 2 for RETURN.  A statement calling
+a list that can signal passes the signal on, but a loop breaks on 1;
+run_program ends the scan on 2, and an FB or function call drops it, as
+a RETURN ends only its POU.  A sub-body that is a lone RETURN is inlined.
+The function is made by a factory `make(k0, ..., kn)` whose parameters
+carry every name, literal, count slot, site, callee, built-in function
+and sub-body, so no user text enters generated source, and lists that
+differ only in those values share one source.  One walk over a list
+collects those values and builds its shape: a small hashable key
+recording only what the source depends on (the mode, node kinds and
+operators, the result kinds whose wrap is written out, converting
+stores, empty sub-bodies and ELSEs, inlined RETURNs, calls that can
+signal, a FOR without BY, built-in or user blocks and a callee's TEMPs,
+and whether sites are tracked).  Factories are kept in a bounded cache
+keyed by shape, as `re` keeps its patterns; on a miss the source is
+rendered from the shape alone and compiled once per process, as
 `collections.namedtuple` compiles its classes.  So a list costs one walk
 and a lookup, not a source text.  A generated function holds no run
 state: the store, the nested instances, the count array and the run
@@ -67,8 +71,8 @@ Coverage: slot i of a POU's count array counts the executions of
 `PouInfo.sites[i]`; these arrays are the run's coverage record, handed to
 `coverage` as they are.  Guard sites (IF/ELSIF conditions, CASE
 selectors, loop headers) count once per evaluation.  A statement list
-runs all its statements unless a raise or RETURN leaves it, so a list of
-two or more counts once per run, yet each site's count stays exact
+runs all its statements unless a raise or a signal leaves it, so a list
+of two or more counts once per run, yet each site's count stays exact
 (after Ball and Larus, "Optimally Profiling and Tracing Programs",
 TOPLAS 1994): see `_Text.seq`.
 
@@ -100,6 +104,7 @@ raise it.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -307,14 +312,6 @@ class _Scan:
         return self.counts
 
 
-class _ExitLoop(Exception):
-    pass
-
-
-class _ReturnPou(Exception):
-    pass
-
-
 class _Trap(Exception):
     """An expression fault; the enclosing statement attributes it."""
 
@@ -488,8 +485,7 @@ class _Pou:
             gen = _Gen(self, prog)
             body = self.info.decl.body
             runs = [body]
-            top = self.info.kind is not PouKind.PROGRAM
-            if not top:
+            if self.info.kind is PouKind.PROGRAM:
                 runs = [[]]
                 for st in body:
                     if type(st) is N.FbCall:
@@ -497,7 +493,7 @@ class _Pou:
                     else:
                         runs[-1].append(st)
                 runs = [run for run in runs if run] or [[]]
-            entries = self.entries = tuple([(gen.block(run, False, top), run[0] if run else None) for run in runs])
+            entries = self.entries = tuple([(gen.block(run, False)[0], run[0] if run else None) for run in runs])
             self.fused = tuple(gen.fused)
         return entries
 
@@ -515,17 +511,13 @@ class _Pou:
         body = self.body
         if body is None:
             runs = [run for run, _ in self.code(prog)]
-            body = self.body = runs[0] if len(runs) == 1 else _calls(runs)
+            body = self.body = runs[0] if len(runs) == 1 else _calls(runs, True)
         return body
 
     def run(self, store: dict, nested: dict, scan: _Scan) -> None:
         """Run the body once: a function call's, or an instance's scan.  An
         FB call site runs its callee's body itself (`_Text.fb_call`)."""
-        body = self.body or self.compile(scan.prog)
-        try:
-            body(store, nested, scan.counts.get(self.name) or self.counts(scan), scan)
-        except _ReturnPou:
-            pass
+        (self.body or self.compile(scan.prog))(store, nested, scan.counts.get(self.name) or self.counts(scan), scan)
 
 
 _NO_NESTED: dict = {}
@@ -658,15 +650,15 @@ class _Text:
     the rest records what the text depends on and nothing else.  A list's
     shape is `(_Text.seq, bounded, statement shapes...)`.  Its statements
     are rendered one after the other, at one indentation level: a sub-body
-    or a chunk of a long list is a parameter called directly, and no
-    statement returns from the function (an IF leaves a one-shot loop,
-    WHILE and REPEAT break out of theirs) but an inlined RETURN (`ret`),
-    so only it and a raise skip the statements after them.  A list of two
-    or more heads counts once (`seq`); each site keeps its own fault
-    attribution (`count`, `_guard`).  Checked code also tests the budget
-    at each site and counts the depth of each user call, which bounded
-    code leaves out.  The factory parameters the text refers to are named
-    k0, k1, ... in the order `_Gen` collects their values."""
+    or a chunk of a long list is a parameter called directly.  Only a raise,
+    an EXIT or RETURN (`jump`) and a call passing a signal on (`invoke`)
+    skip the statements after them; an IF leaves a one-shot loop, WHILE and
+    REPEAT break out of theirs.  A list of two or more heads counts once
+    (`seq`); each site keeps its own fault attribution (`count`, `_guard`).
+    Checked code also tests the budget at each site and counts the depth
+    of each user call, which bounded code leaves out.  The factory
+    parameters the text refers to are named k0, k1, ... in the order `_Gen`
+    collects their values."""
 
     def __init__(self, bounded: bool):
         self.n = 0
@@ -707,12 +699,26 @@ class _Text:
             return text
         return text + f"{pad}if scan.budget <= 0:\n{pad} raise _fault({s}, _BUDGET_MSG)\n"
 
-    def run_body(self, runs, pad: str) -> str:
-        """The line running a sub-body, a parameter, if it `runs` anything,
-        or an inlined lone RETURN (`ret`)."""
-        if runs is _RET:
-            return self.ret(runs, pad)
-        return f"{pad}{self.k()}(store, nested, cnt, scan)\n" if runs else ""
+    def run_body(self, runs, pad: str = "  ", loop: bool = False) -> str:
+        """The lines running a sub-body (in a loop's body with `loop`): none
+        for an empty one, an inlined lone RETURN (`jump`), or a call of its
+        function, a parameter, that can signal with `_PASS`.  A call of a
+        long list's chunk is the statement `_CALL` or `_PASS` too."""
+        if not runs:
+            return ""
+        if runs[0] is _Text.jump:
+            return self.jump(runs, pad)
+        return self.invoke(self.k(), runs[1], pad, loop)
+
+    def invoke(self, fn: str, signals: bool, pad: str, loop: bool = False) -> str:
+        """The lines calling the list function `fn`.  If it `signals`, they
+        pass its signal on; in a loop's body, an EXIT's breaks the loop."""
+        call = f"{fn}(store, nested, cnt, scan)"
+        if not signals:
+            return f"{pad}{call}\n"
+        if loop:
+            return f"{pad}if sig := {call}:\n{pad} if sig == 2:\n{pad}  return 2\n{pad} break\n"
+        return f"{pad}if sig := {call}:\n{pad} return sig\n"
 
     # -- statement lists --------------------------------------------------------
 
@@ -724,10 +730,10 @@ class _Text:
         FOR header); WHILE and REPEAT have none.  A list of two or more
         heads is fused: its heads count once, for the list (`count`), and
         from its first head on it runs inside one handler.  When a raise or
-        an inlined RETURN leaves the list before its last head, the handler
-        undoes the count, and in bounded code the budget unit, of each head
-        after `at`; it makes no call, so it runs with the stack near its
-        limit too.  So a later head's slot holds minus its skips until
+        a signal leaves the list before its last head, the handler undoes
+        the count, and in bounded code the budget unit, of each head after
+        `at`; it makes no call, so it runs with the stack near its limit
+        too.  So a later head's slot holds minus its skips until
         `_Scan.settle` adds the list's count in."""
         stmts = shape[2:]
         heads = [i for i, st in enumerate(stmts) if st[0] not in _UNHEADED]
@@ -749,10 +755,6 @@ class _Text:
             + f"  finally:\n   if at < {last}:\n{undo}"
         )
 
-    def run(self, shape) -> str:
-        """A call of a chunk of a long list, a parameter."""
-        return self.run_body(True, "  ")
-
     # -- statements -----------------------------------------------------------
 
     def assign(self, shape) -> str:
@@ -762,17 +764,12 @@ class _Text:
         last = f"  scan.last = {s}\n" if track else ""
         return self.count(s, c, "  ") + _guard(f"   {put}\n", s, "  ") + last
 
-    def jump(self, shape) -> str:
+    def jump(self, shape, pad: str = "  ") -> str:
+        """EXIT or RETURN: the list's function returns its signal."""
         _, exit_, track = shape
         s, c = self.site()
-        last = f"  scan.last = {s}\n" if track else ""
-        signal = "_ExitLoop" if exit_ else "_ReturnPou"
-        return f"{self.count(s, c, '  ')}{last}  raise {signal}\n"
-
-    def ret(self, shape, pad: str = "  ") -> str:
-        """A RETURN inlined in a POU body's own list (`_Gen.top`)."""
-        s, c = self.site()
-        return f"{self.count(s, c, pad)}{pad}return\n"
+        last = f"{pad}scan.last = {s}\n" if track else ""
+        return f"{self.count(s, c, pad)}{last}{pad}return {1 if exit_ else 2}\n"
 
     def if_stmt(self, shape) -> str:
         # a one-shot loop that a taken branch breaks out of: an ELSIF chain
@@ -787,7 +784,7 @@ class _Text:
         return text + self.run_body(else_runs, "   ") + "   break\n"
 
     def case_stmt(self, shape) -> str:
-        _, track, selector = shape
+        _, track, signals, selector = shape
         s, c = self.site()
         last = f"  scan.last = {s}\n" if track else ""
         return (
@@ -797,7 +794,7 @@ class _Text:
             "    break\n"  # the first matching branch wins
             "  else:\n"
             f"   body = {self.k()}\n"  # no match, no ELSE: no-op
-            "  body(store, nested, cnt, scan)\n"
+            + self.invoke("body", signals, "  ")
         )
 
     def for_stmt(self, shape) -> str:
@@ -814,47 +811,38 @@ class _Text:
         return (
             self.count(s, c, "  ") + _guard(head, s, "  ")
             + f"  scan.last = {s}\n"
-            "  try:\n"
-            "   while (cur <= lim) if inc > 0 else (cur >= lim):\n"
-            f"    store[{var}] = cur\n"
-            + self.run_body(runs, "    ")
-            + f"    cur = {_wrap(kind, f'store[{var}] + inc')}\n"
-            "    scan.loops += 1\n"
-            "    scan.budget -= 1\n"
-            "    if scan.budget <= 0:\n"
-            "     raise _fault(scan.last, _BUDGET_MSG)\n"
-            "  except _ExitLoop:\n"
-            "   pass\n"
+            "  while (cur <= lim) if inc > 0 else (cur >= lim):\n"
+            f"   store[{var}] = cur\n"
+            + self.run_body(runs, "   ", True)
+            + f"   cur = {_wrap(kind, f'store[{var}] + inc')}\n"
+            "   scan.loops += 1\n"
+            "   scan.budget -= 1\n"
+            "   if scan.budget <= 0:\n"
+            "    raise _fault(scan.last, _BUDGET_MSG)\n"
         )
 
     def while_stmt(self, shape) -> str:
         _, track, cond, runs = shape
         s, c = self.site()
-        last = f"    scan.last = {s}\n" if track else ""
+        last = f"   scan.last = {s}\n" if track else ""
         return (
-            "  try:\n"
-            "   while True:\n"
-            + self.count(s, c, "    ") + _guard(f"     go = {self.ex(cond)}\n", s, "    ") + last
-            + "    if not go:\n"
-            "     break\n"
-            + self.run_body(runs, "    ")
-            + "  except _ExitLoop:\n"
-            "   pass\n"
+            "  while True:\n"
+            + self.count(s, c, "   ") + _guard(f"    go = {self.ex(cond)}\n", s, "   ") + last
+            + "   if not go:\n"
+            "    break\n"
+            + self.run_body(runs, "   ", True)
         )
 
     def repeat_stmt(self, shape) -> str:
         _, track, runs, until = shape
         s, c = self.site()
-        last = f"    scan.last = {s}\n" if track else ""
+        last = f"   scan.last = {s}\n" if track else ""
         return (
-            "  try:\n"
-            "   while True:\n"
-            + self.run_body(runs, "    ")
-            + self.count(s, c, "    ") + _guard(f"     done = {self.ex(until)}\n", s, "    ") + last
-            + "    if done:\n"
-            "     break\n"
-            "  except _ExitLoop:\n"
-            "   pass\n"
+            "  while True:\n"
+            + self.run_body(runs, "   ", True)
+            + self.count(s, c, "   ") + _guard(f"    done = {self.ex(until)}\n", s, "   ") + last
+            + "   if done:\n"
+            "    break\n"
         )
 
     def fb_call(self, shape) -> str:
@@ -881,11 +869,8 @@ class _Text:
             )
         text += (
             "  try:\n"
-            "   try:\n"
-            f"    ({pou}.body or {pou}.compile(scan.prog))"
+            f"   ({pou}.body or {pou}.compile(scan.prog))"
             f"(fs, fb.nested, scan.counts.get({name}) or {pou}.counts(scan), scan)\n"
-            "   except _ReturnPou:\n"
-            "    pass\n"
             "  except RuntimeFault as fault:\n"
             f"   fault.instance_path = {self.k()} + fault.instance_path\n"
             "   raise\n"
@@ -995,21 +980,22 @@ def _factory(shape):
 # function: a longer one is split, so that no generated function grows
 # with the list and compiling stays linear in it.
 _CHUNK = 32
-_RUN = (_Text.run,)
-_RET = (_Text.ret,)
+# a call of a sub-body's function or a chunk's, one that can signal
+_CALL, _PASS = (_Text.run_body, False), (_Text.run_body, True)
 # statements without a head: their first site may run any number of times
-_UNHEADED = frozenset({_Text.while_stmt, _Text.repeat_stmt, _Text.run})
+_UNHEADED = frozenset({_Text.while_stmt, _Text.repeat_stmt, _Text.run_body})
 _LITERAL, _VAR, _MEMBER = (_Text.literal,), (_Text.var,), (_Text.member,)
 _STORE, _STORE_CONV = (_Text.put, False), (_Text.put, True)
 
 
-def _calls(runs: list) -> Callable:
+def _calls(runs: list, signals: bool) -> Callable:
     """One function calling each function of `runs` in turn, through a
-    tree of functions that call at most _CHUNK each.  It holds no site, so
-    its text is the same in either mode."""
+    tree of functions that call at most _CHUNK each; if they `signals`, a
+    signal returned ends it and is passed on.  It holds no site, so its
+    text is the same in either mode."""
     while len(runs) > _CHUNK:
-        runs = [_calls(runs[i:i + _CHUNK]) for i in range(0, len(runs), _CHUNK)]
-    return _factory((_Text.seq, False) + (_RUN,) * len(runs))(*runs)
+        runs = [_calls(runs[i:i + _CHUNK], signals) for i in range(0, len(runs), _CHUNK)]
+    return _factory((_Text.seq, False) + ((_PASS if signals else _CALL),) * len(runs))(*runs)
 
 
 class _Gen:
@@ -1042,42 +1028,47 @@ class _Gen:
         # (later head, first head) slot pairs of the fused lists, flat
         # (`_Text.seq`)
         self.fused: list[int] = []
-        # whether the list walked is a POU body's own (`block`)
-        self.top = False
+        # the signals the list walked can return (`block`)
+        self.sig = 0
 
     def site(self, node) -> None:
         """Collect a site's fault location and count slot."""
         self.consts += ((self.name, node), self.index[node.sid])
 
-    def block(self, body: list[N.Stmt], track: bool, top: bool = False) -> Callable:
-        """The function running a statement list; `top` for a POU body's
-        own list, whose function returning is the POU returning (unless it
-        runs in chunks).  A fused list (`_Text.seq`) records each later
-        head's slot with its first head's in `fused`, for `_Scan.settle`."""
+    def block(self, body: list[N.Stmt], track: bool) -> tuple[Callable, int]:
+        """The function running a statement list, and the signals it can
+        return: 1 for EXIT, 2 for RETURN, or'ed.  A fused list
+        (`_Text.seq`) records each later head's slot with its first head's
+        in `fused`, for `_Scan.settle`."""
         if len(body) > _CHUNK:
-            return _calls([self.block(body[i:i + _CHUNK], track) for i in range(0, len(body), _CHUNK)])
+            chunks = [self.block(body[i:i + _CHUNK], track) for i in range(0, len(body), _CHUNK)]
+            sig = functools.reduce(operator.or_, [sig for _, sig in chunks])
+            return _calls([run for run, _ in chunks], sig != 0), sig
         outer, self.consts = self.consts, []
-        outer_top, self.top = self.top, top
+        outer_sig, self.sig = self.sig, 0
         stmts = [_STMTS[type(st)](self, st, track) for st in body]
-        consts, self.consts, self.top = self.consts, outer, outer_top
+        consts, self.consts, sig, self.sig = self.consts, outer, self.sig, outer_sig
         heads = [
             self.index[(st.branches[0] if type(st) is N.IfStmt else st).sid]
             for st, shape in zip(body, stmts) if shape[0] not in _UNHEADED
         ]
         for later in heads[1:]:
             self.fused += (later, heads[0])
-        return _factory((_Text.seq, self.bounded, *stmts))(*consts)
+        return _factory((_Text.seq, self.bounded, *stmts))(*consts), sig
 
-    def sub(self, body: list[N.Stmt], track: bool):
-        """Whether a sub-body runs anything; if so, its function is
-        collected, unless it is a lone RETURN to inline (`_RET`)."""
+    def sub(self, body: list[N.Stmt], track: bool, loop: bool = False):
+        """The shape running a sub-body (a loop's with `loop`): False for an
+        empty one, a lone RETURN's own, inlined, or a call of its function,
+        collected, `_PASS` if it can signal.  What it can signal passes on
+        into `sig`, but for EXIT out of a loop's body."""
         if not body:
             return False
-        if self.top and not track and len(body) == 1 and type(body[0]) is N.ReturnStmt:
-            self.site(body[0])
-            return _RET
-        self.consts.append(self.block(body, track))
-        return True
+        if len(body) == 1 and type(body[0]) is N.ReturnStmt:
+            return self.jump(body[0], track)
+        run, sig = self.block(body, track)
+        self.consts.append(run)
+        self.sig |= sig & 2 if loop else sig
+        return _PASS if sig else _CALL
 
     # -- statements -----------------------------------------------------------
 
@@ -1088,9 +1079,9 @@ class _Gen:
 
     def jump(self, st, track: bool):
         self.site(st)
-        if self.top and type(st) is N.ReturnStmt:
-            return _RET
-        return (_Text.jump, type(st) is N.ExitStmt, track)
+        exit_ = type(st) is N.ExitStmt
+        self.sig |= 1 if exit_ else 2
+        return (_Text.jump, exit_, track)
 
     def if_stmt(self, st: N.IfStmt, track: bool):
         branches = []
@@ -1101,13 +1092,17 @@ class _Gen:
 
     def case_stmt(self, st: N.CaseStmt, track: bool):
         self.site(st)
-        arms = []
+        arms, sig = [], 0
         for br in st.branches:
-            body = self.block(br.body, track)
+            body, arm = self.block(br.body, track)
             arms.extend([(lab.lo, lab.hi, body) for lab in br.labels])
+            sig |= arm
+        else_, arm = self.block(st.else_body, track)
+        sig |= arm
+        self.sig |= sig
         selector = self.ex(st.selector)
-        self.consts += (tuple(arms), self.block(st.else_body, track))
-        return (_Text.case_stmt, track, selector)
+        self.consts += (tuple(arms), else_)
+        return (_Text.case_stmt, track, sig != 0, selector)
 
     def for_stmt(self, st: N.ForStmt, track: bool):
         self.site(st)
@@ -1116,16 +1111,16 @@ class _Gen:
         start = self.value_for(st.start, ty)
         stop = self.ex(st.stop)
         step = None if st.step is None else self.ex(st.step)
-        return (_Text.for_stmt, ty.kind, start, stop, step, self.sub(st.body, True))
+        return (_Text.for_stmt, ty.kind, start, stop, step, self.sub(st.body, True, True))
 
     def while_stmt(self, st: N.WhileStmt, track: bool):
         self.site(st)
         cond = self.ex(st.cond)
-        return (_Text.while_stmt, track, cond, self.sub(st.body, track))
+        return (_Text.while_stmt, track, cond, self.sub(st.body, track, True))
 
     def repeat_stmt(self, st: N.RepeatStmt, track: bool):
         self.site(st)
-        runs = self.sub(st.body, track)
+        runs = self.sub(st.body, track, True)
         return (_Text.repeat_stmt, track, runs, self.ex(st.until))
 
     def fb_call(self, st: N.FbCall, track: bool):
@@ -1362,7 +1357,8 @@ def run_program(
         try:
             for run, guard in body:
                 if guard is None:
-                    run(store, nested, cnt, scan)
+                    if run(store, nested, cnt, scan):
+                        break  # the program's RETURN
                 elif guard not in dead:
                     budget = scan.budget
                     try:
@@ -1377,8 +1373,6 @@ def run_program(
                         contained.append(ContainedFault(guard, fault, cycle))
                         scan.refund(budget)
                         scan.depth = 0  # the calls the fault abandoned
-        except _ReturnPou:
-            pass
         except RuntimeFault as fault:
             fault.instance_path = root + fault.instance_path
             fault.cycle = cycle

@@ -376,6 +376,23 @@ def test_generate_rejects_a_pou_defined_in_two_libraries_before_the_query(tmp_pa
     assert not (tmp_path / "out" / "suite.csv").exists()
 
 
+def test_generate_and_run_reject_a_generated_name_before_the_query(tmp_path, capsys):
+    (tmp_path / "help1.st").write_text(HELP_1)
+    (tmp_path / "user.st").write_text(USES_HELP + "PROGRAM TEST_RUNNER\nVAR U : USER; END_VAR\nU();\nEND_PROGRAM\n")
+    (tmp_path / "response.txt").write_text("```csv\ntest_name,state,expect_Y\ntc,1,7\n```\n")
+    (tmp_path / "suite.csv").write_text("test_name,state,expect_Y\ntc,1,7\n")
+    sources = ["--unit", tmp_path / "user.st", "--lib", tmp_path / "help1.st", "--out", tmp_path / "out"]
+    for command in (
+        ["generate", "--provider", "mock", "--fixture", tmp_path / "response.txt"],
+        ["run", "--suite", tmp_path / "suite.csv"],
+    ):
+        assert run_cli(*command, *sources) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: TEST_RUNNER in user.st is reserved for the generated harness\n"
+        assert not (tmp_path / "out" / "exchange_0.json").exists()
+        assert not (tmp_path / "out" / "suite.csv").exists()
+
+
 def test_config_unit_list_is_split_on_commas(tmp_path):
     units = []
     for name in ("first", "second"):

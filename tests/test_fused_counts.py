@@ -13,7 +13,7 @@ import pytest
 
 from stbench import corpus, runner
 from stbench.cli import main
-from stbench.runtime import RuntimeFault, SimClock, run_program
+from stbench.runtime import RuntimeFault, SimClock, execute_cycle, instantiate, run_program
 from stbench.runtime import interp
 
 from test_interp import fault_log, prog_of
@@ -424,10 +424,10 @@ END_PROGRAM
     ids=["bounded", "checked", "loops"],
 )
 def test_return_in_a_body_s_own_list_returns_without_a_raise(name, checked, counts, totals, outputs, monkeypatch):
-    # a RETURN in a POU body's own list, and a lone RETURN as the THEN, ELSE
-    # or loop body of a statement in it, return from the body's function;
-    # one in a nested list (REPEAT's IF) or a list run in chunks (LONGF's
-    # 35th statement) raises, as before
+    # a RETURN in a POU body's own list, a lone RETURN as the THEN, ELSE or
+    # loop body of a statement in it, one in a nested list (REPEAT's IF)
+    # and one in a list run in chunks (LONGF's 35th statement) all leave by
+    # returning a signal
     shapes = []
     real = interp._factory
 
@@ -443,9 +443,125 @@ def test_return_in_a_body_s_own_list_returns_without_a_raise(name, checked, coun
     assert modes_run(prog) == {name == "MAIN" and not checked}
     assert summary(result) == (counts, totals, [])
     assert {v: result.instance.nested["R"].store[v] for v in outputs} == outputs
-    inlined = sum(text.count("   return\n") for text in map(interp._source, set(shapes)))
-    raised = sum(text.count("raise _ReturnPou") for text in map(interp._source, set(shapes)))
-    assert (inlined, raised) == ((3, 1) if name == "MAIN" else (2, 1))
+    # generated code raises only faults; a bare raise passes on a
+    # RuntimeFault from an FB call
+    lines = [line.strip() for text in map(interp._source, set(shapes)) for line in text.splitlines()]
+    assert {line.split("(")[0] for line in lines if "raise" in line} <= {"raise _fault", "raise _Trap", "raise"}
+
+
+SIGNALS_SRC = """
+FUNCTION FIND : DINT
+VAR_INPUT X : DINT; END_VAR
+VAR I : DINT; END_VAR
+FIND := -1;
+FOR I := 1 TO 10 DO
+    IF I * I >= X THEN
+        FIND := I;
+        RETURN;
+    END_IF;
+    IF I = X - 20 THEN
+        RETURN;
+    END_IF;
+    FIND := FIND - 1;
+END_FOR;
+FIND := FIND * 100;
+END_FUNCTION
+FUNCTION HALVE : DINT
+VAR_INPUT X : DINT; END_VAR
+VAR R : DINT; END_VAR
+HALVE := 0;
+R := X;
+WHILE R > 1 DO
+    R := R / 2;
+    HALVE := HALVE + 1;
+    IF HALVE >= 3 THEN
+        EXIT;
+    END_IF;
+END_WHILE;
+HALVE := HALVE + 10;
+END_FUNCTION
+FUNCTION_BLOCK TICKER
+VAR_OUTPUT N : DINT; END_VAR
+N := N + 1;
+END_FUNCTION_BLOCK
+PROGRAM LOOPS
+VAR K : DINT; Y : DINT; Z : DINT; END_VAR
+Y := Y + FIND(K * 7);
+Z := Z + HALVE(K * 5);
+K := K + 1;
+END_PROGRAM
+PROGRAM MAIN
+VAR A : TICKER; B : TICKER; K : DINT; Y : DINT; Z : DINT; END_VAR
+A();
+K := K + 1;
+IF K > 1 THEN
+    IF K MOD 2 = 0 THEN
+        Y := Y + 1;
+        RETURN;
+    END_IF;
+    Y := Y + 10;
+END_IF;
+B();
+Z := Z + 1;
+END_PROGRAM
+PROGRAM LONGP
+VAR_OUTPUT N : DINT; M : DINT; K : DINT; END_VAR
+VAR A : TICKER; B : TICKER; END_VAR
+A();
+K := K + 1;
+""" + "N := N + 1;\n" * 34 + """IF K MOD 2 = 1 THEN
+    RETURN;
+END_IF;
+N := N + 100;
+B();
+M := M + B.N;
+END_PROGRAM
+"""
+
+
+# the expected values of the three tests below were recorded with EXIT and
+# RETURN raised as exceptions
+
+
+def test_return_in_a_function_s_for_body_and_exit_in_its_while():
+    prog = prog_of(SIGNALS_SRC)
+    result = run_program(prog, "LOOPS", 6, SimClock())
+    assert summary(result) == (
+        {
+            "LOOPS": [6, 6, 6],
+            "FIND": [6, 6, 21, 5, 5, 16, 1, 15, 0],
+            "HALVE": [6, 6, 16, 14, 14, 14, 4, 6],
+        },
+        [12, 26, 33, 24, 39, 39],
+        [],
+    )
+    assert [result.instance.store[v] for v in "KYZ"] == [6, 19, 74]
+    assert modes_run(prog) == {False}
+
+
+@MODES
+def test_a_program_return_in_a_nested_if_skips_the_calls_after_it(checked, monkeypatch):
+    prog = program_as(checked, SIGNALS_SRC, monkeypatch)
+    result = run_program(prog, "MAIN", 5, SimClock(), quarantine={"A", "B"})
+    assert summary(result) == ({"MAIN": [5, 5, 5, 4, 2, 2, 2, 3, 3], "TICKER": [8]}, [7, 7, 9, 7, 9], [])
+    assert [result.instance.store[v] for v in "KYZ"] == [5, 22, 3]
+    assert [result.instance.nested[fb].store["N"] for fb in "AB"] == [5, 3]
+    assert modes_run(prog) == {not checked}
+
+
+def test_a_program_return_in_a_list_run_in_chunks_through_execute_cycle():
+    # LONGP's body runs as one function calling its entries, and the 37
+    # statements between its two calls run as two chunks
+    inst = instantiate(prog_of(SIGNALS_SRC), "LONGP")
+    head = [1] * 37
+    expected = [
+        ({"N": 34, "M": 0, "K": 1}, {"LONGP": head + [1, 0, 0, 0], "TICKER": [1]}),
+        ({"N": 168, "M": 1, "K": 2}, {"LONGP": head + [0, 1, 1, 1], "TICKER": [2]}),
+        ({"N": 202, "M": 1, "K": 3}, {"LONGP": head + [1, 0, 0, 0], "TICKER": [1]}),
+    ]
+    for outputs, counts in expected:
+        out, cnt = execute_cycle(inst, {}, SimClock())
+        assert ({k: v.v for k, v in out.items()}, cnt) == (outputs, counts)
 
 
 CHAIN_SRC = """

@@ -10,7 +10,8 @@ from stbench.frontend.nodes import iter_sites, site_span
 from stbench.frontend.pretty import format_literal
 from stbench.harnessgen import PROGRAM_NAME, CollisionError, build_case_fb, build_harness, case_values, value_literal
 from stbench.frontend import types as T
-from stbench.runner import run_harness
+from stbench.frontend.source import SourceUnit
+from stbench.runner import PipelineError, load_program, run_harness
 from stbench.runtime import values as V
 from stbench.testspec import parse_suite, validate
 
@@ -205,13 +206,22 @@ def test_monitor_records_report_hook_events(dec_assets):
 
 
 def test_collision_with_existing_pou_name():
-    src = SEQ_PROBE + "\nFUNCTION_BLOCK TC_1_CASE\nVAR X : INT; END_VAR\nX := 1;\nEND_FUNCTION_BLOCK\n"
-    prog = resolve(parse_text(src))
-    suite = checked_suite(
-        "test_name,state,X,expect_SCANS\ntc,1,1,1\n", "SEQ_PROBE", prog
-    )
-    with pytest.raises(CollisionError):
-        build_harness(suite, prog)
+    # the load rejects a unit or library POU taking a name the harness
+    # generates, whatever the suite; a name it never generates stays free
+    case_fb = "FUNCTION_BLOCK {}\nVAR X : INT; END_VAR\nX := 1;\nEND_FUNCTION_BLOCK\n"
+    runner_prog = "PROGRAM TEST_RUNNER\nVAR X : INT; END_VAR\nX := 1;\nEND_PROGRAM\n"
+    for unit, lib, reserved in [
+        (SEQ_PROBE + case_fb.format("TC_1_CASE"), "", "TC_1_CASE in probe.st"),
+        (SEQ_PROBE + case_fb.format("tc_12_case"), "", "TC_12_CASE in probe.st"),
+        (SEQ_PROBE, runner_prog, "TEST_RUNNER in lib.st"),
+    ]:
+        with pytest.raises(PipelineError) as err:
+            load_program(SourceUnit(unit, "probe.st"), [SourceUnit(lib, "lib.st")])
+        assert str(err.value) == f"[assemble] {reserved} is reserved for the generated harness"
+        assert isinstance(err.value.cause, CollisionError)
+    for name in ("TC_CASE", "TC_X_CASE", "TC_1_CASES", "TEST_RUNNER2"):
+        prog = load_program(SourceUnit(SEQ_PROBE + case_fb.format(name), "probe.st"))
+        assert prog.lookup_pou(name) is not None
 
 
 def test_assembly_includes_libraries_before_unit():

@@ -13,7 +13,7 @@ import pytest
 
 from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
-from stbench.runtime import SimClock, execute_cycle, instantiate
+from stbench.runtime import SimClock, execute_cycle, instantiate, interp
 from stbench.runtime import values as V
 
 from oracle_sim import OracleSim
@@ -118,10 +118,9 @@ def plain_inputs(config):
     return {name: raw for name, (ty, raw) in config.items()}
 
 
-@pytest.mark.parametrize("block", sorted(CONFIGS))
-def test_interpreter_matches_oracle_exhaustively(block, corpus_programs):
-    scans, configs = CONFIGS[block]
-    prog = corpus_programs[block]
+def assert_matches_oracle(prog, block, scans, configs):
+    """Each configuration, scan by scan: the interpreter's outputs and
+    per-site counts equal the oracle's."""
     assert len(configs) <= 12
     for config in configs:
         inst = instantiate(prog, block)
@@ -149,6 +148,108 @@ def test_interpreter_matches_oracle_exhaustively(block, corpus_programs):
             delta = oracle_hits - prev_hits
             prev_hits = oracle_hits
             assert hits == delta, f"{block} {config} scan {scan}: hit mismatch"
+
+
+@pytest.mark.parametrize("block", sorted(CONFIGS))
+def test_interpreter_matches_oracle_exhaustively(block, corpus_programs):
+    assert_matches_oracle(corpus_programs[block], block, *CONFIGS[block])
+
+
+# corpus blocks hold no EXIT or RETURN: two hand-written blocks do, one
+# with loops (checked code) and one without (bounded code), whose 40
+# statements run in chunks
+JUMPS_LOOPED = """
+FUNCTION_BLOCK JUMPS_LOOPED
+VAR_INPUT N : INT; M : INT; END_VAR
+VAR_OUTPUT A : INT; B : INT; C : INT; D : INT; E : INT; END_VAR
+VAR I : INT; J : INT; END_VAR
+FOR I := 1 TO 10 DO
+    A := A + I;
+    IF I >= N THEN
+        EXIT;
+    END_IF;
+END_FOR;
+I := 0;
+WHILE I < 10 DO
+    I := I + 1;
+    IF I * M > 12 THEN
+        EXIT;
+    END_IF;
+    B := B + 1;
+END_WHILE;
+REPEAT
+    C := C + 1;
+    IF C MOD 4 = N THEN
+        EXIT;
+    END_IF;
+UNTIL C >= 20
+END_REPEAT;
+FOR I := 1 TO 3 DO
+    FOR J := 1 TO 5 DO
+        IF J > M THEN
+            EXIT;
+        END_IF;
+        D := D + 1;
+    END_FOR;
+    D := D + 10;
+END_FOR;
+IF N = 1 THEN
+    WHILE M = 5 DO
+        E := E + 1000;
+        RETURN;
+    END_WHILE;
+    E := E + 1000;
+END_IF;
+IF N > 2 THEN
+    IF M = 3 THEN
+        E := E + 1;
+        RETURN;
+    END_IF;
+    E := E + 10;
+END_IF;
+CASE N OF
+    1: E := E + 2;
+    4: E := E + 3;
+       RETURN;
+END_CASE;
+E := E + 100;
+END_FUNCTION_BLOCK
+"""
+
+JUMPS_FLAT = (
+    """
+FUNCTION_BLOCK JUMPS_FLAT
+VAR_INPUT N : INT; M : INT; END_VAR
+VAR_OUTPUT A : INT; B : INT; C : INT; END_VAR
+CASE N OF
+    1: B := B + 1;
+       RETURN;
+    2: B := B + 2;
+END_CASE;
+IF M > 1 THEN
+    IF N = 3 THEN
+        B := B + 3;
+        RETURN;
+    END_IF;
+    B := B + 4;
+END_IF;
+""" + "A := A + 1;\n" * 31 + """IF M = 3 THEN
+    RETURN;
+END_IF;
+RETURN;
+""" + "C := C + 1;\n" * 5 + "END_FUNCTION_BLOCK\n"
+)
+
+
+@pytest.mark.parametrize("src,bounded", [(JUMPS_LOOPED, False), (JUMPS_FLAT, True)], ids=["looped", "flat"])
+def test_exit_and_return_match_the_oracle(src, bounded):
+    prog = resolve(parse_text(src))
+    (block,) = prog.pous
+    if bounded:  # statement 35 is a RETURN, in the second chunk
+        assert len(prog.lookup_pou(block).decl.body) == 40
+    assert interp._bounded(prog, block) is bounded
+    configs = [{"N": i(n), "M": i(m)} for n in (1, 2, 3, 4) for m in (1, 3, 5)]
+    assert_matches_oracle(prog, block, 3, configs)
 
 
 def test_config_grid_counts():
