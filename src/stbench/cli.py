@@ -28,11 +28,11 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import corpus, llm
+from . import llm
 from .frontend import SourceUnit, TypedProgram, interface_of
 from .frontend.nodes import PouKind
 from .harnessgen import DEFAULT_ATOL, DEFAULT_RTOL
-from .runner import PipelineError, RunOptions, load_program, render_report, run_suite
+from .runner import PipelineError, RunOptions, load_program, run_suite
 from .testspec import (
     CheckedSuite,
     CsvError,
@@ -259,12 +259,14 @@ def _run(cfg: RunConfig, prog: TypedProgram, checked: CheckedSuite, warnings: tu
         report = run_suite(prog, checked, options)
     except PipelineError as exc:
         return _fail(str(exc))
-    print(render_report(report, "text"), end="")
+    print(report.text, end="")
     print(f"artifacts in {out}")
     return EXIT_OK if report.all_green() else EXIT_TEST_FAILURES
 
 
 def cmd_corpus_list() -> int:
+    from . import corpus  # only this command lists the bundled blocks
+
     rows = [
         (b.name, b.category, b.challenge, str(corpus.block_path(b.name)))
         for b in corpus.BLOCKS

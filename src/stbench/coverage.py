@@ -6,7 +6,8 @@ counts`): slot i of a POU's array counts the executions of its
 is every POU a name resolves to (`domain`).  The line-oriented renderings
 (annotated listing, LCOV text) are lossy views of one line map, built by
 `line_counts` from each POU's site nodes, where multiple statements on one
-line collapse to the line's maximum count.  Percentages are rounded
+line collapse to the line's maximum count; each is written to its stream
+line by line, never held whole.  Percentages are rounded
 half-up to two decimals.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import TextIO
 
 from .frontend.nodes import site_span
 from .frontend.resolve import PouInfo, TypedProgram
@@ -95,29 +97,22 @@ def line_counts(
     return lines
 
 
-def render_annotated(lines: dict[int, int], src: SourceUnit) -> str:
-    """GCOV-style annotated listing of `src` from its line counts: per-line
-    hit counts, `#####` on uncovered executable lines, `-` on
-    non-executable ones."""
-    out = []
+def render_annotated(lines: dict[int, int], src: SourceUnit, out: TextIO) -> None:
+    """Write the GCOV-style annotated listing of `src` from its line counts
+    to the text stream `out`, one line at a time: per-line hit counts,
+    `#####` on uncovered executable lines, `-` on non-executable ones."""
+    write = out.write
     for lineno in range(1, src.line_count() + 1):
-        text = src.line_text(lineno)
-        if lineno not in lines:
-            marker = "-"
-        elif lines[lineno] == 0:
-            marker = "#####"
-        else:
-            marker = str(lines[lineno])
-        out.append(f"{marker:>9}:{lineno:>5}:{text}")
-    return "\n".join(out) + "\n"
+        count = lines.get(lineno)
+        marker = "-" if count is None else "#####" if count == 0 else count
+        write(f"{marker:>9}:{lineno:>5}:{src.line_text(lineno)}\n")
 
 
-def render_lcov(lines: dict[int, int], src: SourceUnit) -> str:
-    """LCOV tracefile records (SF/DA/LF/LH) for `src` from its line counts."""
-    out = [f"SF:{src.origin}"]
+def render_lcov(lines: dict[int, int], src: SourceUnit, out: TextIO) -> None:
+    """Write LCOV tracefile records (SF/DA/LF/LH) for `src` from its line
+    counts to the text stream `out`."""
+    write = out.write
+    write(f"SF:{src.origin}\n")
     for lineno in sorted(lines):
-        out.append(f"DA:{lineno},{lines[lineno]}")
-    out.append(f"LF:{len(lines)}")
-    out.append(f"LH:{sum(1 for c in lines.values() if c > 0)}")
-    out.append("end_of_record")
-    return "\n".join(out) + "\n"
+        write(f"DA:{lineno},{lines[lineno]}\n")
+    write(f"LF:{len(lines)}\nLH:{sum(1 for c in lines.values() if c > 0)}\nend_of_record\n")

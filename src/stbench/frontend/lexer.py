@@ -65,7 +65,7 @@ class LexError(FrontendError):
         self.span = span
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: TokKind
     lexeme: str

@@ -10,6 +10,9 @@ over a compilation unit, assigned in source order after a successful parse
 (`assign_statement_ids`), which mirrors line-oriented coverage tools at AST
 level.  `iter_sites` walks a body's site nodes and `site_span` gives the
 span a site is reported at.
+
+Every node class is slotted: a generated harness holds tens of thousands
+of nodes, so none carries a per-instance `__dict__`.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ _NO_SID = -1
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Expr:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Literal(Expr):
     class K(enum.Enum):
         BOOL = "BOOL"
@@ -47,14 +50,14 @@ class Literal(Expr):
     ty: STType | None = field(compare=False, default=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class VarRef(Expr):
     name: str  # normalized upper-case
     span: Span = field(compare=False, default=Span(0, 0))
     ty: STType | None = field(compare=False, default=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class MemberRef(Expr):
     base: Expr
     member: str
@@ -62,7 +65,7 @@ class MemberRef(Expr):
     ty: STType | None = field(compare=False, default=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexRef(Expr):
     base: Expr
     index: Expr
@@ -100,7 +103,7 @@ class BinOp(enum.Enum):
     GE = ">="
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: UnOp
     operand: Expr
@@ -108,7 +111,7 @@ class Unary(Expr):
     ty: STType | None = field(compare=False, default=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: BinOp
     left: Expr
@@ -117,7 +120,7 @@ class Binary(Expr):
     ty: STType | None = field(compare=False, default=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     name: str  # normalized upper-case function name
     args: list[Expr]
@@ -129,12 +132,12 @@ class Call(Expr):
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Stmt:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     target: Expr
     value: Expr
@@ -142,7 +145,7 @@ class Assign(Stmt):
     sid: int = field(compare=False, default=_NO_SID)
 
 
-@dataclass
+@dataclass(slots=True)
 class IfBranch:
     cond: Expr
     body: list[Stmt]
@@ -150,27 +153,27 @@ class IfBranch:
     sid: int = field(compare=False, default=_NO_SID)
 
 
-@dataclass
+@dataclass(slots=True)
 class IfStmt(Stmt):
     branches: list[IfBranch]
     else_body: list[Stmt]
     span: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseLabel:
     lo: int
     hi: int  # == lo for single-value labels
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseBranch:
     labels: list[CaseLabel]
     body: list[Stmt]
     span: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseStmt(Stmt):
     selector: Expr
     branches: list[CaseBranch]
@@ -179,7 +182,7 @@ class CaseStmt(Stmt):
     sid: int = field(compare=False, default=_NO_SID)
 
 
-@dataclass
+@dataclass(slots=True)
 class ForStmt(Stmt):
     var: str
     start: Expr
@@ -190,7 +193,7 @@ class ForStmt(Stmt):
     sid: int = field(compare=False, default=_NO_SID)
 
 
-@dataclass
+@dataclass(slots=True)
 class WhileStmt(Stmt):
     cond: Expr
     body: list[Stmt]
@@ -198,7 +201,7 @@ class WhileStmt(Stmt):
     sid: int = field(compare=False, default=_NO_SID)
 
 
-@dataclass
+@dataclass(slots=True)
 class RepeatStmt(Stmt):
     body: list[Stmt]
     until: Expr
@@ -206,19 +209,19 @@ class RepeatStmt(Stmt):
     sid: int = field(compare=False, default=_NO_SID)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExitStmt(Stmt):
     span: Span = field(compare=False, default=Span(0, 0))
     sid: int = field(compare=False, default=_NO_SID)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnStmt(Stmt):
     span: Span = field(compare=False, default=Span(0, 0))
     sid: int = field(compare=False, default=_NO_SID)
 
 
-@dataclass
+@dataclass(slots=True)
 class ParamBind:
     name: str            # formal parameter, upper-cased
     is_output: bool      # True for `Q => target`
@@ -226,7 +229,7 @@ class ParamBind:
     span: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class FbCall(Stmt):
     instance: str        # instance variable name, upper-cased
     params: list[ParamBind]
@@ -249,7 +252,7 @@ class Section(enum.Enum):
     TEMP = "VAR_TEMP"
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeRef:
     """Unresolved type reference as written in a declaration."""
 
@@ -261,7 +264,7 @@ class TypeRef:
     span: Span = field(compare=False, default=Span(0, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl:
     name: str
     type_ref: TypeRef
@@ -279,7 +282,7 @@ class PouKind(enum.Enum):
     PROGRAM = "PROGRAM"
 
 
-@dataclass
+@dataclass(slots=True)
 class PouDecl:
     kind: PouKind
     name: str
@@ -291,7 +294,7 @@ class PouDecl:
     sites: tuple = field(compare=False, default=(), repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Ast:
     pous: list[PouDecl]
     src: SourceUnit = field(compare=False, default=None)

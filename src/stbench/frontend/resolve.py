@@ -46,7 +46,7 @@ from .nodes import (
 from .source import SourceUnit, Span
 
 
-@dataclass
+@dataclass(slots=True)
 class VarInfo:
     name: str
     ty: T.STType
@@ -55,7 +55,7 @@ class VarInfo:
     span: Span = Span(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class PouInfo:
     name: str
     kind: PouKind

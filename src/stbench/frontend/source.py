@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Half-open byte range [start, end) into a SourceUnit's text."""
 
@@ -23,21 +24,24 @@ class SourceUnit:
 
     Lines and columns are 1-based.  Offsets up to and including len(text)
     resolve (the end offset maps to the position just past the last char),
-    so span endpoints always have a defined location.
+    so span endpoints always have a defined location.  The table of line
+    starts is built on the first lookup, so a unit nobody asks a position
+    of, such as the generated layer of a run that raised no diagnostic,
+    never holds one.
     """
 
     text: str
     origin: str = "<memory>"
-    _line_starts: list[int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @functools.cached_property
+    def _line_starts(self) -> list[int]:
         starts = [0]
         find = self.text.find
         i = find("\n")
         while i >= 0:
             starts.append(i + 1)
             i = find("\n", i + 1)
-        self._line_starts = starts
+        return starts
 
     def linecol(self, offset: int) -> tuple[int, int]:
         if offset < 0:
@@ -54,7 +58,7 @@ class SourceUnit:
         return bisect.bisect_right(self._line_starts, offset) or 1
 
     def line_count(self) -> int:
-        return len(self._line_starts)
+        return self.text.count("\n") + 1
 
     def line_text(self, line: int) -> str:
         start = self._line_starts[line - 1]

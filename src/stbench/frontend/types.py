@@ -32,7 +32,7 @@ class Kind(enum.Enum):
 DEFAULT_STRING_CAP = 80
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class STType:
     kind: Kind
     cap: int | None = None          # STRING capacity

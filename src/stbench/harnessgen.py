@@ -62,7 +62,7 @@ class CollisionError(Exception):
     a POU in the unit or libraries."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AssertionSlot:
     """One expected-output check: where its actual/flag variables live."""
 
@@ -73,7 +73,7 @@ class AssertionSlot:
     expected: V.Value
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseHarness:
     name: str
     index: int               # 1-based, used in all generated names

@@ -24,12 +24,14 @@ contained fault in the scan, then per case in index order
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TextIO
 
 from . import coverage as cov
 from .frontend.diagnostics import FrontendError
@@ -112,6 +114,9 @@ class TestReport:
     warnings: tuple[str, ...] = ()
     artifacts: dict[str, str] = field(default_factory=dict)
     generated_at: str | None = None
+    # the text report as report.txt holds it, once run_suite wrote the
+    # artifacts, so that the CLI prints it without rendering it again
+    text: str | None = field(default=None, repr=False)
 
     def all_green(self) -> bool:
         return all(c.verdict == "pass" for c in self.cases)
@@ -366,13 +371,17 @@ def _write_artifacts(
     monitor_lines: list[str],
     options: RunOptions,
 ) -> None:
+    """Write the run's artifacts into the output directory, the coverage
+    files and report.json rendered straight into their files, and keep the
+    text report on the report.  The report lists suite.csv only if the
+    directory holds one: the CLI writes it there, run_suite does not."""
     out = options.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "harness.st").write_text(bundle.source.text, encoding="utf-8")
-    (out / "coverage.lcov").write_text(cov.render_lcov(lines, bundle.source), encoding="utf-8")
-    (out / "coverage.annotated.txt").write_text(
-        cov.render_annotated(lines, bundle.source), encoding="utf-8"
-    )
+    with open(out / "coverage.lcov", "w", encoding="utf-8") as f:
+        cov.render_lcov(lines, bundle.source, f)
+    with open(out / "coverage.annotated.txt", "w", encoding="utf-8") as f:
+        cov.render_annotated(lines, bundle.source, f)
     (out / "monitor.txt").write_text("\n".join(monitor_lines) + "\n", encoding="utf-8")
     report.artifacts = {
         "report_json": "report.json",
@@ -381,10 +390,15 @@ def _write_artifacts(
         "coverage_annotated": "coverage.annotated.txt",
         "harness": "harness.st",
         "monitor": "monitor.txt",
-        "suite": "suite.csv",
     }
-    (out / "report.json").write_text(render_report(report, "json"), encoding="utf-8")
-    (out / "report.txt").write_text(render_report(report, "text"), encoding="utf-8")
+    if (out / "suite.csv").is_file():
+        report.artifacts["suite"] = "suite.csv"
+    with open(out / "report.json", "w", encoding="utf-8") as f:
+        render_report(report, "json", f)
+    text = io.StringIO()
+    render_report(report, "text", text)
+    report.text = text.getvalue()
+    (out / "report.txt").write_text(report.text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +409,14 @@ def _fmt_pct(pct: float | None) -> str:
     return "n/a" if pct is None else f"{pct:.2f}%"
 
 
-def render_report(report: TestReport, fmt: str = "text") -> str:
+def render_report(report: TestReport, fmt: str, out: TextIO) -> None:
+    """Write the report to the text stream `out` in `fmt`: "json", the
+    versioned schema, in the pieces json's encoder produces, or "text", the
+    verdict table with the headline metrics and every failure."""
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dump(report.to_dict(), out, indent=2, sort_keys=True)
+        out.write("\n")
+        return
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
 
@@ -438,4 +457,4 @@ def render_report(report: TestReport, fmt: str = "text") -> str:
         + (f"   mode: {report.mode}" if report.mode else "")
         + (f"   provider: {report.provider}" if report.provider else "")
     )
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")

@@ -26,7 +26,11 @@ a RETURN ends only its POU.  A sub-body that is a lone RETURN is inlined.
 The function is made by a factory `make(k0, ..., kn)` whose parameters
 carry every name, literal, count slot, site, callee, built-in function
 and sub-body, so no user text enters generated source, and lists that
-differ only in those values share one source.  One walk over a list
+differ only in those values share one source.  The factory hands the
+values on as the function's positional defaults, `run(store, nested,
+cnt, scan, k0=k0, ..., kn=kn)`, which no caller passes: they are kept in
+one tuple and read as locals, where closure variables would cost a cell
+each and a dereference per read.  One walk over a list
 collects those values and builds its shape: a small hashable key
 recording only what the source depends on (the mode, node kinds and
 operators, the result kinds whose wrap is written out, converting
@@ -65,7 +69,12 @@ refers back to it; the cached factories and their shapes refer only to
 this module and its enums.  So a finished run, its AST and its generated
 functions are freed by reference counting as soon as the last reference
 goes, without the cyclic garbage collector.  The CLI relies on this and
-pauses that collector while it works on a unit.
+pauses that collector while it works on a unit.  A run's size grows with
+its sites and lists, so what each costs is kept small: a generated
+function holds its values in its defaults tuple, with no closure cell,
+and a POU keeps only what its frames and calls need once its body is
+generated: the map from a site's sid to its count slot is the
+generator's (`_Gen`), dropped with it.
 
 Coverage: slot i of a POU's count array counts the executions of
 `PouInfo.sites[i]`; these arrays are the run's coverage record, handed to
@@ -437,7 +446,7 @@ class _Pou:
     on first execution, and what a caller needs to set up its frame."""
 
     __slots__ = (
-        "info", "name", "bounded", "index", "temps", "initial", "params", "copies", "body",
+        "info", "name", "bounded", "temps", "initial", "params", "copies", "body",
         "entries", "fused",
     )
 
@@ -445,7 +454,6 @@ class _Pou:
         self.info = info
         self.name = info.name
         self.bounded = bounded
-        self.index = {node.sid: i for i, node in enumerate(info.sites)}
         self.temps = {
             v.name: V.zero(v.ty) for v in info.vars.values() if v.section is Section.TEMP
         }
@@ -957,20 +965,25 @@ class _Text:
 
 def _source(shape) -> str:
     """The source of the factory `make(k0, ..., kn)` returning the function
-    of this statement-list shape."""
+    of this statement-list shape, `run(store, nested, cnt, scan, k0=k0,
+    ..., kn=kn)`: the values are its positional defaults, which no caller
+    passes, so they sit in one tuple (`__defaults__`) and are read as
+    locals, and the function has no closure cell."""
     text = _Text(shape[1])
     body = text.seq(shape)
-    params = ", ".join([f"k{i}" for i in range(text.n)])
-    return f"def make({params}):\n def run(store, nested, cnt, scan):\n{body} return run\n"
+    params = [f"k{i}" for i in range(text.n)]
+    defaults = "".join([f", {k}={k}" for k in params])
+    return f"def make({', '.join(params)}):\n def run(store, nested, cnt, scan{defaults}):\n{body} return run\n"
 
 
 @functools.lru_cache(maxsize=1024)
 def _factory(shape):
     """The compiled `_source(shape)` factory, shared in the process by
     every statement list of that shape; its source is rendered only here,
-    on a miss.  The factory refers to nothing but this module's globals,
-    and a shape holds only this module's functions, enums, bools and None,
-    so the cache holds no cycle."""
+    on a miss.  Each call of it makes one function, whose only per-list
+    state is its tuple of defaults.  The factory refers to nothing but this
+    module's globals, and a shape holds only this module's functions,
+    enums, bools and None, so the cache holds no cycle."""
     ns: dict = {}
     exec(compile(_source(shape), "<statements>", "exec"), globals(), ns)
     return ns["make"]
@@ -1021,7 +1034,8 @@ class _Gen:
         self.prog = prog
         self.name = pou.name
         self.bounded = pou.bounded
-        self.index = pou.index
+        # each site's count slot by sid, needed only while generating
+        self.index = {node.sid: i for i, node in enumerate(pou.info.sites)}
         self.vars = pou.info.vars
         self.fbs = pou.info.fb_instances
         self.consts: list = []

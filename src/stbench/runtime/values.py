@@ -51,7 +51,7 @@ def wrap_int(v: int, kind: Kind) -> int:
     raise TypeError(f"not an integer kind: {kind}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     ty: STType
     v: object

@@ -183,8 +183,11 @@ def test_pipeline_artifact_completeness(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["schema"] == 1
     assert report["metrics"]["statement_coverage_pct"] == 100.0
-    # artifact paths are relative to the run directory
+    # artifact paths are relative to the run directory, and each is there
     assert report["artifacts"]["coverage_lcov"] == "coverage.lcov"
+    assert report["artifacts"]["suite"] == "suite.csv"
+    for name in report["artifacts"].values():
+        assert (tmp_path / name).is_file(), name
 
 
 def test_pipeline_prompt_modes_persist_distinct_prompts(tmp_path):
@@ -733,6 +736,27 @@ def test_import_loads_no_http_stack():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "1 [] []"
+
+
+def test_run_does_not_load_the_corpus(tmp_path):
+    """Only `corpus list` lists the bundled blocks: importing the CLI and
+    running a suite must not load stbench.corpus."""
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    script = (
+        "import sys\n"
+        "import stbench.cli\n"
+        "code = stbench.cli.main(['run', '--unit', sys.argv[1], '--suite', sys.argv[2], '--out', sys.argv[3]])\n"
+        "print(code, 'stbench.corpus' in sys.modules)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(DEC_BLOCK), str(suite), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):

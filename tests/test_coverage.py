@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from stbench import coverage as cov
@@ -46,6 +48,13 @@ def run_scans(prog, inputs_list, fb="FB1"):
     for inputs in inputs_list:
         add(total, execute_cycle(inst, inputs, clock)[1])
     return total
+
+
+def rendered(render, *args) -> str:
+    """What a renderer writes to its stream, as one string."""
+    out = io.StringIO()
+    render(*args, out)
+    return out.getvalue()
 
 
 def lines_of(prog, counts):
@@ -118,7 +127,7 @@ def test_monotonicity_under_accumulation(prog):
 
 def test_render_annotated_markers(prog):
     counts = run_scans(prog, [on(True)])
-    text = cov.render_annotated(lines_of(prog, counts), prog.src)
+    text = rendered(cov.render_annotated, lines_of(prog, counts), prog.src)
     lines = text.splitlines()
     # declarations are non-executable
     assert lines[0].startswith("        -:    1:FUNCTION_BLOCK FB1")
@@ -131,12 +140,12 @@ def test_render_annotated_markers(prog):
 
 def test_render_annotated_fully_covered_has_no_markers(prog):
     counts = run_scans(prog, [on(True), on(False)])
-    assert "#####" not in cov.render_annotated(lines_of(prog, counts), prog.src)
+    assert "#####" not in rendered(cov.render_annotated, lines_of(prog, counts), prog.src)
 
 
 def test_render_lcov_records(prog):
     counts = run_scans(prog, [on(True)])
-    text = cov.render_lcov(lines_of(prog, counts), prog.src)
+    text = rendered(cov.render_lcov, lines_of(prog, counts), prog.src)
     lines = text.splitlines()
     assert lines[0] == "SF:fb1.st"
     assert "DA:7,0" in lines          # uncovered line present with count 0
@@ -150,7 +159,7 @@ def test_lcov_max_rule_for_shared_lines():
     prog = resolve(parse_text(src, "one_line.st"))
     counts = run_scans(prog, [on(True)])
     # header hit once, body statement hit 3 times, same source line -> max
-    text = cov.render_lcov(lines_of(prog, counts), prog.src)
+    text = rendered(cov.render_lcov, lines_of(prog, counts), prog.src)
     assert "DA:5,3" in text.splitlines()
 
 
@@ -174,8 +183,8 @@ def test_domain_takes_the_first_definition_in_lookup_order():
     layers = [(user, 0), (libs[0], len(unit)), (libs[1], len(unit) + len(help3))]
     lines = cov.line_counts(pous, counts, layers, src)
     shadowed = src.text.splitlines().index("X := 9;") + 1
-    annotated = cov.render_annotated(lines, src).splitlines()
+    annotated = rendered(cov.render_annotated, lines, src).splitlines()
     assert annotated[shadowed - 1] == f"{'-':>9}:{shadowed:>5}:X := 9;"
-    assert not any(l.startswith(f"DA:{shadowed},") for l in cov.render_lcov(lines, src).splitlines())
+    assert not any(l.startswith(f"DA:{shadowed},") for l in rendered(cov.render_lcov, lines, src).splitlines())
     # the definition that ran keeps its counts
     assert [lines[n] for n in (3, 7, 8, 9)] == [1, 1, 1, 1]

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import weakref
 
@@ -18,6 +19,13 @@ from stbench.runner import (
 from stbench.runtime import SimClock, interp, run_program
 from stbench.runtime import values as V
 from stbench.testspec import parse_suite, validate
+
+
+def rendered(render, *args) -> str:
+    """What a renderer writes to its stream, as one string."""
+    out = io.StringIO()
+    render(*args, out)
+    return out.getvalue()
 
 
 def checked(csv_text, fb, prog):
@@ -185,7 +193,7 @@ def test_report_json_roundtrips_and_is_versioned(dec_setup, tmp_path):
     prog = dec_setup
     options = RunOptions(out_dir=tmp_path, fixed_clock=True, mode="simple", provider="mock:x")
     report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog), options)
-    text = render_report(report, "json")
+    text = rendered(render_report, report, "json")
     data = json.loads(text)
     assert data["schema"] == 1
     assert data["metrics"]["statement_coverage_pct"] == 100.0
@@ -201,10 +209,34 @@ def test_report_json_roundtrips_and_is_versioned(dec_setup, tmp_path):
         assert (tmp_path / name).exists(), name
 
 
+def test_report_lists_only_the_artifacts_its_directory_holds(dec_setup, tmp_path):
+    # run_suite writes no suite.csv, so an API run must not list one; the
+    # CLI writes it before the run, so there it is listed
+    prog = dec_setup
+    report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog), RunOptions(out_dir=tmp_path / "api"))
+    listed = json.loads((tmp_path / "api" / "report.json").read_text())["artifacts"]
+    assert "suite" not in listed and listed == report.artifacts
+    assert sorted(listed.values()) == sorted(p.name for p in (tmp_path / "api").iterdir())
+
+    (tmp_path / "cli").mkdir()
+    (tmp_path / "cli" / "suite.csv").write_text(DEC_CSV)
+    run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog), RunOptions(out_dir=tmp_path / "cli"))
+    listed = json.loads((tmp_path / "cli" / "report.json").read_text())["artifacts"]
+    assert listed["suite"] == "suite.csv"
+    assert sorted(listed.values()) == sorted(p.name for p in (tmp_path / "cli").iterdir())
+
+
+def test_text_report_is_kept_as_report_txt_holds_it(dec_setup, tmp_path):
+    prog = dec_setup
+    report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog), RunOptions(out_dir=tmp_path))
+    assert report.text == (tmp_path / "report.txt").read_text() == rendered(render_report, report, "text")
+    assert run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog)).text is None
+
+
 def test_text_report_layout(dec_setup):
     prog = dec_setup
     report = run_suite(prog, checked(DEC_CSV, "DEC_TO_HEX", prog))
-    text = render_report(report, "text")
+    text = rendered(render_report, report, "text")
     assert "tc_zero" in text and "pass" in text
     assert "statement coverage: 100.00%" in text
     assert "assertions: 4/6 (66.67%)" in text
@@ -223,8 +255,8 @@ def test_na_assertion_percentage_rendered():
     )
     report = run_suite(prog, suite)
     assert report.assertion_success_pct is None
-    assert "(n/a)" in render_report(report, "text")
-    assert json.loads(render_report(report, "json"))["metrics"]["assertion_success_pct"] is None
+    assert "(n/a)" in rendered(render_report, report, "text")
+    assert json.loads(rendered(render_report, report, "json"))["metrics"]["assertion_success_pct"] is None
 
 
 CLAMP_LIB = """FUNCTION CLAMP10 : DINT
@@ -254,7 +286,7 @@ def _coverage_of_harness_st_parsed_whole(out_dir, report):
     whole = resolve(parse_text((out_dir / "harness.st").read_text(), "harness.st"))
     result = run_program(whole, "TEST_RUNNER", report.cycles_executed, SimClock(cycle_time=10))
     lines = cov.line_counts(cov.domain(whole), result.counts, [(whole, 0)], whole.src)
-    return whole, cov.render_lcov(lines, whole.src), cov.render_annotated(lines, whole.src)
+    return whole, rendered(cov.render_lcov, lines, whole.src), rendered(cov.render_annotated, lines, whole.src)
 
 
 def test_coverage_lines_are_harness_lines_with_a_library(tmp_path):
