@@ -24,6 +24,13 @@ TC_<n>_DONE / TC_<n>_PASS / TC_<n>_FAILS (`hook_var_names`), which the
 runner reads after each scan to write its monitor lines and to decide
 when the run is over.
 
+The runner retires a DONE case from the scan (`runner`), which relies on
+this layout: every case block's body starts with `IF DONE THEN RETURN;
+END_IF;`, TEST_RUNNER calls each case with no inputs, and each call is
+followed by its three mirror assignments and nothing else.  So once DONE,
+a case's call and its mirrors run the same sites every scan and change
+nothing.
+
 The unit under test and its libraries are parsed and resolved once, before
 the harness is built.  The case blocks and the program are built as AST
 nodes straight from the checked suite, numbered, and resolved as one layer

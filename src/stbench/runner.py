@@ -9,9 +9,15 @@ The runner owns the harness protocol.  `run_harness` runs the harness
 program with every case instance quarantined, so that a fault stops only
 its case.  It runs for at most the longest case's total dwell plus two
 scans (its last check scan and one spare), capped at MAX_SCANS, and stops
-after the scan in which every case that has not faulted is DONE.  After
-each scan it reads the hook variables the program mirrors
-(`harnessgen.hook_var_names`) and writes one monitor line
+after the scan in which every case that has not faulted is DONE.  A case
+seen DONE is finished: from then on its block only returns, called with
+no inputs, and its hook mirrors copy the same values, as `harnessgen`
+states.  So run_harness names its instance to run_program as finished,
+and where run_program can (`interp.run_program`), the case's call and its
+mirrors leave the scan, their counts credited per scan: every artifact is
+byte for byte that of a run that kept them.  After each scan the runner
+reads the hook variables the program mirrors (`harnessgen.hook_var_names`)
+and writes one monitor line
 
     cycle=<n> t=<ms> events=[<e1>;<e2>;...]
 
@@ -27,9 +33,9 @@ from __future__ import annotations
 import io
 import json
 import operator
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import TextIO
 
@@ -212,6 +218,8 @@ def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResu
     lines: list[str] = []
     # the cases whose hooks can still change: not DONE and not faulted
     watched = [(c.index, c.instance_name, *hook_var_names(c.index)) for c in bundle.cases]
+    # the instances of the cases seen DONE, which run_program may retire
+    finished: set[str] = set()
     fails_before = dict.fromkeys((c.index for c in bundle.cases), 0)
 
     def reader():
@@ -230,7 +238,7 @@ def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResu
             return False
         last = now
         events = [f"FAULT={f.instance}@{f.fault.sid}" for f in faults]
-        finished = False
+        rose = False
         for index, _, done, passed, fails in watched:
             count = store[fails]
             if count > fails_before[index]:
@@ -238,9 +246,10 @@ def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResu
             fails_before[index] = count
             if store[done]:
                 events.append(f"TC_{index}_DONE={'PASS' if store[passed] else 'FAIL'}")
-                finished = True
-        if finished or faults:
+                rose = True
+        if rose or faults:
             stopped = {f.instance for f in faults}
+            finished.update([case[1] for case in watched if store[case[2]] and case[1] not in stopped])
             watched[:] = [case for case in watched if not store[case[2]] and case[1] not in stopped]
             if watched:
                 hooks = reader()
@@ -255,6 +264,7 @@ def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResu
         clock,
         after_scan,
         quarantine={c.instance_name for c in bundle.cases},
+        finished=finished,
     )
     return result, lines
 
@@ -350,9 +360,7 @@ def run_suite(
         mode=options.mode,
         provider=options.provider,
         warnings=tuple(options.warnings),
-        generated_at=None
-        if options.fixed_clock
-        else datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        generated_at=None if options.fixed_clock else time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     )
 
     if options.out_dir is not None:

@@ -83,7 +83,9 @@ selectors, loop headers) count once per evaluation.  A statement list
 runs all its statements unless a raise or a signal leaves it, so a list
 of two or more counts once per run, yet each site's count stays exact
 (after Ball and Larus, "Optimally Profiling and Tracing Programs",
-TOPLAS 1994): see `_Text.seq`.
+TOPLAS 1994): see `_Text.seq`.  Settling is linear in the raw counts, so
+run_program credits the counts of a finished instance's calls that it
+skips (below) to the raw arrays, once per skipped scan, before settling.
 
 Budget and depth: each site also spends one unit of the scan's 1M-site
 budget, as does each FOR iteration; run_program gives what a contained
@@ -99,7 +101,12 @@ bounded code: every site still spends its unit, so that site totals and
 refunds are exact, but none tests the budget, and no call counts depth.
 Otherwise the run uses checked code, which tests the budget at each site
 and the depth at each call.  This is bounds-check elimination (Bodik,
-Gupta and Sarkar, PLDI 2000) over a whole scan.
+Gupta and Sarkar, PLDI 2000) over a whole scan.  In bounded code whose
+PROGRAM body cannot RETURN, run_program stops running an instance its
+caller declares finished, with the statements after its call, and spends
+their units with one subtraction at the start of each scan: no site tests
+the budget, so where in the scan they are spent cannot matter.  Checked
+code and a body that can RETURN run finished instances as any other.
 
 Faults are attributed on the exception path: each statement turns an
 expression fault into a RuntimeFault at its own site (a parameter
@@ -1313,6 +1320,81 @@ class ContainedFault:
     cycle: int
 
 
+def _skip(store, nested, cnt, scan) -> None:
+    """An entry that runs nothing."""
+
+
+# what a faulted instance's calls become for the rest of their scan
+_GONE = (_skip, None)
+
+
+class _Finished:
+    """A finished instance's entries in run_program's body: its call, at
+    `start`, and the fused statements after it up to the next call, if
+    any, whose sites are the program's count slots lo..hi-1.
+    In the scan that measures them, probes record the budget units they
+    spend and what they add to those slots and to the callee's count array;
+    from the next scan on, the entries leave the scan, which spends `units`
+    for them, and the run adds each of `deltas` (array, slot, delta) once
+    per skipped scan before it settles the counts.  It refers to none of
+    its probes, so that a run builds no reference cycle."""
+
+    __slots__ = ("name", "start", "lo", "hi", "callee", "units", "before", "deltas", "since")
+
+    def __init__(self, name: str, start: int, lo: int, hi: int, callee: str):
+        self.name = name
+        self.start = start
+        self.lo = lo
+        self.hi = hi
+        self.callee = callee
+        self.units = 0
+        self.before: tuple[list[int], list[int]] = ([], [])
+        self.deltas: list[tuple[list[int], int, int]] = []
+        # the first scan the entries leave
+        self.since = 0
+
+    def begin(self, scan: _Scan, cnt: list[int]) -> None:
+        # a user FB's count array exists once it ran, which it did in the
+        # scan that declared it finished; a built-in block has none
+        self.units = scan.budget
+        self.before = (cnt[self.lo:self.hi], list(scan.counts.get(self.callee, ())))
+
+    def end(self, scan: _Scan, cnt: list[int]) -> None:
+        self.units -= scan.budget
+        own, old = self.before
+        callee = scan.counts.get(self.callee, [])
+        self.deltas = [(cnt, i, cnt[i] - was) for i, was in enumerate(own, self.lo) if cnt[i] != was] + [
+            (callee, i, now - was) for i, (now, was) in enumerate(zip(callee, old)) if now != was
+        ]
+
+    def probes(self, entries: list) -> list:
+        """The entries, the call and at most one run of statements after
+        it, as the measuring scan runs them: the call begins the measurement
+        and the last entry ends it once it ran."""
+        (call, guard), *rest = entries
+
+        def measured_call(store, nested, cnt, scan):
+            self.begin(scan, cnt)
+            call(store, nested, cnt, scan)
+            if not rest:
+                self.end(scan, cnt)
+
+        if not rest:
+            return [(measured_call, guard)]
+        ((run, _),) = rest
+
+        def measured_run(store, nested, cnt, scan):
+            run(store, nested, cnt, scan)
+            self.end(scan, cnt)
+
+        return [(measured_call, guard), (measured_run, None)]
+
+    def credit(self, scans: int) -> None:
+        """Add what the entries count per scan, for `scans` skipped scans."""
+        for cnt, i, delta in self.deltas:
+            cnt[i] += delta * scans
+
+
 @dataclass
 class RunResult:
     instance: FbInstance
@@ -1332,6 +1414,7 @@ def run_program(
     clock: SimClock,
     after_scan: Callable[[dict[str, object], list[ContainedFault]], bool] | None = None,
     quarantine: frozenset[str] | set[str] = frozenset(),
+    finished: frozenset[str] | set[str] = frozenset(),
 ) -> RunResult:
     """Run a PROGRAM POU for up to `cycles` scans.
 
@@ -1343,6 +1426,21 @@ def run_program(
     the scan's budget while the scan's spare lasts, so one runaway instance
     does not fault the statements after it, yet a scan stays bounded.
     Faults outside quarantined scopes propagate with the cycle attached.
+    A stopped instance's calls leave the scan.
+
+    `finished` is a set that `after_scan` may add quarantined instances to.
+    Naming one states that from the next scan on, its call and the
+    statements after it up to the next call run the same sites on every
+    scan and change nothing: a harness case that is DONE, and its hook
+    mirrors (`harnessgen.build_runner`).  In bounded code whose body cannot
+    RETURN, the scan after the declaration runs those entries and measures
+    them, and from then on they leave the scan: each scan spends their
+    units with one subtraction at its start, which cannot matter where no
+    site tests the budget, and the run adds their counts once per skipped
+    scan before it settles the counts, which is exact since settling is
+    linear.  So the counts, traces and budget are those of a run that kept
+    them.  Checked code, a body that can RETURN and an instance called more
+    than once keep running finished instances.
     """
     info = prog.lookup_pou(program_name.upper())
     if info is None or info.kind is not PouKind.PROGRAM:
@@ -1350,11 +1448,24 @@ def run_program(
     inst = instantiate(prog, program_name)
     pou = _pou(prog, inst.fb_type, _bounded(prog, inst.fb_type))
     quarantine = frozenset(quarantine)
+    code = pou.code(prog)
     # each entry of the body, with the instance a fault in it stops
-    body = [
+    entries = [
         (run, st.instance if type(st) is N.FbCall and st.instance in quarantine else None)
-        for run, st in pou.code(prog)
+        for run, st in code
     ]
+    body = list(entries)
+    # where finished instances leave the scan: the index of each quarantined
+    # instance's only call (None if it has more than one)
+    calls: dict[str, int | None] = {}
+    if pou.bounded and not any([type(node) is N.ReturnStmt for node in info.sites]):
+        for j, (_, guard) in enumerate(entries):
+            if guard is not None:
+                calls[guard] = None if guard in calls else j
+    declared: set[str] = set()
+    measuring: list[tuple[_Finished, list]] = []
+    retired: list[_Finished] = []
+    units = 0  # what the retired entries spend per scan
     store, nested, root = inst.store, inst.nested, inst.fb_type
     dead: set[str] = set()
     contained: list[ContainedFault] = []
@@ -1365,6 +1476,7 @@ def run_program(
 
     for cycle in range(cycles):
         scan.begin(clock.now)
+        scan.budget -= units
         if pou.temps:
             pou.reset_temps(store)
         first = len(contained)
@@ -1373,7 +1485,7 @@ def run_program(
                 if guard is None:
                     if run(store, nested, cnt, scan):
                         break  # the program's RETURN
-                elif guard not in dead:
+                else:
                     budget = scan.budget
                     try:
                         run(store, nested, cnt, scan)
@@ -1387,6 +1499,9 @@ def run_program(
                         contained.append(ContainedFault(guard, fault, cycle))
                         scan.refund(budget)
                         scan.depth = 0  # the calls the fault abandoned
+                        for i, entry in enumerate(body):  # its calls, this scan too
+                            if entry[1] == guard:
+                                body[i] = _GONE
         except RuntimeFault as fault:
             fault.instance_path = root + fault.instance_path
             fault.cycle = cycle
@@ -1397,5 +1512,41 @@ def run_program(
         cycles_executed = cycle + 1
         if stop:
             break
+        if len(contained) > first:
+            body = [entry for entry in body if entry is not _GONE]
+        if measuring:
+            for f, probes in measuring:
+                if f.name in dead:  # its statements keep running
+                    if len(probes) > 1:
+                        body[body.index(probes[1])] = entries[f.start + 1]
+                else:
+                    at = body.index(probes[0])
+                    del body[at:at + len(probes)]
+                    units += f.units
+                    f.since = cycle + 1
+                    retired.append(f)
+            measuring = []
+        if calls and len(finished) > len(declared):
+            for name in [name for name in finished if name not in declared]:
+                declared.add(name)
+                j = calls.get(name)
+                if j is None or name in dead:
+                    continue
+                size = 2 if j + 1 < len(code) and type(code[j + 1][1]) is not N.FbCall else 1
+                lo = _slot(info, code[j][1])
+                hi = _slot(info, code[j + size][1]) if j + size < len(code) else len(info.sites)
+                f = _Finished(name, j, lo, hi, info.fb_instances[name])
+                probes = f.probes(entries[j:j + size])
+                at = body.index(entries[j])
+                body[at:at + size] = probes
+                measuring.append((f, probes))
 
+    for f in retired:
+        f.credit(cycles_executed - f.since)
     return RunResult(inst, traces, contained, cycles_executed, scan.settle())
+
+
+def _slot(info: PouInfo, st: N.Stmt) -> int:
+    """The count slot of the first site of the statement `st` of a POU's
+    body, which numbers its sites densely in source order."""
+    return next(N.iter_sites([st])).sid - info.sites[0].sid

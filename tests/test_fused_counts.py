@@ -660,8 +660,8 @@ def test_bounded_and_checked_code_count_every_corpus_harness_alike(monkeypatch, 
     runs = []
     real = runner.run_program
 
-    def recording(prog, name, cycles, clock, after_scan=None, quarantine=frozenset()):
-        result = real(prog, name, cycles, clock, after_scan, quarantine)
+    def recording(prog, name, cycles, clock, after_scan=None, quarantine=frozenset(), finished=frozenset()):
+        result = real(prog, name, cycles, clock, after_scan, quarantine, finished)
         runs.append((prog, name, clock.cycle_time, quarantine, result))
         return result
 

@@ -1279,3 +1279,144 @@ def test_one_fb_runs_bounded_under_one_program_and_checked_under_another():
     assert [len(t) for t in spins.traces] == [1_000_000, 0]
     assert run_program(prog, "ONCE", 3, SimClock()).counts == once.counts
     assert {("INC", True), ("INC", False)} <= set(prog.runtime_cache.pous)
+
+
+# ---------------------------------------------------------------------------
+# finished instances
+# ---------------------------------------------------------------------------
+
+# Three cases finishing at scans 1, 4 and 8, mirrored after each call; C
+# faults at its seventh call when ZERO_AT is 7, after A and B are done.
+# {loop} puts a FOR after the DONE test, which makes the run checked code,
+# and {ret} a RETURN that is never taken.
+CASES_SRC = """
+FUNCTION_BLOCK CASE_FB
+VAR_INPUT LIMIT : DINT; ZERO_AT : DINT; END_VAR
+VAR_OUTPUT DONE : BOOL; FAILS : DINT; END_VAR
+VAR N : DINT; Q : DINT; I : DINT; END_VAR
+IF DONE THEN
+    RETURN;
+END_IF;
+N := N + 1;
+{loop}
+Q := 100 / (ZERO_AT - N);
+IF N >= LIMIT THEN
+    DONE := TRUE;
+    FAILS := N MOD 2;
+END_IF;
+END_FUNCTION_BLOCK
+PROGRAM MAIN
+VAR A : CASE_FB; B : CASE_FB; C : CASE_FB; T : DINT;
+    DA : BOOL; FA : DINT; DB : BOOL; FB : DINT; DC : BOOL; END_VAR
+T := T + 1;
+{ret}
+A(LIMIT := 2, ZERO_AT := 0);
+DA := A.DONE;
+FA := A.FAILS;
+B(LIMIT := 5, ZERO_AT := 0);
+DB := B.DONE;
+FB := B.FAILS;
+C(LIMIT := 9, ZERO_AT := {zero_at});
+DC := C.DONE;
+END_PROGRAM
+"""
+CASE_MIRRORS = {"A": "DA", "B": "DB", "C": "DC"}
+
+
+def stores(inst):
+    """An instance's store and its nested instances' stores, copied."""
+    return dict(inst.store), {name: stores(fb) for name, fb in getattr(inst, "nested", {}).items()}
+
+
+def runs_declaring_finished(prog, name, cycles, mirrors):
+    """What run_program reports with each instance of `mirrors` declared
+    finished once its mirror reads TRUE, and without: counts, per-scan site
+    totals, a per-scan log of the program's store and contained faults,
+    the final stores and the faults."""
+    out = []
+    for declare in (True, False):
+        finished, log = set(), []
+
+        def after_scan(store, faults):
+            log.append((sorted(store.items()), [(f.instance, f.cycle, f.fault.sid) for f in faults]))
+            if declare:
+                finished.update([inst for inst, mirror in mirrors.items() if store[mirror]])
+            return False
+
+        result = run_program(prog, name, cycles, SimClock(), after_scan, set(mirrors), finished)
+        out.append((
+            result.counts,
+            [len(t) for t in result.traces],
+            log,
+            stores(result.instance),
+            [(f.instance, f.cycle, f.fault.describe()) for f in result.faults],
+            result.cycles_executed,
+        ))
+    return out
+
+
+@pytest.mark.parametrize("zero_at,loop,ret,bounded", [
+    (0, "", "", True),
+    (7, "", "", True),
+    (7, "FOR I := 1 TO 2 DO Q := Q + I; END_FOR;", "", False),
+    (7, "", "IF T < 0 THEN RETURN; END_IF;", True),
+], ids=["finish-apart", "fault-after-finished", "checked-for", "can-return"])
+def test_declaring_finished_instances_changes_no_result(zero_at, loop, ret, bounded):
+    prog = prog_of(CASES_SRC.format(zero_at=zero_at, loop=loop, ret=ret))
+    assert interp._bounded(prog, "MAIN") is bounded
+    declared, kept = runs_declaring_finished(prog, "MAIN", 12, CASE_MIRRORS)
+    assert declared == kept
+    counts, _, log, _, faults, _ = declared
+    # A and B are DONE after scans 1 and 4
+    assert [dict(items)["DA"] for items, _ in log].index(True) == 1
+    assert [dict(items)["DB"] for items, _ in log].index(True) == 4
+    assert [fault[:2] for fault in faults] == ([] if zero_at == 0 else [("C", 6)])
+    assert sum(counts["CASE_FB"]) > 0
+
+
+# LIAR is declared finished after its first scan, yet each later call
+# still counts N up: where its call leaves the scan, N stops at 1
+LIAR_SRC = """
+FUNCTION_BLOCK LIAR
+VAR_OUTPUT DONE : BOOL; N : DINT; END_VAR
+IF DONE THEN
+    N := N + 1;
+    RETURN;
+END_IF;
+DONE := TRUE;
+END_FUNCTION_BLOCK
+PROGRAM PLAIN
+VAR L : LIAR; D : BOOL; END_VAR
+L();
+D := L.DONE;
+END_PROGRAM
+PROGRAM LOOPS
+VAR L : LIAR; D : BOOL; I : DINT; K : DINT; END_VAR
+FOR I := 1 TO 2 DO K := K + I; END_FOR;
+L();
+D := L.DONE;
+END_PROGRAM
+PROGRAM RETURNS
+VAR L : LIAR; D : BOOL; END_VAR
+IF D AND NOT D THEN RETURN; END_IF;
+L();
+D := L.DONE;
+END_PROGRAM
+PROGRAM TWICE
+VAR L : LIAR; D : BOOL; END_VAR
+L();
+D := L.DONE;
+L();
+END_PROGRAM
+"""
+
+
+@pytest.mark.parametrize("program,n", [("PLAIN", 1), ("LOOPS", 5), ("RETURNS", 5), ("TWICE", 11)])
+def test_finished_instances_leave_only_bounded_bodies_that_cannot_return(program, n):
+    # checked code, a body that can RETURN and an instance called twice
+    # keep running a finished instance; the counts never show the
+    # difference, since a retired call's counts are credited per scan
+    declared, kept = runs_declaring_finished(prog_of(LIAR_SRC), program, 6, {"L": "D"})
+    assert declared[3][1]["L"][0]["N"] == n
+    assert kept[3][1]["L"][0]["N"] == (11 if program == "TWICE" else 5)
+    assert (declared[0], declared[1], declared[4]) == (kept[0], kept[1], kept[4])

@@ -1,14 +1,18 @@
 import gc
 import io
 import json
+import re
 import weakref
+from datetime import datetime, timezone
 
 import pytest
 
-from stbench import corpus
+from stbench import corpus, runner
 from stbench import coverage as cov
+from stbench.frontend import nodes as N
 from stbench.frontend import SourceUnit, parse_text, resolve
 from stbench.frontend import types as T
+from stbench.harnessgen import build_harness
 from stbench.runner import (
     PipelineError,
     RunOptions,
@@ -86,6 +90,17 @@ Q := 100 / D;
 END_FUNCTION_BLOCK
 """
 FRAGILE_CSV = "test_name,state,D,expect_Q\ntc_ok,1,4,25\ntc_boom,1,0,1\n"
+# cases done after scans 1 and 4, and one that faults at scan 5, when
+# its second state sets D to 0
+STAGGERED_CSV = (
+    "test_name,state,dwell_cycles,D,expect_Q\n"
+    "tc_a,1,1,4,25\n"
+    "tc_b,1,2,5,20\n"
+    "tc_b,2,2,10,10\n"
+    "tc_boom,1,5,4,25\n"
+    "tc_boom,2,2,0,1\n"
+    "tc_long,1,9,20,6\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +184,57 @@ def test_fault_containment_isolates_cases(tmp_path):
     # the faulted case counts its unevaluated assertions as not passed
     assert report.assertions_passed == 2
     assert report.assertion_success_pct == 66.67
+
+
+def test_retiring_finished_cases_changes_no_artifact(monkeypatch, tmp_path):
+    prog = resolve(parse_text(FRAGILE))
+    suite = checked(STAGGERED_CSV, "FRAGILE", prog)
+    real = runner.run_program
+
+    def keeping(*args, finished=frozenset(), **kwargs):
+        return real(*args, **kwargs)
+
+    gc.disable()
+    try:
+        report = run_suite(prog, suite, RunOptions(out_dir=tmp_path / "retired", fixed_clock=True))
+        # retiring cases builds no reference cycle
+        freed = weakref.ref(prog)
+        del prog
+        assert freed() is None
+    finally:
+        gc.enable()
+    monkeypatch.setattr(runner, "run_program", keeping)
+    kept = run_suite(resolve(parse_text(FRAGILE)), suite, RunOptions(out_dir=tmp_path / "kept", fixed_clock=True))
+    assert [c.verdict for c in report.cases] == ["pass", "pass", "fault", "fail"]
+    assert report.cases[2].fault.endswith("at cycle 5")
+    assert report.to_dict() == kept.to_dict()
+    for name in ("report.json", "coverage.lcov", "coverage.annotated.txt", "monitor.txt"):
+        assert (tmp_path / "retired" / name).read_text() == (tmp_path / "kept" / name).read_text()
+
+
+def test_case_blocks_keep_the_contract_retiring_relies_on(dec_setup):
+    # run_program may retire a DONE case only because its block returns at
+    # once, unchanged, and the runner calls it with no inputs, followed by
+    # its hook mirrors alone
+    bundle = build_harness(checked(DEC_CSV, "DEC_TO_HEX", dec_setup), dec_setup)
+    for case in bundle.cases:
+        (branch,) = case.pou.body[0].branches
+        assert type(branch.cond) is N.VarRef and branch.cond.name == "DONE"
+        assert [type(st) for st in branch.body] == [N.ReturnStmt] and case.pou.body[0].else_body == []
+    body = bundle.typed.lookup_pou(bundle.program_name).decl.body
+    calls = [i for i, st in enumerate(body) if type(st) is N.FbCall]
+    assert [body[i].instance for i in calls] == [c.instance_name for c in bundle.cases]
+    assert all(body[i].params == [] for i in calls)
+    assert [calls[k + 1] - calls[k] for k in range(len(calls) - 1)] == [4] * (len(calls) - 1)
+    assert all(type(st) is N.Assign and type(st.value) is N.MemberRef for st in body if type(st) is not N.FbCall)
+
+
+def test_generated_at_is_utc_to_the_second(dec_setup):
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    report = run_suite(dec_setup, checked(DEC_CSV, "DEC_TO_HEX", dec_setup))
+    after = datetime.now(timezone.utc)
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", report.generated_at)
+    assert before <= datetime.fromisoformat(report.generated_at) <= after
 
 
 def test_metric_consistency(dec_setup):

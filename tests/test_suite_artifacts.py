@@ -1,0 +1,119 @@
+"""Byte-identity of two seeded suites' run directories under --fixed-clock.
+
+A 200-case TRAFFIC_CTRL suite, whose cases finish over a wide spread of
+scans, and a 4-case GEN_SIN suite dwelling hundreds of scans per state.
+Most of their case-scans run a case that is already DONE, so the counts a
+run credits for finished cases, rather than executes, show up in every
+coverage file and in report.json's `per_pou` rows.  The suites are built
+here from a fixed seed; the corpus digests (`test_corpus_artifacts.py`)
+see few finished cases.
+
+When an intended change alters these files, print the new table with
+
+    PYTHONPATH=src python tests/test_suite_artifacts.py
+
+and paste it over EXPECTED.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from stbench import corpus
+from stbench.frontend import SourceUnit
+from stbench.runner import RunOptions, load_program, run_suite
+from stbench.testspec import parse_suite, validate
+
+ARTIFACTS = ("coverage.lcov", "coverage.annotated.txt", "monitor.txt", "report.json")
+
+
+def _bool(rng: random.Random) -> str:
+    return "TRUE" if rng.random() < 0.5 else "FALSE"
+
+
+# block -> (input columns, output columns), each with a random cell
+COLUMNS = {
+    "TRAFFIC_CTRL": (
+        {"B1": _bool, "B2": _bool},
+        {"GO": _bool, "YEL": _bool, "RED": _bool, "WALK": _bool},
+    ),
+    "GEN_SIN": (
+        {"PT": lambda r: f"T#{r.randint(1000, 5000)}ms", "AM": lambda r: f"{r.uniform(0.5, 5.0):.3f}"},
+        {"OUT": lambda r: f"{r.uniform(-5.0, 5.0):.3f}"},
+    ),
+}
+
+
+def suite_csv(block: str, dwells: list[list[int]], rng: random.Random) -> str:
+    """A suite with one case per entry of `dwells`, which lists its states'
+    dwells; every state sets some inputs and checks one to all outputs."""
+    inputs, outputs = COLUMNS[block]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["test_name", "state", "dwell_cycles", *inputs, *("expect_" + o for o in outputs)])
+    for ci, case in enumerate(dwells, start=1):
+        for si, dwell in enumerate(case, start=1):
+            ins = ["" if si > 1 and rng.random() < 0.25 else gen(rng) for gen in inputs.values()]
+            checked = set(rng.sample(sorted(outputs), rng.randint(1, len(outputs))))
+            exp = [gen(rng) if name in checked else "" for name, gen in outputs.items()]
+            writer.writerow([f"tc_{ci:03d}", si, dwell, *ins, *exp])
+    return buf.getvalue()
+
+
+def suites() -> dict[str, tuple[str, str]]:
+    """label -> (block, suite CSV), drawn from one fixed seed."""
+    rng = random.Random("finished-cases:1")
+    traffic = [[60] * 4] + [[rng.randint(1, 60) for _ in range(rng.randint(1, 4))] for _ in range(199)]
+    dwell = [[rng.randint(100, 600) for _ in range(rng.randint(1, 3))] for _ in range(4)]
+    return {
+        "traffic_200": ("TRAFFIC_CTRL", suite_csv("TRAFFIC_CTRL", traffic, rng)),
+        "gen_sin_dwell": ("GEN_SIN", suite_csv("GEN_SIN", dwell, rng)),
+    }
+
+
+def run_digests(block: str, text: str, out: Path) -> dict[str, str]:
+    """The sha256 of each pinned artifact of one run of the suite into out."""
+    prog = load_program(SourceUnit(corpus.block_source(block), f"{block}.st"))
+    run_suite(prog, validate(parse_suite(text, block), prog), RunOptions(out_dir=out, fixed_clock=True))
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+
+
+EXPECTED: dict[str, dict[str, str]] = {
+    "gen_sin_dwell": {
+        "coverage.lcov": "d2df5625592f8b30551dc5bce69e98298ddfd4527aecfe0ea37b63dc9cc1506a",
+        "coverage.annotated.txt": "a4a501cb004e2be1435053fd3f003079897c7776a07573244060822c54a442cf",
+        "monitor.txt": "362b4306689ac06d6c1421c0d0dabc2051d81ca4c953ce253de45d068c8ef182",
+        "report.json": "885563893c1fc07ee614b25ea9b50d47191d4aeb8486ee4590cae727cd690abf",
+    },
+    "traffic_200": {
+        "coverage.lcov": "ad0e4355c632a81eb288406e0073332ee4e350aeef8817aab74bb5338f480299",
+        "coverage.annotated.txt": "d8db168562c496c5909a362302ff64d30f660c22f0b8f03d11e882371c71678d",
+        "monitor.txt": "7ea173ea47506218a22f8c55c718840acca65621aebd13c98be3b9026246cf98",
+        "report.json": "51c88703b1c4cec8187a2b971cf62ed389e207e39ffab6721dbfbc78bcabbc40",
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_seeded_suite_artifacts_are_byte_identical(label, tmp_path):
+    block, text = suites()[label]
+    assert run_digests(block, text, tmp_path) == EXPECTED[label]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.write("EXPECTED: dict[str, dict[str, str]] = {\n")
+        for label, (block, text) in sorted(suites().items()):
+            sys.stdout.write(f'    "{label}": {{\n')
+            for name, digest in run_digests(block, text, Path(tmp) / label).items():
+                sys.stdout.write(f'        "{name}": "{digest}",\n')
+            sys.stdout.write("    },\n")
+        sys.stdout.write("}\n")
