@@ -22,24 +22,23 @@ it ended, as CPython's eval loop did up to 3.7 (`why` in ceval.c): None
 when it falls through, 1 for EXIT and 2 for RETURN.  A statement calling
 a list that can signal passes the signal on, but a loop breaks on 1;
 run_program ends the scan on 2, and an FB or function call drops it, as
-a RETURN ends only its POU.  A sub-body that is a lone RETURN is inlined.
-The function is made by a factory `make(k0, ..., kn)` whose parameters
-carry every name, literal, count slot, site, callee, built-in function
-and sub-body, so no user text enters generated source, and lists that
-differ only in those values share one source.  The factory hands the
-values on as the function's positional defaults, `run(store, nested,
-cnt, scan, k0=k0, ..., kn=kn)`, which no caller passes: they are kept in
-one tuple and read as locals, where closure variables would cost a cell
-each and a dereference per read.  One walk over a list
-collects those values and builds its shape: a small hashable key
-recording only what the source depends on (the mode, node kinds and
-operators, the result kinds whose wrap is written out, converting
-stores, empty sub-bodies and ELSEs, inlined RETURNs, calls that can
-signal, a FOR without BY, built-in or user blocks and a callee's TEMPs,
-and whether sites are tracked).  Factories are kept in a bounded cache
-keyed by shape, as `re` keeps its patterns; on a miss the source is
-rendered from the shape alone and compiled once per process, as
-`collections.namedtuple` compiles its classes.  So a list costs one walk
+a RETURN ends only its POU.  The function is made by a factory `make(k0,
+..., kn)` whose parameters carry every name, literal, count slot, site,
+callee, built-in function and sub-body, so no user text enters generated
+source, and lists that differ only in those values share one source.
+The factory hands the values on as the function's positional defaults,
+`run(store, nested, cnt, scan, k0=k0, ..., kn=kn)`, which no caller
+passes: they are kept in one tuple and read as locals, where closure
+variables would cost a cell each and a dereference per read.  One walk
+over a list collects those values and builds its shape: a small hashable
+key recording only what the source depends on (the mode, node kinds and
+operators, the result kinds whose wrap is written out, converting stores,
+empty sub-bodies and ELSEs, calls that can signal, a FOR without BY,
+built-in or user blocks and a callee's TEMPs, and whether sites are
+tracked).  Factories are kept in a bounded cache keyed by shape, as `re`
+keeps its patterns; on a miss the source is rendered from the shape alone
+and compiled once per process, as `collections.namedtuple` compiles its
+classes.  So a list costs one walk
 and a lookup, not a source text.  A generated function holds no run
 state: the store, the nested instances, the count array and the run
 state (`_Scan`: program, counts, budget, clock, call depth) are passed
@@ -84,8 +83,9 @@ runs all its statements unless a raise or a signal leaves it, so a list
 of two or more counts once per run, yet each site's count stays exact
 (after Ball and Larus, "Optimally Profiling and Tracing Programs",
 TOPLAS 1994): see `_Text.seq`.  Settling is linear in the raw counts, so
-run_program credits the counts of a finished instance's calls that it
-skips (below) to the raw arrays, once per skipped scan, before settling.
+run_program credits what one replay of a finished instance's entries
+counted (below) to the raw arrays, once per scan that skips them, before
+settling.
 
 Budget and depth: each site also spends one unit of the scan's 1M-site
 budget, as does each FOR iteration; run_program gives what a contained
@@ -102,11 +102,12 @@ refunds are exact, but none tests the budget, and no call counts depth.
 Otherwise the run uses checked code, which tests the budget at each site
 and the depth at each call.  This is bounds-check elimination (Bodik,
 Gupta and Sarkar, PLDI 2000) over a whole scan.  In bounded code whose
-PROGRAM body cannot RETURN, run_program stops running an instance its
-caller declares finished, with the statements after its call, and spends
-their units with one subtraction at the start of each scan: no site tests
-the budget, so where in the scan they are spent cannot matter.  Checked
-code and a body that can RETURN run finished instances as any other.
+PROGRAM body cannot RETURN, run_program replays an instance its caller
+declares finished once, with the statements after its call, and then
+stops running them: each scan spends the units the replay spent with one
+subtraction at its start, since no site tests the budget, so where in the
+scan they are spent cannot matter.  Checked code and a body that can
+RETURN run finished instances as any other.
 
 Faults are attributed on the exception path: each statement turns an
 expression fault into a RuntimeFault at its own site (a parameter
@@ -716,13 +717,11 @@ class _Text:
 
     def run_body(self, runs, pad: str = "  ", loop: bool = False) -> str:
         """The lines running a sub-body (in a loop's body with `loop`): none
-        for an empty one, an inlined lone RETURN (`jump`), or a call of its
-        function, a parameter, that can signal with `_PASS`.  A call of a
-        long list's chunk is the statement `_CALL` or `_PASS` too."""
+        for an empty one, else a call of its function, a parameter, that can
+        signal with `_PASS`.  A call of a long list's chunk is the statement
+        `_CALL` or `_PASS` too."""
         if not runs:
             return ""
-        if runs[0] is _Text.jump:
-            return self.jump(runs, pad)
         return self.invoke(self.k(), runs[1], pad, loop)
 
     def invoke(self, fn: str, signals: bool, pad: str, loop: bool = False) -> str:
@@ -779,12 +778,12 @@ class _Text:
         last = f"  scan.last = {s}\n" if track else ""
         return self.count(s, c, "  ") + _guard(f"   {put}\n", s, "  ") + last
 
-    def jump(self, shape, pad: str = "  ") -> str:
+    def jump(self, shape) -> str:
         """EXIT or RETURN: the list's function returns its signal."""
         _, exit_, track = shape
         s, c = self.site()
-        last = f"{pad}scan.last = {s}\n" if track else ""
-        return f"{self.count(s, c, pad)}{last}{pad}return {1 if exit_ else 2}\n"
+        last = f"  scan.last = {s}\n" if track else ""
+        return f"{self.count(s, c, '  ')}{last}  return {1 if exit_ else 2}\n"
 
     def if_stmt(self, shape) -> str:
         # a one-shot loop that a taken branch breaks out of: an ELSIF chain
@@ -1079,13 +1078,11 @@ class _Gen:
 
     def sub(self, body: list[N.Stmt], track: bool, loop: bool = False):
         """The shape running a sub-body (a loop's with `loop`): False for an
-        empty one, a lone RETURN's own, inlined, or a call of its function,
-        collected, `_PASS` if it can signal.  What it can signal passes on
-        into `sig`, but for EXIT out of a loop's body."""
+        empty one, else a call of its function, collected, `_PASS` if it can
+        signal.  What it can signal passes on into `sig`, but for EXIT out
+        of a loop's body."""
         if not body:
             return False
-        if len(body) == 1 and type(body[0]) is N.ReturnStmt:
-            return self.jump(body[0], track)
         run, sig = self.block(body, track)
         self.consts.append(run)
         self.sig |= sig & 2 if loop else sig
@@ -1328,73 +1325,6 @@ def _skip(store, nested, cnt, scan) -> None:
 _GONE = (_skip, None)
 
 
-class _Finished:
-    """A finished instance's entries in run_program's body: its call, at
-    `start`, and the fused statements after it up to the next call, if
-    any, whose sites are the program's count slots lo..hi-1.
-    In the scan that measures them, probes record the budget units they
-    spend and what they add to those slots and to the callee's count array;
-    from the next scan on, the entries leave the scan, which spends `units`
-    for them, and the run adds each of `deltas` (array, slot, delta) once
-    per skipped scan before it settles the counts.  It refers to none of
-    its probes, so that a run builds no reference cycle."""
-
-    __slots__ = ("name", "start", "lo", "hi", "callee", "units", "before", "deltas", "since")
-
-    def __init__(self, name: str, start: int, lo: int, hi: int, callee: str):
-        self.name = name
-        self.start = start
-        self.lo = lo
-        self.hi = hi
-        self.callee = callee
-        self.units = 0
-        self.before: tuple[list[int], list[int]] = ([], [])
-        self.deltas: list[tuple[list[int], int, int]] = []
-        # the first scan the entries leave
-        self.since = 0
-
-    def begin(self, scan: _Scan, cnt: list[int]) -> None:
-        # a user FB's count array exists once it ran, which it did in the
-        # scan that declared it finished; a built-in block has none
-        self.units = scan.budget
-        self.before = (cnt[self.lo:self.hi], list(scan.counts.get(self.callee, ())))
-
-    def end(self, scan: _Scan, cnt: list[int]) -> None:
-        self.units -= scan.budget
-        own, old = self.before
-        callee = scan.counts.get(self.callee, [])
-        self.deltas = [(cnt, i, cnt[i] - was) for i, was in enumerate(own, self.lo) if cnt[i] != was] + [
-            (callee, i, now - was) for i, (now, was) in enumerate(zip(callee, old)) if now != was
-        ]
-
-    def probes(self, entries: list) -> list:
-        """The entries, the call and at most one run of statements after
-        it, as the measuring scan runs them: the call begins the measurement
-        and the last entry ends it once it ran."""
-        (call, guard), *rest = entries
-
-        def measured_call(store, nested, cnt, scan):
-            self.begin(scan, cnt)
-            call(store, nested, cnt, scan)
-            if not rest:
-                self.end(scan, cnt)
-
-        if not rest:
-            return [(measured_call, guard)]
-        ((run, _),) = rest
-
-        def measured_run(store, nested, cnt, scan):
-            run(store, nested, cnt, scan)
-            self.end(scan, cnt)
-
-        return [(measured_call, guard), (measured_run, None)]
-
-    def credit(self, scans: int) -> None:
-        """Add what the entries count per scan, for `scans` skipped scans."""
-        for cnt, i, delta in self.deltas:
-            cnt[i] += delta * scans
-
-
 @dataclass
 class RunResult:
     instance: FbInstance
@@ -1433,14 +1363,16 @@ def run_program(
     statements after it up to the next call run the same sites on every
     scan and change nothing: a harness case that is DONE, and its hook
     mirrors (`harnessgen.build_runner`).  In bounded code whose body cannot
-    RETURN, the scan after the declaration runs those entries and measures
-    them, and from then on they leave the scan: each scan spends their
-    units with one subtraction at its start, which cannot matter where no
-    site tests the budget, and the run adds their counts once per skipped
-    scan before it settles the counts, which is exact since settling is
-    linear.  So the counts, traces and budget are those of a run that kept
-    them.  Checked code, a body that can RETURN and an instance called more
-    than once keep running finished instances.
+    RETURN, the run replays those entries once, on a scan of their own at
+    the next scan's time, and then drops them from the scan: each scan
+    spends the replay's units with one subtraction at its start, which
+    cannot matter where no site tests the budget, and the run adds the
+    replay's counts once per skipped scan before it settles the counts,
+    which is exact since settling is linear.  So the counts, traces and
+    budget are those of a run that kept them.  An instance whose replay
+    faults keeps running, and faults where it would have.  Checked code, a
+    body that can RETURN and an instance called more than once keep
+    running finished instances.
     """
     info = prog.lookup_pou(program_name.upper())
     if info is None or info.kind is not PouKind.PROGRAM:
@@ -1463,9 +1395,10 @@ def run_program(
             if guard is not None:
                 calls[guard] = None if guard in calls else j
     declared: set[str] = set()
-    measuring: list[tuple[_Finished, list]] = []
-    retired: list[_Finished] = []
-    units = 0  # what the retired entries spend per scan
+    # what the retired entries count on each scan they skip, as (POU, slot,
+    # count, the first scan they skip), and the units they spend per scan
+    credits: list[tuple[_Pou, int, int, int]] = []
+    units = 0
     store, nested, root = inst.store, inst.nested, inst.fb_type
     dead: set[str] = set()
     contained: list[ContainedFault] = []
@@ -1514,18 +1447,6 @@ def run_program(
             break
         if len(contained) > first:
             body = [entry for entry in body if entry is not _GONE]
-        if measuring:
-            for f, probes in measuring:
-                if f.name in dead:  # its statements keep running
-                    if len(probes) > 1:
-                        body[body.index(probes[1])] = entries[f.start + 1]
-                else:
-                    at = body.index(probes[0])
-                    del body[at:at + len(probes)]
-                    units += f.units
-                    f.since = cycle + 1
-                    retired.append(f)
-            measuring = []
         if calls and len(finished) > len(declared):
             for name in [name for name in finished if name not in declared]:
                 declared.add(name)
@@ -1533,20 +1454,23 @@ def run_program(
                 if j is None or name in dead:
                     continue
                 size = 2 if j + 1 < len(code) and type(code[j + 1][1]) is not N.FbCall else 1
-                lo = _slot(info, code[j][1])
-                hi = _slot(info, code[j + size][1]) if j + size < len(code) else len(info.sites)
-                f = _Finished(name, j, lo, hi, info.fb_instances[name])
-                probes = f.probes(entries[j:j + size])
+                # its entries, replayed once, count and spend what they would
+                # on each later scan
+                alone = _Scan(prog)
+                alone.begin(clock.now)
+                own = pou.counts(alone)
+                try:
+                    for run, _ in entries[j:j + size]:
+                        run(store, nested, own, alone)
+                except RuntimeFault:
+                    continue  # it keeps running, to fault where it would
+                units += _SCAN_SITE_BUDGET - alone.budget
+                credits += [(p, i, n, cycle + 1) for p in alone.ran for i, n in enumerate(alone.counts[p.name]) if n]
                 at = body.index(entries[j])
-                body[at:at + size] = probes
-                measuring.append((f, probes))
+                del body[at:at + size]
 
-    for f in retired:
-        f.credit(cycles_executed - f.since)
+    for p, i, n, since in credits:
+        if cycles_executed > since:  # none skipped: make p no array
+            p.counts(scan)[i] += n * (cycles_executed - since)
     return RunResult(inst, traces, contained, cycles_executed, scan.settle())
 
-
-def _slot(info: PouInfo, st: N.Stmt) -> int:
-    """The count slot of the first site of the statement `st` of a POU's
-    body, which numbers its sites densely in source order."""
-    return next(N.iter_sites([st])).sid - info.sites[0].sid

@@ -1375,12 +1375,23 @@ def test_declaring_finished_instances_changes_no_result(zero_at, loop, ret, boun
 
 
 # LIAR is declared finished after its first scan, yet each later call
-# still counts N up: where its call leaves the scan, N stops at 1
+# still counts N up: where its call leaves the scan, N stops at 1.  FAULTY
+# faults on each call once it is DONE, so its replay leaves it running,
+# and its next scan stops it.
 LIAR_SRC = """
 FUNCTION_BLOCK LIAR
 VAR_OUTPUT DONE : BOOL; N : DINT; END_VAR
 IF DONE THEN
     N := N + 1;
+    RETURN;
+END_IF;
+DONE := TRUE;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK FAULTY
+VAR_OUTPUT DONE : BOOL; N : DINT; END_VAR
+VAR Z : DINT; END_VAR
+IF DONE THEN
+    N := 1 / Z;
     RETURN;
 END_IF;
 DONE := TRUE;
@@ -1408,15 +1419,22 @@ L();
 D := L.DONE;
 L();
 END_PROGRAM
+PROGRAM FAULTS
+VAR L : FAULTY; D : BOOL; END_VAR
+L();
+D := L.DONE;
+END_PROGRAM
 """
 
 
-@pytest.mark.parametrize("program,n", [("PLAIN", 1), ("LOOPS", 5), ("RETURNS", 5), ("TWICE", 11)])
+@pytest.mark.parametrize("program,n", [("PLAIN", 1), ("LOOPS", 5), ("RETURNS", 5), ("TWICE", 11), ("FAULTS", 0)])
 def test_finished_instances_leave_only_bounded_bodies_that_cannot_return(program, n):
     # checked code, a body that can RETURN and an instance called twice
     # keep running a finished instance; the counts never show the
     # difference, since a retired call's counts are credited per scan
     declared, kept = runs_declaring_finished(prog_of(LIAR_SRC), program, 6, {"L": "D"})
     assert declared[3][1]["L"][0]["N"] == n
-    assert kept[3][1]["L"][0]["N"] == (11 if program == "TWICE" else 5)
+    assert kept[3][1]["L"][0]["N"] == {"TWICE": 11, "FAULTS": 0}.get(program, 5)
     assert (declared[0], declared[1], declared[4]) == (kept[0], kept[1], kept[4])
+    if program == "FAULTS":
+        assert [fault[:2] for fault in declared[4]] == [("L", 1)]
