@@ -5,8 +5,9 @@ it printed for it, as the parser would: a statement from its first token to
 its last (an FB call, EXIT and RETURN without the `;`), the expression of a
 branch guard, CASE selector, WHILE condition or UNTIL test, and a FOR loop
 from `FOR` to `END_FOR`.  Offsets count from the start of the printed text,
-so after printing, coverage and faults locate each site in that text.  The
-one difference from a parse: an expression printed with outer parentheses
+or from where `print_ast` is told that text will begin in a larger one, so
+after printing, coverage and faults locate each site in that text.  The one
+difference from a parse: an expression printed with outer parentheses
 (`NOT (X = 1)`) spans the closing one too.
 """
 
@@ -64,9 +65,10 @@ _PREC = {
 _UNARY_PREC = 9
 
 
-def print_ast(ast: Ast) -> str:
-    """The unit's text, POUs separated by a blank line; sites get spans."""
-    p = _Printer()
+def print_ast(ast: Ast, start: int = 0) -> str:
+    """The unit's text, POUs separated by a blank line; sites get spans,
+    as offsets into a text in which the printed one begins at `start`."""
+    p = _Printer(start)
     for pou in ast.pous:
         p.pou(pou)
     return p.text()
@@ -81,9 +83,9 @@ def print_pou(pou: PouDecl) -> str:
 class _Printer:
     """Lines of text, and the offset at which the next line starts."""
 
-    def __init__(self):
+    def __init__(self, start: int = 0):
         self.lines: list[str] = []
-        self.pos = 0
+        self.pos = start
 
     def text(self) -> str:
         return "\n".join(self.lines)

@@ -38,8 +38,9 @@ over the unit's TypedProgram; no generated text is lexed or parsed.
 harness.st holds the libraries and the unit as written, then the generated
 POUs as `frontend.pretty` prints them, then a comment stating the scan
 interval.  The printer gives each generated site the span of its printed
-text, and the bundle records where each layer's text starts in harness.st,
-so coverage renders against its lines.  A POU name may be defined in one
+text in harness.st, whose text is also the generated layer's source, and
+the bundle records where each other layer's text starts in harness.st, so
+coverage renders against its lines.  A POU name may be defined in one
 layer only, and the generated names (`is_generated_name`) in none of the
 unit and its libraries: `runner.load_program` checks both.
 """
@@ -293,9 +294,11 @@ def build_harness(
 ) -> HarnessBundle:
     """Build the case FBs and the runner program for a suite, resolve them
     as one layer over `prog`, the unit under test with its libraries, and
-    write them into harness.st.  Raises a FrontendError if the built layer
-    does not type-check, as for a unit whose block has a VAR_IN_OUT
-    parameter, which no suite column binds."""
+    print them into harness.st after the texts of the unit and its
+    libraries.  harness.st's text is the generated layer's source, so a
+    diagnostic of that layer gives a harness.st line.  Raises a FrontendError
+    if the built layer does not type-check, as for a unit whose block has a
+    VAR_IN_OUT parameter, which no suite column binds."""
     fb = prog.lookup_pou(suite.fb_under_test)
     if fb is None or fb.kind is not N.PouKind.FUNCTION_BLOCK:
         raise CollisionError(f"unit under test {suite.fb_under_test} is not a function block")
@@ -304,25 +307,21 @@ def build_harness(
 
     ast = N.Ast([*(c.pou for c in cases), build_runner(cases)])
     N.assign_statement_ids(ast)
-    # the printed text is what the generated layer's diagnostics refer to
-    ast.src = SourceUnit(print_ast(ast), "generated harness")
-    typed = resolve(ast, [prog])
 
-    # harness.st lists the libraries before the unit that uses them
+    # harness.st lists the libraries before the unit that uses them, then
+    # the generated POUs, printed with their sites' offsets in harness.st
     layers = prog.layers()
     dependencies = layers[1:] + layers[:1]
     starts = [0]
     for dep in dependencies:
         starts.append(starts[-1] + len(dep.src.text) + 1)
-    text = "\n".join([*(dep.src.text for dep in dependencies), ast.src.text])
     source = SourceUnit(
-        f"{text}\n(* task configuration: one cyclic task, interval = {cycle_time_ms} ms *)\n",
+        "".join([dep.src.text + "\n" for dep in dependencies])
+        + print_ast(ast, starts[-1])
+        + f"\n(* task configuration: one cyclic task, interval = {cycle_time_ms} ms *)\n",
         "harness.st",
     )
-    return HarnessBundle(
-        source,
-        typed,
-        PROGRAM_NAME,
-        cases,
-        list(zip([*dependencies, typed], starts)),
-    )
+    # the generated layer's diagnostics refer to harness.st's text
+    ast.src = SourceUnit(source.text, "generated harness")
+    typed = resolve(ast, [prog])
+    return HarnessBundle(source, typed, PROGRAM_NAME, cases, [*zip(dependencies, starts), (typed, 0)])

@@ -309,38 +309,14 @@ def run_suite(
         done = bool(inst.store["DONE"])
         assertions: list[AssertionResult] = []
         for slot in c.slots:
+            actual, passed = "(not evaluated)", False
             if slot.state <= checked_upto:
-                actual = V.box(inst.info.vars[slot.actual_var].ty, inst.store[slot.actual_var])
-                passed = not bool(inst.store[slot.flag_var])
-                assertions.append(
-                    AssertionResult(
-                        slot.state,
-                        slot.column,
-                        V.render(slot.expected),
-                        V.render(actual),
-                        passed,
-                    )
-                )
-            else:
-                assertions.append(
-                    AssertionResult(
-                        slot.state,
-                        slot.column,
-                        V.render(slot.expected),
-                        "(not evaluated)",
-                        False,
-                    )
-                )
-        if c.instance_name in faults:
-            verdict = "fault"
-            fault_text = faults[c.instance_name].fault.describe()
-        elif done and all(a.passed for a in assertions):
-            verdict = "pass"
-            fault_text = None
-        else:
-            verdict = "fail"
-            fault_text = None
-        case_results.append(CaseResult(c.name, verdict, assertions, fault_text))
+                actual = V.render(V.box(inst.info.vars[slot.actual_var].ty, inst.store[slot.actual_var]))
+                passed = not inst.store[slot.flag_var]
+            assertions.append(AssertionResult(slot.state, slot.column, V.render(slot.expected), actual, passed))
+        fault = faults.get(c.instance_name)
+        verdict = "fault" if fault else "pass" if done and all(a.passed for a in assertions) else "fail"
+        case_results.append(CaseResult(c.name, verdict, assertions, fault.fault.describe() if fault else None))
 
     assertions_total = checked_suite.assertion_count()
     assertions_passed = sum(c.passed_count() for c in case_results)

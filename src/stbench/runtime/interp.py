@@ -72,8 +72,9 @@ pauses that collector while it works on a unit.  A run's size grows with
 its sites and lists, so what each costs is kept small: a generated
 function holds its values in its defaults tuple, with no closure cell,
 and a POU keeps only what its frames and calls need once its body is
-generated: the map from a site's sid to its count slot is the
-generator's (`_Gen`), dropped with it.
+generated.  No map from a site's sid to its count slot is kept: the slot
+is the sid less the POU's first, as `assign_statement_ids` numbers a
+POU's sites consecutively.
 
 Coverage: slot i of a POU's count array counts the executions of
 `PouInfo.sites[i]`; these arrays are the run's coverage record, handed to
@@ -85,7 +86,8 @@ of two or more counts once per run, yet each site's count stays exact
 TOPLAS 1994): see `_Text.seq`.  Settling is linear in the raw counts, so
 run_program credits what one replay of a finished instance's entries
 counted (below) to the raw arrays, once per scan that skips them, before
-settling.
+settling: the program's slots from the instance's call up to the next
+call, and the arrays of the POUs the entries called.
 
 Budget and depth: each site also spends one unit of the scan's 1M-site
 budget, as does each FOR iteration; run_program gives what a contained
@@ -220,8 +222,6 @@ def _initial_store(info: PouInfo) -> dict[str, object]:
 
 class FbInstance:
     """Retained state of one function block (or program) instance."""
-
-    kind = "user"
 
     def __init__(self, prog: TypedProgram, info: PouInfo):
         self.prog = prog
@@ -1040,8 +1040,8 @@ class _Gen:
         self.prog = prog
         self.name = pou.name
         self.bounded = pou.bounded
-        # each site's count slot by sid, needed only while generating
-        self.index = {node.sid: i for i, node in enumerate(pou.info.sites)}
+        # a site's count slot is its sid less this, its POU's first sid
+        self.base = pou.info.sites[0].sid if pou.info.sites else 0
         self.vars = pou.info.vars
         self.fbs = pou.info.fb_instances
         self.consts: list = []
@@ -1053,7 +1053,7 @@ class _Gen:
 
     def site(self, node) -> None:
         """Collect a site's fault location and count slot."""
-        self.consts += ((self.name, node), self.index[node.sid])
+        self.consts += ((self.name, node), node.sid - self.base)
 
     def block(self, body: list[N.Stmt], track: bool) -> tuple[Callable, int]:
         """The function running a statement list, and the signals it can
@@ -1069,7 +1069,7 @@ class _Gen:
         stmts = [_STMTS[type(st)](self, st, track) for st in body]
         consts, self.consts, sig, self.sig = self.consts, outer, self.sig, outer_sig
         heads = [
-            self.index[(st.branches[0] if type(st) is N.IfStmt else st).sid]
+            (st.branches[0] if type(st) is N.IfStmt else st).sid - self.base
             for st, shape in zip(body, stmts) if shape[0] not in _UNHEADED
         ]
         for later in heads[1:]:
@@ -1368,11 +1368,14 @@ def run_program(
     spends the replay's units with one subtraction at its start, which
     cannot matter where no site tests the budget, and the run adds the
     replay's counts once per skipped scan before it settles the counts,
-    which is exact since settling is linear.  So the counts, traces and
-    budget are those of a run that kept them.  An instance whose replay
-    faults keeps running, and faults where it would have.  Checked code, a
-    body that can RETURN and an instance called more than once keep
-    running finished instances.
+    which is exact since settling is linear.  Those counts are the
+    program's slots from the instance's call up to the next call, and the
+    arrays of the POUs the replay ran, so a credit does not grow with the
+    program.  So the counts, traces and budget are those of a run that
+    kept them.  An instance whose replay faults keeps running, and faults
+    where it would have; one a fault stopped, whose call has left the
+    scan, is not replayed.  Checked code, a body that can RETURN and an
+    instance called more than once keep running finished instances.
     """
     info = prog.lookup_pou(program_name.upper())
     if info is None or info.kind is not PouKind.PROGRAM:
@@ -1395,12 +1398,12 @@ def run_program(
             if guard is not None:
                 calls[guard] = None if guard in calls else j
     declared: set[str] = set()
-    # what the retired entries count on each scan they skip, as (POU, slot,
-    # count, the first scan they skip), and the units they spend per scan
-    credits: list[tuple[_Pou, int, int, int]] = []
+    # what the retired entries count on each scan they skip, as (POU, first
+    # slot, the counts from it on, the first scan they skip), and the units
+    # they spend per scan
+    credits: list[tuple[_Pou, int, list[int], int]] = []
     units = 0
     store, nested, root = inst.store, inst.nested, inst.fb_type
-    dead: set[str] = set()
     contained: list[ContainedFault] = []
     scan = _Scan(prog)
     cnt = pou.counts(scan)
@@ -1428,7 +1431,6 @@ def run_program(
                         fault.__traceback__ = fault.__context__ = None
                         fault.instance_path = root + fault.instance_path
                         fault.cycle = cycle
-                        dead.add(guard)
                         contained.append(ContainedFault(guard, fault, cycle))
                         scan.refund(budget)
                         scan.depth = 0  # the calls the fault abandoned
@@ -1451,7 +1453,7 @@ def run_program(
             for name in [name for name in finished if name not in declared]:
                 declared.add(name)
                 j = calls.get(name)
-                if j is None or name in dead:
+                if j is None or entries[j] not in body:  # none, or a fault stopped it
                     continue
                 size = 2 if j + 1 < len(code) and type(code[j + 1][1]) is not N.FbCall else 1
                 # its entries, replayed once, count and spend what they would
@@ -1465,12 +1467,20 @@ def run_program(
                 except RuntimeFault:
                     continue  # it keeps running, to fault where it would
                 units += _SCAN_SITE_BUDGET - alone.budget
-                credits += [(p, i, n, cycle + 1) for p in alone.ran for i, n in enumerate(alone.counts[p.name]) if n]
+                # the program slots of its entries, from its call's up to the
+                # next call's, and the arrays of the POUs they called
+                base = info.sites[0].sid
+                lo = code[j][1].sid - base
+                hi = code[j + size][1].sid - base if j + size < len(code) else len(own)
+                credits.append((pou, lo, own[lo:hi], cycle + 1))
+                credits += [(p, 0, alone.counts[p.name], cycle + 1) for p in alone.ran if p is not pou]
                 at = body.index(entries[j])
                 del body[at:at + size]
 
-    for p, i, n, since in credits:
+    for p, lo, counted, since in credits:
         if cycles_executed > since:  # none skipped: make p no array
-            p.counts(scan)[i] += n * (cycles_executed - since)
+            total = p.counts(scan)
+            for i, n in enumerate(counted, lo):
+                total[i] += n * (cycles_executed - since)
     return RunResult(inst, traces, contained, cycles_executed, scan.settle())
 

@@ -22,7 +22,6 @@ _INT_MIN, _INT_MAX = T.INT_RANGES[T.Kind.INT]
 
 
 class BuiltinInstance:
-    kind = "builtin"
     __slots__ = ("fb_type", "store")
 
     def __init__(self, fb_type: str):

@@ -144,6 +144,8 @@ def test_a_successful_run_leaves_the_generated_layer_without_a_line_table(bundle
     run_suite(prog, validate(parse_suite(SUITES["DEC_TO_HEX"], "DEC_TO_HEX"), prog), RunOptions(out_dir=tmp_path))
     (bundle,) = bundles
     assert not _has_line_table(bundle.typed.src)
+    # the generated layer's source holds harness.st's text, not a copy
+    assert bundle.typed.src.text is bundle.source.text
     # harness.st is what the coverage files are rendered against
     assert _has_line_table(bundle.source)
 

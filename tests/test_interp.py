@@ -1377,7 +1377,9 @@ def test_declaring_finished_instances_changes_no_result(zero_at, loop, ret, boun
 # LIAR is declared finished after its first scan, yet each later call
 # still counts N up: where its call leaves the scan, N stops at 1.  FAULTY
 # faults on each call once it is DONE, so its replay leaves it running,
-# and its next scan stops it.
+# and its next scan stops it.  QUITTER faults on its first call, once DONE
+# is set: it is declared finished after a fault has stopped it, and is
+# not replayed.
 LIAR_SRC = """
 FUNCTION_BLOCK LIAR
 VAR_OUTPUT DONE : BOOL; N : DINT; END_VAR
@@ -1395,6 +1397,14 @@ IF DONE THEN
     RETURN;
 END_IF;
 DONE := TRUE;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK QUITTER
+VAR_OUTPUT DONE : BOOL; N : DINT; END_VAR
+VAR Z : DINT; END_VAR
+IF NOT DONE THEN
+    DONE := TRUE;
+    N := 1 / Z;
+END_IF;
 END_FUNCTION_BLOCK
 PROGRAM PLAIN
 VAR L : LIAR; D : BOOL; END_VAR
@@ -1424,17 +1434,51 @@ VAR L : FAULTY; D : BOOL; END_VAR
 L();
 D := L.DONE;
 END_PROGRAM
+PROGRAM STOPS
+VAR L : QUITTER; D : BOOL; END_VAR
+L();
+D := L.DONE;
+END_PROGRAM
 """
 
 
-@pytest.mark.parametrize("program,n", [("PLAIN", 1), ("LOOPS", 5), ("RETURNS", 5), ("TWICE", 11), ("FAULTS", 0)])
+@pytest.mark.parametrize(
+    "program,n", [("PLAIN", 1), ("LOOPS", 5), ("RETURNS", 5), ("TWICE", 11), ("FAULTS", 0), ("STOPS", 0)]
+)
 def test_finished_instances_leave_only_bounded_bodies_that_cannot_return(program, n):
     # checked code, a body that can RETURN and an instance called twice
     # keep running a finished instance; the counts never show the
     # difference, since a retired call's counts are credited per scan
     declared, kept = runs_declaring_finished(prog_of(LIAR_SRC), program, 6, {"L": "D"})
     assert declared[3][1]["L"][0]["N"] == n
-    assert kept[3][1]["L"][0]["N"] == {"TWICE": 11, "FAULTS": 0}.get(program, 5)
+    assert kept[3][1]["L"][0]["N"] == {"TWICE": 11, "FAULTS": 0, "STOPS": 0}.get(program, 5)
     assert (declared[0], declared[1], declared[4]) == (kept[0], kept[1], kept[4])
     if program == "FAULTS":
         assert [fault[:2] for fault in declared[4]] == [("L", 1)]
+
+
+def test_a_finished_instance_is_credited_from_its_own_program_slots(monkeypatch):
+    # a retired call's credit reads the program slots from its call up to
+    # the next call, so no replay iterates its program-sized count array
+    made, iterated = [], []
+
+    class Watched(list):
+        def __iter__(self):
+            iterated.append(len(self))
+            return super().__iter__()
+
+    counts = interp._Pou.counts
+
+    def watched_counts(pou, scan):
+        cnt = counts(pou, scan)
+        if pou.name == "MAIN" and type(cnt) is list:
+            cnt = scan.counts["MAIN"] = Watched(cnt)
+            made.append(cnt)
+        return cnt
+
+    monkeypatch.setattr(interp._Pou, "counts", watched_counts)
+    prog = prog_of(CASES_SRC.format(zero_at=0, loop="", ret=""))
+    declared, kept = runs_declaring_finished(prog, "MAIN", 12, CASE_MIRRORS)
+    assert declared == kept
+    assert len(made) == 2 + 3  # each run's own array, and one per replay of A, B and C
+    assert iterated == []

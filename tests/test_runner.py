@@ -411,6 +411,8 @@ def test_a_harness_that_does_not_resolve_is_an_assemble_error():
     assert str(cause).startswith("generated harness:")
     line = cause.src.line_of(cause.diagnostics[0].span.start)
     assert cause.src.line_text(line) == "        UNIT(X := 1);"
+    # harness.st's line of that call, below the unit's text and a blank line
+    assert str(cause).startswith("generated harness:50:9: ")
 
 
 def test_pipeline_error_phases():

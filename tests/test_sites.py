@@ -1,7 +1,7 @@
 """The statement-site model: each site node carries one sid, each POU lists
 its site nodes in sid order, and `site_span` says where a site is reported.
-The interpreter's per-POU slot index and the coverage line walk rely on
-both facts."""
+The interpreter's count slots (a site's sid less its POU's first) and the
+coverage line walk rely on both facts."""
 
 import pytest
 
@@ -9,7 +9,9 @@ from stbench import corpus
 from stbench.frontend import nodes as N
 from stbench.frontend import parse_text, resolve
 from stbench.harnessgen import build_harness
+from stbench.llm import extract_csv
 from stbench.testspec import parse_suite, validate
+from test_suite_artifacts import suites
 
 
 def sids_in_declaration_order(prog):
@@ -23,21 +25,31 @@ def test_corpus_sites_carry_every_sid_once_in_order(block, corpus_programs):
     assert sids_in_declaration_order(prog) == list(range(prog.ast.statement_count))
 
 
+HARNESS_SUITES = {
+    "PI_CTRL": (
+        "PI_CTRL",
+        "test_name,state,dwell_cycles,EN,SP,PV,expect_OUT\n"
+        "tc_a,1,2,TRUE,10.0,0.0,11.001\n"
+        "tc_a,2,1,FALSE,,,0.0\n"
+        "tc_b,1,1,TRUE,-2.5,1.0,-3.5\n",
+    ),
+    **{
+        f"corpus-{b.name}": (b.name, extract_csv(corpus.fixture_path(b.name).read_text(encoding="utf-8")))
+        for b in corpus.BLOCKS
+    },
+    "traffic_200": suites()["traffic_200"],
+}
+
+
 def test_harness_sites_carry_every_sid_once_in_order(corpus_programs):
-    prog = corpus_programs["PI_CTRL"]
-    suite = validate(
-        parse_suite(
-            "test_name,state,dwell_cycles,EN,SP,PV,expect_OUT\n"
-            "tc_a,1,2,TRUE,10.0,0.0,11.001\n"
-            "tc_a,2,1,FALSE,,,0.0\n"
-            "tc_b,1,1,TRUE,-2.5,1.0,-3.5\n",
-            "PI_CTRL",
-        ),
-        prog,
-    )
-    typed = build_harness(suite, prog).typed
-    assert len(typed.ast.pous) == 3  # two case FBs and the runner program
-    assert sids_in_declaration_order(typed) == list(range(typed.ast.statement_count))
+    for label, (block, text) in HARNESS_SUITES.items():
+        prog = corpus_programs[block]
+        suite = validate(parse_suite(text, block), prog)
+        typed = build_harness(suite, prog).typed
+        assert len(typed.ast.pous) == len(suite.cases) + 1, label  # a case FB each and the runner program
+        assert sids_in_declaration_order(typed) == list(range(typed.ast.statement_count)), label
+        for pou in typed.pous.values():
+            assert [node.sid for node in pou.sites] == [pou.sites[0].sid + i for i in range(len(pou.sites))], label
 
 
 SNIPPET = """FUNCTION_BLOCK SITES
