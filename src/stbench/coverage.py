@@ -6,16 +6,22 @@ counts`): slot i of a POU's array counts the executions of its
 is every POU a name resolves to (`domain`).  The line-oriented renderings
 (annotated listing, LCOV text) are lossy views of one line map, built by
 `line_counts` from each POU's site nodes, where multiple statements on one
-line collapse to the line's maximum count; each is written to its stream
-line by line, never held whole.  Percentages are rounded
-half-up to two decimals.
+line collapse to the line's maximum count.  Both work from the rendered
+source's table of line starts (`SourceUnit._line_starts`): a site's line
+is a bisection of the table at the site's offset, and the listing slices
+each line out of the source's text between two starts, so neither holds a
+second copy of the text or makes a `SourceUnit` call per line or site.
+Each is written to its stream line by line, never held whole.
+Percentages are rounded half-up to two decimals.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain, islice
 from typing import TextIO
 
 from .frontend.nodes import site_span
@@ -85,27 +91,39 @@ def line_counts(
     `pous` holds for its name; a definition that lookup shadows never ran
     and has no executable lines."""
     lines: dict[int, int] = {}
-    line_of = src.line_of
+    # a site's line, as src.line_of gives it, by a bisection of src's line
+    # starts, which every site offset lies within
+    starts = src._line_starts
+    seen = lines.get
     for unit, shift in layers:
         for info in unit.pous.values():
             if pous.get(info.name) is not info:
                 continue
             cnt = counts.get(info.name) or [0] * len(info.sites)
             for node, count in zip(info.sites, cnt):
-                line = line_of(shift + site_span(node).start)
-                lines[line] = max(lines.get(line, count), count)
+                line = bisect_right(starts, shift + site_span(node).start)
+                if seen(line, -1) < count:
+                    lines[line] = count
     return lines
 
 
 def render_annotated(lines: dict[int, int], src: SourceUnit, out: TextIO) -> None:
     """Write the GCOV-style annotated listing of `src` from its line counts
     to the text stream `out`, one line at a time: per-line hit counts,
-    `#####` on uncovered executable lines, `-` on non-executable ones."""
+    `#####` on uncovered executable lines, `-` on non-executable ones.
+    Each line is sliced from `src`'s text by its line starts, without its
+    line break or trailing carriage returns, as src.line_text gives it."""
     write = out.write
-    for lineno in range(1, src.line_count() + 1):
+    text = src.text
+    starts = src._line_starts
+    # a line ends one character before the next line starts; the last one
+    # at the end of the text
+    ends = chain(islice(starts, 1, None), (len(text) + 1,))
+    for lineno, (start, end) in enumerate(zip(starts, ends), 1):
         count = lines.get(lineno)
         marker = "-" if count is None else "#####" if count == 0 else count
-        write(f"{marker:>9}:{lineno:>5}:{src.line_text(lineno)}\n")
+        line = text[start:end - 1].rstrip("\r")
+        write(f"{marker:>9}:{lineno:>5}:{line}\n")
 
 
 def render_lcov(lines: dict[int, int], src: SourceUnit, out: TextIO) -> None:

@@ -12,13 +12,17 @@ level.  `iter_sites` walks a body's site nodes and `site_span` gives the
 span a site is reported at.
 
 Every node class is slotted: a generated harness holds tens of thousands
-of nodes, so none carries a per-instance `__dict__`.
+of nodes, so none carries a per-instance `__dict__`.  Walks over the nodes
+(here, and in the printer, the resolver and the interpreter) dispatch on a
+node's exact class through tables keyed by it, so no node class has a
+subclass.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .source import Span, SourceUnit
 from .types import STType
@@ -305,45 +309,82 @@ class Ast:
 # Walking helpers
 # ---------------------------------------------------------------------------
 
-def iter_sites(body: list[Stmt]):
-    """Yield every site node of `body` in source order: a simple statement,
-    an IF/ELSIF branch, or a CASE, FOR, WHILE or REPEAT statement.  Each
+def iter_sites(body: list[Stmt]) -> list[Stmt | IfBranch]:
+    """Every site node of `body` in source order: a simple statement, an
+    IF/ELSIF branch, or a CASE, FOR, WHILE or REPEAT statement.  Each
     carries its own `sid`.  The numbering pass walks each POU body once and
     records the result, which the resolver's per-POU site list reuses."""
+    out: list[Stmt | IfBranch] = []
+    _collect(body, out)
+    return out
+
+
+def _collect(body: list[Stmt], out: list) -> None:
     for st in body:
-        if isinstance(st, (Assign, FbCall, ExitStmt, ReturnStmt)):
-            yield st
-        elif isinstance(st, IfStmt):
-            for br in st.branches:
-                yield br
-                yield from iter_sites(br.body)
-            yield from iter_sites(st.else_body)
-        elif isinstance(st, CaseStmt):
-            yield st
-            for br in st.branches:
-                yield from iter_sites(br.body)
-            yield from iter_sites(st.else_body)
-        elif isinstance(st, (ForStmt, WhileStmt)):
-            yield st
-            yield from iter_sites(st.body)
-        elif isinstance(st, RepeatStmt):
-            yield from iter_sites(st.body)
-            yield st
-        else:  # pragma: no cover - parser emits no other statement kinds
-            raise TypeError(f"unknown statement {st!r}")
+        walk = _SITE_WALKS[type(st)]
+        if walk is None:
+            out.append(st)
+        else:
+            walk(st, out)
 
 
-def site_span(node) -> Span:
+def _if_sites(st: IfStmt, out: list) -> None:
+    for br in st.branches:
+        out.append(br)
+        _collect(br.body, out)
+    _collect(st.else_body, out)
+
+
+def _case_sites(st: CaseStmt, out: list) -> None:
+    out.append(st)
+    for br in st.branches:
+        _collect(br.body, out)
+    _collect(st.else_body, out)
+
+
+def _loop_sites(st: ForStmt | WhileStmt, out: list) -> None:
+    out.append(st)
+    _collect(st.body, out)
+
+
+def _repeat_sites(st: RepeatStmt, out: list) -> None:
+    _collect(st.body, out)
+    out.append(st)
+
+
+# per statement class, how its sites are walked: None for a simple
+# statement, which is one site itself
+_SITE_WALKS = {
+    Assign: None,
+    FbCall: None,
+    ExitStmt: None,
+    ReturnStmt: None,
+    IfStmt: _if_sites,
+    CaseStmt: _case_sites,
+    ForStmt: _loop_sites,
+    WhileStmt: _loop_sites,
+    RepeatStmt: _repeat_sites,
+}
+
+# per site class, the span a site is reported at (`site_span`)
+_SITE_SPANS = {
+    Assign: attrgetter("span"),
+    FbCall: attrgetter("span"),
+    ExitStmt: attrgetter("span"),
+    ReturnStmt: attrgetter("span"),
+    ForStmt: attrgetter("span"),
+    IfBranch: attrgetter("cond.span"),
+    WhileStmt: attrgetter("cond.span"),
+    CaseStmt: attrgetter("selector.span"),
+    RepeatStmt: attrgetter("until.span"),
+}
+
+
+def site_span(node: Stmt | IfBranch) -> Span:
     """Where a site sits in its source: the condition of an IF/ELSIF branch
     or a WHILE, the selector of a CASE, the UNTIL expression of a REPEAT,
     and otherwise the node itself."""
-    if isinstance(node, (IfBranch, WhileStmt)):
-        return node.cond.span
-    if isinstance(node, CaseStmt):
-        return node.selector.span
-    if isinstance(node, RepeatStmt):
-        return node.until.span
-    return node.span
+    return _SITE_SPANS[type(node)](node)
 
 
 def assign_statement_ids(ast: Ast) -> None:

@@ -63,6 +63,10 @@ _PREC = {
     BinOp.POW: 8,
 }
 _UNARY_PREC = 9
+# each operator's (binding strength, text), and each unary operator's
+# prefix: an Enum member's `.value` is a Python-level property read
+_BINOP_TEXT = {op: (prec, op.value) for op, prec in _PREC.items()}
+_UNOP_TEXT = {**{op: op.value for op in UnOp}, UnOp.NOT: "NOT "}
 
 
 def print_ast(ast: Ast, start: int = 0) -> str:
@@ -136,60 +140,74 @@ class _Printer:
     def body(self, body: list[Stmt], depth: int) -> None:
         pad = _IND * depth
         for st in body:
-            if isinstance(st, Assign):
-                self.site(st, pad, f"{format_expr(st.target)} := {format_expr(st.value)};")
-            elif isinstance(st, FbCall):
-                parts = []
-                for p in st.params:
-                    arrow = "=>" if p.is_output else ":="
-                    parts.append(f"{p.name} {arrow} {format_expr(p.expr)}")
-                self.site(st, pad, f"{st.instance}({', '.join(parts)})", ";")
-            elif isinstance(st, ExitStmt):
-                self.site(st, pad, "EXIT", ";")
-            elif isinstance(st, ReturnStmt):
-                self.site(st, pad, "RETURN", ";")
-            elif isinstance(st, IfStmt):
-                kw = "IF"
-                for br in st.branches:
-                    self.headed(br.cond, pad, kw, " THEN")
-                    self.body(br.body, depth + 1)
-                    kw = "ELSIF"
-                if st.else_body:
-                    self.line(f"{pad}ELSE")
-                    self.body(st.else_body, depth + 1)
-                self.line(f"{pad}END_IF;")
-            elif isinstance(st, CaseStmt):
-                self.headed(st.selector, pad, "CASE", " OF")
-                for br in st.branches:
-                    labels = ", ".join(
-                        str(l.lo) if l.lo == l.hi else f"{l.lo}..{l.hi}" for l in br.labels
-                    )
-                    self.line(f"{pad}{_IND}{labels}:")
-                    self.body(br.body, depth + 2)
-                if st.else_body:
-                    self.line(f"{pad}ELSE")
-                    self.body(st.else_body, depth + 1)
-                self.line(f"{pad}END_CASE;")
-            elif isinstance(st, ForStmt):
-                step = f" BY {format_expr(st.step)}" if st.step is not None else ""
-                start = self.pos + len(pad)
-                self.line(
-                    f"{pad}FOR {st.var} := {format_expr(st.start)} TO {format_expr(st.stop)}{step} DO"
-                )
-                self.body(st.body, depth + 1)
-                st.span = Span(start, self.pos + len(pad) + len("END_FOR"))
-                self.line(f"{pad}END_FOR;")
-            elif isinstance(st, WhileStmt):
-                self.headed(st.cond, pad, "WHILE", " DO")
-                self.body(st.body, depth + 1)
-                self.line(f"{pad}END_WHILE;")
-            elif isinstance(st, RepeatStmt):
-                self.line(f"{pad}REPEAT")
-                self.body(st.body, depth + 1)
-                self.headed(st.until, pad, "UNTIL")
-                self.line(f"{pad}END_REPEAT;")
-            else:  # pragma: no cover
-                raise TypeError(f"unhandled statement {st!r}")
+            _STMTS[type(st)](self, st, pad, depth)
+
+    def assign(self, st: Assign, pad: str, depth: int) -> None:
+        self.site(st, pad, f"{format_expr(st.target)} := {format_expr(st.value)};")
+
+    def fb_call(self, st: FbCall, pad: str, depth: int) -> None:
+        parts = [f"{p.name} {'=>' if p.is_output else ':='} {format_expr(p.expr)}" for p in st.params]
+        self.site(st, pad, f"{st.instance}({', '.join(parts)})", ";")
+
+    def exit_stmt(self, st: ExitStmt, pad: str, depth: int) -> None:
+        self.site(st, pad, "EXIT", ";")
+
+    def return_stmt(self, st: ReturnStmt, pad: str, depth: int) -> None:
+        self.site(st, pad, "RETURN", ";")
+
+    def if_stmt(self, st: IfStmt, pad: str, depth: int) -> None:
+        kw = "IF"
+        for br in st.branches:
+            self.headed(br.cond, pad, kw, " THEN")
+            self.body(br.body, depth + 1)
+            kw = "ELSIF"
+        if st.else_body:
+            self.line(f"{pad}ELSE")
+            self.body(st.else_body, depth + 1)
+        self.line(f"{pad}END_IF;")
+
+    def case_stmt(self, st: CaseStmt, pad: str, depth: int) -> None:
+        self.headed(st.selector, pad, "CASE", " OF")
+        for br in st.branches:
+            labels = ", ".join(str(l.lo) if l.lo == l.hi else f"{l.lo}..{l.hi}" for l in br.labels)
+            self.line(f"{pad}{_IND}{labels}:")
+            self.body(br.body, depth + 2)
+        if st.else_body:
+            self.line(f"{pad}ELSE")
+            self.body(st.else_body, depth + 1)
+        self.line(f"{pad}END_CASE;")
+
+    def for_stmt(self, st: ForStmt, pad: str, depth: int) -> None:
+        step = f" BY {format_expr(st.step)}" if st.step is not None else ""
+        start = self.pos + len(pad)
+        self.line(f"{pad}FOR {st.var} := {format_expr(st.start)} TO {format_expr(st.stop)}{step} DO")
+        self.body(st.body, depth + 1)
+        st.span = Span(start, self.pos + len(pad) + len("END_FOR"))
+        self.line(f"{pad}END_FOR;")
+
+    def while_stmt(self, st: WhileStmt, pad: str, depth: int) -> None:
+        self.headed(st.cond, pad, "WHILE", " DO")
+        self.body(st.body, depth + 1)
+        self.line(f"{pad}END_WHILE;")
+
+    def repeat_stmt(self, st: RepeatStmt, pad: str, depth: int) -> None:
+        self.line(f"{pad}REPEAT")
+        self.body(st.body, depth + 1)
+        self.headed(st.until, pad, "UNTIL")
+        self.line(f"{pad}END_REPEAT;")
+
+
+_STMTS = {
+    Assign: _Printer.assign,
+    FbCall: _Printer.fb_call,
+    ExitStmt: _Printer.exit_stmt,
+    ReturnStmt: _Printer.return_stmt,
+    IfStmt: _Printer.if_stmt,
+    CaseStmt: _Printer.case_stmt,
+    ForStmt: _Printer.for_stmt,
+    WhileStmt: _Printer.while_stmt,
+    RepeatStmt: _Printer.repeat_stmt,
+}
 
 
 def format_type_ref(t: TypeRef) -> str:
@@ -245,33 +263,55 @@ def format_string(s: str) -> str:
 
 
 def format_expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, Literal):
-        text = format_literal(e)
-        if e.lit_kind in (Literal.K.INT, Literal.K.REAL) and e.value < 0 and parent_prec >= _UNARY_PREC:
-            return f"({text})"
-        return text
-    if isinstance(e, VarRef):
-        return e.name
-    if isinstance(e, MemberRef):
-        return f"{format_expr(e.base)}.{e.member}"
-    if isinstance(e, IndexRef):
-        return f"{format_expr(e.base)}[{format_expr(e.index)}]"
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(format_expr(a) for a in e.args)})"
-    if isinstance(e, Unary):
-        op = "NOT " if e.op is UnOp.NOT else e.op.value
-        inner = format_expr(e.operand, _UNARY_PREC)
-        text = f"{op}{inner}"
-        return f"({text})" if parent_prec > _UNARY_PREC else text
-    if isinstance(e, Binary):
-        prec = _PREC[e.op]
-        op = e.op.value
-        if e.op is BinOp.POW:  # right-associative
-            left = format_expr(e.left, prec + 1)
-            right = format_expr(e.right, prec)
-        else:
-            left = format_expr(e.left, prec)
-            right = format_expr(e.right, prec + 1)
-        text = f"{left} {op} {right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"unhandled expression {e!r}")  # pragma: no cover
+    return _EXPRS[type(e)](e, parent_prec)
+
+
+def _literal(e: Literal, parent_prec: int) -> str:
+    text = format_literal(e)
+    if e.lit_kind in (Literal.K.INT, Literal.K.REAL) and e.value < 0 and parent_prec >= _UNARY_PREC:
+        return f"({text})"
+    return text
+
+
+def _var(e: VarRef, parent_prec: int) -> str:
+    return e.name
+
+
+def _member(e: MemberRef, parent_prec: int) -> str:
+    return f"{format_expr(e.base)}.{e.member}"
+
+
+def _index(e: IndexRef, parent_prec: int) -> str:
+    return f"{format_expr(e.base)}[{format_expr(e.index)}]"
+
+
+def _call(e: Call, parent_prec: int) -> str:
+    return f"{e.name}({', '.join([format_expr(a) for a in e.args])})"
+
+
+def _unary(e: Unary, parent_prec: int) -> str:
+    text = _UNOP_TEXT[e.op] + format_expr(e.operand, _UNARY_PREC)
+    return f"({text})" if parent_prec > _UNARY_PREC else text
+
+
+def _binary(e: Binary, parent_prec: int) -> str:
+    prec, op = _BINOP_TEXT[e.op]
+    if e.op is BinOp.POW:  # right-associative
+        left = format_expr(e.left, prec + 1)
+        right = format_expr(e.right, prec)
+    else:
+        left = format_expr(e.left, prec)
+        right = format_expr(e.right, prec + 1)
+    text = f"{left} {op} {right}"
+    return f"({text})" if parent_prec > prec else text
+
+
+_EXPRS = {
+    Literal: _literal,
+    VarRef: _var,
+    MemberRef: _member,
+    IndexRef: _index,
+    Call: _call,
+    Unary: _unary,
+    Binary: _binary,
+}

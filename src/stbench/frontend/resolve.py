@@ -143,6 +143,13 @@ MAX_STORAGE = 1_000_000
 _INT_LITERAL_KINDS = (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD)
 # each integer kind a literal can take: its one STType and its range
 _INT_LITERAL_TYPES = {ty.kind: (ty, *T.INT_RANGES[ty.kind]) for ty in (T.INT, T.DINT, T.BYTE, T.WORD)}
+# the literal kinds and operator and type sets type_binary tests
+_ADAPTABLE_LITERALS = (Literal.K.INT, Literal.K.REAL)
+_ORDERINGS = frozenset({BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE})
+_COMPARISONS = _ORDERINGS | {BinOp.EQ, BinOp.NE}
+_ORDERED_KINDS = frozenset({
+    T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD, T.Kind.REAL, T.Kind.LREAL, T.Kind.TIME,
+})
 _WRITABLE_LVALUE_MSG = "assignment target must be a variable of this POU"
 
 
@@ -396,74 +403,76 @@ class _Resolver:
 
     def check_body(self, body: list[Stmt]) -> None:
         for st in body:
-            self.check_stmt(st)
+            _CHECKS[type(st)](self, st)
 
-    def check_stmt(self, st: Stmt) -> None:
-        if isinstance(st, Assign):
-            target_ty = self.type_lvalue(st.target)
-            value_ty = self.type_expr(st.value, expected=target_ty)
-            if target_ty is not None and value_ty is not None and not T.assignable(value_ty, target_ty):
-                self.err(f"cannot assign {value_ty} to {target_ty}", st.span)
-        elif isinstance(st, IfStmt):
-            for br in st.branches:
-                self.expect_bool(br.cond)
-                self.check_body(br.body)
-            self.check_body(st.else_body)
-        elif isinstance(st, CaseStmt):
-            sel_ty = self.type_expr(st.selector)
-            if sel_ty is not None and sel_ty.kind not in _INT_LITERAL_KINDS:
-                self.err(f"CASE selector must be an integer type, got {sel_ty}", st.span)
-                sel_ty = None
-            for br in st.branches:
-                for lab in br.labels:
-                    if lab.lo > lab.hi:
-                        self.err(f"empty case range {lab.lo}..{lab.hi}", br.span)
-                    if sel_ty is not None:
-                        lo, hi = T.INT_RANGES[sel_ty.kind]
-                        if not (lo <= lab.lo <= hi and lo <= lab.hi <= hi):
-                            self.err(f"case label {lab.lo}..{lab.hi} outside {sel_ty} range", br.span)
-                self.check_body(br.body)
-            self.check_body(st.else_body)
-        elif isinstance(st, ForStmt):
-            var = self.cur.vars.get(st.var)
-            if var is None:
-                self.err(f"unknown loop variable {st.var}", st.span)
-                var_ty = None
-            elif var.ty.kind not in (T.Kind.INT, T.Kind.DINT):
-                self.err(f"loop variable {st.var} must be INT or DINT", st.span)
-                var_ty = None
-            else:
-                var_ty = var.ty
-            for part in (st.start, st.stop, st.step):
-                if part is None:
-                    continue
-                ty = self.type_expr(part, expected=var_ty)
-                if ty is not None and var_ty is not None and not T.assignable(ty, var_ty):
-                    self.err(f"FOR bound type {ty} does not fit loop variable {var_ty}", st.span)
-            if isinstance(st.step, Literal) and st.step.value == 0:
-                self.err("FOR step must not be zero", st.step.span)
-            self.loop_depth += 1
-            self.check_body(st.body)
-            self.loop_depth -= 1
-        elif isinstance(st, WhileStmt):
-            self.expect_bool(st.cond)
-            self.loop_depth += 1
-            self.check_body(st.body)
-            self.loop_depth -= 1
-        elif isinstance(st, RepeatStmt):
-            self.loop_depth += 1
-            self.check_body(st.body)
-            self.loop_depth -= 1
-            self.expect_bool(st.until)
-        elif isinstance(st, ExitStmt):
-            if self.loop_depth == 0:
-                self.err("EXIT outside of a loop", st.span)
-        elif isinstance(st, ReturnStmt):
-            pass
-        elif isinstance(st, FbCall):
-            self.check_fb_call(st)
-        else:  # pragma: no cover
-            raise TypeError(f"unhandled statement {st!r}")
+    def check_assign(self, st: Assign) -> None:
+        target_ty = self.type_lvalue(st.target)
+        value_ty = self.type_expr(st.value, expected=target_ty)
+        if target_ty is not None and value_ty is not None and not T.assignable(value_ty, target_ty):
+            self.err(f"cannot assign {value_ty} to {target_ty}", st.span)
+
+    def check_if(self, st: IfStmt) -> None:
+        for br in st.branches:
+            self.expect_bool(br.cond)
+            self.check_body(br.body)
+        self.check_body(st.else_body)
+
+    def check_case(self, st: CaseStmt) -> None:
+        sel_ty = self.type_expr(st.selector)
+        if sel_ty is not None and sel_ty.kind not in _INT_LITERAL_KINDS:
+            self.err(f"CASE selector must be an integer type, got {sel_ty}", st.span)
+            sel_ty = None
+        for br in st.branches:
+            for lab in br.labels:
+                if lab.lo > lab.hi:
+                    self.err(f"empty case range {lab.lo}..{lab.hi}", br.span)
+                if sel_ty is not None:
+                    lo, hi = T.INT_RANGES[sel_ty.kind]
+                    if not (lo <= lab.lo <= hi and lo <= lab.hi <= hi):
+                        self.err(f"case label {lab.lo}..{lab.hi} outside {sel_ty} range", br.span)
+            self.check_body(br.body)
+        self.check_body(st.else_body)
+
+    def check_for(self, st: ForStmt) -> None:
+        var = self.cur.vars.get(st.var)
+        if var is None:
+            self.err(f"unknown loop variable {st.var}", st.span)
+            var_ty = None
+        elif var.ty.kind not in (T.Kind.INT, T.Kind.DINT):
+            self.err(f"loop variable {st.var} must be INT or DINT", st.span)
+            var_ty = None
+        else:
+            var_ty = var.ty
+        for part in (st.start, st.stop, st.step):
+            if part is None:
+                continue
+            ty = self.type_expr(part, expected=var_ty)
+            if ty is not None and var_ty is not None and not T.assignable(ty, var_ty):
+                self.err(f"FOR bound type {ty} does not fit loop variable {var_ty}", st.span)
+        if type(st.step) is Literal and st.step.value == 0:
+            self.err("FOR step must not be zero", st.step.span)
+        self.loop_depth += 1
+        self.check_body(st.body)
+        self.loop_depth -= 1
+
+    def check_while(self, st: WhileStmt) -> None:
+        self.expect_bool(st.cond)
+        self.loop_depth += 1
+        self.check_body(st.body)
+        self.loop_depth -= 1
+
+    def check_repeat(self, st: RepeatStmt) -> None:
+        self.loop_depth += 1
+        self.check_body(st.body)
+        self.loop_depth -= 1
+        self.expect_bool(st.until)
+
+    def check_exit(self, st: ExitStmt) -> None:
+        if self.loop_depth == 0:
+            self.err("EXIT outside of a loop", st.span)
+
+    def check_return(self, st: ReturnStmt) -> None:
+        pass
 
     def expect_bool(self, cond: Expr) -> None:
         ty = self.type_expr(cond, expected=T.BOOL)
@@ -506,7 +515,7 @@ class _Resolver:
                     self.err(f"cannot store {fb_type}.{p.name} ({slot_ty}) into {tgt_ty}", p.span)
             else:
                 if slot_sec is Section.IN_OUT:
-                    if not isinstance(p.expr, (VarRef, MemberRef, IndexRef)):
+                    if type(p.expr) not in (VarRef, MemberRef, IndexRef):
                         self.err(f"VAR_IN_OUT parameter {p.name} needs a variable argument", p.span)
                         continue
                     tgt_ty = self.type_lvalue(p.expr)
@@ -527,7 +536,8 @@ class _Resolver:
     # -- expressions ---------------------------------------------------------------
 
     def type_lvalue(self, e: Expr) -> T.STType | None:
-        if isinstance(e, VarRef):
+        kind = type(e)
+        if kind is VarRef:
             var = self.cur.vars.get(e.name)
             if var is None:
                 if e.name in self.cur.fb_instances:
@@ -537,9 +547,9 @@ class _Resolver:
                 return None
             e.ty = var.ty
             return var.ty
-        if isinstance(e, MemberRef):
+        if kind is MemberRef:
             # writing into another instance is not allowed, inputs included
-            if isinstance(e.base, VarRef) and e.base.name in self.cur.fb_instances:
+            if type(e.base) is VarRef and e.base.name in self.cur.fb_instances:
                 fb_type = self.cur.fb_instances[e.base.name]
                 slot = self.fb_iface(fb_type).get(e.member)
                 if slot is not None and slot[1] is Section.INPUT:
@@ -550,8 +560,8 @@ class _Resolver:
                     return None
             self.err("cannot assign into a function block instance", e.span)
             return None
-        if isinstance(e, IndexRef):
-            base_ty = self.type_lvalue(e.base) if isinstance(e.base, VarRef) else None
+        if kind is IndexRef:
+            base_ty = self.type_lvalue(e.base) if type(e.base) is VarRef else None
             if base_ty is None:
                 return None
             if base_ty.kind is not T.Kind.ARRAY:
@@ -566,63 +576,55 @@ class _Resolver:
         return None
 
     def type_expr(self, e: Expr, expected: T.STType | None = None) -> T.STType | None:
-        ty = self._type_expr(e, expected)
+        ty = _TYPES[type(e)](self, e, expected)
         if ty is not None:
             e.ty = ty
         return ty
 
-    def _type_expr(self, e: Expr, expected: T.STType | None) -> T.STType | None:
-        if isinstance(e, Literal):
-            return self.type_literal(e, expected)
-        if isinstance(e, VarRef):
-            var = self.cur.vars.get(e.name)
-            if var is not None:
-                return var.ty
-            if e.name in self.cur.fb_instances:
-                self.err(f"function block instance {e.name} is not a value", e.span)
-                return None
-            self.err(f"unknown identifier {e.name}", e.span)
+    def type_var(self, e: VarRef, expected: T.STType | None) -> T.STType | None:
+        var = self.cur.vars.get(e.name)
+        if var is not None:
+            return var.ty
+        if e.name in self.cur.fb_instances:
+            self.err(f"function block instance {e.name} is not a value", e.span)
             return None
-        if isinstance(e, MemberRef):
-            if not isinstance(e.base, VarRef):
-                self.err("nested member access is not supported", e.span)
-                return None
-            fb_type = self.cur.fb_instances.get(e.base.name)
-            if fb_type is None:
-                self.err(f"{e.base.name} is not a function block instance", e.span)
-                return None
-            slot = self.fb_iface(fb_type).get(e.member)
-            if slot is None:
-                self.err(f"{fb_type} has no member {e.member}", e.span)
-                return None
-            ty, sec = slot
-            if sec not in (Section.INPUT, Section.OUTPUT):
-                self.err(f"member {e.member} of {fb_type} is not accessible", e.span)
-                return None
-            return ty
-        if isinstance(e, IndexRef):
-            if not isinstance(e.base, VarRef):
-                self.err("only array variables can be indexed", e.span)
-                return None
-            var = self.cur.vars.get(e.base.name)
-            if var is None:
-                self.err(f"unknown identifier {e.base.name}", e.span)
-                return None
-            e.base.ty = var.ty
-            if var.ty.kind is not T.Kind.ARRAY:
-                self.err(f"{e.base.name} is not an array", e.span)
-                return None
-            idx_ty = self.type_expr(e.index, expected=T.DINT)
-            if idx_ty is not None and idx_ty.kind not in (T.Kind.INT, T.Kind.DINT):
-                self.err(f"array index must be INT or DINT, got {idx_ty}", e.span)
-            return var.ty.elem
-        if isinstance(e, Unary):
-            return self.type_unary(e, expected)
-        if isinstance(e, Binary):
-            return self.type_binary(e, expected)
-        if isinstance(e, Call):
-            return self.type_call(e)
-        raise TypeError(f"unhandled expression {e!r}")  # pragma: no cover
+        self.err(f"unknown identifier {e.name}", e.span)
+        return None
+
+    def type_member(self, e: MemberRef, expected: T.STType | None) -> T.STType | None:
+        if type(e.base) is not VarRef:
+            self.err("nested member access is not supported", e.span)
+            return None
+        fb_type = self.cur.fb_instances.get(e.base.name)
+        if fb_type is None:
+            self.err(f"{e.base.name} is not a function block instance", e.span)
+            return None
+        slot = self.fb_iface(fb_type).get(e.member)
+        if slot is None:
+            self.err(f"{fb_type} has no member {e.member}", e.span)
+            return None
+        ty, sec = slot
+        if sec not in (Section.INPUT, Section.OUTPUT):
+            self.err(f"member {e.member} of {fb_type} is not accessible", e.span)
+            return None
+        return ty
+
+    def type_index(self, e: IndexRef, expected: T.STType | None) -> T.STType | None:
+        if type(e.base) is not VarRef:
+            self.err("only array variables can be indexed", e.span)
+            return None
+        var = self.cur.vars.get(e.base.name)
+        if var is None:
+            self.err(f"unknown identifier {e.base.name}", e.span)
+            return None
+        e.base.ty = var.ty
+        if var.ty.kind is not T.Kind.ARRAY:
+            self.err(f"{e.base.name} is not an array", e.span)
+            return None
+        idx_ty = self.type_expr(e.index, expected=T.DINT)
+        if idx_ty is not None and idx_ty.kind not in (T.Kind.INT, T.Kind.DINT):
+            self.err(f"array index must be INT or DINT, got {idx_ty}", e.span)
+        return var.ty.elem
 
     def type_literal(self, e: Literal, expected: T.STType | None) -> T.STType | None:
         k = e.lit_kind
@@ -672,16 +674,16 @@ class _Resolver:
         self.err(f"unary {e.op.value} needs a numeric operand, got {ty}", e.span)
         return None
 
-    def _is_adaptable_literal(self, e: Expr) -> bool:
-        return isinstance(e, Literal) and e.lit_kind in (Literal.K.INT, Literal.K.REAL)
-
     def type_binary(self, e: Binary, expected: T.STType | None) -> T.STType | None:
-        comparison = e.op in (BinOp.EQ, BinOp.NE, BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE)
+        comparison = e.op in _COMPARISONS
         hint = None if comparison else expected
-        if self._is_adaptable_literal(e.left) and not self._is_adaptable_literal(e.right):
+        # a numeric literal takes its type from the other operand
+        left_lit = type(e.left) is Literal and e.left.lit_kind in _ADAPTABLE_LITERALS
+        right_lit = type(e.right) is Literal and e.right.lit_kind in _ADAPTABLE_LITERALS
+        if left_lit and not right_lit:
             rt = self.type_expr(e.right, expected=hint)
             lt = self.type_expr(e.left, expected=rt)
-        elif self._is_adaptable_literal(e.right) and not self._is_adaptable_literal(e.left):
+        elif right_lit and not left_lit:
             lt = self.type_expr(e.left, expected=hint)
             rt = self.type_expr(e.right, expected=lt)
         else:
@@ -695,11 +697,7 @@ class _Resolver:
             if u is None:
                 self.err(f"cannot compare {lt} with {rt}", e.span)
                 return None
-            orderable = u.kind in (
-                T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD,
-                T.Kind.REAL, T.Kind.LREAL, T.Kind.TIME,
-            )
-            if e.op in (BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE) and not orderable:
+            if e.op in _ORDERINGS and u.kind not in _ORDERED_KINDS:
                 self.err(f"{u} values are not ordered", e.span)
                 return None
             return T.BOOL
@@ -732,7 +730,7 @@ class _Resolver:
         self.err(f"invalid operands for {e.op.value}: {lt} and {rt}", e.span)
         return None
 
-    def type_call(self, e: Call) -> T.STType | None:
+    def type_call(self, e: Call, expected: T.STType | None) -> T.STType | None:
         if bi.is_builtin_function(e.name):
             # type arguments first (conversions get their declared source as hint)
             conv = bi.conversion_target(e.name)
@@ -765,6 +763,30 @@ class _Resolver:
             if ty is not None and not T.assignable(ty, param.ty):
                 self.err(f"cannot pass {ty} for {e.name} parameter {param.name} ({param.ty})", e.span)
         return user.ret_type
+
+
+# per node class, the method that checks a statement of it or types an
+# expression of it
+_CHECKS = {
+    Assign: _Resolver.check_assign,
+    FbCall: _Resolver.check_fb_call,
+    ExitStmt: _Resolver.check_exit,
+    ReturnStmt: _Resolver.check_return,
+    IfStmt: _Resolver.check_if,
+    CaseStmt: _Resolver.check_case,
+    ForStmt: _Resolver.check_for,
+    WhileStmt: _Resolver.check_while,
+    RepeatStmt: _Resolver.check_repeat,
+}
+_TYPES = {
+    Literal: _Resolver.type_literal,
+    VarRef: _Resolver.type_var,
+    MemberRef: _Resolver.type_member,
+    IndexRef: _Resolver.type_index,
+    Unary: _Resolver.type_unary,
+    Binary: _Resolver.type_binary,
+    Call: _Resolver.type_call,
+}
 
 
 def resolve(ast: Ast, libraries: list[TypedProgram] | None = None) -> TypedProgram:

@@ -119,11 +119,22 @@ def is_generated_name(name: str) -> bool:
 # expression node in place
 # ---------------------------------------------------------------------------
 
+# operator and type text as ST spells it, read from tables: an Enum
+# lookup by value or name, and a member's `.value`, are Python-level calls
+_BINOPS = {op.value: op for op in N.BinOp}
+_TYPE_NAMES = {kind: kind.value for kind in T.Kind}
+# the literal kind that resolves to a runtime value of each scalar kind
+_LITERAL_KINDS = {
+    kind: N.Literal.K.INT if kind in T.INTEGERISH_KINDS
+    else N.Literal.K.REAL if kind in T.REAL_KINDS
+    else N.Literal.K[kind.value]
+    for kind in T.Kind if kind is not T.Kind.ARRAY
+}
+
+
 def value_literal(val: V.Value) -> N.Literal:
     """The ST literal that resolves to a runtime value."""
-    k = val.ty.kind
-    kind = "INT" if k in T.INTEGERISH_KINDS else "REAL" if k in T.REAL_KINDS else k.value
-    return N.Literal(N.Literal.K[kind], val.v)
+    return N.Literal(_LITERAL_KINDS[val.ty.kind], val.v)
 
 
 def _int(n: int) -> N.Literal:
@@ -142,7 +153,7 @@ def _ref(name: str, member: str | None = None) -> N.Expr:
 
 def _op(op: str, left: N.Expr, right: N.Expr) -> N.Binary:
     """A binary expression, the operator spelled as in ST."""
-    return N.Binary(N.BinOp(op), left, right)
+    return N.Binary(_BINOPS[op], left, right)
 
 
 def _set(name: str, value: N.Expr) -> N.Assign:
@@ -164,12 +175,12 @@ def _case(selector: str, branches: dict[int, list[N.Stmt]]) -> N.CaseStmt:
 
 def _decl(name: str, ty: str | T.STType, section: N.Section = N.Section.LOCAL) -> N.VarDecl:
     """A declaration of a type named in ST, or of a scalar or STRING type."""
-    if isinstance(ty, str):
+    if type(ty) is str:
         ref = N.TypeRef(ty)
     elif ty.kind is T.Kind.STRING and ty.cap != T.DEFAULT_STRING_CAP:
         ref = N.TypeRef("STRING", string_cap=ty.cap)
     else:
-        ref = N.TypeRef(ty.kind.value)
+        ref = N.TypeRef(_TYPE_NAMES[ty.kind])
     return N.VarDecl(name, ref, None, section)
 
 

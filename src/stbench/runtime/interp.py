@@ -124,6 +124,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -1371,11 +1372,13 @@ def run_program(
     which is exact since settling is linear.  Those counts are the
     program's slots from the instance's call up to the next call, and the
     arrays of the POUs the replay ran, so a credit does not grow with the
-    program.  So the counts, traces and budget are those of a run that
-    kept them.  An instance whose replay faults keeps running, and faults
-    where it would have; one a fault stopped, whose call has left the
-    scan, is not replayed.  Checked code, a body that can RETURN and an
-    instance called more than once keep running finished instances.
+    program: every replay counts in one program array, in slots no other
+    replay uses, and finds its entries in the scan by a bisection.  So the
+    counts, traces and budget are those of a run that kept them.  An
+    instance whose replay faults keeps running, and faults where it would
+    have; one a fault stopped, whose call has left the scan, is not
+    replayed.  Checked code, a body that can RETURN and an instance called
+    more than once keep running finished instances.
     """
     info = prog.lookup_pou(program_name.upper())
     if info is None or info.kind is not PouKind.PROGRAM:
@@ -1390,6 +1393,9 @@ def run_program(
         for run, st in code
     ]
     body = list(entries)
+    # the index in entries of each entry of body, ascending as body is a
+    # subsequence of entries: an entry's position in body is one bisection
+    order = list(range(len(entries)))
     # where finished instances leave the scan: the index of each quarantined
     # instance's only call (None if it has more than one)
     calls: dict[str, int | None] = {}
@@ -1403,6 +1409,11 @@ def run_program(
     # they spend per scan
     credits: list[tuple[_Pou, int, list[int], int]] = []
     units = 0
+    # the program slots every replay counts in: an instance's slots, from
+    # its call's up to the next call's, are its own and replayed at most
+    # once, so no replay finds another's counts in them
+    replay = [0] * len(info.sites)
+    base = info.sites[0].sid if info.sites else 0
     store, nested, root = inst.store, inst.nested, inst.fb_type
     contained: list[ContainedFault] = []
     scan = _Scan(prog)
@@ -1448,18 +1459,24 @@ def run_program(
         if stop:
             break
         if len(contained) > first:
-            body = [entry for entry in body if entry is not _GONE]
+            kept = [k for k, entry in enumerate(body) if entry is not _GONE]
+            body = [body[k] for k in kept]
+            order = [order[k] for k in kept]
         if calls and len(finished) > len(declared):
             for name in [name for name in finished if name not in declared]:
                 declared.add(name)
                 j = calls.get(name)
-                if j is None or entries[j] not in body:  # none, or a fault stopped it
+                if j is None:
+                    continue
+                at = bisect_left(order, j)
+                if at == len(order) or order[at] != j:  # a fault stopped it
                     continue
                 size = 2 if j + 1 < len(code) and type(code[j + 1][1]) is not N.FbCall else 1
                 # its entries, replayed once, count and spend what they would
                 # on each later scan
                 alone = _Scan(prog)
                 alone.begin(clock.now)
+                alone.counts[pou.name] = replay
                 own = pou.counts(alone)
                 try:
                     for run, _ in entries[j:j + size]:
@@ -1469,13 +1486,12 @@ def run_program(
                 units += _SCAN_SITE_BUDGET - alone.budget
                 # the program slots of its entries, from its call's up to the
                 # next call's, and the arrays of the POUs they called
-                base = info.sites[0].sid
                 lo = code[j][1].sid - base
                 hi = code[j + size][1].sid - base if j + size < len(code) else len(own)
                 credits.append((pou, lo, own[lo:hi], cycle + 1))
-                credits += [(p, 0, alone.counts[p.name], cycle + 1) for p in alone.ran if p is not pou]
-                at = body.index(entries[j])
+                credits += [(p, 0, alone.counts[p.name], cycle + 1) for p in alone.ran]
                 del body[at:at + size]
+                del order[at:at + size]
 
     for p, lo, counted, since in credits:
         if cycles_executed > since:  # none skipped: make p no array

@@ -5,6 +5,7 @@ import pytest
 from stbench import coverage as cov
 from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
+from stbench.frontend.nodes import site_span
 from stbench.frontend.source import SourceUnit
 from stbench.runtime import SimClock, execute_cycle, instantiate, make
 
@@ -188,3 +189,35 @@ def test_domain_takes_the_first_definition_in_lookup_order():
     assert not any(l.startswith(f"DA:{shadowed},") for l in rendered(cov.render_lcov, lines, src).splitlines())
     # the definition that ran keeps its counts
     assert [lines[n] for n in (3, 7, 8, 9)] == [1, 1, 1, 1]
+
+
+def test_the_renderings_slice_crlf_lines_as_line_text_gives_them():
+    # \r\n line endings, a line with a second trailing \r, and no final
+    # newline: each listed line and each site's line must be the one
+    # SourceUnit.line_text and line_of give, line by line
+    text = (SRC.replace("X := 2;", "X := 2; (* two *)\r") + IDLE).replace("\n", "\r\n").rstrip("\r\n")
+    prog = resolve(parse_text(text, "crlf.st"))
+    src = prog.src
+    assert not text.endswith("\n") and "\r\r\n" in text
+    counts = run_scans(prog, [on(True), on(True)])
+    lines = lines_of(prog, counts)
+
+    expected: dict[int, int] = {}
+    for info in cov.domain(prog).values():
+        for node, count in zip(info.sites, counts.get(info.name) or [0] * len(info.sites)):
+            line = src.line_of(site_span(node).start)
+            expected[line] = max(expected.get(line, count), count)
+    assert lines == expected
+
+    listing = []
+    for n in range(1, src.line_count() + 1):
+        count = expected.get(n)
+        marker = "-" if count is None else "#####" if count == 0 else count
+        listing.append(f"{marker:>9}:{n:>5}:{src.line_text(n)}\n")
+    annotated = rendered(cov.render_annotated, lines, src)
+    assert annotated == "".join(listing)
+    assert annotated.endswith(":END_FUNCTION_BLOCK\n") and "\r" not in annotated
+
+    lcov = ["SF:crlf.st\n", *(f"DA:{n},{expected[n]}\n" for n in sorted(expected))]
+    lcov.append(f"LF:{len(expected)}\nLH:{sum(1 for c in expected.values() if c)}\nend_of_record\n")
+    assert rendered(cov.render_lcov, lines, src) == "".join(lcov)

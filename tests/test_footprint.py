@@ -136,7 +136,7 @@ def test_a_line_table_is_built_on_the_first_lookup():
     assert not _has_line_table(src)
     assert src.line_count() == 3 and not _has_line_table(src)
     assert src.linecol(3) == (2, 2)
-    assert vars(src)["_line_starts"] == [0, 2, 5]
+    assert list(vars(src)["_line_starts"]) == [0, 2, 5]
 
 
 def test_a_successful_run_leaves_the_generated_layer_without_a_line_table(bundles, tmp_path):

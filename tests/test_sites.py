@@ -1,15 +1,18 @@
 """The statement-site model: each site node carries one sid, each POU lists
 its site nodes in sid order, and `site_span` says where a site is reported.
 The interpreter's count slots (a site's sid less its POU's first) and the
-coverage line walk rely on both facts."""
+coverage line walk rely on both facts.  The walks over nodes dispatch on a
+node's exact class, so each table they use must cover the node classes."""
 
 import pytest
 
 from stbench import corpus
 from stbench.frontend import nodes as N
-from stbench.frontend import parse_text, resolve
+from stbench.frontend import parse_text, pretty, resolve
+from stbench.frontend.resolve import _CHECKS, _TYPES
 from stbench.harnessgen import build_harness
 from stbench.llm import extract_csv
+from stbench.runtime import interp
 from stbench.testspec import parse_suite, validate
 from test_suite_artifacts import suites
 
@@ -92,3 +95,28 @@ def test_site_span_of_each_site_node_type():
         ("FbCall", "T(IN := A, PT := T#1s)"),
         ("ReturnStmt", "RETURN"),
     ]
+
+
+def _concrete(base):
+    return {c for c in vars(N).values() if isinstance(c, type) and issubclass(c, base) and c is not base}
+
+
+def test_each_dispatch_table_covers_exactly_the_node_classes():
+    # walks look a node's exact class up in a table, so a node kind missing
+    # from one would raise a KeyError in a run, and a subclass would miss
+    stmts, exprs = _concrete(N.Stmt), _concrete(N.Expr)
+    assert len(stmts) == 9 and len(exprs) == 7
+    assert not [c for c in stmts | exprs if c.__subclasses__()]
+    tables = {
+        "printer statements": (pretty._STMTS, stmts),
+        "printer expressions": (pretty._EXPRS, exprs),
+        "resolver statements": (_CHECKS, stmts),
+        "resolver expressions": (_TYPES, exprs),
+        "site walk": (N._SITE_WALKS, stmts),
+        # an IF is no site; each of its branches is one
+        "site spans": (N._SITE_SPANS, stmts - {N.IfStmt} | {N.IfBranch}),
+        "interpreter statements": (interp._STMTS, stmts),
+        "interpreter expressions": (interp._EXPRS, exprs),
+    }
+    for name, (table, classes) in tables.items():
+        assert set(table) == classes, name
