@@ -23,22 +23,22 @@ when it falls through, 1 for EXIT and 2 for RETURN.  A statement calling
 a list that can signal passes the signal on, but a loop breaks on 1;
 run_program ends the scan on 2, and an FB or function call drops it, as
 a RETURN ends only its POU.  The function is made by a factory `make(k0,
-..., kn)` whose parameters carry every name, literal, count slot, site,
-callee, built-in function and sub-body, so no user text enters generated
-source, and lists that differ only in those values share one source.
-The factory hands the values on as the function's positional defaults,
-`run(store, nested, cnt, scan, k0=k0, ..., kn=kn)`, which no caller
-passes: they are kept in one tuple and read as locals, where closure
-variables would cost a cell each and a dereference per read.  One walk
-over a list collects those values and builds its shape: a small hashable
-key recording only what the source depends on (the mode, node kinds and
-operators, the result kinds whose wrap is written out, converting stores,
-empty sub-bodies and ELSEs, calls that can signal, a FOR without BY,
-built-in or user blocks and a callee's TEMPs, and whether sites are
-tracked).  Factories are kept in a bounded cache keyed by shape, as `re`
-keeps its patterns; on a miss the source is rendered from the shape alone
-and compiled once per process, as `collections.namedtuple` compiles its
-classes.  So a list costs one walk
+..., kn, info)` whose parameters carry every name, literal, count slot,
+callee, built-in function and sub-body, and `info`, the POU's PouInfo,
+so no user text enters generated source, and lists that differ only in
+those values share one source.  The factory hands the values on as the
+function's positional defaults, `run(store, nested, cnt, scan, k0=k0,
+..., info=info)`, which no caller passes: they are kept in one tuple and
+read as locals, where closure variables would cost a cell each and a
+dereference per read.  One walk over a list collects those values and
+builds its shape: a small hashable key recording only what the source
+depends on (the mode, node kinds and operators, the result kinds whose
+wrap is written out, converting stores, empty sub-bodies and ELSEs,
+calls that can signal, a FOR without BY, built-in or user blocks and a
+callee's TEMPs, and whether sites are tracked).  Factories are kept in a
+bounded cache keyed by shape, as `re` keeps its patterns; on a miss the
+source is rendered from the shape alone and compiled once per process,
+as `collections.namedtuple` compiles its classes.  So a list costs one walk
 and a lookup, not a source text.  A generated function holds no run
 state: the store, the nested instances, the count array and the run
 state (`_Scan`: program, counts, budget, clock, call depth) are passed
@@ -112,12 +112,12 @@ scan they are spent cannot matter.  Checked code and a body that can
 RETURN run finished instances as any other.
 
 Faults are attributed on the exception path: each statement turns an
-expression fault into a RuntimeFault at its own site (a parameter
-holding its POU's name and its node, whose span is looked up only for a
-fault), and each call frame it unwinds through prepends its instance path
-segment.  A chain of calls that exhausts Python's recursion limit becomes
-the fault "call stack too deep" at the innermost call site with room to
-raise it.
+expression fault into a RuntimeFault at its own site, named by its count
+slot, whose node (`PouInfo.sites[slot]`) and span are looked up only for
+a fault, and each call frame it unwinds through prepends its instance
+path segment, built from the callee's or instance's name then.  A chain
+of calls that exhausts Python's recursion limit becomes the fault "call
+stack too deep" at the innermost call site with room to raise it.
 """
 
 from __future__ import annotations
@@ -282,9 +282,9 @@ class _Scan:
     `spare` is what contained faults may still give back to the budget in
     this scan.  `depth` counts the calls in progress in checked code; a
     fault leaves the calls it abandons counted, and run_program resets it
-    when it contains the fault.  `last` is the site a FOR iteration's
-    budget fault is attributed to: the last one hit in the loop's frame.
-    `ran` holds the POU of each count array, for `settle`."""
+    when it contains the fault.  `last` is the slot of the site a FOR
+    iteration's budget fault is attributed to: the last one hit in the
+    loop's frame, in the FOR's POU.  `ran` holds each array's POU."""
 
     __slots__ = ("prog", "counts", "ran", "budget", "spare", "now", "depth", "loops", "last")
 
@@ -337,10 +337,10 @@ class _Trap(Exception):
 _TRAPS = (_Trap, BuiltinFuncError)
 
 
-def _fault(site: tuple[str, N.Stmt | N.IfBranch], cause) -> RuntimeFault:
-    """The fault `cause` at a site, given as its POU's name and its node."""
-    pou, node = site
-    return RuntimeFault(str(cause), pou, node.sid, N.site_span(node))
+def _fault(info: PouInfo, slot: int, cause) -> RuntimeFault:
+    """The fault `cause` at the site of count slot `slot` of the POU `info`."""
+    node = info.sites[slot]
+    return RuntimeFault(str(cause), info.name, node.sid, N.site_span(node))
 
 
 def _store_conv(src: T.STType | None, dst: T.STType):
@@ -538,6 +538,7 @@ class _Pou:
 
 
 _NO_NESTED: dict = {}
+_DOT = "."  # a user FB call's path segment is _DOT + its instance name
 _DEPTH_MSG = "call depth exceeded"
 _ZERO_STEP_MSG = "FOR step is zero"
 _f32, _f32_pack, _f32_unpack = V.f32, V.F32.pack, V.F32.unpack
@@ -604,15 +605,16 @@ def _frame(scan: _Scan, callee: _Pou) -> dict:
     return callee.frame()
 
 
-def _call(callee: _Pou, segment: str, scan: _Scan, frame: dict, *args):
+def _call(callee: _Pou, scan: _Scan, frame: dict, *args):
     """The result of the user function `callee` run on a new frame and the
-    arguments evaluated after it.  Checked code makes the frame by
-    `_frame`, one level deeper, and gets that level back here."""
+    arguments evaluated after it; a fault in it gains `/NAME()` on its path.
+    Checked code makes the frame by `_frame`, one level deeper, and gets
+    that level back here."""
     frame.update(zip(callee.params, args))
     try:
         callee.run(frame, _NO_NESTED, scan)
     except RuntimeFault as fault:
-        fault.instance_path = segment + fault.instance_path
+        fault.instance_path = f"/{callee.name}(){fault.instance_path}"
         raise
     except RecursionError:
         raise _Trap(_STACK_MSG) from None
@@ -654,10 +656,10 @@ def _wrap(kind: T.Kind | None, text: str) -> str:
     return f"({text})"
 
 
-def _guard(lines: str, s: str, pad: str) -> str:
+def _guard(lines: str, c: str, pad: str) -> str:
     """`lines`, indented one level past pad, with an expression fault in
-    them attributed to the site `s`."""
-    return f"{pad}try:\n{lines}{pad}except _TRAPS as exc:\n{pad} raise _fault({s}, exc) from None\n"
+    them attributed to the site of count slot `c`."""
+    return f"{pad}try:\n{lines}{pad}except _TRAPS as exc:\n{pad} raise _fault(info, {c}, exc) from None\n"
 
 
 class _Text:
@@ -671,11 +673,11 @@ class _Text:
     an EXIT or RETURN (`jump`) and a call passing a signal on (`invoke`)
     skip the statements after them; an IF leaves a one-shot loop, WHILE and
     REPEAT break out of theirs.  A list of two or more heads counts once
-    (`seq`); each site keeps its own fault attribution (`count`, `_guard`).
-    Checked code also tests the budget at each site and counts the depth
-    of each user call, which bounded code leaves out.  The factory
-    parameters the text refers to are named k0, k1, ... in the order `_Gen`
-    collects their values."""
+    (`seq`); each site keeps its own fault attribution, by its count slot
+    (`count`, `_guard`).  Checked code also tests the budget at each site
+    and counts the depth of each user call, which bounded code leaves out.
+    The factory parameters the text refers to are named k0, k1, ... in the
+    order `_Gen` collects their values, and `info`."""
 
     def __init__(self, bounded: bool):
         self.n = 0
@@ -691,15 +693,11 @@ class _Text:
         self.n += 1
         return f"k{self.n - 1}"
 
-    def site(self) -> tuple[str, str]:
-        """The parameters carrying a site's fault location and count slot."""
-        return self.k(), self.k()
-
     def stmt(self, shape) -> str:
         return shape[0](self, shape)
 
-    def count(self, s: str, c: str, pad: str) -> str:
-        """Lines counting the site `s` in slot `c` and spending a unit of
+    def count(self, c: str, pad: str) -> str:
+        """Lines counting the site of count slot `c` and spending a unit of
         the scan's budget; checked code then tests the budget.  A fused
         list's first head counts for the list, spending all its heads'
         units in bounded code; a later head sets `at` instead."""
@@ -714,7 +712,7 @@ class _Text:
             text = f"{pad}at = {head}\n" + ("" if self.bounded else f"{pad}scan.budget -= 1\n")
         if self.bounded:
             return text
-        return text + f"{pad}if scan.budget <= 0:\n{pad} raise _fault({s}, _BUDGET_MSG)\n"
+        return text + f"{pad}if scan.budget <= 0:\n{pad} raise _fault(info, {c}, _BUDGET_MSG)\n"
 
     def run_body(self, runs, pad: str = "  ", loop: bool = False) -> str:
         """The lines running a sub-body (in a loop's body with `loop`): none
@@ -774,17 +772,17 @@ class _Text:
 
     def assign(self, shape) -> str:
         _, track, value, target = shape
-        s, c = self.site()
+        c = self.k()
         put = self.put(target, self.ex(value))
-        last = f"  scan.last = {s}\n" if track else ""
-        return self.count(s, c, "  ") + _guard(f"   {put}\n", s, "  ") + last
+        last = f"  scan.last = {c}\n" if track else ""
+        return self.count(c, "  ") + _guard(f"   {put}\n", c, "  ") + last
 
     def jump(self, shape) -> str:
         """EXIT or RETURN: the list's function returns its signal."""
         _, exit_, track = shape
-        s, c = self.site()
-        last = f"  scan.last = {s}\n" if track else ""
-        return f"{self.count(s, c, '  ')}{last}  return {1 if exit_ else 2}\n"
+        c = self.k()
+        last = f"  scan.last = {c}\n" if track else ""
+        return f"{self.count(c, '  ')}{last}  return {1 if exit_ else 2}\n"
 
     def if_stmt(self, shape) -> str:
         # a one-shot loop that a taken branch breaks out of: an ELSIF chain
@@ -792,18 +790,18 @@ class _Text:
         _, track, branches, else_runs = shape
         text = "  while True:\n"
         for cond, runs in branches:
-            s, c = self.site()
-            last = f"   scan.last = {s}\n" if track else ""
-            text += self.count(s, c, "   ") + _guard(f"    taken = {self.ex(cond)}\n", s, "   ")
+            c = self.k()
+            last = f"   scan.last = {c}\n" if track else ""
+            text += self.count(c, "   ") + _guard(f"    taken = {self.ex(cond)}\n", c, "   ")
             text += f"{last}   if taken:\n{self.run_body(runs, '    ')}    break\n"
         return text + self.run_body(else_runs, "   ") + "   break\n"
 
     def case_stmt(self, shape) -> str:
         _, track, signals, selector = shape
-        s, c = self.site()
-        last = f"  scan.last = {s}\n" if track else ""
+        c = self.k()
+        last = f"  scan.last = {c}\n" if track else ""
         return (
-            self.count(s, c, "  ") + _guard(f"   sel = {self.ex(selector)}\n", s, "  ") + last
+            self.count(c, "  ") + _guard(f"   sel = {self.ex(selector)}\n", c, "  ") + last
             + f"  for lo, hi, body in {self.k()}:\n"
             "   if lo <= sel <= hi:\n"
             "    break\n"  # the first matching branch wins
@@ -814,7 +812,7 @@ class _Text:
 
     def for_stmt(self, shape) -> str:
         _, kind, start, stop, step, runs = shape
-        s, c = self.site()
+        c = self.k()
         var = self.k()
         head = (
             f"   cur = {self.ex(start)}\n"
@@ -824,8 +822,8 @@ class _Text:
             "    raise _Trap(_ZERO_STEP_MSG)\n"
         )
         return (
-            self.count(s, c, "  ") + _guard(head, s, "  ")
-            + f"  scan.last = {s}\n"
+            self.count(c, "  ") + _guard(head, c, "  ")
+            + f"  scan.last = {c}\n"
             "  while (cur <= lim) if inc > 0 else (cur >= lim):\n"
             f"   store[{var}] = cur\n"
             + self.run_body(runs, "   ", True)
@@ -833,16 +831,16 @@ class _Text:
             "   scan.loops += 1\n"
             "   scan.budget -= 1\n"
             "   if scan.budget <= 0:\n"
-            "    raise _fault(scan.last, _BUDGET_MSG)\n"
+            "    raise _fault(info, scan.last, _BUDGET_MSG)\n"
         )
 
     def while_stmt(self, shape) -> str:
         _, track, cond, runs = shape
-        s, c = self.site()
-        last = f"   scan.last = {s}\n" if track else ""
+        c = self.k()
+        last = f"   scan.last = {c}\n" if track else ""
         return (
             "  while True:\n"
-            + self.count(s, c, "   ") + _guard(f"    go = {self.ex(cond)}\n", s, "   ") + last
+            + self.count(c, "   ") + _guard(f"    go = {self.ex(cond)}\n", c, "   ") + last
             + "   if not go:\n"
             "    break\n"
             + self.run_body(runs, "   ", True)
@@ -850,52 +848,53 @@ class _Text:
 
     def repeat_stmt(self, shape) -> str:
         _, track, runs, until = shape
-        s, c = self.site()
-        last = f"   scan.last = {s}\n" if track else ""
+        c = self.k()
+        last = f"   scan.last = {c}\n" if track else ""
         return (
             "  while True:\n"
             + self.run_body(runs, "   ", True)
-            + self.count(s, c, "   ") + _guard(f"    done = {self.ex(until)}\n", s, "   ") + last
+            + self.count(c, "   ") + _guard(f"    done = {self.ex(until)}\n", c, "   ") + last
             + "   if done:\n"
             "    break\n"
         )
 
     def fb_call(self, shape) -> str:
         _, track, builtin, temps, in_shapes, out_shapes = shape
-        s, c = self.site()
-        text = self.count(s, c, "  ") + f"  fb = nested[{self.k()}]\n  fs = fb.store\n"
+        c = self.k()
+        inst = self.k()
+        text = self.count(c, "  ") + f"  fb = nested[{inst}]\n  fs = fb.store\n"
         ins = "".join([f"   fs[{self.k()}] = {self.ex(x)}\n" for x in in_shapes])
         outs = "".join([f"   {self.put(x, f'fs[{self.k()}]')}\n" for x in out_shapes])
-        last = f"  scan.last = {s}\n" if track else ""
+        last = f"  scan.last = {c}\n" if track else ""
         if builtin:
-            return text + _guard(f"{ins}   fb.step(scan.now)\n{outs}", s, "  ") + last
+            return text + _guard(f"{ins}   fb.step(scan.now)\n{outs}", c, "  ") + last
         # the callee's body runs here, compiled on its first call inside the
         # handlers, so that a RecursionError compiling it is contained too
         pou, name = self.k(), self.k()
         if ins:
-            text += _guard(ins, s, "  ")
+            text += _guard(ins, c, "  ")
         if temps:
             text += f"  {pou}.reset_temps(fs)\n"
         if not self.bounded:
             text += (
                 "  scan.depth += 1\n"
                 "  if scan.depth > _MAX_CALL_DEPTH:\n"
-                f"   raise _fault({s}, _DEPTH_MSG)\n"
+                f"   raise _fault(info, {c}, _DEPTH_MSG)\n"
             )
         text += (
             "  try:\n"
             f"   ({pou}.body or {pou}.compile(scan.prog))"
             f"(fs, fb.nested, scan.counts.get({name}) or {pou}.counts(scan), scan)\n"
             "  except RuntimeFault as fault:\n"
-            f"   fault.instance_path = {self.k()} + fault.instance_path\n"
+            f"   fault.instance_path = _DOT + {inst} + fault.instance_path\n"
             "   raise\n"
             "  except RecursionError:\n"
-            f"   raise _fault({s}, _STACK_MSG) from None\n"
+            f"   raise _fault(info, {c}, _STACK_MSG) from None\n"
         )
         if not self.bounded:
             text += "  scan.depth -= 1\n"
         if outs:
-            text += _guard(outs, s, "  ")
+            text += _guard(outs, c, "  ")
         return text + last
 
     # -- stores ----------------------------------------------------------------
@@ -967,18 +966,18 @@ class _Text:
         args = "".join([f", {self.ex(a)}" for a in shape[1]])
         pou = self.k()
         frame = f"{pou}.frame()" if self.bounded else f"_frame(scan, {pou})"
-        return f"_call({pou}, {self.k()}, scan, {frame}{args})"
+        return f"_call({pou}, scan, {frame}{args})"
 
 
 def _source(shape) -> str:
-    """The source of the factory `make(k0, ..., kn)` returning the function
-    of this statement-list shape, `run(store, nested, cnt, scan, k0=k0,
-    ..., kn=kn)`: the values are its positional defaults, which no caller
-    passes, so they sit in one tuple (`__defaults__`) and are read as
-    locals, and the function has no closure cell."""
+    """The source of the factory `make(k0, ..., kn, info)` returning the
+    function of this statement-list shape, `run(store, nested, cnt, scan,
+    k0=k0, ..., info=info)`: the values are its positional defaults, which
+    no caller passes, so they sit in one tuple (`__defaults__`) and are
+    read as locals, and the function has no closure cell."""
     text = _Text(shape[1])
     body = text.seq(shape)
-    params = [f"k{i}" for i in range(text.n)]
+    params = [f"k{i}" for i in range(text.n)] + ["info"]
     defaults = "".join([f", {k}={k}" for k in params])
     return f"def make({', '.join(params)}):\n def run(store, nested, cnt, scan{defaults}):\n{body} return run\n"
 
@@ -1012,10 +1011,10 @@ def _calls(runs: list, signals: bool) -> Callable:
     """One function calling each function of `runs` in turn, through a
     tree of functions that call at most _CHUNK each; if they `signals`, a
     signal returned ends it and is passed on.  It holds no site, so its
-    text is the same in either mode."""
+    text is the same in either mode and its `info` is None."""
     while len(runs) > _CHUNK:
         runs = [_calls(runs[i:i + _CHUNK], signals) for i in range(0, len(runs), _CHUNK)]
-    return _factory((_Text.seq, False) + ((_PASS if signals else _CALL),) * len(runs))(*runs)
+    return _factory((_Text.seq, False) + ((_PASS if signals else _CALL),) * len(runs))(*runs, None)
 
 
 class _Gen:
@@ -1025,21 +1024,22 @@ class _Gen:
     Each statement list (a body, an IF branch or ELSE, a CASE arm or ELSE,
     a loop body) becomes one function that runs its statements inline.
     One walk over the list collects the values of its factory's parameters
-    (every name, literal, count slot, site, callee, built-in function and
-    sub-body) and builds its shape, `(_Text.seq, bounded, statement
-    shapes...)`; `_factory` compiles the shape's source on its first use
-    in the process, and the list's function is that factory applied to the
-    values.  Lists differing only in those values share one shape.
-    Expressions are inlined; a sub-body is a function of its own, a
-    parameter its statement calls, so ST nesting never becomes Python
-    nesting.  A list longer than _CHUNK statements runs as chunks of at
-    most _CHUNK, each its own function.  With `track` set (sites inside a
-    FOR body), a site records itself in `scan.last` once its own
-    evaluation is done."""
+    (every name, literal, count slot, callee, built-in function and
+    sub-body, then `info`, the POU's PouInfo) and builds its shape,
+    `(_Text.seq, bounded, statement shapes...)`; `_factory` compiles the
+    shape's source on its first use in the process, and the list's
+    function is that factory applied to the values.  Lists differing only
+    in those values share one shape.  Expressions are inlined; a sub-body
+    is a function of its own, a parameter its statement calls, so ST
+    nesting never becomes Python nesting.  A list longer than _CHUNK
+    statements runs as chunks of at most _CHUNK, each its own function.
+    With `track` set (sites inside a FOR body), a site records its slot in
+    `scan.last` once its own evaluation is done.  A function holds the
+    PouInfo, not the _Pou, whose entries hold it: that would be a cycle."""
 
     def __init__(self, pou: _Pou, prog: TypedProgram):
         self.prog = prog
-        self.name = pou.name
+        self.info = pou.info
         self.bounded = pou.bounded
         # a site's count slot is its sid less this, its POU's first sid
         self.base = pou.info.sites[0].sid if pou.info.sites else 0
@@ -1053,8 +1053,8 @@ class _Gen:
         self.sig = 0
 
     def site(self, node) -> None:
-        """Collect a site's fault location and count slot."""
-        self.consts += ((self.name, node), node.sid - self.base)
+        """Collect a site's count slot."""
+        self.consts.append(node.sid - self.base)
 
     def block(self, body: list[N.Stmt], track: bool) -> tuple[Callable, int]:
         """The function running a statement list, and the signals it can
@@ -1075,7 +1075,7 @@ class _Gen:
         ]
         for later in heads[1:]:
             self.fused += (later, heads[0])
-        return _factory((_Text.seq, self.bounded, *stmts))(*consts), sig
+        return _factory((_Text.seq, self.bounded, *stmts))(*consts, self.info), sig
 
     def sub(self, body: list[N.Stmt], track: bool, loop: bool = False):
         """The shape running a sub-body (a loop's with `loop`): False for an
@@ -1167,7 +1167,7 @@ class _Gen:
             outs.append(self.put(p.expr, slots[p.name][0]))
         if builtin:
             return (_Text.fb_call, track, True, False, tuple(ins), tuple(outs))
-        consts += (callee, fb_type, "." + st.instance)
+        consts += (callee, fb_type)
         return (_Text.fb_call, track, False, bool(callee.temps), tuple(ins), tuple(outs))
 
     # -- stores ----------------------------------------------------------------
@@ -1241,7 +1241,7 @@ class _Gen:
             return (_Text.builtin, tuple([self.ex(a) for a in e.args]))
         callee = _pou(self.prog, e.name, self.bounded)
         args = tuple([self.value_for(a, p.ty) for p, a in zip(callee.info.inputs(), e.args)])
-        self.consts += (callee, f"/{callee.name}()")
+        self.consts.append(callee)
         return (_Text.call, args)
 
 

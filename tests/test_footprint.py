@@ -11,6 +11,7 @@ two largest artifacts are written as they are rendered.
 import dataclasses
 import io
 import json
+import re
 
 import pytest
 
@@ -105,26 +106,78 @@ SUITES = {
 }
 
 
-@pytest.mark.parametrize("block", SUITES)
-def test_every_generated_statement_function_keeps_its_values_in_defaults(bundles, block):
-    prog = resolve(parse_source(SourceUnit(corpus.block_source(block), block)))
-    run_suite(prog, validate(parse_suite(SUITES[block], block), prog))
+# a user FB calling a user function, so that a harness of it calls both
+SCALE_SRC = """
+FUNCTION PCT : INT
+VAR_INPUT D : INT; END_VAR
+PCT := 100 / D;
+END_FUNCTION
+FUNCTION_BLOCK SCALE
+VAR_INPUT D : INT; END_VAR
+VAR_OUTPUT Q : INT; END_VAR
+Q := PCT(D);
+END_FUNCTION_BLOCK
+"""
+SUITES_AND_SCALE = {**SUITES, "SCALE": "test_name,state,D,expect_Q\ntc_a,1,4,25\ntc_b,1,0,1\n"}
+
+
+def _run_compiled(bundles, block):
+    """The POUs a run of the block's suite compiled, and every generated
+    statement function they hold."""
+    text = SCALE_SRC if block == "SCALE" else corpus.block_source(block)
+    prog = resolve(parse_source(SourceUnit(text, block)))
+    run_suite(prog, validate(parse_suite(SUITES_AND_SCALE[block], block), prog))
     (bundle,) = bundles
     compiled = [
         pou for layer in bundle.typed.layers() if layer.runtime_cache is not None
         for pou in layer.runtime_cache.pous.values()
     ]
-    assert {pou.bounded for pou in compiled} == {block == "LOGIC_MUX"}
     seen: set[int] = set()
     functions = [
         fn for pou in compiled for run, _ in pou.entries for fn in _generated(run, seen)
     ]
     assert len(functions) > len(compiled)
+    return compiled, functions
+
+
+@pytest.mark.parametrize("block", SUITES)
+def test_every_generated_statement_function_keeps_its_values_in_defaults(bundles, block):
+    compiled, functions = _run_compiled(bundles, block)
+    assert {pou.bounded for pou in compiled} == {block == "LOGIC_MUX"}
     for fn in functions:
         assert fn.__closure__ is None
         # run(store, nested, cnt, scan, k0=k0, ..., kn=kn)
         assert fn.__code__.co_argcount == 4 + len(fn.__defaults__ or ())
         assert fn.__code__.co_varnames[:4] == ("store", "nested", "cnt", "scan")
+
+
+def _flat(values):
+    """values, with the items of each tuple among them, recursively."""
+    for value in values:
+        if isinstance(value, tuple):
+            yield from _flat(value)
+        else:
+            yield value
+
+
+# a fault's instance path segment: ".NAME" for an FB call, "/NAME()" for a
+# function call
+PATH_SEGMENT = re.compile(r"\.[A-Z_][A-Z0-9_]*|/[A-Z_][A-Z0-9_]*\(\)")
+
+
+@pytest.mark.parametrize("block", SUITES_AND_SCALE)
+def test_a_site_is_held_as_its_count_slot_alone(bundles, block):
+    # a generated function holds its POU's PouInfo, in which a site's count
+    # slot locates a fault, and no node, (POU name, node) pair or path
+    # segment per site or call
+    compiled, functions = _run_compiled(bundles, block)
+    infos = {id(pou.info) for pou in compiled}
+    for fn in functions:
+        values = list(_flat(fn.__defaults__))
+        assert not [v for v in values if isinstance(v, NODE_CLASSES)]
+        assert not [v for v in values if isinstance(v, str) and PATH_SEGMENT.fullmatch(v)]
+        info = fn.__defaults__[-1]
+        assert info is None or id(info) in infos
 
 
 def _has_line_table(src: SourceUnit) -> bool:

@@ -530,6 +530,68 @@ def test_for_iteration_budget_fault_names_last_site_of_its_frame():
     assert (err.value.pou, err.value.sid) == ("LOOPER", 3)
 
 
+NESTED_FORS_SRC = """
+FUNCTION SUMTO : DINT
+VAR_INPUT N : DINT; END_VAR
+VAR K : DINT; END_VAR
+SUMTO := 0;
+K := 0;
+FOR K := 1 TO N DO
+    SUMTO := SUMTO + K;
+END_FOR;
+END_FUNCTION
+FUNCTION_BLOCK INNER
+VAR_INPUT N : DINT; END_VAR
+VAR_OUTPUT S : DINT; END_VAR
+VAR K : DINT; END_VAR
+S := 0;
+FOR K := 1 TO N DO
+    S := S + K;
+END_FOR;
+END_FUNCTION_BLOCK
+FUNCTION_BLOCK OUTER
+VAR_OUTPUT T : DINT; END_VAR
+VAR I : DINT; F : INNER; END_VAR
+FOR I := 1 TO 1000 DO
+    F(N := 3);
+    T := SUMTO(4);
+END_FOR;
+END_FUNCTION_BLOCK
+PROGRAM MAIN
+VAR O : OUTER; DONE : DINT; END_VAR
+O();
+DONE := DONE + 1;
+END_PROGRAM
+"""
+
+
+@pytest.mark.parametrize(
+    "budget,where,counts,traces",
+    [
+        # the outer loop's step after its second iteration: the callees'
+        # loops ran in between, yet the fault names the outer body's last
+        # statement, T := SUMTO(4)
+        (46, ("OUTER", 9, "MAIN.O"), {"OUTER": [1, 2, 2], "INNER": [2, 2, 6], "SUMTO": [2, 2, 2, 8]}, [31, 1]),
+        # the function's own step, and the FB's
+        (45, ("SUMTO", 3, "MAIN.O/SUMTO()"), {"OUTER": [1, 2, 2], "INNER": [2, 2, 6], "SUMTO": [2, 2, 2, 8]}, [31, 1]),
+        (53, ("INNER", 6, "MAIN.O.F"), {"OUTER": [1, 3, 2], "INNER": [3, 3, 8], "SUMTO": [2, 2, 2, 8]}, [36, 1]),
+    ],
+    ids=["outer", "function", "fb"],
+)
+def test_a_for_step_budget_fault_names_a_site_of_its_own_pou(budget, where, counts, traces, monkeypatch):
+    # each FOR's back-edge attributes its budget fault to the last site its
+    # own frame hit, though the loop body called an FB and a function that
+    # each ran a FOR of their own
+    monkeypatch.setattr(interp, "_SCAN_SITE_BUDGET", budget)
+    result = run_program(prog_of(NESTED_FORS_SRC), "MAIN", 2, SimClock(), quarantine={"O"})
+    (contained,) = result.faults
+    fault = contained.fault
+    assert "budget" in fault.message and contained.cycle == 0
+    assert (fault.pou, fault.sid, fault.instance_path) == where
+    assert result.counts == {"MAIN": [1, 2], **counts}
+    assert [len(t) for t in result.traces] == traces
+
+
 def test_fault_instance_path_names_the_frame():
     prog = prog_of(
         """
@@ -1458,27 +1520,53 @@ def test_finished_instances_leave_only_bounded_bodies_that_cannot_return(program
 
 
 def test_a_finished_instance_is_credited_from_its_own_program_slots(monkeypatch):
-    # a retired call's credit reads the program slots from its call up to
-    # the next call, so no replay iterates its program-sized count array
-    made, iterated = [], []
+    # every replay counts in one shared program-sized array, and a retired
+    # call's credit reads only its own slots of it, from its call up to the
+    # next call, so no credit iterates the array
+    iterated = []
 
     class Watched(list):
         def __iter__(self):
             iterated.append(len(self))
             return super().__iter__()
 
+    # each MAIN array a scan is given, watched: one array, one Watched
+    watched = {}
     counts = interp._Pou.counts
 
     def watched_counts(pou, scan):
         cnt = counts(pou, scan)
         if pou.name == "MAIN" and type(cnt) is list:
-            cnt = scan.counts["MAIN"] = Watched(cnt)
-            made.append(cnt)
+            cnt = scan.counts["MAIN"] = watched.setdefault(id(cnt), (cnt, Watched(cnt)))[1]
         return cnt
 
+    # the scan and the array each run of a MAIN entry counts in
+    ran = []
+    code = interp._Pou.code
+
+    def recorded_code(pou, prog):
+        def recording(run):
+            def entry(store, nested, cnt, scan):
+                ran.append((scan, cnt))
+                return run(store, nested, cnt, scan)
+            return entry
+        entries = code(pou, prog)
+        return tuple([(recording(run), st) for run, st in entries]) if pou.name == "MAIN" else entries
+
     monkeypatch.setattr(interp._Pou, "counts", watched_counts)
+    monkeypatch.setattr(interp._Pou, "code", recorded_code)
     prog = prog_of(CASES_SRC.format(zero_at=0, loop="", ret=""))
     declared, kept = runs_declaring_finished(prog, "MAIN", 12, CASE_MIRRORS)
     assert declared == kept
-    assert len(made) == 2 + 3  # each run's own array, and one per replay of A, B and C
+    arrays = {}
+    for scan, cnt in ran:
+        arrays.setdefault(id(scan), []).append(cnt)
+    # the declaring run's scan, one replay each of A, B and C, then the
+    # keeping run's scan
+    first, *replays, second = arrays.values()
+    assert len(replays) == 3
+    shared = replays[0][0]
+    assert isinstance(shared, Watched) and len(shared) == len(prog.lookup_pou("MAIN").sites)
+    assert all([cnt is shared for cnts in replays for cnt in cnts])
+    assert not [cnt for cnt in first + second if cnt is shared]
     assert iterated == []

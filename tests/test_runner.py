@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import random
 import re
 import weakref
 from datetime import datetime, timezone
@@ -210,6 +211,55 @@ def test_retiring_finished_cases_changes_no_artifact(monkeypatch, tmp_path):
     assert report.to_dict() == kept.to_dict()
     for name in ("report.json", "coverage.lcov", "coverage.annotated.txt", "monitor.txt"):
         assert (tmp_path / "retired" / name).read_text() == (tmp_path / "kept" / name).read_text()
+
+
+def count_acc_suite(cases: int) -> str:
+    """A seeded COUNT_ACC suite: the first case dwells 4 states of 5 scans,
+    the others 1-4 states of 1-5 scans each, so cases finish and retire on
+    many different scans."""
+    rng = random.Random(1)
+    rows = ["test_name,state,dwell_cycles,X,EN,RST,expect_SUM,expect_CNT,expect_OVER\n"]
+    for case in range(1, cases + 1):
+        dwells = [5] * 4 if case == 1 else [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        for state, dwell in enumerate(dwells, 1):
+            en, rst = rng.choice(("TRUE", "FALSE")), rng.choice(("TRUE", "FALSE", "FALSE"))
+            rows.append(f"tc_{case:03d},{state},{dwell},{rng.randint(-50, 150)},{en},{rst},,{rng.randint(0, 20)},\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize(
+    "block,csv",
+    [
+        ("LOGIC_MUX", "test_name,state,A,B,PICKB,expect_Q\ntc_a,1,TRUE,FALSE,FALSE,TRUE\ntc_b,1,TRUE,FALSE,TRUE,TRUE\n"),
+        ("DEC_TO_HEX", DEC_CSV),
+        ("COUNT_ACC", count_acc_suite(200)),
+    ],
+    ids=["bounded", "checked", "retiring"],
+)
+def test_a_dropped_run_leaves_the_cyclic_collector_nothing(block, csv, monkeypatch):
+    # every object a run makes, its generated functions' defaults included,
+    # is freed by reference counting once the run is dropped
+    finished = []
+    real = runner.run_program
+
+    def recording(*args, **kwargs):
+        finished.append(kwargs["finished"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_program", recording)
+    prog = resolve(parse_text(corpus.block_source(block), block))
+    suite = checked(csv, block, prog)
+    gc.collect()
+    gc.disable()
+    try:
+        cycles = run_suite(prog, suite).cycles_executed
+        del prog, suite
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    if block == "COUNT_ACC":  # every case is declared finished, on 21 scans
+        assert cycles == 21 and len(finished[0]) == 200
 
 
 def test_case_blocks_keep_the_contract_retiring_relies_on(dec_setup):
