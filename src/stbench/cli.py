@@ -339,8 +339,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         else:
             setattr(cfg, key, typ(value))
     for key in ("atol", "rtol"):  # baked into harness.st as REAL literals
-        if not math.isfinite(getattr(cfg, key)):
-            raise ValueError(f"{key} must be a finite number, got {getattr(cfg, key)}")
+        if not 0 <= getattr(cfg, key) < math.inf:
+            raise ValueError(f"{key} must be a finite number >= 0, got {getattr(cfg, key)}")
+    if cfg.cycle_time_ms <= 0:  # the simulated clock must advance
+        raise ValueError(f"cycle_time_ms must be positive, got {cfg.cycle_time_ms}")
     return cfg
 
 

@@ -98,6 +98,8 @@ _BINARY = {
     for tok, op in level.items()
 }
 _UNARY = {"-": UnOp.NEG, "+": UnOp.PLUS, "NOT": UnOp.NOT}
+# the literal kind each literal token kind spells, with the token's value
+_LITERAL_TOKENS = {TokKind[k]: Literal.K[k] for k in ("INT", "REAL", "TIME", "STRING")}
 
 
 class _Parser:
@@ -323,30 +325,30 @@ class _Parser:
         return self.parse_literal_value()
 
     def parse_literal_value(self) -> Literal:
-        neg = False
-        start = self.cur.span
-        if self.at_op("-"):
-            self.advance()
-            neg = True
-        tok = self.cur
-        if tok.kind is TokKind.INT:
-            self.advance()
-            return Literal(Literal.K.INT, -tok.value if neg else tok.value, span=start.merge(tok.span))
-        if tok.kind is TokKind.REAL:
-            self.advance()
-            return Literal(Literal.K.REAL, -tok.value if neg else tok.value, span=start.merge(tok.span))
-        if neg:
+        """An initializer's literal: a literal token, or '-' and a numeric one."""
+        if not self.at_op("-"):
+            lit = self.take_literal()
+            if lit is None:
+                self.error(f"unexpected {self.cur.kind.value} {self.cur.lexeme!r}", expected="literal")
+            return lit
+        start = self.advance().span
+        if self.cur.kind not in (TokKind.INT, TokKind.REAL):
             self.error("expected numeric literal after '-'")
-        if tok.kind is TokKind.TIME:
+        lit = self.take_literal()
+        return Literal(lit.lit_kind, -lit.value, span=start.merge(lit.span))
+
+    def take_literal(self) -> Literal | None:
+        """The literal the current token spells, consumed, or None (and
+        nothing consumed) if it spells none."""
+        tok = self.cur
+        kind = _LITERAL_TOKENS.get(tok.kind)
+        if kind is not None:
             self.advance()
-            return Literal(Literal.K.TIME, tok.value, span=tok.span)
-        if tok.kind is TokKind.STRING:
-            self.advance()
-            return Literal(Literal.K.STRING, tok.value, span=tok.span)
+            return Literal(kind, tok.value, span=tok.span)
         if tok.kind is TokKind.KEYWORD and tok.norm in ("TRUE", "FALSE"):
             self.advance()
             return Literal(Literal.K.BOOL, tok.norm == "TRUE", span=tok.span)
-        self.error(f"unexpected {tok.kind.value} {tok.lexeme!r}", expected="literal")
+        return None
 
     # -- statements ----------------------------------------------------------
 
@@ -448,13 +450,13 @@ class _Parser:
         cond = self.parse_expr()
         self.expect_kw("THEN")
         body = self.parse_statements(stop={"ELSIF", "ELSE", "END_IF"})
-        branches.append(IfBranch(cond, body, span=if_tok.span.merge(_expr_span(cond))))
+        branches.append(IfBranch(cond, body, span=if_tok.span.merge(cond.span)))
         while self.at_kw("ELSIF"):
             elsif_tok = self.advance()
             cond = self.parse_expr()
             self.expect_kw("THEN")
             body = self.parse_statements(stop={"ELSIF", "ELSE", "END_IF"})
-            branches.append(IfBranch(cond, body, span=elsif_tok.span.merge(_expr_span(cond))))
+            branches.append(IfBranch(cond, body, span=elsif_tok.span.merge(cond.span)))
         else_body: list[Stmt] = []
         if self.at_kw("ELSE"):
             self.advance()
@@ -557,7 +559,7 @@ class _Parser:
             right = self.parse_expr(sub, prec + 1)
             self.over(max(height, self.height), op_tok)
             height = self.height
-            left = Binary(op, left, right, span=_expr_span(left).merge(_expr_span(right)))
+            left = Binary(op, left, right, span=left.span.merge(right.span))
 
     def parse_power(self, depth: int) -> Expr:
         base = self.parse_unary(depth)
@@ -569,7 +571,7 @@ class _Parser:
         height = self.height
         exp = self.parse_power(sub)  # right-assoc
         self.over(max(height, self.height), op_tok)
-        return Binary(BinOp.POW, base, exp, span=_expr_span(base).merge(_expr_span(exp)))
+        return Binary(BinOp.POW, base, exp, span=base.span.merge(exp.span))
 
     def parse_unary(self, depth: int) -> Expr:
         tok = self.cur
@@ -579,29 +581,17 @@ class _Parser:
             operand = self.parse_unary(sub)
             # fold numeric literals so INT minimum (-32768) types as one literal
             if tok.norm == "-" and isinstance(operand, Literal) and operand.lit_kind in (Literal.K.INT, Literal.K.REAL):
-                return Literal(operand.lit_kind, -operand.value, span=tok.span.merge(_expr_span(operand)))
+                return Literal(operand.lit_kind, -operand.value, span=tok.span.merge(operand.span))
             self.over(self.height, tok)
-            return Unary(_UNARY[tok.norm], operand, span=tok.span.merge(_expr_span(operand)))
+            return Unary(_UNARY[tok.norm], operand, span=tok.span.merge(operand.span))
         return self.parse_primary(depth)
 
     def parse_primary(self, depth: int) -> Expr:
-        tok = self.cur
         self.height = 1
-        if tok.kind is TokKind.INT:
-            self.advance()
-            return Literal(Literal.K.INT, tok.value, span=tok.span)
-        if tok.kind is TokKind.REAL:
-            self.advance()
-            return Literal(Literal.K.REAL, tok.value, span=tok.span)
-        if tok.kind is TokKind.TIME:
-            self.advance()
-            return Literal(Literal.K.TIME, tok.value, span=tok.span)
-        if tok.kind is TokKind.STRING:
-            self.advance()
-            return Literal(Literal.K.STRING, tok.value, span=tok.span)
-        if tok.kind is TokKind.KEYWORD and tok.norm in ("TRUE", "FALSE"):
-            self.advance()
-            return Literal(Literal.K.BOOL, tok.norm == "TRUE", span=tok.span)
+        lit = self.take_literal()
+        if lit is not None:
+            return lit
+        tok = self.cur
         if self.at_op("("):
             sub = self.deeper(depth)
             self.advance()
@@ -652,10 +642,6 @@ class _Parser:
                 self.over(max(height, self.height), sel)
             else:
                 return ref
-
-
-def _expr_span(e: Expr) -> Span:
-    return getattr(e, "span", Span(0, 0))
 
 
 def parse(tokens: list[Token], src: SourceUnit | None = None) -> Ast:

@@ -69,8 +69,6 @@ class PouInfo:
     # the values one instance (or call frame) holds: a variable, an ARRAY
     # element or a nested instance is one, plus the nested instance's own
     size: int = 0
-    # variable name -> (type, section), as BUILTIN_FBS gives a block's
-    iface: dict[str, tuple[T.STType, Section]] = field(default_factory=dict)
 
     def inputs(self) -> list[VarInfo]:
         return [v for v in self.vars.values() if v.section is Section.INPUT]
@@ -134,6 +132,12 @@ def interface_of(prog: TypedProgram, fb_name: str) -> FbInterface:
         [(v.name, str(v.ty)) for v in info.outputs()],
     )
 
+
+# each built-in block's variables, as PouInfo.vars holds a user block's
+BUILTIN_VARS = {
+    fb_type: {name: VarInfo(name, ty, section) for name, (ty, section) in slots.items()}
+    for fb_type, slots in bi.BUILTIN_FBS.items()
+}
 
 # The most values a POU's instance may hold (PouInfo.size): the runtime
 # builds each one, so a larger unit is rejected, as parser.MAX_DEPTH bounds
@@ -260,7 +264,6 @@ class _Resolver:
                 continue
             init = self.check_initializer(decl, ty) if decl.init is not None else None
             info.vars[decl.name] = VarInfo(decl.name, ty, decl.section, init, decl.span)
-        info.iface = {v.name: (v.ty, v.section) for v in info.vars.values()}
 
     def _declare_instance(self, info: PouInfo, decl, fb_type: str) -> None:
         if info.kind is PouKind.FUNCTION:
@@ -477,14 +480,11 @@ class _Resolver:
     def expect_bool(self, cond: Expr) -> None:
         ty = self.type_expr(cond, expected=T.BOOL)
         if ty is not None and ty.kind is not T.Kind.BOOL:
-            self.err(f"condition must be BOOL, got {ty}", getattr(cond, "span", Span(0, 0)))
+            self.err(f"condition must be BOOL, got {ty}", cond.span)
 
-    def fb_iface(self, fb_type: str) -> dict[str, tuple[T.STType, Section]]:
-        """Variable name -> (type, section) of the FB type of a declared
-        instance."""
-        if fb_type in bi.BUILTIN_FBS:
-            return bi.BUILTIN_FBS[fb_type]
-        return self.prog.lookup_pou(fb_type).iface
+    def fb_iface(self, fb_type: str) -> dict[str, VarInfo]:
+        """The variables of the FB type of a declared instance."""
+        return BUILTIN_VARS.get(fb_type) or self.prog.lookup_pou(fb_type).vars
 
     def check_fb_call(self, st: FbCall) -> None:
         fb_type = self.cur.fb_instances.get(st.instance)
@@ -505,7 +505,7 @@ class _Resolver:
             if slot is None:
                 self.err(f"{fb_type} has no parameter {p.name}", p.span)
                 continue
-            slot_ty, slot_sec = slot
+            slot_ty, slot_sec = slot.ty, slot.section
             if p.is_output:
                 if slot_sec is not Section.OUTPUT:
                     self.err(f"{p.name} is not an output of {fb_type}", p.span)
@@ -529,9 +529,9 @@ class _Resolver:
                 if arg_ty is not None and not T.assignable(arg_ty, slot_ty):
                     self.err(f"cannot pass {arg_ty} for {fb_type}.{p.name} ({slot_ty})", p.span)
         # every VAR_IN_OUT must be bound on each invocation
-        for name, (ty, sec) in iface.items():
-            if sec is Section.IN_OUT and name not in seen:
-                self.err(f"VAR_IN_OUT parameter {name} of {fb_type} must be bound", st.span)
+        for slot in iface.values():
+            if slot.section is Section.IN_OUT and slot.name not in seen:
+                self.err(f"VAR_IN_OUT parameter {slot.name} of {fb_type} must be bound", st.span)
 
     # -- expressions ---------------------------------------------------------------
 
@@ -552,7 +552,7 @@ class _Resolver:
             if type(e.base) is VarRef and e.base.name in self.cur.fb_instances:
                 fb_type = self.cur.fb_instances[e.base.name]
                 slot = self.fb_iface(fb_type).get(e.member)
-                if slot is not None and slot[1] is Section.INPUT:
+                if slot is not None and slot.section is Section.INPUT:
                     self.err(
                         f"cannot assign to input {e.member} of instance {e.base.name}; bind it in the call",
                         e.span,
@@ -572,7 +572,7 @@ class _Resolver:
                 self.err(f"array index must be INT or DINT, got {idx_ty}", e.span)
             e.ty = base_ty.elem
             return base_ty.elem
-        self.err(_WRITABLE_LVALUE_MSG, getattr(e, "span", Span(0, 0)))
+        self.err(_WRITABLE_LVALUE_MSG, e.span)
         return None
 
     def type_expr(self, e: Expr, expected: T.STType | None = None) -> T.STType | None:
@@ -603,11 +603,10 @@ class _Resolver:
         if slot is None:
             self.err(f"{fb_type} has no member {e.member}", e.span)
             return None
-        ty, sec = slot
-        if sec not in (Section.INPUT, Section.OUTPUT):
+        if slot.section not in (Section.INPUT, Section.OUTPUT):
             self.err(f"member {e.member} of {fb_type} is not accessible", e.span)
             return None
-        return ty
+        return slot.ty
 
     def type_index(self, e: IndexRef, expected: T.STType | None) -> T.STType | None:
         if type(e.base) is not VarRef:

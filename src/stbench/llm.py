@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .frontend.resolve import FbInterface
-from .testspec import EXPECT_PREFIX
+from .testspec import RESERVED_COLUMNS, header_cells, is_header
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +87,6 @@ class PromptBundle:
         return "\n\n".join((self.instructions, self.format_spec, self.code))
 
 
-def suite_header(iface: FbInterface) -> str:
-    cols = ["test_name", "state", "dwell_cycles"]
-    cols += [name for name, _ty in iface.inputs]
-    cols += [EXPECT_PREFIX + name for name, _ty in iface.outputs]
-    return ",".join(cols)
-
-
 def build_prompt(fb_source: str, interface_summary: FbInterface, mode: str = "enhanced") -> PromptBundle:
     """Assemble the prompt for a block; identical inputs give identical text."""
     if mode not in ("simple", "enhanced"):
@@ -103,11 +96,13 @@ def build_prompt(fb_source: str, interface_summary: FbInterface, mode: str = "en
     instructions = _template("prompt_instructions_simple.txt")
     if mode == "enhanced":
         instructions = "\n\n".join((instructions, *enhanced_groups()))
+    inputs = [n for n, _t in interface_summary.inputs]
+    header = header_cells(inputs, [n for n, _t in interface_summary.outputs])
     fmt = (
         _template("prompt_format_spec.txt")
-        .replace("{HEADER}", suite_header(interface_summary))
-        .replace("{INPUTS}", ", ".join(n for n, _t in interface_summary.inputs) or "none")
-        .replace("{EXPECTS}", ", ".join(EXPECT_PREFIX + n for n, _t in interface_summary.outputs) or "none")
+        .replace("{HEADER}", ",".join(header))
+        .replace("{INPUTS}", ", ".join(inputs) or "none")
+        .replace("{EXPECTS}", ", ".join(header[len(RESERVED_COLUMNS) + len(inputs):]) or "none")
     )
     code = f"Function block under test:\n\n{fb_source.strip()}"
     return PromptBundle(mode, instructions, fmt, code)
@@ -311,17 +306,12 @@ def _post(url: str, json: dict, headers: dict, timeout: float) -> _Response:
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
 
-def _looks_like_header(line: str) -> bool:
-    cells = [c.strip().lower() for c in line.split(",")]
-    return len(cells) >= 2 and cells[0] == "test_name" and cells[1] == "state"
-
-
 def _best_run(text: str) -> str | None:
     """The longest contiguous header+data-rows region, or None."""
     lines = text.splitlines()
     best: list[str] | None = None
     for i, line in enumerate(lines):
-        if not _looks_like_header(line):
+        if not is_header(line.split(",")):
             continue
         j = i + 1
         while j < len(lines) and lines[j].strip():

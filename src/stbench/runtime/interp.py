@@ -35,11 +35,11 @@ builds its shape: a small hashable key recording only what the source
 depends on (the mode, node kinds and operators, the result kinds whose
 wrap is written out, converting stores, empty sub-bodies and ELSEs,
 calls that can signal, a FOR without BY, built-in or user blocks and a
-callee's TEMPs, and whether sites are tracked).  Factories are kept in a
-bounded cache keyed by shape, as `re` keeps its patterns; on a miss the
-source is rendered from the shape alone and compiled once per process,
-as `collections.namedtuple` compiles its classes.  So a list costs one walk
-and a lookup, not a source text.  A generated function holds no run
+callee's TEMPs, recursive calls, and whether sites are tracked).
+Factories are kept in a bounded cache keyed by shape, as `re` keeps its
+patterns; on a miss the source is rendered from the shape alone and
+compiled once per process, as `collections.namedtuple` compiles its
+classes.  So a list costs one walk and a lookup, not a source text.  A generated function holds no run
 state: the store, the nested instances, the count array and the run
 state (`_Scan`: program, counts, budget, clock, call depth) are passed
 in, so scans and threads share it.
@@ -65,9 +65,10 @@ Memory: a run builds no reference cycles.  Stores hold raw values and
 lists of them, which refer to nothing.  The generated functions are
 cached on the TypedProgram they were made for and refer to nothing that
 refers back to it; the cached factories and their shapes refer only to
-this module and its enums.  So a finished run, its AST and its generated
-functions are freed by reference counting as soon as the last reference
-goes, without the cyclic garbage collector.  The CLI relies on this and
+this module and its enums; a recursive call names its callee rather
+than holding it (`_Gen.call`).  So a finished run, its AST and its
+generated functions are freed by reference counting as soon as the last
+reference goes, without the cyclic garbage collector.  The CLI relies on this and
 pauses that collector while it works on a unit.  A run's size grows with
 its sites and lists, so what each costs is kept small: a generated
 function holds its values in its defaults tuple, with no closure cell,
@@ -134,7 +135,7 @@ from ..frontend import nodes as N
 from ..frontend import types as T
 from ..frontend.builtins import BUILTIN_FBS, is_builtin_function
 from ..frontend.nodes import PouKind, Section
-from ..frontend.resolve import PouInfo, TypedProgram
+from ..frontend.resolve import BUILTIN_VARS, PouInfo, TypedProgram
 from ..frontend.source import Span
 from . import values as V
 from .stdfb import BuiltinInstance, make_builtin
@@ -439,6 +440,18 @@ def _bound(prog: TypedProgram, name: str) -> tuple[int, int] | None:
             continue
         del path[top]
     return bounds[name]
+
+
+def _reaches(prog: TypedProgram, start: str, goal: str) -> bool:
+    """Whether running the FUNCTION `start` can call the POU `goal`, itself
+    or through other calls; a FUNCTION calls FUNCTIONs alone."""
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += prog.lookup_pou(name).calls
+    return goal in seen
 
 
 def _bounded(prog: TypedProgram, name: str) -> bool:
@@ -963,8 +976,9 @@ class _Text:
         return f"{impl}({', '.join([self.ex(a) for a in shape[1]])})"
 
     def call(self, shape) -> str:
-        args = "".join([f", {self.ex(a)}" for a in shape[1]])
-        pou = self.k()
+        _, arg_shapes, by_name = shape
+        args = "".join([f", {self.ex(a)}" for a in arg_shapes])
+        pou = f"_pou(scan.prog, {self.k()})" if by_name else self.k()
         frame = f"{pou}.frame()" if self.bounded else f"_frame(scan, {pou})"
         return f"_call({pou}, scan, {frame}{args})"
 
@@ -1035,7 +1049,8 @@ class _Gen:
     statements runs as chunks of at most _CHUNK, each its own function.
     With `track` set (sites inside a FOR body), a site records its slot in
     `scan.last` once its own evaluation is done.  A function holds the
-    PouInfo, not the _Pou, whose entries hold it: that would be a cycle."""
+    PouInfo, not the _Pou, whose entries hold it: that would be a cycle,
+    and a recursive call its callee's name, looked up in the run's cache."""
 
     def __init__(self, pou: _Pou, prog: TypedProgram):
         self.prog = prog
@@ -1145,26 +1160,25 @@ class _Gen:
     def fb_call(self, st: N.FbCall, track: bool):
         self.site(st)
         fb_type = self.fbs[st.instance]
-        builtin = fb_type in BUILTIN_FBS
-        if builtin:
-            slots = BUILTIN_FBS[fb_type]
-        else:
+        slots = BUILTIN_VARS.get(fb_type)
+        builtin = slots is not None
+        if not builtin:
             callee = _pou(self.prog, fb_type, self.bounded)
-            slots = callee.info.iface
+            slots = callee.info.vars
         consts = self.consts
         consts.append(st.instance)
         inputs = [p for p in st.params if not p.is_output]
         ins = []
         for p in inputs:
             consts.append(p.name)
-            ins.append(self.value_for(p.expr, slots[p.name][0]))
+            ins.append(self.value_for(p.expr, slots[p.name].ty))
         # after the call, IN_OUT arguments are written back, then the outputs
-        back = [p for p in inputs if slots[p.name][1] is Section.IN_OUT]
+        back = [p for p in inputs if slots[p.name].section is Section.IN_OUT]
         back += [p for p in st.params if p.is_output]
         outs = []
         for p in back:
             consts.append(p.name)
-            outs.append(self.put(p.expr, slots[p.name][0]))
+            outs.append(self.put(p.expr, slots[p.name].ty))
         if builtin:
             return (_Text.fb_call, track, True, False, tuple(ins), tuple(outs))
         consts += (callee, fb_type)
@@ -1241,8 +1255,10 @@ class _Gen:
             return (_Text.builtin, tuple([self.ex(a) for a in e.args]))
         callee = _pou(self.prog, e.name, self.bounded)
         args = tuple([self.value_for(a, p.ty) for p, a in zip(callee.info.inputs(), e.args)])
-        self.consts.append(callee)
-        return (_Text.call, args)
+        # holding a callee that can call back here would make a cycle
+        by_name = self.info.kind is PouKind.FUNCTION and _reaches(self.prog, e.name, self.info.name)
+        self.consts.append(e.name if by_name else callee)
+        return (_Text.call, args, by_name)
 
 
 _STMTS = {
@@ -1323,7 +1339,7 @@ def _skip(store, nested, cnt, scan) -> None:
 
 
 # what a faulted instance's calls become for the rest of their scan
-_GONE = (_skip, None)
+_GONE = (_skip, None, None)
 
 
 @dataclass
@@ -1387,20 +1403,19 @@ def run_program(
     pou = _pou(prog, inst.fb_type, _bounded(prog, inst.fb_type))
     quarantine = frozenset(quarantine)
     code = pou.code(prog)
-    # each entry of the body, with the instance a fault in it stops
+    # each entry of the body, with the instance a fault in it stops and its
+    # index: body is a subsequence of entries, so its indices ascend, and
+    # an entry's position in it is one bisection
     entries = [
-        (run, st.instance if type(st) is N.FbCall and st.instance in quarantine else None)
-        for run, st in code
+        (run, st.instance if type(st) is N.FbCall and st.instance in quarantine else None, j)
+        for j, (run, st) in enumerate(code)
     ]
     body = list(entries)
-    # the index in entries of each entry of body, ascending as body is a
-    # subsequence of entries: an entry's position in body is one bisection
-    order = list(range(len(entries)))
     # where finished instances leave the scan: the index of each quarantined
     # instance's only call (None if it has more than one)
     calls: dict[str, int | None] = {}
     if pou.bounded and not any([type(node) is N.ReturnStmt for node in info.sites]):
-        for j, (_, guard) in enumerate(entries):
+        for _, guard, j in entries:
             if guard is not None:
                 calls[guard] = None if guard in calls else j
     declared: set[str] = set()
@@ -1428,7 +1443,7 @@ def run_program(
             pou.reset_temps(store)
         first = len(contained)
         try:
-            for run, guard in body:
+            for run, guard, _ in body:
                 if guard is None:
                     if run(store, nested, cnt, scan):
                         break  # the program's RETURN
@@ -1459,17 +1474,15 @@ def run_program(
         if stop:
             break
         if len(contained) > first:
-            kept = [k for k, entry in enumerate(body) if entry is not _GONE]
-            body = [body[k] for k in kept]
-            order = [order[k] for k in kept]
+            body = [entry for entry in body if entry is not _GONE]
         if calls and len(finished) > len(declared):
             for name in [name for name in finished if name not in declared]:
                 declared.add(name)
                 j = calls.get(name)
                 if j is None:
                     continue
-                at = bisect_left(order, j)
-                if at == len(order) or order[at] != j:  # a fault stopped it
+                at = bisect_left(body, j, key=operator.itemgetter(2))
+                if at == len(body) or body[at][2] != j:  # a fault stopped it
                     continue
                 size = 2 if j + 1 < len(code) and type(code[j + 1][1]) is not N.FbCall else 1
                 # its entries, replayed once, count and spend what they would
@@ -1479,7 +1492,7 @@ def run_program(
                 alone.counts[pou.name] = replay
                 own = pou.counts(alone)
                 try:
-                    for run, _ in entries[j:j + size]:
+                    for run, _, _ in entries[j:j + size]:
                         run(store, nested, own, alone)
                 except RuntimeFault:
                     continue  # it keeps running, to fault where it would
@@ -1491,7 +1504,6 @@ def run_program(
                 credits.append((pou, lo, own[lo:hi], cycle + 1))
                 credits += [(p, 0, alone.counts[p.name], cycle + 1) for p in alone.ran]
                 del body[at:at + size]
-                del order[at:at + size]
 
     for p, lo, counted, since in credits:
         if cycles_executed > since:  # none skipped: make p no array

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .frontend import types as T
 from .frontend.lexer import LexError, TokKind, tokenize
-from .frontend.nodes import Section
 from .frontend.resolve import MAX_STORAGE, PouInfo, TypedProgram
 from .frontend.source import SourceUnit
 from .harnessgen import case_values
@@ -92,6 +91,17 @@ class TestSuite:
     output_columns: list[str] = field(default_factory=list)
 
 
+def header_cells(inputs: list[str], outputs: list[str]) -> list[str]:
+    """The header row of a suite with these input and output columns."""
+    return [*RESERVED_COLUMNS, *inputs, *[EXPECT_PREFIX + c for c in outputs]]
+
+
+def is_header(cells: list[str]) -> bool:
+    """Whether a row's cells start as a header does: test_name,state, in
+    any case and with surrounding blanks."""
+    return [c.strip().lower() for c in cells[:2]] == list(RESERVED_COLUMNS[:2])
+
+
 def parse_suite(csv_text: str, fb_under_test: str = "") -> TestSuite:
     """Parse CSV text into an untyped TestSuite, preserving row order."""
     reader = csv.reader(io.StringIO(csv_text, newline=""))
@@ -102,7 +112,7 @@ def parse_suite(csv_text: str, fb_under_test: str = "") -> TestSuite:
     if not records:
         raise CsvError("missing header row")
     header = records[0]
-    if len(header) < 2 or header[0].strip().lower() != "test_name" or header[1].strip().lower() != "state":
+    if not is_header(header):
         raise CsvError("header must start with test_name,state", row=1)
 
     has_dwell = False
@@ -111,7 +121,7 @@ def parse_suite(csv_text: str, fb_under_test: str = "") -> TestSuite:
     col_kinds: list[tuple[str, str]] = []  # (kind, normalized name) per cell
     for raw in header[2:]:
         name = raw.strip()
-        if name.lower() == "dwell_cycles":
+        if name.lower() == RESERVED_COLUMNS[2]:
             if has_dwell:
                 raise CsvError("duplicate dwell_cycles column", row=1)
             has_dwell = True
@@ -188,10 +198,7 @@ def serialize_suite(suite: TestSuite) -> str:
     structurally (the dwell column is always written)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["test_name", "state", "dwell_cycles"]
-    header += suite.input_columns
-    header += [EXPECT_PREFIX + c for c in suite.output_columns]
-    writer.writerow(header)
+    writer.writerow(header_cells(suite.input_columns, suite.output_columns))
     for case in suite.cases:
         for idx, state in enumerate(case.states, start=1):
             row = [case.name, str(idx), str(state.dwell_cycles)]

@@ -255,6 +255,33 @@ def test_non_finite_tolerance_exits_two(tmp_path, capsys, flag, value):
     assert "must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("cycle_time_ms", "0", "cycle_time_ms must be positive, got 0"),
+        ("cycle_time_ms", "-10", "cycle_time_ms must be positive, got -10"),
+        ("atol", "-1", "atol must be a finite number >= 0, got -1.0"),
+        ("rtol", "-0.5", "rtol must be a finite number >= 0, got -0.5"),
+    ],
+    ids=["zero-cycle", "negative-cycle", "negative-atol", "negative-rtol"],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unusable_timing_or_tolerance_exits_two(tmp_path, capsys, key, value, message, source):
+    out = tmp_path / "out"
+    common = ["--unit", DEC_BLOCK, "--provider", "mock", "--fixture", DEC_FIXTURE, "--out", out]
+    if source == "flag":
+        code = run_cli("pipeline", *common, "--" + key.replace("_", "-"), value)
+    else:
+        cfg = tmp_path / "stbench.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code = run_cli("pipeline", *common, "--config", cfg)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "stbench.cfg"
     cfg.write_text(

@@ -297,3 +297,54 @@ def test_nesting_past_the_limit_is_one_parse_error(body, what, where):
     with pytest.raises(ParseError) as err:
         parse_text(FB.format(body=body))
     assert str(err.value) == f"<memory>:{where}: {what} nested deeper than {MAX_DEPTH} levels"
+
+
+def _var_block(decl):
+    return f"FUNCTION_BLOCK FB\nVAR\n  {decl}\nEND_VAR\nEND_FUNCTION_BLOCK\n"
+
+
+@pytest.mark.parametrize(
+    "decl,diagnostic",
+    [
+        ("X : INT := - TRUE;", "3:16: expected numeric literal after '-'"),
+        ("X : INT := -;", "3:15: expected numeric literal after '-'"),
+        ("X : INT := - - 1;", "3:16: expected numeric literal after '-'"),
+        ("X : TIME := - T#1s;", "3:17: expected numeric literal after '-'"),
+        ("X : STRING := -'a';", "3:18: expected numeric literal after '-'"),
+        ("X : INT := FOO;", "3:14: unexpected identifier 'FOO' (expected literal)"),
+        ("X : INT := ;", "3:14: unexpected punctuation ';' (expected literal)"),
+        ("X : INT := (1);", "3:14: unexpected punctuation '(' (expected literal)"),
+        ("X : BOOL := NOT TRUE;", "3:15: unexpected keyword 'NOT' (expected literal)"),
+        ("X : ARRAY[1..2] OF INT := [1, ];", "3:33: unexpected punctuation ']' (expected literal)"),
+        ("X : ARRAY[1..2] OF BOOL := [TRUE, -];", "3:38: expected numeric literal after '-'"),
+        ("X : ARRAY[1..2] OF INT := [1, 2;", "3:34: unexpected punctuation ';' (expected ']')"),
+    ],
+    ids=[
+        "minus-bool", "minus-nothing", "minus-minus", "minus-time", "minus-string", "identifier",
+        "nothing", "parenthesis", "not", "array-hole", "array-minus-nothing", "array-unclosed",
+    ],
+)
+def test_a_malformed_initializer_is_one_diagnostic_at_its_token(decl, diagnostic):
+    with pytest.raises(ParseError) as err:
+        parse_text(_var_block(decl))
+    assert len(err.value.diagnostics) == 1
+    assert str(err.value) == f"<memory>:{diagnostic}"
+
+
+@pytest.mark.parametrize(
+    "decl,literals",
+    [
+        ("X : INT := 7;", [(Literal.K.INT, 7, "7")]),
+        ("X : INT := -5;", [(Literal.K.INT, -5, "-5")]),
+        ("X : REAL := - 2.5;", [(Literal.K.REAL, -2.5, "- 2.5")]),
+        ("X : TIME := T#1s;", [(Literal.K.TIME, 1000, "T#1s")]),
+        ("X : STRING := 'ab';", [(Literal.K.STRING, "ab", "'ab'")]),
+        ("X : ARRAY[1..2] OF BOOL := [TRUE, false];", [(Literal.K.BOOL, True, "TRUE"), (Literal.K.BOOL, False, "false")]),
+    ],
+    ids=["int", "minus-int", "minus-real", "time", "string", "bool-array"],
+)
+def test_an_initializer_literal_spans_its_sign_and_token(decl, literals):
+    src = _var_block(decl)
+    init = parse_text(src).pous[0].decls[0].init
+    got = [(lit.lit_kind, lit.value, src[lit.span.start:lit.span.end]) for lit in (init if isinstance(init, list) else [init])]
+    assert got == literals

@@ -561,7 +561,7 @@ def test_a_user_block_interface_is_its_variables():
         "FUNCTION_BLOCK FB\nVAR_INPUT X : INT; END_VAR\nVAR_OUTPUT Y : BOOL; END_VAR\n"
         "VAR_IN_OUT Z : DINT; END_VAR\nVAR K : REAL; END_VAR\nEND_FUNCTION_BLOCK\n"
     )
-    assert prog.pous["FB"].iface == {
+    assert {name: (v.ty, v.section) for name, v in prog.pous["FB"].vars.items()} == {
         "X": (T.INT, Section.INPUT),
         "Y": (T.BOOL, Section.OUTPUT),
         "Z": (T.DINT, Section.IN_OUT),

@@ -227,14 +227,41 @@ def count_acc_suite(cases: int) -> str:
     return "".join(rows)
 
 
+# a block calling a FUNCTION that calls itself and two that call each other
+RECURSIVE = """
+FUNCTION FACT : DINT
+VAR_INPUT N : DINT; END_VAR
+IF N <= 1 THEN FACT := 1; ELSE FACT := N * FACT(N - 1); END_IF;
+END_FUNCTION
+
+FUNCTION EVEN : BOOL
+VAR_INPUT N : DINT; END_VAR
+IF N = 0 THEN EVEN := TRUE; ELSE EVEN := ODD(N - 1); END_IF;
+END_FUNCTION
+
+FUNCTION ODD : BOOL
+VAR_INPUT N : DINT; END_VAR
+IF N = 0 THEN ODD := FALSE; ELSE ODD := EVEN(N - 1); END_IF;
+END_FUNCTION
+
+FUNCTION_BLOCK RECUR
+VAR_INPUT N : DINT; END_VAR
+VAR_OUTPUT F : DINT; E : BOOL; END_VAR
+F := FACT(N);
+E := EVEN(N);
+END_FUNCTION_BLOCK
+"""
+
+
 @pytest.mark.parametrize(
     "block,csv",
     [
         ("LOGIC_MUX", "test_name,state,A,B,PICKB,expect_Q\ntc_a,1,TRUE,FALSE,FALSE,TRUE\ntc_b,1,TRUE,FALSE,TRUE,TRUE\n"),
         ("DEC_TO_HEX", DEC_CSV),
         ("COUNT_ACC", count_acc_suite(200)),
+        ("RECUR", "test_name,state,N,expect_F,expect_E\ntc_5,1,5,120,FALSE\ntc_4,1,4,24,TRUE\n"),
     ],
-    ids=["bounded", "checked", "retiring"],
+    ids=["bounded", "checked", "retiring", "recursive"],
 )
 def test_a_dropped_run_leaves_the_cyclic_collector_nothing(block, csv, monkeypatch):
     # every object a run makes, its generated functions' defaults included,
@@ -247,19 +274,23 @@ def test_a_dropped_run_leaves_the_cyclic_collector_nothing(block, csv, monkeypat
         return real(*args, **kwargs)
 
     monkeypatch.setattr(runner, "run_program", recording)
-    prog = resolve(parse_text(corpus.block_source(block), block))
+    source = RECURSIVE if block == "RECUR" else corpus.block_source(block)
+    prog = resolve(parse_text(source, block))
     suite = checked(csv, block, prog)
     gc.collect()
     gc.disable()
     try:
-        cycles = run_suite(prog, suite).cycles_executed
-        del prog, suite
+        report = run_suite(prog, suite)
+        cycles, verdicts = report.cycles_executed, [case.verdict for case in report.cases]
+        del prog, suite, report
         unreachable = gc.collect()
     finally:
         gc.enable()
     assert unreachable == 0
     if block == "COUNT_ACC":  # every case is declared finished, on 21 scans
         assert cycles == 21 and len(finished[0]) == 200
+    if block == "RECUR":  # both cases pass, through the recursive calls
+        assert verdicts == ["pass", "pass"]
 
 
 def test_case_blocks_keep_the_contract_retiring_relies_on(dec_setup):
