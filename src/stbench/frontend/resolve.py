@@ -118,8 +118,8 @@ class FbInterface:
     """Input/output projection of a function block, for prompts and suites."""
 
     name: str
-    inputs: list[tuple[str, str]]   # (name, type spelled as ST)
-    outputs: list[tuple[str, str]]
+    inputs: list[str]   # variable names, in declaration order
+    outputs: list[str]
 
 
 def interface_of(prog: TypedProgram, fb_name: str) -> FbInterface:
@@ -128,8 +128,8 @@ def interface_of(prog: TypedProgram, fb_name: str) -> FbInterface:
         raise KeyError(f"unknown POU {fb_name}")
     return FbInterface(
         info.name,
-        [(v.name, str(v.ty)) for v in info.inputs()],
-        [(v.name, str(v.ty)) for v in info.outputs()],
+        [v.name for v in info.inputs()],
+        [v.name for v in info.outputs()],
     )
 
 

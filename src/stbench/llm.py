@@ -96,8 +96,8 @@ def build_prompt(fb_source: str, interface_summary: FbInterface, mode: str = "en
     instructions = _template("prompt_instructions_simple.txt")
     if mode == "enhanced":
         instructions = "\n\n".join((instructions, *enhanced_groups()))
-    inputs = [n for n, _t in interface_summary.inputs]
-    header = header_cells(inputs, [n for n, _t in interface_summary.outputs])
+    inputs = interface_summary.inputs
+    header = header_cells(inputs, interface_summary.outputs)
     fmt = (
         _template("prompt_format_spec.txt")
         .replace("{HEADER}", ",".join(header))

@@ -230,7 +230,7 @@ def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResu
     # scan that changed none of them and contained no fault has no event
     hooks, last = reader(), None
 
-    def after_scan(store: dict[str, object], faults: list[ContainedFault]) -> bool:
+    def after_scan(store: dict[str, object], faults: tuple[ContainedFault, ...]) -> bool:
         nonlocal hooks, last
         now = hooks(store)
         if now == last and not faults:

@@ -3,14 +3,25 @@ generated Python function.
 
 One scan runs a POU body exactly once.  The clock is frozen during a scan
 (every timer invoked in a scan sees the same `now`) and advances by the
-configured cycle time after the scan completes.
+configured cycle time after the scan completes.  run_program starts each
+scan with plain stores into its run state and advances the clock with
+one, rather than with a method call.
 
 Each POU body is compiled on its first execution, as bounded or as
 checked code (below), and cached on the TypedProgram per mode.  Every
 statement list (a body, an IF branch or ELSE, a CASE arm or ELSE, a loop
 body) becomes one function `run(store, nested, cnt, scan)` that runs its
 statements inline, with their expressions inlined as Python operators
-and the INT/DINT wrap and binary32 rounding written out.  A statement's
+and the INT/DINT wrap and binary32 rounding written out.  So is each
+conversion with a written-out form (`stdfuncs.conversion_form`): a
+widening is its argument, an exact one `float(x)`, one into REAL from
+an LREAL or a DINT is rounded to binary32 as a REAL result is, and a
+range check is `(x if lo <= (x := ...) <= hi else k(x))`, where k, the
+conversion's function, runs only to raise its fault at the statement's
+site.  A CASE whose labels are single values, spanning fewer than twice
+as many values as there are labels, indexes a tuple built once, when
+the list is generated, holding each value's first arm and the ELSE in
+the holes; any other CASE scans its arms in order.  A statement's
 sub-bodies are functions of their own, which it calls directly, and so
 is a user FB's body, which its call site runs itself; so ST nesting never
 becomes Python nesting.  A list longer than 32 statements runs as chunks
@@ -24,7 +35,8 @@ a list that can signal passes the signal on, but a loop breaks on 1;
 run_program ends the scan on 2, and an FB or function call drops it, as
 a RETURN ends only its POU.  The function is made by a factory `make(k0,
 ..., kn, info)` whose parameters carry every name, literal, count slot,
-callee, built-in function and sub-body, and `info`, the POU's PouInfo,
+callee, built-in function, sub-body and CASE table, and `info`, the
+POU's PouInfo,
 so no user text enters generated source, and lists that differ only in
 those values share one source.  The factory hands the values on as the
 function's positional defaults, `run(store, nested, cnt, scan, k0=k0,
@@ -33,7 +45,8 @@ read as locals, where closure variables would cost a cell each and a
 dereference per read.  One walk over a list collects those values and
 builds its shape: a small hashable key recording only what the source
 depends on (the mode, node kinds and operators, the result kinds whose
-wrap is written out, converting stores, empty sub-bodies and ELSEs,
+wrap is written out, the forms of written-out conversions, converting
+stores, CASEs dispatched by table, empty sub-bodies and ELSEs,
 calls that can signal, a FOR without BY, built-in or user blocks and a
 callee's TEMPs, recursive calls, and whether sites are tracked).
 Factories are kept in a bounded cache keyed by shape, as `re` keeps its
@@ -137,6 +150,7 @@ from ..frontend.builtins import BUILTIN_FBS, is_builtin_function
 from ..frontend.nodes import PouKind, Section
 from ..frontend.resolve import BUILTIN_VARS, PouInfo, TypedProgram
 from ..frontend.source import Span
+from . import stdfuncs as F
 from . import values as V
 from .stdfb import BuiltinInstance, make_builtin
 from .stdfuncs import BuiltinFuncError, builtin_impl
@@ -279,33 +293,28 @@ class _Scan:
     `prog` is the program the run resolves POU names in; `counts` maps a
     POU name to its count array and lives for the whole run; the other
     fields restart with each scan.  Every site spends one unit of `budget`
-    in either mode, so `sites()` is exact; only checked code tests it.
-    `spare` is what contained faults may still give back to the budget in
-    this scan.  `depth` counts the calls in progress in checked code; a
-    fault leaves the calls it abandons counted, and run_program resets it
-    when it contains the fault.  `last` is the slot of the site a FOR
-    iteration's budget fault is attributed to: the last one hit in the
-    loop's frame, in the FOR's POU.  `ran` holds each array's POU."""
+    in either mode, so a scan's site count is exact; only checked code
+    tests it.  `spare` is what contained faults may still give back to the
+    budget in this scan.  `depth` counts the calls in progress in checked
+    code; a fault leaves the calls it abandons counted, and run_program
+    resets it when it contains the fault.  `last` is the slot of the site
+    a FOR iteration's budget fault is attributed to: the last one hit in
+    the loop's frame, in the FOR's POU.  `ran` holds each array's POU."""
 
     __slots__ = ("prog", "counts", "ran", "budget", "spare", "now", "depth", "loops", "last")
 
-    def __init__(self, prog: TypedProgram):
+    def __init__(self, prog: TypedProgram, now: int):
+        """A run whose first scan starts at time `now`; run_program starts
+        each later scan with plain stores."""
         self.prog = prog
         self.counts: dict[str, list[int]] = {}
         self.ran: list[_Pou] = []
-        self.budget = 0
-        self.spare = 0
-        self.now = 0
-        self.depth = 0
-        self.loops = 0
-        self.last = None
-
-    def begin(self, now: int) -> None:
         self.budget = _SCAN_SITE_BUDGET
         self.spare = _SPARE_BUDGETS * _SCAN_SITE_BUDGET
         self.now = now
         self.depth = 0
         self.loops = 0
+        self.last = None
 
     def refund(self, budget: int) -> None:
         """Give back what was spent since the budget stood at `budget`, as
@@ -313,11 +322,6 @@ class _Scan:
         back = min(budget - self.budget, self.spare)
         self.spare -= back
         self.budget += back
-
-    def sites(self) -> int:
-        """Statement sites executed in this scan so far."""
-        granted = (1 + _SPARE_BUDGETS) * _SCAN_SITE_BUDGET - self.spare
-        return granted - self.budget - self.loops
 
     def settle(self) -> dict[str, list[int]]:
         """The run's count arrays, with each fused list's count, its first
@@ -664,8 +668,8 @@ def _wrap(kind: T.Kind | None, text: str) -> str:
     if kind is T.Kind.WORD:
         return f"({text} & 65535)"
     if kind is T.Kind.REAL:
-        # V.f32, written out for a result in binary32 range
-        return f"(_f32_unpack(_f32_pack(r))[0] if {-V.F32_MAX!r} <= (r := {text}) <= {V.F32_MAX!r} else V.f32(r))"
+        # V.f32, written out for a result that rounds to a finite value
+        return f"(_f32_unpack(_f32_pack(r))[0] if {-V.F32_OVERFLOW!r} < (r := {text}) < {V.F32_OVERFLOW!r} else _f32(r))"
     return f"({text})"
 
 
@@ -810,18 +814,26 @@ class _Text:
         return text + self.run_body(else_runs, "   ") + "   break\n"
 
     def case_stmt(self, shape) -> str:
-        _, track, signals, selector = shape
+        """A CASE with a table (`_Gen.case_stmt`) indexes it by the
+        selector less the least label (Bernstein, "Producing good code for
+        the case statement", SP&E 1985); any other scans its arms in order.
+        No match runs the ELSE, an empty one if there is none."""
+        _, track, signals, table, selector = shape
         c = self.k()
         last = f"  scan.last = {c}\n" if track else ""
-        return (
-            self.count(c, "  ") + _guard(f"   sel = {self.ex(selector)}\n", c, "  ") + last
-            + f"  for lo, hi, body in {self.k()}:\n"
-            "   if lo <= sel <= hi:\n"
-            "    break\n"  # the first matching branch wins
-            "  else:\n"
-            f"   body = {self.k()}\n"  # no match, no ELSE: no-op
-            + self.invoke("body", signals, "  ")
-        )
+        text = self.count(c, "  ") + _guard(f"   sel = {self.ex(selector)}\n", c, "  ") + last
+        if table:
+            arms, lo, hi, else_ = self.k(), self.k(), self.k(), self.k()
+            text += f"  body = {arms}[sel - {lo}] if {lo} <= sel <= {hi} else {else_}\n"
+        else:
+            text += (
+                f"  for lo, hi, body in {self.k()}:\n"
+                "   if lo <= sel <= hi:\n"
+                "    break\n"  # the first matching branch wins
+                "  else:\n"
+                f"   body = {self.k()}\n"
+            )
+        return text + self.invoke("body", signals, "  ")
 
     def for_stmt(self, shape) -> str:
         _, kind, start, stop, step, runs = shape
@@ -975,6 +987,22 @@ class _Text:
         impl = self.k()
         return f"{impl}({', '.join([self.ex(a) for a in shape[1]])})"
 
+    def convert(self, shape) -> str:
+        """A conversion written out in its form (`stdfuncs.conversion_form`;
+        SAME leaves no shape).  A range check calls the conversion's
+        function only to raise its fault."""
+        _, form, arg = shape
+        tag = form[0]
+        fn = self.k() if tag == F.RANGE else None
+        x = self.ex(arg)
+        if tag == F.FLOAT:
+            return f"float({x})"
+        if tag == F.ROUND32:
+            return _wrap(T.Kind.REAL, x)
+        _, lo, hi = form
+        upper = "" if hi is None else f" <= {hi}"
+        return f"(x if {lo} <= (x := {x}){upper} else {fn}(x))"
+
     def call(self, shape) -> str:
         _, arg_shapes, by_name = shape
         args = "".join([f", {self.ex(a)}" for a in arg_shapes])
@@ -1003,7 +1031,8 @@ def _factory(shape):
     on a miss.  Each call of it makes one function, whose only per-list
     state is its tuple of defaults.  The factory refers to nothing but this
     module's globals, and a shape holds only this module's functions,
-    enums, bools and None, so the cache holds no cycle."""
+    enums, bools, None and conversion forms (strings and ints), so the
+    cache holds no cycle."""
     ns: dict = {}
     exec(compile(_source(shape), "<statements>", "exec"), globals(), ns)
     return ns["make"]
@@ -1038,8 +1067,8 @@ class _Gen:
     Each statement list (a body, an IF branch or ELSE, a CASE arm or ELSE,
     a loop body) becomes one function that runs its statements inline.
     One walk over the list collects the values of its factory's parameters
-    (every name, literal, count slot, callee, built-in function and
-    sub-body, then `info`, the POU's PouInfo) and builds its shape,
+    (every name, literal, count slot, callee, built-in function, sub-body
+    and CASE table, then `info`, the POU's PouInfo) and builds its shape,
     `(_Text.seq, bounded, statement shapes...)`; `_factory` compiles the
     shape's source on its first use in the process, and the list's
     function is that factory applied to the values.  Lists differing only
@@ -1135,8 +1164,20 @@ class _Gen:
         sig |= arm
         self.sig |= sig
         selector = self.ex(st.selector)
-        self.consts += (tuple(arms), else_)
-        return (_Text.case_stmt, track, sig != 0, selector)
+        # single values spanning fewer than twice as many values as there
+        # are labels get a table: a slot per value, holding the first arm
+        # that labels it or, in a hole, the ELSE
+        labels = [lo for lo, hi, _ in arms if lo == hi]
+        table = len(labels) == len(arms) > 0 and max(labels) - min(labels) < 2 * len(labels)
+        if table:
+            lo = min(labels)
+            slots = [else_] * (max(labels) - lo + 1)
+            for label, _, body in reversed(arms):
+                slots[label - lo] = body  # the first label wins
+            self.consts += (tuple(slots), lo, lo + len(slots) - 1, else_)
+        else:
+            self.consts += (tuple(arms), else_)
+        return (_Text.case_stmt, track, sig != 0, table, selector)
 
     def for_stmt(self, st: N.ForStmt, track: bool):
         self.site(st)
@@ -1251,8 +1292,13 @@ class _Gen:
 
     def call(self, e: N.Call):
         if is_builtin_function(e.name):
-            self.consts.append(builtin_impl(e.name, [a.ty for a in e.args], e.ty))
-            return (_Text.builtin, tuple([self.ex(a) for a in e.args]))
+            form = F.conversion_form(e.name)
+            if form is None or form[0] == F.RANGE:
+                self.consts.append(builtin_impl(e.name, [a.ty for a in e.args], e.ty))
+            args = tuple([self.ex(a) for a in e.args])
+            if form is None:
+                return (_Text.builtin, args)
+            return args[0] if form[0] == F.SAME else (_Text.convert, form, args[0])
         callee = _pou(self.prog, e.name, self.bounded)
         args = tuple([self.value_for(a, p.ty) for p, a in zip(callee.info.inputs(), e.args)])
         # holding a callee that can call back here would make a cycle
@@ -1319,8 +1365,7 @@ def execute_cycle(
             inst.store[var.name] = V.unbox(V.convert_for_store(val, var.ty))
         except TypeError as exc:
             raise ValueError(f"input {name}: {exc}") from exc
-    scan = _Scan(inst.prog)
-    scan.begin(clock.now)
+    scan = _Scan(inst.prog, clock.now)
     _run_instance(inst, scan)
     outputs = inst.outputs()
     clock.advance()
@@ -1359,7 +1404,7 @@ def run_program(
     program_name: str,
     cycles: int,
     clock: SimClock,
-    after_scan: Callable[[dict[str, object], list[ContainedFault]], bool] | None = None,
+    after_scan: Callable[[dict[str, object], tuple[ContainedFault, ...]], bool] | None = None,
     quarantine: frozenset[str] | set[str] = frozenset(),
     finished: frozenset[str] | set[str] = frozenset(),
 ) -> RunResult:
@@ -1431,17 +1476,23 @@ def run_program(
     base = info.sites[0].sid if info.sites else 0
     store, nested, root = inst.store, inst.nested, inst.fb_type
     contained: list[ContainedFault] = []
-    scan = _Scan(prog)
+    scan = _Scan(prog, clock.now)
     cnt = pou.counts(scan)
     traces: list[ScanTrace] = []
     cycles_executed = 0
+    budget0, spare0, step = _SCAN_SITE_BUDGET, _SPARE_BUDGETS * _SCAN_SITE_BUDGET, clock.cycle_time
+    granted = budget0 + spare0
 
     for cycle in range(cycles):
-        scan.begin(clock.now)
-        scan.budget -= units
+        # a scan starts with the full budget, less what the retired entries
+        # spend, and the spare; the clock stands still until it ends
+        scan.budget = budget0 - units
+        scan.spare = spare0
+        scan.now = clock.now
+        scan.depth = scan.loops = 0
         if pou.temps:
             pou.reset_temps(store)
-        first = len(contained)
+        faults: tuple[ContainedFault, ...] = ()  # those contained in this scan
         try:
             for run, guard, _ in body:
                 if guard is None:
@@ -1457,7 +1508,7 @@ def run_program(
                         fault.__traceback__ = fault.__context__ = None
                         fault.instance_path = root + fault.instance_path
                         fault.cycle = cycle
-                        contained.append(ContainedFault(guard, fault, cycle))
+                        faults += (ContainedFault(guard, fault, cycle),)
                         scan.refund(budget)
                         scan.depth = 0  # the calls the fault abandoned
                         for i, entry in enumerate(body):  # its calls, this scan too
@@ -1467,14 +1518,18 @@ def run_program(
             fault.instance_path = root + fault.instance_path
             fault.cycle = cycle
             raise
-        traces.append(ScanTrace(scan.sites()))
-        stop = after_scan is not None and after_scan(store, contained[first:])
-        clock.advance()
+        if faults:
+            contained += faults
+            body = [entry for entry in body if entry is not _GONE]
+        # the sites run: every unit granted and not left, less the FOR
+        # iterations' units
+        sites = granted - scan.spare - scan.budget - scan.loops
+        traces.append(ScanTrace(sites))
+        stop = after_scan is not None and after_scan(store, faults)
+        clock.now += step
         cycles_executed = cycle + 1
         if stop:
             break
-        if len(contained) > first:
-            body = [entry for entry in body if entry is not _GONE]
         if calls and len(finished) > len(declared):
             for name in [name for name in finished if name not in declared]:
                 declared.add(name)
@@ -1487,8 +1542,7 @@ def run_program(
                 size = 2 if j + 1 < len(code) and type(code[j + 1][1]) is not N.FbCall else 1
                 # its entries, replayed once, count and spend what they would
                 # on each later scan
-                alone = _Scan(prog)
-                alone.begin(clock.now)
+                alone = _Scan(prog, clock.now)
                 alone.counts[pou.name] = replay
                 own = pou.counts(alone)
                 try:

@@ -7,7 +7,12 @@ type.  The implementation is picked from the call's static types, so it
 does only the work those types leave open: its arguments are raw values
 of their declared types, and a result is coerced only where its type
 needs it (a REAL result is rounded to binary32, an INT or DINT ABS wraps,
-a STRING is truncated to its capacity).
+a STRING is truncated to its capacity).  A conversion with a written-out
+form (`conversion_form`: a widening, an exact or a binary32-rounding
+conversion into REAL or LREAL, or an integer range check) is written
+into the generated expression instead, which calls the function only to
+raise a range fault; `builtin_impl` builds that conversion's function
+from the same form.
 
 A conversion is picked by its source family, which its name gives:
 implicit widening only goes INT->DINT, BYTE->WORD and REAL->LREAL, so
@@ -148,9 +153,46 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
     raise TypeError(f"unknown builtin {name}")  # pragma: no cover
 
 
-def _dint_to_real(raw: int) -> float:
-    # V.f32, written out: a DINT lies within binary32 range
-    return _unpack(_pack(raw))[0]
+# The forms of a conversion that the interpreter's generator writes into
+# the expression (`conversion_form`)
+SAME, FLOAT, ROUND32, RANGE = "same", "float", "round32", "range"
+
+
+def conversion_form(name: str) -> tuple | None:
+    """The written-out form of the X_TO_Y conversion `name`, or None for a
+    call that has none (a BOOL source or target, or a float into an
+    integer, which rounds):
+
+    * (SAME,): the argument itself, as every source value fits;
+    * (FLOAT,): float() of it, which is exact;
+    * (ROUND32,): an LREAL or a DINT rounded to binary32, as `V.f32` does;
+    * (RANGE, lo, hi): an integer that must lie in lo..hi (hi None: no
+      upper bound), where `builtin_impl`'s function is called only to
+      raise the fault for one that does not.
+
+    `builtin_impl` builds each conversion's function from this form, so a
+    written-out conversion and the call give the same value, raw type and
+    fault.  The form depends on the name alone: a widened argument
+    converts like its source."""
+    conv = bi.conversion_target(name)
+    if conv is None:
+        return None
+    src, dst = conv
+    s, k = src.kind, dst.kind
+    if k is Kind.TIME:  # from DINT
+        return (RANGE, 0, None)
+    if k in T.REAL_KINDS:
+        if k is Kind.LREAL or s in (Kind.INT, Kind.BYTE, Kind.WORD, Kind.REAL):
+            return (FLOAT,)  # exact: a REAL holds every value of these sources
+        return (ROUND32,)  # from an LREAL or a DINT
+    if k is Kind.BOOL or s not in T.INT_RANGES and s is not Kind.TIME:
+        return None
+    lo, hi = T.INT_RANGES[k]
+    if s in T.INT_RANGES:
+        src_lo, src_hi = T.INT_RANGES[s]
+        if lo <= src_lo and src_hi <= hi:
+            return (SAME,)
+    return (RANGE, lo, hi)
 
 
 def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], object] | None:
@@ -158,40 +200,46 @@ def _conversion_impl(name: str, arg_types: list[STType]) -> Callable[[object], o
         render = V.scalar_text(arg_types[0].kind)
         co = V.coercer(T.string())
         return lambda x: co(render(x))
+    form = conversion_form(name)
+    if form is not None:
+        return _form_impl(name, form)
     conv = bi.conversion_target(name)
     if conv is None:
         return None
     src, dst = conv
-    s, k = src.kind, dst.kind
-
-    if k is Kind.BOOL:
+    if dst.kind is Kind.BOOL:
         return lambda raw: raw != 0
-    if k is Kind.TIME:  # from DINT
+    if src.kind is Kind.BOOL:
+        return lambda raw: 1 if raw else 0
+    lo, hi = T.INT_RANGES[dst.kind]
+
+    def float_to_int(raw):
+        if math.isnan(raw) or math.isinf(raw):
+            raise _conv_overflow(name, raw)
+        raw = round(raw)  # IEC rounding: nearest, ties to even
+        if lo <= raw <= hi:
+            return raw
+        raise _conv_overflow(name, raw)
+    return float_to_int
+
+
+def _form_impl(name: str, form: tuple) -> Callable[[object], object]:
+    """The function computing the conversion `name` of this written-out
+    form (`conversion_form`)."""
+    tag = form[0]
+    if tag == SAME:
+        return _same
+    if tag == FLOAT:
+        return float
+    if tag == ROUND32:
+        return _f32
+    _, lo, hi = form
+    if hi is None:
         def to_time(raw):
-            if raw < 0:
+            if raw < lo:
                 raise BuiltinFuncError(f"{name}: negative duration {raw}")
             return raw
         return to_time
-    if k in T.REAL_KINDS:
-        if k is Kind.LREAL or s in (Kind.INT, Kind.BYTE, Kind.WORD, Kind.REAL):
-            return float  # exact: a REAL holds every value of these sources
-        return _f32 if s is Kind.LREAL else _dint_to_real
-    lo, hi = T.INT_RANGES[k]
-    if s is Kind.BOOL:
-        return lambda raw: 1 if raw else 0
-    if s in T.INT_RANGES:
-        src_lo, src_hi = T.INT_RANGES[s]
-        if lo <= src_lo and src_hi <= hi:
-            return _same  # every source value fits
-    elif s in T.REAL_KINDS:
-        def float_to_int(raw):
-            if math.isnan(raw) or math.isinf(raw):
-                raise _conv_overflow(name, raw)
-            raw = round(raw)  # IEC rounding: nearest, ties to even
-            if lo <= raw <= hi:
-                return raw
-            raise _conv_overflow(name, raw)
-        return float_to_int
 
     def int_to_int(raw):
         if lo <= raw <= hi:

@@ -24,17 +24,22 @@ from ..frontend import types as T
 from ..frontend.types import Kind, STType
 
 F32_MAX = 3.4028234663852886e38
+# the least magnitude that rounds to an infinity: halfway between F32_MAX
+# and 2**128, where a tie goes to the even neighbour, 2**128; every smaller
+# one rounds to a finite value, as IEEE round-to-nearest (C's `(float)`,
+# numpy's float32) has it
+F32_OVERFLOW = 2.0**128 - 2.0**103
 F32 = struct.Struct("<f")
 _pack, _unpack = F32.pack, F32.unpack
 
 
 def f32(x: float) -> float:
     """Round a python float to the nearest binary32 value."""
-    if -F32_MAX <= x <= F32_MAX:
+    if -F32_OVERFLOW < x < F32_OVERFLOW:
         return _unpack(_pack(x))[0]
-    if x > F32_MAX:
+    if x >= F32_OVERFLOW:
         return math.inf
-    if x < -F32_MAX:
+    if x <= -F32_OVERFLOW:
         return -math.inf
     return x  # nan
 

@@ -385,7 +385,7 @@ def test_run_program_empty_body_clock_and_records():
     result = run_program(prog, "MAIN", 10, clock, after_scan)
     assert clock.now == 100
     # once per scan, before the clock advances
-    assert seen == [(t, 0, []) for t in range(0, 100, 10)]
+    assert seen == [(t, 0, ()) for t in range(0, 100, 10)]
     assert result.cycles_executed == 10
 
     # a true return ends the run after that scan, the clock advanced

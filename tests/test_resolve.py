@@ -292,8 +292,8 @@ def test_interface_projection():
         """
     )
     iface = interface_of(prog, "fb1")
-    assert iface.inputs == [("A", "BOOL"), ("N", "INT")]
-    assert iface.outputs == [("Q", "BOOL"), ("S", "STRING")]
+    assert iface.inputs == ["A", "N"]
+    assert iface.outputs == ["Q", "S"]
 
 
 def _flip_case(text: str) -> str:

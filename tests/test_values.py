@@ -2,7 +2,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stbench.frontend import types as T
@@ -34,11 +34,21 @@ def test_int_wrap_is_twos_complement(v):
     assert (w - v) % 2**16 == 0
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False, width=64))
+# every finite double, and more often those near the binary32 overflow
+# bound, where round-to-nearest goes to F32_MAX or to an infinity
+_NEAR_BOUND = st.floats(min_value=3.0e38, max_value=3.5e38)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, width=64) | _NEAR_BOUND | _NEAR_BOUND.map(lambda x: -x))
+@example(V.F32_MAX * (1 + 2**-25))
+@example(math.nextafter(V.F32_OVERFLOW, 0.0))
+@example(-V.F32_OVERFLOW)
 def test_f32_matches_struct_roundtrip(x):
-    via_struct = struct.unpack("<f", struct.pack("<f", max(min(x, 3.4e38), -3.4e38)))[0]
-    if abs(x) <= 3.4e38:
-        assert V.f32(x) == via_struct
+    try:
+        via_struct = struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:  # C's (float) rounds it to an infinity
+        via_struct = math.copysign(math.inf, x)
+    assert V.f32(x) == via_struct
 
 
 def test_f32_overflow_to_inf():
