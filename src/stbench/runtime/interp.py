@@ -12,7 +12,8 @@ checked code (below), and cached on the TypedProgram per mode.  Every
 statement list (a body, an IF branch or ELSE, a CASE arm or ELSE, a loop
 body) becomes one function `run(store, nested, cnt, scan)` that runs its
 statements inline, with their expressions inlined as Python operators
-and the INT/DINT wrap and binary32 rounding written out.  So is each
+and the INT/DINT wrap and binary32 rounding (`V.f32`'s Veltkamp split,
+calling it only outside the normal range) written out.  So is each
 conversion with a written-out form (`stdfuncs.conversion_form`): a
 widening is its argument, an exact one `float(x)`, one into REAL from
 an LREAL or a DINT is rounded to binary32 as a REAL result is, and a
@@ -52,10 +53,10 @@ callee's TEMPs, recursive calls, and whether sites are tracked).
 Factories are kept in a bounded cache keyed by shape, as `re` keeps its
 patterns; on a miss the source is rendered from the shape alone and
 compiled once per process, as `collections.namedtuple` compiles its
-classes.  So a list costs one walk and a lookup, not a source text.  A generated function holds no run
-state: the store, the nested instances, the count array and the run
-state (`_Scan`: program, counts, budget, clock, call depth) are passed
-in, so scans and threads share it.
+classes.  So a list costs one walk and a lookup, not a source text.  A
+generated function holds no run state: the store, the nested instances,
+the count array and the run state (`_Scan`: program, counts, budget,
+clock, call depth) are passed in, so scans and threads share it.
 
 Names: a built-in block's or function's name always means the built-in
 (resolve rejects a user POU taking one), so a call site runs a built-in
@@ -137,6 +138,7 @@ stack too deep" at the innermost call site with room to raise it.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -558,7 +560,7 @@ _NO_NESTED: dict = {}
 _DOT = "."  # a user FB call's path segment is _DOT + its instance name
 _DEPTH_MSG = "call depth exceeded"
 _ZERO_STEP_MSG = "FOR step is zero"
-_f32, _f32_pack, _f32_unpack = V.f32, V.F32.pack, V.F32.unpack
+_f32 = V.f32
 
 
 def _arith(op: N.BinOp, ty: T.STType) -> Callable[[object, object], object]:
@@ -658,7 +660,8 @@ _TEXT_KINDS = {
 def _wrap(kind: T.Kind | None, text: str) -> str:
     """Source coercing `text`, a raw sum, difference or product (or, for
     BYTE and WORD, a bit operation) to `kind` as `V.coercer` would; the
-    LREAL and TIME results of these operations need nothing."""
+    LREAL and TIME results of these operations need nothing.  REAL's
+    also rounds a ROUND32 conversion."""
     if kind is T.Kind.INT:
         return f"(({text} + 32768 & 65535) - 32768)"
     if kind is T.Kind.DINT:
@@ -668,8 +671,11 @@ def _wrap(kind: T.Kind | None, text: str) -> str:
     if kind is T.Kind.WORD:
         return f"({text} & 65535)"
     if kind is T.Kind.REAL:
-        # V.f32, written out for a result that rounds to a finite value
-        return f"(_f32_unpack(_f32_pack(r))[0] if {-V.F32_OVERFLOW!r} < (r := {text}) < {V.F32_OVERFLOW!r} else _f32(r))"
+        # V.f32 written out; no other text binds r32 or c32
+        return (
+            f"((c32 := r32 * {V.F32_SPLIT!r}) - (c32 - r32)"
+            f" if {V.F32_MIN2!r} <= (r32 := {text}) * r32 < {V.F32_OV2!r} else _f32(r32))"
+        )
     return f"({text})"
 
 
@@ -1011,7 +1017,7 @@ class _Text:
         return f"_call({pou}, scan, {frame}{args})"
 
 
-def _source(shape) -> str:
+def _source(shape, name: str = "run") -> str:
     """The source of the factory `make(k0, ..., kn, info)` returning the
     function of this statement-list shape, `run(store, nested, cnt, scan,
     k0=k0, ..., info=info)`: the values are its positional defaults, which
@@ -1021,7 +1027,10 @@ def _source(shape) -> str:
     body = text.seq(shape)
     params = [f"k{i}" for i in range(text.n)] + ["info"]
     defaults = "".join([f", {k}={k}" for k in params])
-    return f"def make({', '.join(params)}):\n def run(store, nested, cnt, scan{defaults}):\n{body} return run\n"
+    return f"def make({', '.join(params)}):\n def {name}(store, nested, cnt, scan{defaults}):\n{body} return {name}\n"
+
+
+_SERIAL = itertools.count()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1032,9 +1041,11 @@ def _factory(shape):
     state is its tuple of defaults.  The factory refers to nothing but this
     module's globals, and a shape holds only this module's functions,
     enums, bools, None and conversion forms (strings and ints), so the
-    cache holds no cycle."""
+    cache holds no cycle.  Its function's name, `run7_assign` (serial,
+    first statement), keeps factories apart in a profile."""
+    first = shape[2][0].__name__ if len(shape) > 2 else "pass"
     ns: dict = {}
-    exec(compile(_source(shape), "<statements>", "exec"), globals(), ns)
+    exec(compile(_source(shape, f"run{next(_SERIAL)}_{first}"), "<statements>", "exec"), globals(), ns)
     return ns["make"]
 
 

@@ -53,7 +53,6 @@ def _same(x):
 
 
 _f32 = V.f32
-_pack, _unpack = V.F32.pack, V.F32.unpack
 _TRIG = {"SIN": math.sin, "COS": math.cos, "TAN": math.tan}
 
 
@@ -92,8 +91,7 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
                 r = f(x)
             except ValueError:  # an infinite argument
                 return math.nan
-            # V.f32, written out: no result lies outside binary32 range
-            return _unpack(_pack(r))[0] if real32 else r
+            return _f32(r) if real32 else r
         return trig
     if name == "EXP":
         def exp(x):

@@ -1,7 +1,10 @@
 """Runtime values: a tagged union with exact-width integer semantics.
 
 INT/DINT wrap two's-complement at 16/32 bits, BYTE/WORD wrap unsigned at
-8/16 bits, REAL arithmetic is rounded to binary32 after every operation,
+8/16 bits, REAL arithmetic is rounded to binary32 after every operation
+(`f32`: Veltkamp's split for a result in binary32's normal range, which
+relies on CPython's binary64 round-to-nearest-even, and a struct round
+trip for zeros, subnormals, overflow, infinities and nan),
 TIME is a signed millisecond count, STRING is truncated to its capacity.
 Wrapping (not faulting) on integer overflow matches what C-transpiled PLC
 code does and is what makes width-dependent bugs observable.
@@ -29,14 +32,39 @@ F32_MAX = 3.4028234663852886e38
 # one rounds to a finite value, as IEEE round-to-nearest (C's `(float)`,
 # numpy's float32) has it
 F32_OVERFLOW = 2.0**128 - 2.0**103
+# Veltkamp's splitting constant, 2**(53 - 24) + 1, and the bounds on x*x
+# between which `f32` rounds by splitting: x*x lies in [F32_MIN2, F32_OV2)
+# exactly when |x| lies in [2**-126, F32_OVERFLOW), as rounding the square
+# moves neither bound (both are exact in binary64, and no square of a
+# double below either rounds up onto it)
+F32_SPLIT = 2.0**29 + 1
+F32_MIN2 = 2.0**-252
+F32_OV2 = F32_OVERFLOW * F32_OVERFLOW
 F32 = struct.Struct("<f")
-_pack, _unpack = F32.pack, F32.unpack
 
 
 def f32(x: float) -> float:
-    """Round a python float to the nearest binary32 value."""
+    """Round a python float (or int) to the nearest binary32 value, ties
+    to even, as C's `(float)` does.
+
+    A result in binary32's normal range, 2**-126 <= |x| < F32_OVERFLOW, is
+    Veltkamp's split (Dekker, "A floating-point technique for extending
+    the available precision", Numer. Math. 1971): with c = x * (2**29 + 1),
+    c - (c - x) is x rounded to 53 - 29 = 24 significant bits, ties to
+    even, in three float operations and no call.  That relies on binary64
+    arithmetic rounding to nearest, ties to even, which CPython's floats
+    do.  Every other value takes the struct round trip: a subnormal
+    result has fewer than 24 significant bits, which the split cannot
+    know; a zero of either sign, whose square is below the range, keeps
+    its sign there; and struct would reject a value at or past the
+    overflow bound, so it goes to its infinity, as an infinity stays and
+    nan is returned.  The interpreter's generated code writes the same
+    formula out (`interp._wrap`)."""
+    if F32_MIN2 <= x * x < F32_OV2:
+        c = x * F32_SPLIT
+        return c - (c - x)
     if -F32_OVERFLOW < x < F32_OVERFLOW:
-        return _unpack(_pack(x))[0]
+        return F32.unpack(F32.pack(x))[0]
     if x >= F32_OVERFLOW:
         return math.inf
     if x <= -F32_OVERFLOW:

@@ -1,5 +1,8 @@
 import ast
 import builtins
+import cProfile
+import pstats
+import re
 from functools import reduce
 
 import pytest
@@ -920,6 +923,21 @@ def test_statements_of_one_shape_share_one_compiled_factory():
     again = prog_of(SAME_SHAPES_SRC)
     execute_cycle(instantiate(again, "ONE"), {"GO": make(T.BOOL, True)}, SimClock())
     assert interp._factory.cache_info()[:2] == (6, 3)
+
+
+def test_a_profile_tells_each_compiled_factory_s_function_apart():
+    # cProfile keys a function by file, line and name: each factory names
+    # its function by its serial and its first statement's kind, and keeps
+    # the file "<statements>"
+    interp._factory.cache_clear()
+    prog = prog_of(SAME_SHAPES_SRC)
+    inst = instantiate(prog, "ONE")
+    profile = cProfile.Profile()
+    for go in (True, False):
+        profile.runcall(execute_cycle, inst, {"GO": make(T.BOOL, go)}, SimClock())
+    keys = [key for key in pstats.Stats(profile).stats if key[0] == "<statements>" and key[2] not in ("<module>", "make")]
+    assert len(keys) == 3  # the body and the two IF branches
+    assert sorted([re.fullmatch(r"run\d+_(\w+)", name)[1] for _, _, name in keys]) == ["assign", "assign", "if_stmt"]
 
 
 @pytest.mark.parametrize(

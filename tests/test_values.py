@@ -1,5 +1,7 @@
+import ast
 import math
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -34,21 +36,70 @@ def test_int_wrap_is_twos_complement(v):
     assert (w - v) % 2**16 == 0
 
 
-# every finite double, and more often those near the binary32 overflow
-# bound, where round-to-nearest goes to F32_MAX or to an infinity
+def _ulps(x: float, steps: int) -> float:
+    """x moved `steps` doubles up or down."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_SIGNS = st.sampled_from([1.0, -1.0])
+_STEPS = st.integers(-3, 3)
+# every finite double, and more often those where rounding to binary32
+# is hardest: near the binary32 overflow bound, where round-to-nearest
+# goes to F32_MAX or to an infinity; halfway between two binary32 values
+# (in the normal range and below it), where a tie goes to the even one,
+# and a few doubles either side; a few binary32 or binary64 ulps from
+# 2**-126, the least normal binary32 magnitude; and subnormal results
 _NEAR_BOUND = st.floats(min_value=3.0e38, max_value=3.5e38)
+_AT_BOUND = st.builds(lambda s, k: s * _ulps(V.F32_OVERFLOW, k), _SIGNS, st.integers(-4, 4))
+# a 24-bit significand m plus half its ulp, 2m + 1 halves, times 2**e
+_HALFWAY = st.builds(
+    lambda s, m, e, k: s * _ulps(math.ldexp(2 * m + 1, e), k),
+    _SIGNS, st.integers(2**23, 2**24 - 1), st.integers(-175, 103), _STEPS,
+)
+_LEAST_NORMAL = st.builds(
+    lambda s, j, k: s * _ulps(2.0**-126 + j * 2.0**-149, k), _SIGNS, st.integers(-4, 4), _STEPS
+)
+_SUBNORMAL = st.floats(min_value=-(2.0**-126), max_value=2.0**-126)
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False, width=64) | _NEAR_BOUND | _NEAR_BOUND.map(lambda x: -x))
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False, width=64)
+    | _NEAR_BOUND | _NEAR_BOUND.map(lambda x: -x) | _AT_BOUND | _HALFWAY | _LEAST_NORMAL | _SUBNORMAL
+)
 @example(V.F32_MAX * (1 + 2**-25))
 @example(math.nextafter(V.F32_OVERFLOW, 0.0))
 @example(-V.F32_OVERFLOW)
+@example(-0.0)
+@example(1 + 2.0**-24)  # a tie that goes down to 1.0
+@example(1 + 3 * 2.0**-24)  # a tie that goes up
+@example(2.0**-126 - 2.0**-150)  # a subnormal that rounds up to the least normal
+@example(2.0**-150)  # half the least subnormal: a tie to +0.0
+@example(-(2.0**-150) * (1 + 2.0**-52))  # just past it: the least subnormal
 def test_f32_matches_struct_roundtrip(x):
     try:
         via_struct = struct.unpack("<f", struct.pack("<f", x))[0]
     except OverflowError:  # C's (float) rounds it to an infinity
         via_struct = math.copysign(math.inf, x)
-    assert V.f32(x) == via_struct
+    # bit for bit: a zero's sign counts
+    assert _bits(V.f32(x)) == _bits(via_struct)
+
+
+def test_binary32_rounding_has_one_home():
+    # only values.f32 rounds by struct, in its fallback: every other
+    # rounding calls it or writes its split out
+    src = Path(V.__file__).resolve().parents[1]
+    users = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.alias) and node.name == "struct" or isinstance(node, ast.Attribute) and node.attr == "F32":
+                users.add(path.relative_to(src).as_posix())
+    assert users == {"runtime/values.py"}
 
 
 def test_f32_overflow_to_inf():

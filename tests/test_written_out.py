@@ -2,10 +2,12 @@
 call, and CASE dispatch through a table.
 
 A conversion with a written-out form (`stdfuncs.conversion_form`) becomes
-part of the statement's expression, a REAL result is rounded inline, and
-a CASE whose labels are dense single values indexes a table of its arms.
-Each must give what the call or the scan gave: the same value and raw
-type, or the same fault at the same site, and the same site counts.
+part of the statement's expression, a REAL result is rounded inline (by
+Veltkamp's split in binary32's normal range, by a call of `V.f32`
+elsewhere), and a CASE whose labels are dense single values indexes a
+table of its arms.  Each must give what the call or the scan gave: the
+same value and raw type, or the same fault at the same site, and the same
+site counts.
 """
 
 import math
@@ -13,8 +15,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stbench.frontend import parse_text, resolve
+from stbench.frontend import FrontendError, parse_text, resolve
 from stbench.frontend import types as T
 from stbench.frontend.builtins import conversion_target
 from stbench.runtime import RuntimeFault, SimClock, execute_cycle, instantiate, interp
@@ -223,6 +227,178 @@ def test_the_pairs_reach_the_bound():
     assert V.F32_MAX < products[0] < BOUND and products[1] == BOUND and products[2] > BOUND
     sums = [a + b for a, b in _PAIRS[5:]]
     assert V.F32_MAX < sums[0] < BOUND and sums[1] == BOUND and sums[2] > BOUND
+
+
+# ---------------------------------------------------------------------------
+# binary32 rounding on every path of the written-out text
+# ---------------------------------------------------------------------------
+
+ROUNDING_SRC = """
+FUNCTION_BLOCK ROUNDS
+VAR_INPUT A : REAL; B : REAL; L : LREAL; D : DINT; END_VAR
+VAR_OUTPUT S : REAL; M : REAL; P : REAL; Q : REAL; SN : REAL; LR : REAL; DR : REAL; END_VAR
+VAR I : INT; END_VAR
+{body}
+END_FUNCTION_BLOCK
+"""
+ROUNDING_BODY = """S := A + B;
+M := A - B;
+P := A * B;
+Q := A / B;
+SN := SIN(A);
+LR := LREAL_TO_REAL(L);
+DR := DINT_TO_REAL(D);"""
+# the same statements in a loop, which makes them checked code
+ROUNDING = {
+    "bounded": resolve(parse_text(ROUNDING_SRC.format(body=ROUNDING_BODY))),
+    "checked": resolve(parse_text(ROUNDING_SRC.format(body=f"FOR I := 1 TO 1 DO\n{ROUNDING_BODY}\nEND_FOR;"))),
+}
+
+
+def _bits(x):
+    """A raw value's type and bits, so that -0.0 differs from 0.0."""
+    return type(x).__name__, "nan" if x != x else struct.pack("<d", x).hex()
+
+
+def _rounds(a, b, ld, d):
+    """The interpreter's and the oracle's outputs of ROUNDS, as `_bits`,
+    in each mode."""
+    got, want = {}, {}
+    for mode, prog in ROUNDING.items():
+        assert interp._bounded(prog, "ROUNDS") is (mode == "bounded")
+        inputs = {"A": V.make(T.REAL, a), "B": V.make(T.REAL, b), "L": V.make(T.LREAL, ld), "D": V.make(T.DINT, d)}
+        out, _ = execute_cycle(instantiate(prog, "ROUNDS"), inputs, SimClock())
+        got[mode] = {k: _bits(v.v) for k, v in out.items()}
+        with np.errstate(over="ignore"):
+            oracle = OracleSim(prog, "ROUNDS").scan({"A": a, "B": b, "L": ld, "D": d}, 0)
+        want[mode] = {k: _bits(v) for k, v in oracle.items()}
+    return got, want
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+_REAL = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+def _f32_of(significand: int, exponent: int) -> float:
+    return _binary32(math.ldexp(significand, exponent))
+
+
+# REAL operand pairs, one strategy per path of the rounding text: a normal
+# result; a tie (A plus or minus half its ulp, or the product of two odd
+# 13-bit significands, an odd 25-bit one); a zero of either sign; a
+# subnormal result (products of two values near 2**-70, sums of two
+# subnormals); and a result near, at or past the overflow bound
+_NORMAL = st.tuples(_REAL, _REAL)
+_TIE = st.builds(
+    lambda m, e, sa, sb: (sa * _f32_of(m, e - 23), sb * _f32_of(1, e - 24)),
+    st.integers(2**23, 2**24 - 1), st.integers(-100, 100), _SIGN, _SIGN,
+) | st.builds(
+    lambda a, b, i, j: (_f32_of(2 * a + 1, i), _f32_of(2 * b + 1, j)),
+    st.integers(2048, 2895), st.integers(2048, 2895), st.integers(-60, 60), st.integers(-60, 60),
+)
+_ZERO = st.sampled_from([(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0)]) | _REAL.flatmap(
+    lambda x: st.sampled_from([(x, x), (x, -x), (-0.0, x), (x, 0.0)])
+)
+_SUBNORMAL = st.builds(
+    lambda m, n, sa, sb: (sa * _f32_of(m, -93), sb * _f32_of(n, -93)),
+    st.integers(2**23, 2**24 - 1), st.integers(2**23, 2**24 - 1), _SIGN, _SIGN,
+) | st.tuples(*[st.floats(width=32, min_value=-(2.0**-126), max_value=2.0**-126)] * 2)
+_OVERFLOW = st.tuples(
+    st.floats(width=32, min_value=2.0**126, max_value=V.F32_MAX), st.floats(width=32, min_value=0.25, max_value=4.0)
+) | st.builds(lambda k, s: (s * V.F32_MAX, s * 2.0**k), st.integers(100, 106), _SIGN)
+_OPERANDS = _NORMAL | _TIE | _ZERO | _SUBNORMAL | _OVERFLOW
+
+# LREAL_TO_REAL's arguments, by path likewise: a double in binary32's
+# range, a halfway point and its neighbours, a zero, a subnormal, and the
+# overflow bound give or take a few ulps and beyond
+_LREALS = (
+    st.floats(min_value=-1e39, max_value=1e39)
+    | st.builds(
+        # toward 0, x itself or 2x: the halfway point x or a neighbour
+        lambda m, e, d, s: s * math.nextafter(x := math.ldexp(2 * m + 1, e), d * x),
+        st.integers(2**23, 2**24 - 1), st.integers(-170, 103), st.sampled_from([0.0, 1.0, 2.0]), _SIGN,
+    )
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+    | st.floats(min_value=-(2.0**-126), max_value=2.0**-126)
+    | st.builds(lambda k, s: s * (V.F32_OVERFLOW + k * 2.0**75), st.integers(-3, 3), _SIGN)
+)
+# DINT_TO_REAL's: any DINT, 0 and ties (an odd 25-bit number times 2**k)
+_DINTS = (
+    st.integers(-(2**31), 2**31 - 1)
+    | st.just(0)
+    | st.builds(lambda m, k, s: s * (2 * m + 1) << k, st.integers(2**23, 2**24 - 1), st.integers(0, 6), st.sampled_from([1, -1]))
+)
+
+# one input per path, (A, B, L, D), named by the path of A + B or A * B,
+# LREAL_TO_REAL(L) and DINT_TO_REAL(D) that it takes
+PATH_EXAMPLES = {
+    "normal": (1.5, 0.10000000149011612, 0.1, 123456789),
+    "tie": (1.0, 2.0**-24, 1 + 2.0**-24, 2**24 + 1),
+    "negative tie": (1 + 2.0**-23, -(2.0**-24), -(1 + 3 * 2.0**-24), -(2**25 + 6)),
+    "zero": (0.0, 0.0, 0.0, 0),
+    "-0.0": (-0.0, -0.0, -0.0, 0),
+    "subnormal": (2.0**-140, 2.0**-146, 2.0**-140 * (1 + 2.0**-30), 1),
+    "overflow": (V.F32_MAX, 2.0**103, V.F32_OVERFLOW, 2**31 - 1),
+    "past overflow": (-V.F32_MAX, -2.0, -1e39, -(2**31)),
+}
+
+
+def _path(x: float) -> str:
+    """Which path of the rounding text a raw double result takes, and
+    whether it is a tie."""
+    if x == 0.0:
+        return "zero"
+    if not 2.0**-126 <= abs(x) < V.F32_OVERFLOW:
+        return "subnormal" if abs(x) < 2.0**-126 else "overflow"
+    # a tie lies halfway between two 24-bit significands
+    return "tie" if math.ldexp(abs(x), 24 - math.frexp(x)[1]) % 1 == 0.5 else "normal"
+
+
+def test_the_path_examples_take_every_path():
+    paths = {"normal", "tie", "zero", "subnormal", "overflow"}
+    for a, b, ld, d in PATH_EXAMPLES.values():
+        seen = {_path(a + b), _path(a * b), _path(ld), _path(float(d))}
+        paths -= seen
+    assert paths == set()
+    # and the zeros come in both signs
+    assert {math.copysign(1.0, a + b) for a, b, _, _ in PATH_EXAMPLES.values() if a + b == 0} == {1.0, -1.0}
+
+
+def _with_path_examples(test):
+    for a, b, ld, d in PATH_EXAMPLES.values():
+        test = example(ab=(a, b), ld=ld, d=d)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ab=_OPERANDS, ld=_LREALS, d=_DINTS)
+@_with_path_examples
+def test_generated_rounding_matches_the_oracle_bit_for_bit(ab, ld, d):
+    # REAL + - * /, SIN, LREAL_TO_REAL and DINT_TO_REAL in bounded and in
+    # checked code give the oracle's float32 results, bit for bit: the
+    # sign of a zero and the raw type count
+    got, want = _rounds(*ab, ld, d)
+    assert got == want
+
+
+def test_a_40_term_real_sum_runs_and_matches_the_oracle():
+    # the deepest chain the parser accepts: the rounding text adds two
+    # levels of Python nesting per operator, as an INT's wrap does, so the
+    # generated source stays below CPython's 200
+    terms = ["A", "B", "C", "D"] * 10
+    src = (
+        "FUNCTION_BLOCK CHAIN\nVAR_INPUT A : REAL; B : REAL; C : REAL; D : REAL; END_VAR\n"
+        "VAR_OUTPUT Y : REAL; END_VAR\nY := {};\nEND_FUNCTION_BLOCK\n"
+    )
+    with pytest.raises(FrontendError, match="nested deeper than 40"):
+        parse_text(src.format(" + ".join(terms + ["A"])))
+    prog = resolve(parse_text(src.format(" + ".join(terms))))
+    values = {"A": 0.1, "B": 1e-8, "C": -0.3, "D": 2.0**-130}
+    inputs = {k: V.make(T.REAL, v) for k, v in values.items()}
+    out, _ = execute_cycle(instantiate(prog, "CHAIN"), inputs, SimClock())
+    want = OracleSim(prog, "CHAIN").scan(values, 0)["Y"]
+    assert _bits(out["Y"].v) == _bits(want)
+    assert want != sum([V.f32(values[t]) for t in terms])  # each step rounds
 
 
 # ---------------------------------------------------------------------------
