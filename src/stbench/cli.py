@@ -31,7 +31,7 @@ from pathlib import Path
 from . import llm
 from .frontend import SourceUnit, TypedProgram, interface_of
 from .frontend.nodes import PouKind
-from .harnessgen import DEFAULT_ATOL, DEFAULT_RTOL
+from .harnessgen import DEFAULT_ATOL, DEFAULT_CYCLE_TIME_MS, DEFAULT_RTOL
 from .runner import PipelineError, RunOptions, load_program, run_suite
 from .testspec import (
     CheckedSuite,
@@ -65,7 +65,7 @@ class RunConfig:
     suite: Path | None = None
     out: Path = Path("runs")
     label: str = ""
-    cycle_time_ms: int = 10
+    cycle_time_ms: int = DEFAULT_CYCLE_TIME_MS
     atol: float = DEFAULT_ATOL
     rtol: float = DEFAULT_RTOL
     fixed_clock: bool = False
@@ -87,10 +87,7 @@ def _load(cfg: RunConfig) -> tuple[TypedProgram, str]:
     """The unit and its libraries, loaded once, and the FB under test."""
     if cfg.unit is None or not cfg.unit.exists():
         raise _Unusable(f"unit file not found: {cfg.unit}")
-    try:
-        unit, *libs = [SourceUnit(p.read_text(encoding="utf-8"), p.name) for p in (cfg.unit, *cfg.libs)]
-    except OSError as exc:
-        raise _Unusable(str(exc)) from exc
+    unit, *libs = [SourceUnit(_read_text(p), p.name) for p in (cfg.unit, *cfg.libs)]
     try:
         prog = load_program(unit, libs)
         return prog, _unit_fb_name(cfg, prog)
@@ -98,6 +95,15 @@ def _load(cfg: RunConfig) -> tuple[TypedProgram, str]:
         raise _Unusable(str(exc.cause)) from exc
     except ValueError as exc:
         raise _Unusable(str(exc)) from exc
+
+
+def _read_text(path: Path) -> str:
+    """A file's text; one that is not UTF-8 is an unusable input, named by
+    its path as an OSError names it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _Unusable(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _unit_fb_name(cfg: RunConfig, prog: TypedProgram) -> str:
@@ -140,31 +146,21 @@ def _provider_config(cfg: RunConfig) -> llm.ProviderConfig:
 
 def cmd_generate(cfg: RunConfig) -> int:
     """Steps 1-3: prompt, query, extract, validate, persist suite.csv."""
-    try:
-        _generate(cfg, *_load(cfg))
-    except _Unusable as exc:
-        return _fail(str(exc))
+    _generate(cfg, *_load(cfg))
     return EXIT_OK
 
 
 def cmd_run(cfg: RunConfig) -> int:
     """Steps 4-9: harness, execution, coverage, report."""
-    try:
-        prog, fb_name = _load(cfg)
-        checked, warnings = _read_suite(cfg, prog, fb_name)
-    except _Unusable as exc:
-        return _fail(str(exc))
-    return _run(cfg, prog, checked, warnings)
+    prog, fb_name = _load(cfg)
+    return _run(cfg, prog, *_read_suite(cfg, prog, fb_name))
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
     """generate followed by run, sharing one output directory, one load
     and the checked suite."""
-    try:
-        prog, fb_name = _load(cfg)
-        checked, dropped = _generate(cfg, prog, fb_name)
-    except _Unusable as exc:
-        return _fail(str(exc))
+    prog, fb_name = _load(cfg)
+    checked, dropped = _generate(cfg, prog, fb_name)
     return _run(cfg, prog, checked, tuple(_dropped_note(c) for c in dropped))
 
 
@@ -226,7 +222,7 @@ def _read_suite(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[Check
     if cfg.suite is None or not cfg.suite.exists():
         raise _Unusable(f"suite file not found: {cfg.suite}")
     try:
-        suite = parse_suite(cfg.suite.read_text(encoding="utf-8"), fb_name)
+        suite = parse_suite(_read_text(cfg.suite), fb_name)
         checked = validate(suite, prog)
     except (CsvError, ValidationError) as exc:
         raise _Unusable(f"suite rejected: {exc}") from exc
@@ -255,10 +251,7 @@ def _run(cfg: RunConfig, prog: TypedProgram, checked: CheckedSuite, warnings: tu
         provider=cfg.provider,
         warnings=warnings,
     )
-    try:
-        report = run_suite(prog, checked, options)
-    except PipelineError as exc:
-        return _fail(str(exc))
+    report = run_suite(prog, checked, options)
     print(report.text, end="")
     print(f"artifacts in {out}")
     return EXIT_OK if report.all_green() else EXIT_TEST_FAILURES
@@ -293,7 +286,10 @@ def _read_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip().lower().replace("-", "_")] = value.strip()
+        name = key.strip().lower().replace("-", "_")
+        if name not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key.strip()}")
+        values[name] = value.strip()
     return values
 
 
@@ -398,11 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_unit(fn, cfg: RunConfig) -> int:
     """One unit's command with automatic cyclic collection paused; the
-    caller's collector state is restored however the command ends."""
+    caller's collector state is restored however the command ends.  This
+    is where an unusable input ends: an `_Unusable`, a `PipelineError`
+    (whose message keeps its phase) or an `OSError` (whose message names
+    its path) from the command prints one `error:` line and exits 2."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         return fn(cfg)
+    except (_Unusable, PipelineError, OSError) as exc:
+        return _fail(str(exc))
     finally:
         if enabled:
             gc.enable()

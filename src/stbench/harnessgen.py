@@ -63,6 +63,7 @@ if TYPE_CHECKING:  # testspec bounds a suite by case_values
 PROGRAM_NAME = "TEST_RUNNER"
 DEFAULT_ATOL = 1e-6
 DEFAULT_RTOL = 1e-6
+DEFAULT_CYCLE_TIME_MS = 10
 
 
 class CollisionError(Exception):
@@ -101,6 +102,7 @@ class HarnessBundle:
     # every layer whose text harness.st holds, with the amount to add to an
     # offset in the layer's own source to get its offset in harness.st
     layers: list[tuple[TypedProgram, int]]
+    cycle_time_ms: int               # the scan interval harness.st states
 
 
 def hook_var_names(index: int) -> tuple[str, str, str]:
@@ -299,7 +301,7 @@ def build_runner(cases: list[CaseHarness]) -> N.PouDecl:
 def build_harness(
     suite: CheckedSuite,
     prog: TypedProgram,
-    cycle_time_ms: int = 10,
+    cycle_time_ms: int = DEFAULT_CYCLE_TIME_MS,
     atol: float = DEFAULT_ATOL,
     rtol: float = DEFAULT_RTOL,
 ) -> HarnessBundle:
@@ -335,4 +337,4 @@ def build_harness(
     # the generated layer's diagnostics refer to harness.st's text
     ast.src = SourceUnit(source.text, "generated harness")
     typed = resolve(ast, [prog])
-    return HarnessBundle(source, typed, PROGRAM_NAME, cases, [*zip(dependencies, starts), (typed, 0)])
+    return HarnessBundle(source, typed, PROGRAM_NAME, cases, [*zip(dependencies, starts), (typed, 0)], cycle_time_ms)

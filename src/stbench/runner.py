@@ -46,6 +46,7 @@ from .frontend.resolve import TypedProgram, resolve
 from .frontend.source import SourceUnit
 from .harnessgen import (
     DEFAULT_ATOL,
+    DEFAULT_CYCLE_TIME_MS,
     DEFAULT_RTOL,
     CollisionError,
     HarnessBundle,
@@ -93,7 +94,7 @@ class CaseResult:
 
 @dataclass
 class RunOptions:
-    cycle_time_ms: int = 10
+    cycle_time_ms: int = DEFAULT_CYCLE_TIME_MS
     atol: float = DEFAULT_ATOL
     rtol: float = DEFAULT_RTOL
     out_dir: Path | None = None
@@ -210,11 +211,11 @@ def load_program(unit: SourceUnit, libraries: Sequence[SourceUnit] = ()) -> Type
     return prog
 
 
-def run_harness(bundle: HarnessBundle, cycle_time_ms: int = 10) -> tuple[RunResult, list[str]]:
-    """Run a harness by the protocol the module docstring states; return
-    the run and its monitor lines.  A fault outside every case instance
-    propagates as a RuntimeFault."""
-    clock = SimClock(now=0, cycle_time=cycle_time_ms)
+def run_harness(bundle: HarnessBundle) -> tuple[RunResult, list[str]]:
+    """Run a harness by the protocol the module docstring states, at the
+    scan interval it was built for; return the run and its monitor lines.
+    A fault outside every case instance propagates as a RuntimeFault."""
+    clock = SimClock(now=0, cycle_time=bundle.cycle_time_ms)
     lines: list[str] = []
     # the cases whose hooks can still change: not DONE and not faulted
     watched = [(c.index, c.instance_name, *hook_var_names(c.index)) for c in bundle.cases]
@@ -294,7 +295,7 @@ def run_suite(
         raise PipelineError("assemble", exc) from exc
 
     try:
-        result, monitor_lines = run_harness(bundle, options.cycle_time_ms)
+        result, monitor_lines = run_harness(bundle)
     except RuntimeFault as exc:
         raise PipelineError("execute", exc) from exc
 
@@ -332,7 +333,7 @@ def run_suite(
         statement_coverage_pct=summary.unit.percentage,
         coverage=summary,
         cycles_executed=result.cycles_executed,
-        cycle_time_ms=options.cycle_time_ms,
+        cycle_time_ms=bundle.cycle_time_ms,
         mode=options.mode,
         provider=options.provider,
         warnings=tuple(options.warnings),

@@ -261,27 +261,26 @@ def instantiate(prog: TypedProgram, fb_name: str) -> FbInstance:
     variables at their declared initial values and nested FBs idle.
 
     The instance tree is built depth-first by a loop, not by recursion, so
-    a chain of FB types longer than Python's stack is deep still builds."""
+    a chain of FB types longer than Python's stack is deep still builds.
+    The tree is finite: resolving rejects an FB whose instance tree holds
+    the FB itself (`resolve.check_instances`)."""
     root = {}
-    # (the store holding the instance, its name there, its FB type, the
-    # FB types above it), in the order a recursive walk would visit them
-    todo = [(root, None, fb_name.upper(), ())]
+    # (the store holding the instance, its name there, its FB type), in
+    # the order a recursive walk would visit them
+    todo = [(root, None, fb_name.upper())]
     while todo:
-        owner, var_name, name, path = todo.pop()
+        owner, var_name, name = todo.pop()
         info = prog.lookup_pou(name)
         if info is None or info.kind is PouKind.FUNCTION:
             raise UnknownPou(f"no function block or program named {name}")
-        if name in path:
-            raise UnknownPou(f"recursive instantiation of {name}")
         inst = owner[var_name] = FbInstance(prog, info)
-        path += (name,)
         children = []
         for var, fb_type in info.fb_instances.items():
             if fb_type in BUILTIN_FBS:
                 inst.nested[var] = make_builtin(fb_type)
             else:
                 inst.nested[var] = None  # filled in below, keeping the declaration order
-                children.append((inst.nested, var, fb_type, path))
+                children.append((inst.nested, var, fb_type))
         todo += reversed(children)
     return root[None]
 
@@ -662,14 +661,9 @@ def _wrap(kind: T.Kind | None, text: str) -> str:
     BYTE and WORD, a bit operation) to `kind` as `V.coercer` would; the
     LREAL and TIME results of these operations need nothing.  REAL's
     also rounds a ROUND32 conversion."""
-    if kind is T.Kind.INT:
-        return f"(({text} + 32768 & 65535) - 32768)"
-    if kind is T.Kind.DINT:
-        return f"(({text} + 2147483648 & 4294967295) - 2147483648)"
-    if kind is T.Kind.BYTE:
-        return f"({text} & 255)"
-    if kind is T.Kind.WORD:
-        return f"({text} & 65535)"
+    if kind in T.INT_RANGES:
+        lo, hi = T.INT_RANGES[kind]
+        return f"(({text} + {-lo} & {hi - lo}) - {-lo})" if lo else f"({text} & {hi})"
     if kind is T.Kind.REAL:
         # V.f32 written out; no other text binds r32 or c32
         return (

@@ -128,7 +128,7 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
         return trunc
     co = V.coercer(result_ty)
     if name in ("SHL", "SHR"):
-        width = 8 if arg_types[0].kind is Kind.BYTE else 16
+        width = T.INT_RANGES[arg_types[0].kind][1].bit_length()  # BYTE or WORD
         left = name == "SHL"
 
         def shift(v, n):

@@ -73,15 +73,12 @@ def f32(x: float) -> float:
 
 
 def wrap_int(v: int, kind: Kind) -> int:
-    if kind is Kind.INT:
-        return ((v + 0x8000) & 0xFFFF) - 0x8000
-    if kind is Kind.DINT:
-        return ((v + 0x8000_0000) & 0xFFFF_FFFF) - 0x8000_0000
-    if kind is Kind.BYTE:
-        return v & 0xFF
-    if kind is Kind.WORD:
-        return v & 0xFFFF
-    raise TypeError(f"not an integer kind: {kind}")
+    """v wrapped into kind's range (`T.INT_RANGES`), two's complement for
+    a signed kind: offset by -lo into [0, hi - lo], masked, offset back."""
+    if kind not in T.INT_RANGES:
+        raise TypeError(f"not an integer kind: {kind}")
+    lo, hi = T.INT_RANGES[kind]
+    return (v - lo & hi - lo) + lo
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +96,9 @@ def make(ty: STType, raw) -> Value:
 
 
 def _wrapping(kind: Kind) -> Callable[[object], int]:
-    return lambda x: wrap_int(int(x), kind)
+    lo, hi = T.INT_RANGES[kind]
+    mask = hi - lo
+    return lambda x: (int(x) - lo & mask) + lo
 
 
 # the coercion of each fixed-size kind, built once

@@ -301,6 +301,37 @@ def test_config_file_flags_win(tmp_path):
     assert (tmp_path / "flag_wins" / "suite.csv").exists()
 
 
+def test_config_file_rejects_an_unknown_key(tmp_path, capsys):
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    cfg = tmp_path / "stbench.cfg"
+    cfg.write_text(f"unit = {DEC_BLOCK}\n# the key is cycle_time_ms\ncycle_time = 50\n")
+    code = run_cli("run", "--config", cfg, "--suite", suite, "--out", tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: unknown key cycle_time\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_accepts_every_key(tmp_path):
+    fixture = tmp_path / "resp.txt"
+    fixture.write_text("```csv\ntest_name,state,DE,expect_HEX\ntc,1,4,'4'\n```\n")
+    lib = tmp_path / "lib.st"
+    lib.write_text("FUNCTION ONE : INT\nONE := 1;\nEND_FUNCTION\n")
+    values = {
+        "unit": DEC_BLOCK, "lib": lib, "fb": "dec_to_hex", "mode": "simple", "provider": "mock",
+        "endpoint": "unused", "model": "unused", "api_key_env": "UNUSED", "temperature": 0.5,
+        "max_tokens": 100, "timeout_s": 5, "fixture": fixture, "suite": tmp_path / "unused.csv",
+        "out": tmp_path / "out", "label": "lbl", "cycle_time_ms": 20, "atol": 0.5, "rtol": 0.5,
+        "fixed_clock": "yes",
+    }
+    assert values.keys() == cli._CONFIG_KEYS.keys()
+    cfg = tmp_path / "stbench.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    assert run_cli("pipeline", "--config", cfg) == 0
+    report = json.loads((tmp_path / "out" / "lbl" / "report.json").read_text())
+    assert (report["meta"]["mode"], report["meta"]["cycle_time_ms"], report["meta"]["generated_at"]) == ("simple", 20, None)
+
+
 def test_corpus_list_static_and_complete(capsys):
     outputs = []
     for _ in range(3):
@@ -493,6 +524,57 @@ def test_missing_library_file_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "gone.st" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+# a path the command cannot use: (command, the flag giving it, what it is)
+UNUSABLE_PATHS = [
+    ("generate", "--fixture", "missing"),
+    ("generate", "--fixture", "directory"),
+    ("pipeline", "--fixture", "missing"),
+    ("pipeline", "--fixture", "directory"),
+    ("run", "--suite", "directory"),
+    ("run", "--out", "file"),
+    ("pipeline", "--out", "file"),
+    ("run", "--unit", "not-utf8"),
+    ("run", "--lib", "not-utf8"),
+    ("run", "--suite", "not-utf8"),
+]
+
+
+def unusable_path_argv(tmp_path, command, flag, kind):
+    """The command's arguments, all usable but `flag`'s path, and that path."""
+    path = tmp_path / "given"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "file":
+        path.write_text("")
+    elif kind == "not-utf8":
+        path.write_bytes(b"FUNCTION_BLOCK \xff")
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    args = {"--unit": DEC_BLOCK, "--out": tmp_path / "out"}
+    args.update({"--suite": suite} if command == "run" else {"--provider": "mock", "--fixture": DEC_FIXTURE})
+    args[flag] = path
+    return [command, *(str(a) for pair in args.items() for a in pair)], path
+
+
+@pytest.mark.parametrize("command,flag,kind", UNUSABLE_PATHS, ids=[f"{c}-{f[2:]}-{k}" for c, f, k in UNUSABLE_PATHS])
+def test_an_unusable_path_exits_two_with_one_error_line_naming_it(tmp_path, capsys, command, flag, kind):
+    argv, path = unusable_path_argv(tmp_path, command, flag, kind)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+    assert "Traceback" not in captured.out
+
+
+def test_an_unusable_path_prints_no_traceback_in_a_child_process(tmp_path):
+    argv, path = unusable_path_argv(tmp_path, "pipeline", "--out", "file")
+    done = run_child(tmp_path, *argv)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and str(path) in line
 
 
 BODY_FB = (

@@ -22,8 +22,8 @@ def checked_suite(csv_text, fb, prog):
     return validate(parse_suite(csv_text, fb), prog)
 
 
-def run_bundle(bundle, cycle_time=10):
-    result, _monitor = run_harness(bundle, cycle_time)
+def run_bundle(bundle):
+    result, _monitor = run_harness(bundle)
     return result
 
 
@@ -104,7 +104,7 @@ def test_dwell_cycles_allow_timer_expiry():
         prog,
     )
     bundle = build_harness(good, prog, cycle_time_ms=50)
-    outcome = case_outcome(run_bundle(bundle, cycle_time=50), bundle, "tc")
+    outcome = case_outcome(run_bundle(bundle), bundle, "tc")
     assert outcome["pass"] is True
 
     short = checked_suite(
@@ -113,7 +113,7 @@ def test_dwell_cycles_allow_timer_expiry():
         prog,
     )
     bundle = build_harness(short, prog, cycle_time_ms=50)
-    outcome = case_outcome(run_bundle(bundle, cycle_time=50), bundle, "tc")
+    outcome = case_outcome(run_bundle(bundle), bundle, "tc")
     assert outcome["pass"] is False and outcome["fails"] == 1
 
     # TIME compares exactly: after 5 scans ET is 200 ms (table[4])
@@ -124,7 +124,7 @@ def test_dwell_cycles_allow_timer_expiry():
             prog,
         )
         bundle = build_harness(suite, prog, cycle_time_ms=50)
-        outcome = case_outcome(run_bundle(bundle, cycle_time=50), bundle, "tc")
+        outcome = case_outcome(run_bundle(bundle), bundle, "tc")
         assert (outcome["pass"], outcome["actuals"]) == (verdict, {"A_1_ET": 200}), expected
 
 
@@ -196,7 +196,7 @@ def test_monitor_records_report_hook_events(dec_assets):
         prog,
     )
     bundle = build_harness(suite, prog)
-    result, records = run_harness(bundle, 10)
+    result, records = run_harness(bundle)
     # both cases are DONE after the check scan, which ends the run
     assert records == [
         "cycle=0 t=0 events=[]",

@@ -1,6 +1,7 @@
 import ast
 import math
 import struct
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,25 @@ def test_binary32_rounding_has_one_home():
             if isinstance(node, ast.alias) and node.name == "struct" or isinstance(node, ast.Attribute) and node.attr == "F32":
                 users.add(path.relative_to(src).as_posix())
     assert users == {"runtime/values.py"}
+
+
+# INT's and DINT's offsets and masks and WORD's mask; BYTE's 255 is left
+# out, since it is also a string byte's mask
+_WIDTH_BOUNDS = {2**15, 2**16 - 1, 2**31, 2**32 - 1}
+
+
+def test_integer_widths_have_one_home():
+    # only frontend/types.py may write an integer kind's bounds as a number
+    # (T.INT_RANGES): every other module derives them from it.  Comments do
+    # not count, as tokenize reads them apart from numbers
+    src = Path(V.__file__).resolve().parents[1]
+    writers = set()
+    for path in src.rglob("*.py"):
+        with tokenize.open(path) as f:
+            for tok in tokenize.generate_tokens(f.readline):
+                if tok.type == tokenize.NUMBER and ast.literal_eval(tok.string) in _WIDTH_BOUNDS:
+                    writers.add(path.relative_to(src).as_posix())
+    assert writers <= {"frontend/types.py"}
 
 
 def test_f32_overflow_to_inf():

@@ -2,12 +2,12 @@
 call, and CASE dispatch through a table.
 
 A conversion with a written-out form (`stdfuncs.conversion_form`) becomes
-part of the statement's expression, a REAL result is rounded inline (by
-Veltkamp's split in binary32's normal range, by a call of `V.f32`
-elsewhere), and a CASE whose labels are dense single values indexes a
-table of its arms.  Each must give what the call or the scan gave: the
-same value and raw type, or the same fault at the same site, and the same
-site counts.
+part of the statement's expression, an integer result is wrapped inline
+by its kind's range, a REAL result is rounded inline (by Veltkamp's split
+in binary32's normal range, by a call of `V.f32` elsewhere), and a CASE
+whose labels are dense single values indexes a table of its arms.  Each
+must give what the call or the scan gave: the same value and raw type, or
+the same fault at the same site, and the same site counts.
 """
 
 import math
@@ -227,6 +227,55 @@ def test_the_pairs_reach_the_bound():
     assert V.F32_MAX < products[0] < BOUND and products[1] == BOUND and products[2] > BOUND
     sums = [a + b for a, b in _PAIRS[5:]]
     assert V.F32_MAX < sums[0] < BOUND and sums[1] == BOUND and sums[2] > BOUND
+
+
+# ---------------------------------------------------------------------------
+# integer wrapping, written out from T.INT_RANGES
+# ---------------------------------------------------------------------------
+
+WRAP_SRC = """
+FUNCTION_BLOCK WRAPS
+VAR_INPUT A : {kind}; B : {kind}; END_VAR
+VAR_OUTPUT S : {kind}; D : {kind}; P : {kind}; END_VAR
+VAR I : INT; END_VAR
+{body}
+END_FUNCTION_BLOCK
+"""
+# the operations whose results `_wrap` writes out, and their raw results:
+# a signed kind's arithmetic, and a bit kind's bit operations, of which
+# NOT alone leaves the range
+WRAP_OPS = {
+    True: ("S := A + B; D := A - B; P := A * B;", lambda a, b: {"S": a + b, "D": a - b, "P": a * b}),
+    False: ("S := NOT A; D := A AND B; P := A OR B;", lambda a, b: {"S": ~a, "D": a & b, "P": a | b}),
+}
+
+
+@pytest.mark.parametrize("kind", T.INT_RANGES, ids=lambda k: k.name)
+def test_a_written_out_wrap_is_wrap_int_past_both_ends(kind):
+    lo, hi = T.INT_RANGES[kind]
+    wrap = eval(f"lambda x: {interp._wrap(kind, 'x')}")
+    for raw in (lo - 1, lo, hi, hi + 1, 7 * hi + 3, lo - 7 * hi):
+        assert wrap(raw) == V.wrap_int(raw, kind) == V.make(T.SCALARS[kind.value], raw).v, raw
+
+
+@pytest.mark.parametrize("kind", T.INT_RANGES, ids=lambda k: k.name)
+@pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "checked"])
+def test_generated_integer_results_wrap_as_wrap_int(kind, bounded):
+    # the raw results reach every end of the range they can and a value
+    # far past one; a loop makes the statements checked code
+    lo, hi = T.INT_RANGES[kind]
+    ty = T.SCALARS[kind.value]
+    body, raw = WRAP_OPS[kind in T.SIGNED_INT_KINDS]
+    body = body if bounded else f"FOR I := 1 TO 1 DO {body} END_FOR;"
+    prog = resolve(parse_text(WRAP_SRC.format(kind=kind.value, body=body)))
+    assert interp._bounded(prog, "WRAPS") is bounded
+    pairs = [(hi, 1), (hi, 0), (lo, 1), (lo, 0), (hi, hi), (lo, lo)]
+    reached = {r for a, b in pairs for r in raw(a, b).values()}
+    assert {lo - 1, lo, hi} <= reached and min(reached) < lo - hi
+    assert kind not in T.SIGNED_INT_KINDS or hi + 1 in reached and max(reached) > 2 * hi
+    for a, b in pairs:
+        out, _ = execute_cycle(instantiate(prog, "WRAPS"), {"A": V.make(ty, a), "B": V.make(ty, b)}, SimClock())
+        assert {k: v.v for k, v in out.items()} == {k: V.wrap_int(r, kind) for k, r in raw(a, b).items()}, (a, b)
 
 
 # ---------------------------------------------------------------------------
