@@ -103,7 +103,11 @@ def _read_text(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise _Unusable(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise _not_utf8(path, exc) from exc
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> _Unusable:
+    return _Unusable(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
 def _unit_fb_name(cfg: RunConfig, prog: TypedProgram) -> str:
@@ -177,6 +181,8 @@ def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[Checked
     try:
         provider_cfg = _provider_config(cfg)
         exchange = llm.query(provider_cfg, bundle)
+    except UnicodeDecodeError as exc:  # the one file a query decodes: the mock's fixture
+        raise _not_utf8(cfg.fixture, exc) from exc
     except ValueError as exc:
         raise _Unusable(str(exc)) from exc
     except llm.GatewayError as exc:
@@ -231,11 +237,7 @@ def _read_suite(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[Check
     out.mkdir(parents=True, exist_ok=True)
     (out / "suite.csv").write_text(serialize_suite(suite), encoding="utf-8")
     warnings_file = out / "generate_warnings.txt"
-    warnings = (
-        tuple(warnings_file.read_text(encoding="utf-8").splitlines())
-        if warnings_file.exists()
-        else ()
-    )
+    warnings = tuple(_read_text(warnings_file).splitlines()) if warnings_file.exists() else ()
     return checked, warnings
 
 
@@ -279,7 +281,7 @@ def cmd_corpus_list() -> int:
 
 def _read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -423,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_corpus_list()
     try:
         cfg = _merge_config(args)
-    except (ValueError, OSError) as exc:
+    except (_Unusable, ValueError, OSError) as exc:
         return _fail(str(exc))
 
     # several units, comma-separated, from the flag or the config file

@@ -3,22 +3,24 @@
 The ground truth is the interpreter's per-POU count arrays (`RunResult.
 counts`): slot i of a POU's array counts the executions of its
 `PouInfo.sites[i]`, and a POU that never ran counts as zeros.  The domain
-is every POU a name resolves to (`domain`).  The line-oriented renderings
-(annotated listing, LCOV text) are lossy views of one line map, built by
-`line_counts` from each POU's site nodes, where multiple statements on one
-line collapse to the line's maximum count.  Both work from the rendered
-source's table of line starts (`SourceUnit._line_starts`): a site's line
-is a bisection of the table at the site's offset, and the listing slices
-each line out of the source's text between two starts, so neither holds a
-second copy of the text or makes a `SourceUnit` call per line or site.
-Each is written to its stream line by line, never held whole.
-Percentages are rounded half-up to two decimals.
+is every POU a name resolves to (`domain`), generated harness POUs
+included.  The line-oriented renderings (annotated listing, LCOV text)
+list only the sources a user wrote, the unit and each of its libraries,
+each in its own line numbers; the harness's POUs are counted but not
+listed.  Both are lossy views of one source's line map, built by
+`line_counts` from the site nodes of that source's POUs, where multiple
+statements on one line collapse to the line's maximum count.  Both work
+from the source's table of line starts (`SourceUnit._line_starts`): a
+site's line is a bisection of the table at the site's offset, and the
+listing slices each line out of the source's text between two starts, so
+neither holds a second copy of the text or makes a `SourceUnit` call per
+line or site.  Each is written to its stream line by line, never held
+whole.  Percentages are rounded half-up to two decimals.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain, islice
@@ -27,9 +29,6 @@ from typing import TextIO
 from .frontend.nodes import site_span
 from .frontend.resolve import PouInfo, TypedProgram
 from .frontend.source import SourceUnit
-
-# (program, shift) pairs: where each program's source sits in a rendered file
-Layers = Sequence[tuple[TypedProgram, int]]
 
 
 def round_pct(hit: int, total: int) -> float:
@@ -79,41 +78,36 @@ def summarize(
 # line-oriented renderings
 # ---------------------------------------------------------------------------
 
-def line_counts(
-    pous: dict[str, PouInfo], counts: dict[str, list[int]], layers: Layers, src: SourceUnit
-) -> dict[int, int]:
-    """Map executable lines of `src` to hit counts (max across statements),
-    the input of both renderings.
-
-    `layers` pairs each program whose text `src` holds with the amount to
-    add to an offset in that program's own source to get its offset in
-    `src`.  A layer's POU is rendered only if it is the one the domain
-    `pous` holds for its name; a definition that lookup shadows never ran
-    and has no executable lines."""
+def line_counts(pous: dict[str, PouInfo], counts: dict[str, list[int]], unit: TypedProgram) -> dict[int, int]:
+    """Map executable lines of `unit`'s own source to hit counts (max
+    across statements), the input of both renderings.  A POU of `unit` has
+    lines only if it is the one the domain `pous` holds for its name; a
+    definition that lookup shadows never ran and has no executable lines."""
     lines: dict[int, int] = {}
-    # a site's line, as src.line_of gives it, by a bisection of src's line
-    # starts, which every site offset lies within
-    starts = src._line_starts
+    # a site's line, as unit.src.line_of gives it, by a bisection of the
+    # source's line starts, which every site offset lies within
+    starts = unit.src._line_starts
     seen = lines.get
-    for unit, shift in layers:
-        for info in unit.pous.values():
-            if pous.get(info.name) is not info:
-                continue
-            cnt = counts.get(info.name) or [0] * len(info.sites)
-            for node, count in zip(info.sites, cnt):
-                line = bisect_right(starts, shift + site_span(node).start)
-                if seen(line, -1) < count:
-                    lines[line] = count
+    for info in unit.pous.values():
+        if pous.get(info.name) is not info:
+            continue
+        cnt = counts.get(info.name) or [0] * len(info.sites)
+        for node, count in zip(info.sites, cnt):
+            line = bisect_right(starts, site_span(node).start)
+            if seen(line, -1) < count:
+                lines[line] = count
     return lines
 
 
 def render_annotated(lines: dict[int, int], src: SourceUnit, out: TextIO) -> None:
     """Write the GCOV-style annotated listing of `src` from its line counts
-    to the text stream `out`, one line at a time: per-line hit counts,
-    `#####` on uncovered executable lines, `-` on non-executable ones.
-    Each line is sliced from `src`'s text by its line starts, without its
-    line break or trailing carriage returns, as src.line_text gives it."""
+    to the text stream `out`, one line at a time: gcov's `Source:` header
+    line naming `src`, then per-line hit counts, `#####` on uncovered
+    executable lines, `-` on non-executable ones.  Each line is sliced from
+    `src`'s text by its line starts, without its line break or trailing
+    carriage returns, as src.line_text gives it."""
     write = out.write
+    write(f"{'-':>9}:{0:>5}:Source:{src.origin}\n")
     text = src.text
     starts = src._line_starts
     # a line ends one character before the next line starts; the last one
@@ -127,7 +121,7 @@ def render_annotated(lines: dict[int, int], src: SourceUnit, out: TextIO) -> Non
 
 
 def render_lcov(lines: dict[int, int], src: SourceUnit, out: TextIO) -> None:
-    """Write LCOV tracefile records (SF/DA/LF/LH) for `src` from its line
+    """Write the LCOV tracefile record (SF/DA/LF/LH) of `src` from its line
     counts to the text stream `out`."""
     write = out.write
     write(f"SF:{src.origin}\n")

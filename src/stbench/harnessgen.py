@@ -38,11 +38,12 @@ over the unit's TypedProgram; no generated text is lexed or parsed.
 harness.st holds the libraries and the unit as written, then the generated
 POUs as `frontend.pretty` prints them, then a comment stating the scan
 interval.  The printer gives each generated site the span of its printed
-text in harness.st, whose text is also the generated layer's source, and
-the bundle records where each other layer's text starts in harness.st, so
-coverage renders against its lines.  A POU name may be defined in one
-layer only, and the generated names (`is_generated_name`) in none of the
-unit and its libraries: `runner.load_program` checks both.
+text in harness.st, whose text is also the generated layer's source, so a
+fault or diagnostic in generated code names its harness.st line; coverage
+is listed in the unit's and each library's own lines (`coverage`).  A POU
+name may be defined in one layer only, and the generated names
+(`is_generated_name`) in none of the unit and its libraries:
+`runner.load_program` checks both.
 """
 
 from __future__ import annotations
@@ -99,9 +100,6 @@ class HarnessBundle:
     typed: TypedProgram              # the generated layer, over the unit
     program_name: str
     cases: list[CaseHarness]
-    # every layer whose text harness.st holds, with the amount to add to an
-    # offset in the layer's own source to get its offset in harness.st
-    layers: list[tuple[TypedProgram, int]]
     cycle_time_ms: int               # the scan interval harness.st states
 
 
@@ -324,17 +322,14 @@ def build_harness(
     # harness.st lists the libraries before the unit that uses them, then
     # the generated POUs, printed with their sites' offsets in harness.st
     layers = prog.layers()
-    dependencies = layers[1:] + layers[:1]
-    starts = [0]
-    for dep in dependencies:
-        starts.append(starts[-1] + len(dep.src.text) + 1)
+    head = "".join([dep.src.text + "\n" for dep in layers[1:] + layers[:1]])
     source = SourceUnit(
-        "".join([dep.src.text + "\n" for dep in dependencies])
-        + print_ast(ast, starts[-1])
+        head
+        + print_ast(ast, len(head))
         + f"\n(* task configuration: one cyclic task, interval = {cycle_time_ms} ms *)\n",
         "harness.st",
     )
     # the generated layer's diagnostics refer to harness.st's text
     ast.src = SourceUnit(source.text, "generated harness")
     typed = resolve(ast, [prog])
-    return HarnessBundle(source, typed, PROGRAM_NAME, cases, [*zip(dependencies, starts), (typed, 0)], cycle_time_ms)
+    return HarnessBundle(source, typed, PROGRAM_NAME, cases, cycle_time_ms)

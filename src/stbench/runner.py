@@ -341,9 +341,11 @@ def run_suite(
     )
 
     if options.out_dir is not None:
-        lines = cov.line_counts(pous, result.counts, bundle.layers, bundle.source)
+        # the sources the user wrote, each with its own line map; the
+        # generated layer is counted but not listed
+        listed = [(layer.src, cov.line_counts(pous, result.counts, layer)) for layer in prog.layers()]
         try:
-            _write_artifacts(report, bundle, lines, monitor_lines, options)
+            _write_artifacts(report, bundle, listed, monitor_lines, options)
         except OSError as exc:
             raise PipelineError("report", exc) from exc
     return report
@@ -352,7 +354,7 @@ def run_suite(
 def _write_artifacts(
     report: TestReport,
     bundle: HarnessBundle,
-    lines: dict[int, int],
+    listed: list[tuple[SourceUnit, dict[int, int]]],
     monitor_lines: list[str],
     options: RunOptions,
 ) -> None:
@@ -364,9 +366,11 @@ def _write_artifacts(
     out.mkdir(parents=True, exist_ok=True)
     (out / "harness.st").write_text(bundle.source.text, encoding="utf-8")
     with open(out / "coverage.lcov", "w", encoding="utf-8") as f:
-        cov.render_lcov(lines, bundle.source, f)
+        for src, lines in listed:
+            cov.render_lcov(lines, src, f)
     with open(out / "coverage.annotated.txt", "w", encoding="utf-8") as f:
-        cov.render_annotated(lines, bundle.source, f)
+        for src, lines in listed:
+            cov.render_annotated(lines, src, f)
     (out / "monitor.txt").write_text("\n".join(monitor_lines) + "\n", encoding="utf-8")
     report.artifacts = {
         "report_json": "report.json",

@@ -538,6 +538,9 @@ UNUSABLE_PATHS = [
     ("run", "--unit", "not-utf8"),
     ("run", "--lib", "not-utf8"),
     ("run", "--suite", "not-utf8"),
+    ("generate", "--fixture", "not-utf8"),
+    ("pipeline", "--fixture", "not-utf8"),
+    ("run", "--config", "not-utf8"),
 ]
 
 
@@ -575,6 +578,18 @@ def test_an_unusable_path_prints_no_traceback_in_a_child_process(tmp_path):
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()
     assert line.startswith("error: ") and str(path) in line
+
+
+def test_a_non_utf8_warnings_file_left_in_the_run_directory_exits_two_naming_it(tmp_path, capsys):
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    warnings = tmp_path / "out" / "generate_warnings.txt"
+    warnings.parent.mkdir()
+    warnings.write_bytes(b"dropped column \xff\n")
+    assert run_cli("run", "--unit", DEC_BLOCK, "--suite", suite, "--out", tmp_path / "out") == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(warnings) in line
 
 
 BODY_FB = (

@@ -6,7 +6,6 @@ from stbench import coverage as cov
 from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
 from stbench.frontend.nodes import site_span
-from stbench.frontend.source import SourceUnit
 from stbench.runtime import SimClock, execute_cycle, instantiate, make
 
 SRC = """FUNCTION_BLOCK FB1
@@ -59,7 +58,7 @@ def rendered(render, *args) -> str:
 
 
 def lines_of(prog, counts):
-    return cov.line_counts(cov.domain(prog), counts, [(prog, 0)], prog.src)
+    return cov.line_counts(cov.domain(prog), counts, prog)
 
 
 @pytest.fixture()
@@ -130,8 +129,9 @@ def test_render_annotated_markers(prog):
     counts = run_scans(prog, [on(True)])
     text = rendered(cov.render_annotated, lines_of(prog, counts), prog.src)
     lines = text.splitlines()
-    # declarations are non-executable
-    assert lines[0].startswith("        -:    1:FUNCTION_BLOCK FB1")
+    # gcov's header line names the source; declarations are non-executable
+    assert lines[0] == "        -:    0:Source:fb1.st"
+    assert lines[1].startswith("        -:    1:FUNCTION_BLOCK FB1")
     by_line = {int(l.split(":")[1]): l.split(":")[0].strip() for l in lines}
     assert by_line[4] == "1"       # IF guard evaluated
     assert by_line[5] == "1"       # taken branch
@@ -179,16 +179,16 @@ def test_domain_takes_the_first_definition_in_lookup_order():
     assert counts == {"USER": [1], "HELP": [1, 1, 1]}
     assert cov.summarize(pous, counts, "USER").per_pou["HELP"] == cov.PouCoverage(3, 3, 100.0)
 
-    # the unit and both libraries in one file: the shadowed HELP never ran
-    src = SourceUnit(unit + help3 + help1, "all.st")
-    layers = [(user, 0), (libs[0], len(unit)), (libs[1], len(unit) + len(help3))]
-    lines = cov.line_counts(pous, counts, layers, src)
-    shadowed = src.text.splitlines().index("X := 9;") + 1
-    annotated = rendered(cov.render_annotated, lines, src).splitlines()
-    assert annotated[shadowed - 1] == f"{'-':>9}:{shadowed:>5}:X := 9;"
-    assert not any(l.startswith(f"DA:{shadowed},") for l in rendered(cov.render_lcov, lines, src).splitlines())
-    # the definition that ran keeps its counts
-    assert [lines[n] for n in (3, 7, 8, 9)] == [1, 1, 1, 1]
+    # each source in its own lines: the shadowed HELP never ran, so its
+    # source lists no executable line
+    shadowed = cov.line_counts(pous, counts, libs[1])
+    assert shadowed == {}
+    annotated = rendered(cov.render_annotated, shadowed, libs[1].src).splitlines()
+    assert annotated[3] == f"{'-':>9}:{3:>5}:X := 9;"
+    assert rendered(cov.render_lcov, shadowed, libs[1].src) == "SF:help1.st\nLF:0\nLH:0\nend_of_record\n"
+    # the definition that ran keeps its counts, and the unit its own
+    assert cov.line_counts(pous, counts, libs[0]) == {3: 1, 4: 1, 5: 1}
+    assert cov.line_counts(pous, counts, user) == {3: 1}
 
 
 def test_the_renderings_slice_crlf_lines_as_line_text_gives_them():
@@ -209,7 +209,7 @@ def test_the_renderings_slice_crlf_lines_as_line_text_gives_them():
             expected[line] = max(expected.get(line, count), count)
     assert lines == expected
 
-    listing = []
+    listing = [f"{'-':>9}:{0:>5}:Source:crlf.st\n"]
     for n in range(1, src.line_count() + 1):
         count = expected.get(n)
         marker = "-" if count is None else "#####" if count == 0 else count

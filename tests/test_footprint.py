@@ -199,8 +199,8 @@ def test_a_successful_run_leaves_the_generated_layer_without_a_line_table(bundle
     assert not _has_line_table(bundle.typed.src)
     # the generated layer's source holds harness.st's text, not a copy
     assert bundle.typed.src.text is bundle.source.text
-    # harness.st is what the coverage files are rendered against
-    assert _has_line_table(bundle.source)
+    # the coverage files list the unit in its own lines, not harness.st's
+    assert not _has_line_table(bundle.source)
 
 
 class _Pieces:
@@ -233,7 +233,8 @@ def test_the_large_artifacts_are_written_as_their_renderer_produces_them(bundles
     (listing,) = listings
     annotated = (tmp_path / "coverage.annotated.txt").read_text(encoding="utf-8")
     assert annotated == "".join(listing.pieces)
-    assert len(listing.pieces) == bundles[0].source.line_count()
+    # the unit's lines under one header line; no generated line is listed
+    assert len(listing.pieces) == prog.src.line_count() + 1
     assert max(map(len, listing.pieces)) < 200
 
     stream = _Pieces()

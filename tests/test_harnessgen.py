@@ -347,16 +347,14 @@ def test_generated_sites_start_where_harness_st_parsed_whole_puts_them():
         prog,
     )
     bundle = build_harness(suite, prog)
-    typed, shift = bundle.layers[-1]
-    assert typed is bundle.typed
     whole = parse_source(bundle.source)
     reparsed = {p.name: p for p in whole.pous}
-    for pou in typed.ast.pous:
+    for pou in bundle.typed.ast.pous:
         built_sites = list(iter_sites(pou.body))
         whole_sites = list(iter_sites(reparsed[pou.name].body))
         assert len(built_sites) == len(whole_sites)
         for node, twin in zip(built_sites, whole_sites):
-            assert shift + site_span(node).start == site_span(twin).start, (pou.name, node.sid)
+            assert site_span(node).start == site_span(twin).start, (pou.name, node.sid)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from stbench.frontend import nodes as N
 from stbench.frontend import SourceUnit, parse_text, resolve
 from stbench.frontend import types as T
 from stbench.harnessgen import build_harness
+from stbench.llm import extract_csv
 from stbench.runner import (
     PipelineError,
     RunOptions,
@@ -23,7 +24,7 @@ from stbench.runner import (
 )
 from stbench.runtime import SimClock, interp, run_program
 from stbench.runtime import values as V
-from stbench.testspec import parse_suite, validate
+from stbench.testspec import drop_unknown_columns, parse_suite, validate
 
 
 def rendered(render, *args) -> str:
@@ -428,12 +429,71 @@ END_FUNCTION_BLOCK
 
 
 def _coverage_of_harness_st_parsed_whole(out_dir, report):
-    """The reference coverage files: harness.st parsed whole, run for as
-    many scans, and rendered against its own statement spans."""
+    """The reference coverage: harness.st parsed whole, run for as many
+    scans, and listed against its own statement spans, as its line map and
+    its annotated listing."""
     whole = resolve(parse_text((out_dir / "harness.st").read_text(), "harness.st"))
     result = run_program(whole, "TEST_RUNNER", report.cycles_executed, SimClock(cycle_time=10))
-    lines = cov.line_counts(cov.domain(whole), result.counts, [(whole, 0)], whole.src)
-    return whole, rendered(cov.render_lcov, lines, whole.src), rendered(cov.render_annotated, lines, whole.src)
+    lines = cov.line_counts(cov.domain(whole), result.counts, whole)
+    return lines, rendered(cov.render_annotated, lines, whole.src)
+
+
+def _lcov_records(lcov: str) -> dict[str, dict[int, int]]:
+    """coverage.lcov's DA counts by SF path, in file order."""
+    records: dict[str, dict[int, int]] = {}
+    for line in lcov.splitlines():
+        if line.startswith("SF:"):
+            das = records[line[3:]] = {}
+        elif line.startswith("DA:"):
+            lineno, count = line[3:].split(",")
+            das[int(lineno)] = int(count)
+    return records
+
+
+def _annotated_listings(annotated: str) -> dict[str, list[str]]:
+    """coverage.annotated.txt's listed lines by the source its gcov
+    `Source:` header line names, in file order."""
+    listings: dict[str, list[str]] = {}
+    for line in annotated.splitlines():
+        marker, lineno, text = line.split(":", 2)
+        if lineno.strip() == "0":
+            assert marker.strip() == "-" and text.startswith("Source:")
+            body = listings[text[len("Source:"):]] = []
+        else:
+            body.append(line)
+    return listings
+
+
+def _assert_listed_as_harness_st_lines(out_dir, report, prog):
+    """The coverage files list the unit, then each library, each in its
+    own lines: every listed line's count is the reference's at that line
+    plus the layer's start line in harness.st, and no generated line is
+    listed.  Returns the LCOV records."""
+    harness = (out_dir / "harness.st").read_text()
+    whole_lines, whole_annotated = _coverage_of_harness_st_parsed_whole(out_dir, report)
+    reference = whole_annotated.splitlines()[1:]  # after its header line
+    records = _lcov_records((out_dir / "coverage.lcov").read_text())
+    listings = _annotated_listings((out_dir / "coverage.annotated.txt").read_text())
+    assert list(records) == list(listings) == [layer.src.origin for layer in prog.layers()]
+    user_lines = 0
+    for layer in prog.layers():
+        src = layer.src
+        # the lines of harness.st before the layer's text
+        shift = harness[:harness.index(src.text + "\n")].count("\n")
+        n = src.line_count()
+        user_lines += n
+        assert records[src.origin] == {
+            line - shift: count for line, count in whole_lines.items() if shift < line <= shift + n
+        }
+        listing = listings[src.origin]
+        assert len(listing) == n
+        for lineno, (ours, theirs) in enumerate(zip(listing, reference[shift:shift + n]), 1):
+            marker, _, text = theirs.split(":", 2)
+            assert ours == f"{marker}:{lineno:>5}:{text}"
+    # the generated lines are counted in harness.st, but none is listed
+    assert sum(map(len, records.values())) == sum(1 for line in whole_lines if line <= user_lines)
+    assert any(line > user_lines for line in whole_lines)
+    return records
 
 
 def test_coverage_lines_are_harness_lines_with_a_library(tmp_path):
@@ -448,26 +508,32 @@ def test_coverage_lines_are_harness_lines_with_a_library(tmp_path):
         pi,
     )
     report = run_suite(pi, pi_suite, RunOptions(out_dir=tmp_path / "pi", fixed_clock=True))
-    _whole, lcov, annotated = _coverage_of_harness_st_parsed_whole(tmp_path / "pi", report)
-    assert (tmp_path / "pi" / "coverage.lcov").read_text() == lcov
-    assert (tmp_path / "pi" / "coverage.annotated.txt").read_text() == annotated
+    _assert_listed_as_harness_st_lines(tmp_path / "pi", report, pi)
 
     prog = load_program(SourceUnit(CLAMP_UNIT, "useslib.st"), [SourceUnit(CLAMP_LIB, "clamp.st")])
     suite = checked("test_name,state,X,expect_Y\ntc_low,1,3,3\ntc_high,1,50,11\n", "USESLIB", prog)
     report = run_suite(prog, suite, RunOptions(out_dir=tmp_path, fixed_clock=True))
     assert report.all_green()
-    lcov = (tmp_path / "coverage.lcov").read_text()
-    annotated = (tmp_path / "coverage.annotated.txt").read_text()
-    whole, whole_lcov, whole_annotated = _coverage_of_harness_st_parsed_whole(tmp_path, report)
-    assert lcov == whole_lcov
-    assert annotated == whole_annotated
+    records = _assert_listed_as_harness_st_lines(tmp_path, report, prog)
 
-    # library, unit and case FB statements all land on their own lines
-    lines = whole.src.text.splitlines()
-    for text, hits in (("CLAMP10 := 10;", 1), ("Y := Y + 1;", 1), ("TICK := TICK + 1;", 1)):
-        lineno = next(i for i, line in enumerate(lines, 1) if line.strip() == text)
-        assert f"DA:{lineno},{hits}" in lcov.splitlines(), text
-        assert annotated.splitlines()[lineno - 1].split(":")[0].strip() == str(hits), text
+    # library and unit statements land on their own files' lines
+    annotated = _annotated_listings((tmp_path / "coverage.annotated.txt").read_text())
+    for origin, src, text in (("clamp.st", CLAMP_LIB, "CLAMP10 := 10;"), ("useslib.st", CLAMP_UNIT, "Y := Y + 1;")):
+        lineno = [line.strip() for line in src.splitlines()].index(text) + 1
+        assert records[origin][lineno] == 1, text
+        assert annotated[origin][lineno - 1].split(":")[0].strip() == "1", text
+    # a case FB statement is counted but listed nowhere
+    assert "TICK := TICK + 1;" in (tmp_path / "harness.st").read_text()
+    assert "TICK" not in (tmp_path / "coverage.annotated.txt").read_text()
+
+
+@pytest.mark.parametrize("name", [b.name for b in corpus.BLOCKS])
+def test_corpus_coverage_lines_are_harness_lines(name, tmp_path):
+    prog = load_program(SourceUnit(corpus.block_source(name), f"{name}.st"))
+    suite = parse_suite(extract_csv(corpus.fixture_path(name).read_text(encoding="utf-8")), name)
+    suite, _ = drop_unknown_columns(suite, prog.lookup_pou(name))
+    report = run_suite(prog, validate(suite, prog), RunOptions(out_dir=tmp_path, fixed_clock=True))
+    _assert_listed_as_harness_st_lines(tmp_path, report, prog)
 
 
 IN_OUT_UNIT = """FUNCTION_BLOCK ACC

@@ -3,8 +3,9 @@
 A 200-case TRAFFIC_CTRL suite, whose cases finish over a wide spread of
 scans, and a 4-case GEN_SIN suite dwelling hundreds of scans per state.
 Most of their case-scans run a case that is already DONE, so the counts a
-run credits for finished cases, rather than executes, show up in every
-coverage file and in report.json's `per_pou` rows.  The suites are built
+run credits for finished cases, rather than executes, show up in
+report.json's `per_pou` rows.  The coverage files list the unit's lines,
+which a finished case no longer runs.  The suites are built
 here from a fixed seed; the corpus digests (`test_corpus_artifacts.py`)
 see few finished cases.
 
@@ -88,14 +89,14 @@ def run_digests(block: str, text: str, out: Path) -> dict[str, str]:
 
 EXPECTED: dict[str, dict[str, str]] = {
     "gen_sin_dwell": {
-        "coverage.lcov": "d2df5625592f8b30551dc5bce69e98298ddfd4527aecfe0ea37b63dc9cc1506a",
-        "coverage.annotated.txt": "a4a501cb004e2be1435053fd3f003079897c7776a07573244060822c54a442cf",
+        "coverage.lcov": "c01751ee109a051cd23193f7e91627729b75b32da7555022fe1bdc093c5ded5c",
+        "coverage.annotated.txt": "9823290b8c60bb123ec2d969671d7898a3628863ff5f0f961cce809163877fb9",
         "monitor.txt": "362b4306689ac06d6c1421c0d0dabc2051d81ca4c953ce253de45d068c8ef182",
         "report.json": "885563893c1fc07ee614b25ea9b50d47191d4aeb8486ee4590cae727cd690abf",
     },
     "traffic_200": {
-        "coverage.lcov": "ad0e4355c632a81eb288406e0073332ee4e350aeef8817aab74bb5338f480299",
-        "coverage.annotated.txt": "d8db168562c496c5909a362302ff64d30f660c22f0b8f03d11e882371c71678d",
+        "coverage.lcov": "d6ec69bdec7b6200d3b3e42f7db07dcc3cc43ce6d196376c8f55b3f145c9d9df",
+        "coverage.annotated.txt": "a0408ce0883fd8c8930eb56b8cf0eac3f592742eb151ea72d3fca4a675b021b7",
         "monitor.txt": "7ea173ea47506218a22f8c55c718840acca65621aebd13c98be3b9026246cf98",
         "report.json": "51c88703b1c4cec8187a2b971cf62ed389e207e39ffab6721dbfbc78bcabbc40",
     },
