@@ -9,10 +9,11 @@ Commands:
 Exit codes: 0 when every assertion passed and no case faulted, 1 when the
 suite ran but something failed, 2 for pipeline errors (bad inputs, provider
 failures, unusable CSV).  Options may come from a key = value config file
-(--config); command-line flags win over config values.
+(--config); command-line flags win over config values, and both are read
+and checked as each option's one declaration in `RunConfig` says.
 
-Several units may be given, comma-separated; each runs in turn into its own
-directory under the output directory.  Each unit's command runs with the
+Several units may be given, comma-separated or by repeating --unit; each
+runs in turn into its own directory under the output directory.  Each unit's command runs with the
 cyclic garbage collector paused: a run builds no reference cycles and is
 freed by reference counting, so the collector's full passes over its live
 objects would only cost time.
@@ -25,7 +26,7 @@ import functools
 import gc
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import llm
@@ -48,30 +49,64 @@ EXIT_TEST_FAILURES = 1
 EXIT_PIPELINE_ERROR = 2
 
 
+def _paths(text: str) -> tuple[Path, ...]:
+    return tuple(Path(p.strip()) for p in text.split(",") if p.strip())
+
+
+_YES_NO = {"yes": True, "true": True, "on": True, "1": True, "no": False, "false": False, "off": False, "0": False}
+
+
+def _yes_no(text: str) -> bool:
+    return _YES_NO[text.lower()]
+
+
+# what a reader's text must be; str, Path and _paths take any text
+_EXPECTED = {int: "an integer", float: "a number", _yes_no: "yes or no (true/false, on/off, 1/0)"}
+_ALL = ("generate", "run", "pipeline")
+_QUERY = ("generate", "pipeline")  # the commands that query a provider
+_FINITE = (lambda v: 0 <= v < math.inf, "must be a finite number >= 0")
+
+
+def _option(default, read, help: str, *, choices=(), commands=_ALL, check=None):
+    meta = {"read": read, "help": help, "choices": choices, "commands": commands, "check": check}
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    unit: Path | None = None
-    libs: list[Path] = field(default_factory=list)
-    fb: str = ""                      # unit under test; default: first FB in unit
-    mode: str = "enhanced"
-    provider: str = "mock"
-    endpoint: str = ""
-    model: str = ""
-    api_key_env: str = ""
-    temperature: float = 0.0
-    max_tokens: int = 4096
-    timeout_s: float = 60.0
-    fixture: Path | None = None
-    suite: Path | None = None
-    out: Path = Path("runs")
-    label: str = ""
-    cycle_time_ms: int = DEFAULT_CYCLE_TIME_MS
-    atol: float = DEFAULT_ATOL
-    rtol: float = DEFAULT_RTOL
-    fixed_clock: bool = False
+    """The options, each declared once: default, reader (text -> value),
+    choices, commands, help and a (predicate, requirement) check.  The name
+    is the config key and argparse dest, `--name-with-dashes` the flag; a
+    `_paths` flag repeats and a `_yes_no` flag is a switch meaning yes."""
+
+    unit: tuple[Path, ...] = _option((), _paths, "ST file with the block under test (repeatable, comma-separated)")
+    lib: tuple[Path, ...] = _option((), _paths, "library ST file (repeatable, comma-separated)")
+    fb: str = _option("", str, "name of the block under test (default: first FB in the unit)")
+    mode: str = _option("enhanced", str, "prompt mode", choices=("simple", "enhanced"))
+    provider: str = _option("mock", str, "LLM provider (run only records it)", choices=("mock", "http"))
+    endpoint: str = _option("", str, "chat-completion URL for the http provider", commands=_QUERY)
+    model: str = _option("", str, "model identifier", commands=_QUERY)
+    api_key_env: str = _option("", str, "env var holding the API key", commands=_QUERY)
+    temperature: float = _option(llm.ProviderConfig.temperature, float, "sampling temperature", commands=_QUERY)
+    max_tokens: int = _option(llm.ProviderConfig.max_tokens, int, "response token limit", commands=_QUERY)
+    timeout_s: float = _option(llm.ProviderConfig.timeout_s, float, "request timeout", commands=_QUERY)
+    fixture: Path | None = _option(None, Path, "response file for the mock provider", commands=_QUERY)
+    suite: Path | None = _option(None, Path, "existing suite.csv to execute", commands=("run",))
+    out: Path = _option(Path("runs"), Path, "output directory for run artifacts")
+    label: str = _option("", str, "run label; artifacts go to <out>/<label>")
+    # the simulated clock must advance; atol and rtol go into harness.st as REAL literals
+    cycle_time_ms: int = _option(
+        DEFAULT_CYCLE_TIME_MS, int, "simulated scan interval", check=(lambda v: v > 0, "must be positive")
+    )
+    atol: float = _option(DEFAULT_ATOL, float, "absolute float comparison tolerance", check=_FINITE)
+    rtol: float = _option(DEFAULT_RTOL, float, "relative float comparison tolerance", check=_FINITE)
+    fixed_clock: bool = _option(False, _yes_no, "omit wall-clock timestamps from reports (reproducible output)")
 
     def out_dir(self) -> Path:
         return self.out / self.label if self.label else self.out
+
+
+_OPTIONS = {f.name: f for f in fields(RunConfig)}
 
 
 def _fail(message: str) -> int:
@@ -84,17 +119,18 @@ class _Unusable(Exception):
 
 
 def _load(cfg: RunConfig) -> tuple[TypedProgram, str]:
-    """The unit and its libraries, loaded once, and the FB under test."""
-    if cfg.unit is None or not cfg.unit.exists():
-        raise _Unusable(f"unit file not found: {cfg.unit}")
-    unit, *libs = [SourceUnit(_read_text(p), p.name) for p in (cfg.unit, *cfg.libs)]
+    """The unit and its libraries, loaded once, and the FB under test.  A
+    source is named by its file name, or by its path as given where another
+    source of the run has the same file name."""
+    [unit_path] = cfg.unit  # main runs each unit on its own
+    paths = (unit_path, *cfg.lib)
+    names = [p.name for p in paths]
+    unit, *libs = [SourceUnit(_read_text(p), p.name if names.count(p.name) == 1 else str(p)) for p in paths]
     try:
         prog = load_program(unit, libs)
-        return prog, _unit_fb_name(cfg, prog)
     except PipelineError as exc:
         raise _Unusable(str(exc.cause)) from exc
-    except ValueError as exc:
-        raise _Unusable(str(exc)) from exc
+    return prog, _unit_fb_name(cfg.fb, unit_path, prog)
 
 
 def _read_text(path: Path) -> str:
@@ -110,47 +146,25 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> _Unusable:
     return _Unusable(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
-def _unit_fb_name(cfg: RunConfig, prog: TypedProgram) -> str:
-    if cfg.fb:
-        info = prog.lookup_pou(cfg.fb.upper())
+def _unit_fb_name(fb: str, unit_path: Path, prog: TypedProgram) -> str:
+    if fb:
+        info = prog.lookup_pou(fb.upper())
         if info is None or info.kind is not PouKind.FUNCTION_BLOCK:
-            raise ValueError(f"{cfg.unit}: no FUNCTION_BLOCK named {cfg.fb}")
+            raise _Unusable(f"{unit_path}: no FUNCTION_BLOCK named {fb}")
         return info.name
     for pou in prog.ast.pous:
         if pou.kind is PouKind.FUNCTION_BLOCK:
             return pou.name
-    raise ValueError(f"{cfg.unit}: no FUNCTION_BLOCK found")
-
-
-def _provider_config(cfg: RunConfig) -> llm.ProviderConfig:
-    if cfg.provider == "mock":
-        if cfg.fixture is None:
-            raise ValueError("mock provider needs --fixture <response file>")
-        return llm.ProviderConfig(
-            provider="mock", endpoint=str(cfg.fixture), model="mock", timeout_s=cfg.timeout_s
-        )
-    if cfg.provider == "http":
-        if not cfg.endpoint:
-            raise ValueError("http provider needs --endpoint")
-        return llm.ProviderConfig(
-            provider="http",
-            endpoint=cfg.endpoint,
-            model=cfg.model,
-            temperature=cfg.temperature,
-            max_tokens=cfg.max_tokens,
-            api_key_env=cfg.api_key_env,
-            timeout_s=cfg.timeout_s,
-        )
-    raise ValueError(f"unknown provider {cfg.provider!r} (expected mock or http)")
+    raise _Unusable(f"{unit_path}: no FUNCTION_BLOCK found")
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: RunConfig, provider: llm.ProviderConfig) -> int:
     """Steps 1-3: prompt, query, extract, validate, persist suite.csv."""
-    _generate(cfg, *_load(cfg))
+    _generate(cfg, provider, *_load(cfg))
     return EXIT_OK
 
 
@@ -160,11 +174,11 @@ def cmd_run(cfg: RunConfig) -> int:
     return _run(cfg, prog, *_read_suite(cfg, prog, fb_name))
 
 
-def cmd_pipeline(cfg: RunConfig) -> int:
+def cmd_pipeline(cfg: RunConfig, provider: llm.ProviderConfig) -> int:
     """generate followed by run, sharing one output directory, one load
     and the checked suite."""
     prog, fb_name = _load(cfg)
-    checked, dropped = _generate(cfg, prog, fb_name)
+    checked, dropped = _generate(cfg, provider, prog, fb_name)
     return _run(cfg, prog, checked, tuple(_dropped_note(c) for c in dropped))
 
 
@@ -172,15 +186,16 @@ def _dropped_note(column: str) -> str:
     return f"dropped column {column}"
 
 
-def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[CheckedSuite, list[str]]:
+def _generate(
+    cfg: RunConfig, provider: llm.ProviderConfig, prog: TypedProgram, fb_name: str
+) -> tuple[CheckedSuite, list[str]]:
     """Write suite.csv; returns the checked suite and the dropped columns."""
     iface = interface_of(prog, fb_name)
     out = cfg.out_dir()
     out.mkdir(parents=True, exist_ok=True)
     bundle = llm.build_prompt(prog.src.text, iface, cfg.mode)
     try:
-        provider_cfg = _provider_config(cfg)
-        exchange = llm.query(provider_cfg, bundle)
+        exchange = llm.query(provider, bundle)
     except UnicodeDecodeError as exc:  # the one file a query decodes: the mock's fixture
         raise _not_utf8(cfg.fixture, exc) from exc
     except ValueError as exc:
@@ -225,7 +240,7 @@ def _generate(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[Checked
 def _read_suite(cfg: RunConfig, prog: TypedProgram, fb_name: str) -> tuple[CheckedSuite, tuple[str, ...]]:
     """The checked suite from --suite, written to the output directory in
     canonical form, and the warnings a generate step left there."""
-    if cfg.suite is None or not cfg.suite.exists():
+    if not cfg.suite.exists():
         raise _Unusable(f"suite file not found: {cfg.suite}")
     try:
         suite = parse_suite(_read_text(cfg.suite), fb_name)
@@ -279,119 +294,78 @@ def cmd_corpus_list() -> int:
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _read_config_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _read_config_file(path: Path) -> dict[str, tuple[str, str]]:
+    """Each key's `<file>:<line>: <key>` and value text; any command's key may appear."""
+    values: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        name = key.strip().lower().replace("-", "_")
-        if name not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key.strip()}")
-        values[name] = value.strip()
+            raise _Unusable(f"{path}:{lineno}: expected key = value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        name = key.lower().replace("-", "_")
+        if name not in _OPTIONS:
+            raise _Unusable(f"{path}:{lineno}: unknown key {key}")
+        values[name] = (f"{path}:{lineno}: {key}", value)
     return values
 
 
-_CONFIG_KEYS = {
-    "unit": Path,
-    "lib": str,
-    "fb": str,
-    "mode": str,
-    "provider": str,
-    "endpoint": str,
-    "model": str,
-    "api_key_env": str,
-    "temperature": float,
-    "max_tokens": int,
-    "timeout_s": float,
-    "fixture": Path,
-    "suite": Path,
-    "out": Path,
-    "label": str,
-    "cycle_time_ms": int,
-    "atol": float,
-    "rtol": float,
-    "fixed_clock": bool,
-}
+def _read(option, where: str, text: str):
+    """One option's value from its text, read by its reader and checked."""
+    read, choices, check = (option.metadata[k] for k in ("read", "choices", "check"))
+    try:
+        if "\0" in text or choices and text not in choices:  # no path, name or URL holds a NUL
+            raise ValueError(text)
+        value = read(text)
+    except (ValueError, KeyError) as exc:
+        expected = " or ".join(choices) or _EXPECTED.get(read, "a value without NUL characters")
+        raise _Unusable(f"{where}: expected {expected}, got {text!r}") from exc
+    if check and not check[0](value):
+        raise _Unusable(f"{option.name} {check[1]}, got {value}")
+    return value
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(Path(args.config))
-    for key, typ in _CONFIG_KEYS.items():
-        value = getattr(args, key, None)
-        if value is None and key in file_values:
-            value = file_values[key]
-            if typ is bool:
-                value = value.lower() in ("1", "true", "yes", "on")
-        if value is None:
-            continue
-        if key == "lib":
-            paths = value if isinstance(value, list) else [p for p in value.split(",") if p]
-            cfg.libs = [Path(p) for p in paths]
-        else:
-            setattr(cfg, key, typ(value))
-    for key in ("atol", "rtol"):  # baked into harness.st as REAL literals
-        if not 0 <= getattr(cfg, key) < math.inf:
-            raise ValueError(f"{key} must be a finite number >= 0, got {getattr(cfg, key)}")
-    if cfg.cycle_time_ms <= 0:  # the simulated clock must advance
-        raise ValueError(f"cycle_time_ms must be positive, got {cfg.cycle_time_ms}")
-    return cfg
+    """Each option from its flag, else from the config file, else its default."""
+    file_values = _read_config_file(Path(args.config)) if args.config else {}
+    values = {}
+    for name, option in _OPTIONS.items():
+        given = getattr(args, name, None)  # a repeated flag's texts, joined as a config value lists them
+        if given is not None:
+            values[name] = _read(option, _flag(name), ",".join(given) if isinstance(given, list) else given)
+        elif name in file_values:
+            values[name] = _read(option, *file_values[name])
+    return RunConfig(**values)
 
 
-def _add_common(p: argparse.ArgumentParser, with_suite: bool, with_provider: bool) -> None:
-    p.add_argument("--config", help="key = value config file; flags win")
-    p.add_argument("--unit", help="ST file with the function block under test")
-    p.add_argument("--lib", action="append", dest="lib", help="library ST file (repeatable)")
-    p.add_argument("--fb", help="name of the block under test (default: first FB in the unit)")
-    p.add_argument("--out", help="output directory for run artifacts")
-    p.add_argument("--label", help="run label; artifacts go to <out>/<label>")
-    p.add_argument("--mode", choices=("simple", "enhanced"), help="prompt mode")
-    p.add_argument("--cycle-time-ms", type=int, dest="cycle_time_ms", help="simulated scan interval")
-    p.add_argument("--atol", type=float, help="absolute float comparison tolerance")
-    p.add_argument("--rtol", type=float, help="relative float comparison tolerance")
-    p.add_argument("--fixed-clock", action="store_const", const=True, dest="fixed_clock",
-                   help="omit wall-clock timestamps from reports (reproducible output)")
-    if with_suite:
-        p.add_argument("--suite", help="existing suite.csv to execute")
-    if with_provider:
-        p.add_argument("--provider", choices=("mock", "http"), help="LLM provider")
-        p.add_argument("--fixture", help="response file for the mock provider")
-        p.add_argument("--endpoint", help="chat-completion URL for the http provider")
-        p.add_argument("--model", help="model identifier")
-        p.add_argument("--api-key-env", dest="api_key_env", help="env var holding the API key")
-        p.add_argument("--temperature", type=float, help="sampling temperature (default 0)")
-        p.add_argument("--max-tokens", type=int, dest="max_tokens", help="response token limit")
-        p.add_argument("--timeout-s", type=float, dest="timeout_s", help="request timeout")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stbench",
-        description="LLM-assisted test generation and execution for ST function blocks",
+def _required_inputs(cfg: RunConfig, command: str) -> llm.ProviderConfig | None:
+    """The one check that the command has the inputs it needs; returns the
+    settings, checked by `llm.ProviderConfig`, of the provider it queries."""
+    if not cfg.unit:
+        raise _Unusable("--unit is required")
+    if command == "run":
+        if cfg.suite is None:
+            raise _Unusable("--suite is required")
+        return None
+    mock = cfg.provider == "mock"
+    if mock and cfg.fixture is None:
+        raise _Unusable("mock provider needs --fixture <response file>")
+    if not mock and not cfg.endpoint:
+        raise _Unusable("http provider needs --endpoint")
+    return llm.ProviderConfig(
+        provider=cfg.provider,
+        endpoint=str(cfg.fixture) if mock else cfg.endpoint,
+        model="mock" if mock else cfg.model,
+        temperature=cfg.temperature,
+        max_tokens=cfg.max_tokens,
+        api_key_env=cfg.api_key_env,
+        timeout_s=cfg.timeout_s,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="prompt the provider and persist suite.csv")
-    _add_common(p_gen, with_suite=False, with_provider=True)
-
-    p_run = sub.add_parser("run", help="execute a suite.csv against its unit")
-    _add_common(p_run, with_suite=True, with_provider=False)
-    p_run.add_argument("--provider", help=argparse.SUPPRESS)  # report metadata only
-
-    p_pipe = sub.add_parser("pipeline", help="generate then run in one invocation")
-    _add_common(p_pipe, with_suite=False, with_provider=True)
-
-    p_corpus = sub.add_parser("corpus", help="bundled example blocks")
-    corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
-    corpus_sub.add_parser("list", help="list the bundled blocks")
-
-    return parser
 
 
 def _run_unit(fn, cfg: RunConfig) -> int:
@@ -416,7 +390,33 @@ def _parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  Each parse starts from a fresh
     namespace, so nothing carries over between calls, and a parser built
     per call would leave argparse's formatter cycles behind each time."""
-    return build_parser()
+    parser = argparse.ArgumentParser(
+        prog="stbench",
+        description="LLM-assisted test generation and execution for ST function blocks",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, summary in (
+        ("generate", "prompt the provider and persist suite.csv"),
+        ("run", "execute a suite.csv against its unit"),
+        ("pipeline", "generate then run in one invocation"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="key = value config file; flags win")
+        for name, option in _OPTIONS.items():
+            read, choices, commands, help = (option.metadata[k] for k in ("read", "choices", "commands", "help"))
+            if command not in commands:
+                continue
+            if read is _yes_no:
+                p.add_argument(_flag(name), action="store_const", const="yes", help=help)
+            else:
+                metavar = "{" + ",".join(choices) + "}" if choices else None
+                p.add_argument(_flag(name), action="append" if read is _paths else "store", metavar=metavar, help=help)
+
+    p_corpus = sub.add_parser("corpus", help="bundled example blocks")
+    corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
+    corpus_sub.add_parser("list", help="list the bundled blocks")
+
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -425,20 +425,18 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_corpus_list()
     try:
         cfg = _merge_config(args)
-    except (_Unusable, ValueError, OSError) as exc:
+        provider = _required_inputs(cfg, args.command)
+    except (_Unusable, ValueError, OSError) as exc:  # ValueError: ProviderConfig's ranges
         return _fail(str(exc))
 
-    # several units, comma-separated, from the flag or the config file
-    units = [Path(p.strip()) for p in str(cfg.unit).split(",") if p.strip()] if cfg.unit else []
-    if not units:
-        return _fail("--unit is required")
-
     fn = {"generate": cmd_generate, "run": cmd_run, "pipeline": cmd_pipeline}[args.command]
-    if len(units) == 1:
-        return _run_unit(fn, replace(cfg, unit=units[0]))
+    if provider is not None:
+        fn = functools.partial(fn, provider=provider)
+    if len(cfg.unit) == 1:
+        return _run_unit(fn, cfg)
     return max(
-        _run_unit(fn, replace(cfg, unit=u, label="", out=cfg.out_dir() / u.stem.lower()))
-        for u in units
+        _run_unit(fn, replace(cfg, unit=(u,), label="", out=cfg.out_dir() / u.stem.lower()))
+        for u in cfg.unit
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import math
 import os
 import re
 import time
@@ -129,8 +130,8 @@ class ProviderConfig:
     def __post_init__(self):
         if not (0.0 <= self.temperature <= 2.0):
             raise ValueError(f"temperature {self.temperature} outside [0, 2]")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout_s < math.inf:  # a socket takes no infinite or NaN timeout
+            raise ValueError(f"timeout_s must be a finite number > 0, got {self.timeout_s}")
 
     @property
     def provider_id(self) -> str:

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stbench import cli, corpus
+from stbench import cli, corpus, llm
 from stbench.cli import main
 from stbench.frontend import parse_text, parser, resolve
 from stbench.runtime import interp
@@ -324,12 +325,159 @@ def test_config_file_accepts_every_key(tmp_path):
         "out": tmp_path / "out", "label": "lbl", "cycle_time_ms": 20, "atol": 0.5, "rtol": 0.5,
         "fixed_clock": "yes",
     }
-    assert values.keys() == cli._CONFIG_KEYS.keys()
+    assert values.keys() == cli._OPTIONS.keys()
     cfg = tmp_path / "stbench.cfg"
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
     assert run_cli("pipeline", "--config", cfg) == 0
     report = json.loads((tmp_path / "out" / "lbl" / "report.json").read_text())
     assert (report["meta"]["mode"], report["meta"]["cycle_time_ms"], report["meta"]["generated_at"]) == ("simple", 20, None)
+
+
+# an unusable value of each option: (value, arguments it needs besides the
+# usual usable ones, whether the option's reader rejects it); None stands
+# for an existing file
+UNUSABLE_VALUES = {
+    "unit": ("missing.st", (), False),
+    "lib": ("missing.st", (), False),
+    "fb": ("NOPE", (), False),
+    "mode": ("bogus", (), True),
+    "provider": ("bogus", (), True),
+    "endpoint": ("", ("--provider", "http"), False),
+    "model": ("a\0b", (), True),
+    "api_key_env": ("A\0B", (), True),
+    "temperature": ("5", (), False),
+    "max_tokens": ("many", (), True),
+    "timeout_s": ("inf", (), False),
+    "fixture": ("a\0b", (), True),
+    "suite": ("missing.csv", (), False),
+    "out": (None, (), False),
+    "label": ("a\0b", (), True),
+    "cycle_time_ms": ("abc", (), True),
+    "atol": ("1e-3x", (), True),
+    "rtol": ("nan", (), False),
+    "fixed_clock": ("maybe", (), True),
+}
+SWITCHES = {"fixed_clock"}  # a flag that takes no value
+
+
+def test_every_option_has_an_unusable_value_to_test():
+    assert UNUSABLE_VALUES.keys() == cli._OPTIONS.keys()
+    assert SWITCHES == {name for name, o in cli._OPTIONS.items() if o.metadata["read"] is cli._yes_no}
+
+
+@pytest.mark.parametrize(
+    "name,source",
+    [(name, "flag") for name in UNUSABLE_VALUES if name not in SWITCHES]
+    + [(name, "config") for name in UNUSABLE_VALUES],
+)
+def test_an_unusable_option_value_exits_two_from_a_flag_or_a_config_line(tmp_path, capsys, name, source):
+    value, extra, by_reader = UNUSABLE_VALUES[name]
+    if value is None:
+        (tmp_path / "a_file").write_text("")
+        value = str(tmp_path / "a_file")
+    elif value.startswith("missing"):
+        value = str(tmp_path / value)
+    suite = tmp_path / "suite.csv"
+    suite.write_text(CORRECT_CSV)
+    command = "run" if name == "suite" else "pipeline"
+    args = {"--unit": DEC_BLOCK, "--out": tmp_path / "out"}
+    args.update({"--suite": suite} if command == "run" else {"--provider": "mock", "--fixture": DEC_FIXTURE})
+    args.update(zip(extra[::2], extra[1::2]))
+    flag = "--" + name.replace("_", "-")
+    args.pop(flag, None)
+    argv = [command, *(str(a) for pair in args.items() for a in pair)]
+    if source == "flag":
+        where = flag
+        argv += [flag, value]
+    else:
+        cfg = tmp_path / "stbench.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        where = f"{cfg}:1: {name}"
+        argv += ["--config", str(cfg)]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert sorted(tmp_path.iterdir()) == before  # no output directory
+    if by_reader:
+        assert line.startswith(f"error: {where}: expected ")
+    else:
+        assert name in line or value in line
+
+
+COMMAND_FLAGS = {
+    "run": {
+        "--unit", "--lib", "--fb", "--mode", "--provider", "--suite", "--out", "--label",
+        "--cycle-time-ms", "--atol", "--rtol", "--fixed-clock",
+    },
+    "generate": {
+        "--unit", "--lib", "--fb", "--mode", "--provider", "--endpoint", "--model", "--api-key-env",
+        "--temperature", "--max-tokens", "--timeout-s", "--fixture", "--out", "--label",
+        "--cycle-time-ms", "--atol", "--rtol", "--fixed-clock",
+    },
+}
+COMMAND_FLAGS["pipeline"] = COMMAND_FLAGS["generate"]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_the_declared_options_of_the_command_with_their_choices(capsys, command):
+    declared = {"--" + n.replace("_", "-") for n, o in cli._OPTIONS.items() if command in o.metadata["commands"]}
+    assert declared == COMMAND_FLAGS[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == declared | {"--help", "--config"}
+    assert "--mode {simple,enhanced}" in text and "--provider {mock,http}" in text
+
+
+def test_run_without_a_suite_names_the_missing_option(tmp_path, capsys):
+    assert run_cli("run", "--unit", DEC_BLOCK, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: --suite is required\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_list_flags_repeat_and_split_on_commas():
+    args = cli._parser().parse_args(["run", "--unit", "a.st", "--unit", "b.st, c.st", "--lib", "l.st"])
+    cfg = cli._merge_config(args)
+    assert (cfg.unit, cfg.lib) == ((Path("a.st"), Path("b.st"), Path("c.st")), (Path("l.st"),))
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_a_non_finite_timeout_exits_two_before_any_connection(tmp_path, capsys, monkeypatch, value):
+    calls = []
+    monkeypatch.setattr(llm, "_post", lambda *a, **k: calls.append(a))
+    code = run_cli(
+        "pipeline", "--unit", DEC_BLOCK, "--provider", "http", "--endpoint", "http://127.0.0.1:9/v1",
+        "--timeout-s", value, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: timeout_s must be a finite number > 0, got {value}\n"
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+def test_sources_that_share_a_file_name_are_named_by_their_paths(tmp_path):
+    libs = []
+    for folder, name in (("a", "ONE"), ("b", "TWO")):
+        lib = tmp_path / folder / "lib.st"
+        lib.parent.mkdir()
+        lib.write_text(f"FUNCTION {name} : INT\n{name} := 1;\nEND_FUNCTION\n")
+        libs += ["--lib", lib]
+    unit = tmp_path / "user.st"
+    unit.write_text(
+        "FUNCTION_BLOCK USER\nVAR_OUTPUT Y : INT; END_VAR\n"
+        "Y := ONE();\nIF Y > 1 THEN\n  Y := TWO();\nEND_IF;\nEND_FUNCTION_BLOCK\n"
+    )
+    suite = tmp_path / "suite.csv"
+    suite.write_text("test_name,state,expect_Y\ntc,1,1\n")
+    assert run_cli("run", "--unit", unit, *libs, "--suite", suite, "--out", tmp_path / "out") == 0
+    records = (tmp_path / "out" / "coverage.lcov").read_text().split("end_of_record\n")[:-1]
+    sources = [r.splitlines()[0] for r in records]
+    assert sources == ["SF:user.st", f"SF:{tmp_path / 'a' / 'lib.st'}", f"SF:{tmp_path / 'b' / 'lib.st'}"]
+    # ONE's statement ran, TWO's did not
+    assert "DA:2,0\n" not in records[1] and "DA:2,0\n" in records[2]
 
 
 def test_corpus_list_static_and_complete(capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -90,8 +91,9 @@ def test_mock_provider_returns_fixture_verbatim(tmp_path, dec_iface):
 def test_provider_config_invariants():
     with pytest.raises(ValueError):
         llm.ProviderConfig(temperature=3.0)
-    with pytest.raises(ValueError):
-        llm.ProviderConfig(timeout_s=0)
+    for timeout in (0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            llm.ProviderConfig(timeout_s=timeout)
 
 
 def test_missing_api_key_fails_before_any_network_call(dec_iface, monkeypatch):
