@@ -22,9 +22,11 @@ objects would only cost time.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -49,6 +51,12 @@ EXIT_TEST_FAILURES = 1
 EXIT_PIPELINE_ERROR = 2
 
 
+def _path(text: str) -> Path:
+    if not text.strip():  # Path("") would mean the working directory
+        raise ValueError(text)
+    return Path(text)
+
+
 def _paths(text: str) -> tuple[Path, ...]:
     return tuple(Path(p.strip()) for p in text.split(",") if p.strip())
 
@@ -60,8 +68,8 @@ def _yes_no(text: str) -> bool:
     return _YES_NO[text.lower()]
 
 
-# what a reader's text must be; str, Path and _paths take any text
-_EXPECTED = {int: "an integer", float: "a number", _yes_no: "yes or no (true/false, on/off, 1/0)"}
+# what a reader's text must be; str and _paths take any text
+_EXPECTED = {int: "an integer", float: "a number", _path: "a path", _yes_no: "yes or no (true/false, on/off, 1/0)"}
 _ALL = ("generate", "run", "pipeline")
 _QUERY = ("generate", "pipeline")  # the commands that query a provider
 _FINITE = (lambda v: 0 <= v < math.inf, "must be a finite number >= 0")
@@ -90,9 +98,9 @@ class RunConfig:
     temperature: float = _option(llm.ProviderConfig.temperature, float, "sampling temperature", commands=_QUERY)
     max_tokens: int = _option(llm.ProviderConfig.max_tokens, int, "response token limit", commands=_QUERY)
     timeout_s: float = _option(llm.ProviderConfig.timeout_s, float, "request timeout", commands=_QUERY)
-    fixture: Path | None = _option(None, Path, "response file for the mock provider", commands=_QUERY)
-    suite: Path | None = _option(None, Path, "existing suite.csv to execute", commands=("run",))
-    out: Path = _option(Path("runs"), Path, "output directory for run artifacts")
+    fixture: Path | None = _option(None, _path, "response file for the mock provider", commands=_QUERY)
+    suite: Path | None = _option(None, _path, "existing suite.csv to execute", commands=("run",))
+    out: Path = _option(Path("runs"), _path, "output directory for run artifacts")
     label: str = _option("", str, "run label; artifacts go to <out>/<label>")
     # the simulated clock must advance; atol and rtol go into harness.st as REAL literals
     cycle_time_ms: int = _option(
@@ -191,8 +199,14 @@ def _generate(
 ) -> tuple[CheckedSuite, list[str]]:
     """Write suite.csv; returns the checked suite and the dropped columns."""
     iface = interface_of(prog, fb_name)
+    # persist_exchange makes the directory once the provider has answered;
+    # a file in its way stops the command, with the error making it would
+    # raise, before a query is paid for
     out = cfg.out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
     bundle = llm.build_prompt(prog.src.text, iface, cfg.mode)
     try:
         exchange = llm.query(provider, bundle)

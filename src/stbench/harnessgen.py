@@ -43,7 +43,9 @@ fault or diagnostic in generated code names its harness.st line; coverage
 is listed in the unit's and each library's own lines (`coverage`).  A POU
 name may be defined in one layer only, and the generated names
 (`is_generated_name`) in none of the unit and its libraries:
-`runner.load_program` checks both.
+`runner.load_program` checks both, raising its `CollisionError`.  The
+block under test is a FUNCTION_BLOCK without VAR_IN_OUT parameters, as
+`testspec.validate` checks: no suite column binds one.
 """
 
 from __future__ import annotations
@@ -65,11 +67,6 @@ PROGRAM_NAME = "TEST_RUNNER"
 DEFAULT_ATOL = 1e-6
 DEFAULT_RTOL = 1e-6
 DEFAULT_CYCLE_TIME_MS = 10
-
-
-class CollisionError(Exception):
-    """A POU name defined in two sources, or a generated name clashing with
-    a POU in the unit or libraries."""
 
 
 @dataclass(slots=True)
@@ -306,14 +303,11 @@ def build_harness(
     """Build the case FBs and the runner program for a suite, resolve them
     as one layer over `prog`, the unit under test with its libraries, and
     print them into harness.st after the texts of the unit and its
-    libraries.  harness.st's text is the generated layer's source, so a
-    diagnostic of that layer gives a harness.st line.  Raises a FrontendError
-    if the built layer does not type-check, as for a unit whose block has a
-    VAR_IN_OUT parameter, which no suite column binds."""
+    libraries.  The suite's block is a FUNCTION_BLOCK that a suite can
+    drive (`testspec.validate`).  harness.st's text is the generated layer's
+    source, so a diagnostic of that layer gives a harness.st line; a layer
+    that does not type-check raises a FrontendError."""
     fb = prog.lookup_pou(suite.fb_under_test)
-    if fb is None or fb.kind is not N.PouKind.FUNCTION_BLOCK:
-        raise CollisionError(f"unit under test {suite.fb_under_test} is not a function block")
-
     cases = [build_case_fb(case, fb, index, atol, rtol) for index, case in enumerate(suite.cases, start=1)]
 
     ast = N.Ast([*(c.pou for c in cases), build_runner(cases)])

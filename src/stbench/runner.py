@@ -25,7 +25,8 @@ with the 0-based scan index, the simulated time the scan ran at, and in
 this order: `FAULT=<instance>@<sid>` for each case instance stopped by a
 contained fault in the scan, then per case in index order
 `TC_<i>_FAILS=<n>` when its failure counter rose and
-`TC_<i>_DONE=PASS|FAIL` when its done flag rose.
+`TC_<i>_DONE=PASS|FAIL` when its done flag rose, each event named by the
+hook variable it reads.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .harnessgen import (
     DEFAULT_ATOL,
     DEFAULT_CYCLE_TIME_MS,
     DEFAULT_RTOL,
-    CollisionError,
     HarnessBundle,
     build_harness,
     hook_var_names,
@@ -108,11 +108,6 @@ class RunOptions:
 class TestReport:
     unit: str
     cases: list[CaseResult]
-    cases_total: int
-    assertions_total: int
-    assertions_passed: int
-    assertion_success_pct: float | None      # None renders as "n/a"
-    statement_coverage_pct: float
     coverage: cov.CoverageSummary
     cycles_executed: int
     cycle_time_ms: int
@@ -127,6 +122,28 @@ class TestReport:
 
     def all_green(self) -> bool:
         return all(c.verdict == "pass" for c in self.cases)
+
+    # the headline metrics, each derived from the cases or the coverage
+    @property
+    def cases_total(self) -> int:
+        return len(self.cases)
+
+    @property
+    def assertions_total(self) -> int:
+        return sum(len(c.assertions) for c in self.cases)
+
+    @property
+    def assertions_passed(self) -> int:
+        return sum(c.passed_count() for c in self.cases)
+
+    @property
+    def assertion_success_pct(self) -> float | None:  # None renders as "n/a"
+        total = self.assertions_total
+        return cov.round_pct(self.assertions_passed, total) if total else None
+
+    @property
+    def statement_coverage_pct(self) -> float:
+        return self.coverage.unit.percentage
 
     def to_dict(self) -> dict:
         return {
@@ -188,6 +205,11 @@ class TestReport:
 # execution
 # ---------------------------------------------------------------------------
 
+class CollisionError(Exception):
+    """A POU name defined in two sources, or a generated name clashing with
+    a POU in the unit or libraries."""
+
+
 def load_program(unit: SourceUnit, libraries: Sequence[SourceUnit] = ()) -> TypedProgram:
     """Lex, parse and resolve each library on its own, then the unit over
     them: the one load of a unit and its libraries per invocation.  A POU
@@ -243,10 +265,10 @@ def run_harness(bundle: HarnessBundle) -> tuple[RunResult, list[str]]:
         for index, _, done, passed, fails in watched:
             count = store[fails]
             if count > fails_before[index]:
-                events.append(f"TC_{index}_FAILS={count}")
+                events.append(f"{fails}={count}")
             fails_before[index] = count
             if store[done]:
-                events.append(f"TC_{index}_DONE={'PASS' if store[passed] else 'FAIL'}")
+                events.append(f"{done}={'PASS' if store[passed] else 'FAIL'}")
                 rose = True
         if rose or faults:
             stopped = {f.instance for f in faults}
@@ -289,8 +311,6 @@ def run_suite(
             atol=options.atol,
             rtol=options.rtol,
         )
-    except CollisionError as exc:
-        raise PipelineError("generate", exc) from exc
     except FrontendError as exc:
         raise PipelineError("assemble", exc) from exc
 
@@ -319,18 +339,9 @@ def run_suite(
         verdict = "fault" if fault else "pass" if done and all(a.passed for a in assertions) else "fail"
         case_results.append(CaseResult(c.name, verdict, assertions, fault.fault.describe() if fault else None))
 
-    assertions_total = checked_suite.assertion_count()
-    assertions_passed = sum(c.passed_count() for c in case_results)
-    pct = cov.round_pct(assertions_passed, assertions_total) if assertions_total else None
-
     report = TestReport(
         unit=checked_suite.fb_under_test,
         cases=case_results,
-        cases_total=len(checked_suite.cases),
-        assertions_total=assertions_total,
-        assertions_passed=assertions_passed,
-        assertion_success_pct=pct,
-        statement_coverage_pct=summary.unit.percentage,
         coverage=summary,
         cycles_executed=result.cycles_executed,
         cycle_time_ms=bundle.cycle_time_ms,

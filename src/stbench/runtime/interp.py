@@ -4,8 +4,8 @@ generated Python function.
 One scan runs a POU body exactly once.  The clock is frozen during a scan
 (every timer invoked in a scan sees the same `now`) and advances by the
 configured cycle time after the scan completes.  run_program starts each
-scan with plain stores into its run state and advances the clock with
-one, rather than with a method call.
+scan with plain stores into its run state, and it and execute_cycle
+advance the clock with one store, `clock.now += clock.cycle_time`.
 
 Each POU body is compiled on its first execution, as bounded or as
 checked code (below), and cached on the TypedProgram per mode.  Every
@@ -67,7 +67,8 @@ Values: expressions evaluate to raw python values (bool, int, float, str,
 or a list of raw elements for an ARRAY), and every store (an instance's,
 a built-in block's, TEMP defaults and function frames) maps a variable to
 its raw value; its type is the declared one.  `Value`s are built only at
-the boundary: `execute_cycle` unboxes its inputs into fresh lists, and
+the boundary: `execute_cycle` unboxes its inputs into fresh lists and
+stores them as generated code does (`T.assignable`, `_store_conv`), and
 `FbInstance.outputs()` boxes what it returns.  Each store owns its ARRAY
 lists, so an element store writes in place: a list is copied where it
 would otherwise become shared, which the generator knows at each site (a
@@ -209,9 +210,6 @@ class SimClock:
     now: int = 0
     cycle_time: int = 10
 
-    def advance(self) -> None:
-        self.now += self.cycle_time
-
 
 class ScanTrace:
     """What run_program keeps of one scan: len() is its site count."""
@@ -249,11 +247,7 @@ class FbInstance:
         self.nested: dict[str, FbInstance | BuiltinInstance] = {}
 
     def outputs(self) -> dict[str, V.Value]:
-        return {
-            v.name: V.box(v.ty, self.store[v.name])
-            for v in self.info.vars.values()
-            if v.section is Section.OUTPUT
-        }
+        return {v.name: V.box(v.ty, self.store[v.name]) for v in self.info.outputs()}
 
 
 def instantiate(prog: TypedProgram, fb_name: str) -> FbInstance:
@@ -1338,18 +1332,6 @@ _EXPRS = {
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def _run_instance(inst: FbInstance, scan: _Scan) -> None:
-    """One scan of an instance's body, its TEMP variables reset first."""
-    pou = _pou(inst.prog, inst.fb_type, _bounded(inst.prog, inst.fb_type))
-    if pou.temps:
-        pou.reset_temps(inst.store)
-    try:
-        pou.run(inst.store, inst.nested, scan)
-    except RuntimeFault as fault:
-        fault.instance_path = inst.fb_type + fault.instance_path
-        raise
-
-
 def execute_cycle(
     inst: FbInstance,
     inputs: dict[str, V.Value],
@@ -1357,7 +1339,8 @@ def execute_cycle(
 ) -> tuple[dict[str, V.Value], dict[str, list[int]]]:
     """Apply inputs, run one scan, snapshot outputs, then advance the clock.
 
-    Retained variables persist in `inst` between calls.  Raises ValueError
+    Retained variables persist in `inst` between calls.  An input is
+    checked and converted as a generated store does it.  Raises ValueError
     for undeclared input names or un-assignable input types (precondition
     violations, not runtime faults).  Also returns the scan's count array
     per POU it ran, as RunResult.counts holds them for a run.
@@ -1366,14 +1349,22 @@ def execute_cycle(
         var = inst.info.vars.get(name.upper())
         if var is None or var.section is not Section.INPUT:
             raise ValueError(f"{inst.fb_type} has no input {name}")
-        try:
-            inst.store[var.name] = V.unbox(V.convert_for_store(val, var.ty))
-        except TypeError as exc:
-            raise ValueError(f"input {name}: {exc}") from exc
+        if not T.assignable(val.ty, var.ty):
+            raise ValueError(f"input {name}: cannot store {val.ty} into {var.ty}")
+        conv = _store_conv(val.ty, var.ty)
+        raw = V.unbox(val)
+        inst.store[var.name] = raw if conv is None else conv(raw)
     scan = _Scan(inst.prog, clock.now)
-    _run_instance(inst, scan)
+    pou = _pou(inst.prog, inst.fb_type, _bounded(inst.prog, inst.fb_type))
+    if pou.temps:
+        pou.reset_temps(inst.store)
+    try:
+        pou.run(inst.store, inst.nested, scan)
+    except RuntimeFault as fault:
+        fault.instance_path = inst.fb_type + fault.instance_path
+        raise
     outputs = inst.outputs()
-    clock.advance()
+    clock.now += clock.cycle_time
     return outputs, scan.settle()
 
 

@@ -167,17 +167,6 @@ def unbox(val: Value):
     return val.v
 
 
-def convert_for_store(val: Value, dst: STType) -> Value:
-    """Implicit widening (or string truncation) when storing into a slot."""
-    if val.ty == dst:
-        return val
-    if val.ty.kind is Kind.ARRAY or dst.kind is Kind.ARRAY:
-        raise TypeError(f"cannot store {val.ty} into {dst}")
-    if val.ty.kind is dst.kind or (val.ty.kind, dst.kind) in T.WIDENS:
-        return make(dst, val.v)
-    raise TypeError(f"cannot store {val.ty} into {dst}")
-
-
 def scalar_text(kind: Kind) -> Callable[[object], str]:
     """How a raw BOOL, integer, REAL/LREAL or TIME value of `kind` is
     spelled, both by `render` and by the X_TO_STRING conversions."""

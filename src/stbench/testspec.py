@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .frontend import types as T
 from .frontend.lexer import LexError, TokKind, tokenize
+from .frontend.nodes import PouKind, Section
 from .frontend.resolve import MAX_STORAGE, PouInfo, TypedProgram
 from .frontend.source import SourceUnit
 from .harnessgen import case_values
@@ -255,17 +256,11 @@ class CheckedCase:
     def total_dwell(self) -> int:
         return sum(s.dwell_cycles for s in self.states)
 
-    def assertion_count(self) -> int:
-        return sum(len(s.expected) for s in self.states)
-
 
 @dataclass
 class CheckedSuite:
     fb_under_test: str
     cases: list[CheckedCase]
-
-    def assertion_count(self) -> int:
-        return sum(c.assertion_count() for c in self.cases)
 
 
 def parse_value_literal(text: str, ty: T.STType) -> V.Value:
@@ -331,18 +326,23 @@ def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
     """Type the suite against the block's declared interface.
 
     Returns a CheckedSuite, or raises a ValidationError with every problem
-    found: unknown columns, unparseable literals, cases that never assert
+    found: a block that is missing or not a FUNCTION_BLOCK, reported
+    alone; each VAR_IN_OUT parameter of the block, which no column can
+    bind; unknown columns, unparseable literals, cases that never assert
     anything, cases too long to finish within MAX_SCANS scans, and more
     cases than the harness could hold: the values the cases add to it,
     each its own instance of the block among them
     (`harnessgen.case_values`), may total at most MAX_STORAGE.
     """
-    items: list[ValidationItem] = []
     fb = prog.lookup_pou(suite.fb_under_test)
-    if fb is None:
-        raise ValidationError(
-            [ValidationItem("-", None, None, f"unknown function block {suite.fb_under_test}")]
-        )
+    if fb is None or fb.kind is not PouKind.FUNCTION_BLOCK:
+        name = suite.fb_under_test
+        message = f"unknown function block {name}" if fb is None else f"{name} is a {fb.kind.value}, not a function block"
+        raise ValidationError([ValidationItem("-", None, None, message)])
+    items = [
+        ValidationItem("-", None, None, f"{fb.name} has VAR_IN_OUT parameter {v.name}, which no suite column can bind")
+        for v in fb.vars.values() if v.section is Section.IN_OUT
+    ]
     inputs = {v.name: v.ty for v in fb.inputs()}
     outputs = {v.name: v.ty for v in fb.outputs()}
 

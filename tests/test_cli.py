@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +22,7 @@ from stbench.runtime.interp import _MAX_CALL_DEPTH
 
 from test_interp import fb_chain
 from test_parser import time_limit
+from test_runner import IN_OUT_UNIT
 
 DEC_BLOCK = corpus.block_path("DEC_TO_HEX")
 DEC_FIXTURE = corpus.fixture_path("DEC_TO_HEX")
@@ -358,20 +360,27 @@ UNUSABLE_VALUES = {
     "fixed_clock": ("maybe", (), True),
 }
 SWITCHES = {"fixed_clock"}  # a flag that takes no value
+PATHS = {"fixture", "suite", "out"}  # one path each, which may not be blank
 
 
 def test_every_option_has_an_unusable_value_to_test():
     assert UNUSABLE_VALUES.keys() == cli._OPTIONS.keys()
     assert SWITCHES == {name for name, o in cli._OPTIONS.items() if o.metadata["read"] is cli._yes_no}
+    assert PATHS == {name for name, o in cli._OPTIONS.items() if o.metadata["read"] is cli._path}
 
 
 @pytest.mark.parametrize(
-    "name,source",
-    [(name, "flag") for name in UNUSABLE_VALUES if name not in SWITCHES]
-    + [(name, "config") for name in UNUSABLE_VALUES],
+    "name,source,blank",
+    [pytest.param(name, "flag", False, id=f"{name}-flag") for name in UNUSABLE_VALUES if name not in SWITCHES]
+    + [pytest.param(name, "config", False, id=f"{name}-config") for name in UNUSABLE_VALUES]
+    # an empty path would name the working directory
+    + [pytest.param(name, source, True, id=f"{name}-{source}-blank") for name in sorted(PATHS) for source in ("flag", "config")],
 )
-def test_an_unusable_option_value_exits_two_from_a_flag_or_a_config_line(tmp_path, capsys, name, source):
-    value, extra, by_reader = UNUSABLE_VALUES[name]
+def test_an_unusable_option_value_exits_two_from_a_flag_or_a_config_line(
+    tmp_path, capsys, monkeypatch, name, source, blank
+):
+    value, extra, by_reader = ("", (), True) if blank else UNUSABLE_VALUES[name]
+    monkeypatch.chdir(tmp_path)  # where a blank path read as "." would write
     if value is None:
         (tmp_path / "a_file").write_text("")
         value = str(tmp_path / "a_file")
@@ -401,7 +410,9 @@ def test_an_unusable_option_value_exits_two_from_a_flag_or_a_config_line(tmp_pat
     assert line.startswith("error: ")
     assert captured.out == "" and "Traceback" not in captured.err
     assert sorted(tmp_path.iterdir()) == before  # no output directory
-    if by_reader:
+    if blank:
+        assert line == f"error: {where}: expected a path, got ''"
+    elif by_reader:
         assert line.startswith(f"error: {where}: expected ")
     else:
         assert name in line or value in line
@@ -661,6 +672,26 @@ def test_unknown_fb_exits_two_without_traceback(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+IN_OUT_ITEM = "-: ACC has VAR_IN_OUT parameter T, which no suite column can bind"
+
+
+def test_a_block_with_a_var_in_out_parameter_exits_two_at_validation(tmp_path, capsys):
+    unit = tmp_path / "acc.st"
+    unit.write_text(IN_OUT_UNIT)
+    suite = tmp_path / "suite.csv"
+    suite.write_text("test_name,state,X,expect_Y\ntc,1,1,1\n")
+    fixture = tmp_path / "resp.txt"
+    fixture.write_text("```csv\ntest_name,state,X,expect_Y\ntc,1,1,1\n```\n")
+    assert run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err == f"error: suite rejected: {IN_OUT_ITEM}\n"
+    assert not (tmp_path / "run").exists()
+    # generate writes no suite.csv that no run could execute
+    assert run_cli("generate", "--unit", unit, "--provider", "mock", "--fixture", fixture, "--out", tmp_path / "gen") == 2
+    err = capsys.readouterr().err
+    assert f"invalid suite: {IN_OUT_ITEM}\n" in err and "error: generated suite failed validation" in err
+    assert sorted(p.name for p in (tmp_path / "gen").iterdir()) == ["exchange_0.json"]
+
+
 def test_missing_library_file_exits_two(tmp_path, capsys):
     suite = tmp_path / "suite.csv"
     suite.write_text(CORRECT_CSV)
@@ -717,6 +748,33 @@ def test_an_unusable_path_exits_two_with_one_error_line_naming_it(tmp_path, caps
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and str(path) in line
     assert "Traceback" not in captured.out
+    assert not (tmp_path / "out").exists()  # nor a failed query a directory
+
+
+def test_a_failed_http_query_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(llm, "_post", lambda *a, **k: calls.append(a) or SimpleNamespace(status_code=401))
+    code = run_cli(
+        "generate", "--unit", DEC_BLOCK, "--provider", "http", "--endpoint", "http://127.0.0.1:9/v1",
+        "--out", tmp_path / "out",
+    )
+    assert code == 2 and len(calls) == 1
+    assert capsys.readouterr().err == "error: provider query failed: provider rejected credentials (HTTP 401)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out,error", [("out", "[Errno 17] File exists"), ("out/sub/dir", "[Errno 20] Not a directory")])
+def test_an_output_path_that_is_a_file_stops_generate_before_the_query(tmp_path, capsys, monkeypatch, out, error):
+    calls = []
+    monkeypatch.setattr(llm, "_post", lambda *a, **k: calls.append(a))
+    (tmp_path / "out").write_text("")
+    code = run_cli(
+        "generate", "--unit", DEC_BLOCK, "--provider", "http", "--endpoint", "http://127.0.0.1:9/v1",
+        "--out", tmp_path / out,
+    )
+    assert code == 2 and calls == []
+    # the error making the directory would raise
+    assert capsys.readouterr().err == f"error: {error}: '{tmp_path / out}'\n"
 
 
 def test_an_unusable_path_prints_no_traceback_in_a_child_process(tmp_path):

@@ -8,10 +8,10 @@ from stbench import corpus
 from stbench.frontend import parse_source, parse_text, print_pou, resolve
 from stbench.frontend.nodes import iter_sites, site_span
 from stbench.frontend.pretty import format_literal
-from stbench.harnessgen import PROGRAM_NAME, CollisionError, build_case_fb, build_harness, case_values, value_literal
+from stbench.harnessgen import PROGRAM_NAME, build_case_fb, build_harness, case_values, value_literal
 from stbench.frontend import types as T
 from stbench.frontend.source import SourceUnit
-from stbench.runner import PipelineError, load_program, run_harness
+from stbench.runner import CollisionError, PipelineError, load_program, run_harness
 from stbench.runtime import values as V
 from stbench.testspec import parse_suite, validate
 

@@ -547,9 +547,13 @@ END_FUNCTION_BLOCK
 
 def test_a_harness_that_does_not_resolve_is_an_assemble_error():
     # no suite column binds a VAR_IN_OUT parameter, so the unit call in
-    # every case block fails to resolve
+    # every case block fails to resolve; validate() rejects such a block,
+    # so build the checked structures directly to reach the handler
+    from stbench.testspec import CheckedCase, CheckedState, CheckedSuite
+
     prog = load_program(SourceUnit(IN_OUT_UNIT, "acc.st"))
-    suite = checked("test_name,state,X,expect_Y\ntc,1,1,1\n", "ACC", prog)
+    state = CheckedState({"X": V.make(T.DINT, 1)}, {"Y": V.make(T.DINT, 1)}, 1)
+    suite = CheckedSuite("ACC", [CheckedCase("tc", [state])])
     with pytest.raises(PipelineError) as err:
         run_suite(prog, suite)
     assert err.value.phase == "assemble"

@@ -19,6 +19,7 @@ from stbench.testspec import (
 )
 
 from strategies import suites_for
+from test_runner import IN_OUT_UNIT
 
 DEC_SRC = """
 FUNCTION_BLOCK DEC_TO_HEX
@@ -101,6 +102,39 @@ def test_unknown_column_is_validation_error(dec_prog):
     with pytest.raises(ValidationError) as err:
         validate(suite, dec_prog)
     assert any("unknown input column" in str(i) for i in err.value.items)
+
+
+def test_only_a_function_block_is_accepted_as_the_block_under_test():
+    prog = resolve(parse_text(
+        DEC_SRC
+        + "FUNCTION TWICE : INT\nVAR_INPUT DE : INT; END_VAR\nTWICE := DE * 2;\nEND_FUNCTION\n"
+        + "PROGRAM MAIN\nVAR DE : INT; END_VAR\nDE := 1;\nEND_PROGRAM\n"
+    ))
+    for name, message in [
+        ("TWICE", "TWICE is a FUNCTION, not a function block"),
+        ("MAIN", "MAIN is a PROGRAM, not a function block"),
+        ("NOPE", "unknown function block NOPE"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            validate(parse_suite("test_name,state,DE\ntc,1,4\n", name), prog)
+        assert [str(i) for i in err.value.items] == [f"-: {message}"]
+    validate(parse_suite("test_name,state,DE,expect_HEX\ntc,1,4,''\n", "dec_to_hex"), prog)
+
+
+def test_a_block_with_a_var_in_out_parameter_is_rejected():
+    # no column binds a VAR_IN_OUT parameter, so no harness could call the
+    # block; one item per parameter, beside the suite's other problems
+    prog = resolve(parse_text(IN_OUT_UNIT))
+    with pytest.raises(ValidationError) as err:
+        validate(parse_suite("test_name,state,X,expect_Y\ntc,1,1,1\n", "ACC"), prog)
+    assert [str(i) for i in err.value.items] == ["-: ACC has VAR_IN_OUT parameter T, which no suite column can bind"]
+    with pytest.raises(ValidationError) as err:
+        validate(parse_suite("test_name,state,T,expect_Y\ntc,1,1,\n", "ACC"), prog)
+    assert [str(i) for i in err.value.items] == [
+        "-: ACC has VAR_IN_OUT parameter T, which no suite column can bind",
+        "-/T: unknown input column",
+        "tc: no assertable state in this case",
+    ]
 
 
 def test_drop_unknown_columns(dec_prog):

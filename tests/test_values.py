@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
 from stbench.frontend.builtins import string_conversion_source
+from stbench.runtime import SimClock, execute_cycle, instantiate
 from stbench.runtime import values as V
 from stbench.runtime.stdfuncs import builtin_impl
 
@@ -142,13 +144,30 @@ def test_string_truncates_to_capacity():
 
 
 def test_store_conversion_widens_only():
-    assert V.convert_for_store(V.make(T.INT, 5), T.DINT).ty == T.DINT
-    assert V.convert_for_store(V.make(T.REAL, 0.5), T.LREAL).ty == T.LREAL
-    assert V.convert_for_store(V.make(T.BYTE, 5), T.WORD).ty == T.WORD
-    with pytest.raises(TypeError):
-        V.convert_for_store(V.make(T.DINT, 5), T.INT)
-    with pytest.raises(TypeError):
-        V.convert_for_store(V.make(T.INT, 5), T.REAL)
+    # execute_cycle stores an input as a generated store does: a widening
+    # converts, a STRING truncates to the input's capacity, and any other
+    # type is refused before the scan
+    prog = resolve(parse_text(
+        "FUNCTION_BLOCK SINK\n"
+        "VAR_INPUT D : DINT; L : LREAL; W : WORD; S : STRING[3]; I : INT; R : REAL; END_VAR\n"
+        "VAR_OUTPUT OD : DINT; OL : LREAL; OW : WORD; OS : STRING[3]; END_VAR\n"
+        "OD := D; OL := L; OW := W; OS := S;\n"
+        "END_FUNCTION_BLOCK\n"
+    ))
+    inst = instantiate(prog, "SINK")
+    given = {"D": V.make(T.INT, -5), "L": V.make(T.REAL, 0.1), "W": V.make(T.BYTE, 255), "s": V.make(T.string(), "ABCDEF")}
+    out, _ = execute_cycle(inst, given, SimClock())
+    assert out == {
+        "OD": V.Value(T.DINT, -5),
+        "OL": V.Value(T.LREAL, V.f32(0.1)),
+        "OW": V.Value(T.WORD, 255),
+        "OS": V.Value(T.string(3), "ABC"),
+    }
+    for name, val, dst in (("I", V.make(T.DINT, 5), T.INT), ("R", V.make(T.INT, 5), T.REAL)):
+        with pytest.raises(ValueError) as err:
+            execute_cycle(inst, {name: val}, SimClock())
+        assert str(err.value) == f"input {name}: cannot store {val.ty} into {dst}"
+    assert (inst.store["I"], inst.store["R"]) == (0, 0.0)
 
 
 def test_render_forms():
