@@ -4,7 +4,9 @@
 Uses the mock provider with the canned response files, so the whole
 experiment is offline and deterministic.  Prints one row per block with the
 three headline metrics (test cases, statement coverage, assertion success),
-plus where the run artifacts were written.
+plus where the run artifacts were written.  A block whose pipeline fails
+(exit 2) gets a failed row, its error stays on stderr, the next block
+runs, and the script exits 1.
 
 Usage:
     python scripts/run_corpus_demo.py [--out runs/corpus_demo] [--mode enhanced]
@@ -21,7 +23,8 @@ from stbench import corpus
 from stbench.cli import main as cli_main
 
 
-def run_block(block: corpus.CorpusBlock, out_root: Path, mode: str) -> dict:
+def run_block(block: corpus.CorpusBlock, out_root: Path, mode: str) -> dict | None:
+    """The block's metrics, or None when its pipeline wrote no report."""
     out = out_root / block.name.lower()
     code = cli_main(
         [
@@ -34,16 +37,13 @@ def run_block(block: corpus.CorpusBlock, out_root: Path, mode: str) -> dict:
             "--fixed-clock",
         ]
     )
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    metrics = report["metrics"]
+    if code not in (0, 1):
+        return None
+    metrics = json.loads((out / "report.json").read_text(encoding="utf-8"))["metrics"]
     return {
-        "block": block.name,
-        "category": block.category,
         "cases": metrics["cases_total"],
         "coverage": metrics["statement_coverage_pct"],
         "assertions": metrics["assertion_success_pct"],
-        "exit": code,
-        "out": out,
     }
 
 
@@ -56,20 +56,23 @@ def main() -> int:
     rows = []
     for block in corpus.BLOCKS:
         print(f"running {block.name} ...", flush=True)
-        rows.append(run_block(block, args.out, args.mode))
+        rows.append((block, run_block(block, args.out, args.mode)))
 
     print()
     print(f"{'block':<14} {'category':<18} {'cases':>5} {'coverage':>9} {'assertions':>10}")
     print("-" * 60)
-    for r in rows:
+    for block, r in rows:
+        if r is None:
+            print(f"{block.name:<14} {block.category:<18} {'failed':>5}")
+            continue
         asserts = "n/a" if r["assertions"] is None else f"{r['assertions']:.2f}%"
         print(
-            f"{r['block']:<14} {r['category']:<18} {r['cases']:>5} "
+            f"{block.name:<14} {block.category:<18} {r['cases']:>5} "
             f"{r['coverage']:>8.2f}% {asserts:>10}"
         )
     print("-" * 60)
     print(f"artifacts under {args.out}/<block>/")
-    return 0 if all(r["exit"] in (0, 1) for r in rows) else 1
+    return 0 if all(r is not None for _block, r in rows) else 1
 
 
 if __name__ == "__main__":

@@ -32,17 +32,19 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import llm
-from .frontend import SourceUnit, TypedProgram, interface_of
+from .frontend import SourceUnit, TypedProgram
 from .frontend.nodes import PouKind
 from .harnessgen import DEFAULT_ATOL, DEFAULT_CYCLE_TIME_MS, DEFAULT_RTOL
 from .runner import PipelineError, RunOptions, load_program, run_suite
 from .testspec import (
     CheckedSuite,
     CsvError,
+    FbInterface,
     ValidationError,
     drop_unknown_columns,
     parse_suite,
     serialize_suite,
+    suite_interface,
     validate,
 )
 
@@ -126,10 +128,11 @@ class _Unusable(Exception):
     """An input the command cannot use; the message is printed as is."""
 
 
-def _load(cfg: RunConfig) -> tuple[TypedProgram, str]:
-    """The unit and its libraries, loaded once, and the FB under test.  A
-    source is named by its file name, or by its path as given where another
-    source of the run has the same file name."""
+def _load(cfg: RunConfig) -> tuple[TypedProgram, FbInterface]:
+    """The unit and its libraries, loaded once, and the block under test
+    (--fb, or the first FUNCTION_BLOCK), checked before any query or suite
+    read.  A source is named by its file name, or by its path as given
+    where another source of the run has the same file name."""
     [unit_path] = cfg.unit  # main runs each unit on its own
     paths = (unit_path, *cfg.lib)
     names = [p.name for p in paths]
@@ -138,7 +141,13 @@ def _load(cfg: RunConfig) -> tuple[TypedProgram, str]:
         prog = load_program(unit, libs)
     except PipelineError as exc:
         raise _Unusable(str(exc.cause)) from exc
-    return prog, _unit_fb_name(cfg.fb, unit_path, prog)
+    name = cfg.fb or next((p.name for p in prog.ast.pous if p.kind is PouKind.FUNCTION_BLOCK), None)
+    if name is None:
+        raise _Unusable(f"{unit_path}: no FUNCTION_BLOCK found")
+    try:
+        return prog, suite_interface(prog, name)
+    except ValidationError as exc:
+        raise _Unusable(f"{unit_path}: " + "; ".join(item.message for item in exc.items)) from exc
 
 
 def _read_text(path: Path) -> str:
@@ -154,18 +163,6 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> _Unusable:
     return _Unusable(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
-def _unit_fb_name(fb: str, unit_path: Path, prog: TypedProgram) -> str:
-    if fb:
-        info = prog.lookup_pou(fb.upper())
-        if info is None or info.kind is not PouKind.FUNCTION_BLOCK:
-            raise _Unusable(f"{unit_path}: no FUNCTION_BLOCK named {fb}")
-        return info.name
-    for pou in prog.ast.pous:
-        if pou.kind is PouKind.FUNCTION_BLOCK:
-            return pou.name
-    raise _Unusable(f"{unit_path}: no FUNCTION_BLOCK found")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -178,15 +175,15 @@ def cmd_generate(cfg: RunConfig, provider: llm.ProviderConfig) -> int:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Steps 4-9: harness, execution, coverage, report."""
-    prog, fb_name = _load(cfg)
-    return _run(cfg, prog, *_read_suite(cfg, prog, fb_name))
+    prog, iface = _load(cfg)
+    return _run(cfg, prog, *_read_suite(cfg, prog, iface.fb.name))
 
 
 def cmd_pipeline(cfg: RunConfig, provider: llm.ProviderConfig) -> int:
     """generate followed by run, sharing one output directory, one load
     and the checked suite."""
-    prog, fb_name = _load(cfg)
-    checked, dropped = _generate(cfg, provider, prog, fb_name)
+    prog, iface = _load(cfg)
+    checked, dropped = _generate(cfg, provider, prog, iface)
     return _run(cfg, prog, checked, tuple(_dropped_note(c) for c in dropped))
 
 
@@ -195,10 +192,9 @@ def _dropped_note(column: str) -> str:
 
 
 def _generate(
-    cfg: RunConfig, provider: llm.ProviderConfig, prog: TypedProgram, fb_name: str
+    cfg: RunConfig, provider: llm.ProviderConfig, prog: TypedProgram, iface: FbInterface
 ) -> tuple[CheckedSuite, list[str]]:
     """Write suite.csv; returns the checked suite and the dropped columns."""
-    iface = interface_of(prog, fb_name)
     # persist_exchange makes the directory once the provider has answered;
     # a file in its way stops the command, with the error making it would
     # raise, before a query is paid for
@@ -226,11 +222,11 @@ def _generate(
         print(f"raw exchange kept at {saved}", file=sys.stderr)
         raise _Unusable(str(exc)) from exc
     try:
-        suite = parse_suite(csv_text, fb_name)
+        suite = parse_suite(csv_text, iface.fb.name)
     except CsvError as exc:
         raise _Unusable(f"CSV malformed: {exc} (hint: the response is at {saved})") from exc
 
-    suite, dropped = drop_unknown_columns(suite, prog.lookup_pou(fb_name))
+    suite, dropped = drop_unknown_columns(suite, iface)
     for col in dropped:
         print(f"warning: dropping unknown column {col!r} from the suite", file=sys.stderr)
     try:

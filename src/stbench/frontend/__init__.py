@@ -5,13 +5,12 @@ from .diagnostics import Diagnostic, FrontendError, ParseError, ResolveError
 from .lexer import LexError, Token, TokKind, tokenize
 from .parser import parse, parse_source, parse_text
 from .pretty import print_ast, print_pou
-from .resolve import FbInterface, PouInfo, TypedProgram, VarInfo, interface_of, resolve
+from .resolve import PouInfo, TypedProgram, VarInfo, resolve
 from .source import SourceUnit, Span
 
 __all__ = [
     "BUILTIN_FBS",
     "Diagnostic",
-    "FbInterface",
     "FrontendError",
     "LexError",
     "ParseError",
@@ -23,7 +22,6 @@ __all__ = [
     "TokKind",
     "TypedProgram",
     "VarInfo",
-    "interface_of",
     "parse",
     "parse_source",
     "parse_text",

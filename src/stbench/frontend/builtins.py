@@ -177,7 +177,7 @@ def check_builtin_call(name: str, arg_types: list[T.STType]) -> T.STType | str:
     if name == "CONCAT":
         if len(arg_types) < 2 or any(t.kind is not T.Kind.STRING for t in arg_types):
             return "CONCAT takes 2 or more STRING arguments"
-        return T.string()
+        return T.string(sum(t.cap for t in arg_types))
     if name == "LEN":
         if len(arg_types) != 1 or arg_types[0].kind is not T.Kind.STRING:
             return "LEN takes one STRING argument"
@@ -190,5 +190,5 @@ def check_builtin_call(name: str, arg_types: list[T.STType]) -> T.STType | str:
             or arg_types[2].kind not in (T.Kind.INT, T.Kind.DINT)
         ):
             return "MID takes (STRING, L: INT, P: INT)"
-        return T.string()
+        return arg_types[0]
     return f"unknown function {name}"

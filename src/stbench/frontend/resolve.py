@@ -113,26 +113,6 @@ class TypedProgram:
         return out
 
 
-@dataclass
-class FbInterface:
-    """Input/output projection of a function block, for prompts and suites."""
-
-    name: str
-    inputs: list[str]   # variable names, in declaration order
-    outputs: list[str]
-
-
-def interface_of(prog: TypedProgram, fb_name: str) -> FbInterface:
-    info = prog.lookup_pou(fb_name.upper())
-    if info is None:
-        raise KeyError(f"unknown POU {fb_name}")
-    return FbInterface(
-        info.name,
-        [v.name for v in info.inputs()],
-        [v.name for v in info.outputs()],
-    )
-
-
 # each built-in block's variables, as PouInfo.vars holds a user block's
 BUILTIN_VARS = {
     fb_type: {name: VarInfo(name, ty, section) for name, (ty, section) in slots.items()}

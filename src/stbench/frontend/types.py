@@ -110,9 +110,10 @@ def assignable(src: STType, dst: STType) -> bool:
 
 
 def unify(a: STType, b: STType) -> STType | None:
-    """Common type of two operands under the promotion lattice, or None."""
+    """Common type of two operands under the promotion lattice, or None.
+    Two STRINGs share the larger capacity, so neither value is cut."""
     if a.kind is Kind.STRING and b.kind is Kind.STRING:
-        return string()
+        return a if a.cap >= b.cap else b
     if a is b or a == b:
         return a
     if (a.kind, b.kind) in WIDENS:

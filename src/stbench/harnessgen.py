@@ -44,8 +44,7 @@ is listed in the unit's and each library's own lines (`coverage`).  A POU
 name may be defined in one layer only, and the generated names
 (`is_generated_name`) in none of the unit and its libraries:
 `runner.load_program` checks both, raising its `CollisionError`.  The
-block under test is a FUNCTION_BLOCK without VAR_IN_OUT parameters, as
-`testspec.validate` checks: no suite column binds one.
+block under test is one a suite can drive (`testspec.suite_interface`).
 """
 
 from __future__ import annotations
@@ -204,7 +203,6 @@ def build_case_fb(
 ) -> CaseHarness:
     """Build the sequential-state test FB for one validated case."""
     fb_name = f"TC_{index}_CASE"
-    out_types = {v.name: v.ty for v in fb.outputs()}
 
     slots: list[AssertionSlot] = []
     for st_idx, state in enumerate(case.states, start=1):
@@ -220,11 +218,11 @@ def build_case_fb(
     # each state with expectations checks them, in state order
     checks: dict[int, list[N.Stmt]] = {}
     for slot in slots:
-        decls += [_decl(slot.actual_var, out_types[slot.column]), _decl(slot.flag_var, "BOOL")]
+        decls += [_decl(slot.actual_var, slot.expected.ty), _decl(slot.flag_var, "BOOL")]
         checks.setdefault(slot.state, []).extend([
             _set(slot.actual_var, _ref("UNIT", slot.column)),
             _if(
-                N.Unary(N.UnOp.NOT, _comparison(slot, out_types[slot.column], atol, rtol)),
+                N.Unary(N.UnOp.NOT, _comparison(slot, atol, rtol)),
                 _set(slot.flag_var, _true()),
                 _incr("FAILS"),
             ),
@@ -271,8 +269,8 @@ def build_case_fb(
     )
 
 
-def _comparison(slot: AssertionSlot, ty: T.STType, atol: float, rtol: float) -> N.Expr:
-    if ty.kind in T.REAL_KINDS:
+def _comparison(slot: AssertionSlot, atol: float, rtol: float) -> N.Expr:
+    if slot.expected.ty.kind in T.REAL_KINDS:
         error = N.Call("ABS", [_op("-", _ref(slot.actual_var), value_literal(slot.expected))])
         scaled = _op("*", N.Literal(N.Literal.K.REAL, rtol), N.Call("ABS", [value_literal(slot.expected)]))
         return _op("<=", error, _op("+", N.Literal(N.Literal.K.REAL, atol), scaled))

@@ -24,8 +24,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .frontend.resolve import FbInterface
-from .testspec import RESERVED_COLUMNS, header_cells, is_header
+from .testspec import RESERVED_COLUMNS, FbInterface, header_cells, is_header
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +87,9 @@ class PromptBundle:
         return "\n\n".join((self.instructions, self.format_spec, self.code))
 
 
-def build_prompt(fb_source: str, interface_summary: FbInterface, mode: str = "enhanced") -> PromptBundle:
-    """Assemble the prompt for a block; identical inputs give identical text."""
+def build_prompt(fb_source: str, interface: FbInterface, mode: str = "enhanced") -> PromptBundle:
+    """Assemble the prompt for a block; identical inputs give identical text.
+    It asks for the block's suite columns (`testspec.suite_interface`)."""
     if mode not in ("simple", "enhanced"):
         raise ValueError(f"unknown prompt mode {mode!r}")
     if not fb_source.strip():
@@ -97,8 +97,8 @@ def build_prompt(fb_source: str, interface_summary: FbInterface, mode: str = "en
     instructions = _template("prompt_instructions_simple.txt")
     if mode == "enhanced":
         instructions = "\n\n".join((instructions, *enhanced_groups()))
-    inputs = interface_summary.inputs
-    header = header_cells(inputs, interface_summary.outputs)
+    inputs = interface.inputs
+    header = header_cells(inputs, interface.outputs)
     fmt = (
         _template("prompt_format_spec.txt")
         .replace("{HEADER}", ",".join(header))

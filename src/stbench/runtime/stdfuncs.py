@@ -7,7 +7,8 @@ type.  The implementation is picked from the call's static types, so it
 does only the work those types leave open: its arguments are raw values
 of their declared types, and a result is coerced only where its type
 needs it (a REAL result is rounded to binary32, an INT or DINT ABS wraps,
-a STRING is truncated to its capacity).  A conversion with a written-out
+an X_TO_STRING is truncated to its capacity; the result type of a SEL,
+MID or CONCAT holds its whole value).  A conversion with a written-out
 form (`conversion_form`: a widening, an exact or a binary32-rounding
 conversion into REAL or LREAL, or an integer range check) is written
 into the generated expression instead, which calls the function only to
@@ -71,7 +72,7 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
             return lambda x: co(-x) if x < 0 else x
         return lambda x: -x if x < 0 else x
     # MIN, MAX, LIMIT and SEL return an operand, already a value of the
-    # result type: only a STRING may be longer than the common type holds
+    # result type: a common STRING type holds its longest operand
     if name == "MIN":
         return min
     if name == "MAX":
@@ -79,9 +80,6 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
     if name == "LIMIT":
         return lambda mn, in_v, mx: min(max(in_v, mn), mx)
     if name == "SEL":
-        if kind is Kind.STRING:
-            co = V.coercer(result_ty)
-            return lambda g, in0, in1: co(in1 if g else in0)
         return lambda g, in0, in1: in1 if g else in0
     if name in _TRIG:
         f = _TRIG[name]
@@ -139,14 +137,14 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
             return co(v << n) if left else v >> n
         return shift
     if name == "CONCAT":
-        return lambda *parts: co("".join(parts))
+        return lambda *parts: "".join(parts)
     if name == "LEN":
         return lambda s: co(len(s))
     if name == "MID":
         def mid(s, length, pos):
             if length < 0 or pos < 1:
                 raise BuiltinFuncError(f"MID: invalid range L={length} P={pos}")
-            return co(s[pos - 1 : pos - 1 + length])
+            return s[pos - 1 : pos - 1 + length]
         return mid
     raise TypeError(f"unknown builtin {name}")  # pragma: no cover
 

@@ -11,7 +11,8 @@ value"; an empty expect cell means "don't check".  Column names are
 case-insensitive like all ST identifiers.
 
 Parsing keeps cell literals as raw strings; `validate` types them against
-the declared interface of the block under test.
+the block's suite columns, which `suite_interface` alone decides: the CLI,
+the prompt, `drop_unknown_columns` and `validate` all read them from it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,40 @@ class ValidationError(Exception):
     def __init__(self, items: list[ValidationItem]):
         self.items = items
         super().__init__("; ".join(str(i) for i in items))
+
+
+@dataclass(frozen=True)
+class FbInterface:
+    """The block under test, as `suite_interface` checked it, and its suite
+    columns: name -> type, in declaration order."""
+
+    fb: PouInfo
+    inputs: dict[str, T.STType]
+    outputs: dict[str, T.STType]
+
+
+def suite_interface(prog: TypedProgram, name: str) -> FbInterface:
+    """The block `name` and its inputs and outputs but the ARRAYs, which no
+    CSV cell can hold.  Raises a ValidationError with one item per rule the
+    block breaks: it is a FUNCTION_BLOCK (if not, reported alone), has no
+    VAR_IN_OUT parameter, which no column binds, and has a column output."""
+    name = name.upper()
+    fb = prog.lookup_pou(name)
+    if fb is None or fb.kind is not PouKind.FUNCTION_BLOCK:
+        message = f"unknown function block {name}" if fb is None else f"{name} is a {fb.kind.value}, not a function block"
+        raise ValidationError([ValidationItem("-", None, None, message)])
+    inputs = {v.name: v.ty for v in fb.inputs() if v.ty.kind is not T.Kind.ARRAY}
+    outputs = {v.name: v.ty for v in fb.outputs() if v.ty.kind is not T.Kind.ARRAY}
+    messages = []
+    in_out = [v.name for v in fb.vars.values() if v.section is Section.IN_OUT]
+    if in_out:
+        plural = "s" if len(in_out) > 1 else ""
+        messages.append(f"{name} has VAR_IN_OUT parameter{plural} {', '.join(in_out)}, which no suite column can bind")
+    if not outputs:
+        messages.append(f"{name} has no output that a CSV cell can hold")
+    if messages:
+        raise ValidationError([ValidationItem("-", None, None, m) for m in messages])
+    return FbInterface(fb, inputs, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +244,11 @@ def serialize_suite(suite: TestSuite) -> str:
     return buf.getvalue()
 
 
-def drop_unknown_columns(suite: TestSuite, fb: PouInfo) -> tuple[TestSuite, list[str]]:
-    """Remove columns that are not declared on the block; returns the cleaned
-    suite and the dropped column names (inputs as-is, outputs with prefix)."""
-    inputs = {v.name for v in fb.inputs()}
-    outputs = {v.name for v in fb.outputs()}
+def drop_unknown_columns(suite: TestSuite, iface: FbInterface) -> tuple[TestSuite, list[str]]:
+    """Remove columns that are not suite columns of the block (undeclared,
+    or ARRAY); returns the cleaned suite and the dropped column names
+    (inputs as-is, outputs with prefix)."""
+    inputs, outputs = iface.inputs, iface.outputs
     dropped = [c for c in suite.input_columns if c not in inputs]
     dropped += [EXPECT_PREFIX + c for c in suite.output_columns if c not in outputs]
     if not dropped:
@@ -305,6 +340,8 @@ def parse_value_literal(text: str, ty: T.STType) -> V.Value:
         wide = next((ch for ch in text if ord(ch) > 0xFF), None)
         if wide is not None:  # a STRING character is one byte
             raise ValueError(f"{ty} cannot hold {wide!r} (U+{ord(wide):04X}): {text!r}")
+        if len(text) > ty.cap:  # cut to fit, it would not be the value the cell names
+            raise ValueError(f"{len(text)} characters do not fit a {ty} ({ty.cap} at most)")
         return V.make(ty, text)
     raise ValueError(f"cannot parse a {ty} from a CSV cell")
 
@@ -323,29 +360,19 @@ def _parse_int(text: str) -> int:
 
 
 def validate(suite: TestSuite, prog: TypedProgram) -> CheckedSuite:
-    """Type the suite against the block's declared interface.
+    """Type the suite against the suite columns of its block.
 
-    Returns a CheckedSuite, or raises a ValidationError with every problem
-    found: a block that is missing or not a FUNCTION_BLOCK, reported
-    alone; each VAR_IN_OUT parameter of the block, which no column can
-    bind; unknown columns, unparseable literals, cases that never assert
-    anything, cases too long to finish within MAX_SCANS scans, and more
-    cases than the harness could hold: the values the cases add to it,
-    each its own instance of the block among them
+    Returns a CheckedSuite, or raises a ValidationError: the block's own
+    problems alone (`suite_interface`), else every problem of the suite:
+    unknown columns, an ARRAY's among them, unparseable literals, cases
+    that never assert anything, cases too long to finish within MAX_SCANS
+    scans, and more cases than the harness could hold: the values the
+    cases add to it, each its own instance of the block among them
     (`harnessgen.case_values`), may total at most MAX_STORAGE.
     """
-    fb = prog.lookup_pou(suite.fb_under_test)
-    if fb is None or fb.kind is not PouKind.FUNCTION_BLOCK:
-        name = suite.fb_under_test
-        message = f"unknown function block {name}" if fb is None else f"{name} is a {fb.kind.value}, not a function block"
-        raise ValidationError([ValidationItem("-", None, None, message)])
-    items = [
-        ValidationItem("-", None, None, f"{fb.name} has VAR_IN_OUT parameter {v.name}, which no suite column can bind")
-        for v in fb.vars.values() if v.section is Section.IN_OUT
-    ]
-    inputs = {v.name: v.ty for v in fb.inputs()}
-    outputs = {v.name: v.ty for v in fb.outputs()}
-
+    iface = suite_interface(prog, suite.fb_under_test)
+    fb, inputs, outputs = iface.fb, iface.inputs, iface.outputs
+    items = []
     for col in suite.input_columns:
         if col not in inputs:
             items.append(ValidationItem("-", None, col, "unknown input column"))

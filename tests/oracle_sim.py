@@ -49,7 +49,8 @@ def _wrap(v: int, kind: T.Kind) -> int:
 
 
 def _f32(x: float) -> float:
-    return float(np.float32(x))
+    with np.errstate(over="ignore"):  # a double beyond binary32's range rounds to an infinity
+        return float(np.float32(x))
 
 
 def _coerce(raw, ty: T.STType):
@@ -394,8 +395,9 @@ class OracleSim:
             return _coerce(min(args), e.ty)
         if name == "MAX":
             return _coerce(max(args), e.ty)
-        if name == "LIMIT":
-            return _coerce(sorted((args[0], args[1], args[2]))[1], e.ty)
+        if name == "LIMIT":  # IEC 61131-3: MIN(MAX(IN, MN), MX), so MX wins when MN > MX
+            mn, in_v, mx = args
+            return _coerce(min(max(in_v, mn), mx), e.ty)
         if name == "SEL":
             return _coerce(args[2] if args[0] else args[1], e.ty)
         if name in ("SIN", "COS", "TAN", "EXP", "LN", "SQRT"):
@@ -410,6 +412,8 @@ class OracleSim:
             except OverflowError:
                 return _coerce(math.inf, e.ty)
         if name == "TRUNC":
+            if not math.isfinite(args[0]):
+                raise OracleFault("TRUNC overflow")
             return self._convert("TRUNC", math.trunc(args[0]), T.DINT)
         if name in ("SHL", "SHR"):
             width = 8 if e.ty.kind is T.Kind.BYTE else 16

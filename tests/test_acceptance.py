@@ -338,10 +338,10 @@ def test_criterion_7_assertion_timing():
 
 @pytest.mark.acceptance("8", "prompts differ exactly by the three enhanced groups")
 def test_criterion_8_prompt_mode_distinction(corpus_sources, corpus_programs):
-    from stbench.frontend import interface_of
+    from stbench.testspec import suite_interface
 
     for block in ("DEC_TO_HEX", "PI_CTRL"):
-        iface = interface_of(corpus_programs[block], block)
+        iface = suite_interface(corpus_programs[block], block)
         simple = llm.build_prompt(corpus_sources[block], iface, "simple").full
         enhanced = llm.build_prompt(corpus_sources[block], iface, "enhanced").full
         groups = llm.enhanced_groups()

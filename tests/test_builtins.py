@@ -16,10 +16,12 @@ from stbench.frontend import parse_text, resolve
 from stbench.frontend import types as T
 from stbench.frontend.builtins import BUILTIN_FBS, conversion_target
 from stbench.frontend.nodes import Section
-from stbench.runtime import SimClock, execute_cycle, instantiate, make
+from stbench.runtime import RuntimeFault, SimClock, execute_cycle, instantiate, make
 from stbench.runtime import values as V
 from stbench.runtime.stdfb import make_builtin
 from stbench.runtime.stdfuncs import BuiltinFuncError, builtin_impl
+
+from oracle_sim import OracleFault, OracleSim
 
 CONVERSIONS = sorted(
     f"{a}_TO_{b}" for a in T.SCALARS for b in T.SCALARS if conversion_target(f"{a}_TO_{b}")
@@ -203,3 +205,113 @@ def test_sel_of_arrays_stores_a_copy_of_the_chosen_one():
     assert (outputs["Y"].v, outputs["Z"].v) == (30, 3)
     outputs, _ = execute_cycle(inst, {"G": make(T.BOOL, False)}, SimClock())
     assert (outputs["Y"].v, outputs["Z"].v) == (10, 3)
+
+
+# Each built-in function on edge inputs, through the interpreter and the
+# oracle: (name, argument types, result type, argument tuples).  The
+# arguments are the block's inputs, so nothing is folded at compile time.
+_NAN, _INF = math.nan, math.inf
+_REAL_EDGES = [0.0, -0.0, 1.5, -1.5, _NAN, _INF, -_INF, V.F32_MAX, -V.F32_MAX]
+_INT_LO, _INT_HI = T.INT_RANGES[T.Kind.INT]
+_DINT_LO, _DINT_HI = T.INT_RANGES[T.Kind.DINT]
+_PAIRS = [(_NAN, 1.0), (1.0, _NAN), (-0.0, 0.0), (0.0, -0.0), (_INF, -_INF), (-V.F32_MAX, V.F32_MAX)]
+_SHIFTS = [(1, 0), (1, 7), (1, 8), (255, 1), (129, 100), (1, -1)]
+FUNCTION_TABLE = [
+    ("ABS", ["REAL"], "REAL", [(x,) for x in _REAL_EDGES]),
+    ("ABS", ["INT"], "INT", [(_INT_LO,), (_INT_HI,), (-1,), (0,)]),
+    ("ABS", ["DINT"], "DINT", [(_DINT_LO,), (_DINT_HI,)]),
+    ("MIN", ["REAL", "REAL"], "REAL", _PAIRS),
+    ("MAX", ["REAL", "REAL"], "REAL", _PAIRS),
+    ("MIN", ["INT", "DINT"], "DINT", [(_INT_LO, _DINT_HI), (_INT_HI, _DINT_LO)]),
+    ("MAX", ["BYTE", "WORD"], "WORD", [(0, 65535), (255, 0)]),
+    ("MAX", ["TIME", "TIME"], "TIME", [(0, 1), (2**40, 5)]),
+    ("LIMIT", ["INT", "INT", "INT"], "INT",
+     [(0, 5, 10), (0, -5, 10), (0, 15, 10), (10, 5, 0), (_INT_LO, 0, _INT_HI), (5, 5, 5)]),
+    ("LIMIT", ["REAL", "REAL", "REAL"], "REAL",
+     [(0.0, _NAN, 1.0), (_NAN, 0.5, 1.0), (0.0, 0.5, _NAN), (1.0, 0.5, 0.0), (-_INF, _INF, 0.0), (-0.0, 0.0, -0.0)]),
+    ("SEL", ["BOOL", "REAL", "REAL"], "REAL", [(False, _NAN, 1.0), (True, _NAN, -0.0)]),
+    ("SEL", ["BOOL", "INT", "DINT"], "DINT", [(False, _INT_LO, _DINT_HI), (True, 0, _DINT_LO)]),
+    *[(f, [ty], ty, [(x,) for x in _REAL_EDGES + [1e30, 100.0, -100.0]])
+      for f in ("SIN", "COS", "TAN", "EXP", "LN", "SQRT") for ty in ("REAL", "LREAL")],
+    ("EXP", ["LREAL"], "LREAL", [(709.0,), (710.0,), (1000.0,), (-1000.0,)]),
+    ("TRUNC", ["REAL"], "DINT", [(x,) for x in _REAL_EDGES + [2147483520.0, 2147483648.0, -2147483648.0]]),
+    ("TRUNC", ["LREAL"], "DINT",
+     [(2147483647.9,), (2147483648.0,), (-2147483648.9,), (-2147483649.0,), (_NAN,), (-_INF,)]),
+    ("SHL", ["BYTE", "INT"], "BYTE", _SHIFTS),
+    ("SHR", ["BYTE", "INT"], "BYTE", _SHIFTS),
+    ("SHL", ["WORD", "DINT"], "WORD", [(1, 15), (1, 16), (65535, 4), (3, _DINT_HI), (1, _DINT_LO)]),
+    ("SHR", ["WORD", "DINT"], "WORD", [(32768, 15), (32768, 16), (65535, 4), (1, -5)]),
+    ("CONCAT", ["STRING", "STRING[3]"], "STRING[83]", [("", ""), ("ab", "cde")]),
+    ("LEN", ["STRING"], "INT", [("",), ("abc",), ("x" * 80,)]),
+    ("MID", ["STRING", "INT", "INT"], "STRING",
+     [("hello", 2, 2), ("hello", 0, 1), ("hello", 10, 4), ("hello", 1, 6), ("hello", 3, 100),
+      ("hello", 1, 0), ("hello", -1, 1), ("", 1, 1)]),
+]
+
+
+def _function_block(name: str, arg_types: list[str], result: str):
+    params = [f"P{i}" for i in range(len(arg_types))]
+    src = (
+        "FUNCTION_BLOCK F\n"
+        f"VAR_INPUT {' '.join(f'{p} : {ty};' for p, ty in zip(params, arg_types))} END_VAR\n"
+        f"VAR_OUTPUT Y : {result}; END_VAR\n"
+        f"Y := {name}({', '.join(params)});\n"
+        "END_FUNCTION_BLOCK\n"
+    )
+    return resolve(parse_text(src, "f.st")), params
+
+
+def _same(a, b) -> bool:
+    """Equal values of one raw type, where NaN equals NaN; as with ==,
+    0.0 equals -0.0."""
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize(
+    "name,arg_types,result,args", FUNCTION_TABLE,
+    ids=[f"{n}-{'-'.join(a)}" for n, a, _r, _args in FUNCTION_TABLE],
+)
+def test_each_builtin_function_agrees_with_the_oracle_on_edge_inputs(name, arg_types, result, args):
+    prog, params = _function_block(name, arg_types, result)
+    types = [prog.lookup_pou("F").vars[p].ty for p in params]
+    for values in args:
+        try:
+            outputs, _ = execute_cycle(
+                instantiate(prog, "F"), {p: make(ty, v) for p, ty, v in zip(params, types, values)}, SimClock()
+            )
+            got = outputs["Y"].v
+        except RuntimeFault as fault:
+            got = fault
+        try:
+            want = OracleSim(prog, "F").scan(dict(zip(params, values)), 0)["Y"]
+        except OracleFault as fault:
+            want = fault
+        faulted = (isinstance(got, RuntimeFault), isinstance(want, OracleFault))
+        assert faulted in ((True, True), (False, False)), (values, got, want)
+        assert faulted == (True, True) or _same(got, want), (values, got, want)
+
+
+STRING_CAP_SRC = """
+FUNCTION_BLOCK LONG
+VAR_INPUT A : STRING[200]; G : BOOL; END_VAR
+VAR_OUTPUT PICKED : STRING[200]; CUT : STRING[200]; JOINED : STRING[400]; NARROW : STRING[10]; END_VAR
+PICKED := SEL(G, A, A);
+CUT := MID(A, 150, 1);
+JOINED := CONCAT(A, A);
+NARROW := CONCAT(A, A);
+END_FUNCTION_BLOCK
+"""
+
+
+def test_string_results_keep_the_capacity_of_their_arguments():
+    # SEL unifies to the larger capacity, MID keeps its argument's and
+    # CONCAT sums them; only a store cuts a value, to its target
+    inst = instantiate(resolve(parse_text(STRING_CAP_SRC, "long.st")), "LONG")
+    text = "".join(chr(ord("a") + i % 26) for i in range(150))
+    outputs, _ = execute_cycle(inst, {"A": make(T.string(200), text), "G": make(T.BOOL, True)}, SimClock())
+    assert {k: len(v.v) for k, v in outputs.items()} == {"PICKED": 150, "CUT": 150, "JOINED": 300, "NARROW": 10}
+    assert outputs["JOINED"].v == text + text and outputs["NARROW"].v == text[:10]
+    assert str(T.unify(T.string(200), T.string(3))) == "STRING[200]"
+    assert str(T.unify(T.string(3), T.string(200))) == "STRING[200]"

@@ -315,6 +315,44 @@ def test_config_file_rejects_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _unusable_input(tmp_path, name):
+    """(argv, the one error line) of `run` with one unusable input."""
+    unit, suite, out = DEC_BLOCK, tmp_path / "suite.csv", tmp_path / "out"
+    suite.write_text(CORRECT_CSV)
+    if name == "config-line-without-equals":
+        cfg = tmp_path / "stbench.cfg"
+        cfg.write_text(f"unit {DEC_BLOCK}\n")
+        return ["run", "--config", cfg, "--suite", suite, "--out", out], f"{cfg}:1: expected key = value"
+    if name == "unit-without-function-block":
+        unit = tmp_path / "main.st"
+        unit.write_text("PROGRAM MAIN\nVAR X : INT; END_VAR\nX := 1;\nEND_PROGRAM\n")
+        error = f"{unit}: no FUNCTION_BLOCK found"
+    elif name == "unknown-expect-column":
+        suite.write_text("test_name,state,DE,expect_NOPE\ntc,1,4,1\n")
+        error = "suite rejected: -/expect_NOPE: unknown output column"
+    elif name == "empty-expect-header":
+        suite.write_text("test_name,state,DE,expect_\ntc,1,4,1\n")
+        error = "suite rejected: empty expect_ column name (row 1)"
+    elif name == "empty-test-name":
+        suite.write_text("test_name,state,DE,expect_HEX\n ,1,4,'4'\n")
+        error = "suite rejected: empty test_name (row 2)"
+    else:
+        assert name == "directory-at-harness-st"
+        (out / "harness.st").mkdir(parents=True)
+        error = f"[report] [Errno 21] Is a directory: '{out / 'harness.st'}'"
+    return ["run", "--unit", unit, "--suite", suite, "--out", out], error
+
+
+@pytest.mark.parametrize("name", [
+    "config-line-without-equals", "unit-without-function-block", "unknown-expect-column",
+    "empty-expect-header", "empty-test-name", "directory-at-harness-st",
+])
+def test_an_unusable_input_exits_two_with_one_error_line(tmp_path, capsys, name):
+    argv, error = _unusable_input(tmp_path, name)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_config_file_accepts_every_key(tmp_path):
     fixture = tmp_path / "resp.txt"
     fixture.write_text("```csv\ntest_name,state,DE,expect_HEX\ntc,1,4,'4'\n```\n")
@@ -668,28 +706,52 @@ def test_unknown_fb_exits_two_without_traceback(tmp_path, capsys):
     )
     assert code == 2
     captured = capsys.readouterr()
-    assert "no FUNCTION_BLOCK named nope" in captured.err
+    assert captured.err == f"error: {DEC_BLOCK}: unknown function block NOPE\n"
     assert "Traceback" not in captured.err + captured.out
 
 
-IN_OUT_ITEM = "-: ACC has VAR_IN_OUT parameter T, which no suite column can bind"
-
-
 def test_a_block_with_a_var_in_out_parameter_exits_two_at_validation(tmp_path, capsys):
+    # the block is checked as the unit loads: before the suite is read, and
+    # before the provider is queried, so generate leaves nothing behind
     unit = tmp_path / "acc.st"
     unit.write_text(IN_OUT_UNIT)
     suite = tmp_path / "suite.csv"
     suite.write_text("test_name,state,X,expect_Y\ntc,1,1,1\n")
     fixture = tmp_path / "resp.txt"
     fixture.write_text("```csv\ntest_name,state,X,expect_Y\ntc,1,1,1\n```\n")
+    error = f"error: {unit}: ACC has VAR_IN_OUT parameter T, which no suite column can bind\n"
     assert run_cli("run", "--unit", unit, "--suite", suite, "--out", tmp_path / "run") == 2
-    assert capsys.readouterr().err == f"error: suite rejected: {IN_OUT_ITEM}\n"
+    assert capsys.readouterr().err == error
     assert not (tmp_path / "run").exists()
-    # generate writes no suite.csv that no run could execute
     assert run_cli("generate", "--unit", unit, "--provider", "mock", "--fixture", fixture, "--out", tmp_path / "gen") == 2
-    err = capsys.readouterr().err
-    assert f"invalid suite: {IN_OUT_ITEM}\n" in err and "error: generated suite failed validation" in err
-    assert sorted(p.name for p in (tmp_path / "gen").iterdir()) == ["exchange_0.json"]
+    assert capsys.readouterr() == ("", error)
+    assert not (tmp_path / "gen").exists()
+
+
+# blocks no suite can drive: (variable sections, the rule each breaks)
+UNDRIVABLE = [
+    ("VAR_INPUT X : DINT; END_VAR\nVAR_IN_OUT T : DINT; END_VAR\nVAR_OUTPUT Y : DINT; END_VAR",
+     "B has VAR_IN_OUT parameter T, which no suite column can bind"),
+    ("VAR_INPUT X : DINT; END_VAR", "B has no output that a CSV cell can hold"),
+    ("VAR_OUTPUT W : ARRAY[1..3] OF INT; END_VAR", "B has no output that a CSV cell can hold"),
+]
+
+
+@pytest.mark.parametrize("sections,rule", UNDRIVABLE, ids=["var-in-out", "no-output", "array-outputs-only"])
+def test_a_block_no_suite_can_drive_stops_generate_before_the_query(tmp_path, capsys, monkeypatch, sections, rule):
+    def post(*args, **kwargs):
+        pytest.fail("the provider was queried")
+
+    monkeypatch.setattr(llm, "_post", post)
+    unit = tmp_path / "b.st"
+    unit.write_text(f"FUNCTION_BLOCK B\n{sections}\nEND_FUNCTION_BLOCK\n")
+    code = run_cli(
+        "generate", "--unit", unit, "--provider", "http", "--endpoint", "http://127.0.0.1:9/v1",
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {unit}: {rule}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_library_file_exits_two(tmp_path, capsys):

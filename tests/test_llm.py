@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbench import llm
-from stbench.frontend import interface_of, parse_text, resolve
+from stbench.frontend import parse_text, resolve
+from stbench.testspec import suite_interface
 from stbench import corpus
 
 
 @pytest.fixture(scope="module")
 def dec_iface():
     prog = resolve(parse_text(corpus.block_source("DEC_TO_HEX")))
-    return interface_of(prog, "DEC_TO_HEX")
+    return suite_interface(prog, "DEC_TO_HEX")
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,16 @@ def test_enhanced_prompt_adds_exactly_three_groups(dec_iface):
 def test_format_spec_names_block_columns(dec_iface):
     bundle = llm.build_prompt("FUNCTION_BLOCK X END_FUNCTION_BLOCK", dec_iface, "enhanced")
     assert "test_name,state,dwell_cycles,DE,expect_HEX" in bundle.format_spec
+
+
+def test_format_spec_leaves_array_variables_out():
+    from test_testspec import ARRAY_UNIT
+
+    iface = suite_interface(resolve(parse_text(ARRAY_UNIT)), "MIXED")
+    bundle = llm.build_prompt(ARRAY_UNIT, iface, "enhanced")
+    assert "test_name,state,dwell_cycles,N,expect_Q\n" in bundle.format_spec
+    assert "input columns (N)" in bundle.format_spec
+    assert "expected output columns (expect_Q)" in bundle.format_spec
 
 
 def test_prompt_part_order_and_code_part(dec_iface):

@@ -4,7 +4,6 @@ import pytest
 
 from stbench.frontend import (
     ResolveError,
-    interface_of,
     parse_text,
     resolve,
 )
@@ -14,6 +13,7 @@ from stbench.frontend.nodes import Literal, Section
 from stbench.frontend.resolve import MAX_STORAGE
 from stbench.frontend.source import SourceUnit
 from stbench.runtime import SimClock, execute_cycle, instantiate, make
+from stbench.testspec import suite_interface
 
 
 def resolve_text(src, libs=None):
@@ -291,9 +291,9 @@ def test_interface_projection():
         END_FUNCTION_BLOCK
         """
     )
-    iface = interface_of(prog, "fb1")
-    assert iface.inputs == ["A", "N"]
-    assert iface.outputs == ["Q", "S"]
+    iface = suite_interface(prog, "fb1")
+    assert list(iface.inputs) == ["A", "N"]
+    assert list(iface.outputs) == ["Q", "S"]
 
 
 def _flip_case(text: str) -> str:

@@ -24,7 +24,7 @@ from stbench.runner import (
 )
 from stbench.runtime import SimClock, interp, run_program
 from stbench.runtime import values as V
-from stbench.testspec import drop_unknown_columns, parse_suite, validate
+from stbench.testspec import drop_unknown_columns, parse_suite, suite_interface, validate
 
 
 def rendered(render, *args) -> str:
@@ -531,7 +531,7 @@ def test_coverage_lines_are_harness_lines_with_a_library(tmp_path):
 def test_corpus_coverage_lines_are_harness_lines(name, tmp_path):
     prog = load_program(SourceUnit(corpus.block_source(name), f"{name}.st"))
     suite = parse_suite(extract_csv(corpus.fixture_path(name).read_text(encoding="utf-8")), name)
-    suite, _ = drop_unknown_columns(suite, prog.lookup_pou(name))
+    suite, _ = drop_unknown_columns(suite, suite_interface(prog, name))
     report = run_suite(prog, validate(suite, prog), RunOptions(out_dir=tmp_path, fixed_clock=True))
     _assert_listed_as_harness_st_lines(tmp_path, report, prog)
 

@@ -15,6 +15,7 @@ from stbench.testspec import (
     parse_suite,
     parse_value_literal,
     serialize_suite,
+    suite_interface,
     validate,
 )
 
@@ -77,6 +78,8 @@ def test_ragged_row_reports_row_number():
         ("test_name,state,dwell_cycles,DE\ntc,1,zero,2\n", "non-numeric dwell"),
         ("test_name,state,dwell_cycles,DE\ntc,1,0,2\n", "dwell_cycles must be >= 1"),
         ("test_name,state,DE\n", "no test cases"),
+        ("test_name,state,DE,expect_\ntc,1,2,3\n", "empty expect_ column name (row 1)"),
+        ("test_name,state,DE\n ,1,2\n", "empty test_name (row 2)"),
     ],
 )
 def test_csv_errors(csv_text, fragment):
@@ -123,18 +126,63 @@ def test_only_a_function_block_is_accepted_as_the_block_under_test():
 
 def test_a_block_with_a_var_in_out_parameter_is_rejected():
     # no column binds a VAR_IN_OUT parameter, so no harness could call the
-    # block; one item per parameter, beside the suite's other problems
+    # block; the block's problem is reported alone, before the suite's own
     prog = resolve(parse_text(IN_OUT_UNIT))
     with pytest.raises(ValidationError) as err:
         validate(parse_suite("test_name,state,X,expect_Y\ntc,1,1,1\n", "ACC"), prog)
     assert [str(i) for i in err.value.items] == ["-: ACC has VAR_IN_OUT parameter T, which no suite column can bind"]
     with pytest.raises(ValidationError) as err:
         validate(parse_suite("test_name,state,T,expect_Y\ntc,1,1,\n", "ACC"), prog)
-    assert [str(i) for i in err.value.items] == [
-        "-: ACC has VAR_IN_OUT parameter T, which no suite column can bind",
-        "-/T: unknown input column",
-        "tc: no assertable state in this case",
-    ]
+    assert [str(i) for i in err.value.items] == ["-: ACC has VAR_IN_OUT parameter T, which no suite column can bind"]
+
+
+ARRAY_UNIT = """FUNCTION_BLOCK MIXED
+VAR_INPUT V : ARRAY[1..3] OF INT; N : INT; END_VAR
+VAR_OUTPUT W : ARRAY[1..3] OF INT; Q : BOOL; END_VAR
+Q := N > V[1];
+END_FUNCTION_BLOCK
+"""
+
+
+def test_suite_columns_leave_array_variables_out():
+    iface = suite_interface(resolve(parse_text(ARRAY_UNIT)), "mixed")
+    assert iface.fb.name == "MIXED"
+    assert iface.inputs == {"N": T.INT} and iface.outputs == {"Q": T.BOOL}
+
+
+@pytest.mark.parametrize(
+    "vars_,messages",
+    [
+        ("VAR_INPUT X : INT; END_VAR", ["has no output that a CSV cell can hold"]),
+        ("VAR_OUTPUT W : ARRAY[1..2] OF INT; END_VAR", ["has no output that a CSV cell can hold"]),
+        (
+            "VAR_IN_OUT T : INT; U : BOOL; END_VAR",
+            ["has VAR_IN_OUT parameters T, U, which no suite column can bind", "has no output that a CSV cell can hold"],
+        ),
+    ],
+    ids=["no-output", "array-outputs-only", "in-out-and-no-output"],
+)
+def test_a_block_no_suite_can_drive_is_rejected_with_one_item_per_rule(vars_, messages):
+    prog = resolve(parse_text(f"FUNCTION_BLOCK B\n{vars_}\nEND_FUNCTION_BLOCK\n"))
+    with pytest.raises(ValidationError) as err:
+        suite_interface(prog, "B")
+    assert [str(i) for i in err.value.items] == [f"-: B {m}" for m in messages]
+    with pytest.raises(ValidationError) as again:
+        validate(parse_suite("test_name,state,X\ntc,1,1\n", "B"), prog)
+    assert again.value.items == err.value.items
+
+
+def test_array_columns_are_dropped_and_rejected_one_item_per_column():
+    prog = resolve(parse_text(ARRAY_UNIT))
+    # a column of empty cells too: no cell could ever fill it
+    text = "test_name,state,V,N,expect_W,expect_Q\ntc,1,,1,,TRUE\n"
+    with pytest.raises(ValidationError) as err:
+        validate(parse_suite(text, "MIXED"), prog)
+    assert [str(i) for i in err.value.items] == ["-/V: unknown input column", "-/expect_W: unknown output column"]
+    cleaned, dropped = drop_unknown_columns(parse_suite(text, "MIXED"), suite_interface(prog, "MIXED"))
+    assert dropped == ["V", "expect_W"]
+    [state] = validate(cleaned, prog).cases[0].states
+    assert (list(state.inputs), list(state.expected)) == (["N"], ["Q"])
 
 
 def test_drop_unknown_columns(dec_prog):
@@ -142,7 +190,7 @@ def test_drop_unknown_columns(dec_prog):
         "test_name,state,DE,NOTES,expect_HEX,expect_GHOST\ntc,1,4,hello,'4',1\n",
         "DEC_TO_HEX",
     )
-    cleaned, dropped = drop_unknown_columns(suite, dec_prog.lookup_pou("DEC_TO_HEX"))
+    cleaned, dropped = drop_unknown_columns(suite, suite_interface(dec_prog, "DEC_TO_HEX"))
     assert dropped == ["NOTES", "expect_GHOST"]
     assert cleaned.input_columns == ["DE"]
     assert cleaned.output_columns == ["HEX"]
@@ -192,6 +240,8 @@ def test_bad_literal_reports_case_state_column(dec_prog):
         ("250", T.TIME, 250),
         ("'FF'", T.string(), "FF"),
         ("FF", T.string(), "FF"),
+        ("'abc'", T.string(3), "abc"),
+        ("x" * 80, T.string(), "x" * 80),
     ],
 )
 def test_value_literal_forms(text, ty, value):
@@ -218,11 +268,27 @@ def test_value_literal_forms(text, ty, value):
         ("TRUE", T.TIME),
         ("TRUE", T.REAL),
         ("1.5", T.INT),
+        ("abcd", T.string(3)),  # cut to fit, it would be another value
+        ("'abcd'", T.string(3)),
+        ("x" * 81, T.string()),
     ],
 )
 def test_value_literal_rejects(text, ty):
     with pytest.raises(ValueError):
         parse_value_literal(text, ty)
+
+
+def test_a_string_cell_longer_than_its_column_holds_is_rejected():
+    prog = resolve(parse_text(
+        "FUNCTION_BLOCK ECHO\nVAR_INPUT S : STRING[3]; END_VAR\nVAR_OUTPUT O : STRING[3]; END_VAR\n"
+        "O := S;\nEND_FUNCTION_BLOCK\n"
+    ))
+    with pytest.raises(ValidationError) as err:
+        validate(parse_suite("test_name,state,S,expect_O\ntc,1,abcd,abcdef\n", "ECHO"), prog)
+    assert [str(i) for i in err.value.items] == [
+        "tc/state 1/S: 4 characters do not fit a STRING[3] (3 at most)",
+        "tc/state 1/expect_O: 6 characters do not fit a STRING[3] (3 at most)",
+    ]
 
 
 def test_string_cells_take_every_single_byte_character():
