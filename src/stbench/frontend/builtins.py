@@ -55,19 +55,6 @@ BUILTIN_FBS: dict[str, dict[str, tuple[T.STType, Section]]] = {
     },
 }
 
-_NUMERIC = (T.Kind.INT, T.Kind.DINT, T.Kind.REAL, T.Kind.LREAL)
-_ORDERED = _NUMERIC + (T.Kind.BYTE, T.Kind.WORD, T.Kind.TIME)
-_CONVERTIBLE = (
-    T.Kind.BOOL,
-    T.Kind.INT,
-    T.Kind.DINT,
-    T.Kind.BYTE,
-    T.Kind.WORD,
-    T.Kind.REAL,
-    T.Kind.LREAL,
-    T.Kind.TIME,
-)
-
 
 def conversion_target(name: str) -> tuple[T.STType, T.STType] | None:
     """Return (src, dst) types if name is a supported X_TO_Y conversion."""
@@ -78,13 +65,10 @@ def conversion_target(name: str) -> tuple[T.STType, T.STType] | None:
     dst = T.SCALARS.get(right)
     if src is None or dst is None:
         return None
-    if src.kind not in _CONVERTIBLE:
-        return None
-    numericish = (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD, T.Kind.REAL, T.Kind.LREAL)
     ok = (
-        (src.kind in numericish and dst.kind in numericish)
-        or (src.kind is T.Kind.BOOL and dst.kind in (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD))
-        or (dst.kind is T.Kind.BOOL and src.kind in (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD))
+        (src.kind in T.NUMBER_KINDS and dst.kind in T.NUMBER_KINDS)
+        or (src.kind is T.Kind.BOOL and dst.kind in T.INTEGERISH_KINDS)
+        or (dst.kind is T.Kind.BOOL and src.kind in T.INTEGERISH_KINDS)
         or (src.kind is T.Kind.TIME and dst.kind is T.Kind.DINT)
         or (src.kind is T.Kind.DINT and dst.kind is T.Kind.TIME)
     )
@@ -95,10 +79,7 @@ def string_conversion_source(name: str) -> T.STType | None:
     """Return the source type if name is a supported X_TO_STRING conversion."""
     if not name.endswith("_TO_STRING"):
         return None
-    src = T.SCALARS.get(name[: -len("_TO_STRING")])
-    if src is not None and src.kind in _CONVERTIBLE:
-        return src
-    return None
+    return T.SCALARS.get(name[: -len("_TO_STRING")])
 
 
 def is_builtin_function(name: str) -> bool:
@@ -131,14 +112,14 @@ def check_builtin_call(name: str, arg_types: list[T.STType]) -> T.STType | str:
         return T.string()
 
     if name == "ABS":
-        if len(arg_types) != 1 or arg_types[0].kind not in _NUMERIC:
+        if len(arg_types) != 1 or arg_types[0].kind not in T.NUMERIC_KINDS:
             return "ABS takes one numeric argument"
         return arg_types[0]
     if name in ("MIN", "MAX"):
         if len(arg_types) != 2:
             return f"{name} takes 2 arguments"
         u = T.unify(arg_types[0], arg_types[1])
-        if u is None or u.kind not in _ORDERED:
+        if u is None or u.kind not in T.ORDERED_KINDS:
             return f"{name} arguments must share an ordered type"
         return u
     if name == "LIMIT":
@@ -146,7 +127,7 @@ def check_builtin_call(name: str, arg_types: list[T.STType]) -> T.STType | str:
             return "LIMIT takes (MN, IN, MX)"
         u = T.unify(arg_types[0], arg_types[1])
         u = T.unify(u, arg_types[2]) if u else None
-        if u is None or u.kind not in _ORDERED:
+        if u is None or u.kind not in T.ORDERED_KINDS:
             return "LIMIT arguments must share an ordered type"
         return u
     if name == "SEL":
@@ -159,18 +140,18 @@ def check_builtin_call(name: str, arg_types: list[T.STType]) -> T.STType | str:
             return "SEL alternatives must share a type"
         return u
     if name in ("SIN", "COS", "TAN", "EXP", "LN", "SQRT"):
-        if len(arg_types) != 1 or arg_types[0].kind not in (T.Kind.REAL, T.Kind.LREAL):
+        if len(arg_types) != 1 or arg_types[0].kind not in T.REAL_KINDS:
             return f"{name} takes one REAL or LREAL argument"
         return arg_types[0]
     if name == "TRUNC":
-        if len(arg_types) != 1 or arg_types[0].kind not in (T.Kind.REAL, T.Kind.LREAL):
+        if len(arg_types) != 1 or arg_types[0].kind not in T.REAL_KINDS:
             return "TRUNC takes one REAL or LREAL argument"
         return T.DINT
     if name in ("SHL", "SHR"):
         if (
             len(arg_types) != 2
-            or arg_types[0].kind not in (T.Kind.BYTE, T.Kind.WORD)
-            or arg_types[1].kind not in (T.Kind.INT, T.Kind.DINT)
+            or arg_types[0].kind not in T.BIT_KINDS
+            or arg_types[1].kind not in T.SIGNED_INT_KINDS
         ):
             return f"{name} takes (BYTE|WORD, INT|DINT)"
         return arg_types[0]
@@ -186,8 +167,8 @@ def check_builtin_call(name: str, arg_types: list[T.STType]) -> T.STType | str:
         if (
             len(arg_types) != 3
             or arg_types[0].kind is not T.Kind.STRING
-            or arg_types[1].kind not in (T.Kind.INT, T.Kind.DINT)
-            or arg_types[2].kind not in (T.Kind.INT, T.Kind.DINT)
+            or arg_types[1].kind not in T.SIGNED_INT_KINDS
+            or arg_types[2].kind not in T.SIGNED_INT_KINDS
         ):
             return "MID takes (STRING, L: INT, P: INT)"
         return arg_types[0]

@@ -1,8 +1,11 @@
 """Tokenizer for the supported Structured Text subset.
 
-Identifiers and keywords are case-insensitive; identifier tokens carry the
-upper-cased spelling in `norm`.  Comments `(* ... *)` (nesting allowed) and
-`// ...` are skipped as trivia.  Token spans are byte offsets into the
+Identifiers, keywords and TIME units are ASCII letters, digits and `_`,
+case-insensitive; identifier tokens carry the upper-cased spelling in
+`norm`.  A string literal holds one-byte characters only
+(`types.MAX_STRING_CHAR`), and its `$`-escapes are `ESCAPES`, the table
+the printer spells characters by.  Comments `(* ... *)` (nesting allowed)
+and `// ...` are skipped as trivia.  Token spans are byte offsets into the
 SourceUnit, so concatenating the spans plus the gaps between them
 reconstructs the source exactly.
 """
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, FrontendError
 from .source import SourceUnit, Span
+from .types import MAX_STRING_CHAR
 
 
 class TokKind(enum.Enum):
@@ -49,9 +53,20 @@ KEYWORDS = frozenset(
 
 _MULTI_OPS = (":=", "=>", "<=", ">=", "<>", "**", "..")
 _SINGLE_OPS = "+-*/=<>&"
-# ASCII only: str.isdigit() also accepts digits such as "²" that int() rejects
+# ASCII only: str.isdigit() also accepts digits such as "²" that int() rejects,
+# and str.upper() folds letters such as "ı" and "ſ" into "I" and "S"
 _DIGITS = "0123456789"
+_HEX_DIGITS = _DIGITS + "abcdefABCDEF"
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_IDENT_START = _LETTERS | {"_"}
+_IDENT_CHARS = _IDENT_START | set(_DIGITS)
 _PUNCT = ";:,()[]."
+
+# What each `$` escape of a string literal stands for, its letter in either
+# case; `$` and two hex digits stand for the character of that code.
+# `pretty.format_string` spells a character by its escape here, and a line
+# feed by the later of its two, `$N`.
+ESCAPES = {"$": "$", "'": "'", "L": "\n", "N": "\n", "P": "\f", "R": "\r", "T": "\t"}
 
 _TIME_FACTORS = {"D": 86_400_000.0, "H": 3_600_000.0, "M": 60_000.0, "S": 1_000.0, "MS": 1.0}
 
@@ -128,9 +143,9 @@ def tokenize(src: SourceUnit) -> list[Token]:
             i = _scan_number(text, i, out, err)
             continue
 
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             word = text[i:j].upper()
             if j < n and text[j] == "#":
@@ -185,27 +200,18 @@ def _scan_string(text: str, start: int, err) -> tuple[int, str]:
             if j + 1 >= n:
                 err("unterminated string literal", start, n)
             esc = text[j + 1].upper()
-            if esc == "$":
-                parts.append("$")
-            elif esc == "'":
-                parts.append("'")
-            elif esc in "LN":
-                parts.append("\n")
-            elif esc == "P":
-                parts.append("\f")
-            elif esc == "R":
-                parts.append("\r")
-            elif esc == "T":
-                parts.append("\t")
-            else:
-                hx = text[j + 1 : j + 3]
-                if len(hx) == 2 and all(c in "0123456789abcdefABCDEF" for c in hx):
-                    parts.append(chr(int(hx, 16)))
-                    j += 3
-                    continue
-                err(f"malformed string escape ${esc}", j, j + 2)
-            j += 2
-            continue
+            if esc in ESCAPES:
+                parts.append(ESCAPES[esc])
+                j += 2
+                continue
+            hx = text[j + 1 : j + 3]
+            if len(hx) == 2 and all(c in _HEX_DIGITS for c in hx):
+                parts.append(chr(int(hx, 16)))
+                j += 3
+                continue
+            err(f"malformed string escape ${esc}", j, j + 2)
+        if ord(ch) > MAX_STRING_CHAR:
+            err(f"a STRING cannot hold {ch!r} (U+{ord(ch):04X})", j)
         parts.append(ch)
         j += 1
 
@@ -226,7 +232,7 @@ def _scan_number(text: str, start: int, out: list[Token], err) -> int:
         if base not in (2, 8, 16):
             err(f"unsupported literal base {base}", start, i)
         digits_start = i + 1
-        allowed = {2: "01", 8: "01234567", 16: "0123456789abcdefABCDEF"}[base]
+        allowed = {2: "01", 8: "01234567", 16: _HEX_DIGITS}[base]
         j = _scan_digits(text, digits_start, allowed)
         body = text[digits_start:j].replace("_", "")
         if not body:
@@ -276,7 +282,7 @@ def _scan_time(text: str, start: int, i: int, out: list[Token], err) -> int:
             j = _scan_digits(text, j + 1, _DIGITS)
         num = float(text[i:j].replace("_", ""))
         k = j
-        while k < n and text[k].isalpha():
+        while k < n and text[k] in _LETTERS:
             k += 1
         unit = text[j:k].upper()
         # 'MS' greedily, else single-letter units; trailing letters beyond a

@@ -11,6 +11,11 @@ over a compilation unit, assigned in source order after a successful parse
 level.  `iter_sites` walks a body's site nodes and `site_span` gives the
 span a site is reported at.
 
+The language's operator precedence (`BINOP_PRECEDENCE`, with
+`UNARY_PRECEDENCE` above it) and its numeric literal kinds
+(`NUMERIC_LITERALS`) live here, beside the operators and literal kinds
+they rank, for the parser, the printer and the resolver alike.
+
 Every node class is slotted: a generated harness holds tens of thousands
 of nodes, so none carries a per-instance `__dict__`.  Walks over the nodes
 (here, and in the printer, the resolver and the interpreter) dispatch on a
@@ -52,6 +57,11 @@ class Literal(Expr):
     value: object
     span: Span = field(compare=False, default=Span(0, 0))
     ty: STType | None = field(compare=False, default=None)
+
+
+# the literal kinds a leading `-` folds into, so that `-5` is one literal,
+# and whose type the other operand of a binary operator decides
+NUMERIC_LITERALS = (Literal.K.INT, Literal.K.REAL)
 
 
 @dataclass(slots=True)
@@ -105,6 +115,27 @@ class BinOp(enum.Enum):
     LE = "<="
     GT = ">"
     GE = ">="
+
+
+# How tightly each binary operator binds, higher binding tighter: the one
+# table the parser and the printer read.  `**` is right-associative and
+# every other operator left-associative.  A unary operator binds tighter
+# than any binary one, at UNARY_PRECEDENCE.
+BINOP_PRECEDENCE = {
+    op: prec
+    for prec, level in enumerate((
+        (BinOp.OR,),
+        (BinOp.XOR,),
+        (BinOp.AND,),
+        (BinOp.EQ, BinOp.NE),
+        (BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE),
+        (BinOp.ADD, BinOp.SUB),
+        (BinOp.MUL, BinOp.DIV, BinOp.MOD),
+        (BinOp.POW,),
+    ), start=1)
+    for op in level
+}
+UNARY_PRECEDENCE = max(BINOP_PRECEDENCE.values()) + 1
 
 
 @dataclass(slots=True)

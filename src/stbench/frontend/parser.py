@@ -5,6 +5,10 @@ to the next `;` or section/block-closing keyword, and resumes, so one run
 reports every syntax error in the unit.  On any error the whole parse fails
 with a ParseError carrying the full diagnostic list.
 
+The parser's operator table is `nodes.BINOP_PRECEDENCE`, and its POU and
+section keywords are the `PouKind` and `Section` values: the tables the
+printer prints by, so the two cannot disagree.
+
 Nesting is bounded so that no later stage (resolver, statement generator,
 execution) recurses past Python's default recursion limit: statements nest
 at most MAX_DEPTH levels below a POU body, and an expression tree is at
@@ -18,6 +22,8 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, ParseError
 from .lexer import Token, TokKind, tokenize
 from .nodes import (
+    BINOP_PRECEDENCE,
+    NUMERIC_LITERALS,
     Assign,
     Ast,
     Binary,
@@ -67,15 +73,11 @@ class _TooDeep(Exception):
     """Internal: abandon the parse; nesting passed MAX_DEPTH."""
 
 
-_POU_OPENERS = {"FUNCTION_BLOCK": PouKind.FUNCTION_BLOCK, "FUNCTION": PouKind.FUNCTION, "PROGRAM": PouKind.PROGRAM}
-_POU_CLOSERS = {"END_FUNCTION_BLOCK", "END_FUNCTION", "END_PROGRAM"}
-_SECTION_KWS = {
-    "VAR_INPUT": Section.INPUT,
-    "VAR_OUTPUT": Section.OUTPUT,
-    "VAR_IN_OUT": Section.IN_OUT,
-    "VAR": Section.LOCAL,
-    "VAR_TEMP": Section.TEMP,
-}
+# the keywords that open and close a POU and open a VAR section: what the
+# printer prints for each PouKind and Section
+_POU_OPENERS = {kind.value: kind for kind in PouKind}
+_POU_CLOSERS = {"END_" + kind.value for kind in PouKind}
+_SECTION_KWS = {section.value: section for section in Section}
 _STMT_CLOSERS = {
     "END_IF", "END_CASE", "END_FOR", "END_WHILE", "END_REPEAT",
     "ELSE", "ELSIF", "UNTIL",
@@ -83,21 +85,12 @@ _STMT_CLOSERS = {
 # what ends a VAR section whose END_VAR is missing
 _SECTION_ENDS = set(_SECTION_KWS) | _POU_CLOSERS
 
-# binary operator token -> (precedence, operator); higher binds tighter
-_BINARY = {
-    tok: (prec, op)
-    for prec, level in enumerate([
-        {"OR": BinOp.OR},
-        {"XOR": BinOp.XOR},
-        {"AND": BinOp.AND, "&": BinOp.AND},
-        {"=": BinOp.EQ, "<>": BinOp.NE},
-        {"<": BinOp.LT, "<=": BinOp.LE, ">": BinOp.GT, ">=": BinOp.GE},
-        {"+": BinOp.ADD, "-": BinOp.SUB},
-        {"*": BinOp.MUL, "/": BinOp.DIV, "MOD": BinOp.MOD},
-    ])
-    for tok, op in level.items()
-}
-_UNARY = {"-": UnOp.NEG, "+": UnOp.PLUS, "NOT": UnOp.NOT}
+# binary operator token -> (precedence, operator), from the one table the
+# printer reads too; `&` is AND, and `**` is parsed a level below the rest,
+# right-associative (parse_power)
+_BINARY = {op.value: (prec, op) for op, prec in BINOP_PRECEDENCE.items() if op is not BinOp.POW}
+_BINARY["&"] = _BINARY["AND"]
+_UNARY = {op.value: op for op in UnOp}
 # the literal kind each literal token kind spells, with the token's value
 _LITERAL_TOKENS = {TokKind[k]: Literal.K[k] for k in ("INT", "REAL", "TIME", "STRING")}
 
@@ -580,7 +573,7 @@ class _Parser:
             self.advance()
             operand = self.parse_unary(sub)
             # fold numeric literals so INT minimum (-32768) types as one literal
-            if tok.norm == "-" and isinstance(operand, Literal) and operand.lit_kind in (Literal.K.INT, Literal.K.REAL):
+            if tok.norm == "-" and isinstance(operand, Literal) and operand.lit_kind in NUMERIC_LITERALS:
                 return Literal(operand.lit_kind, -operand.value, span=tok.span.merge(operand.span))
             self.over(self.height, tok)
             return Unary(_UNARY[tok.norm], operand, span=tok.span.merge(operand.span))

@@ -1,5 +1,8 @@
 """Canonical pretty-printer; re-parsing its output reproduces the Ast.
 
+It parenthesizes by `nodes.BINOP_PRECEDENCE` and spells string characters
+by `lexer.ESCAPES`, the tables the parser and the lexer read.
+
 The printer also gives every statement site it prints the span of the text
 it printed for it, as the parser would: a statement from its first token to
 its last (an FB call, EXIT and RETURN without the `;`), the expression of a
@@ -13,7 +16,11 @@ difference from a parse: an expression printed with outer parentheses
 
 from __future__ import annotations
 
+from .lexer import ESCAPES
 from .nodes import (
+    BINOP_PRECEDENCE,
+    NUMERIC_LITERALS,
+    UNARY_PRECEDENCE,
     Assign,
     Ast,
     Binary,
@@ -41,32 +48,22 @@ from .nodes import (
     WhileStmt,
 )
 from .source import Span
+from .types import MAX_STRING_CHAR
 
 _IND = "    "
 
-# binding strength per operator, for minimal parenthesization
-_PREC = {
-    BinOp.OR: 1,
-    BinOp.XOR: 2,
-    BinOp.AND: 3,
-    BinOp.EQ: 4,
-    BinOp.NE: 4,
-    BinOp.LT: 5,
-    BinOp.LE: 5,
-    BinOp.GT: 5,
-    BinOp.GE: 5,
-    BinOp.ADD: 6,
-    BinOp.SUB: 6,
-    BinOp.MUL: 7,
-    BinOp.DIV: 7,
-    BinOp.MOD: 7,
-    BinOp.POW: 8,
-}
-_UNARY_PREC = 9
 # each operator's (binding strength, text), and each unary operator's
 # prefix: an Enum member's `.value` is a Python-level property read
-_BINOP_TEXT = {op: (prec, op.value) for op, prec in _PREC.items()}
+_BINOP_TEXT = {op: (prec, op.value) for op, prec in BINOP_PRECEDENCE.items()}
 _UNOP_TEXT = {**{op: op.value for op in UnOp}, UnOp.NOT: "NOT "}
+# how a string literal spells each one-byte character: by its escape
+# (`lexer.ESCAPES`, where `$N` follows `$L`, so a line feed prints as
+# `$N`), as `$` and two hex digits if it is not printable ASCII, or as
+# itself
+_STRING_CHARS = {
+    **{chr(c): chr(c) if 32 <= c <= 126 else f"${c:02X}" for c in range(MAX_STRING_CHAR + 1)},
+    **{ch: "$" + code for code, ch in ESCAPES.items()},
+}
 
 
 def print_ast(ast: Ast, start: int = 0) -> str:
@@ -240,26 +237,8 @@ def format_real(v: float) -> str:
 
 
 def format_string(s: str) -> str:
-    out = ["'"]
-    for ch in s:
-        if ch == "'":
-            out.append("$'")
-        elif ch == "$":
-            out.append("$$")
-        elif ch == "\n":
-            out.append("$N")
-        elif ch == "\r":
-            out.append("$R")
-        elif ch == "\t":
-            out.append("$T")
-        elif ch == "\f":
-            out.append("$P")
-        elif ord(ch) < 32 or ord(ch) > 126:
-            out.append(f"${ord(ch) & 0xFF:02X}")
-        else:
-            out.append(ch)
-    out.append("'")
-    return "".join(out)
+    """The literal of a STRING value, whose characters are one byte each."""
+    return "'" + "".join([_STRING_CHARS[ch] for ch in s]) + "'"
 
 
 def format_expr(e: Expr, parent_prec: int = 0) -> str:
@@ -268,7 +247,7 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
 
 def _literal(e: Literal, parent_prec: int) -> str:
     text = format_literal(e)
-    if e.lit_kind in (Literal.K.INT, Literal.K.REAL) and e.value < 0 and parent_prec >= _UNARY_PREC:
+    if e.lit_kind in NUMERIC_LITERALS and e.value < 0 and parent_prec >= UNARY_PRECEDENCE:
         return f"({text})"
     return text
 
@@ -290,8 +269,8 @@ def _call(e: Call, parent_prec: int) -> str:
 
 
 def _unary(e: Unary, parent_prec: int) -> str:
-    text = _UNOP_TEXT[e.op] + format_expr(e.operand, _UNARY_PREC)
-    return f"({text})" if parent_prec > _UNARY_PREC else text
+    text = _UNOP_TEXT[e.op] + format_expr(e.operand, UNARY_PRECEDENCE)
+    return f"({text})" if parent_prec > UNARY_PRECEDENCE else text
 
 
 def _binary(e: Binary, parent_prec: int) -> str:

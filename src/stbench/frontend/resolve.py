@@ -16,6 +16,7 @@ from . import builtins as bi
 from . import types as T
 from .diagnostics import Diagnostic, ResolveError
 from .nodes import (
+    NUMERIC_LITERALS,
     Assign,
     Ast,
     Binary,
@@ -124,16 +125,11 @@ BUILTIN_VARS = {
 # nesting.
 MAX_STORAGE = 1_000_000
 
-_INT_LITERAL_KINDS = (T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD)
 # each integer kind a literal can take: its one STType and its range
-_INT_LITERAL_TYPES = {ty.kind: (ty, *T.INT_RANGES[ty.kind]) for ty in (T.INT, T.DINT, T.BYTE, T.WORD)}
-# the literal kinds and operator and type sets type_binary tests
-_ADAPTABLE_LITERALS = (Literal.K.INT, Literal.K.REAL)
+_INT_LITERAL_TYPES = {kind: (T.SCALARS[kind.value], *T.INT_RANGES[kind]) for kind in T.INTEGERISH_KINDS}
+# the operator sets type_binary tests
 _ORDERINGS = frozenset({BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE})
 _COMPARISONS = _ORDERINGS | {BinOp.EQ, BinOp.NE}
-_ORDERED_KINDS = frozenset({
-    T.Kind.INT, T.Kind.DINT, T.Kind.BYTE, T.Kind.WORD, T.Kind.REAL, T.Kind.LREAL, T.Kind.TIME,
-})
 _WRITABLE_LVALUE_MSG = "assignment target must be a variable of this POU"
 
 
@@ -350,7 +346,7 @@ class _Resolver:
     def literal_value(self, lit: Literal, ty: T.STType, span: Span):
         """Check one literal against a declared type, returning the value."""
         k = lit.lit_kind
-        if ty.kind in _INT_LITERAL_KINDS:
+        if ty.kind in T.INTEGERISH_KINDS:
             if k is not Literal.K.INT:
                 self.err(f"expected {ty} literal", lit.span if lit.span.end else span)
                 return None
@@ -359,8 +355,8 @@ class _Resolver:
                 self.err(f"literal {lit.value} exceeds {ty} range {lo}..{hi}", lit.span if lit.span.end else span)
                 return None
             return lit.value
-        if ty.kind in (T.Kind.REAL, T.Kind.LREAL):
-            if k not in (Literal.K.REAL, Literal.K.INT):
+        if ty.kind in T.REAL_KINDS:
+            if k not in NUMERIC_LITERALS:
                 self.err(f"expected {ty} literal", lit.span if lit.span.end else span)
                 return None
             return float(lit.value)
@@ -402,7 +398,7 @@ class _Resolver:
 
     def check_case(self, st: CaseStmt) -> None:
         sel_ty = self.type_expr(st.selector)
-        if sel_ty is not None and sel_ty.kind not in _INT_LITERAL_KINDS:
+        if sel_ty is not None and sel_ty.kind not in T.INTEGERISH_KINDS:
             self.err(f"CASE selector must be an integer type, got {sel_ty}", st.span)
             sel_ty = None
         for br in st.branches:
@@ -421,7 +417,7 @@ class _Resolver:
         if var is None:
             self.err(f"unknown loop variable {st.var}", st.span)
             var_ty = None
-        elif var.ty.kind not in (T.Kind.INT, T.Kind.DINT):
+        elif var.ty.kind not in T.SIGNED_INT_KINDS:
             self.err(f"loop variable {st.var} must be INT or DINT", st.span)
             var_ty = None
         else:
@@ -548,7 +544,7 @@ class _Resolver:
                 self.err("only array variables can be indexed", e.span)
                 return None
             idx_ty = self.type_expr(e.index, expected=T.DINT)
-            if idx_ty is not None and idx_ty.kind not in (T.Kind.INT, T.Kind.DINT):
+            if idx_ty is not None and idx_ty.kind not in T.SIGNED_INT_KINDS:
                 self.err(f"array index must be INT or DINT, got {idx_ty}", e.span)
             e.ty = base_ty.elem
             return base_ty.elem
@@ -601,7 +597,7 @@ class _Resolver:
             self.err(f"{e.base.name} is not an array", e.span)
             return None
         idx_ty = self.type_expr(e.index, expected=T.DINT)
-        if idx_ty is not None and idx_ty.kind not in (T.Kind.INT, T.Kind.DINT):
+        if idx_ty is not None and idx_ty.kind not in T.SIGNED_INT_KINDS:
             self.err(f"array index must be INT or DINT, got {idx_ty}", e.span)
         return var.ty.elem
 
@@ -618,7 +614,7 @@ class _Resolver:
                 return T.LREAL
             return T.REAL
         # integer literal: adopt the expected integer type when given
-        if expected is not None and expected.kind in _INT_LITERAL_KINDS:
+        if expected is not None and expected.kind in T.INTEGERISH_KINDS:
             ty, lo, hi = _INT_LITERAL_TYPES[expected.kind]
             if lo <= e.value <= hi:
                 return ty
@@ -641,14 +637,14 @@ class _Resolver:
             ty = self.type_expr(e.operand, expected=expected)
             if ty is None:
                 return None
-            if ty.kind is T.Kind.BOOL or ty.kind in T.BIT_KINDS:
+            if ty.kind in T.BITWISE_KINDS:
                 return ty
             self.err(f"NOT needs BOOL or a bit type, got {ty}", e.span)
             return None
         ty = self.type_expr(e.operand, expected=expected)
         if ty is None:
             return None
-        if ty.kind in (T.Kind.INT, T.Kind.DINT, T.Kind.REAL, T.Kind.LREAL):
+        if ty.kind in T.NUMERIC_KINDS:
             return ty
         self.err(f"unary {e.op.value} needs a numeric operand, got {ty}", e.span)
         return None
@@ -657,8 +653,8 @@ class _Resolver:
         comparison = e.op in _COMPARISONS
         hint = None if comparison else expected
         # a numeric literal takes its type from the other operand
-        left_lit = type(e.left) is Literal and e.left.lit_kind in _ADAPTABLE_LITERALS
-        right_lit = type(e.right) is Literal and e.right.lit_kind in _ADAPTABLE_LITERALS
+        left_lit = type(e.left) is Literal and e.left.lit_kind in NUMERIC_LITERALS
+        right_lit = type(e.right) is Literal and e.right.lit_kind in NUMERIC_LITERALS
         if left_lit and not right_lit:
             rt = self.type_expr(e.right, expected=hint)
             lt = self.type_expr(e.left, expected=rt)
@@ -676,33 +672,31 @@ class _Resolver:
             if u is None:
                 self.err(f"cannot compare {lt} with {rt}", e.span)
                 return None
-            if e.op in _ORDERINGS and u.kind not in _ORDERED_KINDS:
+            if e.op in _ORDERINGS and u.kind not in T.ORDERED_KINDS:
                 self.err(f"{u} values are not ordered", e.span)
                 return None
             return T.BOOL
 
         if e.op in (BinOp.AND, BinOp.OR, BinOp.XOR):
-            if u is not None and (u.kind is T.Kind.BOOL or u.kind in T.BIT_KINDS):
+            if u is not None and u.kind in T.BITWISE_KINDS:
                 return u
             self.err(f"{e.op.value} needs BOOL or bit-type operands", e.span)
             return None
 
         if e.op is BinOp.MOD:
-            if u is not None and u.kind in (T.Kind.INT, T.Kind.DINT):
+            if u is not None and u.kind in T.SIGNED_INT_KINDS:
                 return u
             self.err("MOD needs integer operands", e.span)
             return None
 
         if e.op is BinOp.POW:
-            if lt.kind in (T.Kind.REAL, T.Kind.LREAL) and rt.kind in (
-                T.Kind.INT, T.Kind.DINT, T.Kind.REAL, T.Kind.LREAL,
-            ):
+            if lt.kind in T.REAL_KINDS and rt.kind in T.NUMERIC_KINDS:
                 return lt
             self.err("** needs a REAL or LREAL base and a numeric exponent", e.span)
             return None
 
         # ADD/SUB/MUL/DIV
-        if u is not None and u.kind in (T.Kind.INT, T.Kind.DINT, T.Kind.REAL, T.Kind.LREAL):
+        if u is not None and u.kind in T.NUMERIC_KINDS:
             return u
         if u is not None and u.kind is T.Kind.TIME and e.op in (BinOp.ADD, BinOp.SUB):
             return u

@@ -3,8 +3,10 @@
 Fixed widths: INT is 16-bit signed, DINT 32-bit signed, BYTE/WORD are 8/16-bit
 unsigned bit strings, REAL/LREAL are binary32/binary64, TIME is a signed
 64-bit count of milliseconds, STRING is capacity-bounded (default 80 chars).
-Implicit conversion exists only along INT->DINT, REAL->LREAL and BYTE->WORD;
-everything else needs an explicit X_TO_Y call.
+A STRING character is one byte (MAX_STRING_CHAR).  Implicit conversion
+exists only along INT->DINT, REAL->LREAL and BYTE->WORD; everything else
+needs an explicit X_TO_Y call.  The kind families (NUMERIC_KINDS,
+ORDERED_KINDS and the rest) are named here and nowhere else.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ class Kind(enum.Enum):
 
 
 DEFAULT_STRING_CAP = 80
+# a STRING character is one byte: its code point is at most U+00FF
+MAX_STRING_CHAR = 0xFF
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,10 +91,20 @@ INT_RANGES = {
     Kind.WORD: (0, 2**16 - 1),
 }
 
+# The kind families; every other module names a family by these names.
 SIGNED_INT_KINDS = (Kind.INT, Kind.DINT)
 BIT_KINDS = (Kind.BYTE, Kind.WORD)
 REAL_KINDS = (Kind.REAL, Kind.LREAL)
+# the kinds of integer values: INT_RANGES holds each one's range
 INTEGERISH_KINDS = SIGNED_INT_KINDS + BIT_KINDS
+# the operands of arithmetic: + - * /, unary minus and ABS
+NUMERIC_KINDS = SIGNED_INT_KINDS + REAL_KINDS
+# the kinds of numbers, bit strings included: X_TO_Y converts among them
+NUMBER_KINDS = INTEGERISH_KINDS + REAL_KINDS
+# the operands of < <= > >=, MIN, MAX and LIMIT
+ORDERED_KINDS = NUMBER_KINDS + (Kind.TIME,)
+# the operands of NOT, AND, OR and XOR
+BITWISE_KINDS = (Kind.BOOL,) + BIT_KINDS
 
 # Widening-only implicit conversions.
 WIDENS = {

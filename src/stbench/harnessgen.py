@@ -115,9 +115,8 @@ def is_generated_name(name: str) -> bool:
 # expression node in place
 # ---------------------------------------------------------------------------
 
-# operator and type text as ST spells it, read from tables: an Enum
-# lookup by value or name, and a member's `.value`, are Python-level calls
-_BINOPS = {op.value: op for op in N.BinOp}
+# type text as ST spells it, read from a table: a member's `.value` is a
+# Python-level call
 _TYPE_NAMES = {kind: kind.value for kind in T.Kind}
 # the literal kind that resolves to a runtime value of each scalar kind
 _LITERAL_KINDS = {
@@ -147,17 +146,12 @@ def _ref(name: str, member: str | None = None) -> N.Expr:
     return ref if member is None else N.MemberRef(ref, member)
 
 
-def _op(op: str, left: N.Expr, right: N.Expr) -> N.Binary:
-    """A binary expression, the operator spelled as in ST."""
-    return N.Binary(_BINOPS[op], left, right)
-
-
 def _set(name: str, value: N.Expr) -> N.Assign:
     return N.Assign(N.VarRef(name), value)
 
 
 def _incr(name: str) -> N.Assign:
-    return _set(name, _op("+", _ref(name), _int(1)))
+    return _set(name, N.Binary(N.BinOp.ADD, _ref(name), _int(1)))
 
 
 def _if(cond: N.Expr, *body: N.Stmt) -> N.IfStmt:
@@ -232,7 +226,7 @@ def build_case_fb(
             N.FbCall("UNIT", [N.ParamBind(c, False, value_literal(v)) for c, v in state.inputs.items()]),
             _incr("TICK"),
             _if(
-                _op(">=", _ref("TICK"), _int(state.dwell_cycles)),
+                N.Binary(N.BinOp.GE, _ref("TICK"), _int(state.dwell_cycles)),
                 _set("PENDING", _int(st_idx)),
                 _set("STATE", _int(st_idx + 1)),
                 _set("TICK", _int(0)),
@@ -243,19 +237,19 @@ def build_case_fb(
     body = [
         _if(_ref("DONE"), N.ReturnStmt()),
         _if(
-            _op(">", _ref("PENDING"), _int(0)),
+            N.Binary(N.BinOp.GT, _ref("PENDING"), _int(0)),
             _case("PENDING", checks),
             _set("CHECKED", _ref("PENDING")),
             _if(
-                _op("=", _ref("PENDING"), _int(len(case.states))),
-                _set("PASS", _op("=", _ref("FAILS"), _int(0))),
+                N.Binary(N.BinOp.EQ, _ref("PENDING"), _int(len(case.states))),
+                _set("PASS", N.Binary(N.BinOp.EQ, _ref("FAILS"), _int(0))),
                 _set("DONE", _true()),
                 _set("PENDING", _int(0)),
                 N.ReturnStmt(),
             ),
             _set("PENDING", _int(0)),
         ),
-        _if(_op("=", _ref("STATE"), _int(0)), _set("STATE", _int(1))),
+        _if(N.Binary(N.BinOp.EQ, _ref("STATE"), _int(0)), _set("STATE", _int(1))),
         _case("STATE", steps),
     ]
     return CaseHarness(
@@ -271,10 +265,12 @@ def build_case_fb(
 
 def _comparison(slot: AssertionSlot, atol: float, rtol: float) -> N.Expr:
     if slot.expected.ty.kind in T.REAL_KINDS:
-        error = N.Call("ABS", [_op("-", _ref(slot.actual_var), value_literal(slot.expected))])
-        scaled = _op("*", N.Literal(N.Literal.K.REAL, rtol), N.Call("ABS", [value_literal(slot.expected)]))
-        return _op("<=", error, _op("+", N.Literal(N.Literal.K.REAL, atol), scaled))
-    return _op("=", _ref(slot.actual_var), value_literal(slot.expected))
+        error = N.Call("ABS", [N.Binary(N.BinOp.SUB, _ref(slot.actual_var), value_literal(slot.expected))])
+        scaled = N.Binary(
+            N.BinOp.MUL, N.Literal(N.Literal.K.REAL, rtol), N.Call("ABS", [value_literal(slot.expected)])
+        )
+        return N.Binary(N.BinOp.LE, error, N.Binary(N.BinOp.ADD, N.Literal(N.Literal.K.REAL, atol), scaled))
+    return N.Binary(N.BinOp.EQ, _ref(slot.actual_var), value_literal(slot.expected))
 
 
 def build_runner(cases: list[CaseHarness]) -> N.PouDecl:

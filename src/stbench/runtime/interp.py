@@ -65,8 +65,8 @@ program.
 
 Values: expressions evaluate to raw python values (bool, int, float, str,
 or a list of raw elements for an ARRAY), and every store (an instance's,
-a built-in block's, TEMP defaults and function frames) maps a variable to
-its raw value; its type is the declared one.  `Value`s are built only at
+a built-in block's, TEMP initial values and function frames) maps a
+variable to its raw value; its type is the declared one.  `Value`s are built only at
 the boundary: `execute_cycle` unboxes its inputs into fresh lists and
 stores them as generated code does (`T.assignable`, `_store_conv`), and
 `FbInstance.outputs()` boxes what it returns.  Each store owns its ARRAY
@@ -223,9 +223,10 @@ class ScanTrace:
         return self.sites
 
 
-def _initial_store(info: PouInfo) -> dict[str, object]:
+def _initial_store(variables) -> dict[str, object]:
+    """A store of `variables` (VarInfos), each at its declared initial value."""
     store: dict[str, object] = {}
-    for var in info.vars.values():
+    for var in variables:
         if var.init is None:
             store[var.name] = V.zero(var.ty)
         elif var.ty.kind is T.Kind.ARRAY:
@@ -243,7 +244,7 @@ class FbInstance:
         self.prog = prog
         self.info = info
         self.fb_type = info.name
-        self.store: dict[str, object] = _initial_store(info)
+        self.store: dict[str, object] = _initial_store(info.vars.values())
         self.nested: dict[str, FbInstance | BuiltinInstance] = {}
 
     def outputs(self) -> dict[str, V.Value]:
@@ -475,10 +476,8 @@ class _Pou:
         self.info = info
         self.name = info.name
         self.bounded = bounded
-        self.temps = {
-            v.name: V.zero(v.ty) for v in info.vars.values() if v.section is Section.TEMP
-        }
-        self.initial = _initial_store(info) if info.kind is PouKind.FUNCTION else None
+        self.temps = _initial_store(v for v in info.vars.values() if v.section is Section.TEMP)
+        self.initial = _initial_store(info.vars.values()) if info.kind is PouKind.FUNCTION else None
         self.params = tuple(v.name for v in info.inputs())
         # the ARRAYs of what a function frame (or else a TEMP reset) starts
         # from: each start copies them, so that no two stores share a list
@@ -490,7 +489,7 @@ class _Pou:
         self.fused: tuple[int, ...] = ()
 
     def reset_temps(self, store: dict) -> None:
-        """Set a store's TEMP variables to their zeros."""
+        """Set a store's TEMP variables to their initial values."""
         store.update(self.temps)
         for name in self.copies:
             store[name] = list(store[name])

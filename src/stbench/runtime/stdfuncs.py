@@ -70,7 +70,7 @@ def builtin_impl(name: str, arg_types: list[STType], result_ty: STType) -> Calla
         if kind in T.SIGNED_INT_KINDS:  # ABS of the most negative value wraps
             co = V.coercer(result_ty)
             return lambda x: co(-x) if x < 0 else x
-        return lambda x: -x if x < 0 else x
+        return abs  # ABS(-0.0) is +0.0
     # MIN, MAX, LIMIT and SEL return an operand, already a value of the
     # result type: a common STRING type holds its longest operand
     if name == "MIN":

@@ -139,7 +139,7 @@ def zero(ty: STType):
         return False
     if k in T.INT_RANGES or k is Kind.TIME:
         return 0
-    if k in (Kind.REAL, Kind.LREAL):
+    if k in T.REAL_KINDS:
         return 0.0
     if k is Kind.STRING:
         return ""
@@ -174,7 +174,7 @@ def scalar_text(kind: Kind) -> Callable[[object], str]:
         return lambda v: "TRUE" if v else "FALSE"
     if kind is Kind.TIME:
         return lambda v: f"T#{v}ms"
-    if kind in (Kind.REAL, Kind.LREAL):
+    if kind in T.REAL_KINDS:
         return lambda v: repr(float(v))
     return str
 

@@ -315,16 +315,15 @@ def parse_value_literal(text: str, ty: T.STType) -> V.Value:
         if not (lo <= raw <= hi):
             raise ValueError(f"{raw} outside {ty} range {lo}..{hi}")
         return V.make(ty, raw)
-    if k in (T.Kind.REAL, T.Kind.LREAL):
+    if k in T.REAL_KINDS:
         val = V.make(ty, float(text))
         if not math.isfinite(val.v):  # ST has no literal for it
             raise ValueError(f"not a finite {ty}: {text!r}")
         return val
     if k is T.Kind.TIME:
-        up = text.upper()
-        if up.startswith(("T#", "TIME#")):
+        if text.upper().startswith(("T#", "TIME#")):
             try:
-                toks = tokenize(SourceUnit(up))
+                toks = tokenize(SourceUnit(text))
             except LexError as exc:
                 raise ValueError(f"not a TIME literal: {text!r}") from exc
             if len(toks) != 2 or toks[0].kind is not TokKind.TIME:
@@ -337,8 +336,8 @@ def parse_value_literal(text: str, ty: T.STType) -> V.Value:
     if k is T.Kind.STRING:
         if len(text) >= 2 and text.startswith("'") and text.endswith("'"):
             text = text[1:-1]
-        wide = next((ch for ch in text if ord(ch) > 0xFF), None)
-        if wide is not None:  # a STRING character is one byte
+        wide = next((ch for ch in text if ord(ch) > T.MAX_STRING_CHAR), None)
+        if wide is not None:
             raise ValueError(f"{ty} cannot hold {wide!r} (U+{ord(wide):04X}): {text!r}")
         if len(text) > ty.cap:  # cut to fit, it would not be the value the cell names
             raise ValueError(f"{len(text)} characters do not fit a {ty} ({ty.cap} at most)")

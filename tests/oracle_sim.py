@@ -171,20 +171,22 @@ class OracleSim:
         self.prog = prog
         self.info = prog.lookup_pou(fb_name.upper())
         assert self.info is not None and self.info.kind is not PouKind.FUNCTION
-        self.env: dict[str, object] = {}
-        for var in self.info.vars.values():
-            if var.init is None:
-                self.env[var.name] = _default(var.ty)
-            elif var.ty.kind is T.Kind.ARRAY:
-                self.env[var.name] = [_coerce(x, var.ty.elem) for x in var.init]
-            else:
-                self.env[var.name] = _coerce(var.init, var.ty)
+        self.env = {var.name: self._initial(var) for var in self.info.vars.values()}
         self.insts = {
             name: _make_builtin_oracle(fb_type)
             for name, fb_type in self.info.fb_instances.items()
         }
         self.hits: Counter = Counter()
         self.now = 0
+
+    @staticmethod
+    def _initial(var) -> object:
+        """A variable's declared initial value, a fresh list for an ARRAY."""
+        if var.init is None:
+            return _default(var.ty)
+        if var.ty.kind is T.Kind.ARRAY:
+            return [_coerce(x, var.ty.elem) for x in var.init]
+        return _coerce(var.init, var.ty)
 
     # -- public ----------------------------------------------------------
 
@@ -194,7 +196,7 @@ class OracleSim:
             self.env[var.name] = _coerce(raw, var.ty)
         for var in self.info.vars.values():
             if var.section is Section.TEMP:
-                self.env[var.name] = _default(var.ty)
+                self.env[var.name] = self._initial(var)
         self.now = now
         try:
             self._body(self.info.decl.body)

@@ -218,6 +218,7 @@ _PAIRS = [(_NAN, 1.0), (1.0, _NAN), (-0.0, 0.0), (0.0, -0.0), (_INF, -_INF), (-V
 _SHIFTS = [(1, 0), (1, 7), (1, 8), (255, 1), (129, 100), (1, -1)]
 FUNCTION_TABLE = [
     ("ABS", ["REAL"], "REAL", [(x,) for x in _REAL_EDGES]),
+    ("ABS", ["LREAL"], "LREAL", [(x,) for x in _REAL_EDGES]),
     ("ABS", ["INT"], "INT", [(_INT_LO,), (_INT_HI,), (-1,), (0,)]),
     ("ABS", ["DINT"], "DINT", [(_DINT_LO,), (_DINT_HI,)]),
     ("MIN", ["REAL", "REAL"], "REAL", _PAIRS),
@@ -262,10 +263,13 @@ def _function_block(name: str, arg_types: list[str], result: str):
 
 
 def _same(a, b) -> bool:
-    """Equal values of one raw type, where NaN equals NaN; as with ==,
-    0.0 equals -0.0."""
-    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
-        return True
+    """Equal values of one raw type, where NaN equals NaN and, unlike
+    with ==, 0.0 and -0.0 differ: `1.0 / ABS(X)` tells them apart."""
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) and math.isnan(b):
+            return True
+        if math.copysign(1.0, a) != math.copysign(1.0, b):
+            return False
     return type(a) is type(b) and a == b
 
 

@@ -723,6 +723,37 @@ def test_instances_sharing_an_array_temp_never_see_each_others_writes():
     assert interp._pou(prog, "TEMP_USER").temps["TA"] == [0, 0]
 
 
+def test_a_called_block_starts_its_temporaries_at_their_initializers():
+    # a block called from another resets its TEMPs in the caller's
+    # generated call, not in execute_cycle; the two instances share the
+    # initial ARRAY, which neither write may change
+    prog = prog_of(
+        """
+        FUNCTION_BLOCK INIT_TEMPS
+        VAR_INPUT K : INT; END_VAR
+        VAR_OUTPUT SEEN : INT; END_VAR
+        VAR_TEMP T : INT := 5; TA : ARRAY[1..2] OF INT := [3, 4]; END_VAR
+        SEEN := T * 100 + TA[1] * 10 + TA[2];
+        T := K;
+        TA[1] := K;
+        END_FUNCTION_BLOCK
+        FUNCTION_BLOCK PAIR
+        VAR_OUTPUT X : INT; Y : INT; END_VAR
+        VAR S1 : INIT_TEMPS; S2 : INIT_TEMPS; END_VAR
+        S1(K := 1);
+        S2(K := 2);
+        X := S1.SEEN;
+        Y := S2.SEEN;
+        END_FUNCTION_BLOCK
+        """
+    )
+    inst = instantiate(prog, "PAIR")
+    for _ in range(2):
+        out, _ = execute_cycle(inst, {}, SimClock())
+        assert (out["X"].v, out["Y"].v) == (534, 534)
+    assert interp._pou(prog, "INIT_TEMPS").temps == {"T": 5, "TA": [3, 4]}
+
+
 def test_execute_cycle_array_input_and_outputs_do_not_alias():
     prog = prog_of(
         """

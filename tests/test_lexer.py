@@ -1,8 +1,9 @@
 import pytest
 
+from stbench.frontend import parse_text, resolve
 from stbench.frontend.diagnostics import FrontendError
 from stbench.frontend.lexer import LexError, TokKind, tokenize
-from stbench.frontend.source import SourceUnit
+from stbench.frontend.source import SourceUnit, Span
 
 
 def toks(text):
@@ -110,6 +111,7 @@ def test_string_escapes():
         ("T#5parsecs", "malformed time unit"),
         ("WORD#16#1", "unsupported typed literal"),
         ("T#\u00b2s", "malformed time"),
+        ("T#5\u017f", "malformed time unit"),  # a long s, which str.upper() makes S
     ],
 )
 def test_lex_errors_have_spans(text, message):
@@ -139,6 +141,29 @@ def test_non_ascii_digit_is_an_unexpected_character(digit):
         toks(f"y := x + {digit};")
     assert str(err.value) == f"<memory>:1:10: unexpected character {digit!r}"
     assert err.value.span.start == 9
+
+
+# identifiers and keywords are ASCII: str.upper() would fold "\u0131"
+# (dotless i) into "I" and "\u00df" into "SS"
+def test_a_non_ascii_letter_does_not_spell_a_keyword():
+    with pytest.raises(LexError) as err:
+        toks("\u0131f X THEN")
+    assert str(err.value) == "<memory>:1:1: unexpected character '\u0131'"
+
+
+def test_two_identifiers_that_fold_to_one_spelling_are_not_one_variable():
+    src = "FUNCTION_BLOCK F\nVAR STRA\u00dfE : INT; STRASSE : INT; END_VAR\nEND_FUNCTION_BLOCK\n"
+    with pytest.raises(LexError) as err:
+        resolve(parse_text(src))
+    assert str(err.value) == "<memory>:2:9: unexpected character '\u00df'"
+
+
+def test_a_string_literal_holds_one_byte_characters_only():
+    assert toks("'\u00e9\u00ff'")[0].value == "\u00e9\u00ff"
+    with pytest.raises(LexError) as err:
+        toks("S := '\u20ac5';")
+    assert str(err.value) == "<memory>:1:7: a STRING cannot hold '\u20ac' (U+20AC)"
+    assert err.value.span == Span(6, 7)
 
 
 @pytest.mark.parametrize("text", ["1.\u00b2", "1e\u00b2"])

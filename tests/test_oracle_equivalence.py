@@ -303,3 +303,33 @@ def test_overflowing_powers_match_the_oracle(ty, x, y, want):
     out, _ = execute_cycle(instantiate(prog, "POWER"), args, SimClock())
     assert out["P"].v == want
     assert OracleSim(prog, "POWER").scan({"X": x, "Y": y}, 0)["P"] == want
+
+
+# no corpus block declares VAR_TEMP: each scan starts a TEMP variable at its
+# declared initial value, a scalar's and an ARRAY's alike, in bounded code
+# and in checked code ({loop} makes it checked)
+TEMPS_SRC = """
+FUNCTION_BLOCK TEMPS
+VAR_INPUT N : INT; END_VAR
+VAR_OUTPUT Y : INT; Z : INT; END_VAR
+VAR_TEMP T : INT := 5; A : ARRAY[1..3] OF INT := [7, 8, 9]; I : INT; END_VAR
+T := T + N;
+A[2] := A[2] + N;
+{loop}
+Y := T;
+Z := A[1] * 100 + A[2] * 10 + A[3];
+END_FUNCTION_BLOCK
+"""
+
+
+@pytest.mark.parametrize("loop,bounded", [("", True), ("FOR I := 1 TO 2 DO A[3] := A[3] + 1; END_FOR;", False)],
+                         ids=["bounded", "checked"])
+def test_temporaries_start_each_scan_at_their_initial_values(loop, bounded):
+    prog = resolve(parse_text(TEMPS_SRC.format(loop=loop)))
+    assert interp._bounded(prog, "TEMPS") is bounded
+    configs = [{"N": i(n)} for n in (0, 1, 3)]
+    assert_matches_oracle(prog, "TEMPS", 3, configs)
+    inst = instantiate(prog, "TEMPS")
+    for _ in range(3):
+        out, _ = execute_cycle(inst, typed_inputs({"N": i(1)}), SimClock())
+        assert (out["Y"].v, out["Z"].v) == (6, 790 + (9 if bounded else 11))

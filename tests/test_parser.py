@@ -2,7 +2,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stbench import corpus
@@ -10,13 +10,22 @@ from stbench.frontend import FrontendError, ParseError, parse_text, print_ast, r
 from stbench.frontend.parser import MAX_DEPTH
 from stbench.frontend.nodes import (
     Assign,
+    Binary,
+    BinOp,
+    Call,
     CaseStmt,
     ForStmt,
     IfStmt,
+    IndexRef,
     Literal,
+    MemberRef,
     PouKind,
+    Unary,
+    UnOp,
+    VarRef,
     iter_sites,
 )
+from stbench.frontend.pretty import format_expr
 
 
 def body_of(src, pou=0):
@@ -183,6 +192,58 @@ def test_pretty_roundtrip_edge_expressions():
     """
     ast = parse_text(src)
     assert parse_text(print_ast(ast)).pous == ast.pous
+
+
+# Canonical expression trees: those the parser gives back as they are.  A
+# sign before a numeric literal is folded into it, so no NEG applies to one;
+# a TIME literal has no sign; a REAL literal is finite.
+_NAMES = st.sampled_from(["A", "B1", "T", "X_Y"])
+_LEAVES = st.one_of(
+    st.builds(Literal, st.just(Literal.K.BOOL), st.booleans()),
+    st.builds(Literal, st.just(Literal.K.INT), st.integers(-(2**40), 2**40)),
+    st.builds(Literal, st.just(Literal.K.REAL), st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(Literal, st.just(Literal.K.TIME), st.integers(0, 2**40)),
+    st.builds(Literal, st.just(Literal.K.STRING), st.text(st.characters(max_codepoint=0xFF), max_size=6)),
+    st.builds(VarRef, _NAMES),
+)
+
+
+def _unary(op: UnOp, operand):
+    numeric = type(operand) is Literal and operand.lit_kind in (Literal.K.INT, Literal.K.REAL)
+    return Unary(UnOp.PLUS if op is UnOp.NEG and numeric else op, operand)
+
+
+@st.composite
+def _exprs(draw, depth: int = 4):
+    """A tree at most `depth` operators high, mostly of binary operators
+    nested in one another, so that most pairs of operators meet."""
+    node = draw(st.integers(0, 11)) if depth else 0
+    if node == 0:
+        return draw(_LEAVES)
+    child = _exprs(depth - 1)
+    if node <= 8:
+        return Binary(draw(st.sampled_from(BinOp)), draw(child), draw(child))
+    if node == 9:
+        return _unary(draw(st.sampled_from(UnOp)), draw(child))
+    if node == 10:
+        return Call(draw(_NAMES), draw(st.lists(child, max_size=2)))
+    base = VarRef(draw(_NAMES))
+    return MemberRef(base, draw(_NAMES)) if draw(st.booleans()) else IndexRef(base, draw(child))
+
+
+def _reparsed(expr):
+    text = f"FUNCTION_BLOCK F\nX := {format_expr(expr)};\nEND_FUNCTION_BLOCK\n"
+    return parse_text(text).pous[0].body[0].value
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(expr=_exprs())
+@example(expr=Literal(Literal.K.STRING, "".join(map(chr, range(256)))))
+@example(expr=Binary(BinOp.POW, Literal(Literal.K.INT, -2), Unary(UnOp.NEG, VarRef("A"))))
+def test_printing_then_parsing_an_expression_gives_it_back(expr):
+    # the printer and the parser read one precedence table and one escape
+    # table; a tree either spells differently would not come back equal
+    assert _reparsed(expr) == expr
 
 
 @contextmanager

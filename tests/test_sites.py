@@ -8,8 +8,9 @@ import pytest
 
 from stbench import corpus
 from stbench.frontend import nodes as N
-from stbench.frontend import parse_text, pretty, resolve
+from stbench.frontend import lexer, parse_text, parser, pretty, resolve
 from stbench.frontend.resolve import _CHECKS, _TYPES
+from stbench.frontend.source import SourceUnit
 from stbench.harnessgen import build_harness
 from stbench.llm import extract_csv
 from stbench.runtime import interp
@@ -120,3 +121,21 @@ def test_each_dispatch_table_covers_exactly_the_node_classes():
     }
     for name, (table, classes) in tables.items():
         assert set(table) == classes, name
+
+
+def test_the_language_tables_cover_every_operator_and_escape():
+    # the parser and the printer read one precedence table, which must
+    # rank every binary operator, and one escape table, each of whose
+    # codes (in either case) must decode to its character and print back;
+    # the lexer must mark every word the parser's tables hold a keyword
+    assert set(N.BINOP_PRECEDENCE) == set(N.BinOp)
+    assert {op for _prec, op in parser._BINARY.values()} == set(N.BinOp) - {N.BinOp.POW}
+    assert set(parser._UNARY.values()) == set(N.UnOp) == set(pretty._UNOP_TEXT)
+    assert N.UNARY_PRECEDENCE > max(N.BINOP_PRECEDENCE.values())
+    # the parser matches its keyword tables against keyword tokens only
+    spelled = {*parser._POU_OPENERS, *parser._POU_CLOSERS, *parser._SECTION_KWS, *parser._BINARY, *parser._UNARY}
+    assert {word for word in spelled if word.isalpha()} <= lexer.KEYWORDS
+    for code, char in lexer.ESCAPES.items():
+        for spelled in {code, code.lower()}:
+            assert lexer.tokenize(SourceUnit(f"'${spelled}'"))[0].value == char, code
+        assert lexer.tokenize(SourceUnit(pretty.format_string(char)))[0].value == char, code

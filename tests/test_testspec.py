@@ -271,6 +271,7 @@ def test_value_literal_forms(text, ty, value):
         ("abcd", T.string(3)),  # cut to fit, it would be another value
         ("'abcd'", T.string(3)),
         ("x" * 81, T.string()),
+        ("T#5\u017f", T.TIME),  # read as written: str.upper() makes a long s an S
     ],
 )
 def test_value_literal_rejects(text, ty):

@@ -124,6 +124,36 @@ def test_integer_widths_have_one_home():
     assert writers <= {"frontend/types.py"}
 
 
+def _kind_member(node) -> str | None:
+    """The member a `Kind.X` or `T.Kind.X` expression names, or None."""
+    if not isinstance(node, ast.Attribute) or node.attr not in T.Kind.__members__:
+        return None
+    owner = node.value
+    return node.attr if getattr(owner, "id", getattr(owner, "attr", None)) == "Kind" else None
+
+
+def test_kind_families_have_one_home():
+    # frontend/types.py names each kind family (T.REAL_KINDS and the rest):
+    # no tuple, list or set of Kind members elsewhere spells one out again
+    families = {
+        frozenset(kind.name for kind in members): name
+        for name, members in vars(T).items() if name.endswith("_KINDS")
+    }
+    assert len(families) >= 8
+    src = Path(V.__file__).resolve().parents[1]
+    copies = []
+    for path in src.rglob("*.py"):
+        where = path.relative_to(src).as_posix()
+        if where == "frontend/types.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and node.elts:
+                members = frozenset(_kind_member(e) for e in node.elts)
+                if members in families:
+                    copies.append(f"{where}:{node.lineno} spells T.{families[members]}")
+    assert copies == []
+
+
 def test_f32_overflow_to_inf():
     assert V.f32(1e39) == math.inf
     assert V.f32(-1e39) == -math.inf
